@@ -34,7 +34,7 @@ Examples::
     repro-events train --dataset world.json.gz --bundle model_bundle \\
         --metrics-out telemetry.jsonl
     repro-events recommend --dataset world.json.gz --bundle model_bundle \\
-        --user-id 3 --at-time 900 --top-k 5 --serving indexed
+        --user-id 3 --at-time 900 --top-k 5
     repro-events experiment --scale small --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl --exemplars
     repro-events loadgen --rate 200 --duration 2 --warmup 50 \\
@@ -127,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--user-id", type=int, required=True)
     recommend.add_argument("--at-time", type=float, required=True)
     recommend.add_argument("--top-k", type=int, default=10)
-    recommend.add_argument(
-        "--serving", choices=("indexed", "loop"), default="indexed",
-        help="rank via the batched event index (default) or the "
-        "brute-force per-event loop (the parity oracle)",
-    )
 
     experiment = commands.add_parser(
         "experiment", help="run the Table-1/Table-2 evaluation end-to-end"
@@ -363,8 +358,8 @@ def _serving_smoke(model, dataset, sample_size: int = 20) -> None:
     A train run never serves; encoding a small cohort cold and then
     ranking it warm populates encode/rank latencies, the index
     maintenance counters, and the cache hit-rate the snapshot exports
-    — the Section-4 capacity-planning signals.  Both serving modes and
-    the batched multi-user path are exercised.
+    — the Section-4 capacity-planning signals.  The single-user and
+    the batched multi-user entry points are both exercised.
     """
     service = RepresentationService(model)
     users = dataset.users[:sample_size]
@@ -375,7 +370,6 @@ def _serving_smoke(model, dataset, sample_size: int = 20) -> None:
         service.event_vector(event)
     for user in users:
         service.rank_events(user, events, top_k=10)
-    service.rank_events(users[0], events, top_k=10, serving="loop")
     service.rank_events_batch(users, events, top_k=10)
 
 
@@ -435,7 +429,7 @@ def _cmd_recommend(args) -> int:
         print(f"error: user {args.user_id} not in dataset", file=sys.stderr)
         return 2
     model = load_model_bundle(args.bundle)
-    service = RepresentationService(model, serving=args.serving)
+    service = RepresentationService(model)
     user = dataset.users_by_id[args.user_id]
     if args.top_k < 1:
         print(f"error: --top-k must be >= 1, got {args.top_k}", file=sys.stderr)

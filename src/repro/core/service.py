@@ -9,32 +9,31 @@ trained :class:`~repro.core.model.JointUserEventModel`, a
 :class:`~repro.store.EventIndex`, and exposes the recommendation
 primitive — rank the *currently active* events for a user.
 
-Two serving modes share one contract:
+There is one serving path.  The user vector is scored against the
+index's contiguous event matrix with a single matrix-vector product
+and top-K is selected with ``np.argpartition``, ordered by
+``(-score, event_id)``; candidate events not yet indexed are
+batch-encoded and upserted on first sight.  Following the paper's
+mutation-driven invalidation model, ranking trusts rows keyed by
+``event_id``: content changes must be announced via
+:meth:`RepresentationService.refresh_events` before ranking.
+:meth:`RepresentationService.rank_events_batch` ranks many users in
+one GEMM against the same index — the multi-user serving primitive
+large-scale two-tower systems are built around — through the same
+private rank body.
 
-* ``"indexed"`` (default) — the user vector is scored against the
-  index's contiguous event matrix with a single matrix-vector product
-  and top-K is selected with ``np.argpartition``; candidate events
-  not yet indexed are batch-encoded and upserted on first sight.
-  Following the paper's mutation-driven invalidation model, the
-  indexed path trusts rows keyed by ``event_id``: content changes
-  must be announced via :meth:`refresh_events` (or scored with
-  ``verify_versions=True``, which fingerprints every candidate).
-* ``"loop"`` — the original per-event Python loop, kept as the
-  brute-force parity oracle.  Both paths score with the training-time
-  cosine (:func:`repro.nn.cosine.pair_cosine`) and order by
-  ``(-score, event_id)``, so they agree to float precision including
-  tie-breaks.
-
-:meth:`rank_events_batch` ranks many users in one GEMM against the
-same index — the multi-user serving primitive large-scale two-tower
-systems are built around.
+Scores reproduce the training-time cosine
+(:func:`repro.nn.cosine.pair_cosine`) to float precision.  The
+brute-force reference the parity suites compare against — a per-event
+loop over :meth:`RepresentationService.score` — lives in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,6 @@ _CANDIDATE_BUCKETS = (1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 10000)
 
 # Batch sizes (user counts) for rank_events_batch.
 _BATCH_USER_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
-
-_SERVING_MODES = ("indexed", "loop")
-
 
 @dataclass(frozen=True)
 class ScoredEvent:
@@ -165,17 +161,11 @@ class RepresentationService:
         cache: VectorCache | None = None,
         registry: MetricsRegistry | None = None,
         index: EventIndex | None = None,
-        serving: str = "indexed",
         monitors: ServingMonitors | None = None,
     ):
-        if serving not in _SERVING_MODES:
-            raise ValueError(
-                f"serving must be one of {_SERVING_MODES}, got {serving!r}"
-            )
         self.model = model
         self.cache = cache if cache is not None else VectorCache()
         self.index = index if index is not None else EventIndex()
-        self.serving = serving
         self.monitors = monitors if monitors is not None else ServingMonitors()
         self._index_rebuilds = 0
         # None → resolve the global registry at call time, so telemetry
@@ -192,6 +182,9 @@ class RepresentationService:
     # ------------------------------------------------------------------
 
     def _obs(self) -> MetricsRegistry:
+        """This call's registry; every public entry point starts here,
+        so even a process serving only cache-hit ``score`` calls has
+        the cache, index and drift collectors installed."""
         registry = self._registry if self._registry is not None else get_registry()
         if registry.enabled:
             registry.register_collector(
@@ -257,55 +250,83 @@ class RepresentationService:
             }
         )
 
-    def _observe_user_norm(self, vector: np.ndarray) -> None:
-        """Feed the served user-vector norm to the drift monitor."""
-        registry = self._registry if self._registry is not None else get_registry()
-        if registry.enabled:
-            self.monitors.user_norms.observe(float(np.sqrt(vector @ vector)))
+    def _vectors(
+        self,
+        kind: str,
+        entities: Sequence[User] | Sequence[Event],
+        keys: Sequence[tuple[int, str]],
+        lookup: Callable[[str, int, str], np.ndarray | None],
+        registry: MetricsRegistry,
+    ) -> list[np.ndarray]:
+        """One vector per entity, aligned with ``entities``.
+
+        ``keys`` holds each entity's ``(id, version)``.  Every distinct
+        key is looked up once through ``lookup`` (``cache.get``, or the
+        recency-neutral ``cache.peek`` when warming) and, on a miss,
+        encoded once: a cohort assembled from concurrent requests can
+        name the same cold entity several times, and that costs one
+        counted miss and one row of one batched tower call, not several.
+        """
+        resolved: dict[tuple[int, str], np.ndarray | None] = {}
+        pending: list[tuple[tuple[int, str], User | Event]] = []
+        for key, entity in zip(keys, entities):
+            if key not in resolved:
+                resolved[key] = lookup(kind, *key)
+                if resolved[key] is None:
+                    pending.append((key, entity))
+        if pending:
+            model, encoder = self.model, self.model.encoder
+            if kind == self.USER_KIND:
+                encode_one, encode_batch = encoder.encode_user, model.encode_users
+            else:
+                encode_one, encode_batch = encoder.encode_event, model.encode_events
+            with span("repro_serving_encode", tags={"kind": kind}, registry=registry):
+                batch = encode_batch([encode_one(entity) for _, entity in pending])
+            for (key, _), vector in zip(pending, batch):
+                self.cache.put(kind, *key, vector)
+                resolved[key] = vector
+        return [resolved[key] for key in keys]
+
+    def _user_vectors(
+        self,
+        users: Sequence[User],
+        lookup: Callable[[str, int, str], np.ndarray | None],
+        registry: MetricsRegistry,
+    ) -> list[np.ndarray]:
+        keys = [(user.user_id, self.user_version(user)) for user in users]
+        return self._vectors(self.USER_KIND, users, keys, lookup, registry)
 
     def user_vector(self, user: User) -> np.ndarray:
         """v_u, from cache when current, recomputed otherwise."""
-        version = self.user_version(user)
-        cached = self.cache.get(self.USER_KIND, user.user_id, version)
-        if cached is not None:
-            self._observe_user_norm(cached)
-            return cached
         registry = self._obs()
-        with span(
-            "repro_serving_encode",
-            tags={"kind": self.USER_KIND},
-            registry=registry,
-        ):
-            encoded = self.model.encoder.encode_user(user)
-            vector = self.model.encode_users([encoded])[0]
-        self.cache.put(self.USER_KIND, user.user_id, version, vector)
-        self._observe_user_norm(vector)
+        (vector,) = self._user_vectors([user], self.cache.get, registry)
+        if registry.enabled:
+            self.monitors.user_norms.observe(float(np.sqrt(vector @ vector)))
         return vector
 
     def event_vector(self, event: Event) -> np.ndarray:
         """v_e, from cache when current, recomputed otherwise."""
-        version = self.event_version(event)
-        cached = self.cache.get(self.EVENT_KIND, event.event_id, version)
-        if cached is not None:
-            return cached
-        registry = self._obs()
-        with span(
-            "repro_serving_encode",
-            tags={"kind": self.EVENT_KIND},
-            registry=registry,
-        ):
-            encoded = self.model.encoder.encode_event(event)
-            vector = self.model.encode_events([encoded])[0]
-        self.cache.put(self.EVENT_KIND, event.event_id, version, vector)
+        key = (event.event_id, self.event_version(event))
+        (vector,) = self._vectors(
+            self.EVENT_KIND, [event], [key], self.cache.get, self._obs()
+        )
         return vector
 
     def warm(self, users: Sequence[User], events: Sequence[Event]) -> None:
         """Batch-precompute vectors for a cohort (the production
         "computed upon creation" path).  Warmed events are also
-        upserted into the retrieval index."""
+        upserted into the retrieval index.
+
+        Entries already cached under their current version are counted
+        as hits and skipped through the recency-neutral ``cache.peek``:
+        re-encoding them would only burn tower inference, and touching
+        them would churn the LRU order of the live working set.
+        """
         registry = self._obs()
         with span("repro_serving_warm", registry=registry):
-            self._warm(users, events)
+            self._user_vectors(users, self.cache.peek, registry)
+            versions = [self.event_version(event) for event in events]
+            self._index_events(events, versions, self.cache.peek, registry)
         if registry.enabled:
             registry.counter("repro_serving_warmed_total", tags={"kind": "user"}).inc(
                 len(users)
@@ -314,55 +335,22 @@ class RepresentationService:
                 len(events)
             )
 
-    def _warm(self, users: Sequence[User], events: Sequence[Event]) -> None:
-        # Entries whose (id, version) is already cached are counted as
-        # hits and skipped — re-encoding them would only burn tower
-        # inference and churn the LRU order of the live working set.
-        # Duplicate (id, version) pairs *within* the cohort are encoded
-        # once: a warm cohort assembled from concurrent requests can
-        # legitimately name the same cold entity several times.
-        pending_users: list[tuple[User, str]] = []
-        seen_users: set[tuple[int, str]] = set()
-        for user in users:
-            version = self.user_version(user)
-            if (user.user_id, version) in seen_users:
-                continue
-            if self.cache.peek(self.USER_KIND, user.user_id, version) is None:
-                seen_users.add((user.user_id, version))
-                pending_users.append((user, version))
-        if pending_users:
-            encoded = [
-                self.model.encoder.encode_user(user) for user, _ in pending_users
-            ]
-            vectors = self.model.encode_users(encoded)
-            for (user, version), vector in zip(pending_users, vectors):
-                self.cache.put(self.USER_KIND, user.user_id, version, vector)
-
-        pending_events: list[tuple[Event, str]] = []
-        seen_events: set[tuple[int, str]] = set()
-        for event in events:
-            version = self.event_version(event)
-            if (event.event_id, version) in seen_events:
-                continue
-            vector = self.cache.peek(self.EVENT_KIND, event.event_id, version)
-            if vector is None:
-                seen_events.add((event.event_id, version))
-                pending_events.append((event, version))
-            else:
-                self.index.upsert(event, version, vector)
-        if pending_events:
-            encoded = [
-                self.model.encoder.encode_event(event)
-                for event, _ in pending_events
-            ]
-            vectors = self.model.encode_events(encoded)
-            for (event, version), vector in zip(pending_events, vectors):
-                self.cache.put(self.EVENT_KIND, event.event_id, version, vector)
-                self.index.upsert(event, version, vector)
-
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
+
+    def _index_events(
+        self,
+        events: Sequence[Event],
+        versions: Sequence[str],
+        lookup: Callable[[str, int, str], np.ndarray | None],
+        registry: MetricsRegistry,
+    ) -> None:
+        """Upsert each event under its version, resolving its vector."""
+        keys = [(event.event_id, version) for event, version in zip(events, versions)]
+        vectors = self._vectors(self.EVENT_KIND, events, keys, lookup, registry)
+        for event, version, vector in zip(events, versions, vectors):
+            self.index.upsert(event, version, vector)
 
     def refresh_events(self, events: Sequence[Event]) -> int:
         """Ensure the index holds a current vector for each event.
@@ -372,15 +360,18 @@ class RepresentationService:
         first, batched tower inference for the rest) and upserted.
         Returns the number of rows that needed new vectors.
         """
-        pending: list[tuple[Event, str]] = []
+        registry = self._obs()
+        stale: list[Event] = []
+        versions: list[str] = []
         for event in events:
             version = self.event_version(event)
             if self.index.version(event.event_id) == version:
                 self.index.upsert(event, version)  # refresh activity window
             else:
-                pending.append((event, version))
-        self._insert_events(pending)
-        return len(pending)
+                stale.append(event)
+                versions.append(version)
+        self._index_events(stale, versions, self.cache.get, registry)
+        return len(stale)
 
     def remove_event(self, event_id: int) -> bool:
         """Drop an event from the index and cache (e.g. on deletion)."""
@@ -402,51 +393,6 @@ class RepresentationService:
         self._index_rebuilds += 1
         self.refresh_events(events)
 
-    def _insert_events(self, pending: Sequence[tuple[Event, str]]) -> None:
-        """Upsert (event, version) pairs, batch-encoding cache misses."""
-        if not pending:
-            return
-        need_encode: list[tuple[Event, str]] = []
-        seen: set[tuple[int, str]] = set()
-        for event, version in pending:
-            if (event.event_id, version) in seen:
-                continue
-            cached = self.cache.get(self.EVENT_KIND, event.event_id, version)
-            if cached is not None:
-                self.index.upsert(event, version, cached)
-            else:
-                seen.add((event.event_id, version))
-                need_encode.append((event, version))
-        if not need_encode:
-            return
-        registry = self._obs()
-        with span(
-            "repro_serving_encode",
-            tags={"kind": self.EVENT_KIND},
-            registry=registry,
-        ):
-            encoded = [
-                self.model.encoder.encode_event(event) for event, _ in need_encode
-            ]
-            vectors = self.model.encode_events(encoded)
-        for (event, version), vector in zip(need_encode, vectors):
-            self.cache.put(self.EVENT_KIND, event.event_id, version, vector)
-            self.index.upsert(event, version, vector)
-
-    def _ensure_indexed(
-        self, events: Sequence[Event], verify_versions: bool
-    ) -> None:
-        """Make every candidate scoreable before the matrix product."""
-        with span("repro_serving_ensure_indexed", registry=self._obs()):
-            if verify_versions:
-                self.refresh_events(events)
-                return
-            missing = [
-                event for event in events if event.event_id not in self.index
-            ]
-            if missing:
-                self.refresh_events(missing)
-
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
@@ -458,7 +404,7 @@ class RepresentationService:
         served score is bit-identical to
         :meth:`JointUserEventModel.similarity` on the same pair.
         """
-        registry = self._registry if self._registry is not None else get_registry()
+        registry = self._obs()
         with span("repro_serving_score", registry=registry):
             value = pair_cosine(self.user_vector(user), self.event_vector(event))
         if registry.enabled:
@@ -471,111 +417,29 @@ class RepresentationService:
         events: Sequence[Event],
         at_time: float | None = None,
         top_k: int | None = None,
-        serving: str | None = None,
-        verify_versions: bool = False,
     ) -> list[ScoredEvent]:
         """Rank candidate events for a user by representation score.
 
         Args:
             user: the user to recommend for.
-            events: candidate pool.
+            events: candidate pool.  Rows already indexed are trusted
+                by ``event_id``; announce content changes with
+                :meth:`refresh_events` first.
             at_time: if given, events not active at this time are
                 excluded (expired events "are no longer eligible for
                 any further consideration", Section 1).
             top_k: truncate the ranking; must be >= 1 (or None).
-            serving: override the service-level mode for this call
-                (``"indexed"`` or ``"loop"``).
-            verify_versions: indexed mode only — fingerprint every
-                candidate and refresh stale rows before scoring,
-                instead of trusting indexed ``event_id`` rows.
         """
         top_k = validate_top_k(top_k)
-        mode = self.serving if serving is None else serving
-        if mode not in _SERVING_MODES:
-            raise ValueError(
-                f"serving must be one of {_SERVING_MODES}, got {mode!r}"
-            )
         registry = self._obs()
         with span("repro_serving_rank", registry=registry):
-            if mode == "loop":
-                scored, num_candidates = self._rank_events_loop(
-                    user, events, at_time, top_k
-                )
-            else:
-                scored, num_candidates = self._rank_events_indexed(
-                    user, events, at_time, top_k, verify_versions
-                )
+            (ranking,), num_candidates = self._rank(
+                user, events, at_time, top_k, registry
+            )
         if registry.enabled:
             registry.counter("repro_serving_rank_total").inc()
-            registry.counter(
-                "repro_serving_rank_mode_total", tags={"serving": mode}
-            ).inc()
-            registry.histogram(
-                "repro_serving_candidates", buckets=_CANDIDATE_BUCKETS
-            ).observe(num_candidates)
-            self.monitors.candidates.observe(float(num_candidates))
-            scores_monitor = self.monitors.scores
-            for item in scored:
-                scores_monitor.observe(item.score)
-        return scored
-
-    def _rank_events_loop(
-        self,
-        user: User,
-        events: Sequence[Event],
-        at_time: float | None,
-        top_k: int | None,
-    ) -> tuple[list[ScoredEvent], int]:
-        """Per-event scoring loop: the brute-force parity oracle."""
-        candidates = [
-            event
-            for event in events
-            if at_time is None or event.is_active(at_time)
-        ]
-        scored = [
-            ScoredEvent(event=event, score=self.score(user, event))
-            for event in candidates
-        ]
-        scored.sort(key=lambda item: (-item.score, item.event.event_id))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored, len(candidates)
-
-    def _rank_events_indexed(
-        self,
-        user: User,
-        events: Sequence[Event],
-        at_time: float | None,
-        top_k: int | None,
-        verify_versions: bool,
-    ) -> tuple[list[ScoredEvent], int]:
-        """One matrix-vector product + argpartition top-K.
-
-        Row resolution, activity filtering and the GEMV run atomically
-        inside :meth:`EventIndex.score_ids` — under concurrent index
-        mutation, rows resolved separately could move (swap-with-last
-        compaction) before the product ran.
-        """
-        self._ensure_indexed(events, verify_versions)
-        if not events:
-            return [], 0
-        ids = np.fromiter(
-            (event.event_id for event in events),
-            dtype=np.int64,
-            count=len(events),
-        )
-        positions, scores = self.index.score_ids(
-            self.user_vector(user), ids, at_time
-        )
-        if positions.size == 0:
-            return [], 0
-        with span("repro_serving_topk", registry=self._obs()):
-            order = top_k_order(scores, ids[positions], top_k)
-            scored = [
-                ScoredEvent(event=events[positions[i]], score=float(scores[i]))
-                for i in order
-            ]
-        return scored, int(positions.size)
+            self._observe_rankings(registry, num_candidates, [ranking])
+        return ranking
 
     def rank_events_batch(
         self,
@@ -583,7 +447,6 @@ class RepresentationService:
         events: Sequence[Event],
         at_time: float | None = None,
         top_k: int | None = None,
-        verify_versions: bool = False,
         observe_scores: bool = True,
     ) -> list[list[ScoredEvent]]:
         """Rank the same candidate pool for many users in one GEMM.
@@ -606,8 +469,8 @@ class RepresentationService:
         top_k = validate_top_k(top_k)
         registry = self._obs()
         with span("repro_serving_rank_batch", registry=registry):
-            results = self._rank_events_batch(
-                users, events, at_time, top_k, verify_versions
+            rankings, num_candidates = self._rank(
+                users, events, at_time, top_k, registry
             )
         if registry.enabled:
             registry.counter("repro_serving_rank_batch_total").inc()
@@ -615,96 +478,80 @@ class RepresentationService:
             registry.histogram(
                 "repro_serving_rank_batch_users", buckets=_BATCH_USER_BUCKETS
             ).observe(len(users))
-            registry.histogram(
-                "repro_serving_candidates", buckets=_CANDIDATE_BUCKETS
-            ).observe(len(events))
-            self.monitors.candidates.observe(float(len(events)))
-            if observe_scores:
-                scores_monitor = self.monitors.scores
-                for ranking in results:
-                    for item in ranking:
-                        scores_monitor.observe(item.score)
-        return results
+            self._observe_rankings(
+                registry, num_candidates, rankings if observe_scores else ()
+            )
+        return rankings
 
-    def _rank_events_batch(
+    def _rank(
         self,
-        users: Sequence[User],
+        users: User | Sequence[User],
         events: Sequence[Event],
         at_time: float | None,
         top_k: int | None,
-        verify_versions: bool,
-    ) -> list[list[ScoredEvent]]:
-        if not users:
-            return []
-        self._ensure_indexed(events, verify_versions)
-        if not events:
-            return [[] for _ in users]
+        registry: MetricsRegistry,
+    ) -> tuple[list[list[ScoredEvent]], int]:
+        """The rank body: one ranking per user, and the candidate count.
+
+        A single ``User`` is scored with one matrix-vector product
+        (:meth:`EventIndex.score_ids`), a cohort with one matrix-matrix
+        product (:meth:`EventIndex.score_ids_batch`); everything around
+        the product is shared.  Row resolution, activity filtering and
+        the product run atomically inside the index — under concurrent
+        index mutation, rows resolved separately could move
+        (swap-with-last compaction) before the product ran.  The count
+        is the number of candidates left after the ``at_time`` filter.
+        """
+        single = isinstance(users, User)
+        num_users = 1 if single else len(users)
+        if num_users == 0 or not events:
+            return [[] for _ in range(num_users)], 0
+        with span("repro_serving_ensure_indexed", registry=registry):
+            missing = [
+                event for event in events if event.event_id not in self.index
+            ]
+            if missing:
+                self.refresh_events(missing)
         ids = np.fromiter(
             (event.event_id for event in events),
             dtype=np.int64,
             count=len(events),
         )
-        queries = self._user_matrix(users)
-        # Atomic compound read: see _rank_events_indexed.
-        positions, score_matrix = self.index.score_ids_batch(
-            queries, ids, at_time
-        )
-        if positions.size == 0:
-            return [[] for _ in users]
+        if single:
+            positions, scores = self.index.score_ids(
+                self.user_vector(users), ids, at_time
+            )
+            score_rows = [scores]
+        else:
+            queries = np.vstack(
+                self._user_vectors(users, self.cache.get, registry)
+            )
+            positions, score_rows = self.index.score_ids_batch(
+                queries, ids, at_time
+            )
         selected_ids = ids[positions]
-        results: list[list[ScoredEvent]] = []
-        with span("repro_serving_topk", registry=self._obs()):
-            for scores in score_matrix:
-                order = top_k_order(scores, selected_ids, top_k)
-                results.append(
-                    [
-                        ScoredEvent(
-                            event=events[positions[i]], score=float(scores[i])
-                        )
-                        for i in order
-                    ]
-                )
-        return results
-
-    def _user_matrix(self, users: Sequence[User]) -> np.ndarray:
-        """Stack v_u for a user cohort, batch-encoding cache misses.
-
-        A cohort coalesced from concurrent requests can contain the
-        same user several times; each distinct ``(user_id, version)``
-        is looked up — and, on a miss, encoded — exactly once, so two
-        coalesced requests for one cold user cost one tower inference
-        and one counted cache miss, not two.
-        """
-        vectors: list[np.ndarray | None] = [None] * len(users)
-        pending: list[tuple[int, User, str]] = []
-        owner: dict[tuple[int, str], int] = {}
-        duplicates: list[tuple[int, tuple[int, str]]] = []
-        for i, user in enumerate(users):
-            version = self.user_version(user)
-            key = (user.user_id, version)
-            if key in owner:
-                duplicates.append((i, key))
-                continue
-            owner[key] = i
-            cached = self.cache.get(self.USER_KIND, user.user_id, version)
-            if cached is not None:
-                vectors[i] = cached
-            else:
-                pending.append((i, user, version))
-        if pending:
-            registry = self._obs()
-            with span(
-                "repro_serving_encode",
-                tags={"kind": self.USER_KIND},
-                registry=registry,
-            ):
-                encoded = [
-                    self.model.encoder.encode_user(user) for _, user, _ in pending
+        with span("repro_serving_topk", registry=registry):
+            rankings = [
+                [
+                    ScoredEvent(event=events[positions[i]], score=float(scores[i]))
+                    for i in top_k_order(scores, selected_ids, top_k)
                 ]
-                batch = self.model.encode_users(encoded)
-            for (i, user, version), vector in zip(pending, batch):
-                self.cache.put(self.USER_KIND, user.user_id, version, vector)
-                vectors[i] = vector
-        for i, key in duplicates:
-            vectors[i] = vectors[owner[key]]
-        return np.vstack(vectors)
+                for scores in score_rows
+            ]
+        return rankings, int(positions.size)
+
+    def _observe_rankings(
+        self,
+        registry: MetricsRegistry,
+        num_candidates: int,
+        rankings: Sequence[Sequence[ScoredEvent]],
+    ) -> None:
+        """Feed one rank call's pool size and served scores to telemetry."""
+        registry.histogram(
+            "repro_serving_candidates", buckets=_CANDIDATE_BUCKETS
+        ).observe(num_candidates)
+        self.monitors.candidates.observe(float(num_candidates))
+        observe = self.monitors.scores.observe
+        for ranking in rankings:
+            for item in ranking:
+                observe(item.score)

@@ -48,9 +48,10 @@ which is what :meth:`score_ids` / :meth:`score_ids_batch` provide.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +271,14 @@ class EventIndex:
         if values is not None and values.ndim != 1:
             raise ValueError(f"vector must be 1-D, got shape {values.shape}")
         event_id = event.event_id
+        norm = 0.0 if values is None else float(np.sqrt(values @ values))
+        if not math.isfinite(norm):
+            # One NaN row scale empties every truncated ranking over a
+            # pool holding the row: top_k_order's k-th score becomes
+            # NaN and no score compares >= it.
+            raise ValueError(
+                f"event {event_id}: vector must be finite, with a finite norm"
+            )
         with self._lock:
             row = self._rows.get(event_id)
             if row is not None and self._versions[event_id] == version:
@@ -304,7 +313,6 @@ class EventIndex:
                 self._events[row] = event
                 self.stats.refreshes += 1
                 outcome = "refreshed"
-            norm = float(np.sqrt(values @ values))
             if norm > 0.0:
                 self._matrix[row] = values / norm
             else:
@@ -435,20 +443,19 @@ class EventIndex:
             positions = positions[active]
         return positions, rows
 
-    def score_ids(
+    def _score_ids(
         self,
+        kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        stage: str,
         query: np.ndarray,
         event_ids: Sequence[int],
-        at_time: float | None = None,
+        at_time: float | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Atomic resolve → activity filter → GEMV for one user.
+        """Resolve → activity filter → ``kernel`` under one lock hold.
 
-        Returns ``(positions, scores)``: indices into ``event_ids``
-        that were present (and active when ``at_time`` is given), and
-        their cosine scores, aligned.  The three steps run under one
-        lock acquisition — done separately, a concurrent
-        swap-with-last ``remove`` can move a row between resolve and
-        score, silently scoring the wrong event.
+        Done separately, a concurrent swap-with-last ``remove`` can
+        move a row between resolve and score, silently scoring the
+        wrong event.
         """
         traced = _trace_active()
         wait_start = time.perf_counter() if traced else 0.0
@@ -459,12 +466,26 @@ class EventIndex:
                     time.perf_counter() - wait_start,
                 )
             positions, rows = self._resolve_ids(event_ids, at_time)
-            if rows.size == 0:
-                return positions, np.empty(0, dtype=np.float64)
             if traced:
-                with span("repro_index_gemv"):
-                    return positions, self.scores(query, rows)
-            return positions, self.scores(query, rows)
+                with span(stage):
+                    return positions, kernel(query, rows)
+            return positions, kernel(query, rows)
+
+    def score_ids(
+        self,
+        query: np.ndarray,
+        event_ids: Sequence[int],
+        at_time: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Atomic resolve → activity filter → GEMV for one user.
+
+        Returns ``(positions, scores)``: indices into ``event_ids``
+        that were present (and active when ``at_time`` is given), and
+        their cosine scores, aligned.
+        """
+        return self._score_ids(
+            self.scores, "repro_index_gemv", query, event_ids, at_time
+        )
 
     def score_ids_batch(
         self,
@@ -478,25 +499,9 @@ class EventIndex:
         shape ``(num_users, len(positions))``; same atomicity contract
         as :meth:`score_ids`.
         """
-        values = np.asarray(queries, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"queries must be 2-D, got shape {values.shape}")
-        traced = _trace_active()
-        wait_start = time.perf_counter() if traced else 0.0
-        with self._lock:
-            if traced:
-                record_stage(
-                    "repro_index_lock_wait",
-                    time.perf_counter() - wait_start,
-                )
-            positions, rows = self._resolve_ids(event_ids, at_time)
-            if rows.size == 0:
-                empty = np.empty((values.shape[0], 0), dtype=np.float64)
-                return positions, empty
-            if traced:
-                with span("repro_index_gemm"):
-                    return positions, self.scores_batch(values, rows)
-            return positions, self.scores_batch(values, rows)
+        return self._score_ids(
+            self.scores_batch, "repro_index_gemm", queries, event_ids, at_time
+        )
 
     # ------------------------------------------------------------------
     # invariants (test/debug support)
@@ -541,13 +546,6 @@ class EventIndex:
                     raise RuntimeError(
                         "live rows are neither unit-norm nor zero"
                     )
+                if not np.isfinite(self._scales[: self._size]).all():
+                    raise RuntimeError("a live row has a non-finite scale")
 
-
-def brute_force_order(
-    scores: Sequence[float], event_ids: Sequence[int], k: int | None = None
-) -> list[int]:
-    """Reference implementation of the ranking contract (tests only)."""
-    order = sorted(
-        range(len(scores)), key=lambda i: (-scores[i], event_ids[i])
-    )
-    return order[:k]

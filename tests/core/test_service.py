@@ -9,9 +9,17 @@ from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService, ServingMonitors
 from repro.entities import Event
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.store.cache import VectorCache
 from repro.text.documents import DocumentEncoder
+from tests.reference import rank_events_loop
+
+# The service's rank path and the reference it is held to, under one
+# call shape: ranker(service, user, events, at_time=, top_k=).
+RANKERS = {
+    "indexed": RepresentationService.rank_events,
+    "loop": rank_events_loop,
+}
 
 
 @pytest.fixture()
@@ -79,10 +87,8 @@ class TestScoring:
     def test_rank_excludes_expired_events(self, service, tiny_users, tiny_events):
         # Event 3 starts at t=44; at t=50 only events 1 (starts 48? no,
         # event 1 starts at 48) — at t=45 events 1 and 2 are active.
-        for serving in ("indexed", "loop"):
-            ranked = service.rank_events(
-                tiny_users[0], tiny_events, at_time=45.0, serving=serving
-            )
+        for rank in RANKERS.values():
+            ranked = rank(service, tiny_users[0], tiny_events, at_time=45.0)
             ids = {scored.event.event_id for scored in ranked}
             assert ids == {1, 2}
 
@@ -98,14 +104,12 @@ class TestScoring:
 
 class TestTopKValidation:
     @pytest.mark.parametrize("bad", [-1, 0, -7, 2.5, "3"])
-    @pytest.mark.parametrize("serving", ["indexed", "loop"])
+    @pytest.mark.parametrize("ranker", ["indexed", "loop"])
     def test_rank_rejects_bad_top_k(
-        self, service, tiny_users, tiny_events, bad, serving
+        self, service, tiny_users, tiny_events, bad, ranker
     ):
         with pytest.raises(ValueError, match="top_k"):
-            service.rank_events(
-                tiny_users[0], tiny_events, top_k=bad, serving=serving
-            )
+            RANKERS[ranker](service, tiny_users[0], tiny_events, top_k=bad)
 
     @pytest.mark.parametrize("bad", [-1, 0])
     def test_batch_rejects_bad_top_k(self, service, tiny_users, tiny_events, bad):
@@ -119,17 +123,9 @@ class TestTopKValidation:
         assert len(ranked) == 2
 
     def test_top_k_larger_than_pool_is_fine(self, service, tiny_users, tiny_events):
-        for serving in ("indexed", "loop"):
-            ranked = service.rank_events(
-                tiny_users[0], tiny_events, top_k=99, serving=serving
-            )
+        for rank in RANKERS.values():
+            ranked = rank(service, tiny_users[0], tiny_events, top_k=99)
             assert len(ranked) == len(tiny_events)
-
-    def test_bad_serving_mode_rejected(self, service, tiny_users, tiny_events):
-        with pytest.raises(ValueError, match="serving"):
-            service.rank_events(tiny_users[0], tiny_events, serving="warp")
-        with pytest.raises(ValueError, match="serving"):
-            RepresentationService(service.model, serving="warp")
 
 
 class TestIndexedParity:
@@ -165,11 +161,11 @@ class TestIndexedParity:
     ):
         events = self._random_pool(60, seed)
         user = tiny_users[0]
-        loop = service.rank_events(
-            user, events, at_time=at_time, top_k=top_k, serving="loop"
+        loop = rank_events_loop(
+            service, user, events, at_time=at_time, top_k=top_k
         )
         indexed = service.rank_events(
-            user, events, at_time=at_time, top_k=top_k, serving="indexed"
+            user, events, at_time=at_time, top_k=top_k
         )
         assert [s.event.event_id for s in indexed] == [
             s.event.event_id for s in loop
@@ -182,7 +178,7 @@ class TestIndexedParity:
         """indexed == loop == model.similarity, per pair."""
         events = self._random_pool(20, seed=5)
         user = tiny_users[0]
-        indexed = service.rank_events(user, events, serving="indexed")
+        indexed = service.rank_events(user, events)
         encoder = service.model.encoder
         encoded_user = encoder.encode_user(user)
         for scored in indexed:
@@ -200,8 +196,8 @@ class TestIndexedParity:
         )
         assert len(batch) == len(tiny_users)
         for user, rankings in zip(tiny_users, batch):
-            single = service.rank_events(
-                user, events, at_time=30.0, top_k=5, serving="loop"
+            single = rank_events_loop(
+                service, user, events, at_time=30.0, top_k=5
             )
             assert [s.event.event_id for s in rankings] == [
                 s.event.event_id for s in single
@@ -215,14 +211,14 @@ class TestIndexedParity:
     def test_duplicate_candidates_keep_parity(self, service, tiny_users):
         events = self._random_pool(10, seed=7)
         pool = events + events[:4]  # duplicates
-        loop = service.rank_events(tiny_users[0], pool, serving="loop")
-        indexed = service.rank_events(tiny_users[0], pool, serving="indexed")
+        loop = rank_events_loop(service, tiny_users[0], pool)
+        indexed = service.rank_events(tiny_users[0], pool)
         assert [s.event.event_id for s in indexed] == [
             s.event.event_id for s in loop
         ]
 
     def test_empty_pool(self, service, tiny_users):
-        assert service.rank_events(tiny_users[0], [], serving="indexed") == []
+        assert service.rank_events(tiny_users[0], []) == []
         assert service.rank_events_batch(tiny_users, []) == [[], [], []]
         assert service.rank_events_batch([], []) == []
 
@@ -284,6 +280,55 @@ class TestBatchEdgeCases:
         )
 
 
+class TestEveryEntranceMatchesReference:
+    """``rank_events``, a batch of one and a row of a many-user batch
+    all go through the one rank body; each is held to the reference."""
+
+    def _pool(self, case):
+        pool = TestIndexedParity()._random_pool(30, seed=11)
+        if case == "at_time":
+            return pool, {"at_time": 40.0, "top_k": 5}
+        if case == "boundary_tie":
+            # Three copies of each text under scattered ids: every score
+            # is a three-way tie, so top_k=4 cuts inside a tie group and
+            # the cut must fall by ascending event id.
+            copies = [
+                dataclasses.replace(event, event_id=event.event_id + shift)
+                for event in pool[:4]
+                for shift in (200, 0, 100)
+            ]
+            return copies, {"top_k": 4}
+        if case == "empty_pool":
+            return [], {"top_k": 3}
+        assert case == "all_expired"
+        return pool, {"at_time": 1.0e6, "top_k": 3}
+
+    @pytest.mark.parametrize(
+        "entrance", ["rank_events", "batch_of_one", "row_of_batch"]
+    )
+    @pytest.mark.parametrize(
+        "case", ["at_time", "boundary_tie", "empty_pool", "all_expired"]
+    )
+    def test_parity(self, service, tiny_users, entrance, case):
+        events, kwargs = self._pool(case)
+        user = tiny_users[1]
+        if entrance == "rank_events":
+            got = service.rank_events(user, events, **kwargs)
+        elif entrance == "batch_of_one":
+            (got,) = service.rank_events_batch([user], events, **kwargs)
+        else:
+            got = service.rank_events_batch(tiny_users, events, **kwargs)[1]
+        want = rank_events_loop(service, user, events, **kwargs)
+        if case in ("empty_pool", "all_expired"):
+            assert want == []
+        assert [s.event.event_id for s in got] == [
+            s.event.event_id for s in want
+        ]
+        assert np.allclose(
+            [s.score for s in got], [s.score for s in want], atol=1e-9
+        )
+
+
 class TestIndexMaintenance:
     def test_rank_populates_index(self, service, tiny_users, tiny_events):
         service.rank_events(tiny_users[0], tiny_events)
@@ -294,7 +339,7 @@ class TestIndexMaintenance:
     ):
         """The paper's contract is mutation-driven invalidation: the
         indexed fast path trusts rows by event_id; content changes
-        must be announced (refresh_events) or verified per call."""
+        must be announced (refresh_events) before ranking."""
         user = tiny_users[0]
         before = service.rank_events(user, tiny_events)
         changed = dataclasses.replace(
@@ -307,24 +352,28 @@ class TestIndexMaintenance:
         }
         service.refresh_events(pool)
         refreshed = service.rank_events(user, pool)
-        oracle = service.rank_events(user, pool, serving="loop")
+        oracle = rank_events_loop(service, user, pool)
         assert np.allclose(
             sorted(s.score for s in refreshed),
             sorted(s.score for s in oracle),
             atol=1e-9,
         )
 
-    def test_verify_versions_refreshes_inline(
+    def test_refresh_then_rank_matches_reference(
         self, service, tiny_users, tiny_events
     ):
+        """Announcing a pool fingerprints every candidate, re-encodes
+        only the changed one, and the next ranking matches the
+        reference in order."""
         user = tiny_users[0]
         service.rank_events(user, tiny_events)
         changed = dataclasses.replace(
             tiny_events[0], description="totally different content now"
         )
         pool = [changed, *tiny_events[1:]]
-        verified = service.rank_events(user, pool, verify_versions=True)
-        oracle = service.rank_events(user, pool, serving="loop")
+        assert service.refresh_events(pool) == 1
+        verified = service.rank_events(user, pool)
+        oracle = rank_events_loop(service, user, pool)
         assert [s.event.event_id for s in verified] == [
             s.event.event_id for s in oracle
         ]
@@ -364,6 +413,25 @@ class TestIndexMaintenance:
         }
         for event_id, score in before.items():
             assert after[event_id] == pytest.approx(score, abs=1e-9)
+
+    def test_non_finite_vector_cannot_empty_a_truncated_ranking(
+        self, service, tiny_users, tiny_events
+    ):
+        """A NaN event vector is refused at the index boundary instead
+        of turning every ``top_k`` ranking over its pool into ``[]``."""
+        service.warm(tiny_users, tiny_events)
+        poisoned = dataclasses.replace(tiny_events[0], event_id=99)
+        dim = service.index.dim
+        service.cache.put(
+            service.EVENT_KIND,
+            poisoned.event_id,
+            service.event_version(poisoned),
+            np.full(dim, np.nan),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            service.rank_events(tiny_users[0], [*tiny_events, poisoned], top_k=2)
+        assert poisoned.event_id not in service.index
+        assert len(service.rank_events(tiny_users[0], tiny_events, top_k=2)) == 2
 
 
 class TestWarmSkipsFresh:
@@ -440,6 +508,38 @@ class TestServingMonitors:
         for monitor in ("serving_scores", "serving_candidates", "serving_user_norms"):
             assert ("repro_drift_ok", monitor) in exported
             assert ("repro_drift_live_samples", monitor) in exported
+
+    @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
+    def test_candidates_are_counted_after_the_activity_filter(
+        self, tiny_users, tiny_events, entrance
+    ):
+        """t=46 expires event 3 (starts 44) and keeps events 1 and 2:
+        telemetry and the drift monitor see 2 candidates, not 3."""
+        registry, service = self._observed_service(tiny_users, tiny_events)
+        if entrance == "rank_events":
+            service.rank_events(tiny_users[0], tiny_events, at_time=46.0)
+        else:
+            service.rank_events_batch(tiny_users, tiny_events, at_time=46.0)
+        (candidates,) = (
+            record
+            for record in registry.snapshot()
+            if record["name"] == "repro_serving_candidates"
+        )
+        assert (candidates["count"], candidates["sum"]) == (1, 2)
+        assert service.monitors.candidates.observed == 1
+
+    def test_score_only_process_exports_cache_and_index_gauges(
+        self, service, tiny_users, tiny_events
+    ):
+        """Telemetry enabled after warm, then nothing but cache-hit
+        ``score`` calls: the pull collectors must still be installed."""
+        service.warm(tiny_users, tiny_events)
+        with use_registry(MetricsRegistry()) as registry:
+            service.score(tiny_users[0], tiny_events[0])
+            exported = {record["name"] for record in registry.snapshot()}
+        assert "repro_cache_hits_total" in exported
+        assert "repro_serving_index_size" in exported
+        assert "repro_drift_ok" in exported
 
     def test_disabled_registry_observes_nothing(
         self, service, tiny_users, tiny_events

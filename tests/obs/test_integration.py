@@ -13,6 +13,7 @@ from repro.gbdt.boosting import GBDTClassifier, GBDTConfig
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.store.cache import VectorCache
 from repro.text.documents import DocumentEncoder
+from tests.reference import rank_events_loop
 
 
 @pytest.fixture()
@@ -46,9 +47,6 @@ class TestServingTelemetry:
         assert candidates["sum"] == 2 * len(tiny_events)
 
         assert metrics[("repro_serving_rank_total", ())]["value"] == 2
-        assert metrics[
-            ("repro_serving_rank_mode_total", (("serving", "indexed"),))
-        ]["value"] == 2
 
         # warm() pushed every event into the retrieval index.
         assert metrics[("repro_serving_index_size", ())]["value"] == len(
@@ -68,19 +66,16 @@ class TestServingTelemetry:
     def test_loop_mode_records_per_pair_scores(
         self, service, tiny_users, tiny_events
     ):
-        """The brute-force oracle still scores pair-by-pair."""
+        """The brute-force reference scores pair-by-pair."""
         with use_registry(MetricsRegistry()) as registry:
             service.warm(tiny_users, tiny_events)
-            service.rank_events(tiny_users[0], tiny_events, serving="loop")
+            rank_events_loop(service, tiny_users[0], tiny_events)
             metrics = {
                 (m["name"], tuple(sorted(m["tags"].items()))): m
                 for m in registry.snapshot()
             }
         score = metrics[("repro_serving_score_seconds", ())]
         assert score["count"] == len(tiny_events)
-        assert metrics[
-            ("repro_serving_rank_mode_total", (("serving", "loop"),))
-        ]["value"] == 1
 
     def test_batch_rank_records_batch_metrics(
         self, service, tiny_users, tiny_events

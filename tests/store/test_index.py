@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.entities import Event
 from repro.nn.cosine import COSINE_EPS
-from repro.store.index import EventIndex, brute_force_order, top_k_order
+from repro.store.index import EventIndex, top_k_order
+from tests.reference import brute_force_order
 
 
 def make_event(
@@ -94,6 +95,33 @@ class TestUpsert:
         index = EventIndex()
         index.upsert(make_event(1), "v1", np.zeros(4))
         assert index.scores(rng.normal(size=4))[0] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_vector_rejected(self, rng, bad):
+        """One non-finite row scale used to empty every truncated
+        ranking over a pool holding the row (1e200 overflows the norm)."""
+        index = EventIndex()
+        for i in range(10):
+            index.upsert(make_event(i), "v", rng.normal(size=4))
+        vector = rng.normal(size=4)
+        vector[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            index.upsert(make_event(10), "v", vector)
+        with pytest.raises(ValueError, match="finite"):
+            index.upsert(make_event(3), "v2", vector)
+        assert 10 not in index and index.version(3) == "v"
+        index.check_invariants()
+        ids = np.arange(11)
+        positions, scores = index.score_ids(rng.normal(size=4), ids)
+        assert len(top_k_order(scores, ids[positions], 3)) == 3
+
+    def test_invariants_flag_non_finite_scale(self, rng):
+        index = EventIndex()
+        index.upsert(make_event(1), "v", rng.normal(size=4))
+        index._scales[0] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite scale"):
+            index.check_invariants()
 
 
 class TestCapacity:

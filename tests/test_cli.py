@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.persistence import load_model_bundle
+from repro.core.service import RepresentationService
+from repro.datagen.dataset import EventRecDataset
+from tests.reference import rank_events_loop
 
 
 class TestParser:
@@ -27,23 +31,6 @@ class TestParser:
         assert args.tables == [2]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--tables", "3"])
-
-    def test_recommend_serving_choices(self):
-        args = build_parser().parse_args(
-            ["recommend", "--dataset", "d", "--bundle", "b",
-             "--user-id", "1", "--at-time", "0", "--serving", "loop"]
-        )
-        assert args.serving == "loop"
-        args = build_parser().parse_args(
-            ["recommend", "--dataset", "d", "--bundle", "b",
-             "--user-id", "1", "--at-time", "0"]
-        )
-        assert args.serving == "indexed"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["recommend", "--dataset", "d", "--bundle", "b",
-                 "--user-id", "1", "--at-time", "0", "--serving", "warp"]
-            )
 
 
 class TestEndToEnd:
@@ -118,23 +105,28 @@ class TestEndToEnd:
                      "--bundle", bundle_path, "--user-id", "99999",
                      "--at-time", "900"]) == 2
 
-    def test_recommend_serving_modes_agree(self, tmp_path, capsys):
-        """The indexed path and the brute-force oracle print the same
-        ranking through the CLI."""
+    def test_recommend_prints_the_reference_ranking(self, tmp_path, capsys):
+        """The CLI prints, in order, what the brute-force reference
+        ranks for the same bundle, user and time."""
         dataset_path = str(tmp_path / "world.json.gz")
         main(["generate", "--scale", "small", "--seed", "5", "--out", dataset_path])
         bundle_path = str(tmp_path / "bundle")
         main(["train", "--dataset", dataset_path, "--bundle", bundle_path,
               "--model-scale", "small", "--epochs", "1"])
-        outputs = {}
-        for serving in ("indexed", "loop"):
-            capsys.readouterr()
-            assert main(["recommend", "--dataset", dataset_path,
-                         "--bundle", bundle_path, "--user-id", "0",
-                         "--at-time", "900", "--top-k", "5",
-                         "--serving", serving]) == 0
-            outputs[serving] = capsys.readouterr().out
-        assert outputs["indexed"] == outputs["loop"]
+        capsys.readouterr()
+        assert main(["recommend", "--dataset", dataset_path,
+                     "--bundle", bundle_path, "--user-id", "0",
+                     "--at-time", "900", "--top-k", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        dataset = EventRecDataset.load(dataset_path)
+        reference = rank_events_loop(
+            RepresentationService(load_model_bundle(bundle_path)),
+            dataset.users_by_id[0], dataset.events, at_time=900.0, top_k=5,
+        )
+        assert len(printed) == len(reference) == 5
+        for line, scored in zip(printed, reference):
+            assert line.startswith(f"  {scored.score:+.3f}  ")
+            assert line.endswith(scored.event.title)
 
     def test_loadgen_smoke_with_artifacts(self, tmp_path, capsys):
         """A short traced run prints percentiles + attribution and
