@@ -9,26 +9,31 @@ mechanically instead of re-found in review:
   codes, path scoping (``src`` vs ``test``), and line-level
   ``# repro: noqa[RPRxxx]`` suppressions with an optional trailing
   justification.
-* **Rules** (:mod:`repro.analysis.rules`) — RPR101..RPR107, each
-  motivated by a concrete bug class (see README "Static analysis").
+* **Rules** (:mod:`repro.analysis.rules`) — the per-file RPR1xx
+  rules, each motivated by a concrete bug class (see README "Static
+  analysis").
 * **Array contracts** (:mod:`repro.analysis.contracts`) — declarative
   shape/dtype specifications for the hot ``repro.nn`` kernels, checked
   statically where literal shapes allow
-  (:mod:`repro.analysis.static_shapes`, code RPR201) and asserted at
+  (:mod:`repro.analysis.dataflow`, codes RPR201/RPR202) and asserted at
   runtime in tests otherwise.
-* **Interprocedural layer** (:mod:`repro.analysis.callgraph`) — a
-  whole-project symbol table and call graph feeding three passes:
-  cross-function contract propagation
-  (:mod:`repro.analysis.dataflow`, RPR202), determinism taint
-  (:mod:`repro.analysis.determinism`, RPR301–RPR303), and
-  ``# guarded-by:`` lock discipline (:mod:`repro.analysis.locks`,
-  RPR401–RPR403).
+* **Interprocedural layer** — one shared core
+  (:mod:`repro.analysis.callgraph` symbol table, call graph and
+  per-function node lists; :mod:`repro.analysis.cfgutils` frame walk,
+  held-lock scanner and bounded fixpoint) feeding five analyses the
+  engine runs at most once per project each: array-contract
+  propagation (:mod:`repro.analysis.dataflow`, RPR201–RPR202),
+  determinism taint (:mod:`repro.analysis.determinism`,
+  RPR301–RPR303), ``# guarded-by:`` lock discipline
+  (:mod:`repro.analysis.locks`, RPR401–RPR403), async safety
+  (:mod:`repro.analysis.asyncrules`, RPR501–RPR504) and route-status
+  contracts (:mod:`repro.analysis.routestatus`, RPR110).
 * **Reporters** (:mod:`repro.analysis.reporters`) — text, JSON, and
   SARIF output over the same finding records.
 
 Run it over the repository::
 
-    python -m repro.analysis src tests benchmarks
+    python -m repro.analysis src tests benchmarks examples bench
     repro-events analyze src tests benchmarks --format json
 
 Exit codes: 0 (clean), 1 (findings), 2 (usage error).

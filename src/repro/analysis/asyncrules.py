@@ -52,25 +52,26 @@ from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
     Project,
-    dotted_name,
     local_class_types,
     resolve_imported_target,
 )
 from repro.analysis.cfgutils import (
-    iter_suspension_points,
+    dotted_name,
+    fixpoint,
     suspension_label,
-    walk_frame,
+    walk_held,
 )
-from repro.analysis.engine import Finding, ProjectRule, register_rule
+from repro.analysis.engine import Finding, register_analysis
+from repro.analysis.locks import (
+    THREADING_LOCK_CTORS,
+    ClassLocks,
+    collect_class_locks,
+)
 
 __all__ = [
     "BLOCKING_CALLABLE_SINKS",
     "BLOCKING_BUILTIN_SINKS",
     "BLOCKING_METHOD_SINKS",
-    "EventLoopBlockingCall",
-    "UnawaitedAwaitable",
-    "LockHeldAcrossAwait",
-    "IncompleteFutureLifecycle",
 ]
 
 # --- sink registry ----------------------------------------------------
@@ -112,15 +113,6 @@ BLOCKING_METHOD_SINKS: dict[str, str] = {
     "acquire": "threading-lock acquire can park the thread",
 }
 
-_THREADING_LOCK_CTORS = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-    }
-)
 _FUTURE_CTORS = frozenset({"asyncio.Future", "concurrent.futures.Future"})
 _TASK_SPAWNERS = frozenset({"asyncio.ensure_future", "asyncio.create_task"})
 _TASK_SPAWN_ATTRS = frozenset({"ensure_future", "create_task"})
@@ -136,39 +128,7 @@ _ASYNCIO_AWAITABLES = frozenset(
     }
 )
 _RESOLVING_ATTRS = frozenset({"set_result", "set_exception", "cancel"})
-_MAX_FIXPOINT_PASSES = 10
 _MAX_CHAIN = 5
-
-
-def _collect_class_locks(project: Project) -> dict[str, set[str]]:
-    """Class qualname → attribute names assigned a threading lock."""
-    locks: dict[str, set[str]] = {}
-    for qualname, cls in project.classes.items():
-        attrs: set[str] = set()
-        for node in ast.walk(cls.node):
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            else:
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            target_name = resolve_imported_target(project, cls.module, value)
-            if target_name not in _THREADING_LOCK_CTORS:
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    attrs.add(target.attr)
-        if attrs:
-            locks[qualname] = attrs
-    return locks
 
 
 @dataclass
@@ -193,63 +153,57 @@ class _FrameScan:
     """Everything the async rules need about one function's frame."""
 
     info: FunctionInfo
-    nodes: list[ast.AST] = field(default_factory=list)
     awaited_calls: set[int] = field(default_factory=set)
     sink_hits: list[_SinkHit] = field(default_factory=list)
-    project_calls: list[tuple[ast.Call, str]] = field(default_factory=list)
+    # Resolved project calls that are not themselves sinks.
+    project_calls: dict[ast.Call, str] = field(default_factory=dict)
     lock_exprs: set[str] = field(default_factory=set)
 
 
 def _scan_frame(
     project: Project,
     graph: CallGraph,
-    class_locks: dict[str, set[str]],
+    class_locks: dict[str, ClassLocks],
     info: FunctionInfo,
 ) -> _FrameScan:
     scan = _FrameScan(info=info)
-    scan.nodes = list(walk_frame(info.node))
-    site_index = {
-        (site.line, site.col): site.callee
-        for site in graph.calls_in.get(info.qualname, [])
-        if site.kind == "function"
-    }
     imports = project.imports.get(info.module, {})
 
-    # Lock expressions visible in this frame: own guarded attributes,
+    # Lock expressions visible in this frame: own lock attributes,
     # locks on annotated-parameter classes, and local constructions.
+    bases = {
+        name: cls.qualname
+        for name, cls in local_class_types(info, project).items()
+    }
     if info.class_name is not None:
-        own = class_locks.get(f"{info.module}.{info.class_name}", set())
-        scan.lock_exprs |= {f"self.{attr}" for attr in own}
-    for name, cls in local_class_types(info.node, info.module, project).items():
-        for attr in class_locks.get(cls.qualname, set()):
-            scan.lock_exprs.add(f"{name}.{attr}")
-    for node in scan.nodes:
+        bases["self"] = f"{info.module}.{info.class_name}"
+    for name, qualname in bases.items():
+        if qualname in class_locks:
+            for attr in class_locks[qualname].threading_locks:
+                scan.lock_exprs.add(f"{name}.{attr}")
+    for node in info.frame_nodes:
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
             and isinstance(node.value, ast.Call)
             and resolve_imported_target(project, info.module, node.value)
-            in _THREADING_LOCK_CTORS
+            in THREADING_LOCK_CTORS
         ):
             scan.lock_exprs.add(node.targets[0].id)
-
-    for node in scan.nodes:
-        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
+        elif isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
             scan.awaited_calls.add(id(node.value))
 
-    for node in scan.nodes:
+    for node in info.frame_nodes:
         if not isinstance(node, ast.Call):
             continue
         hit = _classify_sink(project, info.module, imports, scan, node)
         if hit is not None:
             scan.sink_hits.append(hit)
             continue
-        callee = site_index.get(
-            (getattr(node, "lineno", -1), getattr(node, "col_offset", -1))
-        )
+        callee = graph.callee_at(info, node)
         if callee is not None:
-            scan.project_calls.append((node, callee))
+            scan.project_calls[node] = callee
     return scan
 
 
@@ -315,13 +269,14 @@ def _blocking_fixpoint(
         blocking[qualname] = _BlockInfo(
             why=first.why, chain=(first.display,)
         )
-    for _ in range(_MAX_FIXPOINT_PASSES):
+
+    def propagate() -> bool:
         changed = False
         for qualname in sorted(scans):
             scan = scans[qualname]
             if scan.info.is_async or qualname in blocking:
                 continue
-            for _node, callee in scan.project_calls:
+            for callee in scan.project_calls.values():
                 info = blocking.get(callee)
                 if info is None or project.functions[callee].is_async:
                     continue
@@ -330,19 +285,10 @@ def _blocking_fixpoint(
                 blocking[qualname] = _BlockInfo(why=info.why, chain=chain)
                 changed = True
                 break
-        if not changed:
-            break
+        return changed
+
+    fixpoint(propagate)
     return blocking
-
-
-def _finding(info: FunctionInfo, node: ast.AST, code: str, message: str) -> Finding:
-    return Finding(
-        path=info.context.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        code=code,
-        message=message,
-    )
 
 
 # --- RPR501 -----------------------------------------------------------
@@ -353,39 +299,34 @@ def _blocking_findings(
     graph: CallGraph,
     scans: dict[str, _FrameScan],
     blocking: dict[str, _BlockInfo],
-) -> Iterator[tuple[str, Finding]]:
+) -> Iterator[Finding]:
     for qualname in sorted(scans):
         scan = scans[qualname]
         if not scan.info.is_async:
             continue
+        path = scan.info.context.path
         for hit in scan.sink_hits:
-            yield (
+            yield Finding.at(
+                path,
+                hit.node,
                 "RPR501",
-                _finding(
-                    scan.info,
-                    hit.node,
-                    "RPR501",
-                    f"blocking call {hit.display}() on the event loop "
-                    f"({hit.why}); wrap it in run_in_executor/to_thread "
-                    "or use an async equivalent",
-                ),
+                f"blocking call {hit.display}() on the event loop "
+                f"({hit.why}); wrap it in run_in_executor/to_thread "
+                "or use an async equivalent",
             )
-        for node, callee in scan.project_calls:
+        for node, callee in scan.project_calls.items():
             info = blocking.get(callee)
             if info is None or project.functions[callee].is_async:
                 continue
             simple = callee.rsplit(".", 1)[-1]
-            path = " -> ".join((f"{simple}()", *info.chain))
-            yield (
+            chain = " -> ".join((f"{simple}()", *info.chain))
+            yield Finding.at(
+                path,
+                node,
                 "RPR501",
-                _finding(
-                    scan.info,
-                    node,
-                    "RPR501",
-                    f"call to {simple}() blocks the event loop: {path} "
-                    f"({info.why}); hand the blocking work to "
-                    "run_in_executor/to_thread",
-                ),
+                f"call to {simple}() blocks the event loop: {chain} "
+                f"({info.why}); hand the blocking work to "
+                "run_in_executor/to_thread",
             )
     # Event-loop callbacks run on the loop no matter who registers
     # them; a blocking callback stalls every request in flight.
@@ -397,20 +338,14 @@ def _blocking_findings(
         if info is None or callee_info is None or callee_info.is_async:
             continue
         simple = site.callee.rsplit(".", 1)[-1]
-        path = " -> ".join((f"{simple}()", *info.chain))
-        yield (
+        chain = " -> ".join((f"{simple}()", *info.chain))
+        yield Finding.at(
+            site.path,
+            site.node,
             "RPR501",
-            Finding(
-                path=site.path,
-                line=site.line,
-                col=site.col,
-                code="RPR501",
-                message=(
-                    f"callback {simple}() scheduled on the event loop "
-                    f"blocks: {path} ({info.why}); schedule non-blocking "
-                    "work or hand it to run_in_executor"
-                ),
-            ),
+            f"callback {simple}() scheduled on the event loop "
+            f"blocks: {chain} ({info.why}); schedule non-blocking "
+            "work or hand it to run_in_executor",
         )
 
 
@@ -421,31 +356,25 @@ def _unawaited_findings(
     project: Project,
     graph: CallGraph,
     scans: dict[str, _FrameScan],
-) -> Iterator[tuple[str, Finding]]:
+) -> Iterator[Finding]:
     for qualname in sorted(scans):
         scan = scans[qualname]
-        site_index = {
-            (getattr(node, "lineno", -1), getattr(node, "col_offset", -1)): callee
-            for node, callee in scan.project_calls
-        }
-        for node in scan.nodes:
+        path = scan.info.context.path
+        for node in scan.info.frame_nodes:
             if not isinstance(node, ast.Expr) or not isinstance(
                 node.value, ast.Call
             ):
                 continue
             call = node.value
-            callee = site_index.get((call.lineno, call.col_offset))
+            callee = scan.project_calls.get(call)
             if callee is not None and project.functions[callee].is_async:
                 simple = callee.rsplit(".", 1)[-1]
-                yield (
+                yield Finding.at(
+                    path,
+                    call,
                     "RPR502",
-                    _finding(
-                        scan.info,
-                        call,
-                        "RPR502",
-                        f"coroutine {simple}() is called but its result is "
-                        "discarded without await — the coroutine never runs",
-                    ),
+                    f"coroutine {simple}() is called but its result is "
+                    "discarded without await — the coroutine never runs",
                 )
                 continue
             target = resolve_imported_target(project, scan.info.module, call)
@@ -455,30 +384,23 @@ def _unawaited_findings(
                 and func.attr in _TASK_SPAWN_ATTRS
             )
             if is_spawn:
-                yield (
+                yield Finding.at(
+                    path,
+                    call,
                     "RPR502",
-                    _finding(
-                        scan.info,
-                        call,
-                        "RPR502",
-                        "task reference dropped: retain the "
-                        "ensure_future/create_task result (and discard it "
-                        "via a done-callback) or it can be garbage-"
-                        "collected mid-flight",
-                    ),
+                    "task reference dropped: retain the "
+                    "ensure_future/create_task result (and discard it "
+                    "via a done-callback) or it can be garbage-"
+                    "collected mid-flight",
                 )
-                continue
-            if target in _ASYNCIO_AWAITABLES:
+            elif target in _ASYNCIO_AWAITABLES:
                 tail = target.rsplit(".", 1)[-1]
-                yield (
+                yield Finding.at(
+                    path,
+                    call,
                     "RPR502",
-                    _finding(
-                        scan.info,
-                        call,
-                        "RPR502",
-                        f"awaitable asyncio.{tail}(...) discarded without "
-                        "await — it never executes",
-                    ),
+                    f"awaitable asyncio.{tail}(...) discarded without "
+                    "await — it never executes",
                 )
     # A coroutine function handed to a plain-callback or executor API
     # is called there, producing a coroutine object nobody awaits.
@@ -494,153 +416,41 @@ def _unawaited_findings(
             if site.kind == "callback"
             else "an executor"
         )
-        yield (
+        yield Finding.at(
+            site.path,
+            site.node,
             "RPR502",
-            Finding(
-                path=site.path,
-                line=site.line,
-                col=site.col,
-                code="RPR502",
-                message=(
-                    f"coroutine function {simple}() registered as {where} "
-                    "target — it would never be awaited; pass a sync "
-                    "callable or create_task the coroutine"
-                ),
-            ),
+            f"coroutine function {simple}() registered as {where} "
+            "target — it would never be awaited; pass a sync "
+            "callable or create_task the coroutine",
         )
 
 
 # --- RPR503 -----------------------------------------------------------
 
 
-class _LockSpanScanner:
-    """Find threading-lock regions spanning suspension points.
-
-    Statement lists are processed in order so manual ``acquire()`` /
-    ``release()`` pairs track like ``with`` regions; held state is
-    block-local (an acquire inside an ``if`` arm does not leak out —
-    best-effort, biased to silence).
-    """
-
-    def __init__(self, scan: _FrameScan) -> None:
-        self.scan = scan
-        self.findings: list[tuple[str, ast.AST, ast.AST, str]] = []
-
-    def run(self) -> list[tuple[str, ast.AST, ast.AST, str]]:
-        self._visit_block(self.scan.info.node.body, {})
-        return self.findings
-
-    # -- helpers -------------------------------------------------------
-
-    def _lock_key(self, expr: ast.AST) -> str | None:
-        name = dotted_name(expr)
-        if name is not None and name in self.scan.lock_exprs:
-            return name
-        return None
-
-    def _lock_method_target(
-        self, stmt: ast.stmt, method: str
-    ) -> str | None:
-        if not isinstance(stmt, ast.Expr) or not isinstance(
-            stmt.value, ast.Call
-        ):
-            return None
-        func = stmt.value.func
-        if isinstance(func, ast.Attribute) and func.attr == method:
-            return self._lock_key(func.value)
-        return None
-
-    def _suspend(
-        self, node: ast.AST, label: str, held: dict[str, ast.AST]
-    ) -> None:
-        for lock, acquired_at in held.items():
-            self.findings.append((lock, acquired_at, node, label))
-
-    def _check_expr(self, node: ast.AST, held: dict[str, ast.AST]) -> None:
-        if not held:
-            return
-        for suspension, label in iter_suspension_points(node):
-            self._suspend(suspension, label, held)
-
-    # -- traversal -----------------------------------------------------
-
-    def _visit_block(
-        self, stmts: list[ast.stmt], held: dict[str, ast.AST]
-    ) -> None:
-        held = dict(held)
-        for stmt in stmts:
-            acquired = self._lock_method_target(stmt, "acquire")
-            if acquired is not None:
-                held[acquired] = stmt
-                continue
-            released = self._lock_method_target(stmt, "release")
-            if released is not None:
-                held.pop(released, None)
-                continue
-            self._visit_stmt(stmt, held)
-
-    def _visit_stmt(self, stmt: ast.stmt, held: dict[str, ast.AST]) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested frames suspend themselves, not this one
-        if isinstance(stmt, ast.With):
-            inner = dict(held)
-            for item in stmt.items:
-                self._check_expr(item.context_expr, held)
-                key = self._lock_key(item.context_expr)
-                if key is not None:
-                    inner[key] = stmt
-            self._visit_block(stmt.body, inner)
-            return
-        if isinstance(stmt, ast.AsyncWith):
-            self._suspend(stmt, "async with", held)
-            self._visit_block(stmt.body, held)
-            return
-        if isinstance(stmt, ast.AsyncFor):
-            self._suspend(stmt, "async for", held)
-            self._visit_block(stmt.body, held)
-            self._visit_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, (ast.For, ast.While)):
-            test = stmt.iter if isinstance(stmt, ast.For) else stmt.test
-            self._check_expr(test, held)
-            self._visit_block(stmt.body, held)
-            self._visit_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.If):
-            self._check_expr(stmt.test, held)
-            self._visit_block(stmt.body, held)
-            self._visit_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.Try):
-            self._visit_block(stmt.body, held)
-            for handler in stmt.handlers:
-                self._visit_block(handler.body, held)
-            self._visit_block(stmt.orelse, held)
-            self._visit_block(stmt.finalbody, held)
-            return
-        self._check_expr(stmt, held)
-
-
-def _lock_span_findings(
-    scans: dict[str, _FrameScan],
-) -> Iterator[tuple[str, Finding]]:
+def _lock_span_findings(scans: dict[str, _FrameScan]) -> Iterator[Finding]:
+    """Threading-lock regions (``with`` or manual ``acquire()`` …
+    ``release()`` spans) that contain a suspension point."""
     for qualname in sorted(scans):
         scan = scans[qualname]
         if not scan.info.is_async or not scan.lock_exprs:
             continue
-        for lock, acquired_at, suspension, label in _LockSpanScanner(scan).run():
-            yield (
-                "RPR503",
-                _finding(
-                    scan.info,
-                    suspension,
+        body = scan.info.node.body
+        for node, held in walk_held(body, scan.lock_exprs.__contains__):
+            label = suspension_label(node)
+            if label is None:
+                continue
+            for lock, acquired_at in held.items():
+                yield Finding.at(
+                    scan.info.context.path,
+                    node,
                     "RPR503",
                     f"threading lock '{lock}' (acquired at line "
                     f"{getattr(acquired_at, 'lineno', '?')}) held across "
                     f"'{label}' — the coroutine suspends holding a thread "
                     "lock; use asyncio.Lock or release before suspending",
-                ),
-            )
+                )
 
 
 # --- RPR504 -----------------------------------------------------------
@@ -662,43 +472,46 @@ def _contains_name(node: ast.AST, name: str) -> bool:
     )
 
 
+def _resolves(node: ast.AST, name: str) -> bool:
+    """``<name>.set_result/set_exception/cancel(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _RESOLVING_ATTRS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == name
+    )
+
+
 def _future_findings(
     project: Project, scans: dict[str, _FrameScan]
-) -> Iterator[tuple[str, Finding]]:
+) -> Iterator[Finding]:
     for qualname in sorted(scans):
-        scan = scans[qualname]
+        info = scans[qualname].info
         creations: dict[str, ast.Assign] = {}
-        for node in scan.nodes:
+        for node in info.frame_nodes:
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)
-                and _is_future_creation(project, scan.info.module, node.value)
+                and _is_future_creation(project, info.module, node.value)
             ):
                 creations.setdefault(node.targets[0].id, node)
-        if not creations:
-            continue
         for name, creation in sorted(creations.items()):
-            yield from _check_future_lifecycle(scan, name, creation)
+            yield from _check_future_lifecycle(info, name, creation)
 
 
 def _check_future_lifecycle(
-    scan: _FrameScan, name: str, creation: ast.Assign
-) -> Iterator[tuple[str, Finding]]:
-    resolutions: list[ast.Call] = []
+    info: FunctionInfo, name: str, creation: ast.Assign
+) -> Iterator[Finding]:
+    path = info.context.path
+    resolutions: list[ast.AST] = []
     handed_off = False
-    for node in scan.nodes:
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _RESOLVING_ATTRS
-                and isinstance(func.value, ast.Name)
-                and func.value.id == name
-            ):
-                resolutions.append(node)
-                continue
+    for node in info.frame_nodes:
+        if _resolves(node, name):
+            resolutions.append(node)
+        elif isinstance(node, ast.Call):
             for argument in (*node.args, *(kw.value for kw in node.keywords)):
                 if _contains_name(argument, name):
                     handed_off = True
@@ -711,158 +524,91 @@ def _check_future_lifecycle(
     if handed_off:
         return
     if not resolutions:
-        yield (
+        yield Finding.at(
+            path,
+            creation,
             "RPR504",
-            _finding(
-                scan.info,
-                creation,
-                "RPR504",
-                f"future '{name}' is never resolved, cancelled, or handed "
-                "off — any awaiter hangs forever; set a result/exception "
-                "on every path or pass the future to its resolver",
-            ),
+            f"future '{name}' is never resolved, cancelled, or handed "
+            "off — any awaiter hangs forever; set a result/exception "
+            "on every path or pass the future to its resolver",
         )
         return
     # Exception-path completeness: a resolution inside a try body needs
     # a resolving except/finally, or the raising path leaks the future.
-    trys = [node for node in scan.nodes if isinstance(node, ast.Try)]
+    trys = [node for node in info.frame_nodes if isinstance(node, ast.Try)]
     for resolution in resolutions:
         enclosing = [
             t
             for t in trys
-            if any(
-                resolution in ast.walk(stmt) for stmt in t.body
-            )
+            if any(resolution in ast.walk(stmt) for stmt in t.body)
         ]
         if not enclosing:
             continue
-        rescued = False
-        for t in enclosing:
-            rescue_region = [
+        rescued = any(
+            _resolves(node, name)
+            for t in enclosing
+            for stmt in (
                 *(stmt for handler in t.handlers for stmt in handler.body),
                 *t.finalbody,
-            ]
-            for stmt in rescue_region:
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _RESOLVING_ATTRS
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == name
-                    ):
-                        rescued = True
+            )
+            for node in ast.walk(stmt)
+        )
         if not rescued:
-            yield (
+            yield Finding.at(
+                path,
+                resolution,
                 "RPR504",
-                _finding(
-                    scan.info,
-                    resolution,
-                    "RPR504",
-                    f"future '{name}' resolved inside 'try' with no "
-                    "set_exception/cancel in except/finally — an exception "
-                    "before resolution leaves the awaiter hanging",
-                ),
+                f"future '{name}' resolved inside 'try' with no "
+                "set_exception/cancel in except/finally — an exception "
+                "before resolution leaves the awaiter hanging",
             )
 
 
-# --- driver + registered rules ---------------------------------------
+# --- the registered analysis -----------------------------------------
 
 
-def _analyze_project(
+@register_analysis(
+    (
+        "RPR501",
+        "event-loop-blocking-call",
+        "blocking sink (sleep/socket/file/subprocess/lock-acquire or a "
+        "declared heavy entry point) called from an async frame or an "
+        "event-loop callback; run_in_executor/to_thread is the "
+        "sanctioned escape hatch",
+    ),
+    (
+        "RPR502",
+        "unawaited-awaitable",
+        "coroutine call discarded without await, create_task/"
+        "ensure_future result dropped, or a coroutine function "
+        "registered where a plain callable belongs",
+    ),
+    (
+        "RPR503",
+        "lock-across-await",
+        "with-lock region or manual acquire()/release() span contains "
+        "an await/async-for/async-with; a suspended coroutine holding "
+        "a thread lock deadlocks the loop under contention",
+    ),
+    (
+        "RPR504",
+        "future-lifecycle",
+        "loop.create_future()/Future() object neither resolved, "
+        "cancelled, nor handed off — or set_result unpaired with "
+        "set_exception/cancel on exception paths",
+    ),
+    scopes=frozenset({"src"}),
+)
+def analyze_async_safety(
     project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    class_locks = _collect_class_locks(project)
+) -> Iterator[Finding]:
+    class_locks = collect_class_locks(project)
     scans = {
         qualname: _scan_frame(project, graph, class_locks, info)
         for qualname, info in project.functions.items()
     }
     blocking = _blocking_fixpoint(project, scans)
-    results: list[tuple[str, Finding]] = []
-    results.extend(_blocking_findings(project, graph, scans, blocking))
-    results.extend(_unawaited_findings(project, graph, scans))
-    results.extend(_lock_span_findings(scans))
-    results.extend(_future_findings(project, scans))
-    return results
-
-
-# One analysis serves four registered codes; cache per project object.
-_CACHE: dict[int, tuple[Project, list[tuple[str, Finding]]]] = {}
-
-
-def _cached_analysis(
-    project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    cached = _CACHE.get(id(project))
-    if cached is not None and cached[0] is project:
-        return cached[1]
-    results = _analyze_project(project, graph)
-    _CACHE.clear()  # keep at most one project alive
-    _CACHE[id(project)] = (project, results)
-    return results
-
-
-class _AsyncRule(ProjectRule):
-    """Shared driver; subclasses select one code."""
-
-    scopes = frozenset({"src"})
-
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        for code, finding in _cached_analysis(project, graph):
-            if code == self.code:
-                yield finding
-
-
-@register_rule
-class EventLoopBlockingCall(_AsyncRule):
-    """RPR501: blocking sink reachable on the event loop."""
-
-    code = "RPR501"
-    name = "event-loop-blocking-call"
-    description = (
-        "blocking sink (sleep/socket/file/subprocess/lock-acquire or a "
-        "declared heavy entry point) called from an async frame or an "
-        "event-loop callback; run_in_executor/to_thread is the "
-        "sanctioned escape hatch"
-    )
-
-
-@register_rule
-class UnawaitedAwaitable(_AsyncRule):
-    """RPR502: awaitable produced and discarded."""
-
-    code = "RPR502"
-    name = "unawaited-awaitable"
-    description = (
-        "coroutine call discarded without await, create_task/"
-        "ensure_future result dropped, or a coroutine function "
-        "registered where a plain callable belongs"
-    )
-
-
-@register_rule
-class LockHeldAcrossAwait(_AsyncRule):
-    """RPR503: threading lock held across a suspension point."""
-
-    code = "RPR503"
-    name = "lock-across-await"
-    description = (
-        "with-lock region or manual acquire()/release() span contains "
-        "an await/async-for/async-with; a suspended coroutine holding "
-        "a thread lock deadlocks the loop under contention"
-    )
-
-
-@register_rule
-class IncompleteFutureLifecycle(_AsyncRule):
-    """RPR504: created future not resolved on every path."""
-
-    code = "RPR504"
-    name = "future-lifecycle"
-    description = (
-        "loop.create_future()/Future() object neither resolved, "
-        "cancelled, nor handed off — or set_result unpaired with "
-        "set_exception/cancel on exception paths"
-    )
+    yield from _blocking_findings(project, graph, scans, blocking)
+    yield from _unawaited_findings(project, graph, scans)
+    yield from _lock_span_findings(scans)
+    yield from _future_findings(project, scans)

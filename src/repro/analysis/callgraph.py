@@ -1,10 +1,14 @@
 """Whole-project symbol table and call graph for interprocedural rules.
 
-The per-file rules (RPR1xx, RPR201) stop at function boundaries; the
-interprocedural passes (RPR202 contract propagation, RPR30x
-determinism taint, RPR40x lock discipline) need to know *who calls
-whom* across modules.  This module builds that view once per analyzer
-run:
+The per-file rules (RPR1xx) stop at function boundaries; the
+interprocedural passes (RPR20x array contracts, RPR30x determinism
+taint, RPR40x lock discipline, RPR5xx async safety, RPR110 route
+statuses) need to know *who calls whom* across modules.  This module
+builds that view once per analyzer run, and with it the shared core
+every pass reads instead of re-deriving: the per-function node lists
+(:attr:`FunctionInfo.nodes` lexical, :attr:`FunctionInfo.frame_nodes`
+own-frame), walked once and cached, and the one call-site lookup
+:meth:`CallGraph.callee_at`.  The view:
 
 * :class:`Project` — every parsed file, a module table keyed by dotted
   module name (``src/repro/store/index.py`` → ``repro.store.index``),
@@ -43,8 +47,10 @@ import ast
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from repro.analysis.cfgutils import dotted_name, walk_frame
 from repro.analysis.engine import FileContext
 
 __all__ = [
@@ -56,8 +62,8 @@ __all__ = [
     "CallGraph",
     "build_project",
     "local_class_types",
-    "dotted_name",
     "resolve_imported_target",
+    "iter_call_args",
 ]
 
 # Scheduling APIs taking a function *reference*: name → index of the
@@ -120,6 +126,25 @@ class FunctionInfo:
             for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
         ]
 
+    def positional_params(self, call: ast.Call) -> list[str]:
+        """Parameter names that positional arguments of ``call`` bind to."""
+        if self.is_method and isinstance(call.func, ast.Attribute):
+            # obj.method(...) / self.method(...): ``self`` is the receiver.
+            return self.params[1:]
+        return self.params
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node lexically inside the function (``ast.walk`` order),
+        nested defs, decorators and defaults included."""
+        return list(ast.walk(self.node))
+
+    @cached_property
+    def frame_nodes(self) -> list[ast.AST]:
+        """Nodes executing in the function's own frame on the calling
+        thread (see :func:`repro.analysis.cfgutils.walk_frame`)."""
+        return list(walk_frame(self.node))
+
 
 @dataclass
 class ClassInfo:
@@ -131,6 +156,11 @@ class ClassInfo:
     node: ast.ClassDef
     context: FileContext
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node lexically inside the class (``ast.walk`` order)."""
+        return list(ast.walk(self.node))
 
 
 @dataclass(frozen=True)
@@ -151,8 +181,7 @@ class CallSite:
     callee: str
     kind: str
     path: str
-    line: int
-    col: int
+    node: ast.Call
 
 
 def _module_body_qualname(module: str) -> str:
@@ -175,7 +204,7 @@ class Project:
             if module in self.modules:
                 continue
             self.modules[module] = context
-            self.imports[module] = _collect_imports(context.tree, module)
+            self.imports[module] = _collect_imports(context.nodes, module)
             self._collect_definitions(module, context)
 
     # -- construction --------------------------------------------------
@@ -260,11 +289,11 @@ class Project:
                 yield info
 
 
-def _collect_imports(tree: ast.AST, module: str) -> dict[str, str]:
+def _collect_imports(nodes: Sequence[ast.AST], module: str) -> dict[str, str]:
     """Local name → fully qualified import target for one module."""
     mapping: dict[str, str] = {}
     package_parts = module.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -318,11 +347,9 @@ def _annotation_class_name(annotation: ast.AST | None) -> str | None:
 
 
 def local_class_types(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-    module: str,
-    project: Project,
+    info: FunctionInfo, project: Project
 ) -> dict[str, ClassInfo]:
-    """Names in ``function`` whose project class is statically known.
+    """Names in ``info`` whose project class is statically known.
 
     Two evidence sources: parameter annotations naming a project class,
     and assignments from a constructor call (``x = EventIndex(...)``).
@@ -330,7 +357,8 @@ def local_class_types(
     know nothing than the wrong class.
     """
     types: dict[str, ClassInfo] = {}
-    args = function.args
+    module = info.module
+    args = info.node.args
     for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
         name = _annotation_class_name(arg.annotation)
         if name is None:
@@ -338,7 +366,7 @@ def local_class_types(
         cls = project.class_named(name)
         if cls is not None:
             types[arg.arg] = cls
-    for node in ast.walk(function):
+    for node in info.nodes:
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -351,7 +379,7 @@ def local_class_types(
             if isinstance(value.func, ast.Name):
                 callee = project.resolve_name(module, value.func.id)
             elif isinstance(value.func, ast.Attribute):
-                dotted = _dotted_name(value.func)
+                dotted = dotted_name(value.func)
                 if dotted is not None:
                     callee = project.resolve_dotted(module, dotted)
             if callee is not None:
@@ -361,21 +389,6 @@ def local_class_types(
         elif target.id in types:
             del types[target.id]
     return types
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` attribute chain as a dotted string, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-_dotted_name = dotted_name
 
 
 def resolve_imported_target(
@@ -393,19 +406,28 @@ def resolve_imported_target(
     func = call.func
     if isinstance(func, ast.Name):
         return imports.get(func.id, f"{module}.{func.id}")
-    if isinstance(func, ast.Attribute):
-        parts: list[str] = []
-        node: ast.AST = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        head = imports.get(node.id)
-        if head is None:
-            return None
-        return ".".join([head, *reversed(parts)])
+    dotted = dotted_name(func) if isinstance(func, ast.Attribute) else None
+    if dotted is not None:
+        head, _, rest = dotted.partition(".")
+        if head in imports:
+            return f"{imports[head]}.{rest}"
     return None
+
+
+def iter_call_args(
+    call: ast.Call, params: Sequence[str] = ()
+) -> Iterator[tuple[int | str, ast.AST]]:
+    """``(parameter, argument)`` for each explicit argument of ``call``.
+
+    Positional arguments bind to ``params`` in order (a position past
+    the end keeps its index); keyword arguments bind by name; ``**``
+    unpacking is skipped.
+    """
+    for position, argument in enumerate(call.args):
+        yield (params[position] if position < len(params) else position), argument
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            yield keyword.arg, keyword.value
 
 
 class CallGraph:
@@ -416,30 +438,31 @@ class CallGraph:
         self.calls: list[CallSite] = []
         self.calls_in: dict[str, list[CallSite]] = defaultdict(list)
         self.callers_of: dict[str, list[CallSite]] = defaultdict(list)
+        self._site_index: dict[tuple[str, int, int], str] = {}
         for module, context in project.modules.items():
             self._resolve_module(module, context)
 
+    def callee_at(self, info: FunctionInfo, call: ast.Call) -> str | None:
+        """Project function ``call`` (inside ``info``) resolved to."""
+        return self._site_index.get(
+            (info.qualname, call.lineno, call.col_offset)
+        )
+
     def _resolve_module(self, module: str, context: FileContext) -> None:
-        tree = context.tree
-        if not isinstance(tree, ast.Module):
-            return
-        # Enclosing-function map: walk each function body separately so
-        # call sites attribute to the innermost def.
-        for info in list(self.project.functions.values()):
+        # Each call site attributes to the module-level function or
+        # method lexically enclosing it; what no function claims is a
+        # module-level call (class bodies, top-level statements).
+        claimed: set[int] = set()
+        for info in self.project.functions.values():
             if info.module != module:
                 continue
-            types = local_class_types(info.node, module, self.project)
-            for node in ast.walk(info.node):
+            types = local_class_types(info, self.project)
+            for node in info.nodes:
+                claimed.add(id(node))
                 if isinstance(node, ast.Call):
                     self._resolve_call(module, context, info, types, node)
-        # Module-level calls (decorators, top-level statements).
-        function_nodes = {
-            id(info.node)
-            for info in self.project.functions.values()
-            if info.module == module
-        }
-        for node in _walk_outside_functions(tree, function_nodes):
-            if isinstance(node, ast.Call):
+        for node in context.nodes:
+            if isinstance(node, ast.Call) and id(node) not in claimed:
                 self._resolve_call(module, context, None, {}, node)
 
     def _resolve_call(
@@ -472,16 +495,13 @@ class CallGraph:
         node: ast.Call,
     ) -> None:
         site = CallSite(
-            caller=caller,
-            callee=callee,
-            kind=kind,
-            path=context.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
+            caller=caller, callee=callee, kind=kind, path=context.path, node=node
         )
         self.calls.append(site)
         self.calls_in[caller].append(site)
         self.callers_of[callee].append(site)
+        if kind == "function":
+            self._site_index[caller, node.lineno, node.col_offset] = callee
 
     def _reference_edges(
         self,
@@ -589,7 +609,7 @@ class CallGraph:
                 if cls is not None and func.attr in cls.methods:
                     return cls.methods[func.attr].qualname, "function"
             # module.func(...) through an import alias chain.
-            dotted = _dotted_name(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 resolved = self.project.resolve_dotted(module, dotted)
                 if resolved is not None:
@@ -600,19 +620,6 @@ class CallGraph:
                     )
                     return resolved, kind
         return None, ""
-
-
-def _walk_outside_functions(
-    tree: ast.Module, function_nodes: set[int]
-) -> Iterator[ast.AST]:
-    """Walk the module without descending into known function bodies."""
-    stack: list[ast.AST] = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in function_nodes:
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def build_project(contexts: Sequence[FileContext]) -> tuple[Project, CallGraph]:

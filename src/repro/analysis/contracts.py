@@ -22,9 +22,10 @@ Two consumers:
   or dtype-kind mismatch.  The nn test suite runs the real kernels
   under these contracts, which is the "asserted in tests" half of the
   checking story.
-* **Static** — :mod:`repro.analysis.static_shapes` (rule RPR201)
+* **Static** — :mod:`repro.analysis.dataflow` (rules RPR201/RPR202)
   propagates literal shapes inside a function body and checks calls
-  to contracted kernels without running anything.
+  to contracted kernels — directly or through wrappers — without
+  running anything.
 """
 
 from __future__ import annotations

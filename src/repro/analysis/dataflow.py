@@ -1,25 +1,40 @@
-"""Cross-function array-contract propagation (rule RPR202).
+"""Static array-contract checking (rules RPR201 and RPR202).
 
-RPR201 (:mod:`repro.analysis.static_shapes`) checks calls to
-contracted kernels where the literal shapes are visible *inside one
-function*.  This pass makes the contracts flow through call sites: a
-function that forwards a parameter into a contracted kernel (or into
-another already-summarized function — transitively, through wrappers)
-inherits the kernel's :class:`~repro.analysis.contracts.ArraySpec`
-for that parameter, together with any symbol bindings fixed by
-literal arrays inside its body.  A caller that passes a literal-shaped
-array violating the derived contract is flagged as RPR202 even though
-no contracted kernel appears at the call site::
+Where a call can be traced to literal shapes — a direct
+``np.zeros((2, 5, 3))`` argument, or a local name assigned from such a
+constructor in the same function — the contract governing the call is
+checked without running anything: ranks must match, and symbolic
+dimensions must unify across arguments (``window_values (2, 5, 3)``
+with ``valid (2, 4)`` is a ``W`` conflict).
 
-    def fused_scores(queries):            # inherits queries: (B, D)
-        ref = np.zeros((10, 128))         # binds B=10, D=128
-        return cosine_similarity(queries, ref)
+One pass serves both codes; they differ only in how far the contract
+travelled to reach the call site:
 
-    fused_scores(np.zeros((10, 64)))      # RPR202: D is 64, bound to 128
+* **RPR201 — zero hops.**  The call targets a contracted ``repro.nn``
+  kernel directly, and the declared
+  :class:`~repro.analysis.contracts.KernelContract` applies as is.
+* **RPR202 — one or more hops.**  A function that forwards a parameter
+  into a contracted kernel (or into another already-summarized
+  function — transitively, through wrappers) inherits the kernel's
+  :class:`~repro.analysis.contracts.ArraySpec` for that parameter,
+  together with any symbol bindings fixed by literal arrays inside its
+  body.  A caller that passes a literal-shaped array violating the
+  derived contract is flagged even though no contracted kernel appears
+  at the call site::
+
+      def fused_scores(queries):            # inherits queries: (B, D)
+          ref = np.zeros((10, 128))         # binds B=10, D=128
+          return cosine_similarity(queries, ref)
+
+      fused_scores(np.zeros((10, 64)))      # RPR202: D is 64, bound to 128
 
 Summaries are computed to a fixpoint over the project call graph, so
-``rep_features → wrapper → nn.cosine`` chains propagate.  Anything
-dynamic simply contributes no summary — silence, not false alarms.
+``rep_features → wrapper → nn.cosine`` chains propagate.  Dynamic
+shapes are simply not checked here; the runtime half of the contract
+layer (:func:`repro.analysis.contracts.check_call`) covers them in the
+nn test suite.  dtype kinds are also left to runtime — constructor
+dtype inference would guess.  Anything dynamic contributes no summary —
+silence, not false alarms.
 """
 
 from __future__ import annotations
@@ -28,19 +43,26 @@ import ast
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, Project
+from repro.analysis.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    Project,
+    iter_call_args,
+    resolve_imported_target,
+)
+from repro.analysis.cfgutils import fixpoint
 from repro.analysis.contracts import (
     CONTRACTS,
     ArraySpec,
     ContractError,
     bind_shape,
 )
-from repro.analysis.engine import Finding, ProjectRule, register_rule
-from repro.analysis.static_shapes import _literal_shape
+from repro.analysis.engine import Finding, register_analysis
 
-__all__ = ["FunctionContract", "CrossFunctionContracts", "build_summaries"]
+__all__ = ["FunctionContract", "build_summaries"]
 
-_MAX_FIXPOINT_PASSES = 10
+_SHAPE_CTORS = frozenset({"zeros", "ones", "empty", "full"})
+_NUMPY_ALIASES = frozenset({"np", "numpy"})
 
 
 @dataclass
@@ -65,43 +87,58 @@ class FunctionContract:
         )
 
 
-def _resolve_kernel_contract(
-    project: Project, module: str, call: ast.Call
-) -> str | None:
-    """Contract key when ``call`` targets a contracted kernel.
+@dataclass
+class _CallContract:
+    """The contract governing one call site.
 
-    Resolution goes through the module's import map rather than the
-    call graph, because the kernels need not be part of the analyzed
-    project (a single-file analysis still knows ``from
-    repro.nn.pooling import log_sum_exp_pool``).
+    ``params`` are the names positional arguments bind to; ``name``
+    labels the callee in diagnostics; ``derived`` is False for a
+    declared kernel contract (zero hops), True for a summary.
     """
-    imports = project.imports.get(module, {})
-    func = call.func
-    if isinstance(func, ast.Name):
-        target = imports.get(func.id, f"{module}.{func.id}")
-        return target if target in CONTRACTS else None
-    if isinstance(func, ast.Attribute):
-        parts: list[str] = []
-        node: ast.AST = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        head = imports.get(node.id)
-        if head is None:
-            return None
-        target = ".".join([head, *reversed(parts)])
-        return target if target in CONTRACTS else None
+
+    specs: Mapping[str, ArraySpec]
+    env: dict[str, int]
+    origin: str
+    params: list[str]
+    name: str
+    derived: bool
+
+
+def _literal_shape(node: ast.AST) -> tuple[int, ...] | None:
+    """Shape of a literal ``np.zeros((2, 3))``-style constructor call."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    is_ctor = (
+        isinstance(func, ast.Attribute)
+        and func.attr in _SHAPE_CTORS
+        and isinstance(func.value, ast.Name)
+        and func.value.id in _NUMPY_ALIASES
+    )
+    if not is_ctor or not node.args:
+        return None
+    shape_node = node.args[0]
+    if isinstance(shape_node, ast.Constant) and isinstance(
+        shape_node.value, int
+    ):
+        return (shape_node.value,)
+    if isinstance(shape_node, (ast.Tuple, ast.List)):
+        dims: list[int] = []
+        for element in shape_node.elts:
+            if not (
+                isinstance(element, ast.Constant)
+                and isinstance(element.value, int)
+            ):
+                return None
+            dims.append(element.value)
+        return tuple(dims)
     return None
 
 
-def _literal_locals(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, tuple[int, ...]]:
+def _literal_locals(info: FunctionInfo) -> dict[str, tuple[int, ...]]:
     """Local name → literal array shape, from constructor assignments."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for node in ast.walk(function):
+    for node in info.nodes:
         if isinstance(node, ast.Assign):
             shape = _literal_shape(node.value)
             if shape is not None:
@@ -122,58 +159,51 @@ def _resolve_shape(
     return None
 
 
-def _callee_positional_params(info: FunctionInfo, call: ast.Call) -> list[str]:
-    """Parameter names that positional arguments of ``call`` bind to."""
-    params = info.params
-    if info.is_method and isinstance(call.func, ast.Attribute):
-        # obj.method(...) / self.method(...): ``self`` is the receiver.
-        params = params[1:]
-    return params
-
-
-def _spec_map(
+def _call_contract(
     project: Project,
     graph: CallGraph,
     summaries: Mapping[str, FunctionContract],
-    module: str,
-    site_index: Mapping[tuple[int, int], str],
+    info: FunctionInfo,
     call: ast.Call,
-) -> tuple[dict[str, ArraySpec], dict[str, int], str, list[str]] | None:
-    """The contract governing ``call``: specs, base env, origin, params.
+) -> _CallContract | None:
+    """The contract governing ``call`` inside ``info``, if any.
 
     Kernel contracts win over project summaries (they are the declared
-    ground truth; summaries are derived).
+    ground truth; summaries are derived).  Kernel resolution goes
+    through the module's import map rather than the call graph, because
+    the kernels need not be part of the analyzed project (a single-file
+    analysis still knows ``from repro.nn.pooling import
+    log_sum_exp_pool``).
     """
-    kernel_key = _resolve_kernel_contract(project, module, call)
-    if kernel_key is not None:
-        contract = CONTRACTS[kernel_key]
-        params = list(contract.inputs)
-        return dict(contract.inputs), {}, kernel_key, params
-    callee = site_index.get(
-        (getattr(call, "lineno", -1), getattr(call, "col_offset", -1))
+    target = resolve_imported_target(project, info.module, call)
+    if target in CONTRACTS:
+        contract = CONTRACTS[target]
+        return _CallContract(
+            contract.inputs, {}, target, list(contract.inputs), contract.name, False
+        )
+    callee = graph.callee_at(info, call)
+    summary = summaries.get(callee) if callee is not None else None
+    if summary is None or callee is None:
+        return None
+    callee_info = project.functions[callee]
+    return _CallContract(
+        summary.inputs,
+        dict(summary.env),
+        summary.origin,
+        callee_info.positional_params(call),
+        callee_info.name,
+        True,
     )
-    if callee is None:
-        return None
-    summary = summaries.get(callee)
-    info = project.functions.get(callee)
-    if summary is None or info is None or not summary.inputs:
-        return None
-    params = _callee_positional_params(info, call)
-    return dict(summary.inputs), dict(summary.env), summary.origin, params
 
 
 def _iter_spec_args(
-    call: ast.Call, specs: Mapping[str, ArraySpec], params: list[str]
-) -> Iterator[tuple[str, ast.AST]]:
-    """(param name, argument node) pairs covered by the contract."""
-    for position, argument in enumerate(call.args):
-        if position >= len(params):
-            break
-        if params[position] in specs:
-            yield params[position], argument
-    for keyword in call.keywords:
-        if keyword.arg is not None and keyword.arg in specs:
-            yield keyword.arg, keyword.value
+    call: ast.Call, contract: _CallContract
+) -> Iterator[tuple[str, ArraySpec, ast.AST]]:
+    """(param name, spec, argument) for statically checkable arguments."""
+    for param, argument in iter_call_args(call, contract.params):
+        spec = contract.specs.get(param) if isinstance(param, str) else None
+        if spec is not None and spec.is_symbolic_only():
+            yield param, spec, argument
 
 
 def build_summaries(
@@ -181,7 +211,8 @@ def build_summaries(
 ) -> dict[str, FunctionContract]:
     """Fixpoint derivation of :class:`FunctionContract` summaries."""
     summaries: dict[str, FunctionContract] = {}
-    for _ in range(_MAX_FIXPOINT_PASSES):
+
+    def summarize_all() -> bool:
         changed = False
         for qualname, info in project.functions.items():
             if qualname in CONTRACTS:
@@ -193,8 +224,9 @@ def build_summaries(
             if previous is None or previous.signature() != derived.signature():
                 summaries[qualname] = derived
                 changed = True
-        if not changed:
-            break
+        return changed
+
+    fixpoint(summarize_all)
     return summaries
 
 
@@ -205,30 +237,19 @@ def _summarize_function(
     info: FunctionInfo,
 ) -> FunctionContract | None:
     params = set(info.params)
-    known = _literal_locals(info.node)
-    site_index = {
-        (site.line, site.col): site.callee
-        for site in graph.calls_in.get(info.qualname, [])
-        if site.kind == "function"
-    }
+    known = _literal_locals(info)
     result = FunctionContract()
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if not isinstance(node, ast.Call):
             continue
-        resolved = _spec_map(
-            project, graph, summaries, info.module, site_index, node
-        )
-        if resolved is None:
+        contract = _call_contract(project, graph, summaries, info, node)
+        if contract is None:
             continue
-        specs, env, origin, callee_params = resolved
         # Bind literal-shaped arguments first: they fix symbols (D=128)
         # that the forwarded parameters then inherit.
-        call_env = dict(env)
+        call_env = dict(contract.env)
         forwarded: list[tuple[str, ArraySpec]] = []
-        for spec_name, argument in _iter_spec_args(node, specs, callee_params):
-            spec = specs[spec_name]
-            if not spec.is_symbolic_only():
-                continue
+        for spec_name, spec, argument in _iter_spec_args(node, contract):
             shape = _resolve_shape(argument, known)
             if shape is not None:
                 try:
@@ -240,7 +261,7 @@ def _summarize_function(
         if not forwarded:
             continue
         if not result.origin:
-            result.origin = origin
+            result.origin = contract.origin
         for param, spec in forwarded:
             result.inputs.setdefault(param, spec)
         for symbol, value in call_env.items():
@@ -251,77 +272,55 @@ def _summarize_function(
     return result if result.inputs else None
 
 
-@register_rule
-class CrossFunctionContracts(ProjectRule):
-    """RPR202: literal shapes violating a *derived* function contract.
-
-    The interprocedural counterpart of RPR201: the contract at the
-    flagged call site was not declared there but inherited — possibly
-    through several wrapper layers — from a contracted ``repro.nn``
-    kernel the argument ultimately flows into.
-    """
-
-    code = "RPR202"
-    name = "cross-function-array-contract"
-    description = (
+@register_analysis(
+    (
+        "RPR201",
+        "static-array-contract",
+        "call to a contracted repro.nn kernel with literal shapes that "
+        "violate its declared array contract",
+    ),
+    (
+        "RPR202",
+        "cross-function-array-contract",
         "call passing literal shapes that violate a contract derived "
-        "interprocedurally (parameter flows into a contracted kernel)"
-    )
+        "interprocedurally (parameter flows into a contracted kernel)",
+    ),
+)
+def analyze_contracts(project: Project, graph: CallGraph) -> Iterator[Finding]:
+    """Literal shapes violating the contract at each call site.
 
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        summaries = build_summaries(project, graph)
-        if not summaries:
-            return
-        for info in project.functions.values():
-            yield from self._check_function(project, graph, summaries, info)
-
-    def _check_function(
-        self,
-        project: Project,
-        graph: CallGraph,
-        summaries: Mapping[str, FunctionContract],
-        info: FunctionInfo,
-    ) -> Iterator[Finding]:
-        known = _literal_locals(info.node)
-        site_index = {
-            (site.line, site.col): site.callee
-            for site in graph.calls_in.get(info.qualname, [])
-            if site.kind == "function"
-        }
-        for node in ast.walk(info.node):
+    RPR202 is the interprocedural counterpart of RPR201: the contract
+    at the flagged call site was not declared there but inherited —
+    possibly through several wrapper layers — from a contracted
+    ``repro.nn`` kernel the argument ultimately flows into.
+    """
+    summaries = build_summaries(project, graph)
+    for info in project.functions.values():
+        known = _literal_locals(info)
+        for node in info.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            callee = site_index.get(
-                (getattr(node, "lineno", -1), getattr(node, "col_offset", -1))
-            )
-            summary = summaries.get(callee) if callee is not None else None
-            callee_info = (
-                project.functions.get(callee) if callee is not None else None
-            )
-            if summary is None or callee_info is None:
-                continue  # direct kernel calls are RPR201's jurisdiction
-            params = _callee_positional_params(callee_info, node)
-            env = dict(summary.env)
-            for spec_name, argument in _iter_spec_args(
-                node, summary.inputs, params
-            ):
-                spec = summary.inputs[spec_name]
-                if not spec.is_symbolic_only():
-                    continue
+            contract = _call_contract(project, graph, summaries, info, node)
+            if contract is None:
+                continue
+            env = dict(contract.env)
+            for spec_name, spec, argument in _iter_spec_args(node, contract):
                 shape = _resolve_shape(argument, known)
                 if shape is None:
                     continue
                 try:
-                    bind_shape(
-                        spec, shape, env, f"{callee_info.name}({spec_name})"
-                    )
+                    bind_shape(spec, shape, env, f"{contract.name}({spec_name})")
                 except ContractError as error:
-                    yield self.finding(
-                        info.context,
-                        node,
-                        f"cross-function contract violation (derived from "
-                        f"{summary.origin}): {error}",
-                    )
+                    if contract.derived:
+                        yield Finding.at(
+                            info.context.path,
+                            node,
+                            "RPR202",
+                            "cross-function contract violation (derived "
+                            f"from {contract.origin}): {error}",
+                        )
+                    else:
+                        yield Finding.at(
+                            info.context.path, node, "RPR201", str(error)
+                        )
                     break

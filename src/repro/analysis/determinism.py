@@ -41,17 +41,13 @@ from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
     Project,
+    iter_call_args,
     resolve_imported_target,
 )
-from repro.analysis.engine import Finding, ProjectRule, register_rule
-from repro.analysis.rules import _LEGACY_RNG
+from repro.analysis.cfgutils import fixpoint
+from repro.analysis.engine import Finding, register_analysis
 
-__all__ = [
-    "TaintSummary",
-    "UnseededRngToSink",
-    "WallClockToSink",
-    "UnorderedIterationToSink",
-]
+__all__ = ["TaintSummary"]
 
 _KIND_CODES = {"rng": "RPR301", "time": "RPR302", "unordered": "RPR303"}
 _KIND_LABELS = {
@@ -76,13 +72,21 @@ _TIME_SOURCES = frozenset(
     }
 )
 _PY_RANDOM_PREFIX = "random."
+# Legacy numpy global-state API: draws from it are unseeded.
+_LEGACY_RNG = frozenset(
+    {
+        "seed", "rand", "randn", "randint", "random", "random_sample",
+        "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
+        "normal", "lognormal", "standard_normal", "beta", "binomial",
+        "poisson", "exponential", "gamma", "geometric", "multinomial",
+        "RandomState", "get_state", "set_state", "random_integers",
+    }
+)
 # Order-insensitive reductions: consuming a set through these cannot
 # leak iteration order.
 _ORDER_INSENSITIVE = frozenset(
     {"len", "sorted", "min", "max", "sum", "any", "all"}
 )
-
-_MAX_FIXPOINT_PASSES = 8
 
 
 @dataclass
@@ -101,13 +105,9 @@ class TaintSummary:
         )
 
 
-# Shared with the async-safety pass; historically lived here.
-_resolve_imported_target = resolve_imported_target
-
-
 def _source_kind(project: Project, module: str, call: ast.Call) -> str | None:
     """Taint kind introduced by ``call`` itself, if any."""
-    target = _resolve_imported_target(project, module, call)
+    target = resolve_imported_target(project, module, call)
     func = call.func
     # Unseeded numpy Generator: default_rng() with no seed argument.
     is_default_rng = (target is not None and target.endswith(".default_rng")) or (
@@ -152,21 +152,6 @@ def _sink_name(target: str | None) -> str | None:
     return None
 
 
-def _callee_positional_params(info: FunctionInfo, call: ast.Call) -> list[str]:
-    params = info.params
-    if info.is_method and isinstance(call.func, ast.Attribute):
-        params = params[1:]
-    return params
-
-
-def _iter_call_args(call: ast.Call) -> Iterator[tuple[int | str, ast.AST]]:
-    for position, argument in enumerate(call.args):
-        yield position, argument
-    for keyword in call.keywords:
-        if keyword.arg is not None:
-            yield keyword.arg, keyword.value
-
-
 class _FunctionTaint:
     """Intra-function taint propagation for one function body."""
 
@@ -178,14 +163,10 @@ class _FunctionTaint:
         info: FunctionInfo,
     ) -> None:
         self.project = project
+        self.graph = graph
         self.summaries = summaries
         self.info = info
         self.module = info.module
-        self.site_index = {
-            (site.line, site.col): site.callee
-            for site in graph.calls_in.get(info.qualname, [])
-            if site.kind == "function"
-        }
         # Parameters carry symbolic markers so flows-to-return and
         # flows-to-sink can be attributed back to the caller's argument.
         self.taint: dict[str, set[str]] = {
@@ -220,7 +201,7 @@ class _FunctionTaint:
     def _call_taint(self, call: ast.Call) -> set[str]:
         func = call.func
         arg_taint: set[str] = set()
-        for _, argument in _iter_call_args(call):
+        for _, argument in iter_call_args(call):
             arg_taint |= self.expr_taint(argument)
         arg_taint |= self.expr_taint(func)
         if isinstance(func, ast.Name) and func.id in _ORDER_INSENSITIVE:
@@ -230,20 +211,12 @@ class _FunctionTaint:
         source = _source_kind(self.project, self.module, call)
         if source is not None:
             arg_taint = arg_taint | {source}
-        callee = self.site_index.get(
-            (getattr(call, "lineno", -1), getattr(call, "col_offset", -1))
-        )
+        callee = self.graph.callee_at(self.info, call)
         summary = self.summaries.get(callee) if callee is not None else None
         if summary is not None and callee is not None:
-            callee_info = self.project.functions[callee]
             kinds = set(summary.returns)
-            params = _callee_positional_params(callee_info, call)
-            for key, argument in _iter_call_args(call):
-                param = (
-                    params[key]
-                    if isinstance(key, int) and key < len(params)
-                    else key
-                )
+            params = self.project.functions[callee].positional_params(call)
+            for param, argument in iter_call_args(call, params):
                 if param in summary.param_returns:
                     kinds |= self.expr_taint(argument)
             return kinds
@@ -252,12 +225,13 @@ class _FunctionTaint:
     # -- statement-level propagation ----------------------------------
 
     def propagate(self) -> None:
-        for _ in range(_MAX_FIXPOINT_PASSES):
+        def sweep() -> bool:
             changed = False
-            for node in ast.walk(self.info.node):
+            for node in self.info.nodes:
                 changed |= self._propagate_statement(node)
-            if not changed:
-                break
+            return changed
+
+        fixpoint(sweep)
 
     def _propagate_statement(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Assign):
@@ -299,7 +273,7 @@ class _FunctionTaint:
 
     def summarize(self) -> TaintSummary:
         summary = TaintSummary()
-        for node in ast.walk(self.info.node):
+        for node in self.info.nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 kinds = self.expr_taint(node.value)
                 for kind in kinds:
@@ -309,14 +283,14 @@ class _FunctionTaint:
                         summary.returns.add(kind)
         return summary
 
-    def findings(self) -> Iterator[tuple[str, int, int, str, str]]:
-        """(kind, line, col, sink label, flow) for concrete violations.
+    def findings(self) -> Iterator[tuple[str, ast.AST, str, str]]:
+        """(kind, node, sink label, flow) for concrete violations.
 
         Also records param→sink flows into :attr:`param_sinks_found`
         for the interprocedural fixpoint.
         """
         self.param_sinks_found = {}
-        for node in ast.walk(self.info.node):
+        for node in self.info.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_sink_call(node)
             elif isinstance(node, ast.Return) and node.value is not None:
@@ -331,40 +305,31 @@ class _FunctionTaint:
                         else:
                             yield (
                                 kind,
-                                node.lineno,
-                                node.col_offset,
+                                node,
                                 f"served return of {self.info.name}()",
                                 "returned from the serving layer",
                             )
 
     def _check_sink_call(
         self, call: ast.Call
-    ) -> Iterator[tuple[str, int, int, str, str]]:
-        target = _resolve_imported_target(self.project, self.module, call)
+    ) -> Iterator[tuple[str, ast.AST, str, str]]:
+        target = resolve_imported_target(self.project, self.module, call)
         sink = _sink_name(target)
-        callee = self.site_index.get(
-            (getattr(call, "lineno", -1), getattr(call, "col_offset", -1))
-        )
+        callee = self.graph.callee_at(self.info, call)
         summary = self.summaries.get(callee) if callee is not None else None
-        sinking_params: dict[int | str, str] = {}
-        if sink is not None:
-            for key, _ in _iter_call_args(call):
-                sinking_params[key] = sink
-        elif summary is not None and callee is not None and summary.param_sinks:
-            callee_info = self.project.functions[callee]
-            params = _callee_positional_params(callee_info, call)
-            for key, _ in _iter_call_args(call):
-                param = (
-                    params[key]
-                    if isinstance(key, int) and key < len(params)
-                    else key
-                )
-                if isinstance(param, str) and param in summary.param_sinks:
-                    sinking_params[key] = summary.param_sinks[param]
-        if not sinking_params:
+        # Every argument of a declared sink sinks; otherwise only the
+        # parameters the callee's summary forwards to one.
+        param_sinks: dict[str, str] = {}
+        params: list[str] = []
+        if sink is None and summary is not None and callee is not None:
+            param_sinks = summary.param_sinks
+            params = self.project.functions[callee].positional_params(call)
+        if sink is None and not param_sinks:
             return
-        for key, argument in _iter_call_args(call):
-            label = sinking_params.get(key)
+        for param, argument in iter_call_args(call, params):
+            label = sink
+            if label is None and isinstance(param, str):
+                label = param_sinks.get(param)
             if label is None:
                 continue
             kinds = self.expr_taint(argument)
@@ -376,20 +341,41 @@ class _FunctionTaint:
                 else:
                     yield (
                         kind,
-                        call.lineno,
-                        call.col_offset,
+                        call,
                         label,
                         "passed into a persistence/metrics sink",
                     )
 
 
-def _analyze_project(
+@register_analysis(
+    (
+        "RPR301",
+        "unseeded-rng-to-sink",
+        "unseeded RNG draw flows into a persisted artifact, eval "
+        "metric, or served score (interprocedural taint)",
+    ),
+    (
+        "RPR302",
+        "wall-clock-to-sink",
+        "time.time/datetime.now value flows into a persisted artifact, "
+        "eval metric, or served score (perf_counter durations exempt)",
+    ),
+    (
+        "RPR303",
+        "unordered-iteration-to-sink",
+        "set/dict.keys iteration order flows into a persisted artifact, "
+        "eval metric, or served score; sorted() launders",
+    ),
+    scopes=frozenset({"src"}),
+)
+def analyze_determinism(
     project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    """All (code, finding) determinism violations for a project."""
+) -> Iterator[Finding]:
+    """Every determinism violation of a project."""
     summaries: dict[str, TaintSummary] = {}
     analyses: dict[str, _FunctionTaint] = {}
-    for _ in range(_MAX_FIXPOINT_PASSES):
+
+    def summarize_all() -> bool:
         changed = False
         for qualname, info in project.functions.items():
             analysis = _FunctionTaint(project, graph, summaries, info)
@@ -403,93 +389,17 @@ def _analyze_project(
             if previous is None or previous.signature() != summary.signature():
                 summaries[qualname] = summary
                 changed = True
-        if not changed:
-            break
-    results: list[tuple[str, Finding]] = []
-    for qualname, analysis in analyses.items():
-        for kind, line, col, sink, flow in analysis.findings():
-            code = _KIND_CODES.get(kind)
-            if code is None:
+        return changed
+
+    fixpoint(summarize_all)
+    for analysis in analyses.values():
+        for kind, node, sink, flow in analysis.findings():
+            if kind not in _KIND_CODES:
                 continue
-            message = (
+            yield Finding.at(
+                analysis.info.context.path,
+                node,
+                _KIND_CODES[kind],
                 f"{_KIND_LABELS[kind]} {flow} ({sink}); launder through an "
-                "explicit seed or sorted() before it escapes"
+                "explicit seed or sorted() before it escapes",
             )
-            results.append(
-                (
-                    code,
-                    Finding(
-                        path=analysis.info.context.path,
-                        line=line,
-                        col=col,
-                        code=code,
-                        message=message,
-                    ),
-                )
-            )
-    return results
-
-
-# One analysis serves three registered codes; cache per project object.
-_CACHE: dict[int, tuple[Project, list[tuple[str, Finding]]]] = {}
-
-
-def _cached_analysis(
-    project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    cached = _CACHE.get(id(project))
-    if cached is not None and cached[0] is project:
-        return cached[1]
-    results = _analyze_project(project, graph)
-    _CACHE.clear()  # keep at most one project alive
-    _CACHE[id(project)] = (project, results)
-    return results
-
-
-class _DeterminismRule(ProjectRule):
-    """Shared driver; subclasses select one taint kind by code."""
-
-    scopes = frozenset({"src"})
-
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        for code, finding in _cached_analysis(project, graph):
-            if code == self.code:
-                yield finding
-
-
-@register_rule
-class UnseededRngToSink(_DeterminismRule):
-    """RPR301: unseeded randomness reaching a persisted/served value."""
-
-    code = "RPR301"
-    name = "unseeded-rng-to-sink"
-    description = (
-        "unseeded RNG draw flows into a persisted artifact, eval "
-        "metric, or served score (interprocedural taint)"
-    )
-
-
-@register_rule
-class WallClockToSink(_DeterminismRule):
-    """RPR302: wall-clock reads reaching a persisted/served value."""
-
-    code = "RPR302"
-    name = "wall-clock-to-sink"
-    description = (
-        "time.time/datetime.now value flows into a persisted artifact, "
-        "eval metric, or served score (perf_counter durations exempt)"
-    )
-
-
-@register_rule
-class UnorderedIterationToSink(_DeterminismRule):
-    """RPR303: hash-order-dependent iteration reaching a sink."""
-
-    code = "RPR303"
-    name = "unordered-iteration-to-sink"
-    description = (
-        "set/dict.keys iteration order flows into a persisted artifact, "
-        "eval metric, or served score; sorted() launders"
-    )

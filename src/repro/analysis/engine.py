@@ -10,22 +10,26 @@ selected rule whose scope matches, and filters findings through the
 Two rule families share the registry:
 
 * :class:`Rule` — per-file: sees one :class:`FileContext` at a time.
-* :class:`ProjectRule` — interprocedural: sees the whole parsed
-  project (symbol tables + call graph from
-  :mod:`repro.analysis.callgraph`) and emits findings attributed to
-  individual files.  Suppressions and scope filtering apply exactly
-  as for per-file rules, keyed by the file each finding lands in.
+* :class:`ProjectRule` — interprocedural: one row of the metadata
+  table a whole-project *analysis* registers for the codes it emits
+  (:func:`register_analysis`).  The engine is the one analysis
+  driver: it builds the project (symbol tables + call graph from
+  :mod:`repro.analysis.callgraph`) once, runs each analysis at most
+  once however many of its codes are selected, and routes every
+  finding by its ``code``.  Suppressions and scope filtering apply
+  exactly as for per-file rules, keyed by the file each finding
+  lands in.
 
 Scopes
 ------
 ``src``
     Production code.  Rules that forbid patterns tests legitimately
     use (exact float comparison oracles, toy metric names, reference
-    cosine reimplementations, ``assert``) run here only.
+    cosine reimplementations) run here only.
 ``test``
-    Anything under a ``tests``/``benchmarks``/``examples`` directory,
-    any ``conftest.py``, and ``test_*.py`` files *outside* a ``src``
-    tree — a production module named ``test_harness.py`` under
+    Anything under a ``tests``/``benchmarks``/``examples``/``bench``
+    directory, any ``conftest.py``, and ``test_*.py`` files *outside* a
+    ``src`` tree — a production module named ``test_harness.py`` under
     ``src/`` must not silently opt out of src-only rules.
 
 Suppressions
@@ -50,8 +54,9 @@ import ast
 import io
 import re
 import tokenize
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,6 +69,7 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "register_rule",
+    "register_analysis",
     "all_rules",
     "rules_by_code",
     "scope_for_path",
@@ -77,7 +83,7 @@ __all__ = [
 
 UNUSED_SUPPRESSION_CODE = "RPR100"
 
-_TEST_DIRS = frozenset({"tests", "benchmarks", "examples"})
+_TEST_DIRS = frozenset({"tests", "benchmarks", "examples", "bench"})
 _NOQA_PATTERN = re.compile(
     r"#\s*repro:\s*noqa\[(?P<codes>[^\]]*)\]", re.IGNORECASE
 )
@@ -93,6 +99,17 @@ class Finding:
     col: int
     code: str
     message: str
+
+    @classmethod
+    def at(cls, path: str, node: ast.AST, code: str, message: str) -> Finding:
+        """The one constructor rules use: a finding located at ``node``."""
+        return cls(
+            path=path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            code=code,
+            message=message,
+        )
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -121,6 +138,11 @@ class FileContext:
     def posix_path(self) -> str:
         return Path(self.path).as_posix()
 
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the file (``ast.walk`` order), walked once."""
+        return list(ast.walk(self.tree))
+
 
 class Rule:
     """Base class for per-file analysis rules.
@@ -142,51 +164,71 @@ class Rule:
     def finding(
         self, context: FileContext, node: ast.AST, message: str
     ) -> Finding:
-        return Finding(
-            path=context.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            code=self.code,
-            message=message,
-        )
+        return Finding.at(context.path, node, self.code, message)
+
+
+Analysis = Callable[["Project", "CallGraph"], Iterator[Finding]]
 
 
 class ProjectRule(Rule):
-    """Base class for whole-project (interprocedural) rules.
+    """One code emitted by a whole-project (interprocedural) analysis.
 
-    ``check_project`` sees the full symbol table and call graph and
-    yields findings attributed to individual files; the engine then
-    drops findings landing in files whose scope the rule does not
-    cover, and routes the survivors through that file's suppressions.
+    ``analysis`` sees the full symbol table and call graph and yields
+    findings — for every code of its group — attributed to individual
+    files; the engine then drops findings whose code was not selected
+    or that land in files whose scope the rule does not cover, and
+    routes the survivors through that file's suppressions.
     """
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=path, line=line, col=col, code=self.code, message=message
-        )
+    def __init__(
+        self,
+        code: str,
+        name: str,
+        description: str,
+        scopes: frozenset[str],
+        analysis: Analysis,
+    ) -> None:
+        self.code = code
+        self.name = name
+        self.description = description
+        self.scopes = scopes
+        self.analysis = analysis
 
 
 _REGISTRY: dict[str, Rule] = {}
 
 
+def _register(rule: Rule) -> None:
+    if not _CODE_PATTERN.match(rule.code):
+        raise ValueError(f"invalid rule code {rule.code!r}")
+    if rule.code in _REGISTRY:
+        raise ValueError(f"duplicate rule code {rule.code}")
+    _REGISTRY[rule.code] = rule
+
+
 def register_rule(rule_class: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule (by code) to the registry."""
-    if not _CODE_PATTERN.match(rule_class.code):
-        raise ValueError(f"invalid rule code {rule_class.code!r}")
-    if rule_class.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule_class.code}")
-    _REGISTRY[rule_class.code] = rule_class()
+    """Class decorator adding a per-file rule (by code) to the registry."""
+    _register(rule_class())
     return rule_class
+
+
+def register_analysis(
+    *rows: tuple[str, str, str],
+    scopes: frozenset[str] = Rule.scopes,
+) -> Callable[[Analysis], Analysis]:
+    """Register a project analysis for the codes it emits.
+
+    ``rows`` is the metadata table — one ``(code, name, description)``
+    per code.  The analysis is one function yielding findings for all
+    of them; selecting any subset of the codes runs it once.
+    """
+
+    def decorate(analysis: Analysis) -> Analysis:
+        for code, name, description in rows:
+            _register(ProjectRule(code, name, description, scopes, analysis))
+        return analysis
+
+    return decorate
 
 
 def all_rules() -> list[Rule]:
@@ -223,17 +265,17 @@ def _ensure_rules_loaded() -> None:
         locks,
         routestatus,
         rules,
-        static_shapes,
     )
 
 
 def scope_for_path(path: str | Path) -> str:
     """Classify a file as production (``src``) or test-ish (``test``).
 
-    Directory membership (``tests``/``benchmarks``/``examples``)
-    always classifies as test; the ``test_*.py`` filename heuristic
-    applies only *outside* a ``src`` tree, so a production module named
-    ``test_harness.py`` cannot opt out of src-only rules by name.
+    Directory membership (``tests``/``benchmarks``/``examples``/
+    ``bench``) always classifies as test; the ``test_*.py`` filename
+    heuristic applies only *outside* a ``src`` tree, so a production
+    module named ``test_harness.py`` cannot opt out of src-only rules
+    by name.
     ``conftest.py`` is pytest plumbing wherever it lives.
     """
     parts = Path(path).parts
@@ -304,34 +346,39 @@ def parse_suppressions(source: str) -> dict[int, set[str]]:
     return scan_suppressions(source)[0]
 
 
-def _syntax_error_finding(path: str, error: SyntaxError) -> Finding:
-    return Finding(
+def _parse(
+    source: str, path: str, scope: str | None = None
+) -> FileContext | Finding:
+    """Parse one file; a syntax error becomes a single ``RPR999``
+    finding rather than an exception, so one unparseable file cannot
+    abort a repository sweep."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as error:
+        return Finding(
+            path=path,
+            line=error.lineno or 1,
+            col=(error.offset or 1) - 1,
+            code="RPR999",
+            message=f"syntax error: {error.msg}",
+        )
+    return FileContext(
         path=path,
-        line=error.lineno or 1,
-        col=(error.offset or 1) - 1,
-        code="RPR999",
-        message=f"syntax error: {error.msg}",
+        source=source,
+        tree=tree,
+        scope=scope if scope is not None else scope_for_path(path),
+        lines=source.splitlines(),
     )
-
-
-def _run_file_rules(
-    context: FileContext, rules: Sequence[Rule]
-) -> list[Finding]:
-    raw: list[Finding] = []
-    for rule in rules:
-        if context.scope not in rule.scopes:
-            continue
-        raw.extend(rule.check(context))
-    return raw
 
 
 def _run_project_rules(
     contexts: Sequence[FileContext], rules: Sequence[ProjectRule]
 ) -> list[Finding]:
-    """Run interprocedural rules once over the parsed project.
+    """The analysis driver: each selected analysis once per project.
 
-    Each finding is kept only when the rule's scope covers the file
-    the finding lands in (looked up from the parsed contexts).
+    Findings are routed by ``Finding.code``: one is kept only when its
+    code was selected and that rule's scope covers the file the finding
+    lands in (looked up from the parsed contexts).
     """
     if not rules or not contexts:
         return []
@@ -339,11 +386,12 @@ def _run_project_rules(
 
     project, graph = build_project(contexts)
     scope_by_path = {context.path: context.scope for context in contexts}
+    selected = {rule.code: rule for rule in rules}
     findings: list[Finding] = []
-    for rule in rules:
-        for finding in rule.check_project(project, graph):
-            scope = scope_by_path.get(finding.path)
-            if scope is not None and scope in rule.scopes:
+    for analysis in dict.fromkeys(rule.analysis for rule in rules):
+        for finding in analysis(project, graph):
+            rule = selected.get(finding.code)
+            if rule is not None and scope_by_path.get(finding.path) in rule.scopes:
                 findings.append(finding)
     return findings
 
@@ -370,6 +418,12 @@ def _apply_suppressions(
             used.setdefault(finding.line, set()).add(finding.code)
         else:
             survivors.append(finding)
+
+    def rpr100(line: int, col: int, message: str) -> None:
+        survivors.append(
+            Finding(context.path, line, col, UNUSED_SUPPRESSION_CODE, message)
+        )
+
     if report_unused_suppressions:
         for line_number, codes in sorted(suppressions.items()):
             for code in sorted(codes):
@@ -379,36 +433,54 @@ def _apply_suppressions(
                     # The rule didn't run (deselected or out of scope);
                     # the suppression may be live under a full run.
                     continue
-                survivors.append(
-                    Finding(
-                        path=context.path,
-                        line=line_number,
-                        col=0,
-                        code=UNUSED_SUPPRESSION_CODE,
-                        message=(
-                            f"unused suppression: no {code} finding on this "
-                            "line (remove the stale noqa)"
-                        ),
-                    )
+                rpr100(
+                    line_number,
+                    0,
+                    f"unused suppression: no {code} finding on this "
+                    "line (remove the stale noqa)",
                 )
     for line_number, column, text in malformed:
-        survivors.append(
-            Finding(
-                path=context.path,
-                line=line_number,
-                col=column,
-                code=UNUSED_SUPPRESSION_CODE,
-                message=(
-                    f"malformed suppression code {text!r}: codes must "
-                    "match RPRnnn (e.g. RPR101)"
-                ),
-            )
+        rpr100(
+            line_number,
+            column,
+            f"malformed suppression code {text!r}: codes must "
+            "match RPRnnn (e.g. RPR101)",
         )
     return survivors
 
 
-def _checked_codes(rules: Sequence[Rule], scope: str) -> set[str]:
-    return {rule.code for rule in rules if scope in rule.scopes}
+def _analyze(
+    contexts: Sequence[FileContext],
+    rules: Sequence[Rule],
+    report_unused_suppressions: bool,
+) -> list[Finding]:
+    """Per-file rules on each context, project analyses once over all
+    of them, then each file's suppressions."""
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
+    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+    raw_by_path: dict[str, list[Finding]] = {
+        context.path: [
+            finding
+            for rule in file_rules
+            if context.scope in rule.scopes
+            for finding in rule.check(context)
+        ]
+        for context in contexts
+    }
+    for finding in _run_project_rules(contexts, project_rules):
+        raw_by_path[finding.path].append(finding)
+    findings: list[Finding] = []
+    for context in contexts:
+        checked = {rule.code for rule in rules if context.scope in rule.scopes}
+        findings.extend(
+            _apply_suppressions(
+                context,
+                raw_by_path[context.path],
+                checked,
+                report_unused_suppressions,
+            )
+        )
+    return findings
 
 
 def analyze_source(
@@ -420,37 +492,19 @@ def analyze_source(
 ) -> list[Finding]:
     """Run ``rules`` over one source string.
 
-    Returns surviving findings sorted by location.  A syntax error
-    becomes a single ``RPR999`` finding rather than an exception, so
-    one unparseable file cannot abort a repository sweep.
+    Returns surviving findings sorted by location (a syntax error is a
+    single ``RPR999`` finding).
 
     Interprocedural rules run too, over a single-file project — cross-
     function flows *within* the file are visible, cross-file flows are
     not (use :func:`analyze_paths` for whole-project analysis).
     """
+    parsed = _parse(source, path, scope)
+    if isinstance(parsed, Finding):
+        return [parsed]
     if rules is None:
         rules = all_rules()
-    if scope is None:
-        scope = scope_for_path(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [_syntax_error_finding(path, error)]
-    context = FileContext(
-        path=path,
-        source=source,
-        tree=tree,
-        scope=scope,
-        lines=source.splitlines(),
-    )
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    raw = _run_file_rules(context, file_rules)
-    raw.extend(_run_project_rules([context], project_rules))
-    survivors = _apply_suppressions(
-        context, raw, _checked_codes(rules, scope), report_unused_suppressions
-    )
-    return sorted(survivors)
+    return sorted(_analyze([parsed], rules, report_unused_suppressions))
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -496,43 +550,13 @@ def analyze_files(
     """
     if rules is None:
         rules = all_rules()
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-
-    contexts: list[FileContext] = []
-    findings: list[Finding] = []
-    raw_by_path: dict[str, list[Finding]] = {}
-    for file_path in files:
-        source = file_path.read_text(encoding="utf-8")
-        path = str(file_path)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            findings.append(_syntax_error_finding(path, error))
-            continue
-        context = FileContext(
-            path=path,
-            source=source,
-            tree=tree,
-            scope=scope_for_path(path),
-            lines=source.splitlines(),
-        )
-        contexts.append(context)
-        raw_by_path[path] = _run_file_rules(context, file_rules)
-
-    for finding in _run_project_rules(contexts, project_rules):
-        raw_by_path.setdefault(finding.path, []).append(finding)
-
-    for context in contexts:
-        checked = _checked_codes(rules, context.scope)
-        findings.extend(
-            _apply_suppressions(
-                context,
-                raw_by_path.get(context.path, []),
-                checked,
-                report_unused_suppressions,
-            )
-        )
+    parsed = [
+        _parse(file_path.read_text(encoding="utf-8"), str(file_path))
+        for file_path in files
+    ]
+    findings = [item for item in parsed if isinstance(item, Finding)]
+    contexts = [item for item in parsed if isinstance(item, FileContext)]
+    findings.extend(_analyze(contexts, rules, report_unused_suppressions))
     return sorted(findings)
 
 

@@ -21,6 +21,13 @@ and this pass enforces it, RacerD-style, over the project call graph:
   that is never assigned anywhere in the class (a typo'd lock name
   would otherwise silently guard nothing).
 
+Which locks are held where comes from the shared scanner
+(:func:`repro.analysis.cfgutils.walk_held`), and what each class
+declares — guarded attributes, and attributes proven to be
+``threading`` locks by construction — from the one class-lock table
+(:func:`collect_class_locks`) the async-safety pass (RPR501/RPR503)
+reads too.
+
 ``__init__``/``__post_init__`` are exempt: construction happens-before
 publication.  ``# repro: noqa[RPR401]`` suppressions work as for every
 other rule.  Anything dynamically typed stays invisible — silence, not
@@ -40,32 +47,40 @@ from repro.analysis.callgraph import (
     FunctionInfo,
     Project,
     local_class_types,
+    resolve_imported_target,
 )
-from repro.analysis.engine import Finding, ProjectRule, register_rule
+from repro.analysis.cfgutils import Held, fixpoint, walk_held
+from repro.analysis.engine import Finding, register_analysis
 
-__all__ = [
-    "GuardedClass",
-    "collect_guarded_classes",
-    "UnlockedGuardedAccess",
-    "UnlockedLockRequiredCall",
-    "UnknownGuardLock",
-]
+__all__ = ["THREADING_LOCK_CTORS", "ClassLocks", "collect_class_locks"]
 
+THREADING_LOCK_CTORS = frozenset(
+    {
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "threading.Semaphore",
+        "threading.BoundedSemaphore",
+    }
+)
 _GUARDED_PATTERN = re.compile(r"#\s*guarded-by:\s*(?P<lock>[A-Za-z_]\w*)")
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
-_MAX_FIXPOINT_PASSES = 10
-
-Held = frozenset  # of (base name, lock attribute) pairs
 
 
 @dataclass
-class GuardedClass:
-    """Guard declarations of one class: attr → lock attribute name."""
+class ClassLocks:
+    """Lock declarations of one class.
+
+    ``guarded`` maps attr → lock attribute name (``# guarded-by:``);
+    ``threading_locks`` are the attributes assigned a ``threading``
+    lock constructor — locks by construction, never by name.
+    """
 
     info: ClassInfo
     guarded: dict[str, str] = field(default_factory=dict)
-    annotations: list[tuple[str, str, int, int]] = field(default_factory=list)
+    annotations: list[tuple[str, str, ast.AST]] = field(default_factory=list)
     assigned_attrs: set[str] = field(default_factory=set)
+    threading_locks: set[str] = field(default_factory=set)
 
 
 def _self_attr_target(node: ast.AST) -> str | None:
@@ -79,18 +94,30 @@ def _self_attr_target(node: ast.AST) -> str | None:
     return None
 
 
-def collect_guarded_classes(project: Project) -> dict[str, GuardedClass]:
-    """``# guarded-by:`` declarations for every project class."""
-    guarded_classes: dict[str, GuardedClass] = {}
+def collect_class_locks(project: Project) -> dict[str, ClassLocks]:
+    """The class-lock table: every class declaring a guard or a lock."""
+    table: dict[str, ClassLocks] = {}
     for qualname, cls in project.classes.items():
-        record = GuardedClass(info=cls)
+        record = ClassLocks(info=cls)
         lines = cls.context.lines
-        for node in ast.walk(cls.node):
-            targets: list[ast.AST] = []
+        for node in cls.nodes:
             if isinstance(node, ast.Assign):
-                targets = list(node.targets)
+                targets = node.targets
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
                 targets = [node.target]
+            else:
+                continue
+            is_lock = (
+                isinstance(node.value, ast.Call)
+                and resolve_imported_target(project, cls.module, node.value)
+                in THREADING_LOCK_CTORS
+            )
+            line_number = node.lineno
+            match = (
+                _GUARDED_PATTERN.search(lines[line_number - 1])
+                if 1 <= line_number <= len(lines)
+                else None
+            )
             for target in targets:
                 attr = _self_attr_target(target)
                 if attr is None:
@@ -98,20 +125,14 @@ def collect_guarded_classes(project: Project) -> dict[str, GuardedClass]:
                         record.assigned_attrs.add(target.id)
                     continue
                 record.assigned_attrs.add(attr)
-                line_number = getattr(node, "lineno", 0)
-                if not 1 <= line_number <= len(lines):
-                    continue
-                match = _GUARDED_PATTERN.search(lines[line_number - 1])
-                if match is None:
-                    continue
-                lock = match.group("lock")
-                record.guarded[attr] = lock
-                record.annotations.append(
-                    (attr, lock, line_number, getattr(node, "col_offset", 0))
-                )
-        if record.guarded:
-            guarded_classes[qualname] = record
-    return guarded_classes
+                if is_lock:
+                    record.threading_locks.add(attr)
+                if match is not None:
+                    record.guarded[attr] = match.group("lock")
+                    record.annotations.append((attr, match.group("lock"), node))
+        if record.guarded or record.threading_locks:
+            table[qualname] = record
+    return table
 
 
 def _is_private_method(info: FunctionInfo) -> bool:
@@ -150,289 +171,165 @@ class _FunctionScan:
     calls: list[_CallRecord] = field(default_factory=list)
 
 
-def _with_item_locks(item: ast.withitem) -> tuple[str, str] | None:
-    """``with <base>.<attr>:`` as a (base, lock attribute) pair."""
-    expr = item.context_expr
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        return expr.value.id, expr.attr
-    return None
+def _is_declared_lock(name: str) -> bool:
+    """The discipline is declared by annotation, so any ``<base>.<attr>``
+    a ``with`` names counts as that lock."""
+    return name.count(".") == 1
 
 
-class _Scanner:
-    """Walk one function body tracking the set of held locks."""
-
-    def __init__(
-        self,
-        project: Project,
-        graph: CallGraph,
-        guarded_classes: dict[str, GuardedClass],
-        info: FunctionInfo,
-    ) -> None:
-        self.scan = _FunctionScan(info=info)
-        self.site_index = {
-            (site.line, site.col): site.callee
-            for site in graph.calls_in.get(info.qualname, [])
-            if site.kind == "function"
-        }
-        # base name → guard table of the class it is known to hold.
-        self.bases: dict[str, GuardedClass] = {}
-        if info.class_name is not None:
-            own = guarded_classes.get(f"{info.module}.{info.class_name}")
-            if own is not None:
-                self.bases["self"] = own
-        for name, cls in local_class_types(
-            info.node, info.module, project
-        ).items():
-            record = guarded_classes.get(cls.qualname)
-            if record is not None:
-                self.bases[name] = record
-
-    def run(self) -> _FunctionScan:
-        for statement in self.scan.info.node.body:
-            self._visit(statement, frozenset())
-        return self.scan
-
-    def _visit(self, node: ast.AST, held: Held) -> None:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            acquired: set[tuple[str, str]] = set()
-            for item in node.items:
-                self._visit(item.context_expr, held)
-                pair = _with_item_locks(item)
-                if pair is not None:
-                    acquired.add(pair)
-            inner: Held = held | acquired
-            for statement in node.body:
-                self._visit(statement, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs execute later, under unknown locks
+def _scan_function(
+    project: Project,
+    graph: CallGraph,
+    table: dict[str, ClassLocks],
+    info: FunctionInfo,
+) -> _FunctionScan:
+    """Unlocked guarded accesses and resolved calls of one function."""
+    scan = _FunctionScan(info=info)
+    # base name → lock declarations of the class it is known to hold.
+    bases: dict[str, ClassLocks] = {}
+    if info.class_name is not None:
+        own = table.get(f"{info.module}.{info.class_name}")
+        if own is not None:
+            bases["self"] = own
+    for name, cls in local_class_types(info, project).items():
+        record = table.get(cls.qualname)
+        if record is not None:
+            bases[name] = record
+    for node, held in walk_held(info.node.body, _is_declared_lock):
         if isinstance(node, ast.Call):
-            self._record_call(node, held)
-        elif isinstance(node, ast.Attribute):
-            self._record_access(node, held)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, held)
-
-    def _record_call(self, node: ast.Call, held: Held) -> None:
-        callee = self.site_index.get(
-            (getattr(node, "lineno", -1), getattr(node, "col_offset", -1))
-        )
-        if callee is None:
-            return
-        base: str | None = None
-        if isinstance(node.func, ast.Attribute) and isinstance(
-            node.func.value, ast.Name
-        ):
-            base = node.func.value.id
-        self.scan.calls.append(
-            _CallRecord(node=node, callee=callee, base=base, held=held)
-        )
-
-    def _record_access(self, node: ast.Attribute, held: Held) -> None:
-        if not isinstance(node.value, ast.Name):
-            return
-        base = node.value.id
-        record = self.bases.get(base)
-        if record is None:
-            return
-        lock = record.guarded.get(node.attr)
-        if lock is None or (base, lock) in held:
-            return
-        self.scan.accesses.append(
-            _Access(node=node, base=base, attr=node.attr, lock=lock)
-        )
+            callee = graph.callee_at(info, node)
+            if callee is None:
+                continue
+            func = node.func
+            base = (
+                func.value.id
+                if isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                else None
+            )
+            scan.calls.append(_CallRecord(node, callee, base, held))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            base = node.value.id
+            lock = bases[base].guarded.get(node.attr) if base in bases else None
+            if lock is not None and f"{base}.{lock}" not in held:
+                scan.accesses.append(_Access(node, base, node.attr, lock))
+    return scan
 
 
-def _analyze_project(
-    project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    """All (code, finding) lock-discipline violations for a project."""
-    guarded_classes = collect_guarded_classes(project)
-    results: list[tuple[str, Finding]] = []
+@register_analysis(
+    (
+        "RPR401",
+        "unlocked-guarded-access",
+        "read/write of a '# guarded-by:' attribute outside a 'with "
+        "<base>.<lock>:' block (public methods and external references)",
+    ),
+    (
+        "RPR402",
+        "unlocked-lock-required-call",
+        "call to a private method that accesses guarded attributes "
+        "lock-free, from a context not holding the lock (propagated "
+        "transitively over the call graph)",
+    ),
+    (
+        "RPR403",
+        "unknown-guard-lock",
+        "'# guarded-by:' annotation names a lock attribute never "
+        "assigned in the class",
+    ),
+    scopes=frozenset({"src"}),
+)
+def analyze_locks(project: Project, graph: CallGraph) -> Iterator[Finding]:
+    """Every lock-discipline violation of a project."""
+    table = collect_class_locks(project)
 
     # RPR403: annotations naming a lock attribute the class never has.
-    for record in guarded_classes.values():
-        for attr, lock, line, col in record.annotations:
+    for record in table.values():
+        for attr, lock, node in record.annotations:
             if lock not in record.assigned_attrs:
-                results.append(
-                    (
-                        "RPR403",
-                        Finding(
-                            path=record.info.context.path,
-                            line=line,
-                            col=col,
-                            code="RPR403",
-                            message=(
-                                f"guarded-by on '{attr}' names unknown lock "
-                                f"attribute '{lock}': never assigned in "
-                                f"class {record.info.name}"
-                            ),
-                        ),
-                    )
+                yield Finding.at(
+                    record.info.context.path,
+                    node,
+                    "RPR403",
+                    f"guarded-by on '{attr}' names unknown lock attribute "
+                    f"'{lock}': never assigned in class {record.info.name}",
                 )
-    if not guarded_classes:
-        return results
+    if not any(record.guarded for record in table.values()):
+        return
 
     scans: dict[str, _FunctionScan] = {}
     for qualname, info in project.functions.items():
         if info.name in _CONSTRUCTORS:
             continue  # construction happens-before publication
-        scan = _Scanner(project, graph, guarded_classes, info).run()
+        scan = _scan_function(project, graph, table, info)
         if scan.accesses or scan.calls:
             scans[qualname] = scan
 
     # Private methods accessing guarded state lock-free *require* the
     # lock instead of violating it; the requirement propagates through
     # private self-call chains to a fixpoint.
+    private = {
+        qualname: scan
+        for qualname, scan in scans.items()
+        if _is_private_method(scan.info)
+    }
     requires: dict[str, set[str]] = {}
-    for qualname, scan in scans.items():
-        if _is_private_method(scan.info):
-            needed = {
-                access.lock
-                for access in scan.accesses
-                if access.base == "self"
-            }
-            if needed:
-                requires[qualname] = needed
-    for _ in range(_MAX_FIXPOINT_PASSES):
+    for qualname, scan in private.items():
+        needed = {
+            access.lock for access in scan.accesses if access.base == "self"
+        }
+        if needed:
+            requires[qualname] = needed
+
+    def propagate() -> bool:
         changed = False
-        for qualname, scan in scans.items():
-            if not _is_private_method(scan.info):
-                continue
+        for qualname, scan in private.items():
             for call in scan.calls:
                 if call.base != "self" or call.callee not in requires:
                     continue
                 missing = {
                     lock
                     for lock in requires[call.callee]
-                    if ("self", lock) not in call.held
+                    if f"self.{lock}" not in call.held
                 }
                 current = requires.setdefault(qualname, set())
                 if not missing <= current:
                     current |= missing
                     changed = True
-        if not changed:
-            break
+        return changed
+
+    fixpoint(propagate)
 
     for qualname, scan in scans.items():
-        info = scan.info
-        private = _is_private_method(info)
+        path = scan.info.context.path
         # RPR401: unlocked guarded access anywhere it is a violation —
         # public methods of the owner, and all external references.
         for access in scan.accesses:
-            if private and access.base == "self":
+            if qualname in private and access.base == "self":
                 continue  # folded into the method's lock requirement
-            results.append(
-                (
-                    "RPR401",
-                    (
-                        Finding(
-                            path=info.context.path,
-                            line=getattr(access.node, "lineno", 1),
-                            col=getattr(access.node, "col_offset", 0),
-                            code="RPR401",
-                            message=(
-                                f"guarded attribute '{access.attr}' "
-                                f"(guarded-by: {access.lock}) accessed "
-                                f"outside 'with "
-                                f"{access.base}.{access.lock}:'"
-                            ),
-                        )
-                    ),
-                )
+            yield Finding.at(
+                path,
+                access.node,
+                "RPR401",
+                f"guarded attribute '{access.attr}' (guarded-by: "
+                f"{access.lock}) accessed outside 'with "
+                f"{access.base}.{access.lock}:'",
             )
         # RPR402: calling a lock-requiring helper without the lock.
         for call in scan.calls:
             needed = requires.get(call.callee)
             if not needed or call.base is None:
                 continue
-            if private and call.base == "self":
+            if qualname in private and call.base == "self":
                 continue  # propagated into this method's requirement
             for lock in sorted(needed):
-                if (call.base, lock) in call.held:
+                if f"{call.base}.{lock}" in call.held:
                     continue
                 callee_name = call.callee.rsplit(".", 1)[-1]
-                results.append(
-                    (
-                        "RPR402",
-                        Finding(
-                            path=info.context.path,
-                            line=getattr(call.node, "lineno", 1),
-                            col=getattr(call.node, "col_offset", 0),
-                            code="RPR402",
-                            message=(
-                                f"call to lock-requiring helper "
-                                f"{callee_name}() without holding "
-                                f"'{lock}'; wrap in 'with "
-                                f"{call.base}.{lock}:'"
-                            ),
-                        ),
-                    )
+                yield Finding.at(
+                    path,
+                    call.node,
+                    "RPR402",
+                    f"call to lock-requiring helper {callee_name}() "
+                    f"without holding '{lock}'; wrap in 'with "
+                    f"{call.base}.{lock}:'",
                 )
-    return results
-
-
-# One analysis serves three registered codes; cache per project object.
-_CACHE: dict[int, tuple[Project, list[tuple[str, Finding]]]] = {}
-
-
-def _cached_analysis(
-    project: Project, graph: CallGraph
-) -> list[tuple[str, Finding]]:
-    cached = _CACHE.get(id(project))
-    if cached is not None and cached[0] is project:
-        return cached[1]
-    results = _analyze_project(project, graph)
-    _CACHE.clear()  # keep at most one project alive
-    _CACHE[id(project)] = (project, results)
-    return results
-
-
-class _LockRule(ProjectRule):
-    """Shared driver; subclasses select one code."""
-
-    scopes = frozenset({"src"})
-
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        for code, finding in _cached_analysis(project, graph):
-            if code == self.code:
-                yield finding
-
-
-@register_rule
-class UnlockedGuardedAccess(_LockRule):
-    """RPR401: guarded attribute touched outside its lock."""
-
-    code = "RPR401"
-    name = "unlocked-guarded-access"
-    description = (
-        "read/write of a '# guarded-by:' attribute outside a 'with "
-        "<base>.<lock>:' block (public methods and external references)"
-    )
-
-
-@register_rule
-class UnlockedLockRequiredCall(_LockRule):
-    """RPR402: lock-requiring private helper called without the lock."""
-
-    code = "RPR402"
-    name = "unlocked-lock-required-call"
-    description = (
-        "call to a private method that accesses guarded attributes "
-        "lock-free, from a context not holding the lock (propagated "
-        "transitively over the call graph)"
-    )
-
-
-@register_rule
-class UnknownGuardLock(_LockRule):
-    """RPR403: guarded-by annotation naming a nonexistent lock."""
-
-    code = "RPR403"
-    name = "unknown-guard-lock"
-    description = (
-        "'# guarded-by:' annotation names a lock attribute never "
-        "assigned in the class"
-    )

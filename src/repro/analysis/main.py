@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
         description=(
-            "project-specific static analysis: AST rules RPR1xx and the "
-            "RPR201 array-contract checker"
+            "project-specific static analysis: per-file AST rules RPR1xx "
+            "and the whole-project RPR2xx-RPR5xx analyses"
         ),
     )
     parser.add_argument(
@@ -154,8 +154,8 @@ def run(
         if changed is None:
             return 2
         files = [file for file in files if file.resolve() in changed]
-    # One whole-project pass: interprocedural rules (RPR202, RPR30x,
-    # RPR40x) see cross-file flows that per-file analysis cannot.
+    # One whole-project pass: the interprocedural analyses see
+    # cross-file flows that per-file analysis cannot.
     findings = analyze_files(
         files,
         rules=rules,

@@ -7,10 +7,10 @@ without guessing::
 
     {
       "schema": "repro.analysis/v1",
-      "summary": {"files": null, "findings": 2, "by_code": {"RPR104": 2}},
+      "summary": {"files": null, "findings": 2, "by_code": {"RPR105": 2}},
       "findings": [
         {"path": "...", "line": 12, "col": 4,
-         "code": "RPR104", "message": "..."}
+         "code": "RPR105", "message": "..."}
       ]
     }
 """

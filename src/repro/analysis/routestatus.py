@@ -30,11 +30,10 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, Project
-from repro.analysis.engine import Finding, ProjectRule, register_rule
+from repro.analysis.cfgutils import fixpoint
+from repro.analysis.engine import Finding, register_analysis
 
-__all__ = ["RouteStatusContract"]
-
-_MAX_FIXPOINT_PASSES = 10
+__all__ = ["analyze_route_statuses"]
 
 
 def _literal_str(node: ast.AST) -> str | None:
@@ -125,7 +124,7 @@ def _parse_status_table(value: ast.expr) -> dict[str, set[int]] | None:
 def _api_error_statuses(info: FunctionInfo) -> set[int]:
     """Literal statuses of ``ApiError(<int>, ...)`` built in ``info``."""
     statuses: set[int] = set()
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -146,7 +145,7 @@ def _api_error_statuses(info: FunctionInfo) -> set[int]:
 def _returned_statuses(info: FunctionInfo) -> set[int]:
     """Literal first elements of ``return <int>, ...`` tuples."""
     statuses: set[int] = set()
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if (
             isinstance(node, ast.Return)
             and isinstance(node.value, ast.Tuple)
@@ -164,7 +163,8 @@ def _status_closure(project: Project, graph: CallGraph) -> dict[str, set[int]]:
         qualname: _api_error_statuses(info)
         for qualname, info in project.functions.items()
     }
-    for _ in range(_MAX_FIXPOINT_PASSES):
+
+    def propagate() -> bool:
         changed = False
         for site in graph.calls:
             if site.kind != "function":
@@ -175,94 +175,92 @@ def _status_closure(project: Project, graph: CallGraph) -> dict[str, set[int]]:
                 continue
             caller |= callee
             changed = True
-        if not changed:
-            break
+        return changed
+
+    fixpoint(propagate)
     return closure
 
 
-@register_rule
-class RouteStatusContract(ProjectRule):
-    """RPR110: handlers produce only the statuses their route declares."""
-
-    code = "RPR110"
-    name = "route-status-contract"
-    description = (
+@register_analysis(
+    (
+        "RPR110",
+        "route-status-contract",
         "every HTTP route handler (ROUTES table) may only produce "
         "status codes declared in the class's ROUTE_STATUSES table; "
-        "missing and stale table entries are flagged too"
-    )
-    scopes = frozenset({"src"})
-
-    def check_project(
-        self, project: Project, graph: CallGraph
-    ) -> Iterator[Finding]:
-        closure: dict[str, set[int]] | None = None
-        for cls in project.classes.values():
-            routes_value = _class_attr_value(cls.node, "ROUTES")
-            routes = (
-                _parse_routes(routes_value)
-                if routes_value is not None
-                else None
+        "missing and stale table entries are flagged too",
+    ),
+    scopes=frozenset({"src"}),
+)
+def analyze_route_statuses(
+    project: Project, graph: CallGraph
+) -> Iterator[Finding]:
+    """RPR110: handlers produce only the statuses their route declares."""
+    closure: dict[str, set[int]] | None = None
+    for cls in project.classes.values():
+        routes_value = _class_attr_value(cls.node, "ROUTES")
+        routes = (
+            _parse_routes(routes_value) if routes_value is not None else None
+        )
+        if routes_value is None or routes is None:
+            continue
+        path = cls.context.path
+        table_value = _class_attr_value(cls.node, "ROUTE_STATUSES")
+        if table_value is None:
+            yield Finding.at(
+                path,
+                routes_value,
+                "RPR110",
+                f"class {cls.name} declares ROUTES but no "
+                "ROUTE_STATUSES contract table; declare the status "
+                "codes each route may produce",
             )
-            if routes is None:
-                continue
-            table_value = _class_attr_value(cls.node, "ROUTE_STATUSES")
-            if table_value is None:
-                yield self.finding_at(
-                    cls.context.path,
-                    routes_value.lineno,
-                    routes_value.col_offset,
-                    f"class {cls.name} declares ROUTES but no "
-                    "ROUTE_STATUSES contract table; declare the status "
-                    "codes each route may produce",
+            continue
+        table = _parse_status_table(table_value)
+        if table is None:
+            yield Finding.at(
+                path,
+                table_value,
+                "RPR110",
+                f"class {cls.name}: ROUTE_STATUSES must be a literal "
+                "dict of path -> set of int status codes",
+            )
+            continue
+        for route in routes:
+            if route not in table:
+                yield Finding.at(
+                    path,
+                    table_value,
+                    "RPR110",
+                    f"route '{route}' is in ROUTES but missing from "
+                    "ROUTE_STATUSES; declare its status contract",
                 )
-                continue
-            table = _parse_status_table(table_value)
-            if table is None:
-                yield self.finding_at(
-                    cls.context.path,
-                    table_value.lineno,
-                    table_value.col_offset,
-                    f"class {cls.name}: ROUTE_STATUSES must be a literal "
-                    "dict of path -> set of int status codes",
+        for route in table:
+            if route not in routes:
+                yield Finding.at(
+                    path,
+                    table_value,
+                    "RPR110",
+                    f"ROUTE_STATUSES entry '{route}' is stale: no such "
+                    "route in ROUTES",
                 )
+        if closure is None:
+            closure = _status_closure(project, graph)
+        for route, handler_name in routes.items():
+            handler = cls.methods.get(handler_name)
+            declared = table.get(route)
+            if handler is None or declared is None:
                 continue
-            for path in routes:
-                if path not in table:
-                    yield self.finding_at(
-                        cls.context.path,
-                        table_value.lineno,
-                        table_value.col_offset,
-                        f"route '{path}' is in ROUTES but missing from "
-                        "ROUTE_STATUSES; declare its status contract",
-                    )
-            for path in table:
-                if path not in routes:
-                    yield self.finding_at(
-                        cls.context.path,
-                        table_value.lineno,
-                        table_value.col_offset,
-                        f"ROUTE_STATUSES entry '{path}' is stale: no such "
-                        "route in ROUTES",
-                    )
-            if closure is None:
-                closure = _status_closure(project, graph)
-            for path, handler_name in routes.items():
-                handler = cls.methods.get(handler_name)
-                declared = table.get(path)
-                if handler is None or declared is None:
-                    continue
-                produced = _returned_statuses(handler) | closure.get(
-                    handler.qualname, set()
+            produced = _returned_statuses(handler) | closure.get(
+                handler.qualname, set()
+            )
+            undeclared = sorted(produced - declared)
+            if undeclared:
+                listing = ", ".join(str(s) for s in undeclared)
+                yield Finding.at(
+                    path,
+                    handler.node,
+                    "RPR110",
+                    f"handler {handler_name}() for route '{route}' can "
+                    f"produce undeclared status(es) {listing}; add "
+                    "them to ROUTE_STATUSES or remove the error path",
                 )
-                undeclared = sorted(produced - declared)
-                if undeclared:
-                    listing = ", ".join(str(s) for s in undeclared)
-                    yield self.finding_at(
-                        cls.context.path,
-                        handler.node.lineno,
-                        handler.node.col_offset,
-                        f"handler {handler_name}() for route '{path}' can "
-                        f"produce undeclared status(es) {listing}; add "
-                        "them to ROUTE_STATUSES or remove the error path",
-                    )

@@ -1,8 +1,11 @@
-"""The RPR rule set: bug classes this repository has hit or courts.
+"""The per-file RPR rules: bug classes this repository has hit or courts.
 
 Each rule documents its motivating incident or structural risk; the
 longer narrative lives in README "Static analysis".  Codes are stable
-— tooling and suppression comments reference them.
+— tooling and suppression comments reference them — and are not
+reused: RPR102/104/106/107 were retired in favour of the ruff rules
+that flag the same code (``NPY002``/``S101``/``B006``/``F822``; see the
+rule ledger in DESIGN.md §9.3).
 """
 
 from __future__ import annotations
@@ -15,13 +18,10 @@ from repro.analysis.engine import FileContext, Finding, Rule, register_rule
 
 __all__ = [
     "CosineReimplementation",
-    "GlobalNumpyRng",
     "MetricNameConvention",
-    "AssertInProduction",
     "FloatEqualityComparison",
-    "MutableDefaultArgument",
-    "DunderAllDrift",
     "SpanNameGrammar",
+    "HealthFamilyGrammar",
 ]
 
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
@@ -150,7 +150,7 @@ class CosineReimplementation(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if context.posix_path.endswith(self._HOME):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(context, node)
 
@@ -160,9 +160,8 @@ class CosineReimplementation(Rule):
         # Fixpoint pass: names assigned from norm expressions (a later
         # sqrt of a norm name is itself a norm, whatever walk order).
         norm_names: set[str] = set()
-        assignments = [
-            node for node in ast.walk(function) if isinstance(node, ast.Assign)
-        ]
+        nodes = list(ast.walk(function))
+        assignments = [node for node in nodes if isinstance(node, ast.Assign)]
         changed = True
         while changed:
             changed = False
@@ -179,7 +178,7 @@ class CosineReimplementation(Rule):
 
         has_dot = False
         divisions: list[ast.BinOp] = []
-        for node in ast.walk(function):
+        for node in nodes:
             if _is_dot_product(node):
                 has_dot = True
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
@@ -202,64 +201,6 @@ class CosineReimplementation(Rule):
                     "norm); route through repro.nn.cosine to keep one "
                     "epsilon convention",
                 )
-
-
-# ----------------------------------------------------------------------
-# RPR102 — global-state numpy RNG
-# ----------------------------------------------------------------------
-
-_LEGACY_RNG = frozenset(
-    {
-        "seed", "rand", "randn", "randint", "random", "random_sample",
-        "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
-        "normal", "lognormal", "standard_normal", "beta", "binomial",
-        "poisson", "exponential", "gamma", "geometric", "multinomial",
-        "RandomState", "get_state", "set_state", "random_integers",
-    }
-)
-
-
-@register_rule
-class GlobalNumpyRng(Rule):
-    """RPR102: global-state numpy randomness.
-
-    Reproducible training (the JNET-style exactly-reproducible joint
-    embedding requirement) demands explicit ``np.random.default_rng``
-    generators threaded through call sites; ``np.random.seed`` + the
-    legacy global functions make results depend on import order and
-    unrelated draws.
-    """
-
-    code = "RPR102"
-    name = "global-numpy-rng"
-    description = (
-        "legacy np.random.* global-state call; use "
-        "np.random.default_rng(seed) and pass the Generator"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Attribute):
-                if node.attr in _LEGACY_RNG and _is_numpy_attr(
-                    node.value, "random"
-                ):
-                    yield self.finding(
-                        context,
-                        node,
-                        f"np.random.{node.attr} uses the global RNG; use "
-                        "np.random.default_rng and pass the Generator",
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in ("numpy.random", "numpy"):
-                    for alias in node.names:
-                        if alias.name in _LEGACY_RNG:
-                            yield self.finding(
-                                context,
-                                node,
-                                f"importing {alias.name} from "
-                                f"{node.module} exposes the global RNG; "
-                                "use np.random.default_rng",
-                            )
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +231,7 @@ class MetricNameConvention(Rule):
     scopes = frozenset({"src"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             first = node.args[0]
@@ -337,40 +278,6 @@ class MetricNameConvention(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR104 — assert as input validation in production code
-# ----------------------------------------------------------------------
-
-
-@register_rule
-class AssertInProduction(Rule):
-    """RPR104: ``assert`` in production code.
-
-    ``python -O`` strips asserts, silently disabling the check; raise
-    ``ValueError``/``TypeError``/``RuntimeError`` explicitly instead.
-    Tests keep using ``assert`` — that is pytest's contract — so this
-    rule is scoped to ``src``.
-    """
-
-    code = "RPR104"
-    name = "assert-in-production"
-    description = (
-        "assert is stripped under python -O; raise "
-        "ValueError/TypeError/RuntimeError explicitly"
-    )
-    scopes = frozenset({"src"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Assert):
-                yield self.finding(
-                    context,
-                    node,
-                    "assert statement in production code (stripped under "
-                    "-O); raise an explicit exception",
-                )
-
-
-# ----------------------------------------------------------------------
 # RPR105 — float equality comparison
 # ----------------------------------------------------------------------
 
@@ -405,7 +312,7 @@ class FloatEqualityComparison(Rule):
     scopes = frozenset({"src"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -421,160 +328,6 @@ class FloatEqualityComparison(Rule):
                         "np.isclose) or an exact integer/flag",
                     )
                     break
-
-
-# ----------------------------------------------------------------------
-# RPR106 — mutable default argument
-# ----------------------------------------------------------------------
-
-_MUTABLE_CALLS = frozenset({"list", "dict", "set"})
-
-
-@register_rule
-class MutableDefaultArgument(Rule):
-    """RPR106: mutable default argument values.
-
-    ``def f(x, acc=[])`` shares one list across calls — a classic
-    state-leak between training runs.  Use ``None`` and construct
-    inside, or a ``dataclasses.field(default_factory=...)``.
-    """
-
-    code = "RPR106"
-    name = "mutable-default-argument"
-    description = "mutable default ([] / {} / set()); default to None"
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = [
-                *node.args.defaults,
-                *[d for d in node.args.kw_defaults if d is not None],
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        context,
-                        default,
-                        f"mutable default argument in {node.name}(); "
-                        "default to None and construct inside",
-                    )
-
-    @staticmethod
-    def _is_mutable(node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CALLS
-        )
-
-
-# ----------------------------------------------------------------------
-# RPR107 — __all__ drift
-# ----------------------------------------------------------------------
-
-
-@register_rule
-class DunderAllDrift(Rule):
-    """RPR107: ``__all__`` out of sync with module definitions.
-
-    An entry naming nothing at module top level is a typo'd or removed
-    export (``from module import *`` raises at a distance; the public
-    API test only covers packages).  Duplicates are also drift.
-    """
-
-    code = "RPR107"
-    name = "dunder-all-drift"
-    description = (
-        "__all__ entry with no matching top-level definition, or a "
-        "duplicate entry"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        module = context.tree
-        if not isinstance(module, ast.Module):
-            return
-        all_node: ast.AST | None = None
-        entries: list[tuple[str, ast.AST]] = []
-        defined: set[str] = set()
-
-        for node in module.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        if target.id == "__all__":
-                            all_node = node.value
-                        defined.add(target.id)
-                    elif isinstance(target, (ast.Tuple, ast.List)):
-                        for element in target.elts:
-                            if isinstance(element, ast.Name):
-                                defined.add(element.id)
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name):
-                    defined.add(node.target.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name == "*":
-                        # Star import: anything may be defined; bail out.
-                        return
-                    defined.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, (ast.If, ast.Try)):
-                # Conditional definitions (TYPE_CHECKING, fallbacks).
-                for sub in ast.walk(node):
-                    if isinstance(
-                        sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                    ):
-                        defined.add(sub.name)
-                    elif isinstance(sub, ast.Assign):
-                        for target in sub.targets:
-                            if isinstance(target, ast.Name):
-                                defined.add(target.id)
-                    elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        for alias in sub.names:
-                            if alias.name != "*":
-                                defined.add(
-                                    alias.asname or alias.name.split(".")[0]
-                                )
-
-        if all_node is None:
-            return
-        if not isinstance(all_node, (ast.List, ast.Tuple)):
-            yield self.finding(
-                context,
-                all_node,
-                "__all__ is not a literal list/tuple; drift cannot be "
-                "checked statically",
-            )
-            return
-        for element in all_node.elts:
-            if not isinstance(element, ast.Constant) or not isinstance(
-                element.value, str
-            ):
-                yield self.finding(
-                    context, element, "__all__ entry is not a string literal"
-                )
-                continue
-            entries.append((element.value, element))
-
-        seen: set[str] = set()
-        for name, node in entries:
-            if name in seen:
-                yield self.finding(
-                    context, node, f"duplicate __all__ entry {name!r}"
-                )
-                continue
-            seen.add(name)
-            if name not in defined:
-                yield self.finding(
-                    context,
-                    node,
-                    f"__all__ entry {name!r} has no top-level definition "
-                    "in this module",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +367,7 @@ class SpanNameGrammar(Rule):
     scopes = frozenset({"src"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             callee = _call_name(node)
@@ -691,7 +444,7 @@ class HealthFamilyGrammar(Rule):
     scopes = frozenset({"src"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             first = node.args[0]

@@ -66,7 +66,10 @@ class HttpRequest:
             return None
         try:
             return json.loads(self.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers bad UTF-8, bad syntax and CPython's
+            # integer-digit limit; RecursionError a body nested past the
+            # decoder's depth.  Hostile input is a 400, never a 500.
             raise HttpError(400, f"request body is not valid JSON: {error}") from None
 
     @property

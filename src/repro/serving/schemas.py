@@ -24,6 +24,7 @@ validation is exhaustively unit-testable without a socket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,14 +153,31 @@ def _get_event_ids(
     return ids
 
 
+def _finite_number(name: str, value: Any, errors: list[str]) -> float | None:
+    """``value`` as a finite float.
+
+    ``json.loads`` accepts bare ``NaN``/``Infinity`` and integers of
+    any size; none of them is a usable time or similarity, and an
+    integer past the float range would raise out of ``float()``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.append(f"{name} must be a number, got {value!r}")
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        errors.append(f"{name} must be a finite number")
+        return None
+    return number
+
+
 def _get_at_time(payload: dict[str, Any], errors: list[str]) -> float | None:
     value = payload.get("at_time")
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"at_time must be a number, got {value!r}")
-        return None
-    return float(value)
+    return _finite_number("at_time", value, errors)
 
 
 @dataclass(frozen=True)
@@ -221,19 +239,15 @@ class SimilarEventsRequest:
         errors: list[str] = []
         event_id = _get_int(data, "event_id", errors)
         top_k = _get_top_k(data, errors)
-        min_similarity = data.get("min_similarity", 0.0)
-        if isinstance(min_similarity, bool) or not isinstance(
-            min_similarity, (int, float)
-        ):
-            errors.append(
-                f"min_similarity must be a number, got {min_similarity!r}"
-            )
+        min_similarity = _finite_number(
+            "min_similarity", data.get("min_similarity", 0.0), errors
+        )
         if errors:
             raise _validation_error(errors)
         return cls(
             event_id=event_id,  # type: ignore[arg-type]
             top_k=top_k if top_k is not None else 3,
-            min_similarity=float(min_similarity),
+            min_similarity=min_similarity,  # type: ignore[arg-type]
         )
 
 

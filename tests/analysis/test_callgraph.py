@@ -131,7 +131,7 @@ class TestCallGraph:
         ]
         assert "repro.box.Box.poke" in callees
         drive = project.functions["repro.box.drive"]
-        types = local_class_types(drive.node, "repro.box", project)
+        types = local_class_types(drive, project)
         assert types["box"].qualname == "repro.box.Box"
 
     def test_rebinding_to_unknown_drops_the_type(self):

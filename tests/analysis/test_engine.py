@@ -1,5 +1,8 @@
 """Engine mechanics: scoping, suppressions, syntax errors, registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -32,6 +35,7 @@ class TestScopeForPath:
             "tests/nn/test_losses.py",
             "benchmarks/bench_serving.py",
             "examples/quickstart.py",
+            "bench/run.py",
             "src/repro/conftest.py",
             "test_anything.py",
         ],
@@ -55,77 +59,77 @@ class TestScopeForPath:
 
 class TestSuppressions:
     def test_inline_noqa_suppresses(self):
-        source = "def f(x):\n    assert x  # repro: noqa[RPR104] checked upstream\n"
+        source = "def f(x):\n    return x == 1.5  # repro: noqa[RPR105] exact sentinel\n"
         assert analyze_source(source, SRC) == []
 
     def test_wrong_code_does_not_suppress(self):
-        source = "def f(x):\n    assert x  # repro: noqa[RPR105]\n"
+        source = "def f(x):\n    return x == 1.5  # repro: noqa[RPR103]\n"
         codes = {f.code for f in analyze_source(source, SRC)}
-        # the assert still fires AND the noqa is reported stale
-        assert codes == {"RPR104", "RPR100"}
+        # the comparison still fires AND the noqa is reported stale
+        assert codes == {"RPR105", "RPR100"}
 
     def test_multiple_codes_comma_separated(self):
         source = (
-            "def f(x):\n"
-            "    assert x == 1.5  # repro: noqa[RPR104, RPR105] oracle\n"
+            "def f(r):\n"
+            "    return r.counter('Bad').value == 1.5  # repro: noqa[RPR103, RPR105] oracle\n"
         )
         assert analyze_source(source, SRC) == []
 
     def test_standalone_comment_suppresses_next_line(self):
         source = (
             "def f(x):\n"
-            "    # repro: noqa[RPR104] justification too long for inline\n"
-            "    assert x\n"
+            "    # repro: noqa[RPR105] justification too long for inline\n"
+            "    return x == 1.5\n"
         )
         assert analyze_source(source, SRC) == []
 
     def test_docstring_noqa_is_not_a_suppression(self):
         source = (
             'def f(x):\n'
-            '    """Example: use  # repro: noqa[RPR104]  to suppress."""\n'
-            '    assert x\n'
+            '    """Example: use  # repro: noqa[RPR105]  to suppress."""\n'
+            '    return x == 1.5\n'
         )
         codes = [f.code for f in analyze_source(source, SRC)]
         # the docstring neither suppresses line 3 nor counts as stale
-        assert codes == ["RPR104"]
+        assert codes == ["RPR105"]
 
     def test_unused_noqa_reported_as_rpr100(self):
-        source = "def f(x):\n    return x  # repro: noqa[RPR104]\n"
+        source = "def f(x):\n    return x  # repro: noqa[RPR105]\n"
         findings = analyze_source(source, SRC)
         assert [f.code for f in findings] == ["RPR100"]
-        assert "RPR104" in findings[0].message
+        assert "RPR105" in findings[0].message
 
     def test_unused_noqa_not_reported_when_disabled(self):
-        source = "def f(x):\n    return x  # repro: noqa[RPR104]\n"
+        source = "def f(x):\n    return x  # repro: noqa[RPR105]\n"
         assert (
             analyze_source(source, SRC, report_unused_suppressions=False)
             == []
         )
 
     def test_unused_noqa_not_reported_for_deselected_rule(self):
-        # Only RPR105 runs; an RPR104 noqa may be live under a full
+        # Only RPR103 runs; an RPR105 noqa may be live under a full
         # run, so it must not be called stale here.
-        source = "def f(x):\n    return x  # repro: noqa[RPR104]\n"
-        rules = rules_by_code(["RPR105"])
+        source = "def f(x):\n    return x  # repro: noqa[RPR105]\n"
+        rules = rules_by_code(["RPR103"])
         assert analyze_source(source, SRC, rules=rules) == []
 
     def test_out_of_scope_rule_noqa_not_reported(self):
-        # RPR104 does not run in test scope, so a test-file noqa for it
+        # RPR105 does not run in test scope, so a test-file noqa for it
         # is not checkable — no RPR100.
-        source = "def f(x):\n    assert x  # repro: noqa[RPR104]\n"
+        source = "def f(x):\n    return x == 1.5  # repro: noqa[RPR105]\n"
         assert analyze_source(source, "tests/test_example.py") == []
 
     def test_lowercase_code_suppresses(self):
         # Codes normalize to uppercase; lowercase noqa used to be
         # silently dropped by the case-sensitive code check.
-        source = "def f(x):\n    assert x  # repro: noqa[rpr104] checked\n"
+        source = "def f(x):\n    return x == 1.5  # repro: noqa[rpr105] checked\n"
         assert analyze_source(source, SRC) == []
 
     def test_malformed_code_reported_as_rpr100(self):
-        source = "def f(x):\n    assert x  # repro: noqa[RPR10]\n"
+        source = "def f(x):\n    return x == 1.5  # repro: noqa[RPR10]\n"
         codes = {f.code for f in analyze_source(source, SRC)}
-        # the assert still fires AND the typo'd code is surfaced
-        assert codes == {"RPR104", "RPR100"}
+        # the comparison still fires AND the typo'd code is surfaced
+        assert codes == {"RPR105", "RPR100"}
         malformed = [
             f
             for f in analyze_source(source, SRC)
@@ -213,18 +217,32 @@ class TestRegistry:
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
         for expected in (
-            "RPR101", "RPR102", "RPR103", "RPR104",
-            "RPR105", "RPR106", "RPR107", "RPR201",
+            "RPR101", "RPR103", "RPR105", "RPR108", "RPR109", "RPR110",
+            "RPR201", "RPR202", "RPR301", "RPR401", "RPR501",
         ):
             assert expected in codes
 
+    def test_readme_rule_table_matches_registry(self):
+        readme = Path(__file__).parents[2] / "README.md"
+        documented = re.findall(
+            r"^\| (RPR\d{3}) \|", readme.read_text(encoding="utf-8"), re.M
+        )
+        assert sorted(documented) == [rule.code for rule in all_rules()]
+
     def test_select_filters(self):
-        rules = rules_by_code(["RPR104", "rpr105"])  # case-insensitive
-        assert [rule.code for rule in rules] == ["RPR104", "RPR105"]
+        rules = rules_by_code(["RPR103", "rpr105"])  # case-insensitive
+        assert [rule.code for rule in rules] == ["RPR103", "RPR105"]
 
     def test_unknown_code_raises_keyerror(self):
         with pytest.raises(KeyError):
-            rules_by_code(["RPR104", "RPR404"])
+            rules_by_code(["RPR105", "RPR404"])
+
+    @pytest.mark.parametrize("code", ["RPR102", "RPR104", "RPR106", "RPR107"])
+    def test_retired_codes_are_unknown(self, code):
+        # Retired in favour of ruff NPY002/S101/B006/F822; selecting
+        # one is a usage error, not a silent no-op.
+        with pytest.raises(KeyError):
+            rules_by_code([code])
 
 
 class TestFileWalking:
@@ -242,11 +260,11 @@ class TestFileWalking:
             list(iter_python_files([tmp_path / "nope"]))
 
     def test_analyze_paths_sorts_findings(self, tmp_path):
-        (tmp_path / "b.py").write_text("import numpy as np\nnp.random.seed(0)\n")
-        (tmp_path / "a.py").write_text("import numpy as np\nnp.random.seed(0)\n")
+        (tmp_path / "b.py").write_text("def f(x):\n    return x == 1.5\n")
+        (tmp_path / "a.py").write_text("def f(x):\n    return x == 1.5\n")
         findings = analyze_paths([tmp_path])
         assert [f.path for f in findings] == sorted(f.path for f in findings)
-        assert {f.code for f in findings} == {"RPR102"}
+        assert {f.code for f in findings} == {"RPR105"}
 
     def test_overlapping_path_arguments_deduplicate(self, tmp_path):
         # `analyze src src/repro` must not parse and report files
@@ -254,7 +272,7 @@ class TestFileWalking:
         nested = tmp_path / "pkg"
         nested.mkdir()
         (nested / "mod.py").write_text(
-            "import numpy as np\nnp.random.seed(0)\n"
+            "def f(x):\n    return x == 1.5\n"
         )
         once = analyze_paths([tmp_path])
         twice = analyze_paths([tmp_path, nested])

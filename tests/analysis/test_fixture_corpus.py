@@ -4,6 +4,12 @@ Every ``rprNNN_bad.pytxt`` must produce at least one finding of its
 own code and every ``rprNNN_good.pytxt`` none — parametrized over the
 directory so adding a fixture automatically adds its check.  CI runs
 this module as its own matrix leg (good corpus / bad corpus).
+
+``expected_findings.tsv`` pins the *exact* finding set: one
+``fixture<TAB>code<TAB>line<TAB>col`` row per finding over every
+``*.pytxt`` here (the regression fixtures included).  An analyzer
+refactor must leave it byte-identical; a rule change edits the rows it
+means to change, and only those.
 """
 
 import re
@@ -42,3 +48,13 @@ def test_bad_fixture_fails(analyze_fixture, name, code):
 def test_good_fixture_passes(analyze_fixture, name, code):
     findings = [f for f in analyze_fixture(name) if f.code == code]
     assert findings == [], f"{name} unexpectedly produced {code}"
+
+
+def test_exact_finding_set_matches_committed_table(analyze_fixture):
+    actual = [
+        f"{path.name}\t{finding.code}\t{finding.line}\t{finding.col}"
+        for path in sorted(FIXTURES.glob("*.pytxt"))
+        for finding in analyze_fixture(path.name)
+    ]
+    expected = (FIXTURES / "expected_findings.tsv").read_text(encoding="utf-8")
+    assert actual == expected.splitlines()

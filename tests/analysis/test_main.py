@@ -10,7 +10,7 @@ from repro.analysis.main import render_rule_list, run
 from repro.cli import main as cli_main
 
 CLEAN = "def f(x):\n    if x < 0:\n        raise ValueError(x)\n    return x\n"
-DIRTY = "def f(x):\n    assert x\n    return x\n"
+DIRTY = "def f(x):\n    return x == 1.5\n"
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ class TestExitCodes:
     def test_findings_exit_1(self, src_tree, capsys):
         root = src_tree("dirty.py", DIRTY)
         assert run([str(root)]) == 1
-        assert "RPR104" in capsys.readouterr().out
+        assert "RPR105" in capsys.readouterr().out
 
     def test_unknown_select_code_exits_2(self, src_tree, capsys):
         root = src_tree("clean.py", CLEAN)
@@ -53,7 +53,7 @@ class TestReportPlumbing:
         stream = io.StringIO()
         assert run([str(root)], output_format="json", stream=stream) == 1
         document = json.loads(stream.getvalue())
-        assert document["summary"]["by_code"] == {"RPR104": 1}
+        assert document["summary"]["by_code"] == {"RPR105": 1}
 
     def test_sarif_format(self, src_tree):
         root = src_tree("dirty.py", DIRTY)
@@ -64,10 +64,10 @@ class TestReportPlumbing:
         (sarif_run,) = document["runs"]
         assert sarif_run["tool"]["driver"]["name"] == "repro.analysis"
         (rule,) = sarif_run["tool"]["driver"]["rules"]
-        assert rule["id"] == "RPR104"
+        assert rule["id"] == "RPR105"
         assert rule["shortDescription"]["text"]
         (result,) = sarif_run["results"]
-        assert result["ruleId"] == "RPR104"
+        assert result["ruleId"] == "RPR105"
         location = result["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] == 2
 
@@ -81,11 +81,11 @@ class TestReportPlumbing:
     def test_select_narrows_rules(self, src_tree):
         root = src_tree("dirty.py", DIRTY)
         stream = io.StringIO()
-        assert run([str(root)], select=["RPR105"], stream=stream) == 0
+        assert run([str(root)], select=["RPR103"], stream=stream) == 0
 
     def test_render_rule_list_mentions_every_code(self):
         listing = render_rule_list()
-        for code in ("RPR101", "RPR107", "RPR201"):
+        for code in ("RPR101", "RPR110", "RPR201", "RPR504"):
             assert code in listing
 
 
@@ -97,7 +97,7 @@ class TestArgparseEntry:
 
     def test_module_main_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
-        assert "RPR104" in capsys.readouterr().out
+        assert "RPR105" in capsys.readouterr().out
 
     def test_module_main_json(self, src_tree, capsys):
         root = src_tree("dirty.py", DIRTY)
@@ -160,7 +160,7 @@ class TestChangedMode:
         (git_repo / "fresh.py").write_text(DIRTY)  # untracked
         assert analysis_main(["src", "--changed", "--ref", "HEAD"]) == 1
         out = capsys.readouterr().out
-        assert out.count("RPR104") >= 2
+        assert out.count("RPR105") >= 2
 
     def test_bad_ref_is_a_usage_error(self, git_repo, capsys):
         assert analysis_main(["src", "--changed", "--ref", "no-such-ref"]) == 2
@@ -181,7 +181,7 @@ class TestChangedMode:
         assert cli_main(
             ["analyze", "src", "--changed", "--ref", "HEAD"]
         ) == 1
-        assert "RPR104" in capsys.readouterr().out
+        assert "RPR105" in capsys.readouterr().out
 
 
 class TestCliSubcommand:
@@ -193,7 +193,7 @@ class TestCliSubcommand:
     def test_analyze_findings(self, src_tree, capsys):
         root = src_tree("dirty.py", DIRTY)
         assert cli_main(["analyze", str(root)]) == 1
-        assert "RPR104" in capsys.readouterr().out
+        assert "RPR105" in capsys.readouterr().out
 
     def test_analyze_usage_error(self, src_tree, capsys):
         root = src_tree("clean.py", CLEAN)

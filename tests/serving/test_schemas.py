@@ -90,6 +90,20 @@ class TestRecommendRequest:
             RecommendRequest.from_payload({"user_id": 1, "at_time": "noon"})
         assert caught.value.status == 422
 
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "overflowing-int"],
+    )
+    def test_non_finite_at_time_is_422(self, bad):
+        """``json.loads`` lets ``NaN``/``Infinity`` and 400-digit ints
+        through; none may reach the ranker (or ``float()``'s
+        OverflowError the 500 envelope)."""
+        with pytest.raises(ApiError) as caught:
+            RecommendRequest.from_payload({"user_id": 1, "at_time": bad})
+        assert caught.value.status == 422
+        assert "at_time must be a finite number" in details_of(caught.value)
+
     def test_multiple_errors_all_reported(self):
         with pytest.raises(ApiError) as caught:
             RecommendRequest.from_payload({"top_k": 0, "event_ids": []})
@@ -131,6 +145,21 @@ class TestSimilarEventsRequest:
                 {"event_id": 4, "min_similarity": "high"}
             )
         assert caught.value.status == 422
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "overflowing-int"],
+    )
+    def test_non_finite_min_similarity_is_422(self, bad):
+        with pytest.raises(ApiError) as caught:
+            SimilarEventsRequest.from_payload(
+                {"event_id": 4, "min_similarity": bad}
+            )
+        assert caught.value.status == 422
+        assert "min_similarity must be a finite number" in details_of(
+            caught.value
+        )
 
     def test_zero_top_k_is_422(self):
         with pytest.raises(ApiError) as caught:

@@ -24,7 +24,7 @@ from repro.serving import (
     ServingServer,
     ThreadedServer,
 )
-from repro.serving.http import HttpRequest
+from repro.serving.http import HttpError, HttpRequest
 from repro.text.documents import DocumentEncoder
 
 POOL_SIZE = 40
@@ -55,6 +55,40 @@ def stack():
 
 def post(stack, path, payload):
     return stack["client"].request("POST", path, payload)
+
+
+def raw_post(stack, path, body: str):
+    """POST a raw (possibly malformed) body; ``(status, decoded JSON)``."""
+    import http.client
+
+    connection = http.client.HTTPConnection(
+        stack["hosted"].host, stack["hosted"].port, timeout=10.0
+    )
+    try:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHttpRequestJson:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{not json",
+            b"\xff\xfe",  # not UTF-8
+            b"[" * 100_000,  # RecursionError inside json.loads
+            b'{"user_id": ' + b"9" * 5_000 + b"}",  # int-digit-limit ValueError
+        ],
+        ids=["syntax", "encoding", "deep-nesting", "huge-integer"],
+    )
+    def test_undecodable_body_is_http_400(self, body):
+        with pytest.raises(HttpError) as caught:
+            HttpRequest(method="POST", path="/recommend", body=body).json()
+        assert caught.value.status == 400
 
 
 class TestEndpoints:
@@ -179,24 +213,35 @@ class TestErrorContract:
         assert caught.value.status == 405
 
     def test_bad_json_body_is_400(self, stack):
-        import http.client
-
-        connection = http.client.HTTPConnection(
-            stack["hosted"].host, stack["hosted"].port, timeout=10.0
-        )
-        try:
-            connection.request(
-                "POST",
-                "/recommend",
-                body="{not json",
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read())
-        finally:
-            connection.close()
-        assert response.status == 400
+        status, body = raw_post(stack, "/recommend", "{not json")
+        assert status == 400
         assert body["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            "[" * 100_000,  # RecursionError inside json.loads
+            '{"user_id": ' + "9" * 5_000 + "}",  # int-digit-limit ValueError
+        ],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_hostile_json_body_is_400_not_500(self, stack, hostile):
+        status, body = raw_post(stack, "/recommend", hostile)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "overflowing-int"],
+    )
+    def test_non_finite_at_time_is_422_over_the_wire(self, stack, literal):
+        status, body = raw_post(
+            stack, "/recommend", '{"user_id": 0, "at_time": %s}' % literal
+        )
+        assert status == 422
+        assert body["error"]["code"] == "validation"
+        assert "at_time must be a finite number" in body["error"]["details"]
 
 
 class TestBatchedParity:
