@@ -335,7 +335,7 @@ class FloatEqualityComparison(Rule):
 # ----------------------------------------------------------------------
 
 _SPAN_NAME = re.compile(r"^repro(_[a-z0-9]+){2,}$")
-_SPAN_CALLS = frozenset({"span", "timed", "record_stage"})
+_SPAN_CALLS = frozenset({"span", "record_stage"})
 _RESERVED_UNIT_SUFFIXES = (
     "_seconds",
     "_total",
@@ -351,7 +351,7 @@ class SpanNameGrammar(Rule):
 
     ``repro_<subsystem>_<name>`` (README "Observability"): lowercase,
     ``repro_`` prefix, at least three segments, and **no** unit
-    suffix — ``span()``/``timed()``/``record_stage()`` derive the
+    suffix — ``span()``/``record_stage()`` derive the
     histogram family by appending ``_seconds`` themselves, so a name
     that already carries a unit produces doubled metric names
     (``repro_x_seconds_seconds``) and breaks latency attribution

@@ -43,7 +43,7 @@ from repro.entities import Event, User
 from repro.nn.cosine import pair_cosine
 from repro.obs.drift import DriftMonitor
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import span
+from repro.obs.trace import span
 from repro.store.cache import VectorCache
 from repro.store.index import EventIndex, top_k_order
 

@@ -22,8 +22,7 @@ from repro.nn.optim import SGD, Adagrad, ExponentialDecay, Optimizer
 from repro.obs.drift import DriftMonitor, DriftThresholds
 from repro.obs.log import get_logger
 from repro.obs.registry import get_registry
-from repro.obs.spans import span
-from repro.obs.trace import record_stage
+from repro.obs.trace import record_stage, span
 from repro.text.documents import EncodedEvent, EncodedUser
 
 __all__ = ["TrainingHistory", "RepresentationTrainer", "EpochCallback"]

@@ -50,8 +50,7 @@ from repro.obs.health import (
     format_health,
 )
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import span
-from repro.obs.trace import Tracer, get_tracer
+from repro.obs.trace import Tracer, get_tracer, span
 from repro.text.documents import DocumentEncoder
 
 __all__ = [

@@ -1,24 +1,23 @@
 """repro.obs — telemetry: metrics, spans, traces, logs, exporters.
 
 The observability layer for the production-serving story of paper
-Section 4.  Five pieces:
+Section 4.  Six pieces:
 
 * :mod:`repro.obs.registry` — counters, gauges, histograms (fixed
   buckets + streaming p50/p95/p99 + per-bucket exemplars), labeled by
   name and tag dict;
-* :mod:`repro.obs.spans` — ``with span("repro_serving_rank"):`` wall
-  timers that nest into trace trees via ``contextvars``;
-* :mod:`repro.obs.trace` — per-request trace/span ids, wall + CPU
-  time, tail-based slow-trace sampling, per-stage latency
-  attribution, JSONL and Chrome ``trace_event`` export;
+* :mod:`repro.obs.trace` — ``with span("repro_serving_rank"):`` wall
+  timers that nest via ``contextvars`` and, under a :class:`Tracer`,
+  become per-request traces: trace/span ids, wall + CPU time,
+  tail-based slow-trace sampling, per-stage latency attribution,
+  JSONL and Chrome ``trace_event`` export;
 * :mod:`repro.obs.log` — JSON-lines structured logging with a fixed
   ``{ts, level, event, logger, tags}`` schema (plus
   ``trace_id``/``span_id`` when emitted inside a traced span);
 * :mod:`repro.obs.export` — JSONL telemetry files and the Prometheus
   text format (optionally with OpenMetrics exemplar suffixes);
 * :mod:`repro.obs.drift` — reference-vs-live window drift detection
-  (PSI, two-sample KS, mean/variance shift) over streaming monitors
-  and registry histograms;
+  (PSI, two-sample KS, mean/variance shift) over streaming monitors;
 * :mod:`repro.obs.health` — declarative SLO specs evaluated as
   multi-window error-budget burn rates, folded into a
   :class:`HealthSnapshot` exported as ``repro_health_*`` gauges.
@@ -41,7 +40,6 @@ from repro.obs.drift import (
     DriftMonitor,
     DriftResult,
     DriftThresholds,
-    HistogramBaseline,
     ks_statistic,
     mean_shift_zscore,
     psi,
@@ -77,19 +75,20 @@ from repro.obs.registry import (
     set_registry,
     use_registry,
 )
-from repro.obs.spans import Span, SpanRecorder, current_span, span, timed
 from repro.obs.trace import (
+    Span,
     SpanRecord,
     TailSampler,
     Trace,
     Tracer,
+    carry_span,
     chrome_trace_events,
     current_ids,
+    current_span,
     format_attribution,
     get_tracer,
     record_stage,
-    set_tracer,
-    stage_attribution,
+    span,
     trace_to_record,
     use_tracer,
     write_chrome_trace,
@@ -109,20 +108,17 @@ __all__ = [
     "disable",
     "use_registry",
     "Span",
-    "SpanRecorder",
     "span",
-    "timed",
+    "carry_span",
     "current_span",
     "SpanRecord",
     "Trace",
     "Tracer",
     "TailSampler",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
     "current_ids",
     "record_stage",
-    "stage_attribution",
     "format_attribution",
     "trace_to_record",
     "write_trace_jsonl",
@@ -140,7 +136,6 @@ __all__ = [
     "DriftMonitor",
     "DriftResult",
     "DriftThresholds",
-    "HistogramBaseline",
     "psi",
     "ks_statistic",
     "mean_shift_zscore",

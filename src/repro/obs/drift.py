@@ -8,27 +8,18 @@ whether the system is *fast*; this module says whether the model's
 outputs are still *healthy*: whether what the system serves today
 still looks like what it served when the reference window was frozen.
 
-Two sketch flavors share the same detectors:
+:class:`DriftMonitor` is a streaming monitor fed raw observations.
+The first ``warmup`` samples freeze into an immutable *reference
+window* (plus decile bin edges derived from it); later samples roll
+through a fixed-size *live window*.  :meth:`DriftMonitor.result`
+compares the two windows with three detector families:
 
-* :class:`DriftMonitor` — a streaming monitor fed raw observations.
-  The first ``warmup`` samples freeze into an immutable *reference
-  window* (plus decile bin edges derived from it); later samples roll
-  through a fixed-size *live window*.  :meth:`DriftMonitor.result`
-  compares the two windows with three detector families:
-
-  - **PSI** (population stability index) over the reference-derived
-    quantile bins — the standard score-distribution shift measure;
-  - **two-sample KS** — the exact Kolmogorov–Smirnov sup-distance
-    between the windows' empirical CDFs (no scipy: a sorted merge);
-  - **mean/variance shift** — a two-sample z-score on the means and a
-    live/reference variance ratio.
-
-* :class:`HistogramBaseline` — a frozen bucket-count snapshot of a
-  :class:`~repro.obs.registry.Histogram`; :meth:`HistogramBaseline.compare`
-  treats counts accumulated *since the capture* as the live window and
-  computes PSI/KS over the shared bucket partition.  This is the
-  zero-extra-instrumentation path: any latency or size histogram
-  already in the registry can be drift-checked retroactively.
+- **PSI** (population stability index) over the reference-derived
+  quantile bins — the standard score-distribution shift measure;
+- **two-sample KS** — the exact Kolmogorov–Smirnov sup-distance
+  between the windows' empirical CDFs (no scipy: a sorted merge);
+- **mean/variance shift** — a two-sample z-score on the means and a
+  live/reference variance ratio.
 
 Verdicts are tri-state: ``"warming"`` (not enough data — assumed
 healthy), ``"ok"``, or ``"drift"`` (at least one detector breached its
@@ -50,13 +41,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs.registry import Histogram, MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "DriftThresholds",
     "DriftResult",
     "DriftMonitor",
-    "HistogramBaseline",
     "psi",
     "ks_statistic",
     "mean_shift_zscore",
@@ -247,7 +237,7 @@ def _quantile_edges(ordered: Sequence[float], bins: int) -> list[float]:
 
 @dataclass(frozen=True)
 class DriftResult:
-    """One evaluation verdict of a monitor or histogram sketch.
+    """One evaluation verdict of a monitor.
 
     ``status`` is ``"warming"`` / ``"ok"`` / ``"drift"``; ``breached``
     names the detectors over threshold (``"psi"``, ``"ks"``,
@@ -285,70 +275,6 @@ class DriftResult:
             "live_samples": self.live_samples,
             "breached": list(self.breached),
         }
-
-
-def _judge(
-    name: str,
-    psi_value: float,
-    ks_value: float,
-    zscore: float,
-    var_ratio: float,
-    ref_n: int,
-    live_n: int,
-    bins: int,
-    thresholds: DriftThresholds,
-    direction: str,
-) -> DriftResult:
-    """Fold detector values + thresholds into one verdict.
-
-    Each detector breaches above ``max(configured threshold, sampling
-    noise floor)`` — see :class:`DriftThresholds`.  Without the floors
-    the conventional thresholds false-positive on small windows: the
-    stationary expectation of PSI is already ``(bins-1) * (1/n_ref +
-    1/n_live)`` (its chi-square approximation), which *exceeds* 0.2
-    for a 50-sample live window over 10 bins.
-    """
-    inverse_mass = 1.0 / ref_n + 1.0 / live_n
-    # ~4x the stationary chi-square mean; P(false positive) < 1e-4.
-    psi_floor = 4.0 * max(bins - 1, 1) * inverse_mass
-    # Two-sample KS critical value at alpha ~ 1e-3.
-    ks_floor = 1.95 * math.sqrt(inverse_mass)
-    # 3 standard errors of log(var_live / var_ref).
-    log_var_band = 3.0 * math.sqrt(
-        2.0 / max(ref_n - 1, 1) + 2.0 / max(live_n - 1, 1)
-    )
-    breached: list[str] = []
-    if not math.isnan(psi_value) and psi_value >= max(
-        thresholds.psi, psi_floor
-    ):
-        breached.append("psi")
-    if not math.isnan(ks_value) and ks_value >= max(thresholds.ks, ks_floor):
-        breached.append("ks")
-    signed = zscore
-    if direction == "up":
-        signed = max(zscore, 0.0)
-    elif direction == "down":
-        signed = max(-zscore, 0.0)
-    else:
-        signed = abs(zscore)
-    if not math.isnan(signed) and signed >= thresholds.mean_sigmas:
-        breached.append("mean")
-    var_bound = max(thresholds.var_ratio, math.exp(log_var_band))
-    if not math.isnan(var_ratio) and (
-        var_ratio >= var_bound or var_ratio <= 1.0 / var_bound
-    ):
-        breached.append("variance")
-    return DriftResult(
-        name=name,
-        status="drift" if breached else "ok",
-        psi=psi_value,
-        ks=ks_value,
-        mean_zscore=zscore,
-        var_ratio=var_ratio,
-        ref_samples=ref_n,
-        live_samples=live_n,
-        breached=tuple(breached),
-    )
 
 
 class DriftMonitor:
@@ -467,20 +393,10 @@ class DriftMonitor:
 
     def result(self) -> DriftResult:
         """Compare the live window to the reference right now."""
-        if self._pending is not None:
-            return DriftResult(
-                name=self.name,
-                status="warming",
-                psi=math.nan,
-                ks=math.nan,
-                mean_zscore=math.nan,
-                var_ratio=math.nan,
-                ref_samples=len(self._pending),
-                live_samples=0,
-            )
-        live = list(self._live)
+        pending = self._pending
+        live = list(self._live)  # empty until the reference froze
         reference = self._reference
-        if len(live) < self.min_live:
+        if pending is not None or len(live) < self.min_live:
             return DriftResult(
                 name=self.name,
                 status="warming",
@@ -488,7 +404,7 @@ class DriftMonitor:
                 ks=math.nan,
                 mean_zscore=math.nan,
                 var_ratio=math.nan,
-                ref_samples=len(reference),
+                ref_samples=len(pending if pending is not None else reference),
                 live_samples=len(live),
             )
         live_fractions = bin_fractions(live, self._edges)
@@ -506,17 +422,68 @@ class DriftMonitor:
         var_ratio = (
             live_var / self._ref_var if self._ref_var > 0.0 else math.nan
         )
-        return _judge(
-            self.name,
-            psi_value,
-            ks_value,
-            zscore,
-            var_ratio,
-            len(reference),
-            len(live),
-            len(self._ref_fractions),
-            self.thresholds,
-            self.direction,
+        return self._judge(
+            psi_value, ks_value, zscore, var_ratio, len(reference), len(live)
+        )
+
+    def _judge(
+        self,
+        psi_value: float,
+        ks_value: float,
+        zscore: float,
+        var_ratio: float,
+        ref_n: int,
+        live_n: int,
+    ) -> DriftResult:
+        """Fold detector values + thresholds into one verdict.
+
+        Each detector breaches above ``max(configured threshold, sampling
+        noise floor)`` — see :class:`DriftThresholds`.  Without the floors
+        the conventional thresholds false-positive on small windows: the
+        stationary expectation of PSI is already ``(bins-1) * (1/n_ref +
+        1/n_live)`` (its chi-square approximation), which *exceeds* 0.2
+        for a 50-sample live window over 10 bins.
+        """
+        thresholds = self.thresholds
+        inverse_mass = 1.0 / ref_n + 1.0 / live_n
+        # ~4x the stationary chi-square mean; P(false positive) < 1e-4.
+        psi_floor = 4.0 * max(len(self._ref_fractions) - 1, 1) * inverse_mass
+        # Two-sample KS critical value at alpha ~ 1e-3.
+        ks_floor = 1.95 * math.sqrt(inverse_mass)
+        # 3 standard errors of log(var_live / var_ref).
+        log_var_band = 3.0 * math.sqrt(
+            2.0 / max(ref_n - 1, 1) + 2.0 / max(live_n - 1, 1)
+        )
+        breached: list[str] = []
+        if not math.isnan(psi_value) and psi_value >= max(
+            thresholds.psi, psi_floor
+        ):
+            breached.append("psi")
+        if not math.isnan(ks_value) and ks_value >= max(thresholds.ks, ks_floor):
+            breached.append("ks")
+        if self.direction == "up":
+            signed = max(zscore, 0.0)
+        elif self.direction == "down":
+            signed = max(-zscore, 0.0)
+        else:
+            signed = abs(zscore)
+        if not math.isnan(signed) and signed >= thresholds.mean_sigmas:
+            breached.append("mean")
+        var_bound = max(thresholds.var_ratio, math.exp(log_var_band))
+        if not math.isnan(var_ratio) and (
+            var_ratio >= var_bound or var_ratio <= 1.0 / var_bound
+        ):
+            breached.append("variance")
+        return DriftResult(
+            name=self.name,
+            status="drift" if breached else "ok",
+            psi=psi_value,
+            ks=ks_value,
+            mean_zscore=zscore,
+            var_ratio=var_ratio,
+            ref_samples=ref_n,
+            live_samples=live_n,
+            breached=tuple(breached),
         )
 
     def export(self, registry: "MetricsRegistry") -> None:
@@ -545,109 +512,3 @@ class DriftMonitor:
         registry.gauge("repro_drift_live_samples", tags=tags).set(
             result.live_samples
         )
-
-
-class HistogramBaseline:
-    """A frozen bucket-count snapshot of a registry histogram.
-
-    Captures the cumulative per-bucket counts (and sum/count) of a
-    :class:`~repro.obs.registry.Histogram` at one instant; a later
-    :meth:`compare` against the *same* histogram diffs the counts —
-    everything observed since the capture is the live window — and
-    runs PSI + KS over the shared bucket partition plus a mean-shift
-    z-score from the sum/count deltas.  Bucket-level KS is a lower
-    bound on the true sup-distance (the CDFs are only known at bucket
-    bounds), which can only under-flag — never false-positive.
-    """
-
-    def __init__(self, name: str, histogram: "Histogram") -> None:
-        self.name = name
-        self.buckets = histogram.buckets
-        self.counts = tuple(histogram.bucket_counts)
-        self.count = histogram.count
-        self.sum = histogram.sum
-        self.sum_sq = self._sum_sq(histogram)
-
-    @staticmethod
-    def _sum_sq(histogram: "Histogram") -> float:
-        # Approximate second moment from bucket midpoints (the
-        # histogram does not retain samples); used only for the
-        # mean-shift standard error, where bucket-resolution is fine.
-        total = 0.0
-        previous = 0.0
-        for bound, count in zip(histogram.buckets, histogram.bucket_counts):
-            mid = (previous + bound) / 2.0
-            total += count * mid * mid
-            previous = bound
-        # +Inf bucket: charge the top finite bound.
-        total += histogram.bucket_counts[-1] * previous * previous
-        return total
-
-    def compare(
-        self,
-        histogram: "Histogram",
-        thresholds: DriftThresholds | None = None,
-        min_live: int = 50,
-    ) -> DriftResult:
-        """Verdict on the counts accumulated since this capture."""
-        if histogram.buckets != self.buckets:
-            raise ValueError(
-                "histogram bucket bounds changed since the baseline"
-            )
-        thresholds = thresholds if thresholds is not None else DriftThresholds()
-        live_counts = [
-            now - then
-            for now, then in zip(histogram.bucket_counts, self.counts)
-        ]
-        if min(live_counts) < 0:
-            raise ValueError(
-                "histogram counts decreased since the baseline (reset?)"
-            )
-        live_n = histogram.count - self.count
-        ref_n = self.count
-        if ref_n < 2 or live_n < min_live:
-            return DriftResult(
-                name=self.name,
-                status="warming",
-                psi=math.nan,
-                ks=math.nan,
-                mean_zscore=math.nan,
-                var_ratio=math.nan,
-                ref_samples=ref_n,
-                live_samples=live_n,
-            )
-        psi_value = psi(self.counts, live_counts)
-        ks_value = self._bucket_ks(live_counts, live_n)
-        ref_mean = self.sum / ref_n
-        ref_var = max(self.sum_sq / ref_n - ref_mean * ref_mean, 0.0)
-        live_sum = histogram.sum - self.sum
-        live_sum_sq = self._sum_sq(histogram) - self.sum_sq
-        live_mean = live_sum / live_n
-        live_var = max(live_sum_sq / live_n - live_mean * live_mean, 0.0)
-        zscore = mean_shift_zscore(
-            ref_mean, ref_var, ref_n, live_mean, live_var, live_n
-        )
-        var_ratio = live_var / ref_var if ref_var > 0.0 else math.nan
-        return _judge(
-            self.name,
-            psi_value,
-            ks_value,
-            zscore,
-            var_ratio,
-            ref_n,
-            live_n,
-            len(self.counts),
-            thresholds,
-            "both",
-        )
-
-    def _bucket_ks(self, live_counts: Sequence[float], live_n: int) -> float:
-        best = 0.0
-        ref_cum = live_cum = 0.0
-        for ref_count, live_count in zip(self.counts, live_counts):
-            ref_cum += ref_count / self.count
-            live_cum += live_count / live_n
-            distance = abs(ref_cum - live_cum)
-            if distance > best:
-                best = distance
-        return best

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from pathlib import Path
 from typing import IO, Any
 
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
+    "json_line",
     "render_prometheus",
     "snapshot_record",
     "TelemetryWriter",
@@ -33,10 +35,38 @@ __all__ = [
 ]
 
 
-def _format_value(value: float | str) -> str:
+def _finite(value: Any) -> Any:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def json_line(record: Any, default: Callable[[Any], Any] = str) -> str:
+    """``record`` as one line of *strict* JSON, keys sorted.
+
+    ``json.dumps`` writes non-finite floats as bare ``NaN`` /
+    ``Infinity``, which strict parsers reject; a diverged training run
+    produces exactly those (loss and gradient-norm gauges).  They
+    become ``null`` here, as the registry snapshot already does for
+    unset quantiles — including values ``default`` converts (numpy
+    scalars).  Every JSONL writer of this package goes through here.
+    """
+    return json.dumps(
+        _finite(record),
+        sort_keys=True,
+        default=lambda value: _finite(default(value)),
+        allow_nan=False,
+    )
+
+
+def _format_value(value: float | str | None) -> str:
     if isinstance(value, str):  # pre-rendered bound, e.g. "+Inf"
         return value
-    if value != value:  # NaN
+    if value is None or value != value:  # NaN (``null`` in a telemetry file)
         return "NaN"
     if value == math.inf:
         return "+Inf"
@@ -143,7 +173,7 @@ class TelemetryWriter:
     def write(self, record: dict) -> None:
         if self._handle is None:
             raise RuntimeError("telemetry writer is closed")
-        self._handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        self._handle.write(json_line(record) + "\n")
         self._handle.flush()
 
     def write_snapshot(self, registry: MetricsRegistry, **meta: Any) -> None:

@@ -379,10 +379,6 @@ class HealthMonitor:
             drift=drift_results,
         )
 
-    def evaluate_registry(self, registry: MetricsRegistry) -> HealthSnapshot:
-        """Snapshot ``registry`` (running collectors), then evaluate."""
-        return self.evaluate(registry.snapshot())
-
     def export(
         self, snapshot: HealthSnapshot, registry: MetricsRegistry
     ) -> None:

@@ -26,12 +26,13 @@ deterministic clock for golden tests.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
+import time
 from collections.abc import Callable
 from typing import IO, Any
 
+from repro.obs.export import json_line
 from repro.obs.trace import current_ids
 
 __all__ = ["LEVELS", "StructuredLogger", "configure", "get_logger", "log_context"]
@@ -68,13 +69,6 @@ def configure(
             _CONFIG.min_level = min_level
         if clock is not None:
             _CONFIG.clock = clock
-
-
-def reset() -> None:
-    """Restore defaults (stderr, info, wall clock) — test helper."""
-    global _CONFIG
-    with _LOCK:
-        _CONFIG = _LogConfig()
 
 
 class log_context:
@@ -126,15 +120,8 @@ class StructuredLogger:
     def log(self, level: str, event: str, **tags: Any) -> None:
         if LEVELS[level] < LEVELS[_CONFIG.min_level]:
             return
-        clock = _CONFIG.clock
-        if clock is None:
-            import time
-
-            ts = time.time()
-        else:
-            ts = clock()
         record = {
-            "ts": ts,
+            "ts": (_CONFIG.clock or time.time)(),
             "level": level,
             "event": event,
             "logger": self.name,
@@ -143,7 +130,7 @@ class StructuredLogger:
         ids = current_ids()
         if ids is not None:
             record["trace_id"], record["span_id"] = ids
-        line = json.dumps(record, sort_keys=True, default=_default_json)
+        line = json_line(record, default=_default_json)
         stream = _CONFIG.resolve_stream()
         stream.write(line + "\n")
 

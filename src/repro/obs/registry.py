@@ -119,7 +119,7 @@ class _P2Quantile:
     piecewise-parabolic approximation.
     """
 
-    __slots__ = ("q", "_initial", "heights", "positions", "increments", "_markers", "_extra")
+    __slots__ = ("q", "_initial", "heights", "positions", "_markers", "_extra")
 
     def __init__(self, q: float) -> None:
         if not 0.0 < q < 1.0:
@@ -128,7 +128,6 @@ class _P2Quantile:
         self._initial: list[float] | None = []
         self.heights: list[float] = []
         self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
         # Interior markers as (index, desired-at-init, increment): the
         # desired position after m post-init observations is
         # ``d0 + m * inc`` — computed on the fly instead of mutating a
@@ -139,12 +138,6 @@ class _P2Quantile:
             (3, 3.0 + 2.0 * q, (1.0 + q) / 2.0),
         )
         self._extra = 0  # observations beyond the initial five
-
-    @property
-    def desired(self) -> list[float]:
-        """Current desired marker positions (diagnostics only)."""
-        m = self._extra
-        return [1.0] + [d0 + m * inc for _, d0, inc in self._markers] + [5.0 + m]
 
     def observe(self, value: float) -> None:
         initial = self._initial
@@ -236,11 +229,7 @@ class Histogram:
         "_estimators",
     )
 
-    def __init__(
-        self,
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
-    ) -> None:
+    def __init__(self, buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
@@ -251,7 +240,7 @@ class Histogram:
         self.max = -math.inf
         # bucket index -> (exemplar id, value); max-wins per bucket.
         self.exemplars: dict[int, tuple[str, float]] = {}
-        self._quantiles = {q: _P2Quantile(q) for q in quantiles}
+        self._quantiles = {q: _P2Quantile(q) for q in DEFAULT_QUANTILES}
         self._estimators = tuple(self._quantiles.values())
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
@@ -395,12 +384,11 @@ class MetricsRegistry:
         name: str,
         tags: TagMap | None = None,
         buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
     ) -> Histogram:
         instrument = self._fast_child(name, "histogram", tags)  # repro: noqa[RPR402] benign double-checked read, locked fallback
         if instrument is not None:
             return instrument
-        factory = lambda: Histogram(buckets=buckets, quantiles=quantiles)  # noqa: E731
+        factory = lambda: Histogram(buckets=buckets)  # noqa: E731
         with self._lock:
             return self._family(name, "histogram", factory).child(tags)
 
@@ -436,8 +424,25 @@ class MetricsRegistry:
     def _snapshot_locked(self) -> list[dict]:
         # Lock-required (enforced by RPR402); collectors re-enter the
         # instrument accessors, which is why the lock is reentrant.
-        for collect in list(self._collectors.values()):
-            collect(self)
+        for key, collect in list(self._collectors.items()):
+            # A collector is foreign code run on every scrape: one that
+            # raises costs its own series, never the snapshot.
+            try:
+                collect(self)
+            except Exception as error:
+                errors = self.counter(
+                    "repro_obs_collector_errors_total", tags={"collector": key}
+                )
+                first = not errors.value
+                errors.inc()
+                if first:  # warn once per collector, count every failure
+                    from repro.obs.log import get_logger  # log imports this module
+
+                    get_logger(__name__).warning(
+                        "collector_failed",
+                        collector=key,
+                        error=f"{type(error).__name__}: {error}",
+                    )
         records: list[dict] = []
         for name in sorted(self._families):
             family = self._families[name]
@@ -469,12 +474,6 @@ class MetricsRegistry:
                     record["value"] = instrument.value
                 records.append(record)
         return records
-
-    def reset(self) -> None:
-        """Drop every family and collector (test isolation helper)."""
-        with self._lock:
-            self._families.clear()
-            self._collectors.clear()
 
 
 class _NullCounter(Counter):
@@ -533,7 +532,6 @@ class NullRegistry(MetricsRegistry):
         name: str,
         tags: TagMap | None = None,
         buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
     ) -> Histogram:
         return _NULL_HISTOGRAM
 

@@ -1,24 +1,40 @@
-"""Request tracing: trace/span ids, tail sampling, Chrome export.
+"""Spans and request tracing: timers, trace ids, tail sampling, export.
 
-The span timers of :mod:`repro.obs.spans` record *aggregate* latency
-histograms; this module adds the per-request view: every span opened
-while a :class:`Tracer` is installed carries a ``trace_id`` shared by
-the whole request and a unique ``span_id``/``parent_id`` pair, so one
+A *span* times a named region of code::
+
+    with span("repro_serving_rank", tags={"kind": "user"}):
+        ...
+
+and, on exit, records the duration into the histogram
+``<name>_seconds`` of the active registry.  Spans nest: the innermost
+open span lives in a ``contextvars`` context variable, so a span knows
+its *path* ("repro_serving_rank/repro_serving_encode") and depth.
+
+While a :class:`Tracer` is installed every span additionally carries a
+``trace_id`` shared by the whole request and a unique
+``span_id``/``parent_id`` pair, measures thread CPU time alongside wall
+time, and reports a :class:`SpanRecord` to the tracer on exit — so one
 slow ``rank_events`` call can be followed through encode → cache →
 index GEMV → top-K after the fact.
 
 Pieces:
 
 * **Context propagation** — the current span lives in a
-  :class:`contextvars.ContextVar`, so nesting is correct across the
-  worker threads of the load harness (a new thread starts with *no*
-  current span instead of adopting another thread's stack, which the
-  old ``threading.local`` stack got right but module-global state in
-  general does not).
+  :class:`contextvars.ContextVar`, which is per-thread *and* per-task:
+  a freshly started worker thread has no current span, so spans opened
+  concurrently in different threads can never parent each other.  Work
+  handed to an executor on behalf of a request keeps its parent through
+  :func:`carry_span`.
+* **One finish path** — ``Span.__exit__`` and :func:`record_stage`
+  (for stages measured without a ``with`` block) both end in
+  :func:`_finish`: observe the histogram, with the trace id as the
+  observation's exemplar, then hand one :class:`SpanRecord` to the
+  tracer.  The histogram and the tracer are the only two sinks.
 * **Tracer** — buffers finished spans per trace; when the root span
   of a trace finishes, the assembled :class:`Trace` is folded into
   running per-stage totals (wall, CPU and *self* time — duration
-  minus child durations) and offered to the sampler.
+  minus child durations; the one attribution fold, rendered by
+  :meth:`Tracer.attribution`) and offered to the sampler.
 * **TailSampler** — bounded-memory tail-based retention: the N
   slowest traces are always kept (a min-heap), plus a seeded uniform
   fraction for an unbiased background sample.  Everything else is
@@ -26,15 +42,16 @@ Pieces:
 * **Exports** — a JSONL trace log (one ``{"record": "trace"}`` object
   per trace) and Chrome ``trace_event`` JSON loadable in
   ``chrome://tracing`` / Perfetto.
-* **Exemplar source** — span exits pass their ``trace_id`` to
-  ``Histogram.observe(..., exemplar=...)``, so a p99 histogram bucket
-  links back to a concrete retained trace via :meth:`Tracer.find`.
+* **Exemplar source** — a p99 histogram bucket links back to a
+  concrete retained trace via :meth:`Tracer.find`.
 
 Tracing is **off by default**; :func:`active` is a single module-global
-check, which is what the hot-path call sites branch on.  Timestamps
-are *relative* (``perf_counter`` offsets from the tracer's epoch) —
-no wall-clock reads, so enabling tracing cannot leak nondeterminism
-into seeded runs.
+check, which is what the hot-path call sites branch on.  When the
+active registry is disabled *and* no tracer is installed, :func:`span`
+returns a shared no-op context manager — one branch, no clock read, no
+allocation.  Timestamps are *relative* (``perf_counter`` offsets from
+the tracer's epoch) — no wall-clock reads, so enabling tracing cannot
+leak nondeterminism into seeded runs.
 """
 
 from __future__ import annotations
@@ -45,38 +62,43 @@ import json
 import random
 import threading
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import Any, NamedTuple, TypeVar
 
-from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, get_registry
-
-if TYPE_CHECKING:  # circular at runtime: spans builds on this module
-    from repro.obs.spans import Span
+from repro.obs.export import json_line
+from repro.obs.registry import (
+    DEFAULT_LATENCY_BUCKETS,
+    MetricsRegistry,
+    get_registry,
+)
 
 __all__ = [
+    "Span",
+    "span",
+    "record_stage",
+    "carry_span",
+    "current_span",
+    "current_ids",
     "SpanRecord",
     "Trace",
     "TailSampler",
     "Tracer",
     "active",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
-    "current_span",
-    "current_ids",
     "new_trace_id",
     "new_span_id",
-    "record_stage",
-    "stage_attribution",
     "format_attribution",
     "trace_to_record",
     "write_trace_jsonl",
     "chrome_trace_events",
     "write_chrome_trace",
 ]
+
+R = TypeVar("R")
 
 # ----------------------------------------------------------------------
 # ids and context propagation
@@ -111,16 +133,6 @@ def current_span() -> "Span | None":
     return _CURRENT_SPAN.get()
 
 
-def set_current(span: "Span | None") -> Token:
-    """Install ``span`` as the current span; returns the reset token."""
-    return _CURRENT_SPAN.set(span)
-
-
-def reset_current(token: Token) -> None:
-    """Restore the current span saved by :func:`set_current`."""
-    _CURRENT_SPAN.reset(token)
-
-
 def current_ids() -> tuple[str, str] | None:
     """``(trace_id, span_id)`` of the current span when tracing.
 
@@ -128,11 +140,11 @@ def current_ids() -> tuple[str, str] | None:
     (spans opened while no tracer was installed).  This is what
     :mod:`repro.obs.log` injects into structured log records.
     """
-    span = _CURRENT_SPAN.get()
-    if span is None:
+    current = _CURRENT_SPAN.get()
+    if current is None:
         return None
-    trace_id = span.trace_id
-    span_id = span.span_id
+    trace_id = current.trace_id
+    span_id = current.span_id
     if trace_id is None or span_id is None:
         return None
     return trace_id, span_id
@@ -197,21 +209,6 @@ class Trace:
             if record.name == name:
                 return record
         return None
-
-    def self_seconds(self) -> dict[str, float]:
-        """Per-span-id self time: duration minus direct-child time."""
-        child_total: dict[str, float] = {}
-        for record in self.spans:
-            if record.parent_id is not None:
-                child_total[record.parent_id] = (
-                    child_total.get(record.parent_id, 0.0) + record.seconds
-                )
-        return {
-            record.span_id: max(
-                record.seconds - child_total.get(record.span_id, 0.0), 0.0
-            )
-            for record in self.spans
-        }
 
 
 def trace_to_record(trace: Trace) -> dict[str, Any]:
@@ -342,9 +339,9 @@ class Tracer:
     Spans report here from ``Span.__exit__`` (and
     :func:`record_stage`); the tracer groups them by ``trace_id``.
     When a trace's *root* span finishes, the trace is assembled,
-    folded into :meth:`stage_totals` (always, so attribution is
-    unbiased over every request) and offered to the sampler (which
-    decides what to *retain* in full).
+    folded into the running stage totals behind :meth:`attribution`
+    (always, so attribution is unbiased over every request) and
+    offered to the sampler (which decides what to *retain* in full).
     """
 
     def __init__(
@@ -437,14 +434,6 @@ class Tracer:
             )
             totals["cpu_seconds"] += record.cpu_seconds
 
-    def stage_totals(self) -> dict[str, dict[str, float]]:
-        """Per-stage running totals over *every* finished trace."""
-        with self._lock:
-            return {
-                name: dict(values)
-                for name, values in self._stage_totals.items()
-            }
-
     def traces(self) -> list[Trace]:
         """The retained traces (see :class:`TailSampler`)."""
         return self.sampler.traces()
@@ -461,27 +450,19 @@ class Tracer:
         sort by descending self time.
         """
         with self._lock:
-            totals = {
-                name: dict(values)
-                for name, values in self._stage_totals.items()
-            }
             root_total = self.root_seconds_total
-        rows: list[dict[str, float | str]] = []
-        for name, values in totals.items():
-            rows.append(
+            rows: list[dict[str, float | str]] = [
                 {
                     "stage": name,
-                    "count": values["count"],
-                    "seconds": values["seconds"],
-                    "self_seconds": values["self_seconds"],
-                    "cpu_seconds": values["cpu_seconds"],
+                    **values,
                     "share": (
                         values["self_seconds"] / root_total
                         if root_total > 0.0
                         else 0.0
                     ),
                 }
-            )
+                for name, values in self._stage_totals.items()
+            ]
         rows.sort(key=lambda row: (-float(row["self_seconds"]), row["stage"]))
         return rows
 
@@ -503,14 +484,6 @@ def active() -> bool:
     return _TRACER is not None
 
 
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install (or, with ``None``, remove) the global tracer."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
-
-
 class use_tracer:
     """Context manager installing a tracer for a scoped block::
 
@@ -524,16 +497,172 @@ class use_tracer:
         self._previous: Tracer | None = None
 
     def __enter__(self) -> Tracer:
-        self._previous = set_tracer(self.tracer)
+        global _TRACER
+        self._previous = _TRACER
+        _TRACER = self.tracer
         return self.tracer
 
     def __exit__(self, *exc_info: object) -> None:
-        set_tracer(self._previous)
+        global _TRACER
+        _TRACER = self._previous
 
 
 # ----------------------------------------------------------------------
-# post-hoc stage records
+# spans
 # ----------------------------------------------------------------------
+
+
+def _finish(
+    registry: MetricsRegistry,
+    name: str,
+    tags: Mapping[str, str] | None,
+    buckets: Iterable[float],
+    seconds: float,
+    cpu_seconds: float = 0.0,
+    trace_id: str | None = None,
+    span_id: str | None = None,
+    parent_id: str | None = None,
+    path: str = "",
+    depth: int = 0,
+    ts: float = 0.0,
+) -> None:
+    """The one exit of every span, timed in place or recorded post hoc.
+
+    Observes ``<name>_seconds`` (the trace id rides along as the
+    bucket's exemplar) and, for a traced span, hands its record to the
+    tracer — a span without a parent id is the root that closes its
+    trace.  Positional on purpose: this runs once per span on the
+    traced hot path.
+    """
+    if registry.enabled:
+        registry.histogram(f"{name}_seconds", tags=tags, buckets=buckets).observe(
+            seconds, exemplar=trace_id
+        )
+    tracer = _TRACER
+    if tracer is None or trace_id is None or span_id is None:
+        return
+    tracer.on_span_finish(
+        SpanRecord(
+            name, trace_id, span_id, parent_id, path, depth, ts,
+            seconds, cpu_seconds, tags or {}, threading.get_ident(),
+        ),
+        root=parent_id is None,
+    )
+
+
+class Span:
+    """One timed region; use via the :func:`span` factory."""
+
+    __slots__ = (
+        "name",
+        "tags",
+        "registry",
+        "buckets",
+        "path",
+        "depth",
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "seconds",
+        "cpu_seconds",
+        "_token",
+        "_start",
+        "_cpu_start",
+        "_ts",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        tags: Mapping[str, str] | None,
+        registry: MetricsRegistry,
+        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
+    ) -> None:
+        self.name = name
+        self.tags = dict(tags) if tags else {}
+        self.registry = registry
+        self.buckets = buckets
+        self.path = name
+        self.depth = 0
+        self.trace_id: str | None = None
+        self.span_id: str | None = None
+        self.parent_id: str | None = None
+        self.seconds: float | None = None
+        self.cpu_seconds: float | None = None
+        self._token: Token[Span | None] | None = None
+        self._start = 0.0
+        self._cpu_start = 0.0
+        self._ts = 0.0
+
+    def __enter__(self) -> "Span":
+        parent = _CURRENT_SPAN.get()
+        if parent is not None:
+            self.path = f"{parent.path}/{self.name}"
+            self.depth = parent.depth + 1
+        tracer = _TRACER
+        if tracer is not None:
+            self.span_id = new_span_id()
+            if parent is not None and parent.trace_id is not None:
+                self.trace_id = parent.trace_id
+                self.parent_id = parent.span_id
+            else:
+                # No traced ancestor: this span roots a new trace.
+                self.trace_id = new_trace_id()
+            self._ts = tracer.now()
+            self._cpu_start = time.thread_time()
+        self._token = _CURRENT_SPAN.set(self)
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.seconds = time.perf_counter() - self._start
+        if self.trace_id is not None:
+            self.cpu_seconds = time.thread_time() - self._cpu_start
+        if self._token is not None:
+            _CURRENT_SPAN.reset(self._token)
+            self._token = None
+        _finish(
+            self.registry, self.name, self.tags, self.buckets,
+            self.seconds, self.cpu_seconds or 0.0,
+            self.trace_id, self.span_id, self.parent_id,
+            self.path, self.depth, self._ts,
+        )
+
+
+class _NullSpan:
+    """Shared do-nothing span for the disabled-telemetry fast path."""
+
+    __slots__ = ()
+    seconds: float | None = None
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
+
+_NULL_SPAN = _NullSpan()
+
+
+def span(
+    name: str,
+    tags: Mapping[str, str] | None = None,
+    registry: MetricsRegistry | None = None,
+    buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
+) -> Span | _NullSpan:
+    """Open a timed span recording into ``<name>_seconds``.
+
+    ``name`` should follow the span naming convention *without* the
+    unit suffix (``repro_serving_rank``, see RPR108); the histogram
+    appends ``_seconds``.  ``buckets`` customizes that histogram's
+    bucket bounds — note the *first* observation of a metric family
+    fixes its buckets, so every observer of one name must agree.
+    """
+    registry = registry if registry is not None else get_registry()
+    if not registry.enabled and _TRACER is None:
+        return _NULL_SPAN
+    return Span(name, tags, registry, buckets=buckets)
 
 
 def record_stage(
@@ -551,81 +680,49 @@ def record_stage(
     a tracer is installed and a span is open, as a synthetic child
     span of the current span.  No-op beyond the histogram otherwise.
     """
-    registry = get_registry()
-    tracer = _TRACER
     parent = _CURRENT_SPAN.get()
-    trace_id = parent.trace_id if parent is not None else None
-    if registry.enabled:
-        registry.histogram(f"{name}_seconds", tags=tags, buckets=buckets).observe(
-            seconds, exemplar=trace_id
-        )
-    if tracer is None or parent is None or trace_id is None:
+    tracer = _TRACER
+    if tracer is None or parent is None or parent.trace_id is None:
+        _finish(get_registry(), name, tags, buckets, seconds)
         return
-    now = tracer.now()
-    record = SpanRecord(
-        name=name,
-        trace_id=trace_id,
-        span_id=new_span_id(),
-        parent_id=parent.span_id,
-        path=f"{parent.path}/{name}",
-        depth=parent.depth + 1,
-        ts=max(now - seconds, 0.0),
-        seconds=seconds,
-        cpu_seconds=0.0,
-        tags=dict(tags) if tags else {},
-        thread=threading.get_ident(),
+    _finish(
+        get_registry(), name, dict(tags) if tags else {}, buckets,
+        seconds, 0.0,
+        parent.trace_id, new_span_id(), parent.span_id,
+        f"{parent.path}/{name}", parent.depth + 1,
+        max(tracer.now() - seconds, 0.0),
     )
-    tracer.on_span_finish(record, root=False)
 
 
-# ----------------------------------------------------------------------
-# aggregation helpers and exports
-# ----------------------------------------------------------------------
+def carry_span(fn: Callable[..., R]) -> Callable[..., R]:
+    """``fn``, bound to this context's current span for an executor hop.
 
-
-def stage_attribution(traces: Iterable[Trace]) -> list[dict[str, float | str]]:
-    """Attribution rows (as :meth:`Tracer.attribution`) over ``traces``.
-
-    For post-hoc analysis of an exported trace set; the live tracer
-    keeps the same aggregation incrementally over *all* requests.
+    ``loop.run_in_executor`` starts its callable in a thread whose
+    context has no current span, which would cut a request's trace in
+    two at the hop.  The returned callable re-installs the submitting
+    context's span around ``fn`` — that one variable, not the whole
+    ``contextvars`` context, so other context state keeps its
+    per-thread meaning in the worker.  With no tracer installed or no
+    span open, ``fn`` comes back untouched: untraced serving pays one
+    module-global check per hop.
     """
-    totals: dict[str, dict[str, float]] = {}
-    root_total = 0.0
-    for trace in traces:
-        root_total += trace.seconds
-        self_times = trace.self_seconds()
-        for record in trace.spans:
-            values = totals.setdefault(
-                record.name,
-                {
-                    "count": 0.0,
-                    "seconds": 0.0,
-                    "self_seconds": 0.0,
-                    "cpu_seconds": 0.0,
-                },
-            )
-            values["count"] += 1.0
-            values["seconds"] += record.seconds
-            values["self_seconds"] += self_times[record.span_id]
-            values["cpu_seconds"] += record.cpu_seconds
-    rows: list[dict[str, float | str]] = []
-    for name, values in totals.items():
-        rows.append(
-            {
-                "stage": name,
-                "count": values["count"],
-                "seconds": values["seconds"],
-                "self_seconds": values["self_seconds"],
-                "cpu_seconds": values["cpu_seconds"],
-                "share": (
-                    values["self_seconds"] / root_total
-                    if root_total > 0.0
-                    else 0.0
-                ),
-            }
-        )
-    rows.sort(key=lambda row: (-float(row["self_seconds"]), row["stage"]))
-    return rows
+    parent = _CURRENT_SPAN.get() if _TRACER is not None else None
+    if parent is None:
+        return fn
+
+    def carried(*args: Any, **kwargs: Any) -> R:
+        token = _CURRENT_SPAN.set(parent)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _CURRENT_SPAN.reset(token)
+
+    return carried
+
+
+# ----------------------------------------------------------------------
+# exports
+# ----------------------------------------------------------------------
 
 
 def format_attribution(rows: Iterable[dict[str, float | str]]) -> str:
@@ -653,22 +750,9 @@ def write_trace_jsonl(traces: Iterable[Trace], path: str | Path) -> int:
     count = 0
     with target.open("w", encoding="utf-8") as handle:
         for trace in traces:
-            handle.write(
-                json.dumps(trace_to_record(trace), sort_keys=True) + "\n"
-            )
+            handle.write(json_line(trace_to_record(trace)) + "\n")
             count += 1
     return count
-
-
-def read_trace_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Parse every trace record of a JSONL trace log."""
-    records: list[dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def chrome_trace_events(traces: Iterable[Trace]) -> list[dict[str, Any]]:

@@ -33,7 +33,10 @@ Telemetry: ``repro_serving_batch_users`` (flushed batch size) and
 ``repro_serving_batch_queue_depth`` (depth seen at each enqueue)
 histograms, a ``repro_serving_batch_flush_total`` counter labeled by
 reason, and a ``repro_serving_batch_execute`` span around runner
-execution.
+execution.  When tracing, that span and everything the runner opens in
+the executor thread belong to the trace of the request whose context
+armed the flush (the first of a window, or the one that filled it);
+its batchmates' traces end at their own ``repro_serving_http_request``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from collections.abc import Callable, Sequence
 from typing import Any, TypeVar
 
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import span
+from repro.obs.trace import carry_span, span
 
 __all__ = ["BatcherClosed", "MicroBatcher"]
 
@@ -164,15 +167,18 @@ class MicroBatcher:
                 tags={"reason": reason},
                 registry=self.registry,
             ):
+                # The executor thread starts without this task's
+                # current span; carry_span keeps the runner's spans in
+                # the trace of the request whose context armed the flush.
                 if len(items) == 1 and self.fast_runner is not None:
                     results: Sequence[Any] = [
                         await loop.run_in_executor(
-                            None, self.fast_runner, items[0]
+                            None, carry_span(self.fast_runner), items[0]
                         )
                     ]
                 else:
                     results = await loop.run_in_executor(
-                        None, self.runner, items
+                        None, carry_span(self.runner), items
                     )
             if len(results) != len(items):
                 raise RuntimeError(

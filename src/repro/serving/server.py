@@ -33,7 +33,7 @@ from repro.core.similar_events import SimilarEventIndex
 from repro.entities import Event, User
 from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import span
+from repro.obs.trace import carry_span, span
 from repro.serving.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_WINDOW_SECONDS,
@@ -231,7 +231,9 @@ class ServingServer:
         user = self._resolve_user(request.user_id)
         event = self._resolve_event(request.event_id)
         loop = asyncio.get_running_loop()
-        value = await loop.run_in_executor(None, self.service.score, user, event)
+        value = await loop.run_in_executor(
+            None, carry_span(self.service.score), user, event
+        )
         return 200, {
             "user_id": request.user_id,
             "event_id": request.event_id,
@@ -262,7 +264,7 @@ class ServingServer:
                 min_similarity=request.min_similarity,
             )
 
-        neighbours = await loop.run_in_executor(None, query)
+        neighbours = await loop.run_in_executor(None, carry_span(query))
         return 200, {
             "event_id": request.event_id,
             "results": [

@@ -58,9 +58,8 @@ import numpy as np
 
 from repro.entities import Event
 from repro.nn.cosine import COSINE_EPS
-from repro.obs.spans import span
 from repro.obs.trace import active as _trace_active
-from repro.obs.trace import record_stage
+from repro.obs.trace import record_stage, span
 
 __all__ = ["IndexStats", "EventIndex", "top_k_order"]
 

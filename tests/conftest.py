@@ -1,10 +1,22 @@
 """Shared fixtures: tiny worlds that keep the suite fast."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.datagen import DataConfig, build_dataset
 from repro.entities import Event, User
+
+
+@pytest.fixture(scope="session")
+def strict_loads():
+    """``json.loads`` that refuses the bare ``NaN``/``Infinity`` extension."""
+
+    def reject(name):
+        raise AssertionError(f"bare {name} is not strict JSON")
+
+    return lambda text: json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

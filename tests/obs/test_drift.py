@@ -9,7 +9,6 @@ from repro.obs import MetricsRegistry, render_prometheus
 from repro.obs.drift import (
     DriftMonitor,
     DriftThresholds,
-    HistogramBaseline,
     bin_fractions,
     ks_statistic,
     mean_shift_zscore,
@@ -246,55 +245,3 @@ class TestDriftMonitor:
     def test_bad_construction_raises(self, kwargs):
         with pytest.raises(ValueError):
             DriftMonitor("sig", **kwargs)
-
-
-class TestHistogramBaseline:
-    BUCKETS = (0.001, 0.01, 0.1, 1.0)
-
-    def _histogram(self, registry):
-        return registry.histogram("repro_test_lat_seconds", buckets=self.BUCKETS)
-
-    def test_no_shift_reads_ok(self):
-        registry = MetricsRegistry()
-        histogram = self._histogram(registry)
-        rng = random.Random(3)
-        for _ in range(200):
-            histogram.observe(rng.uniform(0.001, 0.1))
-        baseline = HistogramBaseline("lat", histogram)
-        for _ in range(200):
-            histogram.observe(rng.uniform(0.001, 0.1))
-        result = baseline.compare(histogram, min_live=50)
-        assert result.status == "ok"
-
-    def test_shifted_tail_is_detected(self):
-        registry = MetricsRegistry()
-        histogram = self._histogram(registry)
-        rng = random.Random(5)
-        for _ in range(200):
-            histogram.observe(rng.uniform(0.001, 0.005))
-        baseline = HistogramBaseline("lat", histogram)
-        for _ in range(200):
-            histogram.observe(rng.uniform(0.2, 0.9))  # new bucket entirely
-        result = baseline.compare(histogram)
-        assert result.drifted
-        assert "psi" in result.breached and "ks" in result.breached
-
-    def test_warming_until_min_live(self):
-        registry = MetricsRegistry()
-        histogram = self._histogram(registry)
-        for _ in range(10):
-            histogram.observe(0.05)
-        baseline = HistogramBaseline("lat", histogram)
-        histogram.observe(0.05)
-        assert baseline.compare(histogram, min_live=50).status == "warming"
-
-    def test_changed_buckets_raise(self):
-        registry = MetricsRegistry()
-        histogram = self._histogram(registry)
-        histogram.observe(0.05)
-        baseline = HistogramBaseline("lat", histogram)
-        other = registry.histogram(
-            "repro_test_other_seconds", buckets=(0.5, 1.0)
-        )
-        with pytest.raises(ValueError):
-            baseline.compare(other)

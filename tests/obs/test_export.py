@@ -107,6 +107,27 @@ class TestJsonl:
         names = {metric["name"] for metric in records[1]["metrics"]}
         assert "repro_cache_hits_total" in names
 
+    def test_non_finite_values_are_written_as_null(self, tmp_path, strict_loads):
+        # What a diverged training run leaves in the registry.
+        registry = MetricsRegistry()
+        registry.gauge("repro_train_epoch_loss").set(float("nan"))
+        registry.gauge("repro_train_grad_norm").set(float("inf"))
+        path = tmp_path / "telemetry.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.write({"record": "epoch", "loss": float("-inf")})
+            writer.write_snapshot(registry)
+        epoch, snapshot = map(strict_loads, path.read_text().splitlines())
+        assert epoch["loss"] is None
+        assert [m["value"] for m in snapshot["metrics"]] == [None, None]
+        # ...and the file still renders: null reads back as NaN.
+        assert "repro_train_epoch_loss NaN" in render_prometheus(
+            last_snapshot(path)
+        )
+        # The live text format keeps its own spellings.
+        live = render_prometheus(registry.snapshot())
+        assert "repro_train_epoch_loss NaN" in live
+        assert "repro_train_grad_norm +Inf" in live
+
     def test_last_snapshot_takes_final(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         registry = make_registry()

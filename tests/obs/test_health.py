@@ -227,13 +227,13 @@ class TestHealthMonitor:
             "lat_p99", "hit_rate"
         }
 
-    def test_evaluate_registry_reads_live_gauges(self):
+    def test_evaluate_reads_live_gauges_from_registry_snapshot(self):
         registry = MetricsRegistry()
         registry.gauge(
             "repro_loadgen_latency_seconds", tags={"stat": "p99"}
         ).set(0.002)
         registry.gauge("repro_cache_hit_rate").set(0.99)
-        verdict = HealthMonitor(self.SPECS).evaluate_registry(registry)
+        verdict = HealthMonitor(self.SPECS).evaluate(registry.snapshot())
         assert verdict.healthy
 
     def test_export_writes_health_gauges(self):

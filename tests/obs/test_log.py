@@ -49,6 +49,23 @@ class TestSchema:
         assert json.loads(stream.getvalue())["tags"]["value"] == 1.5
 
 
+    def test_non_finite_tags_are_strict_json_null(self, strict_loads):
+        import numpy as np
+
+        stream = io.StringIO()
+        emit(
+            stream,
+            action=lambda log: log.info(
+                "epoch",
+                loss=float("inf"),
+                grad_norm=np.float32("nan"),
+                history=[1.0, float("nan")],
+            ),
+        )
+        tags = strict_loads(stream.getvalue())["tags"]
+        assert tags == {"loss": None, "grad_norm": None, "history": [1.0, None]}
+
+
 class TestLevels:
     def test_below_threshold_suppressed(self):
         stream = io.StringIO()
@@ -88,8 +105,7 @@ class TestLoggerCache:
 class TestTraceCorrelation:
     def test_traced_span_ids_injected(self):
         from repro.obs.registry import MetricsRegistry
-        from repro.obs.spans import span
-        from repro.obs.trace import Tracer, use_tracer
+        from repro.obs.trace import Tracer, span, use_tracer
 
         registry = MetricsRegistry()
         stream = io.StringIO()
@@ -109,7 +125,7 @@ class TestTraceCorrelation:
 
     def test_no_ids_for_untraced_span(self):
         from repro.obs.registry import MetricsRegistry
-        from repro.obs.spans import span
+        from repro.obs.trace import span
 
         registry = MetricsRegistry()
         stream = io.StringIO()

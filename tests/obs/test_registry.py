@@ -1,10 +1,13 @@
 """Metrics registry: counters, gauges, histograms, quantiles."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro.obs.log import log_context
 from repro.obs.registry import (
     Counter,
     Histogram,
@@ -149,6 +152,32 @@ class TestSnapshot:
         registry.register_collector("k", lambda r: r.gauge("repro_g").set(2.0))
         records = {r["name"]: r for r in registry.snapshot()}
         assert records["repro_g"]["value"] == 2.0
+
+
+    def test_raising_collector_costs_only_its_own_series(self):
+        def broken(registry):
+            raise RuntimeError("collector bug")
+
+        registry = MetricsRegistry()
+        registry.register_collector("bad", broken)
+        registry.register_collector(
+            "good", lambda r: r.gauge("repro_pulled").set(42.0)
+        )
+        stream = io.StringIO()
+        with log_context(stream=stream):
+            registry.snapshot()
+            records = {r["name"]: r for r in registry.snapshot()}
+        assert records["repro_pulled"]["value"] == 42.0
+        errors = records["repro_obs_collector_errors_total"]
+        assert errors["tags"] == {"collector": "bad"}
+        assert errors["value"] == 2.0
+        (warning,) = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert warning["event"] == "collector_failed"
+        assert warning["level"] == "warning"
+        assert warning["tags"] == {
+            "collector": "bad",
+            "error": "RuntimeError: collector bug",
+        }
 
 
 class TestGlobalRegistry:

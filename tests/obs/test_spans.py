@@ -3,8 +3,15 @@
 import threading
 import time
 
-from repro.obs.registry import MetricsRegistry, NullRegistry, use_registry
-from repro.obs.spans import SpanRecorder, _NULL_SPAN, current_span, span, timed
+from repro.obs.registry import MetricsRegistry, NullRegistry
+from repro.obs.trace import (
+    _NULL_SPAN,
+    Tracer,
+    carry_span,
+    current_span,
+    span,
+    use_tracer,
+)
 
 
 class TestRecording:
@@ -32,51 +39,64 @@ class TestRecording:
 
 
 class TestNesting:
+    """Paths and depths are read off the finished-span records of the
+    one sink, the tracer."""
+
+    @staticmethod
+    def finished(tracer):
+        return {
+            record.name: record
+            for trace in tracer.traces()
+            for record in trace.spans
+        }
+
     def test_paths_and_depths(self):
         registry = MetricsRegistry()
-        recorder = SpanRecorder()
-        with span("repro_outer", registry=registry, recorder=recorder):
-            with span("repro_mid", registry=registry, recorder=recorder):
-                with span("repro_leaf", registry=registry, recorder=recorder):
-                    assert current_span().path == "repro_outer/repro_mid/repro_leaf"
-        paths = {record["name"]: record for record in recorder.records}
-        assert paths["repro_leaf"]["path"] == "repro_outer/repro_mid/repro_leaf"
-        assert paths["repro_leaf"]["depth"] == 2
-        assert paths["repro_mid"]["depth"] == 1
-        assert paths["repro_outer"]["depth"] == 0
+        with use_tracer(Tracer()) as tracer:
+            with span("repro_outer", registry=registry):
+                with span("repro_mid", registry=registry):
+                    with span("repro_leaf", registry=registry):
+                        assert current_span().path == "repro_outer/repro_mid/repro_leaf"
+        records = self.finished(tracer)
+        assert records["repro_leaf"].path == "repro_outer/repro_mid/repro_leaf"
+        assert records["repro_leaf"].depth == 2
+        assert records["repro_mid"].depth == 1
+        assert records["repro_outer"].depth == 0
 
     def test_siblings_share_parent_path(self):
         registry = MetricsRegistry()
-        recorder = SpanRecorder()
-        with span("repro_root", registry=registry, recorder=recorder):
-            with span("repro_a", registry=registry, recorder=recorder):
-                pass
-            with span("repro_b", registry=registry, recorder=recorder):
-                pass
-        paths = [record["path"] for record in recorder.records]
-        assert "repro_root/repro_a" in paths
-        assert "repro_root/repro_b" in paths
+        with use_tracer(Tracer()) as tracer:
+            with span("repro_root", registry=registry):
+                with span("repro_a", registry=registry):
+                    pass
+                with span("repro_b", registry=registry):
+                    pass
+        records = self.finished(tracer)
+        assert records["repro_a"].path == "repro_root/repro_a"
+        assert records["repro_b"].path == "repro_root/repro_b"
+        assert records["repro_a"].parent_id == records["repro_root"].span_id
 
     def test_threads_do_not_share_span_stacks(self):
         # The current span lives in a contextvar: a span opened in one
         # thread must never become the parent of another thread's span.
         registry = MetricsRegistry()
-        recorder = SpanRecorder()
         ready = threading.Event()
 
         def worker():
             assert current_span() is None
-            with span("repro_thread_b", registry=registry, recorder=recorder):
+            with span("repro_thread_b", registry=registry):
                 ready.set()
 
-        with span("repro_thread_a", registry=registry, recorder=recorder):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert ready.is_set()
-        paths = {record["name"]: record["path"] for record in recorder.records}
-        assert paths["repro_thread_b"] == "repro_thread_b"
-        assert paths["repro_thread_a"] == "repro_thread_a"
+        with use_tracer(Tracer()) as tracer:
+            with span("repro_thread_a", registry=registry):
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join(timeout=10.0)
+        assert ready.is_set() and not thread.is_alive()
+        records = self.finished(tracer)
+        assert records["repro_thread_b"].path == "repro_thread_b"
+        assert records["repro_thread_a"].path == "repro_thread_a"
+        assert records["repro_thread_b"].trace_id != records["repro_thread_a"].trace_id
 
     def test_stack_unwinds_after_exception(self):
         registry = MetricsRegistry()
@@ -101,15 +121,51 @@ class TestDisabled:
         assert registry.snapshot() == []
 
 
-class TestTimedDecorator:
-    def test_wraps_and_records(self):
+class TestCarrySpan:
+    """carry_span: the parent survives a hop into a worker thread."""
+
+    def run_in_thread(self, fn):
+        thread = threading.Thread(target=fn)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_worker_spans_join_the_submitting_trace(self):
         registry = MetricsRegistry()
-        with use_registry(registry):
 
-            @timed("repro_fn")
-            def work(x):
-                return x * 2
+        def work():
+            with span("repro_hop_child", registry=registry):
+                pass
 
-            assert work(21) == 42
-        assert registry.histogram("repro_fn_seconds").count == 1
-        assert work.__wrapped__(1) == 2
+        with use_tracer(Tracer()) as tracer:
+            with span("repro_hop_root", registry=registry):
+                self.run_in_thread(carry_span(work))
+        (trace,) = tracer.traces()
+        child = trace.span_named("repro_hop_child")
+        assert child.parent_id == trace.span_named("repro_hop_root").span_id
+        assert child.path == "repro_hop_root/repro_hop_child"
+
+    def test_worker_context_is_restored(self):
+        seen = []
+
+        def work():
+            seen.append(current_span())
+
+        def worker():
+            carried()
+            seen.append(current_span())
+
+        with use_tracer(Tracer()):
+            with span("repro_hop_root", registry=MetricsRegistry()) as root:
+                carried = carry_span(work)
+            self.run_in_thread(worker)
+        assert seen == [root, None]
+
+    def test_untouched_without_tracer_or_open_span(self):
+        def work():
+            return 1
+
+        with span("repro_hop_root", registry=MetricsRegistry()):
+            assert carry_span(work) is work  # no tracer installed
+        with use_tracer(Tracer()):
+            assert carry_span(work) is work  # no span open

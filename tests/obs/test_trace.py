@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.obs.registry import MetricsRegistry, use_registry
-from repro.obs.spans import span
 from repro.obs.trace import (
     SpanRecord,
     TailSampler,
@@ -20,9 +19,8 @@ from repro.obs.trace import (
     get_tracer,
     new_span_id,
     new_trace_id,
-    read_trace_jsonl,
     record_stage,
-    stage_attribution,
+    span,
     trace_to_record,
     use_tracer,
     write_chrome_trace,
@@ -227,12 +225,16 @@ class TestTracer:
                 name="repro_test_child",
                 parent_id="root-span",
                 seconds=0.75,
+                cpu_seconds=0.5,
             ),
             root=False,
         )
         tracer.on_span_finish(
             make_record(
-                name="repro_test_root", span_id="root-span", seconds=1.0
+                name="repro_test_root",
+                span_id="root-span",
+                seconds=1.0,
+                cpu_seconds=0.625,
             ),
             root=True,
         )
@@ -241,25 +243,53 @@ class TestTracer:
         assert rows["repro_test_root"]["self_seconds"] == pytest.approx(0.25)
         assert rows["repro_test_child"]["share"] == pytest.approx(0.75)
         assert rows["repro_test_root"]["share"] == pytest.approx(0.25)
+        # A second, childless trace: the fold is incremental over every
+        # finished trace, and its rows are pinned to the digit (all the
+        # inputs are exact binary fractions).
+        tracer.on_span_finish(
+            make_record(
+                name="repro_test_root", trace_id="t2", seconds=1.0,
+                cpu_seconds=0.125,
+            ),
+            root=True,
+        )
+        assert tracer.attribution() == [
+            {
+                "stage": "repro_test_root",
+                "count": 2.0,
+                "seconds": 2.0,
+                "self_seconds": 1.25,
+                "cpu_seconds": 0.75,
+                "share": 0.625,
+            },
+            {
+                "stage": "repro_test_child",
+                "count": 1.0,
+                "seconds": 0.75,
+                "self_seconds": 0.75,
+                "cpu_seconds": 0.5,
+                "share": 0.375,
+            },
+        ]
 
     def test_self_seconds_never_negative(self):
         # Children overlapping (threads) can sum past the parent.
-        records = (
+        tracer = Tracer()
+        for name, seconds in (("repro_test_a", 0.8), ("repro_test_b", 0.7)):
+            tracer.on_span_finish(
+                make_record(
+                    name=name, trace_id="tx", parent_id="r", seconds=seconds
+                ),
+                root=False,
+            )
+        tracer.on_span_finish(
             make_record(
                 name="repro_test_root", trace_id="tx", span_id="r", seconds=1.0
             ),
-            make_record(
-                name="repro_test_a", trace_id="tx", parent_id="r", seconds=0.8
-            ),
-            make_record(
-                name="repro_test_b", trace_id="tx", parent_id="r", seconds=0.7
-            ),
+            root=True,
         )
-        trace = Trace(
-            trace_id="tx", root_name="repro_test_root", seconds=1.0,
-            spans=records,
-        )
-        assert trace.self_seconds()["r"] == 0.0
+        rows = {row["stage"]: row for row in tracer.attribution()}
+        assert rows["repro_test_root"]["self_seconds"] == 0.0
 
 
 class TestRecordStage:
@@ -284,20 +314,6 @@ class TestRecordStage:
 
 
 class TestAttributionHelpers:
-    def test_stage_attribution_matches_live_tracer(self):
-        tracer = Tracer(TailSampler(keep_slowest=8))
-        tracer.on_span_finish(
-            make_record(
-                name="repro_test_child", parent_id="r", seconds=0.4
-            ),
-            root=False,
-        )
-        tracer.on_span_finish(
-            make_record(name="repro_test_root", span_id="r", seconds=1.0),
-            root=True,
-        )
-        assert stage_attribution(tracer.traces()) == tracer.attribution()
-
     def test_format_attribution_renders_table(self):
         rows = [
             {
@@ -327,13 +343,24 @@ class TestExports:
         traces = self.build_traces()
         path = tmp_path / "traces.jsonl"
         assert write_trace_jsonl(traces, path) == len(traces)
-        records = read_trace_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records == [trace_to_record(t) for t in traces]
         assert records[0]["record"] == "trace"
         assert {s["name"] for s in records[0]["spans"]} == {
             "repro_test_root",
             "repro_test_child",
         }
+
+    def test_jsonl_is_strict_json_for_non_finite_values(
+        self, tmp_path, strict_loads
+    ):
+        root = make_record(seconds=float("inf"), cpu_seconds=float("nan"))
+        trace = Trace("t1", root.name, root.seconds, (root,))
+        path = tmp_path / "traces.jsonl"
+        write_trace_jsonl([trace], path)
+        (record,) = map(strict_loads, path.read_text().splitlines())
+        assert record["seconds"] is None
+        assert record["spans"][0]["cpu_seconds"] is None
 
     def test_chrome_events_use_microseconds(self):
         trace = make_trace("tc", 0.5)

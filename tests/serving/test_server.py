@@ -18,6 +18,7 @@ from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
 from repro.loadgen import build_synthetic_service
 from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer, use_tracer
 from repro.serving import (
     HttpServiceClient,
     ServerError,
@@ -382,6 +383,55 @@ class TestColdUserCoalescing:
         assert sum(encode_calls) == 1
         assert service.cache.stats.misses - misses_before == 1
         assert server.batcher.batches_flushed == 1
+
+
+@pytest.fixture()
+def tiny_stack(tiny_users, tiny_events):
+    """A private live server: tests that install tracers or break
+    collectors must not share the module-wide registry."""
+    encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+    model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+    registry = MetricsRegistry()
+    service = RepresentationService(model, registry=registry)
+    service.warm(tiny_users, tiny_events)
+    server = ServingServer(service, tiny_users, tiny_events, registry=registry)
+    with ThreadedServer(server) as hosted:
+        client = HttpServiceClient(
+            hosted.host, hosted.port, full_pool_size=len(tiny_events)
+        )
+        yield {"client": client, "registry": registry}
+        client.close()
+
+
+class TestObservability:
+    def test_metrics_survives_a_raising_collector(self, tiny_stack):
+        def broken(registry):
+            raise RuntimeError("collector bug")
+
+        tiny_stack["registry"].register_collector("broken", broken)
+        for _ in range(2):  # the second scrape is the one that used to 500
+            text = tiny_stack["client"].metrics()  # ServerError unless 200
+        assert 'repro_obs_collector_errors_total{collector="broken"} 2' in text
+        assert "repro_serving_http_requests_total" in text
+
+    def test_one_request_is_one_trace_across_the_executor_hop(
+        self, tiny_stack, tiny_users, tiny_events
+    ):
+        client = tiny_stack["client"]
+        with use_tracer(Tracer()) as tracer:
+            client.rank_events(tiny_users[0], tiny_events, top_k=2)
+            (recommend,) = tracer.traces()
+            client.score(tiny_users[0], tiny_events[0])
+            (score,) = [t for t in tracer.traces() if t is not recommend]
+        for trace, inner in (
+            (recommend, "repro_index_gemv"),
+            (score, "repro_serving_score"),
+        ):
+            assert trace.root_name == "repro_serving_http_request"
+            worker = trace.span_named(inner)
+            assert worker is not None, [r.name for r in trace.spans]
+            assert worker.path.startswith("repro_serving_http_request/")
+            assert worker.thread != trace.spans[-1].thread  # it did hop
 
 
 class TestLifecycle:

@@ -14,6 +14,8 @@ PACKAGES = [
     "repro.features",
     "repro.gbdt",
     "repro.nn",
+    "repro.obs",
+    "repro.serving",
     "repro.store",
     "repro.text",
 ]
@@ -44,6 +46,13 @@ def test_readme_quickstart_imports():
         TrainingConfig,
         build_dataset,
     )
+
+
+def test_spans_module_folded_into_trace():
+    # One module owns the span mechanism; the old path is gone, not shimmed.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.spans")
+    from repro.obs.trace import Span, Tracer, record_stage, span  # noqa: F401
 
 
 def test_version_string():
