@@ -9,18 +9,23 @@ trained :class:`~repro.core.model.JointUserEventModel`, a
 :class:`~repro.store.EventIndex`, and exposes the recommendation
 primitive — rank the *currently active* events for a user.
 
-There is one serving path.  The user vector is scored against the
-index's contiguous event matrix with a single matrix-vector product
-and top-K is selected with ``np.argpartition``, ordered by
-``(-score, event_id)``; candidate events not yet indexed are
-batch-encoded and upserted on first sight.  Following the paper's
-mutation-driven invalidation model, ranking trusts rows keyed by
-``event_id``: content changes must be announced via
-:meth:`RepresentationService.refresh_events` before ranking.
-:meth:`RepresentationService.rank_events_batch` ranks many users in
-one GEMM against the same index — the multi-user serving primitive
-large-scale two-tower systems are built around — through the same
-private rank body.
+There is one serving path, and it works on id arrays.  The pool's ids
+are read once into an ``int64`` array; the index resolves them to rows
+in one pass, scores the user vector against its contiguous event matrix
+with a single matrix-vector product and reports, from that same pass,
+the candidates it holds no row for — those are batch-encoded, upserted
+and the pool scored again (first sight only).  Top-K is selected with
+``np.argpartition``, ordered by ``(-score, event_id)``, and
+``ScoredEvent`` objects are built for the selected rows only, never for
+the pool.  Following the paper's mutation-driven invalidation model,
+ranking trusts rows keyed by ``event_id``: content changes must be
+announced via :meth:`RepresentationService.refresh_events` before
+ranking.  :meth:`RepresentationService.rank_events_batch` ranks many
+users in one GEMM against the same index — the multi-user serving
+primitive large-scale two-tower systems are built around — through the
+same private rank body; each user may bring its own candidate subset,
+``at_time`` and ``top_k``, applied as masks on its row of the shared
+score matrix.
 
 Scores reproduce the training-time cosine
 (:func:`repro.nn.cosine.pair_cosine`) to float precision.  The
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,10 +371,13 @@ class RepresentationService:
         for event in events:
             version = self.event_version(event)
             if self.index.version(event.event_id) == version:
-                self.index.upsert(event, version)  # refresh activity window
-            else:
-                stale.append(event)
-                versions.append(version)
+                try:
+                    self.index.upsert(event, version)  # refresh activity window
+                    continue
+                except ValueError:
+                    pass  # removed since the version check: index it again
+            stale.append(event)
+            versions.append(version)
         self._index_events(stale, versions, self.cache.get, registry)
         return len(stale)
 
@@ -434,7 +442,7 @@ class RepresentationService:
         registry = self._obs()
         with span("repro_serving_rank", registry=registry):
             (ranking,), num_candidates = self._rank(
-                user, events, at_time, top_k, registry
+                user, events, at_time, [top_k], [None], registry
             )
         if registry.enabled:
             registry.counter("repro_serving_rank_total").inc()
@@ -445,11 +453,11 @@ class RepresentationService:
         self,
         users: Sequence[User],
         events: Sequence[Event],
-        at_time: float | None = None,
-        top_k: int | None = None,
-        observe_scores: bool = True,
+        at_time: float | None | Sequence[float | None] = None,
+        top_k: int | None | Sequence[int | None] = None,
+        subsets: Sequence[Collection[int] | None] | None = None,
     ) -> list[list[ScoredEvent]]:
-        """Rank the same candidate pool for many users in one GEMM.
+        """Rank one candidate pool for many users in one GEMM.
 
         The user vectors (cache-aware, misses batch-encoded) form a
         ``(num_users, dim)`` matrix scored against the index in a
@@ -458,19 +466,27 @@ class RepresentationService:
         :meth:`rank_events`.  Returns one ranking per user, in input
         order.
 
-        ``observe_scores=False`` skips feeding the returned scores to
-        the score drift monitor.  The serving micro-batcher ranks the
-        *union* of its requests' pools untruncated and slices each
-        response out afterwards; it must observe only the scores it
-        actually serves, or the drift baseline (built from served
-        top-K scores) would be compared against full-pool score
-        distributions and flag spurious drift.
+        ``at_time`` and ``top_k`` are one value for the cohort or one
+        per user, and ``subsets`` names, per user, the event ids among
+        ``events`` that are its own candidates (``None``: all of them).
+        Each is applied as a mask on that user's score row, so a user's
+        ranking is exactly what :meth:`rank_events` returns for its own
+        pool, time and ``top_k`` — the serving micro-batcher ranks a
+        flush of unlike requests over the union of their pools this way.
         """
-        top_k = validate_top_k(top_k)
+        top_ks = [
+            validate_top_k(k)
+            for k in (top_k if np.ndim(top_k) else [top_k] * len(users))
+        ]
+        subsets = [None] * len(users) if subsets is None else subsets
+        if not len(top_ks) == len(subsets) == len(users) or (
+            np.ndim(at_time) and len(at_time) != len(users)
+        ):
+            raise ValueError("at_time, top_k and subsets must give one entry per user")
         registry = self._obs()
         with span("repro_serving_rank_batch", registry=registry):
             rankings, num_candidates = self._rank(
-                users, events, at_time, top_k, registry
+                users, events, at_time, top_ks, subsets, registry
             )
         if registry.enabled:
             registry.counter("repro_serving_rank_batch_total").inc()
@@ -478,17 +494,16 @@ class RepresentationService:
             registry.histogram(
                 "repro_serving_rank_batch_users", buckets=_BATCH_USER_BUCKETS
             ).observe(len(users))
-            self._observe_rankings(
-                registry, num_candidates, rankings if observe_scores else ()
-            )
+            self._observe_rankings(registry, num_candidates, rankings)
         return rankings
 
     def _rank(
         self,
         users: User | Sequence[User],
         events: Sequence[Event],
-        at_time: float | None,
-        top_k: int | None,
+        at_time: float | None | Sequence[float | None],
+        top_ks: Sequence[int | None],
+        subsets: Sequence[Collection[int] | None],
         registry: MetricsRegistry,
     ) -> tuple[list[list[ScoredEvent]], int]:
         """The rank body: one ranking per user, and the candidate count.
@@ -499,45 +514,50 @@ class RepresentationService:
         the product is shared.  Row resolution, activity filtering and
         the product run atomically inside the index — under concurrent
         index mutation, rows resolved separately could move
-        (swap-with-last compaction) before the product ran.  The count
-        is the number of candidates left after the ``at_time`` filter.
+        (swap-with-last compaction) before the product ran.  The same
+        pass reports the candidates with no row; they are encoded,
+        upserted and the pool scored again.  ``ScoredEvent``s are built
+        for the selected rows only.  The count is the number of
+        candidates scored: present, and active for at least one user.
         """
         single = isinstance(users, User)
         num_users = 1 if single else len(users)
         if num_users == 0 or not events:
             return [[] for _ in range(num_users)], 0
-        with span("repro_serving_ensure_indexed", registry=registry):
-            missing = [
-                event for event in events if event.event_id not in self.index
-            ]
-            if missing:
-                self.refresh_events(missing)
         ids = np.fromiter(
             (event.event_id for event in events),
             dtype=np.int64,
             count=len(events),
         )
         if single:
-            positions, scores = self.index.score_ids(
-                self.user_vector(users), ids, at_time
-            )
-            score_rows = [scores]
+            score, query = self.index.score_ids, self.user_vector(users)
         else:
-            queries = np.vstack(
-                self._user_vectors(users, self.cache.get, registry)
-            )
-            positions, score_rows = self.index.score_ids_batch(
-                queries, ids, at_time
-            )
+            score = self.index.score_ids_batch
+            query = np.vstack(self._user_vectors(users, self.cache.get, registry))
+        positions, score_rows, absent = score(query, ids, at_time)
+        if absent.size:
+            self.refresh_events([events[i] for i in absent.tolist()])
+            positions, score_rows, _ = score(query, ids, at_time)
         selected_ids = ids[positions]
+        rankings = []
         with span("repro_serving_topk", registry=registry):
-            rankings = [
-                [
-                    ScoredEvent(event=events[positions[i]], score=float(scores[i]))
-                    for i in top_k_order(scores, selected_ids, top_k)
-                ]
-                for scores in score_rows
-            ]
+            for scores, top_k, subset in zip(
+                np.atleast_2d(score_rows), top_ks, subsets
+            ):
+                if subset is not None:
+                    scores[~np.isin(selected_ids, list(subset))] = -np.inf
+                # Masked cells (-inf) sort last; whatever of them the cut
+                # still holds is dropped, never served.
+                order = top_k_order(scores, selected_ids, top_k)
+                order = order[scores[order] != -np.inf]
+                rankings.append(
+                    [
+                        ScoredEvent(event=events[position], score=value)
+                        for position, value in zip(
+                            positions[order].tolist(), scores[order].tolist()
+                        )
+                    ]
+                )
         return rankings, int(positions.size)
 
     def _observe_rankings(

@@ -10,13 +10,13 @@ bound.
 
 Batched-recommend correctness model: per-pair scores do not depend on
 the candidate pool, and the ranking key ``(-score, event_id)`` is a
-total order.  A batch therefore ranks the **union** of its requests'
-pools once (full ranking, no activity filter), and each response is
-carved out of that shared ranking by filtering to the request's own
-pool and ``at_time`` activity window, then truncating to its
-``top_k`` — exactly the list ``rank_events`` would have produced for
-that request alone.  A flush of size 1 takes the ``rank_events`` fast
-path directly, which is bit-identical to a 1-row GEMM.
+total order.  A batch therefore scores the **union** of its requests'
+pools once, and ``rank_events_batch`` masks each request's row of that
+score matrix down to its own pool and ``at_time`` activity window (read
+from the index, like the single-user path) before taking its ``top_k``
+— exactly the list ``rank_events`` would have produced for that request
+alone.  A flush of size 1 takes the ``rank_events`` fast path directly,
+which is bit-identical to a 1-row GEMM.
 """
 
 from __future__ import annotations
@@ -149,59 +149,26 @@ class ServingServer:
 
     def _recommend_batch(
         self, items: list[_RecommendWork]
-    ) -> list[list[ScoredEvent] | Exception]:
-        """One GEMM over the union pool, per-request slicing out.
+    ) -> list[list[ScoredEvent]]:
+        """One GEMM over the union pool, one answer per request.
 
-        Rank the union with no ``top_k`` and no activity filter, then
-        carve each request's answer out of the shared ranking.  The
-        slice step cannot disturb order (the ranking key is a total
-        order independent of pool), so each answer matches a direct
-        ``rank_events`` call — the cross-path parity test pins this.
+        The service applies each request's own pool, ``at_time`` and
+        ``top_k`` to its row of the shared score matrix, so each answer
+        matches a direct ``rank_events`` call — the cross-path parity
+        test pins this.
         """
-        if any(work.pool_ids is None for work in items):
+        pools = [work.pool_ids for work in items]
+        if any(pool_ids is None for pool_ids in pools):
             union_events = self.pool
         else:
-            union: set[int] = set()
-            for work in items:
-                union.update(work.pool_ids or ())
-            union_events = [self.events[i] for i in sorted(union)]
-        rankings = self.service.rank_events_batch(
+            union_events = self._pool_events(frozenset().union(*pools))
+        return self.service.rank_events_batch(
             [work.user for work in items],
             union_events,
-            at_time=None,
-            top_k=None,
-            # The union ranking is untruncated scaffolding; only the
-            # served slices below feed the score drift monitor, so
-            # its baseline keeps meaning "distribution of scores we
-            # actually serve".
-            observe_scores=False,
+            at_time=[work.at_time for work in items],
+            top_k=[work.top_k for work in items],
+            subsets=pools,
         )
-        observe = self.registry.enabled
-        scores_monitor = self.service.monitors.scores if observe else None
-        results: list[list[ScoredEvent] | Exception] = []
-        for work, ranking in zip(items, rankings):
-            try:
-                selected: list[ScoredEvent] = []
-                for item in ranking:
-                    if (
-                        work.pool_ids is not None
-                        and item.event.event_id not in work.pool_ids
-                    ):
-                        continue
-                    if work.at_time is not None and not item.event.is_active(
-                        work.at_time
-                    ):
-                        continue
-                    selected.append(item)
-                    if work.top_k is not None and len(selected) >= work.top_k:
-                        break
-                if scores_monitor is not None:
-                    for item in selected:
-                        scores_monitor.observe(item.score)
-                results.append(selected)
-            except Exception as error:  # isolate a poisoned request
-                results.append(error)
-        return results
 
     # -- route handlers ------------------------------------------------
 

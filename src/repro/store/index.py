@@ -17,13 +17,17 @@ against with a single matrix-vector product.
 * upsert/remove are O(1): a dict maps ``event_id → row``, removal
   compacts by swapping the last row into the hole, and capacity grows
   by amortized doubling so inserts never reallocate per call;
+* a candidate pool becomes rows in one pass — :meth:`EventIndex.resolve`
+  sweeps the dict at C speed over the whole id array, ``-1`` marking an
+  id with no row — never one locked lookup per event;
 * each entry is keyed by an ``(event_id, version)`` fingerprint —
   upserting an unchanged version is a cheap no-op, a new version
   overwrites the row in place ("recomputed upon important information
   change", Section 4);
 * activity windows (``created_at``/``starts_at``) are kept in aligned
   arrays so ``at_time`` eligibility is one vectorized comparison, not
-  a per-event ``is_active`` loop.
+  a per-event ``is_active`` loop — one time for a whole cohort, or one
+  per query of a batch.
 
 The index owns no model and no metrics of its own —
 :class:`~repro.core.service.RepresentationService` maintains it and
@@ -43,7 +47,9 @@ discipline is enforced statically by RPR401/RPR402
 (:mod:`repro.analysis.locks`).  The compound serving read —
 resolve rows, filter by activity, GEMV/GEMM — must be atomic (a
 concurrent swap-with-last ``remove`` moves rows between the steps),
-which is what :meth:`score_ids` / :meth:`score_ids_batch` provide.
+which is what :meth:`score_ids` / :meth:`score_ids_batch` provide;
+they also report the ids that had no row, so a caller learns what is
+missing from the pass that scored the rest.
 """
 
 from __future__ import annotations
@@ -51,8 +57,10 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -64,6 +72,9 @@ from repro.obs.trace import record_stage, span
 __all__ = ["IndexStats", "EventIndex", "top_k_order"]
 
 _INITIAL_CAPACITY = 64
+
+# One time for every query, or one per query (``None`` = unfiltered).
+TimeFilter = float | None | Sequence[float | None]
 
 
 @dataclass
@@ -185,16 +196,19 @@ class EventIndex:
         with self._lock:
             return self._rows[event_id]
 
-    def rows_for(self, event_ids: Iterable[int]) -> np.ndarray:
-        """Row indices for a candidate id list (all must be present).
+    def resolve(self, event_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row of every id in one pass, ``-1`` where the id has no row.
 
-        Rows move under concurrent compaction the moment the lock is
-        released — for scoring, use the atomic :meth:`score_ids`.
+        The one place ids become rows: a C-speed ``dict.get`` sweep
+        under a single lock hold (duplicate, negative and never-seen
+        ids are all fine).  Rows move under concurrent compaction the
+        moment the lock is released — for scoring, use the atomic
+        :meth:`score_ids`.
         """
+        keys = event_ids.tolist() if isinstance(event_ids, np.ndarray) else event_ids
         with self._lock:
-            rows = self._rows
             return np.fromiter(
-                (rows[event_id] for event_id in event_ids), dtype=np.intp
+                map(self._rows.get, keys, repeat(-1)), dtype=np.intp, count=len(keys)
             )
 
     def event_at(self, row: int) -> Event:
@@ -361,9 +375,10 @@ class EventIndex:
         return array[: self._size] if rows is None else array[rows]
 
     def activity_mask(
-        self, at_time: float, rows: np.ndarray | None = None
+        self, at_time: float | np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Vectorized ``Event.is_active`` over (a subset of) the rows."""
+        """Vectorized ``Event.is_active`` over (a subset of) the rows;
+        a column of times gives one mask row per time."""
         with self._lock:
             created = self._select(self._created, rows)
             starts = self._select(self._starts, rows)
@@ -418,38 +433,41 @@ class EventIndex:
             return dots * (scales[None, :] / norms[:, None])
 
     def _resolve_ids(
-        self, event_ids: Sequence[int], at_time: float | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions-into-``event_ids`` + rows, under the held lock.
+        self, event_ids: Sequence[int] | np.ndarray, at_time: TimeFilter
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(positions, rows, absent, eligible)``, under the held lock.
 
-        Ids not (or no longer) present are skipped — a concurrent
-        remover winning the race is indistinguishable from the event
-        never having been indexed.
+        ``positions`` index the ids that have a row and are active;
+        ``absent`` index the ids with no row — never indexed, or a
+        concurrent remover won the race.  One ``at_time`` per query
+        keeps the rows active for any of them, and ``eligible`` then
+        says which ``(query, row)`` cells are inside their own window.
         """
-        rows_list: list[int] = []
-        positions_list: list[int] = []
-        mapping = self._rows
-        for position, event_id in enumerate(event_ids):
-            row = mapping.get(event_id)
-            if row is not None:
-                rows_list.append(row)
-                positions_list.append(position)
-        rows = np.asarray(rows_list, dtype=np.intp)
-        positions = np.asarray(positions_list, dtype=np.intp)
-        if rows.size and at_time is not None:
-            active = np.flatnonzero(self.activity_mask(at_time, rows))
-            rows = rows[active]
-            positions = positions[active]
-        return positions, rows
+        found = self.resolve(event_ids)
+        positions = np.flatnonzero(found >= 0)
+        absent = np.flatnonzero(found < 0)
+        rows = found[positions]
+        eligible = None
+        if at_time is not None and rows.size:
+            if np.ndim(at_time) == 0:
+                keep = self.activity_mask(at_time, rows)
+            else:
+                # None → NaN: that query takes every row.
+                times = np.asarray(at_time, dtype=np.float64)[:, None]
+                eligible = np.isnan(times) | self.activity_mask(times, rows)
+                keep = eligible.any(axis=0)
+                eligible = eligible[:, keep]
+            rows, positions = rows[keep], positions[keep]
+        return positions, rows, absent, eligible
 
     def _score_ids(
         self,
-        kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        kernel: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
         stage: str,
         query: np.ndarray,
-        event_ids: Sequence[int],
-        at_time: float | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        event_ids: Sequence[int] | np.ndarray,
+        at_time: TimeFilter,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve → activity filter → ``kernel`` under one lock hold.
 
         Done separately, a concurrent swap-with-last ``remove`` can
@@ -464,23 +482,29 @@ class EventIndex:
                     "repro_index_lock_wait",
                     time.perf_counter() - wait_start,
                 )
-            positions, rows = self._resolve_ids(event_ids, at_time)
-            if traced:
-                with span(stage):
-                    return positions, kernel(query, rows)
-            return positions, kernel(query, rows)
+            positions, rows, absent, eligible = self._resolve_ids(event_ids, at_time)
+            # The live rows, in order: score the matrix itself, no gather.
+            whole = rows.size == self._size and np.array_equal(
+                rows, np.arange(self._size)
+            )
+            with span(stage) if traced else nullcontext():
+                scores = kernel(query, None if whole else rows)
+            if eligible is not None:
+                scores[~eligible] = -np.inf
+            return positions, scores, absent
 
     def score_ids(
         self,
         query: np.ndarray,
-        event_ids: Sequence[int],
+        event_ids: Sequence[int] | np.ndarray,
         at_time: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Atomic resolve → activity filter → GEMV for one user.
 
-        Returns ``(positions, scores)``: indices into ``event_ids``
-        that were present (and active when ``at_time`` is given), and
-        their cosine scores, aligned.
+        Returns ``(positions, scores, absent)``: indices into
+        ``event_ids`` that were present (and active when ``at_time`` is
+        given), their cosine scores, aligned, and the indices into
+        ``event_ids`` that had no row.
         """
         return self._score_ids(
             self.scores, "repro_index_gemv", query, event_ids, at_time
@@ -489,14 +513,17 @@ class EventIndex:
     def score_ids_batch(
         self,
         queries: np.ndarray,
-        event_ids: Sequence[int],
-        at_time: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        event_ids: Sequence[int] | np.ndarray,
+        at_time: TimeFilter = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Atomic resolve → activity filter → GEMM for a user cohort.
 
-        Returns ``(positions, score_matrix)`` with ``score_matrix`` of
-        shape ``(num_users, len(positions))``; same atomicity contract
-        as :meth:`score_ids`.
+        Returns ``(positions, score_matrix, absent)`` with
+        ``score_matrix`` of shape ``(num_users, len(positions))``; same
+        atomicity contract as :meth:`score_ids`.  ``at_time`` is one
+        time for the cohort or one per query (``None`` entries are
+        unfiltered); with one per query, an event outside a query's own
+        window scores ``-inf`` for it.
         """
         return self._score_ids(
             self.scores_batch, "repro_index_gemm", queries, event_ids, at_time

@@ -281,8 +281,9 @@ class TestBatchEdgeCases:
 
 
 class TestEveryEntranceMatchesReference:
-    """``rank_events``, a batch of one and a row of a many-user batch
-    all go through the one rank body; each is held to the reference."""
+    """``rank_events``, a batch of one, a row of a many-user batch and
+    a row of a batch whose other users ask for something else all go
+    through the one rank body; each is held to the reference."""
 
     def _pool(self, case):
         pool = TestIndexedParity()._random_pool(30, seed=11)
@@ -304,7 +305,8 @@ class TestEveryEntranceMatchesReference:
         return pool, {"at_time": 1.0e6, "top_k": 3}
 
     @pytest.mark.parametrize(
-        "entrance", ["rank_events", "batch_of_one", "row_of_batch"]
+        "entrance",
+        ["rank_events", "batch_of_one", "row_of_batch", "row_of_mixed_batch"],
     )
     @pytest.mark.parametrize(
         "case", ["at_time", "boundary_tie", "empty_pool", "all_expired"]
@@ -316,8 +318,16 @@ class TestEveryEntranceMatchesReference:
             got = service.rank_events(user, events, **kwargs)
         elif entrance == "batch_of_one":
             (got,) = service.rank_events_batch([user], events, **kwargs)
-        else:
+        elif entrance == "row_of_batch":
             got = service.rank_events_batch(tiny_users, events, **kwargs)[1]
+        else:
+            got = service.rank_events_batch(
+                tiny_users,
+                events,
+                at_time=[None, kwargs.get("at_time"), 3.0],
+                top_k=[1, kwargs["top_k"], None],
+                subsets=[set(), None, None],
+            )[1]
         want = rank_events_loop(service, user, events, **kwargs)
         if case in ("empty_pool", "all_expired"):
             assert want == []
@@ -327,6 +337,126 @@ class TestEveryEntranceMatchesReference:
         assert np.allclose(
             [s.score for s in got], [s.score for s in want], atol=1e-9
         )
+
+
+class TestPerUserBatchMatchesReference:
+    """``rank_events_batch`` with each user's own subset, ``at_time``
+    and ``top_k``: every row is held to the reference run on that
+    user's own pool."""
+
+    def _assert_rows_match(self, service, users, events, at_time, top_k, subsets):
+        got = service.rank_events_batch(
+            users, events, at_time=at_time, top_k=top_k, subsets=subsets
+        )
+        assert len(got) == len(users)
+        for row, user, time, k, subset in zip(got, users, at_time, top_k, subsets):
+            own = [
+                event
+                for event in events
+                if subset is None or event.event_id in subset
+            ]
+            want = rank_events_loop(service, user, own, at_time=time, top_k=k)
+            assert [s.event.event_id for s in row] == [
+                s.event.event_id for s in want
+            ]
+            assert np.allclose(
+                [s.score for s in row], [s.score for s in want], atol=1e-9
+            )
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_subsets_times_and_top_k(self, service, tiny_users, seed):
+        events = TestIndexedParity()._random_pool(40, seed)
+        rng = np.random.default_rng(seed)
+        ids = [event.event_id for event in events]
+        subsets = [
+            None,
+            frozenset(rng.choice(ids, size=12, replace=False).tolist()),
+            set(),  # a user with no candidates of its own
+        ]
+        got = self._assert_rows_match(
+            service, tiny_users, events, [30.0, None, 30.0], [5, None, 3], subsets
+        )
+        assert got[2] == []
+        # ... and the same three users the other way round.
+        self._assert_rows_match(
+            service, tiny_users, events, [None, 45.0, None], [None, 2, 1],
+            [subsets[1], None, frozenset(ids[::3])],
+        )
+
+    def test_tie_at_the_kth_boundary_inside_a_subset(self, service, tiny_users):
+        """Three copies of each text under scattered ids: every score
+        is a three-way tie, and each user's cut falls inside a tie group
+        of its own subset, by ascending event id."""
+        pool = TestIndexedParity()._random_pool(6, seed=11)
+        copies = [
+            dataclasses.replace(event, event_id=event.event_id + shift)
+            for event in pool
+            for shift in (200, 0, 100)
+        ]
+        ids = sorted(event.event_id for event in copies)
+        self._assert_rows_match(
+            service,
+            tiny_users,
+            copies,
+            [None, None, None],
+            [4, 2, 5],
+            [None, frozenset(ids[1::2]), frozenset(ids[:7])],
+        )
+
+    def test_cold_events_named_twice_are_encoded_once(
+        self, service, tiny_users, monkeypatch
+    ):
+        """Cold candidates anywhere in the pool, each named twice, cost
+        one counted miss and one row of one tower call apiece — found by
+        the scoring pass itself, not by asking the index per event."""
+        events = TestIndexedParity()._random_pool(20, seed=4)
+        cold = [events[3], events[17]]
+        warm = [event for event in events if event not in cold]
+        service.warm(tiny_users, warm)
+        pool = [cold[1], *warm[:9], cold[0], *warm[9:], cold[0], cold[1]]
+        encoded = []
+        original = service.model.encode_events
+
+        def counting_encode_events(batch):
+            encoded.append(len(batch))
+            return original(batch)
+
+        def per_event_question(index, event_id):
+            raise AssertionError("rank asked the index about one event")
+
+        misses_before = service.cache.stats.misses
+        subsets = [None, frozenset({cold[0].event_id, warm[0].event_id}), None]
+        with monkeypatch.context() as patched:
+            patched.setattr(service.model, "encode_events", counting_encode_events)
+            patched.setattr(type(service.index), "__contains__", per_event_question)
+            got = service.rank_events_batch(
+                tiny_users, pool, at_time=[None, None, 20.0], top_k=[None, None, 6],
+                subsets=subsets,
+            )
+        assert encoded == [2]
+        assert service.cache.stats.misses - misses_before == 2
+        assert all(event.event_id in service.index for event in cold)
+        want = self._assert_rows_match(
+            service, tiny_users, pool, [None, None, 20.0], [None, None, 6], subsets
+        )
+        assert [[(s.event.event_id, s.score) for s in row] for row in got] == [
+            [(s.event.event_id, s.score) for s in row] for row in want
+        ]
+        assert len(got[0]) == len(pool)  # a twice-named event ranks twice
+
+    def test_mismatched_per_user_lengths_are_rejected(
+        self, service, tiny_users, tiny_events
+    ):
+        for kwargs in (
+            {"top_k": [1, 2]},
+            {"at_time": [1.0]},
+            {"subsets": [None]},
+        ):
+            with pytest.raises(ValueError, match="one entry per user"):
+                service.rank_events_batch(tiny_users, tiny_events, **kwargs)
+        with pytest.raises(ValueError, match="top_k"):
+            service.rank_events_batch(tiny_users, tiny_events, top_k=[1, 0, 2])
 
 
 class TestIndexMaintenance:
@@ -390,6 +520,26 @@ class TestIndexMaintenance:
         assert service.refresh_events(tiny_events) == 0
         changed = dataclasses.replace(tiny_events[0], title="renamed!")
         assert service.refresh_events([changed, tiny_events[1]]) == 1
+
+    def test_refresh_survives_a_remove_between_check_and_upsert(
+        self, service, tiny_events, monkeypatch
+    ):
+        """A remover winning between the version check and the
+        vector-less upsert used to surface as ``ValueError`` out of
+        ``refresh_events`` — and so out of a concurrent ``rank_events``."""
+        service.refresh_events(tiny_events)
+        event = tiny_events[0]
+        current_version = service.index.version
+
+        def version_then_lose_the_race(event_id):
+            found = current_version(event_id)
+            service.index.remove(event_id)
+            return found
+
+        monkeypatch.setattr(service.index, "version", version_then_lose_the_race)
+        assert service.refresh_events([event]) == 1
+        assert event.event_id in service.index
+        service.index.check_invariants()
 
     def test_remove_event(self, service, tiny_users, tiny_events):
         service.rank_events(tiny_users[0], tiny_events)
@@ -590,17 +740,24 @@ class TestBatchUserDedupe:
                 (item.event.event_id, item.score) for item in ranking
             ] == first
 
-    def test_observe_scores_flag_gates_drift_monitor(
-        self, tiny_users, tiny_events
+    def test_drift_monitor_sees_exactly_the_served_scores(
+        self, tiny_users, tiny_events, monkeypatch
     ):
+        """Per-user pools, times and ``top_k`` are applied before
+        anything is observed: the score monitor is fed the scores the
+        batch path returns and no score of the wider union."""
         _, service = self._observed_service(tiny_users, tiny_events)
         service.warm(tiny_users, tiny_events)
-        before = service.monitors.scores.observed
-        service.rank_events_batch(
-            tiny_users, tiny_events, observe_scores=False
+        observed = []
+        monkeypatch.setattr(service.monitors.scores, "observe", observed.append)
+        rankings = service.rank_events_batch(
+            tiny_users,
+            tiny_events,
+            at_time=[None, 45.0, None],
+            top_k=[1, None, None],
+            subsets=[None, None, {2, 3}],
         )
-        assert service.monitors.scores.observed == before
-        service.rank_events_batch(tiny_users, tiny_events)
-        assert service.monitors.scores.observed == before + (
-            len(tiny_users) * len(tiny_events)
-        )
+        assert [len(ranking) for ranking in rankings] == [1, 2, 2]
+        assert observed == [
+            item.score for ranking in rankings for item in ranking
+        ]

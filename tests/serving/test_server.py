@@ -7,6 +7,7 @@ cache) build their own small stacks.
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -383,6 +384,62 @@ class TestColdUserCoalescing:
         assert sum(encode_calls) == 1
         assert service.cache.stats.misses - misses_before == 1
         assert server.batcher.batches_flushed == 1
+
+
+class TestActivityWindowSource:
+    @pytest.mark.threads
+    def test_solo_and_coalesced_flushes_read_the_refreshed_window(
+        self, tiny_users, tiny_events
+    ):
+        """``refresh_events`` moves an event's window in the index; the
+        server's own copy of the event keeps the old one.  A size-1
+        flush and a coalesced flush must both answer from the index —
+        the coalesced one used to ask the server's stale copy."""
+        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+        service = RepresentationService(model)
+        service.warm(tiny_users, tiny_events)
+        server = ServingServer(
+            service,
+            tiny_users,
+            tiny_events,
+            window_seconds=0.1,  # wide: concurrent requests share a flush
+            registry=MetricsRegistry(),
+        )
+        # Event 3 starts at t=44: not active at t=45 until it is postponed.
+        postponed = dataclasses.replace(tiny_events[2], starts_at=100.0)
+        assert service.refresh_events([postponed]) == 0
+        payload = {"user_id": tiny_users[0].user_id, "at_time": 45.0}
+        barrier = threading.Barrier(4)
+
+        def issue(host, port, wait):
+            client = HttpServiceClient(host, port, full_pool_size=len(tiny_events))
+            try:
+                if wait:
+                    barrier.wait(timeout=10.0)
+                return client.request("POST", "/recommend", payload)["results"]
+            finally:
+                client.close()
+
+        with ThreadedServer(server) as hosted:
+            solo = issue(hosted.host, hosted.port, wait=False)
+            assert server.batcher.batches_flushed == 1
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                coalesced = [
+                    future.result()
+                    for future in [
+                        pool.submit(issue, hosted.host, hosted.port, True)
+                        for _ in range(4)
+                    ]
+                ]
+        assert server.batcher.batches_flushed == 2  # the four shared one flush
+        assert sorted(item["event_id"] for item in solo) == [1, 2, 3]
+        for answer in coalesced:
+            assert [item["event_id"] for item in answer] == [
+                item["event_id"] for item in solo
+            ]
+            for got, want in zip(answer, solo):
+                assert abs(got["score"] - want["score"]) <= 1e-9
 
 
 @pytest.fixture()

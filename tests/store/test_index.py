@@ -113,7 +113,7 @@ class TestUpsert:
         assert 10 not in index and index.version(3) == "v"
         index.check_invariants()
         ids = np.arange(11)
-        positions, scores = index.score_ids(rng.normal(size=4), ids)
+        positions, scores, _ = index.score_ids(rng.normal(size=4), ids)
         assert len(top_k_order(scores, ids[positions], 3)) == 3
 
     def test_invariants_flag_non_finite_scale(self, rng):
@@ -190,10 +190,51 @@ class TestScoring:
         for i in range(6):
             index.upsert(make_event(i), "v", rng.normal(size=5))
         query = rng.normal(size=5)
-        rows = index.rows_for([4, 0, 2])
+        rows = index.resolve([4, 0, 2])
+        assert rows.tolist() == [index.row_of(4), index.row_of(0), index.row_of(2)]
         subset = index.scores(query, rows)
         full = index.scores(query)
         assert np.array_equal(subset, full[rows])
+
+    def test_live_rows_in_order_score_like_any_other_pool(self, rng):
+        """Naming exactly the live rows in row order skips the gather;
+        the scores must not depend on which way the rows were read."""
+        index = EventIndex()
+        for i in range(6):
+            index.upsert(make_event(i), "v", rng.normal(size=5))
+        index.remove(1)  # row order is now 0, 5, 2, 3, 4
+        query = rng.normal(size=5)
+        in_order = index.event_ids.tolist()
+        positions, scores, absent = index.score_ids(query, in_order)
+        assert positions.tolist() == list(range(5)) and absent.size == 0
+        assert np.array_equal(scores, index.scores(query))
+        reversed_positions, reversed_scores, _ = index.score_ids(query, in_order[::-1])
+        assert reversed_positions.tolist() == list(range(5))
+        np.testing.assert_allclose(reversed_scores, scores[::-1], atol=1e-12)
+
+    def test_per_query_times_mask_cells_and_drop_dead_rows(self, rng):
+        index = EventIndex()
+        index.upsert(make_event(1, created=0.0, starts=10.0), "v", rng.normal(size=3))
+        index.upsert(make_event(2, created=5.0, starts=20.0), "v", rng.normal(size=3))
+        index.upsert(make_event(3, created=30.0, starts=40.0), "v", rng.normal(size=3))
+        queries = rng.normal(size=(3, 3))
+        ids = [3, 9, 2, 1]
+        positions, matrix, absent = index.score_ids_batch(
+            queries, ids, at_time=[3.0, 12.0, None]
+        )
+        assert absent.tolist() == [1]
+        assert positions.tolist() == [0, 2, 3]  # event 3: the unfiltered query only
+        unfiltered, _, _ = index.score_ids_batch(queries, ids)
+        assert unfiltered.tolist() == [0, 2, 3]
+        inside = np.array(
+            [[False, False, True], [False, True, False], [True, True, True]]
+        )
+        assert np.array_equal(matrix == -np.inf, ~inside)
+        full = index.score_ids_batch(queries, ids)[1]
+        assert np.array_equal(matrix[inside], full[inside])
+        # One time for the cohort drops the rows instead: no -inf cells.
+        positions, matrix, _ = index.score_ids_batch(queries, ids, at_time=12.0)
+        assert positions.tolist() == [2] and np.isfinite(matrix).all()
 
     def test_scores_batch_matches_single(self, rng):
         index = EventIndex()
@@ -255,29 +296,34 @@ def mutation_sequences(draw):
     return ops
 
 
+def apply_mutations(ops, rng):
+    """Run ``ops`` on a fresh index and on a plain dict beside it."""
+    index = EventIndex(initial_capacity=1)
+    reference: dict[int, tuple[str, np.ndarray]] = {}
+    for op, event_id, version_num in ops:
+        version = f"v{version_num}"
+        if op == "upsert":
+            vector = rng.normal(size=6)
+            outcome = index.upsert(make_event(event_id), version, vector)
+            if event_id in reference and reference[event_id][0] == version:
+                assert outcome == "fresh"
+            else:
+                reference[event_id] = (version, vector)
+        else:
+            removed = index.remove(event_id)
+            assert removed == (event_id in reference)
+            reference.pop(event_id, None)
+        index.check_invariants()
+    return index, reference
+
+
 class TestRandomMutationParity:
     @settings(deadline=None, max_examples=60)
     @given(mutation_sequences())
     def test_invariants_and_score_parity(self, ops):
         """After any mutation sequence the index matches brute force."""
         rng = np.random.default_rng(0)
-        index = EventIndex(initial_capacity=1)
-        reference: dict[int, tuple[str, np.ndarray]] = {}
-        for op, event_id, version_num in ops:
-            version = f"v{version_num}"
-            if op == "upsert":
-                vector = rng.normal(size=6)
-                outcome = index.upsert(make_event(event_id), version, vector)
-                if event_id in reference and reference[event_id][0] == version:
-                    assert outcome == "fresh"
-                else:
-                    reference[event_id] = (version, vector)
-            else:
-                removed = index.remove(event_id)
-                assert removed == (event_id in reference)
-                reference.pop(event_id, None)
-            index.check_invariants()
-
+        index, reference = apply_mutations(ops, rng)
         assert len(index) == len(reference)
         assert set(int(i) for i in index.event_ids) == set(reference)
         query = rng.normal(size=6)
@@ -288,3 +334,34 @@ class TestRandomMutationParity:
             assert scores[row] == pytest.approx(
                 ref_cosine(query, vector), abs=1e-9
             )
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        mutation_sequences(),
+        st.lists(st.integers(-3, 11), max_size=40),
+        st.booleans(),
+    )
+    def test_bulk_resolve_matches_plain_dict(self, ops, queried, as_array):
+        """Any id array — absent, duplicate, negative, ids whose rows a
+        compaction moved — resolves like one ``dict`` lookup per id, and
+        the scoring entrance reports the same positions."""
+        rng = np.random.default_rng(1)
+        index, reference = apply_mutations(ops, rng)
+        ids = np.asarray(queried, dtype=np.int64) if as_array else queried
+        rows = index.resolve(ids)
+        assert rows.dtype == np.intp and rows.shape == (len(queried),)
+        live_ids = index.event_ids
+        for event_id, row in zip(queried, rows.tolist()):
+            if event_id in reference:
+                assert live_ids[row] == event_id
+            else:
+                assert row == -1
+        query = rng.normal(size=6)
+        positions, scores, absent = index.score_ids(query, ids)
+        present = [event_id in reference for event_id in queried]
+        assert positions.tolist() == [p for p, has in enumerate(present) if has]
+        assert absent.tolist() == [p for p, has in enumerate(present) if not has]
+        for position, score in zip(positions.tolist(), scores.tolist()):
+            _, vector = reference[queried[position]]
+            assert score == pytest.approx(ref_cosine(query, vector), abs=1e-9)
+        index.check_invariants()

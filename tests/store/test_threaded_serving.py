@@ -5,16 +5,23 @@ pool) against reader threads ranking a disjoint stable pool through
 ``score_ids`` + ``top_k_order``.  Mutations move rows (swap-with-last
 removal, capacity growth reallocations) but never change stable
 vectors, so every concurrent ranking must match the single-threaded
-oracle — which is exactly the property the index lock protects.
+oracle — which is exactly the property the index lock protects.  The
+last test races the service's per-request-subset batch read against
+swap-with-last removes of its own candidates.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.config import JointModelConfig
+from repro.core.model import JointUserEventModel
+from repro.core.service import RepresentationService
 from repro.entities import Event
 from repro.store.index import EventIndex, top_k_order
+from repro.text.documents import DocumentEncoder
 
 
 def make_event(
@@ -37,7 +44,7 @@ class TestScoreIds:
         for event_id, vector in vectors.items():
             index.upsert(make_event(event_id), "v1", vector)
         query = rng.normal(size=6)
-        positions, scores = index.score_ids(query, [9, 1, 7, 3])
+        positions, scores, _ = index.score_ids(query, [9, 1, 7, 3])
         assert positions.tolist() == [1, 3]
         expected = index.scores(query, np.array([index.row_of(1), index.row_of(3)]))
         np.testing.assert_array_equal(scores, expected)
@@ -46,7 +53,7 @@ class TestScoreIds:
         index = EventIndex()
         index.upsert(make_event(1, created=0.0, starts=10.0), "v1", rng.normal(size=4))
         index.upsert(make_event(2, created=0.0, starts=90.0), "v1", rng.normal(size=4))
-        positions, scores = index.score_ids(rng.normal(size=4), [1, 2], at_time=50.0)
+        positions, scores, _ = index.score_ids(rng.normal(size=4), [1, 2], at_time=50.0)
         # event 1 already started by t=50, only event 2 is active
         assert positions.tolist() == [1]
         assert scores.shape == (1,)
@@ -54,7 +61,7 @@ class TestScoreIds:
     def test_all_missing_returns_empty(self, rng):
         index = EventIndex()
         index.upsert(make_event(1), "v1", rng.normal(size=4))
-        positions, scores = index.score_ids(rng.normal(size=4), [7, 8])
+        positions, scores, _ = index.score_ids(rng.normal(size=4), [7, 8])
         assert positions.size == 0 and scores.size == 0
 
     def test_batch_matches_per_user(self, rng):
@@ -63,10 +70,10 @@ class TestScoreIds:
             index.upsert(make_event(event_id), "v1", rng.normal(size=8))
         queries = rng.normal(size=(3, 8))
         ids = [5, 9, 2, 1]
-        positions, matrix = index.score_ids_batch(queries, ids)
+        positions, matrix, _ = index.score_ids_batch(queries, ids)
         assert matrix.shape == (3, positions.size)
         for i, query in enumerate(queries):
-            solo_positions, solo_scores = index.score_ids(query, ids)
+            solo_positions, solo_scores, _ = index.score_ids(query, ids)
             np.testing.assert_array_equal(positions, solo_positions)
             np.testing.assert_allclose(matrix[i], solo_scores, atol=1e-12)
 
@@ -79,7 +86,7 @@ class TestScoreIds:
     def test_batch_empty_resolution_shape(self, rng):
         index = EventIndex()
         index.upsert(make_event(1), "v1", rng.normal(size=4))
-        positions, matrix = index.score_ids_batch(rng.normal(size=(2, 4)), [9])
+        positions, matrix, _ = index.score_ids_batch(rng.normal(size=(2, 4)), [9])
         assert positions.size == 0
         assert matrix.shape == (2, 0)
 
@@ -115,7 +122,7 @@ class TestConcurrentServingParity:
         # Single-threaded oracle: ranked stable ids per reader query.
         oracles = []
         for query in queries:
-            positions, scores = index.score_ids(query, stable_ids)
+            positions, scores, _ = index.score_ids(query, stable_ids)
             order = top_k_order(scores, ids_array[positions], self.TOP_K)
             oracles.append(
                 (ids_array[positions][order], scores[order])
@@ -149,7 +156,7 @@ class TestConcurrentServingParity:
             try:
                 start.wait()
                 for _ in range(self.READS_PER_THREAD):
-                    positions, scores = index.score_ids(query, stable_ids)
+                    positions, scores, _ = index.score_ids(query, stable_ids)
                     # stable events are never removed: all must resolve
                     assert positions.size == self.STABLE
                     order = top_k_order(
@@ -195,7 +202,7 @@ class TestConcurrentServingParity:
         churn_vectors = rng.normal(size=(len(churn_ids), self.DIM))
         queries = rng.normal(size=(4, self.DIM))
 
-        oracle_positions, oracle_matrix = index.score_ids_batch(
+        oracle_positions, oracle_matrix, _ = index.score_ids_batch(
             queries, stable_ids
         )
 
@@ -230,7 +237,7 @@ class TestConcurrentServingParity:
         start.wait()
         try:
             for _ in range(100):
-                positions, matrix = index.score_ids_batch(
+                positions, matrix, _ = index.score_ids_batch(
                     queries, stable_ids
                 )
                 np.testing.assert_array_equal(positions, oracle_positions)
@@ -243,3 +250,110 @@ class TestConcurrentServingParity:
                 thread.join()
         assert not errors, errors[0]
         index.check_invariants()
+
+    def test_per_request_subset_batch_races_swap_with_last_removes(
+        self, tiny_users, tiny_events
+    ):
+        """``rank_events_batch`` with each user's own subset, time and
+        ``top_k`` while mutators remove (swap-with-last) and republish
+        half of the candidates: every returned ``(event_id, score)`` is
+        that id's own cosine — never the score of the row that moved
+        into its slot — and a candidate removed mid-call is either
+        missing from the answer or correctly scored."""
+        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+        service = RepresentationService(model)
+        rng = np.random.default_rng(13)
+        words = ["jazz", "sax", "food", "chef", "run", "race", "art", "film"]
+        events = [
+            Event(
+                event_id=event_id,
+                title=f"event {event_id}",
+                description=" ".join(rng.choice(words, size=5)),
+                category="cat",
+                created_at=float(event_id % 4),  # ids 0, 4, 8... open at t=0
+                starts_at=100.0,
+            )
+            for event_id in range(48)
+        ]
+        service.warm(tiny_users, events)
+        oracle = {
+            (user.user_id, event.event_id): service.score(user, event)
+            for user in tiny_users
+            for event in events
+        }
+        stable = {event.event_id for event in events[:24]}
+        churn = events[24:]
+        ids = [event.event_id for event in events]
+        subsets = [None, frozenset(ids[1::2]), frozenset(ids[10:40])]
+        at_time = [None, None, 0.5]
+        top_k = [None, 7, None]
+        eligible = [
+            set(ids),
+            set(subsets[1]),
+            {i for i in subsets[2] if i % 4 == 0},
+        ]
+
+        stop = threading.Event()
+        start = threading.Barrier(self.MUTATORS + self.READERS)
+        errors: list[BaseException] = []
+
+        def mutate(worker: int) -> None:
+            local = np.random.default_rng(300 + worker)
+            mine = churn[worker :: self.MUTATORS]
+            try:
+                start.wait()
+                while not stop.is_set():
+                    event = mine[int(local.integers(len(mine)))]
+                    if not service.index.remove(event.event_id):
+                        service.refresh_events([event])
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def read(worker: int) -> None:
+            try:
+                start.wait()
+                for _ in range(60):
+                    rankings = service.rank_events_batch(
+                        tiny_users, events, at_time=at_time, top_k=top_k, subsets=subsets
+                    )
+                    for user, ranking, allowed, k in zip(
+                        tiny_users, rankings, eligible, top_k
+                    ):
+                        answer = [(s.event.event_id, s.score) for s in ranking]
+                        returned = [event_id for event_id, _ in answer]
+                        assert len(set(returned)) == len(returned)
+                        assert set(returned) <= allowed
+                        for event_id, score in answer:
+                            assert score == pytest.approx(
+                                oracle[user.user_id, event_id], abs=1e-9
+                            )
+                        assert answer == sorted(
+                            answer, key=lambda pair: (-pair[1], pair[0])
+                        )
+                        if k is None:  # stable candidates are never removed
+                            assert allowed & stable <= set(returned)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=mutate, args=(i,)) for i in range(self.MUTATORS)
+        ] + [threading.Thread(target=read, args=(i,)) for i in range(self.READERS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[self.MUTATORS :]:
+                thread.join(timeout=120.0)
+            stop.set()
+            for thread in threads[: self.MUTATORS]:
+                thread.join(timeout=30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        service.index.check_invariants()
+        assert service.index.stats.compactions > 0
+        assert stable <= set(service.index.event_ids.tolist())
