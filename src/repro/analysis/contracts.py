@@ -13,7 +13,7 @@ and dtype *kind* of every array argument and of the outputs::
 Symbols (``B``, ``W``, …) unify across all arrays of one call: the
 first array to mention ``B`` binds it, later mentions must agree.
 Derived dimensions are expression strings over bound symbols and
-declared scalars (``"L - d + 1"`` for the windowed convolution).
+declared scalars (``"T - reach"`` for the windowed convolution block).
 
 Two consumers:
 
@@ -69,7 +69,7 @@ class ArraySpec:
 
     ``shape`` entries are ints (exact), bare symbols (unify), or
     expression strings over symbols/scalars (derived, e.g.
-    ``"L - d + 1"``).  ``dtype`` is a kind name from
+    ``"T - reach"``).  ``dtype`` is a kind name from
     ``{"floating", "integer", "bool", "number"}`` or ``None`` (any).
     """
 
@@ -298,11 +298,24 @@ def _build_registry() -> dict[str, KernelContract]:
             inputs={"ids": ArraySpec(("B", "L"), "integer")},
             outputs=(ArraySpec(("B", "L", "D"), floating),),
         ),
+        # T = L + reach token vectors per row (reach = widest window - 1
+        # zero vectors of right padding); C = K per window, summed.
         KernelContract(
             "repro.nn.layers.WindowedConv.forward",
-            inputs={"token_vectors": ArraySpec(("B", "L", "D"), floating)},
-            outputs=(ArraySpec(("B", "L - d + 1", "K"), floating),),
-            scalars=("d", "K"),
+            inputs={"token_vectors": ArraySpec(("B", "T", "D"), floating)},
+            outputs=(ArraySpec(("B", "T - reach", "C"), floating),),
+            scalars=("reach", "C"),
+        ),
+        # The whole extraction block of one source, by the arrays of
+        # its PaddedBatch: ids -> pooled features of every window.
+        KernelContract(
+            "repro.core.extraction.ConvExtractionModule.forward",
+            inputs={
+                "ids": ArraySpec(("B", "L"), "integer"),
+                "lengths": ArraySpec(("B",), "integer"),
+            },
+            outputs=(ArraySpec(("B", "C"), floating),),
+            scalars=("C",),
         ),
         KernelContract(
             "repro.nn.layers.Affine.forward",

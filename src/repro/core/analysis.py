@@ -101,16 +101,15 @@ def trace_top_words(
     if not words:
         raise ValueError("cannot analyze an empty text")
     encoded = encoder.encode_event_text(text)
-    min_length = max(module.window for module in tower.text_modules)
-    batch = pad_batch([encoded.text_ids], min_length=min_length)
+    batch = pad_batch([encoded.text_ids])
+    (module,) = tower.text_modules
+    _, cache = module.forward(batch)
     result: dict[int, list[WordAttribution]] = {}
-    for module in tower.text_modules:
-        _, cache = module.forward(batch)
-        weights = module.pooling_attribution(cache)[0]
+    for window, weights in module.pooling_attribution(cache).items():
         contributions = _attribute_module(
-            weights,
+            weights[0],
             encoded.text_word_index,
-            module.window,
+            window,
             num_words=len(words),
             soft=soft,
         )
@@ -118,7 +117,7 @@ def trace_top_words(
             range(len(words)),
             key=lambda index: (-contributions[index], index),
         )
-        result[module.window] = [
+        result[window] = [
             WordAttribution(words[index], float(contributions[index]), index)
             for index in order[:top_k]
             if contributions[index] > 0.0

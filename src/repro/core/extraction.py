@@ -1,34 +1,44 @@
-"""The convolutional feature extraction module (paper Figure 2).
+"""The convolutional feature extraction block (paper Figure 2).
 
-One module = tokenized input → lookup table → windowed convolution →
-log-sum-exp pooling → fixed-length feature vector.  Modules that read
-the same input source (e.g. the three text modules with windows 1, 3,
-5) share a single lookup table, matching the paper's per-source token
-budget accounting (236k / 78k / 99k table rows for one user-text, one
-user-categorical and one event-text table).
+Paper module = tokenized input → lookup table → windowed convolution →
+log-sum-exp pooling → fixed-length feature vector.  The modules that
+read the same input source (e.g. the three text modules with windows
+1, 3, 5) share a single lookup table, matching the paper's per-source
+token budget accounting (236k / 78k / 99k table rows for one user-text,
+one user-categorical and one event-text table) — so one
+:class:`ConvExtractionModule` runs all of a source's windows together:
+one gather, one convolution block, one pooling pass, one scatter.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.nn.batching import PaddedBatch, window_mask
+from repro.nn.batching import PaddedBatch, window_counts
 from repro.nn.layers import Embedding, WindowedConv
 from repro.nn.params import ParamStore
-from repro.nn.pooling import log_sum_exp_pool, log_sum_exp_pool_backward
+from repro.nn.pooling import (
+    log_sum_exp_pool,
+    log_sum_exp_pool_backward,
+    pooling_weights,
+)
+from repro.text.vocab import PAD_ID
 
 __all__ = ["ConvExtractionModule"]
 
 
 class ConvExtractionModule:
-    """Embedding (shared) + windowed convolution + soft-max pooling.
+    """Lookup table + every convolution window of one source + pooling.
 
     Args:
         store: parameter store to register the convolution weights in.
-        name: unique parameter-name prefix.
-        embedding: the (possibly shared) lookup table for this source.
-        window: convolution window size ``d``.
-        out_dim: pooled output dimension (paper: 64).
+        name: parameter-name prefix; window ``d`` registers
+            ``{name}_w{d}.weight`` and ``{name}_w{d}.bias``.
+        embedding: the lookup table for this source.
+        windows: convolution window sizes, strictly increasing.
+        out_dim: pooled output dimension per window (paper: 64).
         rng: generator for weight initialization.
     """
 
@@ -37,46 +47,66 @@ class ConvExtractionModule:
         store: ParamStore,
         name: str,
         embedding: Embedding,
-        window: int,
+        windows: Sequence[int],
         out_dim: int,
         rng: np.random.Generator,
     ):
         self.name = name
         self.embedding = embedding
-        self.window = window
         self.out_dim = out_dim
         self.conv = WindowedConv(
-            store, name, window, embedding.dim, out_dim, rng
+            store, name, windows, embedding.dim, out_dim, rng
         )
+        self.windows = self.conv.windows
+        self.feature_dim = out_dim * len(self.windows)
 
     def forward(self, batch: PaddedBatch) -> tuple[np.ndarray, dict]:
-        """``(batch of sequences)`` → ``(batch, out_dim)`` pooled features.
+        """``(batch of sequences)`` → ``(batch, feature_dim)`` features:
+        the pooled ``out_dim`` values of each window, in window order.
 
-        The batch must be padded to at least ``window`` columns
-        (``pad_batch(..., min_length=window)``).
+        The ids are right-padded here by the widest window − 1 PAD
+        columns (PAD embeds to zero), so every window size is convolved
+        at the same ``batch.max_length`` positions; which of them count
+        is :func:`~repro.nn.batching.window_counts`' rule.
         """
-        token_vectors, emb_cache = self.embedding.forward(batch.ids)
+        rows, length = batch.ids.shape
+        ids = np.full((rows, length + self.conv.reach), PAD_ID, dtype=np.int64)
+        ids[:, :length] = batch.ids
+        token_vectors, emb_cache = self.embedding.forward(ids)
         window_values, conv_cache = self.conv.forward(token_vectors)
-        valid = window_mask(batch.mask, self.window)
-        pooled, pool_cache = log_sum_exp_pool(window_values, valid)
-        cache = {
-            "emb": emb_cache,
-            "conv": conv_cache,
-            "pool": pool_cache,
-        }
-        return pooled, cache
+        valid = (
+            np.arange(length)[None, :, None]
+            < window_counts(batch.lengths, self.windows)[:, None, :]
+        )
+        pooled, pool_cache = log_sum_exp_pool(
+            window_values.reshape(rows, length, len(self.windows), self.out_dim),
+            valid,
+        )
+        cache = {"emb": emb_cache, "conv": conv_cache, "pool": pool_cache}
+        return pooled.reshape(rows, self.feature_dim), cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
         """Accumulate gradients into the conv weights and lookup table."""
-        grad_windows = log_sum_exp_pool_backward(grad_out, cache["pool"])
-        grad_tokens = self.conv.backward(grad_windows, cache["conv"])
+        rows = grad_out.shape[0]
+        grad_windows = log_sum_exp_pool_backward(
+            grad_out.reshape(rows, len(self.windows), self.out_dim),
+            cache["pool"],
+        )
+        grad_tokens = self.conv.backward(
+            grad_windows.reshape(rows, -1, self.feature_dim), cache["conv"]
+        )
         self.embedding.backward(grad_tokens, cache["emb"])
 
-    def pooling_attribution(self, cache: dict) -> np.ndarray:
-        """Softmax window weights from the last forward pass.
+    def pooling_attribution(self, cache: dict) -> dict[int, np.ndarray]:
+        """Softmax window weights of a forward pass, per window size.
 
-        Shape ``(batch, windows, out_dim)`` — the share of each pooled
-        output dimension attributable to each window.  Used by the
-        Figure-7 trace-back analysis.
+        Each ``(batch, positions, out_dim)`` — the share of each pooled
+        output dimension attributable to the window starting at each
+        position; invalid windows hold weight 0.  Used by the Figure-7
+        trace-back analysis.
         """
-        return cache["pool"]["weights"]
+        weights = pooling_weights(cache["pool"])
+        return {
+            window: weights[:, :, index]
+            for index, window in enumerate(self.windows)
+        }

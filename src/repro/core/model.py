@@ -50,7 +50,6 @@ class JointUserEventModel:
             text_vocab_size=encoder.event_text_vocab.size,
             rng=rng,
         )
-        self._min_length = max(config.text_windows)
 
     # ------------------------------------------------------------------
     # batching
@@ -61,11 +60,9 @@ class JointUserEventModel:
     ) -> dict[str, PaddedBatch]:
         """Pad a list of encoded users into per-source batches."""
         return {
-            UserTower.TEXT_SOURCE: pad_batch(
-                [user.text_ids for user in users], min_length=self._min_length
-            ),
+            UserTower.TEXT_SOURCE: pad_batch([user.text_ids for user in users]),
             UserTower.ID_SOURCE: pad_batch(
-                [user.id_feature_ids for user in users], min_length=1
+                [user.id_feature_ids for user in users]
             ),
         }
 
@@ -75,7 +72,7 @@ class JointUserEventModel:
         """Pad a list of encoded events into per-source batches."""
         return {
             EventTower.TEXT_SOURCE: pad_batch(
-                [event.text_ids for event in events], min_length=self._min_length
+                [event.text_ids for event in events]
             )
         }
 
@@ -86,14 +83,20 @@ class JointUserEventModel:
     def forward_pairs(
         self, users: Sequence[EncodedUser], events: Sequence[EncodedEvent]
     ) -> tuple[np.ndarray, dict]:
-        """Similarity of aligned (user, event) pairs, with caches."""
+        """Similarity of aligned (user, event) pairs, with caches.
+
+        Each tower encodes the batch's distinct entities once; pairs
+        that name the same user or event share its row.
+        """
         if len(users) != len(events):
             raise ValueError(
                 f"pair mismatch: {len(users)} users vs {len(events)} events"
             )
-        user_rep, user_cache = self.user_tower.forward(self.user_batches(users))
-        event_rep, event_cache = self.event_tower.forward(
-            self.event_batches(events)
+        user_rep, user_cache = self.user_tower.forward_distinct(
+            users, self.user_batches
+        )
+        event_rep, event_cache = self.event_tower.forward_distinct(
+            events, self.event_batches
         )
         sim, cos_cache = cosine_similarity(user_rep, event_rep)
         cache = {"user": user_cache, "event": event_cache, "cosine": cos_cache}
@@ -106,8 +109,8 @@ class JointUserEventModel:
         grad_user, grad_event = cosine_similarity_backward(
             grad_similarity, cache["cosine"]
         )
-        self.user_tower.backward(grad_user, cache["user"])
-        self.event_tower.backward(grad_event, cache["event"])
+        self.user_tower.backward_distinct(grad_user, cache["user"])
+        self.event_tower.backward_distinct(grad_event, cache["event"])
 
     def pair_loss(
         self,
@@ -159,23 +162,13 @@ class JointUserEventModel:
         self, users: Sequence[EncodedUser], batch_size: int = 256
     ) -> np.ndarray:
         """Representation vectors v_u, shape ``(n, representation_dim)``."""
-        chunks = []
-        for start in range(0, len(users), batch_size):
-            batch = users[start : start + batch_size]
-            rep, _ = self.user_tower.forward(self.user_batches(batch))
-            chunks.append(rep)
-        return np.concatenate(chunks, axis=0)
+        return self.user_tower.encode(users, self.user_batches, batch_size)
 
     def encode_events(
         self, events: Sequence[EncodedEvent], batch_size: int = 256
     ) -> np.ndarray:
         """Representation vectors v_e, shape ``(n, representation_dim)``."""
-        chunks = []
-        for start in range(0, len(events), batch_size):
-            batch = events[start : start + batch_size]
-            rep, _ = self.event_tower.forward(self.event_batches(batch))
-            chunks.append(rep)
-        return np.concatenate(chunks, axis=0)
+        return self.event_tower.encode(events, self.event_batches, batch_size)
 
     def num_parameters(self) -> int:
         """Total scalar weights across both towers (the size of θ)."""

@@ -24,7 +24,7 @@ from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.tower import EventTower
 from repro.entities import Event
-from repro.nn.batching import pad_batch
+from repro.nn.batching import PaddedBatch, pad_batch
 from repro.nn.cosine import cosine_similarity, cosine_similarity_backward
 from repro.nn.losses import contrastive_loss
 from repro.nn.optim import Adagrad, ExponentialDecay
@@ -60,7 +60,6 @@ class SiameseEventInitializer:
             rng=rng,
             name="siamese",
         )
-        self._min_length = max(config.text_windows)
 
     # ------------------------------------------------------------------
     # training
@@ -98,21 +97,19 @@ class SiameseEventInitializer:
         label_array = np.asarray(labels, dtype=np.float64)[order]
         return left, right, label_array
 
+    @staticmethod
+    def _batches(texts: Sequence[EncodedEvent]) -> dict[str, PaddedBatch]:
+        return {
+            EventTower.TEXT_SOURCE: pad_batch([item.text_ids for item in texts])
+        }
+
     def _forward(
         self, left: Sequence[EncodedEvent], right: Sequence[EncodedEvent]
     ) -> tuple[np.ndarray, dict]:
-        left_batch = {
-            EventTower.TEXT_SOURCE: pad_batch(
-                [item.text_ids for item in left], min_length=self._min_length
-            )
-        }
-        right_batch = {
-            EventTower.TEXT_SOURCE: pad_batch(
-                [item.text_ids for item in right], min_length=self._min_length
-            )
-        }
-        left_rep, left_cache = self.tower.forward(left_batch)
-        right_rep, right_cache = self.tower.forward(right_batch)
+        left_rep, left_cache = self.tower.forward_distinct(left, self._batches)
+        right_rep, right_cache = self.tower.forward_distinct(
+            right, self._batches
+        )
         sim, cos_cache = cosine_similarity(left_rep, right_rep)
         return sim, {"left": left_cache, "right": right_cache, "cos": cos_cache}
 
@@ -144,8 +141,8 @@ class SiameseEventInitializer:
                 grad_left, grad_right = cosine_similarity_backward(
                     grad_sim, cache["cos"]
                 )
-                self.tower.backward(grad_left, cache["left"])
-                self.tower.backward(grad_right, cache["right"])
+                self.tower.backward_distinct(grad_left, cache["left"])
+                self.tower.backward_distinct(grad_right, cache["right"])
                 optimizer.step()
                 epoch_loss += loss
                 num_batches += 1
@@ -159,20 +156,7 @@ class SiameseEventInitializer:
     def encode_texts(self, texts: Sequence[str], batch_size: int = 256) -> np.ndarray:
         """Event-only semantic embeddings for raw texts."""
         encoded = [self.encoder.encode_event_text(text) for text in texts]
-        chunks = []
-        for start in range(0, len(encoded), batch_size):
-            batch = {
-                EventTower.TEXT_SOURCE: pad_batch(
-                    [
-                        item.text_ids
-                        for item in encoded[start : start + batch_size]
-                    ],
-                    min_length=self._min_length,
-                )
-            }
-            rep, _ = self.tower.forward(batch)
-            chunks.append(rep)
-        return np.concatenate(chunks, axis=0)
+        return self.tower.encode(encoded, self._batches, batch_size)
 
     def transfer_to(
         self, model: JointUserEventModel, include_conv: bool = True
@@ -191,16 +175,17 @@ class SiameseEventInitializer:
         )
         transferred.append(model.event_tower.text_embedding.table.name)
         if include_conv:
-            for source, target in zip(
-                self.tower.text_modules, model.event_tower.text_modules
-            ):
-                if source.window != target.window:
-                    raise ValueError(
-                        f"window mismatch: {source.window} vs {target.window}"
-                    )
-                target.conv.weight.value[...] = source.conv.weight.value
-                target.conv.bias.value[...] = source.conv.bias.value
-                transferred.extend(
-                    [target.conv.weight.name, target.conv.bias.name]
+            (source,) = self.tower.text_modules
+            (target,) = model.event_tower.text_modules
+            if source.windows != target.windows:
+                raise ValueError(
+                    f"window mismatch: {source.windows} vs {target.windows}"
                 )
+            for index in range(len(source.windows)):
+                for learned, into in (
+                    (source.conv.weights[index], target.conv.weights[index]),
+                    (source.conv.biases[index], target.conv.biases[index]),
+                ):
+                    into.value[...] = learned.value
+                    transferred.append(into.name)
         return transferred

@@ -10,12 +10,20 @@ net idea"), followed by a final tanh:
     h = tanh(W_h f + b_h)
     r = tanh(W_r h + b_r + W_bypass f)
 
-The user tower owns four modules (three text windows + one categorical
-window-1 module over two lookup tables); the event tower owns three
-text modules over one lookup table.
+The user tower owns four paper modules (three text windows + one
+categorical window-1 module) as two extraction blocks, one per lookup
+table; the event tower owns three text modules as one block.
+
+Training pairs repeat entities — the same event is shown to many users
+— so a tower can also encode only the *distinct* entities of a batch
+and fold the gradients of the repeats back onto them
+(:meth:`Tower.forward_distinct` / :meth:`Tower.backward_distinct`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -27,6 +35,24 @@ from repro.nn.params import ParamStore
 
 __all__ = ["Tower", "UserTower", "EventTower"]
 
+Entity = TypeVar("Entity")
+
+
+def _distinct(entities: Sequence[Entity]) -> tuple[list[Entity], np.ndarray]:
+    """The distinct objects of *entities*, in first-seen order, and the
+    index among them of every entity.  By identity: encoded documents
+    hold arrays and are not hashable."""
+    distinct: list[Entity] = []
+    row_of: dict[int, int] = {}
+    rows = np.empty(len(entities), dtype=np.intp)
+    for position, entity in enumerate(entities):
+        row = row_of.get(id(entity))
+        if row is None:
+            row = row_of[id(entity)] = len(distinct)
+            distinct.append(entity)
+        rows[position] = row
+    return distinct, rows
+
 
 class Tower:
     """A stack of extraction modules + hidden + representation layers.
@@ -34,9 +60,9 @@ class Tower:
     Args:
         store: shared parameter store.
         name: parameter-name prefix (``"user"`` / ``"event"``).
-        modules: ``(source_key, module)`` pairs; ``source_key`` selects
-            which :class:`PaddedBatch` each module reads from the
-            forward input dict.
+        modules: ``(source_key, block)`` pairs; ``source_key`` selects
+            which :class:`PaddedBatch` each extraction block reads from
+            the forward input dict.
         config: architecture dims.
         rng: weight initializer generator.
     """
@@ -51,7 +77,7 @@ class Tower:
     ):
         self.name = name
         self.modules = modules
-        feature_dim = config.module_dim * len(modules)
+        feature_dim = sum(module.feature_dim for _, module in modules)
         self.feature_dim = feature_dim
         self.hidden = Affine(
             store, f"{name}.hidden", feature_dim, config.hidden_dim, rng
@@ -120,9 +146,51 @@ class Tower:
         ):
             module.backward(grad, module_cache)
 
+    def encode(
+        self,
+        entities: Sequence[Entity],
+        to_batches: Callable[[Sequence[Entity]], dict[str, PaddedBatch]],
+        batch_size: int,
+    ) -> np.ndarray:
+        """Forward-only representations of *entities*, *batch_size* at a
+        time: ``(len(entities), representation_dim)``, also when empty."""
+        weight = self.project.weight.value
+        out = np.empty((len(entities), weight.shape[0]), dtype=weight.dtype)
+        for start in range(0, len(entities), batch_size):
+            stop = start + batch_size
+            representation, _ = self.forward(to_batches(entities[start:stop]))
+            out[start:stop] = representation
+        return out
+
+    def forward_distinct(
+        self,
+        entities: Sequence[Entity],
+        to_batches: Callable[[Sequence[Entity]], dict[str, PaddedBatch]],
+    ) -> tuple[np.ndarray, dict]:
+        """:meth:`forward` over the distinct *entities* only.
+
+        Returns one representation row per entity (repeats share the
+        row computed once) and the cache for :meth:`backward_distinct`.
+        """
+        distinct, rows = _distinct(entities)
+        representation, cache = self.forward(to_batches(distinct))
+        return representation[rows], {"tower": cache, "rows": rows}
+
+    def backward_distinct(
+        self, grad_representation: np.ndarray, cache: dict
+    ) -> None:
+        """:meth:`backward` after summing the gradient rows of repeats."""
+        rows = cache["rows"]
+        folded = np.zeros(
+            (rows.max() + 1, grad_representation.shape[1]),
+            dtype=grad_representation.dtype,
+        )
+        np.add.at(folded, rows, grad_representation)
+        self.backward(folded, cache["tower"])
+
 
 class UserTower(Tower):
-    """User sub-model: three text modules + one categorical module.
+    """User sub-model: a text block (three windows) + a categorical block.
 
     Reads two sources from the input dict: ``"text"`` (letter-trigram
     ids of the user document) and ``"ids"`` (unigram ids of the
@@ -156,38 +224,35 @@ class UserTower(Tower):
             rng,
             init_scale=config.embedding_init_scale,
         )
-        modules: list[tuple[str, ConvExtractionModule]] = [
+        modules = [
             (
                 self.TEXT_SOURCE,
                 ConvExtractionModule(
                     store,
-                    f"user.text_conv_w{window}",
+                    "user.text_conv",
                     self.text_embedding,
-                    window,
+                    config.text_windows,
                     config.module_dim,
                     rng,
                 ),
-            )
-            for window in config.text_windows
-        ]
-        modules.append(
+            ),
             (
                 self.ID_SOURCE,
                 ConvExtractionModule(
                     store,
-                    "user.id_conv_w1",
+                    "user.id_conv",
                     self.id_embedding,
-                    1,
+                    (1,),
                     config.module_dim,
                     rng,
                 ),
-            )
-        )
+            ),
+        ]
         super().__init__(store, "user", modules, config, rng)
 
 
 class EventTower(Tower):
-    """Event sub-model: three text modules over one lookup table."""
+    """Event sub-model: one text block (three windows, one lookup table)."""
 
     TEXT_SOURCE = "text"
 
@@ -212,14 +277,13 @@ class EventTower(Tower):
                 self.TEXT_SOURCE,
                 ConvExtractionModule(
                     store,
-                    f"{name}.text_conv_w{window}",
+                    f"{name}.text_conv",
                     self.text_embedding,
-                    window,
+                    config.text_windows,
                     config.module_dim,
                     rng,
                 ),
             )
-            for window in config.text_windows
         ]
         super().__init__(store, name, modules, config, rng)
 

@@ -177,7 +177,9 @@ class RepresentationTrainer:
             if self.config.shuffle:
                 rng.shuffle(order)
                 # Length bucketing: sort each chunk of ~8 batches by
-                # event length so batches pad to similar lengths.
+                # event length so batches pad to similar lengths — and
+                # so the pairs that show one event sit together, where
+                # the event tower encodes it once for all of them.
                 # Chunk membership stays random across epochs.
                 chunk = self.config.batch_size * 8
                 for start in range(0, len(order), chunk):

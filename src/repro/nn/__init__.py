@@ -7,7 +7,7 @@ and SGD/Adagrad with per-epoch learning-rate decay — with manual
 forward/backward passes verified by finite-difference checks.
 """
 
-from repro.nn.batching import PaddedBatch, pad_batch, window_mask
+from repro.nn.batching import PaddedBatch, pad_batch, window_counts, window_mask
 from repro.nn.cosine import (
     COSINE_EPS,
     cosine_similarity,
@@ -25,7 +25,12 @@ from repro.nn.layers import Affine, Concat, Embedding, Tanh, WindowedConv
 from repro.nn.losses import binary_cross_entropy, contrastive_loss, sigmoid
 from repro.nn.optim import SGD, Adagrad, ExponentialDecay, Optimizer
 from repro.nn.params import Parameter, ParamStore
-from repro.nn.pooling import NEG_INF, log_sum_exp_pool, log_sum_exp_pool_backward
+from repro.nn.pooling import (
+    NEG_INF,
+    log_sum_exp_pool,
+    log_sum_exp_pool_backward,
+    pooling_weights,
+)
 
 __all__ = [
     "COSINE_EPS",
@@ -54,7 +59,9 @@ __all__ = [
     "numeric_gradient",
     "pad_batch",
     "pair_cosine",
+    "pooling_weights",
     "sigmoid",
     "unit_rows",
+    "window_counts",
     "window_mask",
 ]

@@ -2,8 +2,9 @@
 
 The convolution layer works on dense ``(batch, length)`` id matrices.
 :func:`pad_batch` right-pads each sequence with ``PAD_ID`` and returns
-a validity mask; :func:`window_mask` derives, for a given convolution
-window size, which window positions are real.
+a validity mask; :func:`window_counts` states how many window positions
+of each convolution window size are real, and :func:`window_mask` is
+the same rule as a bool matrix for one window size.
 
 Conventions (see DESIGN.md):
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.text.vocab import PAD_ID, UNK_ID
 
-__all__ = ["PaddedBatch", "pad_batch", "window_mask"]
+__all__ = ["PaddedBatch", "pad_batch", "window_counts", "window_mask"]
 
 
 class PaddedBatch:
@@ -36,10 +37,10 @@ class PaddedBatch:
         lengths: ``(batch,)`` effective sequence lengths.
     """
 
-    def __init__(self, ids: np.ndarray, mask: np.ndarray):
+    def __init__(self, ids: np.ndarray, mask: np.ndarray, lengths: np.ndarray):
         self.ids = ids
         self.mask = mask
-        self.lengths = mask.sum(axis=1)
+        self.lengths = lengths
 
     @property
     def batch_size(self) -> int:
@@ -57,9 +58,7 @@ def pad_batch(
 
     Args:
         sequences: one int id array per document.
-        min_length: pad the batch to at least this many columns, so a
-            convolution of window size ``d`` can always be applied by
-            passing ``min_length=d``.
+        min_length: pad the batch to at least this many columns.
     """
     if not sequences:
         raise ValueError("cannot pad an empty batch")
@@ -67,18 +66,16 @@ def pad_batch(
         seq if len(seq) else np.array([UNK_ID], dtype=np.int64)
         for seq in sequences
     ]
-    max_len = max(min_length, max(len(seq) for seq in fixed))
-    batch = len(fixed)
-    ids = np.full((batch, max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((batch, max_len), dtype=bool)
-    for row, seq in enumerate(fixed):
-        ids[row, : len(seq)] = seq
-        mask[row, : len(seq)] = True
-    return PaddedBatch(ids, mask)
+    lengths = np.array([len(seq) for seq in fixed])
+    max_len = max(min_length, int(lengths.max()))
+    mask = np.arange(max_len) < lengths[:, None]
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask] = np.concatenate(fixed)
+    return PaddedBatch(ids, mask, lengths)
 
 
-def window_mask(mask: np.ndarray, window: int) -> np.ndarray:
-    """Validity of each convolution window of size *window*.
+def window_counts(lengths: np.ndarray, windows: Sequence[int]) -> np.ndarray:
+    """Valid windows per document and window size, ``(batch, len(windows))``.
 
     A document of ``n`` real tokens has ``max(1, n - window + 1)``
     valid windows: the fully-in-document windows, or — for documents
@@ -86,19 +83,24 @@ def window_mask(mask: np.ndarray, window: int) -> np.ndarray:
     (whose trailing PAD positions contribute zero vectors).  The count
     depends only on the document, never on how far the batch happens
     to be padded, so encodings are invariant to batch composition.
-
-    Returns a ``(batch, length - window + 1)`` bool matrix.  Requires
-    ``mask.shape[1] >= window``.
+    Valid windows are always the leading ones.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if min(windows) < 1:
+        raise ValueError(f"windows must be >= 1, got {tuple(windows)}")
+    return np.maximum(1, lengths[:, None] - np.asarray(windows) + 1)
+
+
+def window_mask(mask: np.ndarray, window: int) -> np.ndarray:
+    """:func:`window_counts` for one window size, as a bool matrix.
+
+    Returns ``(batch, length - window + 1)``, True at valid windows.
+    Requires ``mask.shape[1] >= window``.
+    """
+    num_valid = window_counts(mask.sum(axis=1), (window,))
     length = mask.shape[1]
     if length < window:
         raise ValueError(
             f"batch length {length} shorter than window {window}; "
             f"pad with min_length=window"
         )
-    lengths = mask.sum(axis=1)
-    num_valid = np.maximum(1, lengths - window + 1)
-    positions = np.arange(length - window + 1)
-    return positions[None, :] < num_valid[:, None]
+    return np.arange(length - window + 1) < num_valid

@@ -14,6 +14,8 @@ finite-difference gradient checks in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.nn.init import uniform_embedding, xavier_uniform, zeros
@@ -48,7 +50,7 @@ class Embedding:
 
     def forward(self, ids: np.ndarray) -> tuple[np.ndarray, dict]:
         """Look up ``(batch, length)`` ids → ``(batch, length, dim)``."""
-        out = self.table.value[ids]
+        out = self.table.value.take(ids, axis=0)
         return out, {"ids": ids}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
@@ -71,39 +73,75 @@ class Embedding:
 
 
 class WindowedConv:
-    """Convolution over concatenated token-vector windows (Section 3.1).
+    """Convolutions of several window sizes over one token sequence.
 
     For window size ``d`` and token vectors of dimension ``D``, each
     window vector is the concatenation of ``d`` consecutive token
     vectors; the convolution matrix ``M_c`` has shape ``(K, d*D)``
-    (paper: ``64 × (d × 64)``), plus a bias.
+    (paper: ``64 × (d × 64)``), plus a bias (Section 3.1).  The
+    windows of one input source (paper: 1, 3, 5) read the same token
+    vectors, so they run as one block: every size is evaluated at the
+    same ``L`` start positions and fills its own ``K`` columns of one
+    output buffer, in ascending window order.
 
-    Input ``(batch, length, D)`` → output ``(batch, length-d+1, K)``.
+    Input ``(batch, L + max(windows) - 1, D)`` — the sequence
+    right-padded with zero vectors, so that the widest window fits at
+    every start position — → output ``(batch, L, len(windows) * K)``.
+
+    Parameters are registered per window as ``{name}_w{d}.weight`` and
+    ``{name}_w{d}.bias``.
     """
 
     def __init__(
         self,
         store: ParamStore,
         name: str,
-        window: int,
+        windows: Sequence[int],
         in_dim: int,
         out_dim: int,
         rng: np.random.Generator,
     ):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+        self.windows = tuple(windows)
+        if not self.windows or self.windows[0] < 1:
+            raise ValueError(f"windows must be >= 1, got {self.windows}")
+        if any(a >= b for a, b in zip(self.windows, self.windows[1:])):
+            raise ValueError(
+                f"windows must be strictly increasing, got {self.windows}"
+            )
+        self.reach = self.windows[-1] - 1
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight: Parameter = store.create(
-            f"{name}.weight", xavier_uniform(rng, out_dim, window * in_dim)
-        )
-        self.bias: Parameter = store.create(f"{name}.bias", zeros(out_dim))
+        self.weights: list[Parameter] = []
+        self.biases: list[Parameter] = []
+        for window in self.windows:
+            self.weights.append(
+                store.create(
+                    f"{name}_w{window}.weight",
+                    xavier_uniform(rng, out_dim, window * in_dim),
+                )
+            )
+            self.biases.append(
+                store.create(f"{name}_w{window}.bias", zeros(out_dim))
+            )
 
-    def _weight_slice(self, offset: int) -> np.ndarray:
-        """``(out_dim, in_dim)`` block of M_c applied to window offset."""
-        start = offset * self.in_dim
-        return self.weight.value[:, start : start + self.in_dim]
+    def _shift_blocks(self):
+        """Per token shift: ``(shift, readers, first_column, columns, stacked)``.
+
+        Token shift ``s`` within a window is read by every window wider
+        than ``s`` — a suffix of the (ascending) windows.  ``readers``
+        are their weights, ``columns`` the slice of their ``M_c`` they
+        apply to it and ``stacked`` those slices stacked to
+        ``(len(readers) * out_dim, in_dim)``, so one product serves
+        them all and lands in the output columns from ``first_column``.
+        """
+        for shift in range(self.windows[-1]):
+            first = sum(window <= shift for window in self.windows)
+            columns = slice(shift * self.in_dim, (shift + 1) * self.in_dim)
+            readers = self.weights[first:]
+            stacked = np.concatenate(
+                [weight.value[:, columns] for weight in readers]
+            )
+            yield shift, readers, first * self.out_dim, columns, stacked
 
     def forward(self, token_vectors: np.ndarray) -> tuple[np.ndarray, dict]:
         """Convolution as a sum of shifted slice matmuls.
@@ -112,39 +150,47 @@ class WindowedConv:
         multiplying by M_c, but avoids materializing the
         ``(batch, windows, d*in_dim)`` tensor.
         """
-        length = token_vectors.shape[1]
-        if length < self.window:
+        batch, padded_length, _ = token_vectors.shape
+        length = padded_length - self.reach
+        if length < 1:
             raise ValueError(
-                f"sequence length {length} < window {self.window}; "
-                f"pad the batch to at least the window size"
+                f"sequence length {padded_length} < window "
+                f"{self.windows[-1]}; right-pad the batch by the widest "
+                f"window - 1"
             )
-        num_windows = length - self.window + 1
-        out = np.broadcast_to(
-            self.bias.value,
-            (token_vectors.shape[0], num_windows, self.out_dim),
-        ).copy()
-        for offset in range(self.window):
-            out += (
-                token_vectors[:, offset : offset + num_windows, :]
-                @ self._weight_slice(offset).T
-            )
+        out = np.empty(
+            (batch, length, len(self.windows) * self.out_dim),
+            dtype=token_vectors.dtype,
+        )
+        for shift, _, first_column, _, stacked in self._shift_blocks():
+            shifted = token_vectors[:, shift : shift + length]
+            if shift == 0:
+                np.matmul(shifted, stacked.T, out=out)
+                out += np.concatenate([bias.value for bias in self.biases])
+            else:
+                out[:, :, first_column:] += shifted @ stacked.T
         return out, {"inputs": token_vectors}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         inputs = cache["inputs"]
-        num_windows = grad_out.shape[1]
-        flat_grad = grad_out.reshape(-1, self.out_dim)
-        self.bias.grad += flat_grad.sum(axis=0)
+        length = grad_out.shape[1]
+        flat_grad = grad_out.reshape(-1, grad_out.shape[2])
+        for bias, bias_grad in zip(
+            self.biases, np.split(flat_grad.sum(axis=0), len(self.biases))
+        ):
+            bias.grad += bias_grad
         grad_input = np.zeros_like(inputs)
-        for offset in range(self.window):
-            input_slice = inputs[:, offset : offset + num_windows, :]
-            start = offset * self.in_dim
-            self.weight.grad[:, start : start + self.in_dim] += (
-                flat_grad.T @ input_slice.reshape(-1, self.in_dim)
-            )
-            grad_input[:, offset : offset + num_windows, :] += (
-                grad_out @ self._weight_slice(offset)
-            )
+        for shift, readers, first_column, columns, stacked in self._shift_blocks():
+            suffix_grad = flat_grad[:, first_column:]
+            shifted = inputs[:, shift : shift + length]
+            weight_grads = suffix_grad.T @ shifted.reshape(-1, self.in_dim)
+            for weight, weight_grad in zip(
+                readers, np.split(weight_grads, len(readers))
+            ):
+                weight.grad[:, columns] += weight_grad
+            grad_input[:, shift : shift + length] += (
+                suffix_grad @ stacked
+            ).reshape(shifted.shape)
         return grad_input
 
 

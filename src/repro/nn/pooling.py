@@ -7,7 +7,7 @@ the numerically stable log-sum-exp:
     v'*_(k) = max_i v'_{w_i(k)}
 
 Invalid windows (those created by batch padding) are excluded by
-setting their pre-pool activation to a large negative constant, so
+pushing their pre-pool activation down by a large negative constant, so
 they neither win the max nor contribute to the sum.  The backward
 pass distributes gradient with softmax weights over windows — the
 same weights the Figure-7 trace-back analysis reads.
@@ -17,10 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log_sum_exp_pool", "log_sum_exp_pool_backward", "NEG_INF"]
+__all__ = [
+    "log_sum_exp_pool",
+    "log_sum_exp_pool_backward",
+    "pooling_weights",
+    "NEG_INF",
+]
 
 # Large negative stand-in for -inf that keeps exp() underflow clean.
 NEG_INF = -1.0e30
+
+
+def _over_columns(per_window: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Append the trailing unit axes that broadcast against *values*."""
+    return per_window.reshape(
+        per_window.shape + (1,) * (values.ndim - per_window.ndim)
+    )
 
 
 def log_sum_exp_pool(
@@ -28,8 +40,17 @@ def log_sum_exp_pool(
 ) -> tuple[np.ndarray, dict]:
     """Pool ``(batch, windows, dim)`` activations into ``(batch, dim)``.
 
+    Works **in place**: *window_values* is overwritten with the shifted
+    exponentials, which become the cache, so a forward-only pass
+    allocates nothing of its size.  The windows axis is axis 1; any
+    axes after it are pooled independently, and *valid* may carry the
+    leading ones of them — ``(batch, windows, groups, dim)`` values
+    with a ``(batch, windows, groups)`` mask pool several window sizes
+    at once, each under its own validity.
+
     Args:
-        window_values: convolved window activations.
+        window_values: convolved window activations, finite everywhere
+            (also at invalid windows).
         valid: ``(batch, windows)`` bool mask of real windows.  Every
             row must contain at least one valid window.
         center: subtract ``log(num_valid_windows)`` per example — the
@@ -42,29 +63,41 @@ def log_sum_exp_pool(
             tanh hidden layer and training never escapes the plateau.
 
     Returns:
-        ``(pooled, cache)`` where cache holds the softmax weights used
-        by :func:`log_sum_exp_pool_backward` (and by the analysis
-        module to attribute pooled values to windows).
+        ``(pooled, cache)`` where cache holds the shifted exponentials
+        and their sums over windows: what
+        :func:`log_sum_exp_pool_backward` and :func:`pooling_weights`
+        form the softmax weights from.
     """
     if not valid.any(axis=1).all():
         raise ValueError("every sequence needs at least one valid window")
-    masked = np.where(valid[:, :, None], window_values, NEG_INF)
-    peak = masked.max(axis=1, keepdims=True)
-    shifted = np.exp(masked - peak)
-    total = shifted.sum(axis=1, keepdims=True)
+    dtype = window_values.dtype
+    window_values += _over_columns(
+        np.where(valid, 0.0, NEG_INF).astype(dtype), window_values
+    )
+    peak = window_values.max(axis=1, keepdims=True)
+    window_values -= peak
+    np.exp(window_values, out=window_values)
+    total = window_values.sum(axis=1, keepdims=True)
     pooled = (peak + np.log(total)).squeeze(axis=1)
     if center:
         counts = valid.sum(axis=1)
-        pooled = pooled - np.log(counts)[:, None].astype(pooled.dtype)
-    weights = shifted / total
-    return pooled, {"weights": weights, "valid": valid}
+        pooled -= _over_columns(np.log(counts).astype(dtype), pooled)
+    return pooled, {"shifted": window_values, "total": total}
+
+
+def pooling_weights(cache: dict) -> np.ndarray:
+    """Softmax weight of every window, shaped like the pooled values.
+
+    The share of each pooled output attributable to each window;
+    invalid windows hold exactly zero (their exponential underflowed).
+    """
+    return cache["shifted"] / cache["total"]
 
 
 def log_sum_exp_pool_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:
     """Backward pass: gradient flows to windows by softmax weight.
 
     Returns the gradient with respect to ``window_values``; invalid
-    windows receive (numerically) zero gradient because their softmax
-    weight underflowed to zero.
+    windows receive zero gradient because their softmax weight is zero.
     """
-    return grad_out[:, None, :] * cache["weights"]
+    return cache["shifted"] * (grad_out[:, None] / cache["total"])

@@ -135,7 +135,8 @@ class TestContractRegistry:
     def test_windowed_conv_derived_output(self):
         contract = CONTRACTS["repro.nn.layers.WindowedConv.forward"]
         env = contract.bind_inputs(
-            {"token_vectors": np.zeros((2, 10, 4))}, scalars={"d": 3, "K": 6}
+            {"token_vectors": np.zeros((2, 10, 4))},
+            scalars={"reach": 2, "C": 6},
         )
         contract.check_outputs(np.zeros((2, 8, 6)), env)
         with pytest.raises(ContractError):

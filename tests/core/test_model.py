@@ -1,10 +1,13 @@
 """Joint model: towers, batching, similarity, persistence."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
+from repro.core.tower import Tower
 from repro.text.documents import DocumentEncoder
 
 
@@ -60,6 +63,17 @@ class TestForward:
             atol=1e-6,
         )
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_empty_input_encodes_to_zero_rows(self, encoder, dtype):
+        config = JointModelConfig(
+            embedding_dim=4, module_dim=4, hidden_dim=6, representation_dim=5,
+            dtype=dtype,
+        )
+        model = JointUserEventModel(config, encoder)
+        for vectors in (model.encode_users([]), model.encode_events([])):
+            assert vectors.shape == (0, 5)
+            assert vectors.dtype == np.dtype(dtype)
+
     def test_seed_determines_weights(self, encoder, encoded):
         users, events = encoded
         sims = []
@@ -79,6 +93,66 @@ class TestTraining:
         assert loss >= 0.0
         total = sum(float(np.abs(p.grad).sum()) for p in model.store)
         assert total > 0.0
+
+
+class TestRepeatedEntities:
+    """Pairs that name one user or event share a tower row; the result
+    is the one every pair would get from its own copy."""
+
+    # 2 distinct users and 2 distinct events over 5 pairs.
+    USERS = [0, 1, 0, 0, 1]
+    EVENTS = [2, 2, 0, 2, 0]
+    LABELS = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    WEIGHTS = np.array([2.0, 1.0, 0.5, 3.0, 1.0])
+
+    def step(self, model, users, events):
+        model.store.zero_grad()
+        loss = model.train_step(
+            users, events, self.LABELS, sample_weight=self.WEIGHTS
+        )
+        return loss, {p.name: p.grad.copy() for p in model.store}
+
+    def test_same_loss_and_gradients_as_deep_copies(self, model, encoded):
+        users, events = encoded
+        pair_users = [users[i] for i in self.USERS]
+        pair_events = [events[i] for i in self.EVENTS]
+        shared_loss, shared = self.step(model, pair_users, pair_events)
+        copied_loss, copied = self.step(
+            model,
+            [copy.deepcopy(user) for user in pair_users],
+            [copy.deepcopy(event) for event in pair_events],
+        )
+        assert shared_loss == pytest.approx(copied_loss, rel=1e-12)
+        for name, grad in shared.items():
+            assert np.allclose(grad, copied[name], rtol=0, atol=1e-12), name
+        assert np.allclose(
+            model.similarity(pair_users, pair_events),
+            model.similarity(
+                [copy.deepcopy(user) for user in pair_users], pair_events
+            ),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_towers_see_exactly_the_distinct_rows(
+        self, model, encoded, monkeypatch
+    ):
+        users, events = encoded
+        seen = {}
+        forward = Tower.forward
+
+        def counting(tower, batches):
+            (batch, *_) = batches.values()
+            seen[tower.name] = batch.batch_size
+            return forward(tower, batches)
+
+        monkeypatch.setattr(Tower, "forward", counting)
+        model.train_step(
+            [users[i] for i in self.USERS],
+            [events[i] for i in self.EVENTS],
+            self.LABELS,
+        )
+        assert seen == {"user": 2, "event": 2}
 
 
 class TestPersistence:

@@ -88,6 +88,14 @@ class TestFit:
         assert own > cross
 
 
+class TestEncodeTexts:
+    def test_no_texts_encode_to_zero_rows(self, encoder):
+        config = JointModelConfig.small(seed=0)
+        vectors = SiameseEventInitializer(config, encoder).encode_texts([])
+        assert vectors.shape == (0, config.representation_dim)
+        assert vectors.dtype == np.float64
+
+
 class TestTransfer:
     def test_copies_embedding_and_conv(self, encoder, event_corpus):
         config = JointModelConfig.small(seed=0)
@@ -102,22 +110,21 @@ class TestTransfer:
             model.event_tower.text_embedding.table.value,
             initializer.tower.text_embedding.table.value,
         )
-        for source, target in zip(
-            initializer.tower.text_modules, model.event_tower.text_modules
-        ):
-            assert np.array_equal(
-                source.conv.weight.value, target.conv.weight.value
-            )
+        (source,) = initializer.tower.text_modules
+        (target,) = model.event_tower.text_modules
+        for learned, into in zip(source.conv.weights, target.conv.weights):
+            assert np.array_equal(learned.value, into.value)
+            assert into.name in transferred
 
     def test_embedding_only_transfer(self, encoder, event_corpus):
         config = JointModelConfig.small(seed=0)
         initializer = SiameseEventInitializer(config, encoder)
         model = JointUserEventModel(config, encoder)
-        before = model.event_tower.text_modules[0].conv.weight.value.copy()
+        before = model.event_tower.text_modules[0].conv.weights[0].value.copy()
         transferred = initializer.transfer_to(model, include_conv=False)
         assert len(transferred) == 1
         assert np.array_equal(
-            model.event_tower.text_modules[0].conv.weight.value, before
+            model.event_tower.text_modules[0].conv.weights[0].value, before
         )
 
     def test_vocab_mismatch_rejected(self, encoder, event_corpus, tiny_events):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.batching import pad_batch, window_mask
-from repro.nn.pooling import log_sum_exp_pool
+from repro.nn.pooling import log_sum_exp_pool, pooling_weights
 from repro.text.vocab import PAD_ID
 
 sequences = st.lists(
@@ -68,7 +68,7 @@ class TestPoolingProperties:
         lengths = rng.integers(1, windows + 1, size=batch)
         valid = np.arange(windows)[None, :] < lengths[:, None]
         pooled, cache = log_sum_exp_pool(values, valid)
-        weights = cache["weights"]
+        weights = pooling_weights(cache)
         assert np.allclose(weights.sum(axis=1), 1.0)
         assert np.all(weights >= 0.0)
         # Invalid windows hold (numerically) zero weight.
@@ -81,6 +81,6 @@ class TestPoolingProperties:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(2, 7, 3))
         valid = np.ones((2, 7), dtype=bool)
-        pooled, _ = log_sum_exp_pool(values, valid)
+        pooled, _ = log_sum_exp_pool(values.copy(), valid)  # pools in place
         assert np.all(pooled <= values.max(axis=1) + 1e-9)
         assert np.all(pooled >= values.mean(axis=1) - 1e-9)

@@ -9,6 +9,7 @@ checked end-to-end through the Equation-1 loss.
 import numpy as np
 import pytest
 
+from repro.analysis.contracts import check_call
 from repro.core import JointModelConfig, JointUserEventModel
 from repro.entities import Event, User
 from repro.nn import (
@@ -26,6 +27,7 @@ from repro.nn import (
     max_relative_error,
     numeric_gradient,
     pad_batch,
+    pooling_weights,
     window_mask,
 )
 
@@ -86,8 +88,9 @@ class TestWindowedConvGradients:
         rng = np.random.default_rng(2)
         store = ParamStore()
         layer = WindowedConv(
-            store, "conv", window=window, in_dim=4, out_dim=3, rng=rng
+            store, "conv", windows=(window,), in_dim=4, out_dim=3, rng=rng
         )
+        (weight,), (bias,) = layer.weights, layer.biases
         inputs = rng.normal(size=(2, 6, 4))
         num_windows = 6 - window + 1
         projection = _random_projection(rng, (2, num_windows, 3))
@@ -100,23 +103,56 @@ class TestWindowedConvGradients:
         store.zero_grad()
         grad_inputs = layer.backward(projection, cache)
 
-        assert (
-            check_parameter_gradient(loss_fn, layer.weight, layer.weight.grad)
-            < TOLERANCE
+        assert check_parameter_gradient(loss_fn, weight, weight.grad) < TOLERANCE
+        assert check_parameter_gradient(loss_fn, bias, bias.grad) < TOLERANCE
+        indices, numeric = numeric_gradient(loss_fn, inputs, max_entries=24)
+        assert max_relative_error(grad_inputs.ravel()[indices], numeric) < TOLERANCE
+
+    def test_several_windows_fill_one_buffer(self):
+        """Windows (1, 2, 4) in one layer: every parameter and the
+        input, with each window's K columns of the output contracted."""
+        rng = np.random.default_rng(14)
+        store = ParamStore()
+        layer = WindowedConv(
+            store, "conv", windows=(1, 2, 4), in_dim=3, out_dim=2, rng=rng
         )
-        assert (
-            check_parameter_gradient(loss_fn, layer.bias, layer.bias.grad)
-            < TOLERANCE
+        inputs = rng.normal(size=(2, 8, 3))
+        projection = _random_projection(rng, (2, 5, 6))
+
+        def loss_fn():
+            out, _ = layer.forward(inputs)
+            return float((out * projection).sum())
+
+        out, cache = layer.forward(inputs)
+        check_call(
+            "repro.nn.layers.WindowedConv.forward",
+            {"token_vectors": inputs},
+            outputs=out,
+            scalars={"reach": 3, "C": 6},
         )
+        store.zero_grad()
+        grad_inputs = layer.backward(projection, cache)
+        for param in store:
+            assert (
+                check_parameter_gradient(loss_fn, param, param.grad) < TOLERANCE
+            ), param.name
         indices, numeric = numeric_gradient(loss_fn, inputs, max_entries=24)
         assert max_relative_error(grad_inputs.ravel()[indices], numeric) < TOLERANCE
 
     def test_rejects_sequences_shorter_than_window(self):
         rng = np.random.default_rng(3)
         store = ParamStore()
-        layer = WindowedConv(store, "conv", window=4, in_dim=2, out_dim=2, rng=rng)
+        layer = WindowedConv(
+            store, "conv", windows=(4,), in_dim=2, out_dim=2, rng=rng
+        )
         with pytest.raises(ValueError, match="window"):
             layer.forward(rng.normal(size=(1, 3, 2)))
+
+    def test_rejects_unordered_windows(self):
+        with pytest.raises(ValueError, match="increasing"):
+            WindowedConv(
+                ParamStore(), "conv", (3, 1), 2, 2, np.random.default_rng(3)
+            )
 
 
 class TestEmbeddingGradients:
@@ -163,10 +199,10 @@ class TestPoolingGradients:
         projection = _random_projection(rng, (2, 3))
 
         def loss_fn():
-            pooled, _ = log_sum_exp_pool(values, valid)
+            pooled, _ = log_sum_exp_pool(values.copy(), valid)
             return float((pooled * projection).sum())
 
-        pooled, cache = log_sum_exp_pool(values, valid)
+        pooled, cache = log_sum_exp_pool(values.copy(), valid)
         grad = log_sum_exp_pool_backward(projection, cache)
         indices, numeric = numeric_gradient(loss_fn, values, max_entries=30)
         assert max_relative_error(grad.ravel()[indices], numeric) < TOLERANCE
@@ -186,10 +222,10 @@ class TestPoolingGradients:
         values = rng.normal(size=(3, 6, 4))
         valid = np.ones((3, 6), dtype=bool)
         peak = values.max(axis=1)
-        pooled, _ = log_sum_exp_pool(values, valid)
+        pooled, _ = log_sum_exp_pool(values.copy(), valid)
         assert np.all(pooled <= peak + 1e-12)
         assert np.all(pooled >= peak - np.log(6) - 1e-12)
-        raw, _ = log_sum_exp_pool(values, valid, center=False)
+        raw, _ = log_sum_exp_pool(values.copy(), valid, center=False)
         assert np.all(raw >= peak - 1e-12)
         assert np.all(raw <= peak + np.log(6) + 1e-12)
         assert np.allclose(raw - pooled, np.log(6))
@@ -202,13 +238,40 @@ class TestPoolingGradients:
         valid = np.array(
             [[True, True, True, True, False], [True, True, False, False, False]]
         )
-        _, cache_centered = log_sum_exp_pool(values, valid)
-        _, cache_raw = log_sum_exp_pool(values, valid, center=False)
+        _, cache_centered = log_sum_exp_pool(values.copy(), valid)
+        _, cache_raw = log_sum_exp_pool(values.copy(), valid, center=False)
         grad = rng.normal(size=(2, 3))
         assert np.allclose(
             log_sum_exp_pool_backward(grad, cache_centered),
             log_sum_exp_pool_backward(grad, cache_raw),
         )
+
+    def test_pools_in_place_and_forms_weights_on_demand(self):
+        """The input buffer becomes the cache (shifted exponentials and
+        their sums); softmax weights exist only once asked for."""
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(2, 4, 3))
+        valid = np.array([[True, True, False, False], [True] * 4])
+        _, cache = log_sum_exp_pool(values, valid)
+        assert cache["shifted"] is values
+        assert set(cache) == {"shifted", "total"}
+        weights = pooling_weights(cache)
+        assert np.allclose(weights.sum(axis=1), 1.0)
+        assert np.all(weights[0, 2:] == 0.0)
+
+    def test_each_group_pools_under_its_own_validity(self):
+        """``(batch, windows, groups, dim)`` values with a
+        ``(batch, windows, groups)`` mask equal one call per group."""
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(2, 5, 3, 4))
+        counts = np.array([[5, 3, 1], [2, 1, 1]])
+        valid = np.arange(5)[None, :, None] < counts[:, None, :]
+        separate = [
+            log_sum_exp_pool(values[:, :, group].copy(), valid[:, :, group])[0]
+            for group in range(3)
+        ]
+        pooled, _ = log_sum_exp_pool(values, valid)
+        assert np.array_equal(pooled, np.stack(separate, axis=1))
 
     def test_requires_one_valid_window_per_row(self):
         values = np.zeros((1, 3, 2))
