@@ -205,10 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "boot the micro-batching serving API in-process and drive it "
         "over HTTP, measuring the batched end-to-end path",
     )
-    loadgen.add_argument("--batch-window", type=float, default=0.003,
-                         help="http server: micro-batch deadline window, seconds")
     loadgen.add_argument("--max-batch", type=int, default=32,
-                         help="http server: flush when this many requests queue")
+                         help="http server: most requests one flush may carry")
 
     serve = commands.add_parser(
         "serve",
@@ -230,10 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool-size", type=int, default=500,
                        help="synthetic mode: candidate-pool size")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--batch-window", type=float, default=0.003,
-                       help="micro-batch deadline window, seconds")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush when this many requests queue")
+                       help="most requests one flush may carry")
 
     health = commands.add_parser(
         "health",
@@ -572,15 +568,13 @@ def _cmd_loadgen(args) -> int:
                     service,
                     users,
                     events,
-                    window_seconds=args.batch_window,
                     max_batch=args.max_batch,
                     registry=registry,
                 )
                 with ThreadedServer(serving) as hosted:
                     print(
                         f"serving on http://{hosted.host}:{hosted.port} "
-                        f"(window={args.batch_window * 1e3:g} ms, "
-                        f"max_batch={args.max_batch})",
+                        f"(max_batch={args.max_batch})",
                         file=sys.stderr,
                     )
                     client = HttpServiceClient(
@@ -677,7 +671,6 @@ def _cmd_serve(args) -> int:
             service,
             users,
             events,
-            window_seconds=args.batch_window,
             max_batch=args.max_batch,
             registry=registry,
         )
@@ -690,8 +683,7 @@ def _cmd_serve(args) -> int:
             return 2
         print(
             f"serving on http://{host}:{port} "
-            f"(window={args.batch_window * 1e3:g} ms, "
-            f"max_batch={args.max_batch}); Ctrl-C to stop",
+            f"(max_batch={args.max_batch}); Ctrl-C to stop",
             file=sys.stderr,
         )
         try:

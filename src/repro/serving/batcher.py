@@ -1,48 +1,54 @@
-"""Deadline-based request micro-batcher for the serving loop.
+"""Work-conserving request micro-batcher for the serving loop.
 
 The indexed ranking path (PR 3) made a single top-K a GEMV; the batch
 path made a cohort a GEMM.  This module is the piece that turns
-*concurrent traffic* into cohorts: ``/recommend`` requests arriving
-within a small window (default 3 ms) of the first request coalesce
-into one :meth:`RepresentationService.rank_events_batch` call, so N
-concurrent users cost one GEMM instead of N GEMVs.
+*concurrent traffic* into cohorts without ever making a request wait
+for company: at most one flush is in flight, a request that finds the
+runner free goes out at once, and requests that arrive while it is
+busy queue and leave together — one
+:meth:`RepresentationService.rank_events_batch` GEMM — the moment it
+comes back.  Batch size follows load by itself; there is no timer.
 
 Mechanics — all state is owned by the event loop (asyncio is
 single-threaded, so mutations between ``await`` points are atomic; no
 lock is needed):
 
-* The first request to an empty queue arms a **deadline timer** for
-  ``window_seconds``; requests landing before it fires join the batch.
-* Reaching ``max_batch`` flushes immediately (reason ``"full"``);
-  otherwise the timer flushes (reason ``"deadline"``); ``close()``
-  drains whatever is queued (reason ``"close"``).
+* A ``submit`` that finds no flush in flight flushes immediately
+  (reason ``"idle"``; the queue is empty whenever the runner is free,
+  so this is always a flush of one).
+* A ``submit`` that finds one in flight queues.  When that flush's
+  runner returns, the backlog — up to ``max_batch``, FIFO, the rest in
+  the following flush — goes out as the next one (reason
+  ``"backlog"``).
+* ``close()`` waits for the flush in flight, then drains the queue the
+  same way (reason ``"close"``).
 * The batch ``runner`` is a plain synchronous callable executed in
   the loop's default executor, returning **one result or exception
-  per item** — a poisoned request (unknown user id) fails alone; only
-  a runner-level crash fails the whole batch.
-* A request cancelled while queued is skipped at flush time and never
-  reaches the runner for a size-1 batch; its batchmates are
-  unaffected.
+  per item** — a poisoned request (unknown user id) fails alone; a
+  runner-level crash fails that flush's requests and no others.
+* A request cancelled while queued is skipped at flush time;
+  its batchmates are unaffected.
 * A flush containing exactly one live request takes the
   ``fast_runner`` path when one is provided — the server wires this
-  to the single-user ``rank_events`` GEMV, which is bit-identical to
-  a 1-row GEMM, so an idle server adds no numeric or latency overhead
-  beyond the window wait.
+  to the single-user ``rank_events`` GEMV, so an idle server adds
+  only the executor hop.
 
 Telemetry: ``repro_serving_batch_users`` (flushed batch size) and
 ``repro_serving_batch_queue_depth`` (depth seen at each enqueue)
 histograms, a ``repro_serving_batch_flush_total`` counter labeled by
 reason, and a ``repro_serving_batch_execute`` span around runner
-execution.  When tracing, that span and everything the runner opens in
-the executor thread belong to the trace of the request whose context
-armed the flush (the first of a window, or the one that filled it);
-its batchmates' traces end at their own ``repro_serving_http_request``.
+execution.  Each flush runs in a copy of the context its first live
+request submitted from, so when tracing, that span and everything the
+runner opens in the executor thread belong to that request's trace —
+never to whichever earlier request's flush released the backlog; its
+batchmates' traces end at their own ``repro_serving_http_request``.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable, Sequence
+from contextvars import Context, copy_context
 from typing import Any, TypeVar
 
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -56,7 +62,6 @@ ResultT = TypeVar("ResultT")
 # Size-scale buckets (requests per batch / queue depth), not latency.
 _SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
-DEFAULT_WINDOW_SECONDS = 0.003
 DEFAULT_MAX_BATCH = 32
 
 
@@ -65,7 +70,7 @@ class BatcherClosed(RuntimeError):
 
 
 class MicroBatcher:
-    """Coalesce concurrent submissions into windowed batch calls.
+    """Coalesce submissions that arrive while a batch call is running.
 
     ``runner(items)`` must return a sequence aligned with ``items``
     where each element is either the item's result or an
@@ -78,23 +83,18 @@ class MicroBatcher:
         self,
         runner: Callable[[list[ItemT]], Sequence[Any]],
         *,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
         fast_runner: Callable[[ItemT], Any] | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.runner = runner
         self.fast_runner = fast_runner
-        self.window_seconds = window_seconds
         self.max_batch = max_batch
         self.registry = registry if registry is not None else get_registry()
-        self._pending: list[tuple[ItemT, asyncio.Future[Any]]] = []
-        self._timer: asyncio.TimerHandle | None = None
-        self._tasks: set[asyncio.Task[None]] = set()
+        self._pending: list[tuple[ItemT, asyncio.Future[Any], Context]] = []
+        self._in_flight: asyncio.Task[None] | None = None
         self._closed = False
         # Diagnostics mirrored into metrics; handy in tests.
         self.batches_flushed = 0
@@ -106,80 +106,74 @@ class MicroBatcher:
         """Queue ``item`` and wait for its result from the next flush."""
         if self._closed:
             raise BatcherClosed("batcher is closed; not accepting requests")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[Any] = loop.create_future()
-        self._pending.append((item, future))
-        depth = len(self._pending)
+        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
+        self._pending.append((item, future, copy_context()))
         self.registry.histogram(
             "repro_serving_batch_queue_depth", buckets=_SIZE_BUCKETS
-        ).observe(depth)
-        if depth >= self.max_batch:
-            self._flush("full")
-        elif depth == 1:
-            self._timer = loop.call_later(
-                self.window_seconds, self._flush, "deadline"
-            )
+        ).observe(len(self._pending))
+        if self._in_flight is None:
+            self._flush("idle")
         return await future
 
     # -- flushing ------------------------------------------------------
 
     def _flush(self, reason: str) -> None:
-        """Detach the queued batch and hand it to a runner task.
+        """Detach the head of the queue and hand it to a runner task.
 
-        Runs synchronously on the event loop (timer callback or inline
-        from ``submit``), so the snapshot-and-clear is atomic: any
-        submission after this point starts a fresh window.
+        Runs synchronously on the event loop, so the detach is atomic.
+        Waiters cancelled while queued are dropped here: the runner
+        never computes for them.  The task runs in the first live
+        request's context, which makes that request's span the parent
+        of everything the flush opens.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch = self._pending
-        if not batch:
-            return
-        self._pending = []
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(batch, reason)
+        batch = self._pending[: self.max_batch]
+        del self._pending[: self.max_batch]
+        live = [entry for entry in batch if not entry[1].cancelled()]
+        context = (live or batch)[0][2]
+        self._in_flight = context.run(
+            asyncio.get_running_loop().create_task, self._run_batch(live, reason)
         )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+
+    def _release(self) -> None:
+        """The runner is free again: send the backlog, if any."""
+        self._in_flight = None
+        if self._pending:
+            self._flush("close" if self._closed else "backlog")
 
     async def _run_batch(
-        self, batch: list[tuple[ItemT, asyncio.Future[Any]]], reason: str
+        self, live: list[tuple[ItemT, asyncio.Future[Any], Context]], reason: str
     ) -> None:
-        # A waiter cancelled while queued cancels its future; drop it
-        # here so the runner never computes for it.
-        live = [(item, future) for item, future in batch if not future.cancelled()]
+        items = [item for item, _, _ in live]
         try:
             self.registry.counter(
                 "repro_serving_batch_flush_total", tags={"reason": reason}
             ).inc()
             self.registry.histogram(
                 "repro_serving_batch_users", buckets=_SIZE_BUCKETS
-            ).observe(len(live))
-            if not live:
-                return
-            self.batches_flushed += 1
-            self.requests_batched += len(live)
-            items = [item for item, _ in live]
-            loop = asyncio.get_running_loop()
-            with span(
-                "repro_serving_batch_execute",
-                tags={"reason": reason},
-                registry=self.registry,
-            ):
-                # The executor thread starts without this task's
-                # current span; carry_span keeps the runner's spans in
-                # the trace of the request whose context armed the flush.
-                if len(items) == 1 and self.fast_runner is not None:
-                    results: Sequence[Any] = [
-                        await loop.run_in_executor(
-                            None, carry_span(self.fast_runner), items[0]
+            ).observe(len(items))
+            results: Sequence[Any] = []
+            if items:
+                self.batches_flushed += 1
+                self.requests_batched += len(items)
+                loop = asyncio.get_running_loop()
+                with span(
+                    "repro_serving_batch_execute",
+                    tags={"reason": reason},
+                    registry=self.registry,
+                ):
+                    # The executor thread starts without this task's
+                    # current span; carry_span keeps the runner's spans
+                    # in this flush's trace.
+                    if len(items) == 1 and self.fast_runner is not None:
+                        results = [
+                            await loop.run_in_executor(
+                                None, carry_span(self.fast_runner), items[0]
+                            )
+                        ]
+                    else:
+                        results = await loop.run_in_executor(
+                            None, carry_span(self.runner), items
                         )
-                    ]
-                else:
-                    results = await loop.run_in_executor(
-                        None, carry_span(self.runner), items
-                    )
             if len(results) != len(items):
                 raise RuntimeError(
                     f"batch runner returned {len(results)} results "
@@ -187,16 +181,17 @@ class MicroBatcher:
                 )
         except Exception as error:
             # Runner-level failure (including telemetry raising before
-            # the runner even started): the whole batch shares the
-            # error — every live future MUST resolve or its submitter
-            # hangs forever.  ``done()`` guards a racing cancellation.
-            for _, future in live:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for (_, future), result in zip(live, results):
-            if future.cancelled():
-                continue
+            # the runner even started): this flush shares the error —
+            # every live future MUST resolve or its submitter hangs
+            # forever — and the backlog behind it is untouched.
+            results = [error] * len(items)
+        finally:
+            # Whatever happened above — a crash, a cancellation — the
+            # runner is free and the backlog must not wait on it.
+            self._release()
+        for (_, future, _), result in zip(live, results):
+            if future.done():
+                continue  # cancelled while the runner ran
             if isinstance(result, Exception):
                 future.set_exception(result)
             else:
@@ -205,10 +200,7 @@ class MicroBatcher:
     # -- lifecycle -----------------------------------------------------
 
     async def close(self) -> None:
-        """Stop accepting work, drain the queue, await in-flight runs."""
-        if self._closed:
-            return
+        """Stop accepting work, await the flush in flight, drain the queue."""
         self._closed = True
-        self._flush("close")
-        while self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
+        while self._in_flight is not None:
+            await asyncio.gather(self._in_flight, return_exceptions=True)

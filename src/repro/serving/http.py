@@ -77,8 +77,15 @@ class HttpRequest:
         return self.headers.get("connection", "").lower() != "close"
 
 
-async def read_http_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one request off the stream; ``None`` on clean EOF."""
+async def read_http_request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter | None = None
+) -> HttpRequest | None:
+    """Parse one request off the stream; ``None`` on clean EOF.
+
+    With a ``writer``, a client that sent ``Expect: 100-continue`` and a
+    body length this server accepts gets the interim response it is
+    holding its body back for (curl does, for about a second).
+    """
     try:
         raw = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as error:
@@ -112,6 +119,8 @@ async def read_http_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         raise HttpError(413, f"body of {length} bytes exceeds limit")
     body = b""
     if length:
+        if writer is not None and headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:

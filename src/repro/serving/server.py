@@ -1,9 +1,10 @@
 """The serving process: HTTP routes over ``RepresentationService``.
 
 :class:`ServingServer` owns the entity tables (id → User/Event), the
-:class:`~repro.serving.batcher.MicroBatcher` that coalesces
-``/recommend`` traffic into ``rank_events_batch`` GEMMs, and the
-route handlers.  :class:`ThreadedServer` wraps it for synchronous
+:class:`~repro.serving.batcher.MicroBatcher` that sends a
+``/recommend`` straight to the ranker when it is free and coalesces
+what queues behind a busy one into ``rank_events_batch`` GEMMs, and
+the route handlers.  :class:`ThreadedServer` wraps it for synchronous
 callers (the CLI, tests, the loadgen HTTP mode): the asyncio loop
 runs in a daemon thread and ``start()`` blocks until the socket is
 bound.
@@ -15,8 +16,9 @@ pools once, and ``rank_events_batch`` masks each request's row of that
 score matrix down to its own pool and ``at_time`` activity window (read
 from the index, like the single-user path) before taking its ``top_k``
 — exactly the list ``rank_events`` would have produced for that request
-alone.  A flush of size 1 takes the ``rank_events`` fast path directly,
-which is bit-identical to a 1-row GEMM.
+alone: identical ids and order, scores within 1e-9 (a multi-row GEMM
+sums in another order than the GEMV).  A flush of size 1 — every
+request an idle server sees — takes the ``rank_events`` path directly.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ from repro.entities import Event, User
 from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import carry_span, span
-from repro.serving.batcher import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_SECONDS,
-    BatcherClosed,
-    MicroBatcher,
-)
+from repro.serving.batcher import DEFAULT_MAX_BATCH, BatcherClosed, MicroBatcher
 from repro.serving.http import (
     HttpError,
     HttpRequest,
@@ -84,7 +81,6 @@ class ServingServer:
         users: list[User] | tuple[User, ...],
         events: list[Event] | tuple[Event, ...],
         *,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -95,7 +91,6 @@ class ServingServer:
         self.registry = registry if registry is not None else get_registry()
         self.batcher: MicroBatcher = MicroBatcher(
             self._recommend_batch,
-            window_seconds=window_seconds,
             max_batch=max_batch,
             fast_runner=self._recommend_single,
             registry=self.registry,
@@ -348,7 +343,7 @@ class ServingServer:
         try:
             while True:
                 try:
-                    request = await read_http_request(reader)
+                    request = await read_http_request(reader, writer)
                 except HttpError as error:
                     writer.write(
                         render_response(

@@ -4,12 +4,19 @@ The heavyweight fixtures are module-scoped: one synthetic warmed
 service and one running ``ThreadedServer`` shared by every read-only
 test.  Tests that need privileged server state (draining, a cold
 cache) build their own small stacks.
+
+The batcher has no window to widen, so tests that need requests to
+share a flush put a gate on the service call (:func:`one_flush_of`):
+whatever arrives while the runner is parked is the next flush.
 """
 
 import asyncio
+import contextlib
 import dataclasses
 import json
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -28,17 +35,17 @@ from repro.serving import (
 )
 from repro.serving.http import HttpError, HttpRequest
 from repro.text.documents import DocumentEncoder
+from tests.reference import rank_events_loop
 
 POOL_SIZE = 40
+TIMEOUT = 10.0
 
 
 @pytest.fixture(scope="module")
 def stack():
     service, users, events = build_synthetic_service(seed=3, pool_size=POOL_SIZE)
     registry = MetricsRegistry()
-    server = ServingServer(
-        service, users, events, window_seconds=0.02, registry=registry
-    )
+    server = ServingServer(service, users, events, registry=registry)
     with ThreadedServer(server) as hosted:
         client = HttpServiceClient(
             hosted.host, hosted.port, full_pool_size=POOL_SIZE
@@ -53,6 +60,60 @@ def stack():
             "registry": registry,
         }
         client.close()
+
+
+def recommend(hosted, payload):
+    """One /recommend on a connection of its own; its ``results`` list."""
+    client = HttpServiceClient(hosted.host, hosted.port)
+    try:
+        return client.request("POST", "/recommend", payload)["results"]
+    finally:
+        client.close()
+
+
+def flush_stats(server):
+    """``(requests enqueued, flushes, requests flushed)`` so far, read
+    from the batcher's own histograms."""
+    found = {record["name"]: record for record in server.registry.snapshot()}
+    depth = found.get("repro_serving_batch_queue_depth", {"count": 0})
+    users = found.get("repro_serving_batch_users", {"count": 0, "sum": 0.0})
+    return depth["count"], users["count"], users["sum"]
+
+
+@contextlib.contextmanager
+def one_flush_of(server, hosted, count, primer):
+    """Make the ``count`` /recommend requests the block starts share a flush.
+
+    A primer request for the (warm) user ``primer`` is parked inside
+    ``service.rank_events``; the block's requests therefore queue
+    behind a busy runner, and on exit — once all ``count`` are queued —
+    the primer is let through and the backlog leaves as one flush.
+    """
+    service = server.service
+    parked, opened = threading.Event(), threading.Event()
+
+    def gated(*args, **kwargs):
+        del service.rank_events  # only the primer parks
+        parked.set()
+        assert opened.wait(TIMEOUT), "gate never opened"
+        return service.rank_events(*args, **kwargs)
+
+    service.rank_events = gated
+    priming = threading.Thread(
+        target=recommend, args=(hosted, {"user_id": primer.user_id, "top_k": 1})
+    )
+    priming.start()
+    try:
+        assert parked.wait(TIMEOUT), "primer never reached the service"
+        enqueued = flush_stats(server)[0]
+        yield
+        deadline = time.monotonic() + TIMEOUT
+        while flush_stats(server)[0] - enqueued < count:
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.001)
+    finally:
+        opened.set()
+        priming.join()
 
 
 def post(stack, path, payload):
@@ -246,144 +307,180 @@ class TestErrorContract:
         assert "at_time must be a finite number" in body["error"]["details"]
 
 
+class TestExpectContinue:
+    """``Expect: 100-continue`` (curl sends it with larger bodies): the
+    client holds its body back until the interim response, or about a
+    second."""
+
+    @staticmethod
+    def opened(stack, length):
+        sock = socket.create_connection(
+            (stack["hosted"].host, stack["hosted"].port), timeout=3.0
+        )
+        sock.sendall(
+            b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % length
+        )
+        return sock, sock.makefile("rb")
+
+    def test_interim_response_arrives_before_the_body_is_sent(self, stack):
+        body = json.dumps({"user_id": stack["users"][0].user_id, "top_k": 2}).encode()
+        sock, reader = self.opened(stack, len(body))
+        with sock, reader:
+            # Nothing of the body is on the wire yet: at the parent this
+            # read timed out.
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
+            headers = {}
+            for line in iter(reader.readline, b"\r\n"):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.lower()] = value.strip()
+            reply = json.loads(reader.read(int(headers["content-length"])))
+        assert len(reply["results"]) == 2
+
+    def test_refused_length_gets_413_not_100(self, stack):
+        sock, reader = self.opened(stack, 5 * 1024 * 1024)
+        with sock, reader:
+            assert reader.readline().startswith(b"HTTP/1.1 413 ")
+
+
+def recommend_shapes(users, events, count):
+    """``count`` /recommend payloads mixing pools, ``at_time`` and ``top_k``,
+    each with the arguments of the direct call it must equal."""
+    cut = sorted(event.starts_at for event in events)[len(events) // 2]
+    shapes = []
+    for i in range(count):
+        user = users[i % len(users)]
+        pool = events if i % 3 == 0 else events[(i % 5) :: 2]
+        top_k = [None, 1, 3, 7][i % 4]
+        at_time = cut if i % 2 else None
+        payload = {"user_id": user.user_id, "top_k": top_k}
+        if pool is not events:
+            payload["event_ids"] = [event.event_id for event in pool]
+        if at_time is not None:
+            payload["at_time"] = at_time
+        shapes.append((payload, (user, pool, at_time, top_k)))
+    return shapes
+
+
+def assert_same_ranking(results, direct):
+    """DESIGN §10's contract: identical ids and order, scores within
+    1e-9 (a multi-row GEMM differs from the GEMV by an ulp)."""
+    assert [r["event_id"] for r in results] == [item.event.event_id for item in direct]
+    for got, want in zip(results, direct):
+        assert abs(got["score"] - want.score) <= 1e-9
+
+
 class TestBatchedParity:
     @pytest.mark.threads
     def test_heterogeneous_concurrent_requests_match_sequential(self, stack):
-        """The acceptance bar: concurrent /recommend requests with
-        different top-K and pools coalesce into shared GEMM batches,
-        and every served ranking equals the sequential ``rank_events``
-        answer — same ids in the same (tie-broken) order, scores
-        within 1e-9."""
-        service, users, events = (
-            stack["service"],
-            stack["users"],
-            stack["events"],
-        )
-        shapes = []
-        for i in range(16):
-            user = users[i % len(users)]
-            if i % 3 == 0:
-                pool = events
-                pool_ids = None
-            else:
-                pool = events[(i % 5) :: 2]
-                pool_ids = [event.event_id for event in pool]
-            top_k = [None, 1, 3, 7][i % 4]
-            shapes.append((user, pool, pool_ids, top_k))
-
-        def issue(shape):
-            user, _pool, pool_ids, top_k = shape
-            payload = {"user_id": user.user_id, "top_k": top_k}
-            if pool_ids is not None:
-                payload["event_ids"] = pool_ids
-            client = HttpServiceClient(
-                stack["hosted"].host,
-                stack["hosted"].port,
-                full_pool_size=POOL_SIZE,
+        """The acceptance bar: /recommend requests with different
+        pools, ``at_time`` and top-K that share one GEMM flush each get
+        the sequential ``rank_events`` answer."""
+        server, hosted = stack["server"], stack["hosted"]
+        shapes = recommend_shapes(stack["users"], stack["events"], 16)
+        _, flushes_before, flushed_before = flush_stats(server)
+        with ThreadPoolExecutor(max_workers=len(shapes)) as pool:
+            with one_flush_of(server, hosted, len(shapes), stack["users"][0]):
+                futures = [pool.submit(recommend, hosted, payload) for payload, _ in shapes]
+            served = [future.result(timeout=TIMEOUT) for future in futures]
+        for (_, (user, events, at_time, top_k)), results in zip(shapes, served):
+            assert_same_ranking(
+                results,
+                stack["service"].rank_events(user, events, at_time=at_time, top_k=top_k),
             )
-            try:
-                return client.request("POST", "/recommend", payload)["results"]
-            finally:
-                client.close()
-
-        flushed_before = stack["server"].batcher.batches_flushed
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            served = list(pool.map(issue, shapes))
-
-        for shape, results in zip(shapes, served):
-            user, pool_events, _pool_ids, top_k = shape
-            direct = service.rank_events(user, pool_events, top_k=top_k)
-            assert [r["event_id"] for r in results] == [
-                item.event.event_id for item in direct
-            ]
-            for got, want in zip(results, direct):
-                assert abs(got["score"] - want.score) <= 1e-9
-        # The traffic actually exercised the batch path (coalesced).
-        batcher = stack["server"].batcher
-        flushes = batcher.batches_flushed - flushed_before
-        assert flushes >= 1
-        assert flushes < len(shapes)  # at least one multi-request batch
+        # The primer's flush of one, then all sixteen in one GEMM.
+        _, flushes, flushed = flush_stats(server)
+        assert (flushes - flushes_before, flushed - flushed_before) == (2, 17.0)
 
     @pytest.mark.threads
     def test_concurrent_traffic_coalesces_and_reports_metrics(self, stack):
-        def hammer(i):
-            client = HttpServiceClient(
-                stack["hosted"].host,
-                stack["hosted"].port,
-                full_pool_size=POOL_SIZE,
-            )
-            try:
-                for _ in range(3):
-                    client.rank_events(
-                        stack["users"][i % len(stack["users"])],
-                        stack["events"],
-                        top_k=3,
-                    )
-            finally:
-                client.close()
+        """Eight free-running clients, nothing gated: the service call
+        is only slowed, so a busy runner is what real traffic finds and
+        batches form by themselves.  Every answer equals the
+        brute-force reference."""
+        server, hosted, service = stack["server"], stack["hosted"], stack["service"]
+        shapes = recommend_shapes(stack["users"], stack["events"], 48)
+        barrier = threading.Barrier(8)
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            list(pool.map(hammer, range(6)))
-        [histogram] = [
-            record
+        def slowed(method):
+            def call(*args, **kwargs):
+                time.sleep(0.002)
+                return method(*args, **kwargs)
+
+            return call
+
+        def worker(index):
+            barrier.wait(timeout=TIMEOUT)
+            return [recommend(hosted, payload) for payload, _ in shapes[index::8]]
+
+        _, flushes_before, flushed_before = flush_stats(server)
+        service.rank_events = slowed(service.rank_events)
+        service.rank_events_batch = slowed(service.rank_events_batch)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                served = list(pool.map(worker, range(8)))
+        finally:
+            del service.rank_events, service.rank_events_batch
+        for index, answers in enumerate(served):
+            for (_, (user, events, at_time, top_k)), results in zip(shapes[index::8], answers):
+                assert_same_ranking(
+                    results,
+                    rank_events_loop(service, user, events, at_time=at_time, top_k=top_k),
+                )
+        _, flushes, flushed = flush_stats(server)
+        assert flushed - flushed_before == len(shapes)
+        assert flushes - flushes_before < len(shapes)  # some flush carried > 1
+        backlog = [
+            record["value"]
             for record in stack["registry"].snapshot()
-            if record["name"] == "repro_serving_batch_users"
+            if record["name"] == "repro_serving_batch_flush_total"
+            and record["tags"] == {"reason": "backlog"}
         ]
-        assert histogram["count"] >= 1
-        assert histogram["sum"] / histogram["count"] > 1.0  # mean batch > 1
+        assert backlog and backlog[0] > 0
+
+
+def tiny_service(tiny_users, tiny_events, warm_users):
+    encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+    model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+    service = RepresentationService(model)
+    service.warm(warm_users, tiny_events)
+    return service
 
 
 class TestColdUserCoalescing:
     @pytest.mark.threads
     def test_coalesced_cold_user_encoded_once(self, tiny_users, tiny_events):
-        """Two (here: six) concurrent requests for the same cold user
+        """Two (here: six) coalesced requests for the same cold user
         must cost one tower inference and one counted cache miss."""
-        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
-        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
-        service = RepresentationService(model)
-        service.warm([], tiny_events)  # events warm; the user stays cold
+        cold, primer = tiny_users[0], tiny_users[1]
+        service = tiny_service(tiny_users, tiny_events, [primer])  # ``cold`` stays cold
         encode_calls = []
-        original = model.encode_users
+        original = service.model.encode_users
 
         def counting_encode_users(encoded):
             encode_calls.append(len(encoded))
             return original(encoded)
 
-        model.encode_users = counting_encode_users
-        registry = MetricsRegistry()
+        service.model.encode_users = counting_encode_users
         server = ServingServer(
-            service,
-            tiny_users,
-            tiny_events,
-            window_seconds=0.1,  # wide: all requests join one batch
-            registry=registry,
+            service, tiny_users, tiny_events, registry=MetricsRegistry()
         )
-        cold = tiny_users[0]
-        barrier = threading.Barrier(6)
-
-        def issue(host, port):
-            client = HttpServiceClient(host, port, full_pool_size=len(tiny_events))
-            try:
-                barrier.wait(timeout=10.0)
-                return client.rank_events(cold, tiny_events, top_k=2)
-            finally:
-                client.close()
-
         misses_before = service.cache.stats.misses
+        payload = {"user_id": cold.user_id, "top_k": 2}
         with ThreadedServer(server) as hosted:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                served = [
-                    future.result()
-                    for future in [
-                        pool.submit(issue, hosted.host, hosted.port)
-                        for _ in range(6)
-                    ]
-                ]
-        # All six answers identical, one user encode, one counted miss.
+                with one_flush_of(server, hosted, 6, primer):
+                    futures = [pool.submit(recommend, hosted, payload) for _ in range(6)]
+                served = [future.result(timeout=TIMEOUT) for future in futures]
+        # All six shared one flush: identical answers, one user encode,
+        # one counted miss.
         assert all(answer == served[0] for answer in served)
         assert sum(encode_calls) == 1
         assert service.cache.stats.misses - misses_before == 1
-        assert server.batcher.batches_flushed == 1
+        assert server.batcher.batches_flushed == 2  # the primer, then the six
 
 
 class TestActivityWindowSource:
@@ -395,44 +492,22 @@ class TestActivityWindowSource:
         server's own copy of the event keeps the old one.  A size-1
         flush and a coalesced flush must both answer from the index —
         the coalesced one used to ask the server's stale copy."""
-        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
-        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
-        service = RepresentationService(model)
-        service.warm(tiny_users, tiny_events)
+        service = tiny_service(tiny_users, tiny_events, tiny_users)
         server = ServingServer(
-            service,
-            tiny_users,
-            tiny_events,
-            window_seconds=0.1,  # wide: concurrent requests share a flush
-            registry=MetricsRegistry(),
+            service, tiny_users, tiny_events, registry=MetricsRegistry()
         )
         # Event 3 starts at t=44: not active at t=45 until it is postponed.
         postponed = dataclasses.replace(tiny_events[2], starts_at=100.0)
         assert service.refresh_events([postponed]) == 0
         payload = {"user_id": tiny_users[0].user_id, "at_time": 45.0}
-        barrier = threading.Barrier(4)
-
-        def issue(host, port, wait):
-            client = HttpServiceClient(host, port, full_pool_size=len(tiny_events))
-            try:
-                if wait:
-                    barrier.wait(timeout=10.0)
-                return client.request("POST", "/recommend", payload)["results"]
-            finally:
-                client.close()
-
         with ThreadedServer(server) as hosted:
-            solo = issue(hosted.host, hosted.port, wait=False)
+            solo = recommend(hosted, payload)
             assert server.batcher.batches_flushed == 1
             with ThreadPoolExecutor(max_workers=4) as pool:
-                coalesced = [
-                    future.result()
-                    for future in [
-                        pool.submit(issue, hosted.host, hosted.port, True)
-                        for _ in range(4)
-                    ]
-                ]
-        assert server.batcher.batches_flushed == 2  # the four shared one flush
+                with one_flush_of(server, hosted, 4, tiny_users[1]):
+                    futures = [pool.submit(recommend, hosted, payload) for _ in range(4)]
+                coalesced = [future.result(timeout=TIMEOUT) for future in futures]
+        assert server.batcher.batches_flushed == 3  # solo, primer, the four together
         assert sorted(item["event_id"] for item in solo) == [1, 2, 3]
         for answer in coalesced:
             assert [item["event_id"] for item in answer] == [
