@@ -422,7 +422,7 @@ class HealthFamilyGrammar(Rule):
     These families carry *verdicts* — point-in-time gauges (plus
     ``_total`` evaluation counters) written by
     :mod:`repro.obs.health` and :mod:`repro.obs.drift` and consumed
-    by dashboards, SLO specs, and the bench-regression gate.  Three
+    by dashboards, SLO specs, and CI's health assertions.  Three
     things corrupt them: a histogram (verdicts are re-computed, not
     accumulated — a histogram would average stale verdicts into
     current ones); a unit suffix like ``_seconds`` (verdict values

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands cover the life cycle a downstream user needs:
+Nine subcommands cover the life cycle a downstream user needs:
 
 * ``repro-events generate`` — synthesize a dataset and save it;
 * ``repro-events train`` — train the joint representation model on a
@@ -20,11 +20,7 @@ Ten subcommands cover the life cycle a downstream user needs:
   (``/recommend``, ``/similar-events``, ``/score``, ``/healthz``,
   ``/metrics``) over a synthetic or trained model;
 * ``repro-events health`` — evaluate SLO specs against a telemetry
-  snapshot (or a fresh synthetic load run); exit 0 healthy, 1
-  breached;
-* ``repro-events bench-gate`` — compare a fresh loadgen report
-  against the committed ``BENCH_serving.json`` trajectory; exit 0
-  within tolerance, 1 regression;
+  snapshot; exit 0 healthy, 1 breached;
 * ``repro-events analyze`` — run the project's static-analysis rules
   (``python -m repro.analysis`` behind a subcommand).
 
@@ -38,12 +34,11 @@ Examples::
     repro-events experiment --scale small --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl --exemplars
     repro-events loadgen --rate 200 --duration 2 --warmup 50 \\
-        --chrome-out trace.json --bench-out BENCH_serving.json
+        --chrome-out trace.json
     repro-events loadgen --server http --rate 300 --warmup 50
     repro-events serve --port 8321 --pool-size 500
     repro-events health --telemetry telemetry.jsonl \\
         --slo 'repro_cache_hit_rate>=0.9'
-    repro-events bench-gate --bench BENCH_serving.json --report report.json
     repro-events analyze src tests benchmarks --format json
 
 ``--metrics-out PATH`` (on ``train`` and ``experiment``) enables the
@@ -195,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "JSON (chrome://tracing / Perfetto) here")
     loadgen.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="write a JSONL telemetry snapshot here")
-    loadgen.add_argument("--bench-out", default=None, metavar="PATH",
-                         help="append a trajectory point to this BENCH_*.json")
     loadgen.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of text")
     loadgen.add_argument(
@@ -235,57 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="evaluate SLO health; exit 0 healthy, 1 breached",
         description="Evaluate declarative SLO specs against a telemetry "
-        "snapshot (--telemetry) or against a fresh synthetic load run, "
-        "and print the verdict.  Exit status: 0 healthy, 1 breached, "
-        "2 usage error.",
+        "snapshot and print the verdict.  Exit status: 0 healthy, "
+        "1 breached, 2 usage error.",
     )
     health.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="JSONL telemetry file (written by --metrics-out) to "
-        "evaluate; omitted = run a short synthetic load first",
+        "--telemetry", required=True, metavar="PATH",
+        help="JSONL telemetry file (written by --metrics-out) to evaluate",
     )
     health.add_argument(
         "--slo", action="append", default=None, metavar="SPEC",
         help="SLO spec '[name=]metric[{tag=value,...}][.stat]<=target' "
         "(repeatable; default: the stock serving SLOs)",
     )
-    health.add_argument("--rate", type=float, default=200.0,
-                        help="synthetic run: offered rate (req/s)")
-    health.add_argument("--duration", type=float, default=1.0,
-                        help="synthetic run: seconds of arrivals")
-    health.add_argument("--workers", type=int, default=4)
-    health.add_argument("--pool-size", type=int, default=500)
-    health.add_argument("--warmup", type=int, default=50,
-                        help="synthetic run: unmeasured warm-up requests")
-    health.add_argument("--seed", type=int, default=0)
     health.add_argument("--json", action="store_true",
                         help="print the verdict as JSON instead of text")
     health.add_argument("--out", default=None, metavar="PATH",
                         help="also write the verdict JSON here (CI artifact)")
-
-    bench_gate = commands.add_parser(
-        "bench-gate",
-        help="gate a loadgen report against the bench trajectory",
-        description="Compare a fresh loadgen report (--report, the "
-        "`loadgen --json` output) against the committed BENCH_*.json "
-        "trajectory (--bench).  Baselines are medians over comparable "
-        "points (same workers and pool_size, unsaturated).  Exit "
-        "status: 0 within tolerance, 1 regression, 2 usage error.",
-    )
-    bench_gate.add_argument("--bench", required=True, metavar="PATH",
-                            help="committed BENCH_*.json trajectory")
-    bench_gate.add_argument("--report", required=True, metavar="PATH",
-                            help="candidate report JSON (loadgen --json)")
-    bench_gate.add_argument("--p50-tolerance", type=float, default=3.0,
-                            help="p50 bound = baseline median x this")
-    bench_gate.add_argument("--p95-tolerance", type=float, default=3.0,
-                            help="p95 bound = baseline median x this")
-    bench_gate.add_argument("--p99-tolerance", type=float, default=5.0,
-                            help="p99 bound = baseline median x this")
-    bench_gate.add_argument("--rps-tolerance", type=float, default=0.5,
-                            help="throughput floor = baseline median x this")
-    bench_gate.add_argument("--json", action="store_true",
-                            help="print the gate result as JSON")
 
     analyze = commands.add_parser(
         "analyze",
@@ -510,13 +468,20 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _check_max_batch(max_batch: int) -> None:
+    """Raise the batcher's own ``ValueError`` for a bad ``--max-batch``
+    now: the server that builds the batcher needs the whole serving
+    stack first, and that takes seconds."""
+    from repro.serving.batcher import MicroBatcher
+
+    MicroBatcher(list, max_batch=max_batch)
+
+
 def _cmd_loadgen(args) -> int:
     import json
 
     from repro.loadgen import (
         LoadgenConfig,
-        append_bench_point,
-        bench_point,
         build_synthetic_service,
         format_report,
         run_load,
@@ -540,21 +505,23 @@ def _cmd_loadgen(args) -> int:
             warmup=args.warmup,
             seed=args.seed,
         )
+        sampler = TailSampler(
+            keep_slowest=args.keep_slowest,
+            sample_fraction=args.sample_fraction,
+            seed=args.seed,
+        )
+        if args.server == "http":
+            _check_max_batch(args.max_batch)
+        print(
+            f"building synthetic serving stack (pool={args.pool_size}) ...",
+            file=sys.stderr,
+        )
+        service, users, events = build_synthetic_service(
+            seed=args.seed, pool_size=args.pool_size
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(
-        f"building synthetic serving stack (pool={args.pool_size}) ...",
-        file=sys.stderr,
-    )
-    service, users, events = build_synthetic_service(
-        seed=args.seed, pool_size=args.pool_size
-    )
-    sampler = TailSampler(
-        keep_slowest=args.keep_slowest,
-        sample_fraction=args.sample_fraction,
-        seed=args.seed,
-    )
     with use_registry(MetricsRegistry()) as registry:
         with use_tracer(Tracer(sampler)) as tracer:
             if args.server == "http":
@@ -626,15 +593,6 @@ def _cmd_loadgen(args) -> int:
             writer.write({"record": "run", "command": "loadgen"})
             writer.write_snapshot(registry, command="loadgen")
         print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
-    if args.bench_out:
-        document = append_bench_point(
-            args.bench_out, bench_point(report.as_dict())
-        )
-        print(
-            f"trajectory point {len(document['points'])} appended to "
-            f"{args.bench_out}",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -647,25 +605,30 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dataset is not None:
-        dataset = EventRecDataset.load(args.dataset)
-        model = load_model_bundle(args.bundle)
-        service = RepresentationService(model)
-        users = sorted(dataset.users, key=lambda user: user.user_id)
-        events = sorted(dataset.events, key=lambda event: event.event_id)
-        print(f"warming {len(users)} users, {len(events)} events ...",
-              file=sys.stderr)
-        service.warm(users, events)
-    else:
-        from repro.loadgen import build_synthetic_service
+    try:
+        _check_max_batch(args.max_batch)
+        if args.dataset is not None:
+            dataset = EventRecDataset.load(args.dataset)
+            model = load_model_bundle(args.bundle)
+            service = RepresentationService(model)
+            users = sorted(dataset.users, key=lambda user: user.user_id)
+            events = sorted(dataset.events, key=lambda event: event.event_id)
+            print(f"warming {len(users)} users, {len(events)} events ...",
+                  file=sys.stderr)
+            service.warm(users, events)
+        else:
+            from repro.loadgen import build_synthetic_service
 
-        print(
-            f"building synthetic serving stack (pool={args.pool_size}) ...",
-            file=sys.stderr,
-        )
-        service, users, events = build_synthetic_service(
-            seed=args.seed, pool_size=args.pool_size
-        )
+            print(
+                f"building synthetic serving stack (pool={args.pool_size}) ...",
+                file=sys.stderr,
+            )
+            service, users, events = build_synthetic_service(
+                seed=args.seed, pool_size=args.pool_size
+            )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     with use_registry(MetricsRegistry()) as registry:
         server = ServingServer(
             service,
@@ -712,58 +675,17 @@ def _cmd_health(args) -> int:
             if args.slo
             else default_serving_slos()
         )
+        snapshot = last_snapshot(args.telemetry)
+    except FileNotFoundError:
+        print(
+            f"error: telemetry file not found: {args.telemetry}",
+            file=sys.stderr,
+        )
+        return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    if args.telemetry is not None:
-        try:
-            snapshot = last_snapshot(args.telemetry)
-        except FileNotFoundError:
-            print(
-                f"error: telemetry file not found: {args.telemetry}",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        verdict = HealthMonitor(slos).evaluate(snapshot)
-    else:
-        from repro.loadgen import (
-            LoadgenConfig,
-            build_synthetic_service,
-            run_load,
-        )
-
-        try:
-            config = LoadgenConfig(
-                rate=args.rate,
-                duration=args.duration,
-                workers=args.workers,
-                warmup=args.warmup,
-                seed=args.seed,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"running synthetic load (pool={args.pool_size}, "
-            f"{config.duration:.1f} s) ...",
-            file=sys.stderr,
-        )
-        service, users, events = build_synthetic_service(
-            seed=args.seed, pool_size=args.pool_size
-        )
-        with use_registry(MetricsRegistry()) as registry:
-            report = run_load(
-                service, users, events, config, registry=registry, slos=slos
-            )
-        verdict = report.health
-        if verdict is None:  # pragma: no cover - registry always enabled here
-            print("error: no health verdict produced", file=sys.stderr)
-            return 2
-
+    verdict = HealthMonitor(slos).evaluate(snapshot)
     if args.json:
         print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
     else:
@@ -777,54 +699,6 @@ def _cmd_health(args) -> int:
         )
         print(f"health report written to {args.out}", file=sys.stderr)
     return 0 if verdict.healthy else 1
-
-
-def _cmd_bench_gate(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.loadgen import (
-        GateTolerances,
-        bench_point,
-        check_bench_regression,
-        format_gate,
-    )
-
-    try:
-        document = json.loads(Path(args.bench).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: bench file not found: {args.bench}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
-        print(f"error: bad bench JSON: {error}", file=sys.stderr)
-        return 2
-    try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: report file not found: {args.report}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
-        print(f"error: bad report JSON: {error}", file=sys.stderr)
-        return 2
-    try:
-        tolerances = GateTolerances(
-            latency_p50_ms=args.p50_tolerance,
-            latency_p95_ms=args.p95_tolerance,
-            latency_p99_ms=args.p99_tolerance,
-            achieved_rps=args.rps_tolerance,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    # Accept either a raw loadgen report (has "latency") or an
-    # already-flattened bench point (has "latency_p99_ms").
-    candidate = bench_point(report) if "latency" in report else report
-    result = check_bench_regression(document, candidate, tolerances)
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_gate(result))
-    return 0 if result.ok else 1
 
 
 def _cmd_analyze(args) -> int:
@@ -852,7 +726,6 @@ _COMMANDS = {
     "loadgen": _cmd_loadgen,
     "serve": _cmd_serve,
     "health": _cmd_health,
-    "bench-gate": _cmd_bench_gate,
     "analyze": _cmd_analyze,
 }
 

@@ -24,16 +24,11 @@ the same traffic every run.
 from __future__ import annotations
 
 import dataclasses
-import json
-import platform
 import random
-import statistics
-import subprocess
 import time
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.core.config import JointModelConfig
@@ -61,14 +56,6 @@ __all__ = [
     "run_load",
     "build_synthetic_service",
     "format_report",
-    "append_bench_point",
-    "bench_point",
-    "git_commit",
-    "GateTolerances",
-    "GateCheck",
-    "GateResult",
-    "check_bench_regression",
-    "format_gate",
 ]
 
 
@@ -88,6 +75,9 @@ class LoadgenConfig:
     measured window reflects steady state, not cold start.
     Everything is driven by ``seed``; the warm-up phase draws from an
     offset rng so enabling it never perturbs the measured traffic.
+    A config whose seeded schedule would hold no arrival at all (a
+    ``rate`` x ``duration`` well under one request) is refused here,
+    before anything is built or sent on its behalf.
     """
 
     rate: float = 200.0
@@ -114,6 +104,14 @@ class LoadgenConfig:
             raise ValueError(f"batch_users must be >= 1, got {self.batch_users}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        # The first gap run_load draws: past the window, the schedule
+        # is empty and there is no request to summarize.
+        if random.Random(self.seed).expovariate(self.rate) >= self.duration:
+            raise ValueError(
+                f"rate {self.rate:g}/s x duration {self.duration:g} s = "
+                f"{self.rate * self.duration:.2f} expected arrivals, and "
+                f"seed {self.seed} draws none; raise rate or duration"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ class LoadReport:
     warmup_excluded: int = 0
     health: HealthSnapshot | None = None
     # How the service was reached: "inprocess" (direct method calls)
-    # or "http" (through the repro.serving server + client).  Bench
-    # points are only comparable within one mode.
+    # or "http" (through the repro.serving server + client).  Two
+    # reports are only comparable within one mode.
     mode: str = "inprocess"
 
     def as_dict(self) -> dict[str, Any]:
@@ -248,8 +246,8 @@ def run_load(
     ``rank_events``, and ``rank_events_batch`` works — in particular
     :class:`repro.serving.client.HttpServiceClient`, which turns this
     harness into an end-to-end driver for the batched HTTP server
-    (pass ``mode="http"`` so the report and its bench point carry the
-    path that was measured; bench-gate only compares like with like).
+    (pass ``mode="http"`` so the report carries the path that was
+    measured; CI's serve-smoke job asserts it).
 
     The caller decides the observability setup: install a tracer
     (``with use_tracer(...)``) to get per-stage attribution and
@@ -399,6 +397,8 @@ def build_synthetic_service(
     ``pool_size`` by replicating events under fresh ids, then fully
     warmed so steady-state traffic exercises the indexed path.
     """
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     dataset = build_dataset(DataConfig.small(seed=seed))
     # Explicit id order: traffic must not depend on container order.
     users = sorted(dataset.users, key=lambda user: user.user_id)
@@ -459,279 +459,3 @@ def format_report(report: LoadReport) -> str:
         lines += ["", format_health(report.health)]
     return "\n".join(lines)
 
-
-def append_bench_point(
-    path: str | Path, point: dict[str, Any], bench: str = "serving_loadgen"
-) -> dict[str, Any]:
-    """Append one trajectory point to a ``BENCH_*.json`` artifact.
-
-    The file holds ``{"bench": ..., "points": [...]}``; this reads the
-    existing document (if any), appends, rewrites, and returns the
-    document so callers can report the trajectory length.
-    """
-    target = Path(path)
-    if target.exists():
-        document = json.loads(target.read_text(encoding="utf-8"))
-        if document.get("bench") != bench:
-            raise ValueError(
-                f"{target} tracks bench {document.get('bench')!r}, not {bench!r}"
-            )
-    else:
-        document = {"bench": bench, "points": []}
-    document["points"].append(point)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return document
-
-
-def git_commit(default: str = "unknown") -> str:
-    """Short hash of the checked-out commit, or ``default``.
-
-    Benchmark points are only comparable when you know what code
-    produced them; a missing git binary or a non-repo cwd degrades to
-    ``default`` rather than failing the run.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10.0,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return default
-    if proc.returncode != 0:
-        return default
-    commit = proc.stdout.strip()
-    return commit if commit else default
-
-
-def bench_point(
-    report: Mapping[str, Any], date: str | None = None
-) -> dict[str, Any]:
-    """Build one ``BENCH_serving.json`` trajectory point.
-
-    Flattens a :meth:`LoadReport.as_dict` report into the compact
-    point schema the bench trajectory stores, stamped with the
-    provenance the regression gate and any human reader need: the
-    run date, the git commit, and the Python version.
-    """
-    config: Mapping[str, Any] = report.get("config", {})
-    point: dict[str, Any] = {
-        "date": date
-        if date is not None
-        else time.strftime("%Y-%m-%d", time.gmtime()),
-        "commit": git_commit(),
-        "python": platform.python_version(),
-        "workers": config.get("workers"),
-        "rate": config.get("rate"),
-        "duration": config.get("duration"),
-        "warmup": config.get("warmup", 0),
-        "pool_size": report.get("pool_size", 0),
-        "mode": report.get("mode", "inprocess"),
-        "requests": report["requests"],
-        "achieved_rps": round(float(report["achieved_rps"]), 2),
-        "saturated": bool(report["saturated"]),
-        "latency_p50_ms": round(float(report["latency"]["p50"]) * 1e3, 3),
-        "latency_p95_ms": round(float(report["latency"]["p95"]) * 1e3, 3),
-        "latency_p99_ms": round(float(report["latency"]["p99"]) * 1e3, 3),
-    }
-    health = report.get("health")
-    if health is not None:
-        point["health"] = {
-            "healthy": bool(health["healthy"]),
-            "breached": list(health["breached"]),
-        }
-    return point
-
-
-# -- bench-regression gate -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateTolerances:
-    """Per-metric tolerance bands for the regression gate.
-
-    Latency tolerances are *multipliers on the baseline median* a
-    candidate may not exceed; ``achieved_rps`` is the *fraction of
-    the baseline median* a candidate must still reach.  Defaults are
-    deliberately loose — CI runners are noisy shared machines and a
-    gate that cries wolf gets deleted; the gate exists to catch
-    order-of-magnitude regressions, not 10% jitter.
-    """
-
-    latency_p50_ms: float = 3.0
-    latency_p95_ms: float = 3.0
-    latency_p99_ms: float = 5.0
-    achieved_rps: float = 0.5
-
-    def __post_init__(self) -> None:
-        for metric in (
-            "latency_p50_ms",
-            "latency_p95_ms",
-            "latency_p99_ms",
-            "achieved_rps",
-        ):
-            if getattr(self, metric) <= 0.0:
-                raise ValueError(f"{metric} tolerance must be > 0")
-
-
-@dataclass(frozen=True)
-class GateCheck:
-    """One metric's comparison against the trajectory baseline."""
-
-    metric: str
-    baseline: float
-    bound: float
-    candidate: float
-    ok: bool
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "baseline": round(self.baseline, 4),
-            "bound": round(self.bound, 4),
-            "candidate": round(self.candidate, 4),
-            "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
-class GateResult:
-    """The gate's verdict over every checked metric."""
-
-    ok: bool
-    checks: tuple[GateCheck, ...]
-    compared: int
-    reason: str = ""
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "compared": self.compared,
-            "reason": self.reason,
-            "checks": [check.as_dict() for check in self.checks],
-        }
-
-
-_GATE_LATENCY_METRICS = (
-    "latency_p50_ms",
-    "latency_p95_ms",
-    "latency_p99_ms",
-)
-
-
-def check_bench_regression(
-    document: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    tolerances: GateTolerances | None = None,
-) -> GateResult:
-    """Compare a fresh bench point against the committed trajectory.
-
-    Baselines are the *medians* over comparable points — same
-    ``workers``, ``pool_size``, and serving ``mode`` (in-process vs
-    HTTP; points predating the mode field count as in-process), not
-    saturated — so one historical
-    outlier cannot poison the gate.  A candidate passes when every
-    latency percentile stays under ``median * tolerance`` and
-    throughput stays above ``median * tolerance``.  With no
-    comparable history the gate passes vacuously (first run on a new
-    configuration seeds the trajectory); a saturated candidate fails
-    outright — saturation at a rate the trajectory handled *is* the
-    regression.
-    """
-    tolerances = tolerances if tolerances is not None else GateTolerances()
-    points = list(document.get("points", []))
-    comparable = [
-        point
-        for point in points
-        if point.get("workers") == candidate.get("workers")
-        and point.get("pool_size") == candidate.get("pool_size")
-        # Points predating the HTTP serving mode are in-process ones.
-        and point.get("mode", "inprocess") == candidate.get("mode", "inprocess")
-        and not point.get("saturated", False)
-    ]
-    if not comparable:
-        return GateResult(
-            ok=True,
-            checks=(),
-            compared=0,
-            reason="no comparable trajectory points "
-            "(matching workers/pool_size, unsaturated); gate passes vacuously",
-        )
-    if candidate.get("saturated", False):
-        return GateResult(
-            ok=False,
-            checks=(),
-            compared=len(comparable),
-            reason="candidate run saturated at a rate the trajectory handled",
-        )
-    checks: list[GateCheck] = []
-    for metric in _GATE_LATENCY_METRICS:
-        history = [
-            float(point[metric]) for point in comparable if metric in point
-        ]
-        if not history or metric not in candidate:
-            continue
-        baseline = statistics.median(history)
-        bound = baseline * getattr(tolerances, metric)
-        value = float(candidate[metric])
-        checks.append(
-            GateCheck(
-                metric=metric,
-                baseline=baseline,
-                bound=bound,
-                candidate=value,
-                ok=value <= bound,
-            )
-        )
-    history = [
-        float(point["achieved_rps"])
-        for point in comparable
-        if "achieved_rps" in point
-    ]
-    if history and "achieved_rps" in candidate:
-        baseline = statistics.median(history)
-        bound = baseline * tolerances.achieved_rps
-        value = float(candidate["achieved_rps"])
-        checks.append(
-            GateCheck(
-                metric="achieved_rps",
-                baseline=baseline,
-                bound=bound,
-                candidate=value,
-                ok=value >= bound,
-            )
-        )
-    return GateResult(
-        ok=all(check.ok for check in checks),
-        checks=tuple(checks),
-        compared=len(comparable),
-    )
-
-
-def format_gate(result: GateResult) -> str:
-    """Human-readable gate verdict table."""
-    lines = [
-        f"bench gate: {'PASS' if result.ok else 'FAIL'} "
-        f"({result.compared} comparable trajectory points)",
-    ]
-    if result.reason:
-        lines.append(f"  {result.reason}")
-    if result.checks:
-        lines += [
-            "",
-            f"{'metric':<18} {'baseline':>10} {'bound':>10} "
-            f"{'candidate':>10}  verdict",
-        ]
-        for check in result.checks:
-            lines.append(
-                f"{check.metric:<18} {check.baseline:>10.3f} "
-                f"{check.bound:>10.3f} {check.candidate:>10.3f}  "
-                f"{'ok' if check.ok else 'REGRESSION'}"
-            )
-    return "\n".join(lines)

@@ -69,6 +69,9 @@ class TestCachedVectors:
             service.user_vector(user)
         assert service.cache.stats.misses == 0
         assert service.cache.stats.hits == len(tiny_users)
+        for user, event in zip(tiny_users, tiny_events):
+            service.score(user, event)
+        assert service.cache.stats.hit_rate == 1.0
 
 
 class TestScoring:
@@ -153,14 +156,35 @@ class TestIndexedParity:
             )
         return events
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # (size, seed).  The last pool is the only one past the index's
+    # first growth and far past top_k, where the argpartition cut does
+    # the selecting; its vectors go straight into the cache under their
+    # true versions, so it costs no tower time.
+    @pytest.mark.parametrize(
+        "pool",
+        [(60, 0), (60, 1), (60, 2), (2500, 3)],
+        ids=["0", "1", "2", "primed2500"],
+    )
     @pytest.mark.parametrize("at_time", [None, 40.0])
     @pytest.mark.parametrize("top_k", [None, 1, 7])
     def test_indexed_matches_loop_on_random_pools(
-        self, service, tiny_users, seed, at_time, top_k
+        self, service, tiny_users, pool, at_time, top_k
     ):
-        events = self._random_pool(60, seed)
+        size, seed = pool
+        events = self._random_pool(size, seed)
         user = tiny_users[0]
+        if size > 60:
+            rng = np.random.default_rng(seed)
+            dim = service.model.config.representation_dim
+            service.cache.put(
+                service.USER_KIND, user.user_id,
+                service.user_version(user), rng.normal(size=dim),
+            )
+            for event in events:
+                service.cache.put(
+                    service.EVENT_KIND, event.event_id,
+                    service.event_version(event), rng.normal(size=dim),
+                )
         loop = rank_events_loop(
             service, user, events, at_time=at_time, top_k=top_k
         )
