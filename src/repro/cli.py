@@ -11,11 +11,10 @@ Nine subcommands cover the life cycle a downstream user needs:
   evaluation end-to-end and print the reproduced tables;
 * ``repro-events metrics`` — render the final metrics snapshot of a
   telemetry file (written via ``--metrics-out``) as Prometheus text;
-* ``repro-events loadgen`` — drive open-loop Poisson traffic against
-  a self-contained serving stack with request tracing, and report
-  latency percentiles, per-stage attribution, and an SLO health
-  verdict; ``--server http`` routes the same traffic through the
-  micro-batching HTTP server end-to-end;
+* ``repro-events loadgen`` — boot the micro-batching HTTP server over
+  a self-contained serving stack, drive open-loop Poisson traffic
+  through it with request tracing, and report latency percentiles,
+  per-stage attribution, and an SLO health verdict;
 * ``repro-events serve`` — stand up the batched HTTP serving API
   (``/recommend``, ``/similar-events``, ``/score``, ``/healthz``,
   ``/metrics``) over a synthetic or trained model;
@@ -34,9 +33,9 @@ Examples::
     repro-events experiment --scale small --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl --exemplars
     repro-events loadgen --rate 200 --duration 2 --warmup 50 \\
-        --chrome-out trace.json
-    repro-events loadgen --server http --rate 300 --warmup 50
+        --chrome-out trace.json --metrics-out load.jsonl
     repro-events serve --port 8321 --pool-size 500
+    repro-events health --telemetry load.jsonl
     repro-events health --telemetry telemetry.jsonl \\
         --slo 'repro_cache_hit_rate>=0.9'
     repro-events analyze src tests benchmarks --format json
@@ -158,10 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = commands.add_parser(
         "loadgen",
         help="open-loop load harness for the serving path",
-        description="Replay Poisson-arrival rank/score traffic against a "
-        "self-contained synthetic RepresentationService across worker "
-        "threads, with request tracing on, and report p50/p95/p99 "
-        "latency plus per-stage attribution computed from the traces.",
+        description="Boot the micro-batching serving API over a "
+        "self-contained synthetic RepresentationService, replay "
+        "Poisson-arrival /recommend and /score traffic through it over "
+        "HTTP across worker threads, with request tracing on, and report "
+        "p50/p95/p99 latency plus per-stage attribution computed from "
+        "the traces.",
     )
     loadgen.add_argument("--rate", type=float, default=200.0,
                          help="offered arrival rate, requests/second")
@@ -171,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--top-k", type=int, default=10)
     loadgen.add_argument("--pool-size", type=int, default=500,
                          help="candidate-pool size (events in the index)")
-    loadgen.add_argument("--batch-users", type=int, default=1,
-                         help="> 1 routes rank traffic through rank_events_batch")
     loadgen.add_argument("--score-fraction", type=float, default=0.2,
                          help="fraction of requests that are single-pair score calls")
     loadgen.add_argument("--warmup", type=int, default=0,
@@ -192,14 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a JSONL telemetry snapshot here")
     loadgen.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of text")
-    loadgen.add_argument(
-        "--server", choices=("inprocess", "http"), default="inprocess",
-        help="inprocess = call the service directly (default); http = "
-        "boot the micro-batching serving API in-process and drive it "
-        "over HTTP, measuring the batched end-to-end path",
-    )
     loadgen.add_argument("--max-batch", type=int, default=32,
-                         help="http server: most requests one flush may carry")
+                         help="most requests one server flush may carry")
 
     serve = commands.add_parser(
         "serve",
@@ -493,6 +486,7 @@ def _cmd_loadgen(args) -> int:
         write_chrome_trace,
         write_trace_jsonl,
     )
+    from repro.serving import HttpServiceClient, ServingServer, ThreadedServer
 
     try:
         config = LoadgenConfig(
@@ -501,7 +495,6 @@ def _cmd_loadgen(args) -> int:
             workers=args.workers,
             top_k=args.top_k,
             score_fraction=args.score_fraction,
-            batch_users=args.batch_users,
             warmup=args.warmup,
             seed=args.seed,
         )
@@ -510,8 +503,7 @@ def _cmd_loadgen(args) -> int:
             sample_fraction=args.sample_fraction,
             seed=args.seed,
         )
-        if args.server == "http":
-            _check_max_batch(args.max_batch)
+        _check_max_batch(args.max_batch)
         print(
             f"building synthetic serving stack (pool={args.pool_size}) ...",
             file=sys.stderr,
@@ -524,55 +516,38 @@ def _cmd_loadgen(args) -> int:
         return 2
     with use_registry(MetricsRegistry()) as registry:
         with use_tracer(Tracer(sampler)) as tracer:
-            if args.server == "http":
-                from repro.serving import (
-                    HttpServiceClient,
-                    ServingServer,
-                    ThreadedServer,
-                )
-
-                serving = ServingServer(
-                    service,
-                    users,
-                    events,
-                    max_batch=args.max_batch,
-                    registry=registry,
-                )
-                with ThreadedServer(serving) as hosted:
-                    print(
-                        f"serving on http://{hosted.host}:{hosted.port} "
-                        f"(max_batch={args.max_batch})",
-                        file=sys.stderr,
-                    )
-                    client = HttpServiceClient(
-                        hosted.host,
-                        hosted.port,
-                        full_pool_size=len(events),
-                        monitors=service.monitors,
-                    )
-                    try:
-                        report = run_load(
-                            client,
-                            users,
-                            events,
-                            config,
-                            registry=registry,
-                            mode="http",
-                        )
-                    finally:
-                        client.close()
-                flushed = serving.batcher.batches_flushed
-                batched = serving.batcher.requests_batched
+            serving = ServingServer(
+                service,
+                users,
+                events,
+                max_batch=args.max_batch,
+                registry=registry,
+            )
+            with ThreadedServer(serving) as hosted:
                 print(
-                    f"serving batches: {flushed} flushed, "
-                    f"{batched} requests, mean batch size "
-                    f"{batched / flushed if flushed else 0.0:.2f}",
+                    f"serving on http://{hosted.host}:{hosted.port} "
+                    f"(max_batch={args.max_batch})",
                     file=sys.stderr,
                 )
-            else:
-                report = run_load(
-                    service, users, events, config, registry=registry
-                )
+                client = HttpServiceClient(hosted.host, hosted.port)
+                try:
+                    report = run_load(
+                        client,
+                        [user.user_id for user in users],
+                        [event.event_id for event in events],
+                        config,
+                        registry=registry,
+                    )
+                finally:
+                    client.close()
+            flushed = serving.batcher.batches_flushed
+            batched = serving.batcher.requests_batched
+            print(
+                f"serving batches: {flushed} flushed, "
+                f"{batched} requests, mean batch size "
+                f"{batched / flushed if flushed else 0.0:.2f}",
+                file=sys.stderr,
+            )
         traces = tracer.traces()
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -663,8 +638,8 @@ def _cmd_health(args) -> int:
     import json
 
     from repro.obs.health import (
-        HealthMonitor,
         default_serving_slos,
+        evaluate,
         format_health,
         parse_slo,
     )
@@ -685,7 +660,7 @@ def _cmd_health(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    verdict = HealthMonitor(slos).evaluate(snapshot)
+    verdict = evaluate(slos, snapshot)
     if args.json:
         print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
     else:

@@ -1,9 +1,9 @@
 """Open-loop load harness for the serving path.
 
-Replays Poisson-arrival rank/score traffic against a
-:class:`~repro.core.service.RepresentationService` from a pool of
-worker threads and reports what the ROADMAP's serving arc needs to
-know before building request coalescing: end-to-end latency
+Replays Poisson-arrival ``/recommend`` and ``/score`` traffic through
+an :class:`~repro.serving.client.HttpServiceClient` from a pool of
+worker threads — the harness reaches the service the one way a caller
+does, over the HTTP server — and reports end-to-end latency
 percentiles, achieved vs offered throughput, and — when a
 :class:`~repro.obs.trace.Tracer` is installed — per-stage latency
 attribution (encode / cache hit-miss / index lock wait / GEMV /
@@ -38,14 +38,14 @@ from repro.datagen.config import DataConfig
 from repro.datagen.dataset import build_dataset
 from repro.entities import Event, User
 from repro.obs.health import (
-    HealthMonitor,
     HealthSnapshot,
-    SLOSpec,
     default_serving_slos,
+    evaluate,
     format_health,
 )
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.trace import Tracer, get_tracer, span
+from repro.obs.trace import get_tracer, span
+from repro.serving.client import HttpServiceClient
 from repro.text.documents import DocumentEncoder
 
 __all__ = [
@@ -66,10 +66,9 @@ class LoadgenConfig:
     ``rate`` is the *offered* mean arrival rate (requests/second);
     ``duration`` bounds the arrival schedule, not the run (in-flight
     requests drain after the last arrival).  ``score_fraction`` of
-    requests are single-pair ``score`` calls, the rest are
-    ``rank_events`` over the full candidate pool (or
-    ``rank_events_batch`` over ``batch_users`` users when that is
-    > 1).  ``warmup`` requests are issued *before* the open-loop
+    requests are single-pair ``/score`` posts, the rest are
+    ``/recommend`` over the server's full candidate pool.
+    ``warmup`` requests are issued *before* the open-loop
     schedule starts and are excluded from every summary statistic —
     they exist to fill caches and JIT-warm the allocator so the
     measured window reflects steady state, not cold start.
@@ -85,7 +84,6 @@ class LoadgenConfig:
     workers: int = 4
     top_k: int = 10
     score_fraction: float = 0.2
-    batch_users: int = 1
     warmup: int = 0
     seed: int = 0
 
@@ -100,8 +98,6 @@ class LoadgenConfig:
             raise ValueError(
                 f"score_fraction must be in [0, 1], got {self.score_fraction}"
             )
-        if self.batch_users < 1:
-            raise ValueError(f"batch_users must be >= 1, got {self.batch_users}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         # The first gap run_load draws: past the window, the schedule
@@ -120,7 +116,7 @@ class RequestRecord:
 
     ``latency`` runs from the **scheduled** arrival to completion and
     therefore includes dispatcher lag and executor queue wait;
-    ``service`` covers only the service call itself.
+    ``service`` covers only the client call itself.
     """
 
     index: int
@@ -175,10 +171,6 @@ class LoadReport:
     pool_size: int = 0
     warmup_excluded: int = 0
     health: HealthSnapshot | None = None
-    # How the service was reached: "inprocess" (direct method calls)
-    # or "http" (through the repro.serving server + client).  Two
-    # reports are only comparable within one mode.
-    mode: str = "inprocess"
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able view (drops the raw per-request records)."""
@@ -197,7 +189,6 @@ class LoadReport:
             "pool_size": self.pool_size,
             "warmup_excluded": self.warmup_excluded,
             "health": self.health.as_dict() if self.health is not None else None,
-            "mode": self.mode,
         }
 
 
@@ -232,22 +223,17 @@ def _export_report_gauges(
 
 
 def run_load(
-    service: RepresentationService | Any,
-    users: Sequence[User],
-    events: Sequence[Event],
+    client: HttpServiceClient,
+    user_ids: Sequence[int],
+    event_ids: Sequence[int],
     config: LoadgenConfig,
     registry: MetricsRegistry | None = None,
-    slos: Sequence[SLOSpec] | None = None,
-    mode: str = "inprocess",
 ) -> LoadReport:
-    """Drive one open-loop run and summarize it.
+    """Drive one open-loop run against ``client``'s server and
+    summarize it.
 
-    ``service`` is duck-typed: anything with ``score``,
-    ``rank_events``, and ``rank_events_batch`` works — in particular
-    :class:`repro.serving.client.HttpServiceClient`, which turns this
-    harness into an end-to-end driver for the batched HTTP server
-    (pass ``mode="http"`` so the report carries the path that was
-    measured; CI's serve-smoke job asserts it).
+    ``user_ids`` and ``event_ids`` are the ids the server serves, in
+    the order the seeded plan indexes them.
 
     The caller decides the observability setup: install a tracer
     (``with use_tracer(...)``) to get per-stage attribution and
@@ -258,29 +244,23 @@ def run_load(
 
     With a live registry the report also carries a health verdict:
     the run's headline numbers are exported as ``repro_loadgen_*``
-    gauges and evaluated against ``slos`` (default:
-    :func:`~repro.obs.health.default_serving_slos`), together with
-    any drift monitors the service carries.
+    gauges and the registry's snapshot — which holds the server's own
+    metrics too when it is hosted in this process — is judged against
+    :func:`~repro.obs.health.default_serving_slos`, exactly as
+    ``repro-events health --telemetry`` judges it afterwards.
     """
-    if not users:
+    if not user_ids:
         raise ValueError("need at least one user")
-    if not events:
+    if not event_ids:
         raise ValueError("need at least one event")
     registry = registry if registry is not None else get_registry()
     rng = random.Random(config.seed)
 
     def dispatch(op: str, user_pos: int) -> None:
-        user = users[user_pos]
         if op == "score":
-            service.score(user, events[user_pos % len(events)])
-        elif config.batch_users > 1:
-            cohort = [
-                users[(user_pos + offset) % len(users)]
-                for offset in range(config.batch_users)
-            ]
-            service.rank_events_batch(cohort, events, top_k=config.top_k)
+            client.score(user_ids[user_pos], event_ids[user_pos % len(event_ids)])
         else:
-            service.rank_events(user, events, top_k=config.top_k)
+            client.recommend(user_ids[user_pos], top_k=config.top_k)
 
     # Warm-up: sequential, unmeasured, drawn from an *offset* rng so
     # the measured schedule below is byte-identical with warmup=0.
@@ -289,7 +269,7 @@ def run_load(
     warmup_rng = random.Random(config.seed + 1_000_003)
     for _ in range(config.warmup):
         op = "score" if warmup_rng.random() < config.score_fraction else "rank"
-        dispatch(op, warmup_rng.randrange(len(users)))
+        dispatch(op, warmup_rng.randrange(len(user_ids)))
 
     # Draw the full open-loop schedule up front: arrival offsets plus
     # per-request operation and user choice, all from one seeded rng.
@@ -301,7 +281,7 @@ def run_load(
     plan: list[tuple[str, int]] = []
     for _ in arrivals:
         op = "score" if rng.random() < config.score_fraction else "rank"
-        plan.append((op, rng.randrange(len(users))))
+        plan.append((op, rng.randrange(len(user_ids))))
 
     tracer = get_tracer()
     t0 = time.perf_counter()
@@ -358,13 +338,8 @@ def run_load(
         _export_report_gauges(
             registry, latency_summary, queue_summary, achieved, saturated
         )
-        specs = tuple(slos) if slos is not None else default_serving_slos()
-        monitors = getattr(service, "monitors", None)
-        drift_monitors = tuple(monitors.all) if monitors is not None else ()
-        if specs or drift_monitors:
-            monitor = HealthMonitor(specs, drift_monitors)
-            health = monitor.evaluate(registry.snapshot())
-            monitor.export(health, registry)
+        health = evaluate(default_serving_slos(), registry.snapshot())
+        health.export(registry)
 
     return LoadReport(
         config=config,
@@ -379,10 +354,9 @@ def run_load(
         saturated=saturated,
         attribution=attribution,
         records=records,
-        pool_size=len(events),
+        pool_size=len(event_ids),
         warmup_excluded=config.warmup,
         health=health,
-        mode=mode,
     )
 
 

@@ -18,9 +18,9 @@ Section 4.  Six pieces:
   text format (optionally with OpenMetrics exemplar suffixes);
 * :mod:`repro.obs.drift` — reference-vs-live window drift detection
   (PSI, two-sample KS, mean/variance shift) over streaming monitors;
-* :mod:`repro.obs.health` — declarative SLO specs evaluated as
-  multi-window error-budget burn rates, folded into a
-  :class:`HealthSnapshot` exported as ``repro_health_*`` gauges.
+* :mod:`repro.obs.health` — declarative SLO specs judged against one
+  registry snapshot and folded into a :class:`HealthSnapshot`
+  exported as ``repro_health_*`` gauges.
 
 Metric naming convention: ``repro_<subsystem>_<name>_<unit>`` —
 ``repro_serving_encode_seconds``, ``repro_cache_hits_total``,
@@ -52,11 +52,9 @@ from repro.obs.export import (
     snapshot_record,
 )
 from repro.obs.health import (
-    HealthMonitor,
     HealthSnapshot,
     SLOSpec,
     SLOStatus,
-    SLOTracker,
     default_serving_slos,
     format_health,
     parse_slo,
@@ -139,11 +137,9 @@ __all__ = [
     "psi",
     "ks_statistic",
     "mean_shift_zscore",
-    "HealthMonitor",
     "HealthSnapshot",
     "SLOSpec",
     "SLOStatus",
-    "SLOTracker",
     "default_serving_slos",
     "parse_slo",
     "format_health",

@@ -15,8 +15,8 @@ Layers (each independently testable):
 * :mod:`repro.serving.http` — HTTP/1.1 framing over asyncio streams;
 * :mod:`repro.serving.server` — routes + lifecycle
   (:class:`ServingServer`, thread-hosted :class:`ThreadedServer`);
-* :mod:`repro.serving.client` — a service-shaped synchronous client
-  the loadgen harness can drive.
+* :mod:`repro.serving.client` — the synchronous client, over ids,
+  that the loadgen harness drives.
 """
 
 from repro.serving.batcher import BatcherClosed, MicroBatcher

@@ -1,17 +1,17 @@
-"""Synchronous HTTP client mirroring the ``RepresentationService`` calls.
+"""Synchronous HTTP client for the serving API.
 
-:class:`HttpServiceClient` duck-types the three methods
-:func:`repro.loadgen.run_load` dispatches on — ``score``,
-``rank_events``, ``rank_events_batch`` — so the open-loop harness can
-drive the batched HTTP server with the *same* traffic plan it uses
-in-process: pass the client where the service would go.  Connections
-are per-thread (``http.client`` handles are not thread-safe) and
-keep-alive, with one transparent reconnect when the server closes an
-idle connection.
+:class:`HttpServiceClient` is what :func:`repro.loadgen.run_load`
+drives: ``recommend`` and ``score`` take ids and post them, so the
+open-loop harness measures the server the way a caller reaches it.
+Connections are per-thread (``http.client`` handles are not
+thread-safe) and keep-alive, with one transparent reconnect when the
+server closes an idle connection; the client owns every handle its
+threads opened and :meth:`~HttpServiceClient.close` closes them all.
 
-When ``rank_events`` is called with the full served pool (the only
-shape loadgen produces), the request omits ``event_ids`` — the server
-ranks its whole pool — so the wire cost stays flat in pool size.
+``recommend`` posts no ``event_ids``: the server ranks its whole pool
+(the only shape loadgen produces), so the wire cost stays flat in
+pool size.  Anything else the API accepts goes through
+:meth:`~HttpServiceClient.request`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-from collections.abc import Sequence
 from typing import Any
-
-from repro.entities import Event, User
 
 __all__ = ["HttpServiceClient", "ServerError"]
 
@@ -37,27 +34,16 @@ class ServerError(RuntimeError):
 
 
 class HttpServiceClient:
-    """Service-shaped facade over the serving HTTP API."""
+    """The serving HTTP API as method calls over ids."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        full_pool_size: int | None = None,
-        timeout: float = 30.0,
-        monitors: Any = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
         self.host = host
         self.port = port
-        self.full_pool_size = full_pool_size
         self.timeout = timeout
-        # When the server is hosted in-process, the backing service's
-        # ServingMonitors can be handed through here so run_load's
-        # health evaluation still sees the drift verdict; a genuinely
-        # remote server leaves this None.
-        self.monitors = monitors
         self._local = threading.local()
+        # Every thread's handle, so close() reaches the sockets that
+        # worker threads opened and can no longer close themselves.
+        self._connections: list[http.client.HTTPConnection] = []
 
     # -- transport -----------------------------------------------------
 
@@ -68,13 +54,8 @@ class HttpServiceClient:
                 self.host, self.port, timeout=self.timeout
             )
             self._local.connection = connection
+            self._connections.append(connection)
         return connection
-
-    def _reset_connection(self) -> None:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-        self._local.connection = None
 
     def request(self, method: str, path: str, payload: Any = None) -> Any:
         """One round-trip; retries once on a dropped idle connection."""
@@ -96,7 +77,7 @@ class HttpServiceClient:
                 ConnectionError,
                 BrokenPipeError,
             ):
-                self._reset_connection()
+                connection.close()  # the handle reconnects on its next use
                 if attempt:
                     raise
         status = response.status
@@ -110,47 +91,26 @@ class HttpServiceClient:
         return decoded
 
     def close(self) -> None:
-        self._reset_connection()
+        """Close every thread's connection, not just the caller's."""
+        for connection in self._connections:
+            connection.close()
 
-    # -- service-shaped calls (loadgen duck-typing) --------------------
+    # -- API calls -----------------------------------------------------
 
-    def score(self, user: User, event: Event) -> float:
+    def score(self, user_id: int, event_id: int) -> float:
         reply = self.request(
-            "POST",
-            "/score",
-            {"user_id": user.user_id, "event_id": event.event_id},
+            "POST", "/score", {"user_id": user_id, "event_id": event_id}
         )
         return float(reply["score"])
 
-    def rank_events(
-        self,
-        user: User,
-        events: Sequence[Event],
-        at_time: float | None = None,
-        top_k: int | None = None,
+    def recommend(
+        self, user_id: int, top_k: int | None = None
     ) -> list[dict[str, Any]]:
-        payload: dict[str, Any] = {"user_id": user.user_id, "top_k": top_k}
-        if at_time is not None:
-            payload["at_time"] = at_time
-        if self.full_pool_size is None or len(events) != self.full_pool_size:
-            payload["event_ids"] = [event.event_id for event in events]
-        reply = self.request("POST", "/recommend", payload)
+        """``user_id``'s ranking of the server's whole pool."""
+        reply = self.request(
+            "POST", "/recommend", {"user_id": user_id, "top_k": top_k}
+        )
         return list(reply["results"])
-
-    def rank_events_batch(
-        self,
-        users: Sequence[User],
-        events: Sequence[Event],
-        at_time: float | None = None,
-        top_k: int | None = None,
-    ) -> list[list[dict[str, Any]]]:
-        # Sequential per-user posts: batching is the *server's* job —
-        # coalescing happens when many workers post concurrently, not
-        # by the client pre-forming cohorts.
-        return [
-            self.rank_events(user, events, at_time=at_time, top_k=top_k)
-            for user in users
-        ]
 
     # -- operational endpoints -----------------------------------------
 

@@ -3,8 +3,9 @@
 Just enough protocol for the serving API: request-line + headers +
 ``Content-Length`` bodies in, status + JSON (or text) out, with
 keep-alive so the loadgen client can reuse connections.  No chunked
-transfer, no TLS, no multipart — the serving surface is five JSON
-endpoints and this parser is written to be auditable, not general.
+transfer (a request with ``Transfer-Encoding`` is refused, 400), no
+TLS, no multipart — the serving surface is five JSON endpoints and
+this parser is written to be auditable, not general.
 
 Kept separate from :mod:`repro.serving.server` so the framing can be
 unit-tested against raw byte streams without standing up a service.
@@ -110,6 +111,14 @@ async def read_http_request(
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # Only Content-Length frames a body here.  Read on as if there
+        # were none and the chunks would parse as the next request.
+        raise HttpError(
+            400,
+            "Transfer-Encoding is not supported; send the body with "
+            "Content-Length",
+        )
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)

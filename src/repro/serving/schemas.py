@@ -1,4 +1,4 @@
-"""Typed request/response schemas for the serving HTTP API.
+"""Typed request schemas and error envelopes for the serving HTTP API.
 
 The HTTP boundary is where caller mistakes arrive: a ``top_k`` of
 ``0``, a candidate pool with duplicate event ids, a user id as a
@@ -25,7 +25,7 @@ validation is exhaustively unit-testable without a socket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.service import validate_top_k
@@ -249,11 +249,3 @@ class SimilarEventsRequest:
             top_k=top_k if top_k is not None else 3,
             min_similarity=min_similarity,  # type: ignore[arg-type]
         )
-
-
-@dataclass(frozen=True)
-class RecommendResponse:
-    """Payload shape returned by ``/recommend`` (documentation aid)."""
-
-    user_id: int
-    results: list[dict[str, Any]] = field(default_factory=list)

@@ -95,22 +95,6 @@ class IndexStats:
     compactions: int = 0
     grows: int = 0
 
-    @property
-    def upserts(self) -> int:
-        return self.inserts + self.refreshes + self.fresh_skips
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat counter view, the shape telemetry collectors consume."""
-        return {
-            "inserts": self.inserts,
-            "refreshes": self.refreshes,
-            "fresh_skips": self.fresh_skips,
-            "removes": self.removes,
-            "compactions": self.compactions,
-            "grows": self.grows,
-            "upserts": self.upserts,
-        }
-
 
 def top_k_order(
     scores: np.ndarray, event_ids: np.ndarray, k: int | None = None

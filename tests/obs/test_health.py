@@ -1,4 +1,4 @@
-"""SLO health: spec parsing, burn rates, verdicts, export."""
+"""SLO health: spec parsing, one-snapshot verdicts, export."""
 
 import json
 
@@ -7,10 +7,9 @@ import pytest
 from repro.obs import MetricsRegistry, render_prometheus
 from repro.obs.drift import DriftMonitor
 from repro.obs.health import (
-    HealthMonitor,
     SLOSpec,
-    SLOTracker,
     default_serving_slos,
+    evaluate,
     format_health,
     parse_slo,
 )
@@ -43,11 +42,6 @@ class TestSLOSpec:
         [
             {"op": "<"},
             {"stat": "p42"},
-            {"budget": 0.0},
-            {"budget": 1.0},
-            {"burn_threshold": 0.0},
-            {"short_window": 0},
-            {"short_window": 100, "long_window": 10},
         ],
     )
     def test_bad_specs_raise(self, kwargs):
@@ -85,57 +79,6 @@ class TestParseSlo:
             parse_slo(text)
 
 
-class TestSLOTracker:
-    def test_single_breach_fills_both_windows(self):
-        # One failing sample = 100% breach fraction in both windows;
-        # burn = 1/0.05 = 20 >= threshold — one-shot verdicts work.
-        tracker = SLOTracker(SLOSpec(name="x", metric="m", op="<=", target=1.0))
-        tracker.record(2.0)
-        assert tracker.burn_rates() == (20.0, 20.0)
-        assert tracker.status().status == "breach"
-
-    def test_single_pass_is_ok(self):
-        tracker = SLOTracker(SLOSpec(name="x", metric="m", op="<=", target=1.0))
-        tracker.record(0.5)
-        assert tracker.status().status == "ok"
-
-    def test_multi_window_smoothing_forgives_transient(self):
-        # budget 0.5, short window 2, long window 8: one spike in a
-        # long healthy run breaches the short window but not the long.
-        spec = SLOSpec(
-            name="x", metric="m", op="<=", target=1.0,
-            budget=0.5, short_window=2, long_window=8,
-        )
-        tracker = SLOTracker(spec)
-        for _ in range(7):
-            tracker.record(0.5)
-        tracker.record(2.0)  # short burn = (1/2)/0.5 = 1.0 >= 1
-        short_burn, long_burn = tracker.burn_rates()
-        assert short_burn >= spec.burn_threshold
-        assert long_burn < spec.burn_threshold
-        assert tracker.status().status == "ok"
-
-    def test_sustained_breach_trips_both_windows(self):
-        spec = SLOSpec(
-            name="x", metric="m", op="<=", target=1.0,
-            budget=0.5, short_window=2, long_window=8,
-        )
-        tracker = SLOTracker(spec)
-        for _ in range(4):
-            tracker.record(0.5)
-        for _ in range(4):
-            tracker.record(2.0)
-        assert tracker.status().status == "breach"
-
-    def test_missing_then_stale(self):
-        tracker = SLOTracker(SLOSpec(name="x", metric="m", op="<=", target=1.0))
-        tracker.record(None)
-        assert tracker.status().status == "missing"
-        tracker.record(0.5)
-        tracker.record(None)
-        assert tracker.status().status == "stale"
-
-
 class TestHealthMonitor:
     SPECS = (
         SLOSpec(name="lat_p99", metric="repro_loadgen_latency_seconds",
@@ -153,17 +96,17 @@ class TestHealthMonitor:
         ]
 
     def test_healthy_snapshot(self):
-        verdict = HealthMonitor(self.SPECS).evaluate(self.snapshot())
+        verdict = evaluate(self.SPECS, self.snapshot())
         assert verdict.healthy
         assert verdict.breached() == []
 
     def test_breaching_value_flips_verdict(self):
-        verdict = HealthMonitor(self.SPECS).evaluate(self.snapshot(p99=0.05))
+        verdict = evaluate(self.SPECS, self.snapshot(p99=0.05))
         assert not verdict.healthy
         assert verdict.breached() == ["lat_p99"]
 
     def test_missing_metric_is_unhealthy(self):
-        verdict = HealthMonitor(self.SPECS).evaluate(
+        verdict = evaluate(self.SPECS, 
             [gauge_record("repro_cache_hit_rate", 0.95)]
         )
         assert not verdict.healthy
@@ -180,7 +123,7 @@ class TestHealthMonitor:
             ),
             gauge_record("repro_cache_hit_rate", 0.95),
         ]
-        verdict = HealthMonitor(self.SPECS).evaluate(snapshot)
+        verdict = evaluate(self.SPECS, snapshot)
         assert verdict.healthy
 
     def test_histogram_stat_extraction(self):
@@ -191,7 +134,7 @@ class TestHealthMonitor:
                 "repro_serving_rank_seconds", {"p50": 0.001, "p99": 0.003}
             )
         ]
-        verdict = HealthMonitor([spec]).evaluate(snapshot)
+        verdict = evaluate([spec], snapshot)
         assert verdict.healthy
         assert verdict.slos[0].value == 0.003
 
@@ -203,24 +146,51 @@ class TestHealthMonitor:
                 "repro_serving_rank_seconds", {}, count=100, total=1.0
             )
         ]
-        verdict = HealthMonitor([spec]).evaluate(snapshot)
+        verdict = evaluate([spec], snapshot)
         assert verdict.slos[0].value == pytest.approx(0.01)
 
     def test_drifted_monitor_breaches_snapshot(self):
+        """A drift monitor reaches the verdict the one way anything
+        does: as a spec over the gauge it exports."""
         monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
         monitor.observe_many([1.0, 1.1, 0.9, 1.05, 0.95])
+        specs = self.SPECS + (parse_slo(
+            "scores_ok=repro_drift_ok{monitor=scores}>=1"
+        ),)
+        registry = MetricsRegistry()
+        registry.gauge(
+            "repro_loadgen_latency_seconds", tags={"stat": "p99"}
+        ).set(0.005)
+        registry.gauge("repro_cache_hit_rate").set(0.95)
+        monitor.export(registry)
+        assert evaluate(specs, registry.snapshot()).healthy  # warming
         monitor.observe_many([50.0, 51.0, 49.0, 50.5, 49.5])
-        health = HealthMonitor(self.SPECS, drift_monitors=[monitor])
-        verdict = health.evaluate(self.snapshot())
+        monitor.export(registry)
+        verdict = evaluate(specs, registry.snapshot())
         assert not verdict.healthy
-        assert "drift:scores" in verdict.breached()
+        assert verdict.breached() == ["scores_ok"]
 
     def test_no_specs_and_no_monitors_raises(self):
         with pytest.raises(ValueError):
-            HealthMonitor([])
+            evaluate([], self.snapshot())
+
+    def test_same_snapshot_same_verdict(self):
+        """Nothing survives an evaluation: judging a breach does not
+        colour the next judgment, and judging twice changes nothing."""
+        bad, good = self.snapshot(p99=0.05), self.snapshot()
+        first = evaluate(self.SPECS, bad)
+        assert evaluate(self.SPECS, good).healthy
+        assert evaluate(self.SPECS, bad) == first
+
+    def test_nan_value_is_missing(self):
+        verdict = evaluate(self.SPECS, self.snapshot(hit=float("nan")))
+        assert not verdict.healthy
+        assert {slo.name: slo.status for slo in verdict.slos} == {
+            "lat_p99": "ok", "hit_rate": "missing"
+        }
 
     def test_as_dict_json_round_trip(self):
-        verdict = HealthMonitor(self.SPECS).evaluate(self.snapshot())
+        verdict = evaluate(self.SPECS, self.snapshot())
         payload = json.loads(json.dumps(verdict.as_dict()))
         assert payload["healthy"] is True
         assert {slo["name"] for slo in payload["slos"]} == {
@@ -233,48 +203,57 @@ class TestHealthMonitor:
             "repro_loadgen_latency_seconds", tags={"stat": "p99"}
         ).set(0.002)
         registry.gauge("repro_cache_hit_rate").set(0.99)
-        verdict = HealthMonitor(self.SPECS).evaluate(registry.snapshot())
+        verdict = evaluate(self.SPECS, registry.snapshot())
         assert verdict.healthy
 
     def test_export_writes_health_gauges(self):
         registry = MetricsRegistry()
-        monitor = HealthMonitor(self.SPECS)
-        verdict = monitor.evaluate(self.snapshot(p99=0.05))
-        monitor.export(verdict, registry)
+        evaluate(self.SPECS, self.snapshot(p99=0.05)).export(registry)
         text = render_prometheus(registry.snapshot())
         assert "repro_health_ok 0" in text
         assert 'repro_health_slo_ok{slo="lat_p99"} 0' in text
         assert 'repro_health_slo_ok{slo="hit_rate"} 1' in text
-        assert 'repro_health_burn_rate{slo="lat_p99",window="short"}' in text
-        assert "repro_health_evaluations_total 1" in text
+        assert 'repro_health_slo_value{slo="lat_p99"} 0.05' in text
 
 
 class TestDefaultServingSlos:
     def test_cover_latency_cache_and_drift(self):
-        metrics = {spec.metric for spec in default_serving_slos()}
-        assert metrics == {
+        specs = default_serving_slos()
+        assert {spec.metric for spec in specs} == {
             "repro_loadgen_latency_seconds",
             "repro_cache_hit_rate",
             "repro_drift_ok",
         }
+        # Every monitor the service carries, by the name it exports.
+        from repro.core.service import ServingMonitors
+
+        assert {
+            spec.tags["monitor"]
+            for spec in specs
+            if spec.metric == "repro_drift_ok"
+        } == {monitor.name for monitor in ServingMonitors().all}
 
 
 class TestFormatHealth:
     def test_mentions_verdict_slos_and_drift(self):
         monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
         monitor.observe_many([1.0] * 5 + [1.0] * 5)
-        health = HealthMonitor(
-            TestHealthMonitor.SPECS, drift_monitors=[monitor]
+        registry = MetricsRegistry()
+        registry.gauge("repro_cache_hit_rate").set(0.95)
+        monitor.export(registry)
+        specs = (
+            TestHealthMonitor.SPECS[1],
+            parse_slo("scores_ok=repro_drift_ok{monitor=scores}>=1"),
         )
-        verdict = health.evaluate(TestHealthMonitor().snapshot())
-        text = format_health(verdict)
+        text = format_health(evaluate(specs, registry.snapshot()))
         assert "health: OK" in text
-        assert "lat_p99" in text and "hit_rate" in text
-        assert "scores" in text
+        assert "hit_rate" in text and "scores_ok" in text
+        assert "burn" not in text
 
     def test_breached_run_lists_names(self):
-        health = HealthMonitor(TestHealthMonitor.SPECS)
-        verdict = health.evaluate(TestHealthMonitor().snapshot(hit=0.1))
+        verdict = evaluate(
+            TestHealthMonitor.SPECS, TestHealthMonitor().snapshot(hit=0.1)
+        )
         text = format_health(verdict)
         assert "health: BREACHED" in text
         assert "breached: hit_rate" in text

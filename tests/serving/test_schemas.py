@@ -1,6 +1,8 @@
 """API-boundary validation: the 400/422 contract of the schemas."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serving.schemas import (
     ApiError,
@@ -182,3 +184,42 @@ class TestErrorEnvelope:
     def test_api_error_round_trip(self):
         error = ApiError(422, "validation", "bad", ["x"])
         assert error.envelope()["error"]["details"] == ["x"]
+
+
+# What json.loads can hand a route: any scalar it decodes (bools, ints
+# of any size, NaN/±inf floats, strings, null), nested in lists and in
+# objects keyed mostly by the schemas' real field names so the
+# per-field checks are reached, not just the "is it an object" one.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+field_names = st.sampled_from(
+    ["user_id", "event_id", "top_k", "event_ids", "at_time", "min_similarity"]
+) | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(field_names, inner, max_size=6),
+    max_leaves=12,
+)
+
+
+class TestAnyPayloadProperty:
+    @pytest.mark.parametrize(
+        "schema", [RecommendRequest, ScoreRequest, SimilarEventsRequest]
+    )
+    @given(payload=json_values)
+    def test_a_request_or_a_400_or_422_never_another_exception(
+        self, schema, payload
+    ):
+        try:
+            request = schema.from_payload(payload)
+        except ApiError as error:
+            assert error.status == (400 if not isinstance(payload, dict) else 422)
+            assert error.envelope()["error"]["code"] in ("bad_request", "validation")
+        else:
+            assert isinstance(request, schema)

@@ -47,9 +47,7 @@ def stack():
     registry = MetricsRegistry()
     server = ServingServer(service, users, events, registry=registry)
     with ThreadedServer(server) as hosted:
-        client = HttpServiceClient(
-            hosted.host, hosted.port, full_pool_size=POOL_SIZE
-        )
+        client = HttpServiceClient(hosted.host, hosted.port)
         yield {
             "service": service,
             "users": users,
@@ -346,6 +344,57 @@ class TestExpectContinue:
             assert reader.readline().startswith(b"HTTP/1.1 413 ")
 
 
+class TestTransferEncoding:
+    """The framing reads ``Content-Length`` bodies only; a chunked
+    request must be refused whole, not read as a bodiless request
+    followed by a second one made of its chunk bytes."""
+
+    def test_chunked_request_gets_one_400_and_a_closed_connection(self, stack):
+        chunk = json.dumps({"user_id": stack["users"][0].user_id}).encode()
+        with socket.create_connection(
+            (stack["hosted"].host, stack["hosted"].port), timeout=3.0
+        ) as sock:
+            sock.sendall(
+                b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk)
+            )
+            with sock.makefile("rb") as reader:
+                answered = reader.read()  # to EOF: the server must close
+        head, _, body = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        # At the parent a second "HTTP/1.1 400" followed this body.
+        assert answered.count(b"HTTP/1.1 ") == 1
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request"
+        assert "Transfer-Encoding" in error["message"]
+
+
+class TestClientConnections:
+    def test_close_closes_every_threads_connection(self, stack):
+        """Worker threads cannot close their own keep-alive sockets
+        once a run is over; ``close()`` on any thread must."""
+        client = HttpServiceClient(stack["hosted"].host, stack["hosted"].port)
+        everyone_connected = threading.Barrier(4, timeout=TIMEOUT)
+        handles = []
+
+        def worker():
+            client.healthz()
+            handles.append(client._connection())
+            everyone_connected.wait()  # four live threads, four handles
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(TIMEOUT)
+        assert len({id(handle) for handle in handles}) == 4
+        assert all(handle.sock is not None for handle in handles)
+        client.close()
+        assert [handle.sock for handle in handles] == [None] * 4
+
+
 def recommend_shapes(users, events, count):
     """``count`` /recommend payloads mixing pools, ``at_time`` and ``top_k``,
     each with the arguments of the direct call it must equal."""
@@ -528,9 +577,7 @@ def tiny_stack(tiny_users, tiny_events):
     service.warm(tiny_users, tiny_events)
     server = ServingServer(service, tiny_users, tiny_events, registry=registry)
     with ThreadedServer(server) as hosted:
-        client = HttpServiceClient(
-            hosted.host, hosted.port, full_pool_size=len(tiny_events)
-        )
+        client = HttpServiceClient(hosted.host, hosted.port)
         yield {"client": client, "registry": registry}
         client.close()
 
@@ -551,9 +598,9 @@ class TestObservability:
     ):
         client = tiny_stack["client"]
         with use_tracer(Tracer()) as tracer:
-            client.rank_events(tiny_users[0], tiny_events, top_k=2)
+            client.recommend(tiny_users[0].user_id, top_k=2)
             (recommend,) = tracer.traces()
-            client.score(tiny_users[0], tiny_events[0])
+            client.score(tiny_users[0].user_id, tiny_events[0].event_id)
             (score,) = [t for t in tracer.traces() if t is not recommend]
         for trace, inner in (
             (recommend, "repro_index_gemv"),

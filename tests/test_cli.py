@@ -154,6 +154,47 @@ class TestEndToEnd:
         event = chrome["traceEvents"][0]
         assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(event)
 
+    def test_loadgen_verdict_matches_health_on_its_telemetry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """One run, one verdict: the report's embedded health and
+        ``health --telemetry`` over that run's ``--metrics-out`` are
+        the same judgment.  Only the candidate-pool monitor drifts
+        here (its reference window is seeded with small pools, the
+        traffic ranks the whole pool); at the parent the report
+        counted that monitor and the subcommand's SLOs did not."""
+        import json
+
+        import repro.loadgen
+
+        build = repro.loadgen.build_synthetic_service
+
+        def build_with_small_pool_reference(seed, pool_size):
+            service, users, events = build(seed=seed, pool_size=pool_size)
+            candidates = service.monitors.candidates
+            candidates.observe_many(
+                [5.0 + (i % 3) for i in range(candidates.warmup)]
+            )
+            return service, users, events
+
+        monkeypatch.setattr(
+            repro.loadgen, "build_synthetic_service",
+            build_with_small_pool_reference,
+        )
+        telemetry = tmp_path / "load.jsonl"
+        assert main([
+            "loadgen", "--rate", "150", "--duration", "0.3",
+            "--pool-size", "120", "--workers", "2", "--seed", "4",
+            "--score-fraction", "0", "--json",
+            "--metrics-out", str(telemetry),
+        ]) == 0
+        embedded = json.loads(capsys.readouterr().out)["health"]
+        assert main(["health", "--telemetry", str(telemetry), "--json"]) == 1
+        judged = json.loads(capsys.readouterr().out)
+        assert judged["healthy"] is embedded["healthy"] is False
+        assert judged["breached"] == embedded["breached"]
+        assert judged["breached"] == ["candidate_drift_ok"]
+
     def test_loadgen_rejects_bad_rate(self, capsys, monkeypatch):
         """Every out-of-range value is ``error: ...`` and exit 2, said
         before the seconds-long stack build (one test, not one per
@@ -169,7 +210,7 @@ class TestEndToEnd:
             (["loadgen", "--rate", "0.2", "--duration", "0.5"], "draws none"),
             (["loadgen", "--keep-slowest", "-1"], "keep_slowest"),
             (["loadgen", "--sample-fraction", "2"], "sample_fraction"),
-            (["loadgen", "--server", "http", "--max-batch", "0"], "max_batch"),
+            (["loadgen", "--max-batch", "0"], "max_batch"),
             (["serve", "--max-batch", "0"], "max_batch"),
         ]
         with monkeypatch.context() as patch:

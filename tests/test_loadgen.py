@@ -13,37 +13,34 @@ from repro.loadgen import (
     run_load,
 )
 from repro.obs import MetricsRegistry, TailSampler, Tracer, use_registry, use_tracer
+from repro.obs.health import default_serving_slos
 
 
-class StubService:
-    """Constant-latency double for RepresentationService."""
+class StubClient:
+    """Constant-latency double for HttpServiceClient: records each
+    call as ``(op, user_id, event_id or top_k)``."""
 
     def __init__(self, delay: float = 0.0):
         self.delay = delay
-        self.calls: list[str] = []
+        self.calls: list[tuple] = []
 
     def _work(self) -> None:
         if self.delay:
             time.sleep(self.delay)
 
-    def score(self, user, event):
-        self.calls.append("score")
+    def score(self, user_id, event_id):
+        self.calls.append(("score", user_id, event_id))
         self._work()
         return 0.5
 
-    def rank_events(self, user, events, top_k=None):
-        self.calls.append("rank")
+    def recommend(self, user_id, top_k=None):
+        self.calls.append(("rank", user_id, top_k))
         self._work()
         return []
 
-    def rank_events_batch(self, users, events, top_k=None):
-        self.calls.append("rank_batch")
-        self._work()
-        return [[] for _ in users]
 
-
-USERS = ["u0", "u1", "u2"]
-EVENTS = ["e0", "e1", "e2", "e3"]
+USERS = [10, 11, 12]
+EVENTS = [70, 71, 72, 73]
 
 
 class TestPercentile:
@@ -74,7 +71,6 @@ class TestConfigValidation:
             {"duration": -1.0},
             {"workers": 0},
             {"score_fraction": 1.5},
-            {"batch_users": 0},
             {"warmup": -1},
         ],
     )
@@ -85,13 +81,13 @@ class TestConfigValidation:
     def test_empty_schedule_is_refused_before_any_traffic(self):
         """0.1 expected arrivals: the seeded schedule is empty, which
         used to crash run_load's summary after the warm-up was sent."""
-        service = StubService()
+        client = StubClient()
         with pytest.raises(ValueError, match=r"rate 0\.2/s x duration 0\.5 s"):
             run_load(
-                service, USERS, EVENTS,
+                client, USERS, EVENTS,
                 LoadgenConfig(rate=0.2, duration=0.5, warmup=3),
             )
-        assert service.calls == []
+        assert client.calls == []
 
     def test_every_accepted_config_draws_an_arrival(self):
         """The refusal reads the first gap run_load draws; at one
@@ -104,7 +100,7 @@ class TestConfigValidation:
             except ValueError:
                 continue
             accepted += 1
-            assert run_load(StubService(), USERS, EVENTS, config).requests >= 1
+            assert run_load(StubClient(), USERS, EVENTS, config).requests >= 1
         assert 0 < accepted < 12
 
 
@@ -114,9 +110,9 @@ class TestRunLoad:
     )
 
     def test_report_counts_and_rates(self):
-        service = StubService()
-        report = run_load(service, USERS, EVENTS, self.CONFIG)
-        assert report.requests == len(service.calls) > 0
+        client = StubClient()
+        report = run_load(client, USERS, EVENTS, self.CONFIG)
+        assert report.requests == len(client.calls) > 0
         assert report.ops.get("rank", 0) + report.ops.get("score", 0) == (
             report.requests
         )
@@ -127,10 +123,42 @@ class TestRunLoad:
         assert set(report.latency) == {"p50", "p95", "p99", "max", "mean"}
 
     def test_same_seed_same_traffic(self):
-        first = run_load(StubService(), USERS, EVENTS, self.CONFIG)
-        second = run_load(StubService(), USERS, EVENTS, self.CONFIG)
+        first = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
+        second = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
         assert first.requests == second.requests
         assert first.ops == second.ops
+
+    def test_plan_is_the_seeded_draw_posted_by_id(self):
+        """One worker keeps call order = schedule order, so the calls
+        can be checked against the draw itself: the arrival count, then
+        per request an op and a user position from the same rng; a
+        score pairs the user with the event at its position, a rank
+        posts the user and top_k and leaves the pool to the server."""
+        import random
+
+        config = LoadgenConfig(
+            rate=500.0, duration=0.1, workers=1, score_fraction=0.4,
+            top_k=7, seed=9,
+        )
+        rng = random.Random(config.seed)
+        arrivals = 0
+        t = rng.expovariate(config.rate)
+        while t < config.duration:
+            arrivals += 1
+            t += rng.expovariate(config.rate)
+        expected = []
+        for _ in range(arrivals):
+            op = "score" if rng.random() < config.score_fraction else "rank"
+            pos = rng.randrange(len(USERS))
+            expected.append(
+                ("score", USERS[pos], EVENTS[pos % len(EVENTS)])
+                if op == "score"
+                else ("rank", USERS[pos], 7)
+            )
+        client = StubClient()
+        run_load(client, USERS, EVENTS, config)
+        assert client.calls == expected
+        assert {call[0] for call in expected} == {"score", "rank"}
 
     def test_latency_includes_queue_wait(self):
         # One worker + 5 ms of service per request at an offered rate
@@ -139,20 +167,11 @@ class TestRunLoad:
         config = LoadgenConfig(
             rate=2000.0, duration=0.05, workers=1, score_fraction=0.0, seed=1
         )
-        report = run_load(StubService(delay=0.005), USERS, EVENTS, config)
+        report = run_load(StubClient(delay=0.005), USERS, EVENTS, config)
         assert report.requests > 5
         assert report.latency["max"] > report.service["max"]
         assert report.queue_wait["max"] > 0.0
         assert report.saturated
-
-    def test_batch_users_routes_to_batch(self):
-        config = LoadgenConfig(
-            rate=300.0, duration=0.1, workers=2, score_fraction=0.0,
-            batch_users=3, seed=2,
-        )
-        service = StubService()
-        run_load(service, USERS, EVENTS, config)
-        assert set(service.calls) == {"rank_batch"}
 
     def test_traced_run_attributes_and_records_trace_ids(self):
         config = LoadgenConfig(
@@ -160,7 +179,7 @@ class TestRunLoad:
         )
         with use_registry(MetricsRegistry()):
             with use_tracer(Tracer(TailSampler(keep_slowest=4))) as tracer:
-                report = run_load(StubService(), USERS, EVENTS, config)
+                report = run_load(StubClient(), USERS, EVENTS, config)
         assert report.attribution, "tracer installed => attribution rows"
         stages = {row["stage"] for row in report.attribution}
         assert "repro_loadgen_request" in stages
@@ -168,24 +187,24 @@ class TestRunLoad:
         assert tracer.traces(), "slow traces retained"
 
     def test_untraced_run_has_no_trace_ids(self):
-        report = run_load(StubService(), USERS, EVENTS, self.CONFIG)
+        report = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
         assert report.attribution == []
         assert all(record.trace_id is None for record in report.records)
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
-            run_load(StubService(), [], EVENTS, self.CONFIG)
+            run_load(StubClient(), [], EVENTS, self.CONFIG)
         with pytest.raises(ValueError):
-            run_load(StubService(), USERS, [], self.CONFIG)
+            run_load(StubClient(), USERS, [], self.CONFIG)
 
     def test_report_round_trips_to_json(self):
-        report = run_load(StubService(), USERS, EVENTS, self.CONFIG)
+        report = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["requests"] == report.requests
         assert payload["config"]["seed"] == self.CONFIG.seed
 
     def test_format_report_mentions_percentiles(self):
-        report = run_load(StubService(), USERS, EVENTS, self.CONFIG)
+        report = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
         text = format_report(report)
         assert "p99" in text and "offered rate" in text
 
@@ -195,10 +214,10 @@ class TestWarmup:
         config = LoadgenConfig(
             rate=400.0, duration=0.15, workers=2, warmup=25, seed=5
         )
-        service = StubService()
-        report = run_load(service, USERS, EVENTS, config)
+        client = StubClient()
+        report = run_load(client, USERS, EVENTS, config)
         assert report.warmup_excluded == 25
-        assert len(service.calls) == report.requests + 25
+        assert len(client.calls) == report.requests + 25
         assert len(report.records) == report.requests
 
     def test_warmup_does_not_perturb_measured_traffic(self):
@@ -206,8 +225,8 @@ class TestWarmup:
         warmed = LoadgenConfig(
             rate=400.0, duration=0.15, workers=2, warmup=40, seed=5
         )
-        cold = run_load(StubService(), USERS, EVENTS, base)
-        warm = run_load(StubService(), USERS, EVENTS, warmed)
+        cold = run_load(StubClient(), USERS, EVENTS, base)
+        warm = run_load(StubClient(), USERS, EVENTS, warmed)
         assert warm.requests == cold.requests
         assert warm.ops == cold.ops
         assert [r.op for r in warm.records] == [r.op for r in cold.records]
@@ -216,7 +235,7 @@ class TestWarmup:
         config = LoadgenConfig(
             rate=400.0, duration=0.15, workers=2, warmup=7, seed=5
         )
-        report = run_load(StubService(), USERS, EVENTS, config)
+        report = run_load(StubClient(), USERS, EVENTS, config)
         assert "warmup:        7 requests" in format_report(report)
 
 
@@ -224,62 +243,36 @@ class TestReportHealth:
     CONFIG = LoadgenConfig(rate=400.0, duration=0.15, workers=2, seed=5)
 
     def test_disabled_registry_yields_no_health(self):
-        report = run_load(StubService(), USERS, EVENTS, self.CONFIG)
+        report = run_load(StubClient(), USERS, EVENTS, self.CONFIG)
         assert report.health is None
         assert report.as_dict()["health"] is None
 
     def test_enabled_registry_yields_verdict_and_gauges(self):
         with use_registry(MetricsRegistry()) as registry:
             report = run_load(
-                StubService(), USERS, EVENTS, self.CONFIG, registry=registry
+                StubClient(), USERS, EVENTS, self.CONFIG, registry=registry
             )
             snapshot = {
                 (r["name"], r["tags"].get("stat")): r
                 for r in registry.snapshot()
             }
         assert report.health is not None
-        assert {slo.name for slo in report.health.slos} == {
-            "rank_p99", "cache_hit_rate", "score_drift_ok"
-        }
+        assert [slo.name for slo in report.health.slos] == [
+            spec.name for spec in default_serving_slos()
+        ]
         p99 = snapshot[("repro_loadgen_latency_seconds", "p99")]
         assert p99["value"] == pytest.approx(report.latency["p99"])
         assert ("repro_loadgen_achieved_rps", None) in snapshot
         assert ("repro_health_ok", None) in snapshot
-        # The stub service exports no cache/drift metrics: those SLOs
-        # read "missing", which must flip the verdict unhealthy.
+        # No server shares the stub's registry, so no cache/drift
+        # metrics: those SLOs read "missing", which must flip the
+        # verdict unhealthy.
         assert not report.health.healthy
         assert "cache_hit_rate" in report.health.breached()
 
-    def test_custom_slos_override_defaults(self):
-        from repro.obs.health import SLOSpec
-
-        slos = [
-            SLOSpec(
-                name="loose_p99",
-                metric="repro_loadgen_latency_seconds",
-                tags={"stat": "p99"},
-                op="<=",
-                target=60.0,
-            )
-        ]
-        with use_registry(MetricsRegistry()) as registry:
-            report = run_load(
-                StubService(), USERS, EVENTS, self.CONFIG,
-                registry=registry, slos=slos,
-            )
-        assert report.health is not None
-        assert report.health.healthy
-        assert [slo.name for slo in report.health.slos] == ["loose_p99"]
-
 
 class TestServingMode:
-    """The HTTP serving mode: report tagging and a real end-to-end
-    run against the threaded batched server."""
-
-    def test_report_mode_defaults_to_inprocess(self):
-        report = run_load(StubService(), USERS, EVENTS, TestRunLoad.CONFIG)
-        assert report.mode == "inprocess"
-        assert report.as_dict()["mode"] == "inprocess"
+    """A real end-to-end run against the threaded batched server."""
 
     def test_run_load_through_http_server(self):
         from repro.loadgen import build_synthetic_service
@@ -292,13 +285,16 @@ class TestServingMode:
             top_k=3, seed=4,
         )
         with ThreadedServer(server) as hosted:
-            client = HttpServiceClient(
-                hosted.host, hosted.port, full_pool_size=len(events)
-            )
+            client = HttpServiceClient(hosted.host, hosted.port)
             try:
-                report = run_load(client, users, events, config, mode="http")
+                report = run_load(
+                    client,
+                    [user.user_id for user in users],
+                    [event.event_id for event in events],
+                    config,
+                )
             finally:
                 client.close()
-        assert report.mode == "http"
         assert report.requests > 0
         assert report.ops.get("rank", 0) > 0
+        assert report.pool_size == 20
