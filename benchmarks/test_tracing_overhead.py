@@ -5,32 +5,33 @@ and no tracer, the serving path pays one branch per instrumentation
 point; with a live registry but no tracer, span histograms and
 counters only; with a tracer installed, full per-request traces.
 This bench measures warm ``rank_events`` in all three configurations
-and asserts the budgets CI enforces:
+and asserts the budgets CI enforces, in microseconds **added per call**
+over fully-off:
 
-* metrics on, tracing **disabled**: <= 5% over fully-off
-* metrics on, tracing **enabled**:  <= 15% over fully-off
+* metrics on, tracing **disabled**: <= 50 us per call
+* metrics on, tracing **enabled**:  <= 120 us per call
 
 Measurement notes, learned the hard way on noisy shared runners:
 
-* The estimator is the **median of per-round paired ratios**: each
-  round times the three configurations back-to-back, so a ratio
+* The estimator is the **median of per-round paired differences**: each
+  round times the three configurations back-to-back, so a difference
   compares batches taken under the same machine conditions, and the
   median across rounds discards rounds hit by scheduler or
-  frequency-scaling noise (absolute times drift +-20% — far more than
-  the overhead being measured).
+  frequency-scaling noise (absolute times drift +-20%).
 * Each batch is preceded by one **untimed warm call**: switching the
   active registry class per batch defeats CPython's adaptive
   bytecode specialization, and the first call after a switch pays a
   re-specialization penalty that production (one registry for the
   process lifetime) never sees.
-* The pool is production-sized (20 000 candidates, a ~2.5 ms call):
-  per-request telemetry cost is constant, so a percentage budget is
-  only meaningful against a request doing a realistic amount of
-  ranking work.  It was 4000 while a 4000-candidate call took 2.2 ms;
-  id-native ranking made that call 0.49 ms, and the same budgets over a
-  request 4.5x cheaper would demand 4.5x cheaper telemetry.  In
-  absolute terms the cost fell with it: 80 -> 35 us per call with
-  metrics on, 184 -> 85 us with full tracing.
+* The budgets are absolute because the cost is: per-request telemetry
+  is a fixed number of counter, histogram and span operations, whatever
+  the pool.  They used to be 5% / 15% of the call, and twice the pool
+  had to grow to keep that meaningful (4000 candidates while such a call
+  took 2.2 ms, 20 000 once id-native ranking made it 0.49 ms); with the
+  pool resolved once per index epoch the 20 000-candidate call is
+  ~0.3 ms, and the same 35 us / 85 us of telemetry would read as 12% /
+  28% of it.  The pool stays production-sized so the call is the real
+  one; the ratios are still printed, for the eye only.
 
 The benchmark session conftest installs a live registry for the whole
 session, so the fully-off configuration must install a
@@ -56,8 +57,8 @@ from .conftest import write_result
 
 POOL_SIZE = 20000
 BATCH = 3
-DISABLED_BUDGET = 1.05
-ENABLED_BUDGET = 1.15
+DISABLED_BUDGET_US = 50.0
+ENABLED_BUDGET_US = 120.0
 
 
 def _batch_seconds(fn) -> float:
@@ -89,8 +90,8 @@ def test_tracing_overhead_budget(bench_scale):
         with use_tracer(tracer):
             rank()
 
-    disabled_ratios: list[float] = []
-    enabled_ratios: list[float] = []
+    disabled_added: list[float] = []
+    enabled_added: list[float] = []
     t_off = t_disabled = t_enabled = float("inf")
     for _ in range(rounds):
         with use_registry(off):
@@ -99,32 +100,33 @@ def test_tracing_overhead_budget(bench_scale):
             round_disabled = _batch_seconds(rank)
             with use_tracer(tracer):
                 round_enabled = _batch_seconds(rank)
-        disabled_ratios.append(round_disabled / round_off)
-        enabled_ratios.append(round_enabled / round_off)
+        disabled_added.append(round_disabled - round_off)
+        enabled_added.append(round_enabled - round_off)
         t_off = min(t_off, round_off)
         t_disabled = min(t_disabled, round_disabled)
         t_enabled = min(t_enabled, round_enabled)
 
-    disabled_ratio = statistics.median(disabled_ratios)
-    enabled_ratio = statistics.median(enabled_ratios)
+    disabled_us = statistics.median(disabled_added) * 1e6
+    enabled_us = statistics.median(enabled_added) * 1e6
+    off_us = t_off * 1e6
 
     write_result(
         "tracing_overhead",
         "SERVING — tracing overhead on warm rank_events "
         f"(pool={POOL_SIZE}, {rounds} rounds of {BATCH}-call batches)\n"
-        f"  off       {t_off * 1e6:9.1f} us/call (min)\n"
+        f"  off       {off_us:9.1f} us/call (min)\n"
         f"  disabled  {t_disabled * 1e6:9.1f} us/call "
-        f"(median ratio {(disabled_ratio - 1.0) * 100:+.1f}%)\n"
+        f"(median added {disabled_us:+.1f} us, {100.0 * disabled_us / off_us:+.1f}%)\n"
         f"  enabled   {t_enabled * 1e6:9.1f} us/call "
-        f"(median ratio {(enabled_ratio - 1.0) * 100:+.1f}%)",
+        f"(median added {enabled_us:+.1f} us, {100.0 * enabled_us / off_us:+.1f}%)",
     )
 
     assert tracer.finished > 0, "traced configuration actually traced"
-    assert disabled_ratio <= DISABLED_BUDGET, (
-        f"tracing-disabled overhead {disabled_ratio:.3f}x exceeds "
-        f"{DISABLED_BUDGET}x budget"
+    assert disabled_us <= DISABLED_BUDGET_US, (
+        f"tracing-disabled overhead {disabled_us:.1f} us/call exceeds "
+        f"the {DISABLED_BUDGET_US:.0f} us budget"
     )
-    assert enabled_ratio <= ENABLED_BUDGET, (
-        f"tracing-enabled overhead {enabled_ratio:.3f}x exceeds "
-        f"{ENABLED_BUDGET}x budget"
+    assert enabled_us <= ENABLED_BUDGET_US, (
+        f"tracing-enabled overhead {enabled_us:.1f} us/call exceeds "
+        f"the {ENABLED_BUDGET_US:.0f} us budget"
     )

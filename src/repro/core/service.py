@@ -9,21 +9,43 @@ trained :class:`~repro.core.model.JointUserEventModel`, a
 :class:`~repro.store.EventIndex`, and exposes the recommendation
 primitive — rank the *currently active* events for a user.
 
-There is one serving path, and it works on id arrays.  The pool's ids
-are read once into an ``int64`` array; the index resolves them to rows
-in one pass, scores the user vector against its contiguous event matrix
-with a single matrix-vector product and reports, from that same pass,
-the candidates it holds no row for — those are batch-encoded, upserted
-and the pool scored again (first sight only).  Top-K is selected with
-``np.argpartition``, ordered by ``(-score, event_id)``, and
-``ScoredEvent`` objects are built for the selected rows only, never for
-the pool.  Following the paper's mutation-driven invalidation model,
-ranking trusts rows keyed by ``event_id``: content changes must be
-announced via :meth:`RepresentationService.refresh_events` before
-ranking.  :meth:`RepresentationService.rank_events_batch` ranks many
-users in one GEMM against the same index — the multi-user serving
-primitive large-scale two-tower systems are built around — through the
-same private rank body; each user may bring its own candidate subset,
+There is one serving path, and it works on id arrays — which it builds
+once per pool and row layout, not once per request.  A pool's ids are
+read into an ``int64`` array and resolved to index rows the first time
+the pool is ranked; that :class:`~repro.store.index.ResolvedPool` is
+kept (a small LRU keyed by the pool list's identity) and handed back to
+the index on every later call, which re-resolves it only if a row was
+inserted or removed since (the index's *epoch*).  A repeat request over
+an unchanged pool therefore goes straight to activity mask → one
+matrix-vector product → top-K: ``np.argpartition``, ordered by
+``(-score, event_id)``, with ``ScoredEvent`` objects built for the
+selected rows only, never for the pool.  The same pass reports the
+candidates the index holds no row for — those are batch-encoded,
+upserted and the pool scored again (first sight only).  A memoised pool
+is **validated on every hit** against a private shallow copy of the
+list (list equality: one identity test per element), so an edited,
+appended, shortened, re-sorted or id-recycled list just takes the
+first-time path, and the first-time path is the repeat path with the
+ids read first — there is one rank body.
+
+Two contracts make that sound, and they belong together.  *Content
+changes are announced*: following the paper's mutation-driven
+invalidation model, ranking trusts rows keyed by ``event_id``, so a
+changed title or description must go through
+:meth:`RepresentationService.refresh_events` before ranking.
+*``event_id`` is an event's identity*: the index's row table, its
+``check_invariants``, the cache keys and the server's event table all
+assume an ``Event`` keeps the id it was first seen with.  An id
+reassigned in place on a memoised pool is the one edit list equality
+cannot see; the events about to be served are therefore cross-checked
+against the ids they were scored under, and a mismatch drops the memo
+entry and ranks again from a fresh read — never an event served under
+another event's score.
+
+:meth:`RepresentationService.rank_events_batch` ranks many users in one
+GEMM against the same index — the multi-user serving primitive
+large-scale two-tower systems are built around — through the same
+private rank body; each user may bring its own candidate subset,
 ``at_time`` and ``top_k``, applied as masks on its row of the shared
 score matrix.
 
@@ -38,6 +60,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 
@@ -50,7 +74,7 @@ from repro.obs.drift import DriftMonitor
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import span
 from repro.store.cache import VectorCache
-from repro.store.index import EventIndex, top_k_order
+from repro.store.index import EventIndex, ResolvedPool, top_k_order
 
 __all__ = [
     "ScoredEvent",
@@ -64,6 +88,12 @@ _CANDIDATE_BUCKETS = (1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 10000)
 
 # Batch sizes (user counts) for rank_events_batch.
 _BATCH_USER_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
+
+# Resolved pools a service keeps, least recently ranked dropped first:
+# the standing pool(s) of a server plus room for one-off sub-pools to
+# pass through without evicting them.
+_POOL_MEMO_SIZE = 8
+
 
 @dataclass(frozen=True)
 class ScoredEvent:
@@ -173,6 +203,11 @@ class RepresentationService:
         self.index = index if index is not None else EventIndex()
         self.monitors = monitors if monitors is not None else ServingMonitors()
         self._index_rebuilds = 0
+        # id(pool list) → (private shallow copy, its resolved rows).
+        self._pools_lock = threading.Lock()
+        self._pools: OrderedDict[  # guarded-by: _pools_lock
+            int, tuple[list[Event], ResolvedPool]
+        ] = OrderedDict()
         # None → resolve the global registry at call time, so telemetry
         # enabled after construction is still picked up.
         self._registry = registry
@@ -363,12 +398,13 @@ class RepresentationService:
         This is the "important information change" hook: versions are
         fingerprinted, stale or missing rows are re-encoded (cache
         first, batched tower inference for the rest) and upserted.
+        An event named more than once counts once, as its last mention.
         Returns the number of rows that needed new vectors.
         """
         registry = self._obs()
         stale: list[Event] = []
         versions: list[str] = []
-        for event in events:
+        for event in {event.event_id: event for event in events}.values():
             version = self.event_version(event)
             if self.index.version(event.event_id) == version:
                 try:
@@ -511,34 +547,36 @@ class RepresentationService:
         A single ``User`` is scored with one matrix-vector product
         (:meth:`EventIndex.score_ids`), a cohort with one matrix-matrix
         product (:meth:`EventIndex.score_ids_batch`); everything around
-        the product is shared.  Row resolution, activity filtering and
-        the product run atomically inside the index — under concurrent
-        index mutation, rows resolved separately could move
-        (swap-with-last compaction) before the product ran.  The same
-        pass reports the candidates with no row; they are encoded,
-        upserted and the pool scored again.  ``ScoredEvent``s are built
-        for the selected rows only.  The count is the number of
-        candidates scored: present, and active for at least one user.
+        the product is shared.  The pool goes in as the
+        :class:`ResolvedPool` remembered for this list, or, first time,
+        as ids just read; either way the epoch check (and any resolve),
+        activity filtering and the product run atomically inside the
+        index — under concurrent index mutation, rows resolved
+        separately could move (swap-with-last compaction) before the
+        product ran — and the pool comes back as scored, to be
+        remembered.  Its ``absent`` candidates are encoded, upserted and
+        the pool scored again.  ``ScoredEvent``s are built for the
+        selected rows only.  The count is the number of candidates
+        scored: present, and active for at least one user.
         """
         single = isinstance(users, User)
         num_users = 1 if single else len(users)
         if num_users == 0 or not events:
             return [[] for _ in range(num_users)], 0
-        ids = np.fromiter(
-            (event.event_id for event in events),
-            dtype=np.int64,
-            count=len(events),
-        )
         if single:
             score, query = self.index.score_ids, self.user_vector(users)
         else:
             score = self.index.score_ids_batch
             query = np.vstack(self._user_vectors(users, self.cache.get, registry))
-        positions, score_rows, absent = score(query, ids, at_time)
-        if absent.size:
-            self.refresh_events([events[i] for i in absent.tolist()])
-            positions, score_rows, _ = score(query, ids, at_time)
-        selected_ids = ids[positions]
+        remembered = self._recall(events)
+        snapshot, pool = remembered or self._read(events)
+        positions, score_rows, resolved = score(query, pool, at_time)
+        if resolved.absent.size:
+            self.refresh_events([snapshot[i] for i in resolved.absent.tolist()])
+            positions, score_rows, resolved = score(query, resolved, at_time)
+        if resolved is not pool:
+            self._remember(events, snapshot, resolved)
+        selected_ids = resolved.ids[positions]
         rankings = []
         with span("repro_serving_topk", registry=registry):
             for scores, top_k, subset in zip(
@@ -550,15 +588,59 @@ class RepresentationService:
                 # still holds is dropped, never served.
                 order = top_k_order(scores, selected_ids, top_k)
                 order = order[scores[order] != -np.inf]
+                served = [events[position] for position in positions[order].tolist()]
+                if remembered is not None and selected_ids[order].tolist() != [
+                    event.event_id for event in served
+                ]:
+                    # An event_id reassigned in place on a remembered
+                    # pool: forget it and rank from a fresh read.
+                    with self._pools_lock:
+                        self._pools.pop(id(events), None)
+                    return self._rank(users, events, at_time, top_ks, subsets, registry)
                 rankings.append(
                     [
-                        ScoredEvent(event=events[position], score=value)
-                        for position, value in zip(
-                            positions[order].tolist(), scores[order].tolist()
-                        )
+                        ScoredEvent(event=event, score=value)
+                        for event, value in zip(served, scores[order].tolist())
                     ]
                 )
         return rankings, int(positions.size)
+
+    @staticmethod
+    def _read(events: Sequence[Event]) -> tuple[list[Event], np.ndarray]:
+        """A pool at first sight: a private shallow copy, and its ids."""
+        snapshot = list(events)
+        ids = np.fromiter(
+            (event.event_id for event in snapshot), dtype=np.int64, count=len(snapshot)
+        )
+        return snapshot, ids
+
+    def _recall(
+        self, events: Sequence[Event]
+    ) -> tuple[list[Event], ResolvedPool] | None:
+        """What was remembered for this pool list, if it still says so.
+
+        Keyed by the list's identity and validated on every hit against
+        the private copy: list equality tests each element's identity
+        first (≈ 15–20 µs at 20 000 events), so an edited, appended,
+        shortened, re-sorted or id-recycled list is simply not recalled
+        — nor is a pool that is not a list.
+        """
+        with self._pools_lock:
+            entry = self._pools.get(id(events))
+            if entry is not None:
+                self._pools.move_to_end(id(events))
+        if entry is not None and isinstance(events, list) and entry[0] == events:
+            return entry
+        return None
+
+    def _remember(
+        self, events: Sequence[Event], snapshot: list[Event], resolved: ResolvedPool
+    ) -> None:
+        with self._pools_lock:
+            self._pools[id(events)] = (snapshot, resolved)
+            self._pools.move_to_end(id(events))
+            if len(self._pools) > _POOL_MEMO_SIZE:
+                self._pools.popitem(last=False)
 
     def _observe_rankings(
         self,

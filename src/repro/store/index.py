@@ -18,8 +18,10 @@ against with a single matrix-vector product.
   compacts by swapping the last row into the hole, and capacity grows
   by amortized doubling so inserts never reallocate per call;
 * a candidate pool becomes rows in one pass — :meth:`EventIndex.resolve`
-  sweeps the dict at C speed over the whole id array, ``-1`` marking an
-  id with no row — never one locked lookup per event;
+  sweeps the dict at C speed over the whole id array, never one locked
+  lookup per event — and at most once per *row-layout epoch*: the
+  :class:`ResolvedPool` it returns stays valid until a row is inserted
+  or removed, and the scoring entrances take it back in place of ids;
 * each entry is keyed by an ``(event_id, version)`` fingerprint —
   upserting an unchanged version is a cheap no-op, a new version
   overwrites the row in place ("recomputed upon important information
@@ -44,12 +46,18 @@ Thread safety: every public method holds ``self._lock`` (an
 concurrent mutators and rankers see consistent row/matrix state.  The
 row-mapping internals are ``# guarded-by: _lock`` annotated and the
 discipline is enforced statically by RPR401/RPR402
-(:mod:`repro.analysis.locks`).  The compound serving read —
-resolve rows, filter by activity, GEMV/GEMM — must be atomic (a
-concurrent swap-with-last ``remove`` moves rows between the steps),
-which is what :meth:`score_ids` / :meth:`score_ids_batch` provide;
-they also report the ids that had no row, so a caller learns what is
-missing from the pass that scored the rest.
+(:mod:`repro.analysis.locks`).  The compound serving read — check the
+pool's epoch (resolve it again if rows moved since), filter by
+activity, GEMV/GEMM — must be atomic (a concurrent swap-with-last
+``remove`` moves rows between the steps), which is what
+:meth:`score_ids` / :meth:`score_ids_batch` provide.  The epoch is
+bumped under the same lock by every insert, ``remove`` and ``clear``;
+an in-place upsert (``"fresh"``/``"refreshed"``) moves no row and leaves
+it alone.  A :class:`ResolvedPool` is immutable and may be held across
+calls and threads: a stale one costs a new resolve, never a wrong row.
+The scoring entrances hand back the pool they scored, whose ``absent``
+names the ids with no row, so a caller learns what is missing from the
+pass that scored the rest.
 """
 
 from __future__ import annotations
@@ -60,7 +68,8 @@ import time
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +78,13 @@ from repro.nn.cosine import COSINE_EPS
 from repro.obs.trace import active as _trace_active
 from repro.obs.trace import record_stage, span
 
-__all__ = ["IndexStats", "EventIndex", "top_k_order"]
+__all__ = ["IndexStats", "ResolvedPool", "EventIndex", "top_k_order"]
 
 _INITIAL_CAPACITY = 64
+
+# Row-layout epochs of every index in the process come off one counter,
+# so a pool resolved by one index never looks current to another.
+_EPOCHS = count()
 
 # One time for every query, or one per query (``None`` = unfiltered).
 TimeFilter = float | None | Sequence[float | None]
@@ -94,6 +107,24 @@ class IndexStats:
     removes: int = 0
     compactions: int = 0
     grows: int = 0
+
+
+class ResolvedPool(NamedTuple):
+    """A candidate pool as rows of one :class:`EventIndex`, good for one
+    row-layout epoch.
+
+    ``positions`` index the ``ids`` that have a row and ``rows`` are
+    those rows, aligned; ``absent`` index the ids with none — never
+    indexed, or a remover won the race.  ``whole`` says the rows are
+    exactly the live rows in order, so the matrix is scored in place.
+    """
+
+    ids: np.ndarray
+    rows: np.ndarray
+    positions: np.ndarray
+    absent: np.ndarray
+    whole: bool
+    epoch: int
 
 
 def top_k_order(
@@ -137,6 +168,9 @@ class EventIndex:
         self._rows: dict[int, int] = {}  # guarded-by: _lock
         self._versions: dict[int, str] = {}  # guarded-by: _lock
         self._size = 0  # guarded-by: _lock
+        # Row-layout epoch: moves whenever an id gains, loses or changes
+        # its row, i.e. whenever a ResolvedPool could go stale.
+        self._epoch = next(_EPOCHS)  # guarded-by: _lock
         self._dim: int | None = None  # guarded-by: _lock
         # Row-aligned storage, allocated lazily at the first upsert
         # (the vector dimension is only known then).
@@ -180,24 +214,30 @@ class EventIndex:
         with self._lock:
             return self._rows[event_id]
 
-    def resolve(self, event_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Row of every id in one pass, ``-1`` where the id has no row.
+    def resolve(self, event_ids: Sequence[int] | np.ndarray) -> ResolvedPool:
+        """The pool's rows at the current epoch, found in one pass.
 
         The one place ids become rows: a C-speed ``dict.get`` sweep
         under a single lock hold (duplicate, negative and never-seen
-        ids are all fine).  Rows move under concurrent compaction the
-        moment the lock is released — for scoring, use the atomic
-        :meth:`score_ids`.
+        ids are all fine).  Rows move under concurrent mutation the
+        moment the lock is released — that bumps the epoch, and the
+        atomic :meth:`score_ids` resolves a stale pool again.
         """
-        keys = event_ids.tolist() if isinstance(event_ids, np.ndarray) else event_ids
+        ids = np.asarray(event_ids, dtype=np.int64)
+        keys = ids.tolist()
         with self._lock:
-            return np.fromiter(
+            found = np.fromiter(
                 map(self._rows.get, keys, repeat(-1)), dtype=np.intp, count=len(keys)
             )
-
-    def event_at(self, row: int) -> Event:
-        with self._lock:
-            return self._events[row]
+            positions = np.flatnonzero(found >= 0)
+            rows = found[positions]
+            # The live rows, in order: score the matrix itself, no gather.
+            whole = rows.size == self._size and np.array_equal(
+                rows, np.arange(self._size)
+            )
+            return ResolvedPool(
+                ids, rows, positions, np.flatnonzero(found < 0), whole, self._epoch
+            )
 
     @property
     def events(self) -> list[Event]:
@@ -304,6 +344,7 @@ class EventIndex:
                 self._size += 1
                 self._rows[event_id] = row
                 self._events.append(event)
+                self._epoch = next(_EPOCHS)
                 self.stats.inserts += 1
                 outcome = "inserted"
             else:
@@ -340,6 +381,7 @@ class EventIndex:
                 self.stats.compactions += 1
             self._events.pop()
             self._size = last
+            self._epoch = next(_EPOCHS)
             self.stats.removes += 1
             return True
 
@@ -350,6 +392,7 @@ class EventIndex:
             self._versions.clear()
             self._events.clear()
             self._size = 0
+            self._epoch = next(_EPOCHS)
 
     # ------------------------------------------------------------------
     # scoring
@@ -416,43 +459,44 @@ class EventIndex:
             scales = self._select(self._scales, rows)
             return dots * (scales[None, :] / norms[:, None])
 
-    def _resolve_ids(
-        self, event_ids: Sequence[int] | np.ndarray, at_time: TimeFilter
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(positions, rows, absent, eligible)``, under the held lock.
+    def _eligible_rows(
+        self, pool: ResolvedPool, at_time: TimeFilter
+    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
+        """``(positions, rows, whole, eligible)``, under the held lock.
 
-        ``positions`` index the ids that have a row and are active;
-        ``absent`` index the ids with no row — never indexed, or a
-        concurrent remover won the race.  One ``at_time`` per query
-        keeps the rows active for any of them, and ``eligible`` then
-        says which ``(query, row)`` cells are inside their own window.
+        The pool's present ids that are active at ``at_time``.  One
+        ``at_time`` per query keeps the rows active for any of them, and
+        ``eligible`` then says which ``(query, row)`` cells are inside
+        their own window; a ``None`` entry takes every row.
         """
-        found = self.resolve(event_ids)
-        positions = np.flatnonzero(found >= 0)
-        absent = np.flatnonzero(found < 0)
-        rows = found[positions]
+        positions, rows = pool.positions, pool.rows
+        if at_time is None or not rows.size:
+            return positions, rows, pool.whole, None
         eligible = None
-        if at_time is not None and rows.size:
-            if np.ndim(at_time) == 0:
-                keep = self.activity_mask(at_time, rows)
-            else:
-                # None → NaN: that query takes every row.
-                times = np.asarray(at_time, dtype=np.float64)[:, None]
-                eligible = np.isnan(times) | self.activity_mask(times, rows)
-                keep = eligible.any(axis=0)
-                eligible = eligible[:, keep]
-            rows, positions = rows[keep], positions[keep]
-        return positions, rows, absent, eligible
+        if np.ndim(at_time) == 0:
+            keep = self.activity_mask(at_time, rows)
+        else:
+            # "Unfiltered" is its own column, not a NaN time: a NaN time
+            # is inside no window, here as for a single query.
+            unfiltered = np.fromiter(
+                (moment is None for moment in at_time), dtype=bool, count=len(at_time)
+            )[:, None]
+            times = np.asarray(at_time, dtype=np.float64)[:, None]
+            eligible = unfiltered | self.activity_mask(times, rows)
+            keep = eligible.any(axis=0)
+            eligible = eligible[:, keep]
+        rows = rows[keep]
+        return positions[keep], rows, pool.whole and rows.size == self._size, eligible
 
     def _score_ids(
         self,
         kernel: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
         stage: str,
         query: np.ndarray,
-        event_ids: Sequence[int] | np.ndarray,
+        pool: ResolvedPool | Sequence[int] | np.ndarray,
         at_time: TimeFilter,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve → activity filter → ``kernel`` under one lock hold.
+    ) -> tuple[np.ndarray, np.ndarray, ResolvedPool]:
+        """Epoch check → activity filter → ``kernel`` under one lock hold.
 
         Done separately, a concurrent swap-with-last ``remove`` can
         move a row between resolve and score, silently scoring the
@@ -466,51 +510,52 @@ class EventIndex:
                     "repro_index_lock_wait",
                     time.perf_counter() - wait_start,
                 )
-            positions, rows, absent, eligible = self._resolve_ids(event_ids, at_time)
-            # The live rows, in order: score the matrix itself, no gather.
-            whole = rows.size == self._size and np.array_equal(
-                rows, np.arange(self._size)
-            )
+            if not isinstance(pool, ResolvedPool):
+                pool = self.resolve(pool)
+            elif pool.epoch != self._epoch:
+                pool = self.resolve(pool.ids)
+            positions, rows, whole, eligible = self._eligible_rows(pool, at_time)
             with span(stage) if traced else nullcontext():
                 scores = kernel(query, None if whole else rows)
             if eligible is not None:
                 scores[~eligible] = -np.inf
-            return positions, scores, absent
+            return positions, scores, pool
 
     def score_ids(
         self,
         query: np.ndarray,
-        event_ids: Sequence[int] | np.ndarray,
+        pool: ResolvedPool | Sequence[int] | np.ndarray,
         at_time: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, ResolvedPool]:
         """Atomic resolve → activity filter → GEMV for one user.
 
-        Returns ``(positions, scores, absent)``: indices into
-        ``event_ids`` that were present (and active when ``at_time`` is
-        given), their cosine scores, aligned, and the indices into
-        ``event_ids`` that had no row.
+        ``pool`` is event ids, or the :class:`ResolvedPool` an earlier
+        call returned: at an unchanged epoch nothing is resolved, at a
+        newer one its ids are, under this same lock hold.  Returns
+        ``(positions, scores, resolved)``: indices into the pool's ids
+        that were present (and active when ``at_time`` is given), their
+        cosine scores, aligned, and the pool as scored — pass it back
+        next time; ``resolved.absent`` are the ids that had no row.
         """
-        return self._score_ids(
-            self.scores, "repro_index_gemv", query, event_ids, at_time
-        )
+        return self._score_ids(self.scores, "repro_index_gemv", query, pool, at_time)
 
     def score_ids_batch(
         self,
         queries: np.ndarray,
-        event_ids: Sequence[int] | np.ndarray,
+        pool: ResolvedPool | Sequence[int] | np.ndarray,
         at_time: TimeFilter = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, ResolvedPool]:
         """Atomic resolve → activity filter → GEMM for a user cohort.
 
-        Returns ``(positions, score_matrix, absent)`` with
+        Returns ``(positions, score_matrix, resolved)`` with
         ``score_matrix`` of shape ``(num_users, len(positions))``; same
-        atomicity contract as :meth:`score_ids`.  ``at_time`` is one
-        time for the cohort or one per query (``None`` entries are
-        unfiltered); with one per query, an event outside a query's own
-        window scores ``-inf`` for it.
+        pool and atomicity contract as :meth:`score_ids`.  ``at_time``
+        is one time for the cohort or one per query (``None`` entries
+        are unfiltered); with one per query, an event outside a query's
+        own window scores ``-inf`` for it.
         """
         return self._score_ids(
-            self.scores_batch, "repro_index_gemm", queries, event_ids, at_time
+            self.scores_batch, "repro_index_gemm", queries, pool, at_time
         )
 
     # ------------------------------------------------------------------

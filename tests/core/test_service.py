@@ -1,16 +1,24 @@
 """Serving facade: cached vectors, scoring, ranking."""
 
 import dataclasses
+import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core import service as service_module
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService, ServingMonitors
-from repro.entities import Event
+from repro.entities import Event, User
 from repro.obs import MetricsRegistry, use_registry
 from repro.store.cache import VectorCache
+from repro.store.index import EventIndex
 from repro.text.documents import DocumentEncoder
 from tests.reference import rank_events_loop
 
@@ -325,6 +333,10 @@ class TestEveryEntranceMatchesReference:
             return copies, {"top_k": 4}
         if case == "empty_pool":
             return [], {"top_k": 3}
+        if case == "nan_time":
+            # NaN is a time inside no window, not "no filter": that is
+            # ``None``, on every entrance.
+            return pool, {"at_time": float("nan"), "top_k": 3}
         assert case == "all_expired"
         return pool, {"at_time": 1.0e6, "top_k": 3}
 
@@ -333,7 +345,7 @@ class TestEveryEntranceMatchesReference:
         ["rank_events", "batch_of_one", "row_of_batch", "row_of_mixed_batch"],
     )
     @pytest.mark.parametrize(
-        "case", ["at_time", "boundary_tie", "empty_pool", "all_expired"]
+        "case", ["at_time", "boundary_tie", "empty_pool", "all_expired", "nan_time"]
     )
     def test_parity(self, service, tiny_users, entrance, case):
         events, kwargs = self._pool(case)
@@ -353,7 +365,7 @@ class TestEveryEntranceMatchesReference:
                 subsets=[set(), None, None],
             )[1]
         want = rank_events_loop(service, user, events, **kwargs)
-        if case in ("empty_pool", "all_expired"):
+        if case in ("empty_pool", "all_expired", "nan_time"):
             assert want == []
         assert [s.event.event_id for s in got] == [
             s.event.event_id for s in want
@@ -483,6 +495,145 @@ class TestPerUserBatchMatchesReference:
             service.rank_events_batch(tiny_users, tiny_events, top_k=[1, 0, 2])
 
 
+def served(ranking):
+    return [(scored.event.event_id, scored.score) for scored in ranking]
+
+
+def assert_matches_reference(got, want):
+    """Ids in the reference's ``(-score, event_id)`` order, scores to 1e-9."""
+    assert [s.event.event_id for s in got] == [s.event.event_id for s in want]
+    assert np.allclose([s.score for s in got], [s.score for s in want], atol=1e-9)
+
+
+@pytest.fixture()
+def resolves(monkeypatch):
+    """Spy on ``EventIndex.resolve``: the length of every pool resolved."""
+    seen = []
+    resolve = EventIndex.resolve
+
+    def counting_resolve(index, event_ids):
+        seen.append(len(event_ids))
+        return resolve(index, event_ids)
+
+    monkeypatch.setattr(EventIndex, "resolve", counting_resolve)
+    return seen
+
+
+class TestResolvedPoolMemo:
+    """A pool list is resolved once per index epoch, not once per call."""
+
+    def test_repeat_calls_resolve_once_and_in_place_upserts_resolve_nothing(
+        self, service, tiny_users, resolves
+    ):
+        pool = TestIndexedParity()._random_pool(30, seed=21)
+        service.warm(tiny_users, pool)
+        user = tiny_users[0]
+        first = service.rank_events(user, pool, top_k=5)
+        for _ in range(4):
+            assert served(service.rank_events(user, pool, top_k=5)) == served(first)
+        service.rank_events(user, pool, at_time=40.0)
+        service.rank_events_batch(tiny_users, pool, at_time=[None, 30.0, 40.0])
+        assert resolves == [30]
+        # "fresh": a moved window, same text; "refreshed": new text.
+        # Neither moves a row, so neither costs a resolve — and both show.
+        moved = dataclasses.replace(pool[3], created_at=90.0, starts_at=95.0)
+        edited = dataclasses.replace(pool[4], description="jazz sax band night")
+        assert service.refresh_events([moved, edited]) == 1
+        pool[3], pool[4] = moved, edited
+        for at_time in (None, 40.0, 92.0):
+            assert_matches_reference(
+                service.rank_events(user, pool, at_time=at_time),
+                rank_events_loop(service, user, pool, at_time=at_time),
+            )
+        # The two in-place edits of the list itself did: one resolve.
+        assert resolves == [30, 30]
+        # An insert or a remove moves rows: one resolve each, then none.
+        service.refresh_events([dataclasses.replace(pool[0], event_id=500)])
+        service.rank_events(user, pool)
+        service.rank_events(user, pool)
+        service.remove_event(500)
+        service.rank_events(user, pool)
+        service.rank_events(user, pool)
+        assert resolves == [30, 30, 30, 30]
+
+    def test_memo_is_bounded_and_keeps_the_pool_in_use(
+        self, service, tiny_users, resolves
+    ):
+        class Pool(list):
+            """A list a weak reference can watch."""
+
+        events = TestIndexedParity()._random_pool(12, seed=22)
+        service.warm(tiny_users, events)
+        user = tiny_users[0]
+        standing = Pool(events)
+        marker = events[0]
+        watched = []
+        for number in range(100):
+            one_off = Pool([marker, *events[2 + number % 9 :]])
+            watched.append(weakref.ref(one_off))
+            service.rank_events(user, one_off, top_k=3)
+            service.rank_events(user, standing, top_k=3)
+            del one_off
+        gc.collect()
+        # The memo pins no caller's list, and holds a constant number of
+        # copies of its own ...
+        assert not any(ref() is not None for ref in watched)
+        copies = [
+            found
+            for found in gc.get_objects()
+            if type(found) is list and len(found) > 1 and found[0] is marker
+        ]
+        assert len(copies) <= service_module._POOL_MEMO_SIZE
+        assert len(service._pools) <= service_module._POOL_MEMO_SIZE
+        # ... and the standing pool, touched in between, was never evicted.
+        assert resolves.count(len(standing)) == 1 and len(resolves) == 101
+
+    def test_event_id_reassigned_in_place_is_never_served_a_stale_score(
+        self, service, tiny_users, resolves
+    ):
+        """``event_id`` is an event's identity; reassigning it in place
+        is the one edit of a remembered pool list equality cannot see.
+        The defined outcome is a fresh read: every served event carries
+        the score of the row its id names *now*."""
+        events = TestIndexedParity()._random_pool(20, seed=23)
+        service.warm(tiny_users, events)
+        user = tiny_users[0]
+        pool, other = events[:-1], events[-1]
+        victim = service.rank_events(user, pool, top_k=1)[0].event
+        assert served(service.rank_events(user, pool)) == served(
+            service.rank_events(user, list(pool))
+        )
+        (others_score,) = (s.score for s in service.rank_events(user, [other]))
+        victim.event_id = other.event_id
+        got = service.rank_events(user, pool)
+        assert served(got) == served(service.rank_events(user, list(pool)))
+        assert dict(served(got))[other.event_id] == pytest.approx(others_score, abs=1e-12)
+        assert [s.event for s in got].count(victim) == 1
+        # The entry was dropped and rebuilt, and is a hit again.
+        before = len(resolves)
+        assert served(service.rank_events(user, pool)) == served(got)
+        assert len(resolves) == before
+
+    def test_an_unindexed_pool_is_remembered_after_its_first_sight(
+        self, service, tiny_users, resolves
+    ):
+        pool = TestIndexedParity()._random_pool(15, seed=24)
+        user = tiny_users[0]
+        want = rank_events_loop(service, user, pool, top_k=4)
+        for _ in range(3):
+            assert_matches_reference(service.rank_events(user, pool, top_k=4), want)
+        # Ids, then ids again once the absent rows were inserted.
+        assert resolves == [15, 15]
+
+    def test_tuple_pools_rank_without_being_remembered(self, service, tiny_users):
+        pool = tuple(TestIndexedParity()._random_pool(10, seed=25))
+        user = tiny_users[0]
+        assert served(service.rank_events(user, pool)) == served(
+            service.rank_events(user, list(pool))
+        )
+        assert service._recall(pool) is None
+
+
 class TestIndexMaintenance:
     def test_rank_populates_index(self, service, tiny_users, tiny_events):
         service.rank_events(tiny_users[0], tiny_events)
@@ -544,6 +695,20 @@ class TestIndexMaintenance:
         assert service.refresh_events(tiny_events) == 0
         changed = dataclasses.replace(tiny_events[0], title="renamed!")
         assert service.refresh_events([changed, tiny_events[1]]) == 1
+
+    def test_refresh_counts_an_event_named_twice_once(self, service, tiny_events):
+        """One row needed one vector: the count is rows, and of two
+        mentions of an id the last one is the event indexed."""
+        new = dataclasses.replace(tiny_events[0], event_id=77)
+        assert service.refresh_events([new, new]) == 1
+        stats = service.index.stats
+        assert (stats.inserts, stats.refreshes, stats.fresh_skips) == (1, 0, 0)
+        early = dataclasses.replace(new, description="first draft", starts_at=30.0)
+        late = dataclasses.replace(new, description="final text", starts_at=90.0)
+        assert service.refresh_events([early, tiny_events[1], late]) == 2
+        assert service.index.version(77) == service.event_version(late)
+        assert service.index.events[service.index.row_of(77)] is late
+        assert (stats.inserts, stats.refreshes, stats.fresh_skips) == (2, 1, 0)
 
     def test_refresh_survives_a_remove_between_check_and_upsert(
         self, service, tiny_events, monkeypatch
@@ -785,3 +950,171 @@ class TestBatchUserDedupe:
         assert observed == [
             item.score for ranking in rankings for item in ranking
         ]
+
+
+_MACHINE_WORDS = [
+    "jazz", "sax", "food", "chef", "run", "race", "art", "film",
+    "code", "club", "night", "fair", "park", "music", "band",
+]
+
+
+@functools.cache
+def _machine_world():
+    """Three users, a 14-event universe (``event_id`` = position) and
+    one model over them, built once for every example."""
+    users = [
+        User(
+            user_id=user_id,
+            categorical={"age_bucket": "25-34", "gender": "other", "city": "c1"},
+            keywords=keywords,
+            page_titles=[" ".join(keywords)],
+            page_ids=[user_id],
+        )
+        for user_id, keywords in enumerate(
+            (["jazz", "sax", "band"], ["food", "chef", "fair"], ["run", "race", "park"])
+        )
+    ]
+    universe = TestIndexedParity()._random_pool(14, seed=31)
+    encoder = DocumentEncoder.fit(users, universe, min_df=1)
+    model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+    return users, universe, model
+
+
+class ReusedPoolMachine(RuleBasedStateMachine):
+    """Index writes and in-place edits of one *reused* pool list,
+    interleaved with every rank entrance over that same list.
+
+    Whatever was remembered for the list, each answer is the
+    reference's — ids in ``(-score, event_id)`` order, scores to 1e-9 —
+    and bit-for-bit the answer a never-seen copy of the list gets.
+    Content edits follow the announce contract: the new ``Event``
+    replaces the old one in the pool and goes through ``refresh_events``.
+    """
+
+    picks = st.integers(0, 13)
+    times = st.one_of(st.none(), st.floats(0.0, 120.0))
+    cuts = st.one_of(st.none(), st.integers(1, 6))
+
+    def __init__(self):
+        super().__init__()
+        self.users, universe, model = _machine_world()
+        self.universe = list(universe)
+        self.service = RepresentationService(model, VectorCache())
+        self.pool = self.universe[:8]
+
+    # -- index writes ---------------------------------------------------
+
+    @rule(picked=st.lists(picks, max_size=4))
+    def announce(self, picked):
+        self.service.refresh_events([self.universe[pick] for pick in picked])
+
+    @rule(pick=picks, salt=st.integers(0, 14), starts_at=st.floats(20.0, 150.0))
+    def edit_and_announce(self, pick, salt, starts_at):
+        words = [_MACHINE_WORDS[(salt + 2 * step) % 15] for step in range(5)]
+        edited = dataclasses.replace(
+            self.universe[pick], description=" ".join(words), starts_at=starts_at
+        )
+        self.universe[pick] = edited
+        for position, event in enumerate(self.pool):
+            if event.event_id == pick:
+                self.pool[position] = edited
+        self.service.refresh_events([edited])
+
+    @rule(pick=picks)
+    def remove(self, pick):
+        self.service.remove_event(pick)
+
+    @rule()
+    def rebuild(self):
+        self.service.rebuild_index()
+
+    @rule()
+    def clear(self):
+        self.service.index.clear()
+
+    # -- edits of the reused list, in place -----------------------------
+
+    @precondition(lambda self: self.pool)
+    @rule(position=st.integers(0, 40), pick=picks)
+    def set_item(self, position, pick):
+        self.pool[position % len(self.pool)] = self.universe[pick]
+
+    @rule(pick=picks)
+    def append(self, pick):
+        self.pool.append(self.universe[pick])
+
+    @precondition(lambda self: self.pool)
+    @rule()
+    def pop(self):
+        self.pool.pop()
+
+    @rule(reverse=st.booleans())
+    def sort(self, reverse):
+        self.pool.sort(key=lambda event: event.event_id, reverse=reverse)
+
+    # -- every entrance, over the same list -----------------------------
+
+    @rule(user=st.integers(0, 2), at_time=times, top_k=cuts)
+    def rank(self, user, at_time, top_k):
+        user = self.users[user]
+        got = self.service.rank_events(user, self.pool, at_time=at_time, top_k=top_k)
+        assert_matches_reference(
+            got, rank_events_loop(self.service, user, self.pool, at_time=at_time, top_k=top_k)
+        )
+        # Ranking a pool leaves every candidate of it indexed.
+        assert all(event.event_id in self.service.index for event in self.pool)
+        unseen = list(self.pool)
+        assert served(got) == served(
+            self.service.rank_events(user, unseen, at_time=at_time, top_k=top_k)
+        )
+
+    @rule(
+        at_time=st.one_of(times, st.lists(times, min_size=3, max_size=3)),
+        top_k=st.one_of(cuts, st.lists(cuts, min_size=3, max_size=3)),
+        subsets=st.one_of(
+            st.none(),
+            st.lists(
+                st.one_of(st.none(), st.frozensets(picks, max_size=8)),
+                min_size=3,
+                max_size=3,
+            ),
+        ),
+    )
+    def rank_batch(self, at_time, top_k, subsets):
+        got = self.service.rank_events_batch(
+            self.users, self.pool, at_time=at_time, top_k=top_k, subsets=subsets
+        )
+        per_user = zip(
+            self.users,
+            got,
+            at_time if isinstance(at_time, list) else [at_time] * 3,
+            top_k if isinstance(top_k, list) else [top_k] * 3,
+            subsets if subsets is not None else [None] * 3,
+        )
+        for user, row, time, k, subset in per_user:
+            own = [
+                event
+                for event in self.pool
+                if subset is None or event.event_id in subset
+            ]
+            assert_matches_reference(
+                row, rank_events_loop(self.service, user, own, at_time=time, top_k=k)
+            )
+        unseen = list(self.pool)
+        assert [served(row) for row in got] == [
+            served(row)
+            for row in self.service.rank_events_batch(
+                self.users, unseen, at_time=at_time, top_k=top_k, subsets=subsets
+            )
+        ]
+
+    @invariant()
+    def index_and_memo_are_sound(self):
+        self.service.index.check_invariants()
+        assert len(self.service._pools) <= service_module._POOL_MEMO_SIZE
+
+
+TestReusedPoolMachine = ReusedPoolMachine.TestCase
+TestReusedPoolMachine.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)

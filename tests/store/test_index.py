@@ -190,7 +190,7 @@ class TestScoring:
         for i in range(6):
             index.upsert(make_event(i), "v", rng.normal(size=5))
         query = rng.normal(size=5)
-        rows = index.resolve([4, 0, 2])
+        rows = index.resolve([4, 0, 2]).rows
         assert rows.tolist() == [index.row_of(4), index.row_of(0), index.row_of(2)]
         subset = index.scores(query, rows)
         full = index.scores(query)
@@ -205,12 +205,43 @@ class TestScoring:
         index.remove(1)  # row order is now 0, 5, 2, 3, 4
         query = rng.normal(size=5)
         in_order = index.event_ids.tolist()
-        positions, scores, absent = index.score_ids(query, in_order)
-        assert positions.tolist() == list(range(5)) and absent.size == 0
+        positions, scores, pool = index.score_ids(query, in_order)
+        assert positions.tolist() == list(range(5)) and pool.absent.size == 0
+        assert pool.whole
         assert np.array_equal(scores, index.scores(query))
-        reversed_positions, reversed_scores, _ = index.score_ids(query, in_order[::-1])
-        assert reversed_positions.tolist() == list(range(5))
+        reversed_positions, reversed_scores, pool = index.score_ids(query, in_order[::-1])
+        assert reversed_positions.tolist() == list(range(5)) and not pool.whole
         np.testing.assert_allclose(reversed_scores, scores[::-1], atol=1e-12)
+
+    def test_resolved_pool_is_good_for_one_epoch_of_one_index(self, rng):
+        """A pool handed back is scored as it stands until a row is
+        inserted or removed; in-place upserts leave it current, and
+        another index never mistakes it for its own."""
+        index, other = EventIndex(), EventIndex()
+        vectors = rng.normal(size=(6, 5))
+        for i in range(6):
+            index.upsert(make_event(i), "v", vectors[i])
+            other.upsert(make_event(5 - i), "v", vectors[5 - i])
+        query = rng.normal(size=5)
+        ids = [4, 9, 0, 2]
+        positions, scores, pool = index.score_ids(query, ids)
+        assert pool.ids.tolist() == ids and pool.absent.tolist() == [1]
+        index.upsert(make_event(2, starts=50.0), "v")  # fresh
+        index.upsert(make_event(0), "v2", vectors[0] * 2.0)  # refreshed
+        assert index.score_ids(query, pool)[2] is pool
+        index.upsert(make_event(9), "v", rng.normal(size=5))  # inserted
+        grown = index.score_ids(query, pool)[2]
+        assert grown.epoch != pool.epoch and grown.absent.size == 0
+        index.remove(4)  # swap-with-last: id 9 now sits in row 4
+        positions, after, shrunk = index.score_ids(query, grown)
+        assert shrunk.epoch != grown.epoch and shrunk.absent.tolist() == [0]
+        assert np.array_equal(after, index.scores(query, shrunk.rows))
+        index.clear()
+        assert index.score_ids(query, shrunk)[2].absent.tolist() == [0, 1, 2, 3]
+        # Same ids, another index, other rows: resolved again, not trusted.
+        theirs_positions, theirs, seen = other.score_ids(query, pool)
+        assert seen is not pool
+        assert np.array_equal(theirs, other.score_ids(query, ids)[1])
 
     def test_per_query_times_mask_cells_and_drop_dead_rows(self, rng):
         index = EventIndex()
@@ -219,10 +250,10 @@ class TestScoring:
         index.upsert(make_event(3, created=30.0, starts=40.0), "v", rng.normal(size=3))
         queries = rng.normal(size=(3, 3))
         ids = [3, 9, 2, 1]
-        positions, matrix, absent = index.score_ids_batch(
+        positions, matrix, pool = index.score_ids_batch(
             queries, ids, at_time=[3.0, 12.0, None]
         )
-        assert absent.tolist() == [1]
+        assert pool.absent.tolist() == [1]
         assert positions.tolist() == [0, 2, 3]  # event 3: the unfiltered query only
         unfiltered, _, _ = index.score_ids_batch(queries, ids)
         assert unfiltered.tolist() == [0, 2, 3]
@@ -348,19 +379,26 @@ class TestRandomMutationParity:
         rng = np.random.default_rng(1)
         index, reference = apply_mutations(ops, rng)
         ids = np.asarray(queried, dtype=np.int64) if as_array else queried
-        rows = index.resolve(ids)
-        assert rows.dtype == np.intp and rows.shape == (len(queried),)
-        live_ids = index.event_ids
-        for event_id, row in zip(queried, rows.tolist()):
-            if event_id in reference:
-                assert live_ids[row] == event_id
-            else:
-                assert row == -1
-        query = rng.normal(size=6)
-        positions, scores, absent = index.score_ids(query, ids)
+        pool = index.resolve(ids)
         present = [event_id in reference for event_id in queried]
-        assert positions.tolist() == [p for p, has in enumerate(present) if has]
-        assert absent.tolist() == [p for p, has in enumerate(present) if not has]
+        assert pool.ids.tolist() == list(queried)
+        assert pool.rows.dtype == np.intp and pool.rows.shape == pool.positions.shape
+        assert pool.positions.tolist() == [p for p, has in enumerate(present) if has]
+        assert pool.absent.tolist() == [p for p, has in enumerate(present) if not has]
+        live_ids = index.event_ids
+        assert live_ids[pool.rows].tolist() == [
+            event_id for event_id, has in zip(queried, present) if has
+        ]
+        assert pool.whole == (pool.rows.tolist() == list(range(len(index))))
+        query = rng.normal(size=6)
+        positions, scores, scored = index.score_ids(query, ids)
+        assert positions.tolist() == pool.positions.tolist()
+        assert scored.absent.tolist() == pool.absent.tolist()
+        # The resolved pool goes back in place of ids: same answer, same value.
+        again_positions, again_scores, again = index.score_ids(query, scored)
+        assert again is scored
+        assert np.array_equal(again_positions, positions)
+        assert np.array_equal(again_scores, scores)
         for position, score in zip(positions.tolist(), scores.tolist()):
             _, vector = reference[queried[position]]
             assert score == pytest.approx(ref_cosine(query, vector), abs=1e-9)

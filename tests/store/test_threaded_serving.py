@@ -7,11 +7,15 @@ removal, capacity growth reallocations) but never change stable
 vectors, so every concurrent ranking must match the single-threaded
 oracle — which is exactly the property the index lock protects.  The
 last test races the service's per-request-subset batch read against
-swap-with-last removes of its own candidates.
+swap-with-last removes of its own candidates, and the two after it race
+readers that *keep* a resolved pool — the ``ResolvedPool`` value itself,
+and the one the service remembers for a reused list — against removes
+and re-inserts that move the very rows it names.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +93,62 @@ class TestScoreIds:
         positions, matrix, _ = index.score_ids_batch(rng.normal(size=(2, 4)), [9])
         assert positions.size == 0
         assert matrix.shape == (2, 0)
+
+
+def race(mutators, readers, reader_timeout=120.0):
+    """Run ``mutators`` (each ``fn(stop)``, looping until ``stop`` is
+    set) beside ``readers`` (each ``fn()``, run to completion) at a
+    10 µs switch interval; re-raises the first failure of any thread."""
+    stop = threading.Event()
+    start = threading.Barrier(len(mutators) + len(readers))
+    errors: list[BaseException] = []
+
+    def guarded(fn, *args):
+        try:
+            start.wait()
+            fn(*args)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    writing = [
+        threading.Thread(target=guarded, args=(fn, stop), name="mutator")
+        for fn in mutators
+    ]
+    reading = [threading.Thread(target=guarded, args=(fn,)) for fn in readers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in writing + reading:
+            thread.start()
+        for thread in reading:
+            thread.join(timeout=reader_timeout)
+    finally:
+        stop.set()
+        for thread in writing:
+            thread.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writing + reading)
+    if errors:
+        raise errors[0]
+
+
+class NappingLock:
+    """The index's own lock, except that a mutator thread yields the
+    GIL the moment it has released it.  Whatever a writer does *after*
+    its ``with self._lock:`` block — bumping the epoch there, say — then
+    happens after a reader has had its turn, every time rather than once
+    in ten thousand."""
+
+    def __init__(self, lock):
+        self._lock = lock
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        self._lock.__exit__(*exc_info)
+        if threading.current_thread().name == "mutator":
+            time.sleep(0)
 
 
 @pytest.mark.threads
@@ -354,6 +414,143 @@ class TestConcurrentServingParity:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
+        service.index.check_invariants()
+        assert service.index.stats.compactions > 0
+        assert stable <= set(service.index.event_ids.tolist())
+
+    def test_held_resolved_pool_races_removes_and_reinserts(self):
+        """Each reader hands the ``ResolvedPool`` of its last call back
+        to ``score_ids``/``score_ids_batch``, while mutators remove
+        (swap-with-last) and re-insert churn rows that sit *below* the
+        stable ones, so stable rows move too.  Every ``(id, score)`` is
+        that id's own cosine and no stable id is ever missing: a pool
+        resolved before a row moved is resolved again, under the lock
+        that moved it."""
+        rng = np.random.default_rng(17)
+        index = EventIndex(initial_capacity=4)
+        churn_ids = list(range(self.CHURN))
+        stable_ids = list(range(self.CHURN, self.CHURN + self.STABLE))
+        vectors = rng.normal(size=(self.CHURN + self.STABLE, self.DIM))
+        for event_id in churn_ids + stable_ids:  # churn first: stable rows are last
+            index.upsert(make_event(event_id), "v1", vectors[event_id])
+        index._lock = NappingLock(index._lock)
+        queries = rng.normal(size=(self.READERS, self.DIM))
+        all_ids = stable_ids[::2] + churn_ids + stable_ids[1::2]
+        oracle = index.score_ids_batch(queries, list(range(len(vectors))))[1]
+
+        def mutator(worker):
+            def mutate(stop):
+                local = np.random.default_rng(400 + worker)
+                mine = churn_ids[worker :: self.MUTATORS]
+                while not stop.is_set():
+                    event_id = int(local.choice(mine))
+                    if not index.remove(event_id):
+                        index.upsert(make_event(event_id), "v1", vectors[event_id])
+
+            return mutate
+
+        def reader(worker):
+            def read():
+                pool = all_ids
+                epochs = set()
+                for turn in range(self.READS_PER_THREAD * 2):
+                    if turn % 4 == 3:
+                        positions, matrix, pool = index.score_ids_batch(queries, pool)
+                        scores = matrix[worker]
+                    else:
+                        positions, scores, pool = index.score_ids(queries[worker], pool)
+                    epochs.add(pool.epoch)
+                    ids = pool.ids[positions]
+                    np.testing.assert_allclose(scores, oracle[worker, ids], atol=1e-9)
+                    assert set(stable_ids) <= set(ids.tolist())
+                assert len(epochs) > 1  # the held pool did go stale
+
+            return read
+
+        race(
+            [mutator(worker) for worker in range(self.MUTATORS)],
+            [reader(worker) for worker in range(self.READERS)],
+        )
+        index.check_invariants()
+        assert index.stats.compactions > 0
+
+    def test_remembered_pool_list_races_removes_and_reinserts(
+        self, tiny_users, tiny_events
+    ):
+        """``rank_events`` and ``rank_events_batch`` over one reused
+        list — so the service hands the index the pool it remembered —
+        while mutators remove and republish the churn half, whose rows
+        sit below the stable half's.  Same promises as above, through
+        the service: own scores, sorted, stable candidates present."""
+        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
+        service = RepresentationService(model)
+        rng = np.random.default_rng(19)
+        words = ["jazz", "sax", "food", "chef", "run", "race", "art", "film"]
+        events = [
+            Event(
+                event_id=event_id,
+                title=f"event {event_id}",
+                description=" ".join(rng.choice(words, size=5)),
+                category="cat",
+                created_at=float(event_id % 4),
+                starts_at=100.0,
+            )
+            for event_id in range(48)
+        ]
+        churn, stable = events[:24], {event.event_id for event in events[24:]}
+        service.warm(tiny_users, events)  # churn rows first
+        service.index._lock = NappingLock(service.index._lock)
+        oracle = {
+            (user.user_id, event.event_id): service.score(user, event)
+            for user in tiny_users
+            for event in events
+        }
+        pool = events[::-1]
+
+        def mutator(worker):
+            def mutate(stop):
+                local = np.random.default_rng(500 + worker)
+                mine = churn[worker :: self.MUTATORS]
+                while not stop.is_set():
+                    event = mine[int(local.integers(len(mine)))]
+                    if not service.index.remove(event.event_id):
+                        service.refresh_events([event])
+
+            return mutate
+
+        def check(user, ranking, at_time):
+            answer = [(s.event.event_id, s.score) for s in ranking]
+            returned = {event_id for event_id, _ in answer}
+            assert len(returned) == len(answer)
+            for event_id, score in answer:
+                assert score == pytest.approx(oracle[user.user_id, event_id], abs=1e-9)
+            assert answer == sorted(answer, key=lambda pair: (-pair[1], pair[0]))
+            open_at = {i for i in stable if at_time is None or i % 4 <= at_time}
+            assert returned >= open_at and (at_time is None or returned <= {
+                event.event_id for event in events if event.created_at <= at_time
+            })
+
+        def reader(worker):
+            def read():
+                user = tiny_users[worker % len(tiny_users)]
+                for turn in range(90):
+                    at_time = None if turn % 3 else 0.5
+                    if turn % 5 == 4:
+                        rankings = service.rank_events_batch(
+                            tiny_users, pool, at_time=at_time
+                        )
+                        for each, ranking in zip(tiny_users, rankings):
+                            check(each, ranking, at_time)
+                    else:
+                        check(user, service.rank_events(user, pool, at_time=at_time), at_time)
+
+            return read
+
+        race(
+            [mutator(worker) for worker in range(self.MUTATORS)],
+            [reader(worker) for worker in range(self.READERS)],
+        )
         service.index.check_invariants()
         assert service.index.stats.compactions > 0
         assert stable <= set(service.index.event_ids.tolist())
