@@ -5,36 +5,35 @@ this reproduction has actually been burned by (or is structurally
 prone to), so train/serve parity bugs of the PR-3 class are caught
 mechanically instead of re-found in review:
 
-* **Rule engine** (:mod:`repro.analysis.engine`) — per-rule ``RPRxxx``
-  codes, path scoping (``src`` vs ``test``), and line-level
+* **Rule engine** (:mod:`repro.analysis.engine`) — one kind of rule:
+  an *analysis* over the whole project, registered
+  (``register_analysis``) under the ``RPRxxx`` codes it emits; path
+  scoping (``src`` vs ``test``) and line-level
   ``# repro: noqa[RPRxxx]`` suppressions with an optional trailing
   justification.
-* **Rules** (:mod:`repro.analysis.rules`) — the per-file RPR1xx
-  rules, each motivated by a concrete bug class (see README "Static
-  analysis").
+* **The analyses** — one shared core (:mod:`repro.analysis.callgraph`
+  symbol table, call graph and per-function node lists;
+  :mod:`repro.analysis.cfgutils` frame walk, held-lock scanner and
+  bounded fixpoint) under seven analyses the engine runs at most once
+  per project each.  Three read one file at a time
+  (:mod:`repro.analysis.rules`: cosine reimplementation RPR101, float
+  equality RPR105, the telemetry name grammar RPR103/108/109), each
+  motivated by a concrete bug class (see README "Static analysis");
+  four are interprocedural: determinism taint
+  (:mod:`repro.analysis.determinism`, RPR301–RPR303), ``# guarded-by:``
+  lock discipline (:mod:`repro.analysis.locks`, RPR401–RPR402), async
+  safety (:mod:`repro.analysis.asyncrules`, RPR501/503/504) and
+  route-status contracts (:mod:`repro.analysis.routestatus`, RPR110).
 * **Array contracts** (:mod:`repro.analysis.contracts`) — declarative
-  shape/dtype specifications for the hot ``repro.nn`` kernels, checked
-  statically where literal shapes allow
-  (:mod:`repro.analysis.dataflow`, codes RPR201/RPR202) and asserted at
-  runtime in tests otherwise.
-* **Interprocedural layer** — one shared core
-  (:mod:`repro.analysis.callgraph` symbol table, call graph and
-  per-function node lists; :mod:`repro.analysis.cfgutils` frame walk,
-  held-lock scanner and bounded fixpoint) feeding five analyses the
-  engine runs at most once per project each: array-contract
-  propagation (:mod:`repro.analysis.dataflow`, RPR201–RPR202),
-  determinism taint (:mod:`repro.analysis.determinism`,
-  RPR301–RPR303), ``# guarded-by:`` lock discipline
-  (:mod:`repro.analysis.locks`, RPR401–RPR403), async safety
-  (:mod:`repro.analysis.asyncrules`, RPR501–RPR504) and route-status
-  contracts (:mod:`repro.analysis.routestatus`, RPR110).
+  shape/dtype specifications for the hot ``repro.nn`` kernels,
+  asserted at runtime by the nn and core tests (``check_call``).
 * **Reporters** (:mod:`repro.analysis.reporters`) — text, JSON, and
   SARIF output over the same finding records.
 
 Run it over the repository::
 
     python -m repro.analysis src tests benchmarks examples bench
-    repro-events analyze src tests benchmarks --format json
+    python -m repro.analysis src --format json
 
 Exit codes: 0 (clean), 1 (findings), 2 (usage error).
 """
@@ -48,7 +47,6 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.engine import (
     Finding,
-    ProjectRule,
     Rule,
     all_rules,
     analyze_files,
@@ -67,7 +65,6 @@ __all__ = [
     "ContractError",
     "Finding",
     "KernelContract",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "analyze_files",

@@ -1,7 +1,9 @@
-"""Async-safety analysis (rules RPR501–RPR504).
+"""Async-safety analysis (rules RPR501, RPR503, RPR504).
 
 The serving layer (PR 8) put the ranker behind an asyncio loop; these
-rules guard the three ways that layer dies quietly under load:
+rules guard three ways that layer dies quietly under load.  A fourth,
+the awaitable nobody awaits, is the interpreter's to detect: the test
+suite runs with ``RuntimeWarning`` as an error (DESIGN.md §9.2).
 
 * **RPR501 — event-loop blocking taint.**  A declared registry of
   blocking sinks (``time.sleep``, socket/file/subprocess I/O,
@@ -15,13 +17,6 @@ rules guard the three ways that layer dies quietly under load:
   handed to ``run_in_executor``/``asyncio.to_thread`` is the
   sanctioned escape hatch and is modeled explicitly: nothing inside
   an executor-submission argument is flagged.
-* **RPR502 — un-awaited awaitables.**  A call to a coroutine function
-  (resolved via the call graph, not name heuristics) whose result is
-  discarded as a bare expression statement; ``ensure_future`` /
-  ``create_task`` results dropped without a retained reference; a
-  coroutine function handed to ``call_soon``/``run_in_executor``
-  (it would never be awaited); and discarded asyncio awaitables
-  (``gather``, ``sleep``, …).
 * **RPR503 — threading lock held across a suspension point.**  A
   CFG-level scan of every ``async def``: no ``with lock:`` region or
   manual ``acquire()``…``release()`` span may contain an ``await``,
@@ -37,7 +32,7 @@ rules guard the three ways that layer dies quietly under load:
   and a ``set_result`` inside a ``try`` with no ``set_exception`` /
   ``cancel`` in an except/finally leaves exception paths unresolved.
 
-All four are best-effort in the linter direction: dynamic dispatch,
+All three are best-effort in the linter direction: dynamic dispatch,
 unresolvable receivers, and nested-function bodies stay invisible —
 silence, not false alarms.
 """
@@ -114,19 +109,6 @@ BLOCKING_METHOD_SINKS: dict[str, str] = {
 }
 
 _FUTURE_CTORS = frozenset({"asyncio.Future", "concurrent.futures.Future"})
-_TASK_SPAWNERS = frozenset({"asyncio.ensure_future", "asyncio.create_task"})
-_TASK_SPAWN_ATTRS = frozenset({"ensure_future", "create_task"})
-_ASYNCIO_AWAITABLES = frozenset(
-    {
-        "asyncio.sleep",
-        "asyncio.gather",
-        "asyncio.wait",
-        "asyncio.wait_for",
-        "asyncio.shield",
-        "asyncio.open_connection",
-        "asyncio.to_thread",
-    }
-)
 _RESOLVING_ATTRS = frozenset({"set_result", "set_exception", "cancel"})
 _MAX_CHAIN = 5
 
@@ -349,83 +331,6 @@ def _blocking_findings(
         )
 
 
-# --- RPR502 -----------------------------------------------------------
-
-
-def _unawaited_findings(
-    project: Project,
-    graph: CallGraph,
-    scans: dict[str, _FrameScan],
-) -> Iterator[Finding]:
-    for qualname in sorted(scans):
-        scan = scans[qualname]
-        path = scan.info.context.path
-        for node in scan.info.frame_nodes:
-            if not isinstance(node, ast.Expr) or not isinstance(
-                node.value, ast.Call
-            ):
-                continue
-            call = node.value
-            callee = scan.project_calls.get(call)
-            if callee is not None and project.functions[callee].is_async:
-                simple = callee.rsplit(".", 1)[-1]
-                yield Finding.at(
-                    path,
-                    call,
-                    "RPR502",
-                    f"coroutine {simple}() is called but its result is "
-                    "discarded without await — the coroutine never runs",
-                )
-                continue
-            target = resolve_imported_target(project, scan.info.module, call)
-            func = call.func
-            is_spawn = target in _TASK_SPAWNERS or (
-                isinstance(func, ast.Attribute)
-                and func.attr in _TASK_SPAWN_ATTRS
-            )
-            if is_spawn:
-                yield Finding.at(
-                    path,
-                    call,
-                    "RPR502",
-                    "task reference dropped: retain the "
-                    "ensure_future/create_task result (and discard it "
-                    "via a done-callback) or it can be garbage-"
-                    "collected mid-flight",
-                )
-            elif target in _ASYNCIO_AWAITABLES:
-                tail = target.rsplit(".", 1)[-1]
-                yield Finding.at(
-                    path,
-                    call,
-                    "RPR502",
-                    f"awaitable asyncio.{tail}(...) discarded without "
-                    "await — it never executes",
-                )
-    # A coroutine function handed to a plain-callback or executor API
-    # is called there, producing a coroutine object nobody awaits.
-    for site in graph.calls:
-        if site.kind not in ("callback", "executor"):
-            continue
-        callee_info = project.functions.get(site.callee)
-        if callee_info is None or not callee_info.is_async:
-            continue
-        simple = site.callee.rsplit(".", 1)[-1]
-        where = (
-            "an event-loop callback"
-            if site.kind == "callback"
-            else "an executor"
-        )
-        yield Finding.at(
-            site.path,
-            site.node,
-            "RPR502",
-            f"coroutine function {simple}() registered as {where} "
-            "target — it would never be awaited; pass a sync "
-            "callable or create_task the coroutine",
-        )
-
-
 # --- RPR503 -----------------------------------------------------------
 
 
@@ -577,13 +482,6 @@ def _check_future_lifecycle(
         "sanctioned escape hatch",
     ),
     (
-        "RPR502",
-        "unawaited-awaitable",
-        "coroutine call discarded without await, create_task/"
-        "ensure_future result dropped, or a coroutine function "
-        "registered where a plain callable belongs",
-    ),
-    (
         "RPR503",
         "lock-across-await",
         "with-lock region or manual acquire()/release() span contains "
@@ -609,6 +507,5 @@ def analyze_async_safety(
     }
     blocking = _blocking_fixpoint(project, scans)
     yield from _blocking_findings(project, graph, scans, blocking)
-    yield from _unawaited_findings(project, graph, scans)
     yield from _lock_span_findings(scans)
     yield from _future_findings(project, scans)

@@ -1,9 +1,9 @@
 """Whole-project symbol table and call graph for interprocedural rules.
 
-The per-file rules (RPR1xx) stop at function boundaries; the
-interprocedural passes (RPR20x array contracts, RPR30x determinism
-taint, RPR40x lock discipline, RPR5xx async safety, RPR110 route
-statuses) need to know *who calls whom* across modules.  This module
+The single-file analyses (RPR1xx) stop at function boundaries; the
+interprocedural passes (RPR30x determinism taint, RPR40x lock
+discipline, RPR5xx async safety, RPR110 route statuses) need to know
+*who calls whom* across modules.  This module
 builds that view once per analyzer run, and with it the shared core
 every pass reads instead of re-deriving: the per-function node lists
 (:attr:`FunctionInfo.nodes` lexical, :attr:`FunctionInfo.frame_nodes`
@@ -24,16 +24,11 @@ own-frame), walked once and cached, and the one call-site lookup
   a parameter annotation or a constructor assignment in the same
   function (``index = EventIndex(); index.upsert(...)``).
 
-Beyond ordinary calls the graph records two *reference* edge kinds the
-async-safety pass (RPR5xx) consumes:
-
-* ``kind="executor"`` — a project function handed to
-  ``loop.run_in_executor(...)`` / ``asyncio.to_thread(...)``: it runs
-  on a worker thread, so blocking there is sanctioned.
-* ``kind="callback"`` — a project function registered via
-  ``loop.call_soon/call_later/call_at/call_soon_threadsafe`` or
-  ``add_done_callback``: it runs *on the event loop*, so blocking
-  there stalls every request in flight.
+Beyond ordinary calls the graph records one *reference* edge kind the
+async-safety pass (RPR501) consumes: ``kind="callback"`` — a project
+function registered via ``loop.call_soon/call_later/call_at/
+call_soon_threadsafe`` or ``add_done_callback``: it runs *on the event
+loop*, so blocking there stalls every request in flight.
 
 Resolution is deliberately best-effort: anything dynamic (globals(),
 getattr, decorators returning new callables, inheritance dispatch)
@@ -66,10 +61,8 @@ __all__ = [
     "iter_call_args",
 ]
 
-# Scheduling APIs taking a function *reference*: name → index of the
-# callable argument.  Executor targets run on a worker thread;
-# callback targets run on the event loop itself.
-_EXECUTOR_METHODS = {"run_in_executor": 1, "to_thread": 0}
+# Scheduling APIs taking a function *reference* that then runs on the
+# event loop itself: name → index of the callable argument.
 _CALLBACK_METHODS = {
     "call_soon": 0,
     "call_soon_threadsafe": 0,
@@ -170,11 +163,10 @@ class CallSite:
     ``caller`` is the qualified name of the enclosing function/method,
     or ``<module>.<body>`` for module-level statements.  ``kind`` is
     ``"function"`` for calls resolved to a project function/method,
-    ``"class"`` for constructor calls resolved to a project class,
-    ``"executor"`` for a function reference submitted to an executor
-    (``run_in_executor``/``to_thread``), and ``"callback"`` for a
-    function reference scheduled to run on the event loop
-    (``call_soon``/``call_later``/``add_done_callback`` and friends).
+    ``"class"`` for constructor calls resolved to a project class, and
+    ``"callback"`` for a function reference scheduled to run on the
+    event loop (``call_soon``/``call_later``/``add_done_callback`` and
+    friends).
     """
 
     caller: str
@@ -249,9 +241,6 @@ class Project:
 
     # -- lookup --------------------------------------------------------
 
-    def module_of(self, context: FileContext) -> str:
-        return module_name_for_path(context.path)
-
     def class_named(self, name: str) -> ClassInfo | None:
         """The unique project class with this simple name, else None."""
         candidates = self._classes_by_name.get(name, [])
@@ -281,12 +270,6 @@ class Project:
         if qualified in self.functions or qualified in self.classes:
             return qualified
         return None
-
-    def functions_in(self, context: FileContext) -> Iterator[FunctionInfo]:
-        module = self.module_of(context)
-        for info in self.functions.values():
-            if info.module == module:
-                yield info
 
 
 def _collect_imports(nodes: Sequence[ast.AST], module: str) -> dict[str, str]:
@@ -436,8 +419,6 @@ class CallGraph:
     def __init__(self, project: Project) -> None:
         self.project = project
         self.calls: list[CallSite] = []
-        self.calls_in: dict[str, list[CallSite]] = defaultdict(list)
-        self.callers_of: dict[str, list[CallSite]] = defaultdict(list)
         self._site_index: dict[tuple[str, int, int], str] = {}
         for module, context in project.modules.items():
             self._resolve_module(module, context)
@@ -478,13 +459,13 @@ class CallGraph:
             if enclosing is not None
             else _module_body_qualname(module)
         )
-        callee, kind = self._resolve_callee(module, enclosing, local_types, node)
+        callee = self._resolve(module, enclosing, local_types, node.func)
         if callee is not None:
+            kind = "class" if callee in self.project.classes else "function"
             self._record(caller, callee, kind, context, node)
-        for target, ref_kind in self._reference_edges(
-            module, enclosing, local_types, node
-        ):
-            self._record(caller, target, ref_kind, context, node)
+        target = self._callback_target(module, enclosing, local_types, node)
+        if target is not None:
+            self._record(caller, target, "callback", context, node)
 
     def _record(
         self,
@@ -498,24 +479,21 @@ class CallGraph:
             caller=caller, callee=callee, kind=kind, path=context.path, node=node
         )
         self.calls.append(site)
-        self.calls_in[caller].append(site)
-        self.callers_of[callee].append(site)
         if kind == "function":
             self._site_index[caller, node.lineno, node.col_offset] = callee
 
-    def _reference_edges(
+    def _callback_target(
         self,
         module: str,
         enclosing: FunctionInfo | None,
         local_types: dict[str, ClassInfo],
         node: ast.Call,
-    ) -> Iterator[tuple[str, str]]:
-        """Executor/callback edges for function references in ``node``.
+    ) -> str | None:
+        """The project function ``node`` schedules on the event loop.
 
-        ``loop.run_in_executor(None, fn, ...)`` does not *call* ``fn``
-        at the site, but the reference determines where ``fn`` later
-        runs (worker thread vs event loop) — exactly what the
-        async-safety pass needs to know.
+        ``loop.call_soon(fn, ...)`` does not *call* ``fn`` at the site,
+        but the reference determines where ``fn`` later runs — exactly
+        what the async-safety pass needs to know.
         """
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -523,103 +501,46 @@ class CallGraph:
         elif isinstance(func, ast.Name):
             name = func.id
         else:
-            return
-        if name in _EXECUTOR_METHODS:
-            index, ref_kind = _EXECUTOR_METHODS[name], "executor"
-        elif name in _CALLBACK_METHODS:
-            index, ref_kind = _CALLBACK_METHODS[name], "callback"
-        else:
-            return
-        if index >= len(node.args):
-            return
-        target = self._resolve_reference(
-            module, enclosing, local_types, node.args[index]
-        )
-        if target is not None:
-            yield target, ref_kind
+            return None
+        index = _CALLBACK_METHODS.get(name)
+        if index is None or index >= len(node.args):
+            return None
+        target = self._resolve(module, enclosing, local_types, node.args[index])
+        return target if target in self.project.functions else None
 
-    def _resolve_reference(
+    def _resolve(
         self,
         module: str,
         enclosing: FunctionInfo | None,
         local_types: dict[str, ClassInfo],
         node: ast.AST,
     ) -> str | None:
-        """A bare function reference resolved to a project function."""
+        """The project function or class a name or attribute denotes."""
         if isinstance(node, ast.Name):
-            resolved = self.project.resolve_name(module, node.id)
-            if resolved in self.project.functions:
-                return resolved
+            return self.project.resolve_name(module, node.id)
+        if not isinstance(node, ast.Attribute):
             return None
-        if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and enclosing is not None
-                and enclosing.class_name is not None
-            ):
-                cls = self.project.classes.get(
-                    f"{module}.{enclosing.class_name}"
-                )
-                if cls is not None and node.attr in cls.methods:
-                    return cls.methods[node.attr].qualname
-                return None
-            if isinstance(node.value, ast.Name):
-                cls = local_types.get(node.value.id)
-                if cls is not None and node.attr in cls.methods:
-                    return cls.methods[node.attr].qualname
-            dotted = dotted_name(node)
-            if dotted is not None:
-                resolved = self.project.resolve_dotted(module, dotted)
-                if resolved in self.project.functions:
-                    return resolved
+        # self.method inside a class body.
+        if (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and enclosing is not None
+            and enclosing.class_name is not None
+        ):
+            cls = self.project.classes.get(f"{module}.{enclosing.class_name}")
+            if cls is not None and node.attr in cls.methods:
+                return cls.methods[node.attr].qualname
+            return None
+        # obj.method on a local of known project class.
+        if isinstance(node.value, ast.Name):
+            cls = local_types.get(node.value.id)
+            if cls is not None and node.attr in cls.methods:
+                return cls.methods[node.attr].qualname
+        # module.func through an import alias chain.
+        dotted = dotted_name(node)
+        if dotted is not None:
+            return self.project.resolve_dotted(module, dotted)
         return None
-
-    def _resolve_callee(
-        self,
-        module: str,
-        enclosing: FunctionInfo | None,
-        local_types: dict[str, ClassInfo],
-        node: ast.Call,
-    ) -> tuple[str | None, str]:
-        func = node.func
-        if isinstance(func, ast.Name):
-            resolved = self.project.resolve_name(module, func.id)
-            if resolved is None:
-                return None, ""
-            kind = "class" if resolved in self.project.classes else "function"
-            return resolved, kind
-        if isinstance(func, ast.Attribute):
-            # self.method(...) inside a class body.
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and enclosing is not None
-                and enclosing.class_name is not None
-            ):
-                cls = self.project.classes.get(
-                    f"{module}.{enclosing.class_name}"
-                )
-                if cls is not None and func.attr in cls.methods:
-                    return cls.methods[func.attr].qualname, "function"
-                return None, ""
-            # obj.method(...) on a local of known project class.
-            if isinstance(func.value, ast.Name):
-                cls = local_types.get(func.value.id)
-                if cls is not None and func.attr in cls.methods:
-                    return cls.methods[func.attr].qualname, "function"
-            # module.func(...) through an import alias chain.
-            dotted = dotted_name(func)
-            if dotted is not None:
-                resolved = self.project.resolve_dotted(module, dotted)
-                if resolved is not None:
-                    kind = (
-                        "class"
-                        if resolved in self.project.classes
-                        else "function"
-                    )
-                    return resolved, kind
-        return None, ""
 
 
 def build_project(contexts: Sequence[FileContext]) -> tuple[Project, CallGraph]:

@@ -15,17 +15,11 @@ first array to mention ``B`` binds it, later mentions must agree.
 Derived dimensions are expression strings over bound symbols and
 declared scalars (``"T - reach"`` for the windowed convolution block).
 
-Two consumers:
-
-* **Runtime** — :func:`check_call` binds real arrays against a
-  contract and raises :class:`ContractError` on any rank, dimension,
-  or dtype-kind mismatch.  The nn test suite runs the real kernels
-  under these contracts, which is the "asserted in tests" half of the
-  checking story.
-* **Static** — :mod:`repro.analysis.dataflow` (rules RPR201/RPR202)
-  propagates literal shapes inside a function body and checks calls
-  to contracted kernels — directly or through wrappers — without
-  running anything.
+:func:`check_call` binds real arrays against a contract and raises
+:class:`ContractError` on any rank, dimension, or dtype-kind mismatch.
+The nn and core test suites run the real kernels under these contracts;
+nothing is checked statically (``src/`` hands the kernels no
+literal-shaped array to check).
 """
 
 from __future__ import annotations
@@ -86,13 +80,6 @@ class ArraySpec:
     @property
     def rank(self) -> int:
         return len(self.shape)
-
-    def is_symbolic_only(self) -> bool:
-        """True when every dim is an int or a bare symbol (statically
-        checkable without scalar bindings)."""
-        return all(
-            isinstance(dim, int) or _SYMBOL.match(dim) for dim in self.shape
-        )
 
 
 def _evaluate_dim(

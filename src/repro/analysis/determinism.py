@@ -19,6 +19,9 @@ over the project call graph:
 * **Sinks** — arguments to ``repro.core.persistence`` and
   ``repro.eval.metrics`` functions, and values returned from the
   serving layer (``repro.core.service``).
+* **Carriers** — assignment, ``for``/comprehension targets, and the
+  list mutators ``xs.append/extend/insert(tainted)``, which taint
+  ``xs``.
 * **Laundering** — ``sorted(...)`` clears order taint; order-
   insensitive reductions (``len``/``min``/``max``/``sum``/``any``/
   ``all``) and membership tests do too.  RNG taint is avoided at the
@@ -87,6 +90,11 @@ _LEGACY_RNG = frozenset(
 _ORDER_INSENSITIVE = frozenset(
     {"len", "sorted", "min", "max", "sum", "any", "all"}
 )
+# List mutators: the receiver now holds what the argument held.  The
+# set/dict ones (``add``/``update``/``setdefault``) are left out on
+# purpose — a dict read by key never iterates, and tainting it by what
+# was put in raised only false alarms (3 in ``cli.py`` when tried).
+_LIST_MUTATORS = frozenset({"append", "extend", "insert"})
 
 
 @dataclass
@@ -252,6 +260,16 @@ class _FunctionTaint:
                 kinds = self.expr_taint(generator.iter)
                 changed |= self._taint_targets([generator.target], kinds)
             return changed
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LIST_MUTATORS
+            and isinstance(node.func.value, ast.Name)
+        ):
+            kinds = set()
+            for _, argument in iter_call_args(node):
+                kinds |= self.expr_taint(argument)
+            return self._taint_targets([node.func.value], kinds)
         return False
 
     def _taint_targets(

@@ -1,24 +1,20 @@
 """Rule engine: findings, suppressions, path scoping, file walking.
 
-The engine is deliberately small: a rule is a class with a ``code``
-(``RPRxxx``), a ``scopes`` set saying where it applies, and a
-``check(context)`` generator yielding :class:`Finding` records.  The
-engine parses each file once, classifies its scope, runs every
-selected rule whose scope matches, and filters findings through the
+The engine is deliberately small, and there is one kind of rule.  An
+*analysis* is a function over the whole project (symbol tables + call
+graph from :mod:`repro.analysis.callgraph`) yielding :class:`Finding`
+records; :func:`register_analysis` files it under every ``RPRxxx``
+code it emits, one :class:`Rule` row of metadata per code.  A check
+that needs nothing beyond one file at a time is simply an analysis
+that iterates ``project.contexts``.
+
+The engine parses each file once, classifies its scope, builds the
+project once, runs each selected analysis at most once however many
+of its codes are selected, and routes every finding by its ``code``:
+one is kept when its code was selected and that rule's ``scopes``
+cover the file it lands in, and each survives once however many times
+the analysis yielded it.  Survivors are filtered through the
 ``# repro: noqa[RPRxxx]`` suppressions found on the flagged lines.
-
-Two rule families share the registry:
-
-* :class:`Rule` — per-file: sees one :class:`FileContext` at a time.
-* :class:`ProjectRule` — interprocedural: one row of the metadata
-  table a whole-project *analysis* registers for the codes it emits
-  (:func:`register_analysis`).  The engine is the one analysis
-  driver: it builds the project (symbol tables + call graph from
-  :mod:`repro.analysis.callgraph`) once, runs each analysis at most
-  once however many of its codes are selected, and routes every
-  finding by its ``code``.  Suppressions and scope filtering apply
-  exactly as for per-file rules, keyed by the file each finding
-  lands in.
 
 Scopes
 ------
@@ -67,13 +63,10 @@ __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "ProjectRule",
-    "register_rule",
     "register_analysis",
     "all_rules",
     "rules_by_code",
     "scope_for_path",
-    "parse_suppressions",
     "scan_suppressions",
     "analyze_source",
     "analyze_paths",
@@ -144,88 +137,42 @@ class FileContext:
         return list(ast.walk(self.tree))
 
 
-class Rule:
-    """Base class for per-file analysis rules.
-
-    Subclasses set ``code``/``name``/``description``/``scopes`` and
-    implement :meth:`check`.  Registration happens via
-    :func:`register_rule` so the registry is explicit and import-order
-    independent.
-    """
-
-    code: str = ""
-    name: str = ""
-    description: str = ""
-    scopes: frozenset[str] = frozenset({"src", "test"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, context: FileContext, node: ast.AST, message: str
-    ) -> Finding:
-        return Finding.at(context.path, node, self.code, message)
-
-
 Analysis = Callable[["Project", "CallGraph"], Iterator[Finding]]
 
+@dataclass(frozen=True)
+class Rule:
+    """One registered code: its metadata, the scopes it applies in,
+    and the analysis that emits it."""
 
-class ProjectRule(Rule):
-    """One code emitted by a whole-project (interprocedural) analysis.
-
-    ``analysis`` sees the full symbol table and call graph and yields
-    findings — for every code of its group — attributed to individual
-    files; the engine then drops findings whose code was not selected
-    or that land in files whose scope the rule does not cover, and
-    routes the survivors through that file's suppressions.
-    """
-
-    def __init__(
-        self,
-        code: str,
-        name: str,
-        description: str,
-        scopes: frozenset[str],
-        analysis: Analysis,
-    ) -> None:
-        self.code = code
-        self.name = name
-        self.description = description
-        self.scopes = scopes
-        self.analysis = analysis
+    code: str
+    name: str
+    description: str
+    scopes: frozenset[str]
+    analysis: Analysis
 
 
 _REGISTRY: dict[str, Rule] = {}
 
 
-def _register(rule: Rule) -> None:
-    if not _CODE_PATTERN.match(rule.code):
-        raise ValueError(f"invalid rule code {rule.code!r}")
-    if rule.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
-
-
-def register_rule(rule_class: type[Rule]) -> type[Rule]:
-    """Class decorator adding a per-file rule (by code) to the registry."""
-    _register(rule_class())
-    return rule_class
-
-
 def register_analysis(
     *rows: tuple[str, str, str],
-    scopes: frozenset[str] = Rule.scopes,
+    scopes: frozenset[str],
 ) -> Callable[[Analysis], Analysis]:
-    """Register a project analysis for the codes it emits.
+    """Register an analysis for the codes it emits.
 
     ``rows`` is the metadata table — one ``(code, name, description)``
     per code.  The analysis is one function yielding findings for all
     of them; selecting any subset of the codes runs it once.
+    Registration is explicit and import-order independent.
     """
 
     def decorate(analysis: Analysis) -> Analysis:
         for code, name, description in rows:
-            _register(ProjectRule(code, name, description, scopes, analysis))
+            if not _CODE_PATTERN.match(code):
+                raise ValueError(f"invalid rule code {code!r}")
+            if code in _REGISTRY:
+                raise ValueError(f"duplicate rule code {code}")
+            _REGISTRY[code] = Rule(code, name, description, scopes, analysis)
         return analysis
 
     return decorate
@@ -260,7 +207,6 @@ def _ensure_rules_loaded() -> None:
     # breaks the engine <-> rules cycle.
     from repro.analysis import (  # noqa: F401
         asyncrules,
-        dataflow,
         determinism,
         locks,
         routestatus,
@@ -341,11 +287,6 @@ def scan_suppressions(
     return suppressions, malformed
 
 
-def parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number → set of suppressed codes for ``source``."""
-    return scan_suppressions(source)[0]
-
-
 def _parse(
     source: str, path: str, scope: str | None = None
 ) -> FileContext | Finding:
@@ -371,34 +312,9 @@ def _parse(
     )
 
 
-def _run_project_rules(
-    contexts: Sequence[FileContext], rules: Sequence[ProjectRule]
-) -> list[Finding]:
-    """The analysis driver: each selected analysis once per project.
-
-    Findings are routed by ``Finding.code``: one is kept only when its
-    code was selected and that rule's scope covers the file the finding
-    lands in (looked up from the parsed contexts).
-    """
-    if not rules or not contexts:
-        return []
-    from repro.analysis.callgraph import build_project
-
-    project, graph = build_project(contexts)
-    scope_by_path = {context.path: context.scope for context in contexts}
-    selected = {rule.code: rule for rule in rules}
-    findings: list[Finding] = []
-    for analysis in dict.fromkeys(rule.analysis for rule in rules):
-        for finding in analysis(project, graph):
-            rule = selected.get(finding.code)
-            if rule is not None and scope_by_path.get(finding.path) in rule.scopes:
-                findings.append(finding)
-    return findings
-
-
 def _apply_suppressions(
     context: FileContext,
-    raw: Sequence[Finding],
+    raw: Iterable[Finding],
     checked_codes: set[str],
     report_unused_suppressions: bool,
 ) -> list[Finding]:
@@ -454,21 +370,20 @@ def _analyze(
     rules: Sequence[Rule],
     report_unused_suppressions: bool,
 ) -> list[Finding]:
-    """Per-file rules on each context, project analyses once over all
-    of them, then each file's suppressions."""
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    raw_by_path: dict[str, list[Finding]] = {
-        context.path: [
-            finding
-            for rule in file_rules
-            if context.scope in rule.scopes
-            for finding in rule.check(context)
-        ]
-        for context in contexts
-    }
-    for finding in _run_project_rules(contexts, project_rules):
-        raw_by_path[finding.path].append(finding)
+    """The one driver: each selected analysis once over the project,
+    findings routed by code and scope and kept once each, then each
+    file's suppressions."""
+    from repro.analysis.callgraph import build_project
+
+    project, graph = build_project(contexts)
+    scope_by_path = {context.path: context.scope for context in contexts}
+    selected = {rule.code: rule for rule in rules}
+    raw_by_path: dict[str, set[Finding]] = {path: set() for path in scope_by_path}
+    for analysis in dict.fromkeys(rule.analysis for rule in rules):
+        for finding in analysis(project, graph):
+            rule = selected.get(finding.code)
+            if rule is not None and scope_by_path[finding.path] in rule.scopes:
+                raw_by_path[finding.path].add(finding)
     findings: list[Finding] = []
     for context in contexts:
         checked = {rule.code for rule in rules if context.scope in rule.scopes}
@@ -495,9 +410,9 @@ def analyze_source(
     Returns surviving findings sorted by location (a syntax error is a
     single ``RPR999`` finding).
 
-    Interprocedural rules run too, over a single-file project — cross-
-    function flows *within* the file are visible, cross-file flows are
-    not (use :func:`analyze_paths` for whole-project analysis).
+    The project is this one file — cross-function flows *within* it
+    are visible, cross-file flows are not (use :func:`analyze_paths`
+    for whole-project analysis).
     """
     parsed = _parse(source, path, scope)
     if isinstance(parsed, Finding):
@@ -544,9 +459,8 @@ def analyze_files(
 ) -> list[Finding]:
     """Analyze pre-collected files as one project; sorted findings.
 
-    Per-file rules run on each file; interprocedural rules run once
-    over every file that parsed (so contracts, taint, and lock
-    requirements propagate across modules).
+    Every analysis runs once over every file that parsed (so taint,
+    lock requirements and route statuses propagate across modules).
     """
     if rules is None:
         rules = all_rules()

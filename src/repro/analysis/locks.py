@@ -1,4 +1,4 @@
-"""Lock-discipline checking (rules RPR401–RPR403).
+"""Lock-discipline checking (rules RPR401 and RPR402).
 
 The serving layer mutates shared state (`EventIndex` swap-with-last
 compaction, `VectorCache` LRU reordering, the metrics registry) under
@@ -17,9 +17,10 @@ and this pass enforces it, RacerD-style, over the project call graph:
   lock-free (it documents itself as lock-required, and the requirement
   propagates transitively through private callees); what is flagged is
   any call site that invokes such a method without holding the lock.
-* **RPR403** — a ``# guarded-by:`` annotation naming a lock attribute
-  that is never assigned anywhere in the class (a typo'd lock name
-  would otherwise silently guard nothing).
+
+A ``# guarded-by:`` naming a lock the class does not have needs no
+rule of its own: no ``with`` can hold it, so every access to the
+attribute is an RPR401/RPR402 finding.
 
 Which locks are held where comes from the shared scanner
 (:func:`repro.analysis.cfgutils.walk_held`), and what each class
@@ -78,8 +79,6 @@ class ClassLocks:
 
     info: ClassInfo
     guarded: dict[str, str] = field(default_factory=dict)
-    annotations: list[tuple[str, str, ast.AST]] = field(default_factory=list)
-    assigned_attrs: set[str] = field(default_factory=set)
     threading_locks: set[str] = field(default_factory=set)
 
 
@@ -121,15 +120,11 @@ def collect_class_locks(project: Project) -> dict[str, ClassLocks]:
             for target in targets:
                 attr = _self_attr_target(target)
                 if attr is None:
-                    if isinstance(target, ast.Name):
-                        record.assigned_attrs.add(target.id)
                     continue
-                record.assigned_attrs.add(attr)
                 if is_lock:
                     record.threading_locks.add(attr)
                 if match is not None:
                     record.guarded[attr] = match.group("lock")
-                    record.annotations.append((attr, match.group("lock"), node))
         if record.guarded or record.threading_locks:
             table[qualname] = record
     return table
@@ -230,29 +225,12 @@ def _scan_function(
         "lock-free, from a context not holding the lock (propagated "
         "transitively over the call graph)",
     ),
-    (
-        "RPR403",
-        "unknown-guard-lock",
-        "'# guarded-by:' annotation names a lock attribute never "
-        "assigned in the class",
-    ),
     scopes=frozenset({"src"}),
 )
 def analyze_locks(project: Project, graph: CallGraph) -> Iterator[Finding]:
     """Every lock-discipline violation of a project."""
     table = collect_class_locks(project)
 
-    # RPR403: annotations naming a lock attribute the class never has.
-    for record in table.values():
-        for attr, lock, node in record.annotations:
-            if lock not in record.assigned_attrs:
-                yield Finding.at(
-                    record.info.context.path,
-                    node,
-                    "RPR403",
-                    f"guarded-by on '{attr}' names unknown lock attribute "
-                    f"'{lock}': never assigned in class {record.info.name}",
-                )
     if not any(record.guarded for record in table.values()):
         return
 

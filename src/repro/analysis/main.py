@@ -1,7 +1,6 @@
 """Command-line entry point for the static analyzer.
 
-Used by both ``python -m repro.analysis`` and the ``repro-events
-analyze`` subcommand.  Exit codes:
+``python -m repro.analysis`` is the one way in.  Exit codes:
 
 * ``0`` — every selected rule passed on every scanned file;
 * ``1`` — at least one finding;
@@ -11,10 +10,8 @@ analyze`` subcommand.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 from typing import IO
 
 from repro.analysis.engine import (
@@ -32,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
         description=(
-            "project-specific static analysis: per-file AST rules RPR1xx "
-            "and the whole-project RPR2xx-RPR5xx analyses"
+            "project-specific static analysis: the RPRxxx analyses over "
+            "one whole-project sweep"
         ),
     )
     parser.add_argument(
@@ -64,52 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule registry and exit",
     )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "only analyze files changed vs --ref (plus untracked "
-            "files); fast pre-commit mode — interprocedural rules see "
-            "only the changed files, so cross-file findings may be "
-            "missed compared to a full run"
-        ),
-    )
-    parser.add_argument(
-        "--ref",
-        default="origin/main",
-        metavar="GITREF",
-        help="git ref --changed diffs against (default: origin/main)",
-    )
     return parser
-
-
-def changed_files(ref: str) -> set[Path] | None:
-    """Resolved paths changed vs ``ref`` plus untracked files.
-
-    Returns None (usage error) when git is unavailable or ``ref`` does
-    not resolve — a silent empty set would read as "all clean".
-    """
-    commands = (
-        ["git", "diff", "--name-only", "--diff-filter=d", ref],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    changed: set[Path] = set()
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as error:
-            detail = getattr(error, "stderr", "") or str(error)
-            print(
-                f"error: {' '.join(command)} failed: {detail.strip()}",
-                file=sys.stderr,
-            )
-            return None
-        for line in result.stdout.splitlines():
-            if line.strip():
-                changed.add(Path(line.strip()).resolve())
-    return changed
 
 
 def render_rule_list() -> str:
@@ -127,13 +79,8 @@ def run(
     select: Sequence[str] | None = None,
     report_unused_suppressions: bool = True,
     stream: IO[str] | None = None,
-    changed_vs: str | None = None,
 ) -> int:
-    """Analyze ``paths`` and write a report; returns the exit code.
-
-    ``changed_vs`` restricts the scan to files changed vs that git ref
-    (plus untracked files) — the ``--changed`` pre-commit mode.
-    """
+    """Analyze ``paths`` and write a report; returns the exit code."""
     stream = stream if stream is not None else sys.stdout
     try:
         rules = rules_by_code(select)
@@ -149,11 +96,6 @@ def run(
     except FileNotFoundError as error:
         print(f"error: no such path: {error}", file=sys.stderr)
         return 2
-    if changed_vs is not None:
-        changed = changed_files(changed_vs)
-        if changed is None:
-            return 2
-        files = [file for file in files if file.resolve() in changed]
     # One whole-project pass: the interprocedural analyses see
     # cross-file flows that per-file analysis cannot.
     findings = analyze_files(
@@ -182,5 +124,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         output_format=args.format,
         select=select,
         report_unused_suppressions=not args.no_unused_noqa,
-        changed_vs=args.ref if args.changed else None,
     )

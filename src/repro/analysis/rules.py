@@ -1,11 +1,15 @@
-"""The per-file RPR rules: bug classes this repository has hit or courts.
+"""The single-file RPR1xx analyses: bug classes this repository has hit
+or courts.
 
-Each rule documents its motivating incident or structural risk; the
-longer narrative lives in README "Static analysis".  Codes are stable
-— tooling and suppression comments reference them — and are not
-reused: RPR102/104/106/107 were retired in favour of the ruff rules
-that flag the same code (``NPY002``/``S101``/``B006``/``F822``; see the
-rule ledger in DESIGN.md §9.3).
+Each is an ordinary analysis (:func:`repro.analysis.engine.register_analysis`)
+that happens to need nothing beyond one file at a time, so it iterates
+the project's contexts.  Each documents its motivating incident or
+structural risk; the longer narrative lives in README "Static
+analysis".  Codes are stable — tooling and suppression comments
+reference them — and are not reused: RPR102/104/106/107 were retired
+in favour of the ruff rules that flag the same code
+(``NPY002``/``S101``/``B006``/``F822``), RPR201/202/403/502 on
+seeded-defect evidence (the rule ledger in DESIGN.md §9.3 has both).
 """
 
 from __future__ import annotations
@@ -13,16 +17,24 @@ from __future__ import annotations
 import ast
 import re
 from collections.abc import Iterator
+from typing import NamedTuple
 
-from repro.analysis.engine import FileContext, Finding, Rule, register_rule
+from repro.analysis.callgraph import CallGraph, Project
+from repro.analysis.engine import FileContext, Finding, register_analysis
 
 __all__ = [
-    "CosineReimplementation",
-    "MetricNameConvention",
-    "FloatEqualityComparison",
-    "SpanNameGrammar",
-    "HealthFamilyGrammar",
+    "analyze_cosine_reimplementation",
+    "analyze_float_equality",
+    "analyze_name_grammar",
 ]
+
+_SRC = frozenset({"src"})
+
+
+def _contexts(project: Project) -> Iterator[FileContext]:
+    """The files these analyses read: a finding in any other scope would
+    be dropped by the engine, so it is not computed."""
+    return (c for c in project.contexts if c.scope in _SRC)
 
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
 
@@ -124,8 +136,21 @@ def _is_dot_product(node: ast.AST) -> bool:
     return False
 
 
-@register_rule
-class CosineReimplementation(Rule):
+_COSINE_HOME = "repro/nn/cosine.py"
+
+
+@register_analysis(
+    (
+        "RPR101",
+        "cosine-reimplementation",
+        "dot-product + divide-by-norm outside repro.nn.cosine; use "
+        "pair_cosine/cosine_similarity/exact_cosine/unit_rows",
+    ),
+    scopes=_SRC,
+)
+def analyze_cosine_reimplementation(
+    project: Project, graph: CallGraph
+) -> Iterator[Finding]:
     """RPR101: cosine/dot-over-norm reimplemented outside the kernel.
 
     PR 3 fixed a served-score divergence caused by a second cosine with
@@ -136,145 +161,52 @@ class CosineReimplementation(Rule):
     (``pair_cosine`` / ``cosine_similarity`` / ``exact_cosine`` /
     ``unit_rows``) instead.
     """
-
-    code = "RPR101"
-    name = "cosine-reimplementation"
-    description = (
-        "dot-product + divide-by-norm outside repro.nn.cosine; use "
-        "pair_cosine/cosine_similarity/exact_cosine/unit_rows"
-    )
-    scopes = frozenset({"src"})
-
-    _HOME = "repro/nn/cosine.py"
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if context.posix_path.endswith(self._HOME):
-            return
+    for context in _contexts(project):
+        if context.posix_path.endswith(_COSINE_HOME):
+            continue
         for node in context.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(context, node)
-
-    def _check_function(
-        self, context: FileContext, function: ast.AST
-    ) -> Iterator[Finding]:
-        # Fixpoint pass: names assigned from norm expressions (a later
-        # sqrt of a norm name is itself a norm, whatever walk order).
-        norm_names: set[str] = set()
-        nodes = list(ast.walk(function))
-        assignments = [node for node in nodes if isinstance(node, ast.Assign)]
-        changed = True
-        while changed:
-            changed = False
-            for node in assignments:
-                if any(
-                    _is_norm_call(sub, norm_names)
-                    for sub in ast.walk(node.value)
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            if target.id not in norm_names:
-                                norm_names.add(target.id)
-                                changed = True
-
-        has_dot = False
-        divisions: list[ast.BinOp] = []
-        for node in nodes:
-            if _is_dot_product(node):
-                has_dot = True
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                divisions.append(node)
-
-        if not has_dot:
-            return
-        for division in divisions:
-            denominator = division.right
-            denominator_is_norm = any(
-                _is_norm_call(sub, norm_names)
-                or (isinstance(sub, ast.Name) and sub.id in norm_names)
-                for sub in ast.walk(denominator)
-            )
-            if denominator_is_norm:
-                yield self.finding(
-                    context,
-                    division,
-                    "cosine reimplementation (dot product divided by a "
-                    "norm); route through repro.nn.cosine to keep one "
-                    "epsilon convention",
-                )
+                for division in _norm_divisions(node):
+                    yield Finding.at(
+                        context.path,
+                        division,
+                        "RPR101",
+                        "cosine reimplementation (dot product divided by a "
+                        "norm); route through repro.nn.cosine to keep one "
+                        "epsilon convention",
+                    )
 
 
-# ----------------------------------------------------------------------
-# RPR103 — telemetry metric-name convention
-# ----------------------------------------------------------------------
-
-_METRIC_NAME = re.compile(r"^repro(_[a-z0-9]+){2,}$")
-_METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
-
-
-@register_rule
-class MetricNameConvention(Rule):
-    """RPR103: metric names must follow the documented convention.
-
-    ``repro_<subsystem>_<name>_<unit>`` (README "Observability"):
-    lowercase, ``repro_`` prefix, at least three segments.  Counters
-    end in ``_total``; gauges and histograms must not (that suffix is
-    reserved).  Span and stage names have their own grammar — see
-    RPR108 (:class:`SpanNameGrammar`).
-    """
-
-    code = "RPR103"
-    name = "metric-name-convention"
-    description = (
-        "metric name literal must match repro_<subsystem>_<name>"
-        "_<unit> (counters end _total)"
-    )
-    scopes = frozenset({"src"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in context.nodes:
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            first = node.args[0]
-            if not isinstance(first, ast.Constant) or not isinstance(
-                first.value, str
+def _norm_divisions(function: ast.AST) -> Iterator[ast.BinOp]:
+    """Divisions by a norm inside a function that also takes a dot product."""
+    nodes = list(ast.walk(function))
+    if not any(_is_dot_product(node) for node in nodes):
+        return
+    # Fixpoint pass: names assigned from norm expressions (a later
+    # sqrt of a norm name is itself a norm, whatever walk order).
+    norm_names: set[str] = set()
+    assignments = [node for node in nodes if isinstance(node, ast.Assign)]
+    changed = True
+    while changed:
+        changed = False
+        for node in assignments:
+            if any(
+                _is_norm_call(sub, norm_names) for sub in ast.walk(node.value)
             ):
-                continue
-            name = first.value
-            kind = self._call_kind(node)
-            if kind is None:
-                continue
-            yield from self._check_name(context, first, kind, name)
-
-    @staticmethod
-    def _call_kind(node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _METRIC_METHODS:
-            return func.attr
-        return None
-
-    def _check_name(
-        self, context: FileContext, node: ast.AST, kind: str, name: str
-    ) -> Iterator[Finding]:
-        if not _METRIC_NAME.match(name):
-            yield self.finding(
-                context,
-                node,
-                f"{kind} name {name!r} violates the naming convention "
-                "repro_<subsystem>_<name>_<unit> (lowercase, >= 3 "
-                "segments)",
-            )
-            return
-        if kind == "counter" and not name.endswith("_total"):
-            yield self.finding(
-                context, node, f"counter name {name!r} must end in _total"
-            )
-        elif kind in ("gauge", "histogram") and name.endswith("_total"):
-            yield self.finding(
-                context,
-                node,
-                f"{kind} name {name!r} must not end in _total (reserved "
-                "for counters)",
-            )
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        if target.id not in norm_names:
+                            norm_names.add(target.id)
+                            changed = True
+    for node in nodes:
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            continue
+        if any(
+            _is_norm_call(sub, norm_names)
+            or (isinstance(sub, ast.Name) and sub.id in norm_names)
+            for sub in ast.walk(node.right)
+        ):
+            yield node
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +224,18 @@ def _is_nonzero_float(node: ast.AST) -> bool:
     )
 
 
-@register_rule
-class FloatEqualityComparison(Rule):
+@register_analysis(
+    (
+        "RPR105",
+        "float-equality",
+        "== / != against a non-zero float literal; compare with a "
+        "tolerance (0.0 guards are exempt)",
+    ),
+    scopes=_SRC,
+)
+def analyze_float_equality(
+    project: Project, graph: CallGraph
+) -> Iterator[Finding]:
     """RPR105: ``==``/``!=`` against a non-zero float literal.
 
     Accumulated rounding makes such comparisons flaky.  Comparison to
@@ -302,16 +244,7 @@ class FloatEqualityComparison(Rule):
     Tests asserting bit-exact parity are the other legitimate user, so
     the rule is scoped to ``src``.
     """
-
-    code = "RPR105"
-    name = "float-equality"
-    description = (
-        "== / != against a non-zero float literal; compare with a "
-        "tolerance (0.0 guards are exempt)"
-    )
-    scopes = frozenset({"src"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    for context in _contexts(project):
         for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
@@ -320,9 +253,10 @@ class FloatEqualityComparison(Rule):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):
                     continue
                 if _is_nonzero_float(left) or _is_nonzero_float(right):
-                    yield self.finding(
-                        context,
+                    yield Finding.at(
+                        context.path,
                         node,
+                        "RPR105",
                         "equality comparison against a non-zero float "
                         "literal; use a tolerance (math.isclose / "
                         "np.isclose) or an exact integer/flag",
@@ -331,162 +265,169 @@ class FloatEqualityComparison(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR108 — span name grammar
+# RPR103 / RPR108 / RPR109 — the telemetry name grammar
 # ----------------------------------------------------------------------
 
-_SPAN_NAME = re.compile(r"^repro(_[a-z0-9]+){2,}$")
-_SPAN_CALLS = frozenset({"span", "record_stage"})
-_RESERVED_UNIT_SUFFIXES = (
-    "_seconds",
-    "_total",
-    "_bytes",
-    "_ratio",
-    "_count",
+_NAME = re.compile(r"^repro(_[a-z0-9]+){2,}$")
+
+
+class _Grammar(NamedTuple):
+    """What one kind of telemetry callee asks of its literal name."""
+
+    code: str
+    shape: str  # the grammar as messages name it
+    must_end: str | None
+    must_not_end: tuple[str, ...]
+    why_not: str  # message tail for a ``must_not_end`` breach
+
+
+_METRIC_SHAPE = "the naming convention repro_<subsystem>_<name>_<unit>"
+_COUNTER = _Grammar("RPR103", _METRIC_SHAPE, "_total", (), "")
+_LEVEL = _Grammar(
+    "RPR103",
+    _METRIC_SHAPE,
+    None,
+    ("_total",),
+    "must not end in _total (reserved for counters)",
 )
-
-
-@register_rule
-class SpanNameGrammar(Rule):
-    """RPR108: span/stage names must follow the span grammar.
-
-    ``repro_<subsystem>_<name>`` (README "Observability"): lowercase,
-    ``repro_`` prefix, at least three segments, and **no** unit
-    suffix — ``span()``/``record_stage()`` derive the
-    histogram family by appending ``_seconds`` themselves, so a name
-    that already carries a unit produces doubled metric names
-    (``repro_x_seconds_seconds``) and breaks latency attribution
-    joins between traces and histograms.
-    """
-
-    code = "RPR108"
-    name = "span-name-grammar"
-    description = (
-        "span/stage name literal must match repro_<subsystem>_<name> "
-        "(lowercase, >= 3 segments, no unit suffix)"
-    )
-    scopes = frozenset({"src"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in context.nodes:
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            callee = _call_name(node)
-            if callee not in _SPAN_CALLS:
-                continue
-            first = node.args[0]
-            if not isinstance(first, ast.Constant) or not isinstance(
-                first.value, str
-            ):
-                continue
-            name = first.value
-            if not _SPAN_NAME.match(name):
-                yield self.finding(
-                    context,
-                    first,
-                    f"{callee} name {name!r} violates the span grammar "
-                    "repro_<subsystem>_<name> (lowercase, >= 3 segments)",
-                )
-                continue
-            for suffix in _RESERVED_UNIT_SUFFIXES:
-                if name.endswith(suffix):
-                    yield self.finding(
-                        context,
-                        first,
-                        f"{callee} name {name!r} must omit the unit suffix "
-                        f"{suffix!r}; the span histogram appends _seconds "
-                        "itself",
-                    )
-                    break
-
-
-# ----------------------------------------------------------------------
-# RPR109 — health/drift reserved metric families
-# ----------------------------------------------------------------------
-
+_SPAN = _Grammar(
+    "RPR108",
+    "the span grammar repro_<subsystem>_<name>",
+    None,
+    ("_seconds", "_total", "_bytes", "_ratio", "_count"),
+    "must omit the unit suffix {suffix!r}; the span histogram appends "
+    "_seconds itself",
+)
+_CALLEE_KINDS = {
+    "counter": _COUNTER,
+    "gauge": _LEVEL,
+    "histogram": _LEVEL,
+    "span": _SPAN,
+    "record_stage": _SPAN,
+}
+# Verdict families: gauges and ``_total`` counters only, no units.
 _RESERVED_FAMILIES = ("repro_health", "repro_drift")
 _VERDICT_UNIT_SUFFIXES = ("_seconds", "_bytes")
 
 
-def _reserved_family(name: str) -> str | None:
-    """The reserved family a metric name belongs to, if any."""
-    for family in _RESERVED_FAMILIES:
-        if name == family or name.startswith(family + "_"):
-            return family
-    return None
+def _ending(name: str, suffixes: tuple[str, ...]) -> str | None:
+    """The first of ``suffixes`` that ``name`` ends in, if any."""
+    return next((s for s in suffixes if name.endswith(s)), None)
 
 
-@register_rule
-class HealthFamilyGrammar(Rule):
-    """RPR109: ``repro_health_*``/``repro_drift_*`` family contract.
+def _name_breaches(
+    callee: str, grammar: _Grammar, name: str
+) -> Iterator[tuple[str, str]]:
+    """``(code, message)`` per grammar breach of ``callee(name, ...)``."""
+    suffix = _ending(name, grammar.must_not_end)
+    if not _NAME.match(name):
+        yield grammar.code, (
+            f"{callee} name {name!r} violates {grammar.shape} (lowercase, "
+            ">= 3 segments)"
+        )
+    elif grammar.must_end is not None and not name.endswith(grammar.must_end):
+        yield grammar.code, (
+            f"{callee} name {name!r} must end in {grammar.must_end}"
+        )
+    elif suffix is not None:
+        yield grammar.code, (
+            f"{callee} name {name!r} " + grammar.why_not.format(suffix=suffix)
+        )
 
-    These families carry *verdicts* — point-in-time gauges (plus
-    ``_total`` evaluation counters) written by
-    :mod:`repro.obs.health` and :mod:`repro.obs.drift` and consumed
-    by dashboards, SLO specs, and CI's health assertions.  Three
-    things corrupt them: a histogram (verdicts are re-computed, not
-    accumulated — a histogram would average stale verdicts into
-    current ones); a unit suffix like ``_seconds`` (verdict values
-    are unitless scores, ratios, and flags — a unit implies raw
-    telemetry, which belongs in the base signal's own family); and a
-    span/stage name under the reserved prefix (the span layer appends
-    ``_seconds`` and would inject a latency histogram into the
-    family).  Base naming (lowercase, >= 3 segments, counters end
-    ``_total``) is RPR103's job; this rule adds only the
-    family-specific constraints.
-    """
-
-    code = "RPR109"
-    name = "health-family-grammar"
-    description = (
-        "repro_health_*/repro_drift_* are reserved verdict families: "
-        "gauges/counters only, no unit suffixes, no span names"
+    family = next(
+        (
+            reserved
+            for reserved in _RESERVED_FAMILIES
+            if name == reserved or name.startswith(reserved + "_")
+        ),
+        None,
     )
-    scopes = frozenset({"src"})
+    if family is None:
+        return
+    unit = _ending(name, _VERDICT_UNIT_SUFFIXES)
+    if grammar is _SPAN:
+        yield "RPR109", (
+            f"{callee} name {name!r} uses the reserved verdict family "
+            f"{family}_*; the span layer would append _seconds and inject "
+            "a latency histogram into it — time the work under its own "
+            "subsystem name"
+        )
+    elif callee == "histogram":
+        yield "RPR109", (
+            f"histogram {name!r} in the reserved verdict family "
+            f"{family}_*; verdicts are point-in-time gauges — record the "
+            "underlying signal in its own family instead"
+        )
+    elif unit is not None:
+        yield "RPR109", (
+            f"{callee} name {name!r} carries the unit suffix {unit!r} "
+            f"inside the unitless verdict family {family}_*; raw "
+            "measurements belong in the base signal's family"
+        )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+
+@register_analysis(
+    (
+        "RPR103",
+        "metric-name-convention",
+        "metric name literal must match repro_<subsystem>_<name>"
+        "_<unit> (counters end _total)",
+    ),
+    (
+        "RPR108",
+        "span-name-grammar",
+        "span/stage name literal must match repro_<subsystem>_<name> "
+        "(lowercase, >= 3 segments, no unit suffix)",
+    ),
+    (
+        "RPR109",
+        "health-family-grammar",
+        "repro_health_*/repro_drift_* are reserved verdict families: "
+        "gauges/counters only, no unit suffixes, no span names",
+    ),
+    scopes=_SRC,
+)
+def analyze_name_grammar(project: Project, graph: CallGraph) -> Iterator[Finding]:
+    """One walk over the literal names handed to the telemetry layer.
+
+    **RPR103** — metric names follow ``repro_<subsystem>_<name>_<unit>``
+    (README "Observability"): lowercase, ``repro_`` prefix, at least
+    three segments; counters end in ``_total``, gauges and histograms
+    must not (that suffix is reserved).
+
+    **RPR108** — ``span()``/``record_stage()`` names follow
+    ``repro_<subsystem>_<name>`` with **no** unit suffix: the span layer
+    derives the histogram family by appending ``_seconds`` itself, so a
+    name that already carries a unit produces doubled metric names
+    (``repro_x_seconds_seconds``) and breaks latency attribution joins
+    between traces and histograms.
+
+    **RPR109** — ``repro_health_*``/``repro_drift_*`` carry *verdicts*:
+    point-in-time gauges (plus ``_total`` evaluation counters) written
+    by :mod:`repro.obs.health` and :mod:`repro.obs.drift` and consumed
+    by dashboards, SLO specs, and CI's health assertions.  Three things
+    corrupt them: a histogram (verdicts are re-computed, not
+    accumulated — a histogram would average stale verdicts into current
+    ones); a unit suffix like ``_seconds`` (verdict values are unitless
+    scores, ratios, and flags — a unit implies raw telemetry, which
+    belongs in the base signal's own family); and a span/stage name
+    under the reserved prefix (the span layer would inject a latency
+    histogram into the family).
+
+    Only literal first arguments are checked; a computed name is
+    invisible.
+    """
+    for context in _contexts(project):
         for node in context.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             first = node.args[0]
-            if not isinstance(first, ast.Constant) or not isinstance(
-                first.value, str
+            callee = _call_name(node) or ""
+            grammar = _CALLEE_KINDS.get(callee)
+            if (
+                grammar is not None
+                and isinstance(first, ast.Constant)
+                and isinstance(first.value, str)
             ):
-                continue
-            name = first.value
-            family = _reserved_family(name)
-            if family is None:
-                continue
-            callee = _call_name(node)
-            if callee in _SPAN_CALLS:
-                yield self.finding(
-                    context,
-                    first,
-                    f"{callee} name {name!r} uses the reserved verdict "
-                    f"family {family}_*; the span layer would append "
-                    "_seconds and inject a latency histogram into it — "
-                    "time the work under its own subsystem name",
-                )
-                continue
-            if callee not in _METRIC_METHODS:
-                continue
-            if callee == "histogram":
-                yield self.finding(
-                    context,
-                    first,
-                    f"histogram {name!r} in the reserved verdict family "
-                    f"{family}_*; verdicts are point-in-time gauges — "
-                    "record the underlying signal in its own family "
-                    "instead",
-                )
-                continue
-            for suffix in _VERDICT_UNIT_SUFFIXES:
-                if name.endswith(suffix):
-                    yield self.finding(
-                        context,
-                        first,
-                        f"{callee} name {name!r} carries the unit suffix "
-                        f"{suffix!r} inside the unitless verdict family "
-                        f"{family}_*; raw measurements belong in the "
-                        "base signal's family",
-                    )
-                    break
+                for code, message in _name_breaches(callee, grammar, first.value):
+                    yield Finding.at(context.path, first, code, message)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Nine subcommands cover the life cycle a downstream user needs:
+Eight subcommands cover the life cycle a downstream user needs:
 
 * ``repro-events generate`` — synthesize a dataset and save it;
 * ``repro-events train`` — train the joint representation model on a
@@ -19,9 +19,9 @@ Nine subcommands cover the life cycle a downstream user needs:
   (``/recommend``, ``/similar-events``, ``/score``, ``/healthz``,
   ``/metrics``) over a synthetic or trained model;
 * ``repro-events health`` — evaluate SLO specs against a telemetry
-  snapshot; exit 0 healthy, 1 breached;
-* ``repro-events analyze`` — run the project's static-analysis rules
-  (``python -m repro.analysis`` behind a subcommand).
+  snapshot; exit 0 healthy, 1 breached.
+
+The static analyzer has its own entry point, ``python -m repro.analysis``.
 
 Examples::
 
@@ -38,7 +38,6 @@ Examples::
     repro-events health --telemetry load.jsonl
     repro-events health --telemetry telemetry.jsonl \\
         --slo 'repro_cache_hit_rate>=0.9'
-    repro-events analyze src tests benchmarks --format json
 
 ``--metrics-out PATH`` (on ``train`` and ``experiment``) enables the
 telemetry registry for the run and writes a JSONL file of per-epoch
@@ -237,38 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the verdict as JSON instead of text")
     health.add_argument("--out", default=None, metavar="PATH",
                         help="also write the verdict JSON here (CI artifact)")
-
-    analyze = commands.add_parser(
-        "analyze",
-        help="run the project static-analysis rules (RPR codes)",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to scan (default: src)",
-    )
-    analyze.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    analyze.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    analyze.add_argument(
-        "--no-unused-noqa", action="store_true",
-        help="do not report stale # repro: noqa suppressions (RPR100)",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule registry and exit",
-    )
-    analyze.add_argument(
-        "--changed", action="store_true",
-        help="only analyze files changed vs --ref plus untracked files",
-    )
-    analyze.add_argument(
-        "--ref", default="origin/main", metavar="GITREF",
-        help="git ref --changed diffs against (default: origin/main)",
-    )
     return parser
 
 
@@ -676,22 +643,6 @@ def _cmd_health(args) -> int:
     return 0 if verdict.healthy else 1
 
 
-def _cmd_analyze(args) -> int:
-    from repro.analysis.main import render_rule_list, run
-
-    if args.list_rules:
-        sys.stdout.write(render_rule_list())
-        return 0
-    select = args.select.split(",") if args.select else None
-    return run(
-        args.paths,
-        output_format=args.format,
-        select=select,
-        report_unused_suppressions=not args.no_unused_noqa,
-        changed_vs=args.ref if args.changed else None,
-    )
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "train": _cmd_train,
@@ -701,7 +652,6 @@ _COMMANDS = {
     "loadgen": _cmd_loadgen,
     "serve": _cmd_serve,
     "health": _cmd_health,
-    "analyze": _cmd_analyze,
 }
 
 

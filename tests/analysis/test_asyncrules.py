@@ -1,4 +1,4 @@
-"""RPR501–504: the async-safety pass over the serving layer's idioms.
+"""RPR501/503/504: the async-safety pass over the serving layer's idioms.
 
 Fixture programs pin each rule's bad/good behavior; the regression
 tests at the bottom run the analyzer over the *real* serving sources —
@@ -93,28 +93,6 @@ class TestBlockingTaint:
         assert lines_for(findings, "RPR501") == []
 
 
-class TestUnawaitedAwaitables:
-    def test_bad_fixture_flags_every_discard(self, analyze_fixture):
-        findings = analyze_fixture("rpr502_bad.pytxt")
-        assert lines_for(findings, "RPR502") == [9, 13, 17, 21]
-
-    def test_good_fixture_is_clean(self, analyze_fixture):
-        findings = analyze_fixture("rpr502_good.pytxt")
-        assert lines_for(findings, "RPR502") == []
-
-    def test_assigned_task_is_retained(self):
-        source = (
-            "import asyncio\n"
-            "async def work():\n"
-            "    return 1\n"
-            "async def f(tasks):\n"
-            "    task = asyncio.create_task(work())\n"
-            "    tasks.add(task)\n"
-        )
-        findings = analyze_source(source, path="src/repro/x.py", scope="src")
-        assert lines_for(findings, "RPR502") == []
-
-
 class TestLockAcrossAwait:
     def test_bad_fixture_flags_every_spanning_region(self, analyze_fixture):
         findings = analyze_fixture("rpr503_bad.pytxt")
@@ -174,7 +152,7 @@ class TestFutureLifecycle:
 
 SERVING_DIR = Path(repro.serving.__file__).parent
 SERVER_PATH = Path(repro.serving.server.__file__)
-ASYNC_CODES = ("RPR501", "RPR502", "RPR503", "RPR504")
+ASYNC_CODES = ("RPR501", "RPR503", "RPR504")
 
 
 class TestServingRegression:

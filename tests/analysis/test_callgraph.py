@@ -20,6 +20,10 @@ def make_context(path: str, source: str) -> FileContext:
     )
 
 
+def callees_in(graph, caller: str) -> list[str]:
+    return [site.callee for site in graph.calls if site.caller == caller]
+
+
 class TestModuleNameForPath:
     def test_src_rooted(self):
         assert (
@@ -54,14 +58,7 @@ class TestCallGraph:
             "    return helper()\n",
         )
         project, graph = build_project([lib, app])
-        callees = [
-            site.callee for site in graph.calls_in["repro.appmod.run"]
-        ]
-        assert callees == ["repro.libmod.helper"]
-        callers = [
-            site.caller for site in graph.callers_of["repro.libmod.helper"]
-        ]
-        assert callers == ["repro.appmod.run"]
+        assert callees_in(graph, "repro.appmod.run") == ["repro.libmod.helper"]
 
     def test_module_alias_attribute_call_resolves(self):
         lib = make_context(
@@ -75,9 +72,7 @@ class TestCallGraph:
             "    return lib.helper()\n",
         )
         _, graph = build_project([lib, app])
-        callees = [
-            site.callee for site in graph.calls_in["repro.appmod.run"]
-        ]
+        callees = callees_in(graph, "repro.appmod.run")
         assert callees == ["repro.libmod.helper"]
 
     def test_self_method_call_resolves(self):
@@ -91,9 +86,7 @@ class TestCallGraph:
             "        return self._inner()\n",
         )
         _, graph = build_project([ctx])
-        callees = [
-            site.callee for site in graph.calls_in["repro.box.Box.outer"]
-        ]
+        callees = callees_in(graph, "repro.box.Box.outer")
         assert callees == ["repro.box.Box._inner"]
 
     def test_annotated_parameter_method_call_resolves(self):
@@ -108,9 +101,7 @@ class TestCallGraph:
             "    return box.poke()\n",
         )
         _, graph = build_project([ctx])
-        callees = [
-            site.callee for site in graph.calls_in["repro.box.drive"]
-        ]
+        callees = callees_in(graph, "repro.box.drive")
         assert callees == ["repro.box.Box.poke"]
 
     def test_constructor_assignment_infers_local_type(self):
@@ -126,9 +117,7 @@ class TestCallGraph:
             "    return box.poke()\n",
         )
         project, graph = build_project([ctx])
-        callees = [
-            site.callee for site in graph.calls_in["repro.box.drive"]
-        ]
+        callees = callees_in(graph, "repro.box.drive")
         assert "repro.box.Box.poke" in callees
         drive = project.functions["repro.box.drive"]
         types = local_class_types(drive, project)
@@ -148,11 +137,7 @@ class TestCallGraph:
             "    return box.poke()\n",
         )
         project, graph = build_project([ctx])
-        assert graph.calls_in["repro.box.drive"] == [
-            site
-            for site in graph.calls_in["repro.box.drive"]
-            if site.callee != "repro.box.Box.poke"
-        ]
+        assert "repro.box.Box.poke" not in callees_in(graph, "repro.box.drive")
 
     def test_module_level_calls_attribute_to_body(self):
         ctx = make_context(
@@ -160,7 +145,5 @@ class TestCallGraph:
             "def build():\n    return 1\n\n\nSTATE = build()\n",
         )
         _, graph = build_project([ctx])
-        callees = [
-            site.callee for site in graph.calls_in["repro.setup.<body>"]
-        ]
+        callees = callees_in(graph, "repro.setup.<body>")
         assert callees == ["repro.setup.build"]

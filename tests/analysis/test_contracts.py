@@ -22,10 +22,6 @@ class TestArraySpec:
         with pytest.raises(ValueError, match="unknown dtype kind"):
             ArraySpec(("B",), "float32ish")
 
-    def test_symbolic_only(self):
-        assert ArraySpec(("B", 4)).is_symbolic_only()
-        assert not ArraySpec(("B", "L - d + 1")).is_symbolic_only()
-
 
 class TestBindShape:
     def test_binds_and_unifies(self):

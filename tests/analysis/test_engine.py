@@ -212,22 +212,36 @@ class TestSyntaxError:
         assert "syntax error" in findings[0].message
 
 
+ROOT = Path(__file__).parents[2]
+
+
+def ledger() -> dict[str, bool]:
+    """DESIGN §9.3's rule ledger: code → kept (True) or deleted (False)."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    table = design.split("| Code | True positives", 1)[1].split("\n\n", 1)[0]
+    verdicts = dict(
+        re.findall(r"^\| (RPR\d{3}) \|.*\| (keep|\*\*deleted\*\*)[^|]* \|$", table, re.M)
+    )
+    assert len(verdicts) == table.count("\n| RPR"), "a row has no verdict"
+    return {code: verdict == "keep" for code, verdict in verdicts.items()}
+
+
 class TestRegistry:
     def test_all_rules_sorted_and_complete(self):
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
-        for expected in (
-            "RPR101", "RPR103", "RPR105", "RPR108", "RPR109", "RPR110",
-            "RPR201", "RPR202", "RPR301", "RPR401", "RPR501",
-        ):
-            assert expected in codes
+        assert codes == sorted(code for code, kept in ledger().items() if kept)
 
     def test_readme_rule_table_matches_registry(self):
-        readme = Path(__file__).parents[2] / "README.md"
-        documented = re.findall(
-            r"^\| (RPR\d{3}) \|", readme.read_text(encoding="utf-8"), re.M
-        )
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        documented = re.findall(r"^\| (RPR\d{3}) \|", readme, re.M)
         assert sorted(documented) == [rule.code for rule in all_rules()]
+        # ... and every code the ledger records as deleted is one the
+        # registry rejects: the two documents and the code agree.
+        for code, kept in ledger().items():
+            if not kept:
+                with pytest.raises(KeyError):
+                    rules_by_code([code])
 
     def test_select_filters(self):
         rules = rules_by_code(["RPR103", "rpr105"])  # case-insensitive
@@ -237,10 +251,15 @@ class TestRegistry:
         with pytest.raises(KeyError):
             rules_by_code(["RPR105", "RPR404"])
 
-    @pytest.mark.parametrize("code", ["RPR102", "RPR104", "RPR106", "RPR107"])
+    @pytest.mark.parametrize(
+        "code",
+        ["RPR102", "RPR104", "RPR106", "RPR107",
+         "RPR201", "RPR202", "RPR403", "RPR502"],
+    )
     def test_retired_codes_are_unknown(self, code):
-        # Retired in favour of ruff NPY002/S101/B006/F822; selecting
-        # one is a usage error, not a silent no-op.
+        # Retired in favour of ruff NPY002/S101/B006/F822, or on
+        # seeded-defect evidence (DESIGN §9.3); selecting one is a
+        # usage error, not a silent no-op.
         with pytest.raises(KeyError):
             rules_by_code([code])
 

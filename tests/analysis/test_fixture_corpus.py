@@ -2,8 +2,7 @@
 
 Every ``rprNNN_bad.pytxt`` must produce at least one finding of its
 own code and every ``rprNNN_good.pytxt`` none — parametrized over the
-directory so adding a fixture automatically adds its check.  CI runs
-this module as its own matrix leg (good corpus / bad corpus).
+directory so adding a fixture automatically adds its check.
 
 ``expected_findings.tsv`` pins the *exact* finding set: one
 ``fixture<TAB>code<TAB>line<TAB>col`` row per finding over every

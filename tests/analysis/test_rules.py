@@ -1,4 +1,4 @@
-"""Per-rule behaviour over good/bad fixture programs."""
+"""The single-file analyses over good/bad fixture programs."""
 
 import pytest
 
@@ -11,7 +11,6 @@ import pytest
         "rpr105_good.pytxt",
         "rpr108_good.pytxt",
         "rpr109_good.pytxt",
-        "rpr201_good.pytxt",
     ],
 )
 def test_good_fixtures_are_clean(analyze_fixture, fixture):
@@ -26,7 +25,6 @@ def test_good_fixtures_are_clean(analyze_fixture, fixture):
         ("rpr105_bad.pytxt", "RPR105", 2),
         ("rpr108_bad.pytxt", "RPR108", 5),
         ("rpr109_bad.pytxt", "RPR109", 5),
-        ("rpr201_bad.pytxt", "RPR201", 1),
     ],
 )
 def test_bad_fixtures_flagged(analyze_fixture, fixture, code, count):
@@ -66,15 +64,6 @@ class TestRuleScoping:
     )
     def test_src_only_rules_skip_test_scope(self, analyze_fixture, fixture):
         assert analyze_fixture(fixture, scope="test") == []
-
-    @pytest.mark.parametrize(
-        "fixture, code",
-        [
-            ("rpr201_bad.pytxt", "RPR201"),
-        ],
-    )
-    def test_both_scope_rules_fire_in_tests(self, analyze_fixture, fixture, code):
-        assert {f.code for f in analyze_fixture(fixture, scope="test")} == {code}
 
 
 class TestRpr101Detector:

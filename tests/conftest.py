@@ -9,16 +9,6 @@ from repro.datagen import DataConfig, build_dataset
 from repro.entities import Event, User
 
 
-def pytest_collection_modifyitems(items):
-    """``tests/nn`` and ``tests/core`` run with RuntimeWarning as an error:
-    the substrate's in-place exp / log / NEG_INF arithmetic must not
-    overflow, take log(0) or produce an invalid value unnoticed."""
-    strict = pytest.mark.filterwarnings("error::RuntimeWarning")
-    for item in items:
-        if item.nodeid.startswith(("tests/nn/", "tests/core/")):
-            item.add_marker(strict)
-
-
 @pytest.fixture(scope="session")
 def strict_loads():
     """``json.loads`` that refuses the bare ``NaN``/``Infinity`` extension."""
