@@ -5,21 +5,21 @@ PLSA/LDA topic models "have limited expressive power" and suffer the
 user-homogeneity restriction, whereas the joint CNN model matches
 heterogeneous user data to event text directly.
 
-Reproduction: rank the evaluation impressions with four raw matchers —
+Reproduction: rank the evaluation impressions with five raw matchers —
 no combiner, single score each — and compare AUC:
 
 * joint CNN representation (cosine of cached vectors);
 * TF-IDF cosine between user document and event text;
-* LDA aggregated-event user topics vs event topics;
+* LDA and PLSA aggregated-event user topics vs event topics;
 * popularity (event joins so far + user propensity).
 """
 
 import numpy as np
 
 from repro.baselines.lda import LdaModel
+from repro.baselines.plsa import PlsaModel
 from repro.baselines.popularity import PopularityModel
 from repro.baselines.topic_matcher import AggregatedTopicMatcher
-from repro.datagen.config import HOURS_PER_WEEK
 from repro.eval.metrics import roc_auc
 from repro.features.context import FeatureContext
 
@@ -33,9 +33,8 @@ def test_semantic_matchers_head_to_head(
     evaluation = splits.evaluation
     history = splits.representation_train
     labels = np.array([1.0 if i.participated else 0.0 for i in evaluation])
-    boundary = (bench_dataset.config.weeks - 2) * HOURS_PER_WEEK
     train_events = [
-        e for e in bench_dataset.events if e.created_at < boundary
+        e for e in bench_dataset.events if e.created_at < splits.representation_end
     ]
 
     def run_all():
@@ -54,20 +53,22 @@ def test_semantic_matchers_head_to_head(
                 [context.tfidf_match(i.user_id, i.event_id) for i in evaluation]
             ),
         )
-        matcher = AggregatedTopicMatcher(
-            LdaModel(num_topics=12, num_iterations=25, min_df=2, seed=0)
-        ).fit(train_events, history)
-        aucs["LDA agg. matcher"] = roc_auc(
-            labels,
-            np.array(
-                [
-                    matcher.score(
-                        i.user_id, bench_dataset.events_by_id[i.event_id]
-                    )
-                    for i in evaluation
-                ]
-            ),
-        )
+        for name, backend in (
+            ("LDA", LdaModel(num_topics=12, num_iterations=25, min_df=2, seed=0)),
+            ("PLSA", PlsaModel(num_topics=12, num_iterations=25, min_df=2, seed=0)),
+        ):
+            matcher = AggregatedTopicMatcher(backend).fit(train_events, history)
+            aucs[f"{name} agg. matcher"] = roc_auc(
+                labels,
+                np.array(
+                    [
+                        matcher.score(
+                            i.user_id, bench_dataset.events_by_id[i.event_id]
+                        )
+                        for i in evaluation
+                    ]
+                ),
+            )
         popularity = PopularityModel().fit(history)
         aucs["Popularity"] = roc_auc(
             labels,

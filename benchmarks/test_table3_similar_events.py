@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.config import TrainingConfig
 from repro.core.siamese import SiameseEventInitializer
 from repro.core.similar_events import SimilarEventIndex, lexical_overlap
-from repro.datagen.config import HOURS_PER_WEEK
 
 from .conftest import write_result
 
@@ -29,7 +28,7 @@ def test_table3_similar_events(
     benchmark, prepared_experiment, bench_dataset, bench_scale
 ):
     events = bench_dataset.events
-    boundary = (bench_dataset.config.weeks - 2) * HOURS_PER_WEEK
+    boundary = prepared_experiment.splits.representation_end
     train_events = [e for e in events if e.created_at < boundary]
 
     # The event-only semantic model: Siamese title/body training.

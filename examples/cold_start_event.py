@@ -29,7 +29,6 @@ from repro.core import (
     TrainingConfig,
 )
 from repro.datagen import DataConfig, build_dataset
-from repro.datagen.config import HOURS_PER_WEEK
 from repro.entities import Event
 from repro.text import DocumentEncoder
 
@@ -74,8 +73,9 @@ def main() -> None:
     )
 
     # --- baseline 2: LDA matcher (user = aggregate of attended events)
-    boundary = (dataset.config.weeks - 2) * HOURS_PER_WEEK
-    train_events = [e for e in dataset.events if e.created_at < boundary]
+    train_events = [
+        e for e in dataset.events if e.created_at < splits.representation_end
+    ]
     matcher = AggregatedTopicMatcher(
         LdaModel(num_topics=8, num_iterations=30, min_df=2, seed=0)
     ).fit(train_events, history)
@@ -101,9 +101,9 @@ def main() -> None:
     initializer = SiameseEventInitializer(config, encoder)
     initializer.fit(train_events, TrainingConfig(epochs=4, learning_rate=0.02, seed=0))
     initializer.transfer_to(model)
-    pairs_u = [encoder.encode_user(dataset.users_by_id[i.user_id]) for i in history]
-    pairs_e = [encoder.encode_event(dataset.events_by_id[i.event_id]) for i in history]
-    labels = np.array([1.0 if i.participated else 0.0 for i in history])
+    pairs_u, pairs_e, labels = encoder.encode_pairs(
+        history, dataset.users_by_id, dataset.events_by_id
+    )
     RepresentationTrainer(
         model,
         TrainingConfig(epochs=16, batch_size=64, learning_rate=0.015, patience=6, seed=0),

@@ -8,8 +8,6 @@ facade — the end-to-end path of the paper in miniature.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.core import (
     JointModelConfig,
     JointUserEventModel,
@@ -44,8 +42,9 @@ def main() -> None:
 
     # 2. Date-disjoint split and representation training (Section 5.1).
     splits = dataset.split()
-    boundary = (dataset.config.weeks - 2) * HOURS_PER_WEEK
-    train_events = [e for e in dataset.events if e.created_at < boundary]
+    train_events = [
+        e for e in dataset.events if e.created_at < splits.representation_end
+    ]
     encoder = DocumentEncoder.fit(dataset.users, train_events, min_df=2)
     print(f"  lookup tables: {encoder.vocab_sizes()}")
 
@@ -60,12 +59,8 @@ def main() -> None:
         ),
         encoder,
     )
-    pairs_u = [encoder.encode_user(dataset.users_by_id[i.user_id])
-               for i in splits.representation_train]
-    pairs_e = [encoder.encode_event(dataset.events_by_id[i.event_id])
-               for i in splits.representation_train]
-    labels = np.array(
-        [1.0 if i.participated else 0.0 for i in splits.representation_train]
+    pairs_u, pairs_e, labels = encoder.encode_pairs(
+        splits.representation_train, dataset.users_by_id, dataset.events_by_id
     )
     print(f"Training on {len(labels)} impression pairs ...")
     trainer = RepresentationTrainer(

@@ -8,7 +8,7 @@ mechanically instead of re-found in review:
 * **Rule engine** (:mod:`repro.analysis.engine`) — one kind of rule:
   an *analysis* over the whole project, registered
   (``register_analysis``) under the ``RPRxxx`` codes it emits; path
-  scoping (``src`` vs ``test``) and line-level
+  scoping (every rule applies to ``src`` files only) and line-level
   ``# repro: noqa[RPRxxx]`` suppressions with an optional trailing
   justification.
 * **The analyses** — one shared core (:mod:`repro.analysis.callgraph`
@@ -24,58 +24,35 @@ mechanically instead of re-found in review:
   lock discipline (:mod:`repro.analysis.locks`, RPR401–RPR402), async
   safety (:mod:`repro.analysis.asyncrules`, RPR501/503/504) and
   route-status contracts (:mod:`repro.analysis.routestatus`, RPR110).
-* **Array contracts** (:mod:`repro.analysis.contracts`) — declarative
-  shape/dtype specifications for the hot ``repro.nn`` kernels,
-  asserted at runtime by the nn and core tests (``check_call``).
-* **Reporters** (:mod:`repro.analysis.reporters`) — text, JSON, and
-  SARIF output over the same finding records.
 
-Run it over the repository::
+Run it over the repository (one text report, on stdout)::
 
-    python -m repro.analysis src tests benchmarks examples bench
-    python -m repro.analysis src --format json
+    python -m repro.analysis src
+    python -m repro.analysis src --select RPR301,RPR302
 
 Exit codes: 0 (clean), 1 (findings), 2 (usage error).
 """
 
-from repro.analysis.contracts import (
-    CONTRACTS,
-    ArraySpec,
-    ContractError,
-    KernelContract,
-    check_call,
-)
 from repro.analysis.engine import (
     Finding,
     Rule,
     all_rules,
     analyze_files,
-    analyze_paths,
     analyze_source,
     iter_python_files,
     rules_by_code,
     scope_for_path,
 )
 from repro.analysis.main import main
-from repro.analysis.reporters import render_json, render_sarif, render_text
 
 __all__ = [
-    "ArraySpec",
-    "CONTRACTS",
-    "ContractError",
     "Finding",
-    "KernelContract",
     "Rule",
     "all_rules",
     "analyze_files",
-    "analyze_paths",
     "analyze_source",
-    "check_call",
     "iter_python_files",
     "main",
-    "render_json",
-    "render_sarif",
-    "render_text",
     "rules_by_code",
     "scope_for_path",
 ]

@@ -63,11 +63,7 @@ from repro.analysis.locks import (
     collect_class_locks,
 )
 
-__all__ = [
-    "BLOCKING_CALLABLE_SINKS",
-    "BLOCKING_BUILTIN_SINKS",
-    "BLOCKING_METHOD_SINKS",
-]
+__all__: list[str] = []  # registers its analyses on import; nothing is imported by name
 
 # --- sink registry ----------------------------------------------------
 # Fully qualified callables that block the calling thread.  Resolution
@@ -495,7 +491,6 @@ def _check_future_lifecycle(
         "cancelled, nor handed off — or set_result unpaired with "
         "set_exception/cancel on exception paths",
     ),
-    scopes=frozenset({"src"}),
 )
 def analyze_async_safety(
     project: Project, graph: CallGraph

@@ -50,7 +50,7 @@ from repro.analysis.callgraph import (
 from repro.analysis.cfgutils import fixpoint
 from repro.analysis.engine import Finding, register_analysis
 
-__all__ = ["TaintSummary"]
+__all__: list[str] = []  # registers its analyses on import; nothing is imported by name
 
 _KIND_CODES = {"rng": "RPR301", "time": "RPR302", "unordered": "RPR303"}
 _KIND_LABELS = {
@@ -384,7 +384,6 @@ class _FunctionTaint:
         "set/dict.keys iteration order flows into a persisted artifact, "
         "eval metric, or served score; sorted() launders",
     ),
-    scopes=frozenset({"src"}),
 )
 def analyze_determinism(
     project: Project, graph: CallGraph

@@ -11,17 +11,17 @@ that iterates ``project.contexts``.
 The engine parses each file once, classifies its scope, builds the
 project once, runs each selected analysis at most once however many
 of its codes are selected, and routes every finding by its ``code``:
-one is kept when its code was selected and that rule's ``scopes``
-cover the file it lands in, and each survives once however many times
-the analysis yielded it.  Survivors are filtered through the
-``# repro: noqa[RPRxxx]`` suppressions found on the flagged lines.
+one is kept when its code was selected and it lands in a ``src``-scope
+file, and each survives once however many times the analysis yielded
+it.  Survivors are filtered through the ``# repro: noqa[RPRxxx]``
+suppressions found on the flagged lines.
 
 Scopes
 ------
 ``src``
-    Production code.  Rules that forbid patterns tests legitimately
-    use (exact float comparison oracles, toy metric names, reference
-    cosine reimplementations) run here only.
+    Production code.  Every rule applies here and only here: they
+    forbid patterns tests legitimately use (exact float comparison
+    oracles, toy metric names, reference cosine reimplementations).
 ``test``
     Anything under a ``tests``/``benchmarks``/``examples``/``bench``
     directory, any ``conftest.py``, and ``test_*.py`` files *outside* a
@@ -69,7 +69,7 @@ __all__ = [
     "scope_for_path",
     "scan_suppressions",
     "analyze_source",
-    "analyze_paths",
+    "analyze_files",
     "iter_python_files",
     "UNUSED_SUPPRESSION_CODE",
 ]
@@ -107,15 +107,6 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
-
 
 @dataclass
 class FileContext:
@@ -139,15 +130,14 @@ class FileContext:
 
 Analysis = Callable[["Project", "CallGraph"], Iterator[Finding]]
 
+
 @dataclass(frozen=True)
 class Rule:
-    """One registered code: its metadata, the scopes it applies in,
-    and the analysis that emits it."""
+    """One registered code: its metadata and the analysis that emits it."""
 
     code: str
     name: str
     description: str
-    scopes: frozenset[str]
     analysis: Analysis
 
 
@@ -156,7 +146,6 @@ _REGISTRY: dict[str, Rule] = {}
 
 def register_analysis(
     *rows: tuple[str, str, str],
-    scopes: frozenset[str],
 ) -> Callable[[Analysis], Analysis]:
     """Register an analysis for the codes it emits.
 
@@ -172,7 +161,7 @@ def register_analysis(
                 raise ValueError(f"invalid rule code {code!r}")
             if code in _REGISTRY:
                 raise ValueError(f"duplicate rule code {code}")
-            _REGISTRY[code] = Rule(code, name, description, scopes, analysis)
+            _REGISTRY[code] = Rule(code, name, description, analysis)
         return analysis
 
     return decorate
@@ -316,14 +305,11 @@ def _apply_suppressions(
     context: FileContext,
     raw: Iterable[Finding],
     checked_codes: set[str],
-    report_unused_suppressions: bool,
 ) -> list[Finding]:
     """Filter ``raw`` through the file's noqa comments.
 
-    Emits RPR100 for stale suppressions (when
-    ``report_unused_suppressions``) and, unconditionally, for
-    malformed suppression codes — a typo'd code is an error now, not
-    a preference.
+    Emits RPR100 for stale suppressions of ``checked_codes`` and for
+    malformed suppression codes.
     """
     suppressions, malformed = scan_suppressions(context.source)
     used: dict[int, set[str]] = {}
@@ -340,21 +326,20 @@ def _apply_suppressions(
             Finding(context.path, line, col, UNUSED_SUPPRESSION_CODE, message)
         )
 
-    if report_unused_suppressions:
-        for line_number, codes in sorted(suppressions.items()):
-            for code in sorted(codes):
-                if code in used.get(line_number, set()):
-                    continue
-                if code not in checked_codes:
-                    # The rule didn't run (deselected or out of scope);
-                    # the suppression may be live under a full run.
-                    continue
-                rpr100(
-                    line_number,
-                    0,
-                    f"unused suppression: no {code} finding on this "
-                    "line (remove the stale noqa)",
-                )
+    for line_number, codes in sorted(suppressions.items()):
+        for code in sorted(codes):
+            if code in used.get(line_number, set()):
+                continue
+            if code not in checked_codes:
+                # The rule didn't run (deselected or out of scope);
+                # the suppression may be live under a full run.
+                continue
+            rpr100(
+                line_number,
+                0,
+                f"unused suppression: no {code} finding on this "
+                "line (remove the stale noqa)",
+            )
     for line_number, column, text in malformed:
         rpr100(
             line_number,
@@ -365,11 +350,7 @@ def _apply_suppressions(
     return survivors
 
 
-def _analyze(
-    contexts: Sequence[FileContext],
-    rules: Sequence[Rule],
-    report_unused_suppressions: bool,
-) -> list[Finding]:
+def _analyze(contexts: Sequence[FileContext], rules: Sequence[Rule]) -> list[Finding]:
     """The one driver: each selected analysis once over the project,
     findings routed by code and scope and kept once each, then each
     file's suppressions."""
@@ -377,23 +358,17 @@ def _analyze(
 
     project, graph = build_project(contexts)
     scope_by_path = {context.path: context.scope for context in contexts}
-    selected = {rule.code: rule for rule in rules}
+    selected = {rule.code for rule in rules}
     raw_by_path: dict[str, set[Finding]] = {path: set() for path in scope_by_path}
     for analysis in dict.fromkeys(rule.analysis for rule in rules):
         for finding in analysis(project, graph):
-            rule = selected.get(finding.code)
-            if rule is not None and scope_by_path[finding.path] in rule.scopes:
+            if finding.code in selected and scope_by_path[finding.path] == "src":
                 raw_by_path[finding.path].add(finding)
     findings: list[Finding] = []
     for context in contexts:
-        checked = {rule.code for rule in rules if context.scope in rule.scopes}
+        checked = selected if context.scope == "src" else set()
         findings.extend(
-            _apply_suppressions(
-                context,
-                raw_by_path[context.path],
-                checked,
-                report_unused_suppressions,
-            )
+            _apply_suppressions(context, raw_by_path[context.path], checked)
         )
     return findings
 
@@ -403,7 +378,6 @@ def analyze_source(
     path: str,
     rules: Sequence[Rule] | None = None,
     scope: str | None = None,
-    report_unused_suppressions: bool = True,
 ) -> list[Finding]:
     """Run ``rules`` over one source string.
 
@@ -411,7 +385,7 @@ def analyze_source(
     single ``RPR999`` finding).
 
     The project is this one file — cross-function flows *within* it
-    are visible, cross-file flows are not (use :func:`analyze_paths`
+    are visible, cross-file flows are not (use :func:`analyze_files`
     for whole-project analysis).
     """
     parsed = _parse(source, path, scope)
@@ -419,7 +393,7 @@ def analyze_source(
         return [parsed]
     if rules is None:
         rules = all_rules()
-    return sorted(_analyze([parsed], rules, report_unused_suppressions))
+    return sorted(_analyze([parsed], rules))
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -453,9 +427,7 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 
 def analyze_files(
-    files: Sequence[Path],
-    rules: Sequence[Rule] | None = None,
-    report_unused_suppressions: bool = True,
+    files: Sequence[Path], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Analyze pre-collected files as one project; sorted findings.
 
@@ -470,19 +442,5 @@ def analyze_files(
     ]
     findings = [item for item in parsed if isinstance(item, Finding)]
     contexts = [item for item in parsed if isinstance(item, FileContext)]
-    findings.extend(_analyze(contexts, rules, report_unused_suppressions))
+    findings.extend(_analyze(contexts, rules))
     return sorted(findings)
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    select: Iterable[str] | None = None,
-    report_unused_suppressions: bool = True,
-) -> list[Finding]:
-    """Analyze every Python file under ``paths``; sorted findings."""
-    rules = rules_by_code(select)
-    return analyze_files(
-        list(iter_python_files(paths)),
-        rules=rules,
-        report_unused_suppressions=report_unused_suppressions,
-    )

@@ -225,7 +225,6 @@ def _scan_function(
         "lock-free, from a context not holding the lock (propagated "
         "transitively over the call graph)",
     ),
-    scopes=frozenset({"src"}),
 )
 def analyze_locks(project: Project, graph: CallGraph) -> Iterator[Finding]:
     """Every lock-discipline violation of a project."""

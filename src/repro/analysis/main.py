@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from collections.abc import Sequence
-from typing import IO
 
 from repro.analysis.engine import (
+    Finding,
     all_rules,
     analyze_files,
     iter_python_files,
     rules_by_code,
 )
-from repro.analysis.reporters import render_json, render_sarif, render_text
 
-__all__ = ["main", "build_parser", "run", "render_rule_list"]
+__all__ = ["main", "build_parser", "run", "render_rule_list", "render_text"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,21 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to scan (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--no-unused-noqa",
-        action="store_true",
-        help="do not report stale # repro: noqa suppressions (RPR100)",
     )
     parser.add_argument(
         "--list-rules",
@@ -67,21 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
 def render_rule_list() -> str:
     lines = []
     for rule in all_rules():
-        scopes = ",".join(sorted(rule.scopes))
-        lines.append(f"{rule.code}  [{scopes}]  {rule.name}")
+        lines.append(f"{rule.code}  {rule.name}")
         lines.append(f"    {rule.description}")
     return "\n".join(lines) + "\n"
 
 
-def run(
-    paths: Sequence[str],
-    output_format: str = "text",
-    select: Sequence[str] | None = None,
-    report_unused_suppressions: bool = True,
-    stream: IO[str] | None = None,
-) -> int:
-    """Analyze ``paths`` and write a report; returns the exit code."""
-    stream = stream if stream is not None else sys.stdout
+def render_text(findings: Sequence[Finding], files_scanned: int) -> str:
+    """One ``path:line:col CODE message`` line per finding + summary."""
+    lines = [
+        f"{finding.location()} {finding.code} {finding.message}"
+        for finding in findings
+    ]
+    scanned = f" ({files_scanned} files scanned)"
+    if not findings:
+        lines.append(f"repro.analysis: clean{scanned}")
+    else:
+        by_code = Counter(finding.code for finding in findings)
+        breakdown = ", ".join(
+            f"{code}: {count}" for code, count in sorted(by_code.items())
+        )
+        lines.append(
+            f"repro.analysis: {len(findings)} finding"
+            f"{'s' if len(findings) != 1 else ''} [{breakdown}]{scanned}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def run(paths: Sequence[str], select: Sequence[str] | None = None) -> int:
+    """Analyze ``paths`` and print the report; returns the exit code."""
     try:
         rules = rules_by_code(select)
     except KeyError as error:
@@ -98,17 +100,8 @@ def run(
         return 2
     # One whole-project pass: the interprocedural analyses see
     # cross-file flows that per-file analysis cannot.
-    findings = analyze_files(
-        files,
-        rules=rules,
-        report_unused_suppressions=report_unused_suppressions,
-    )
-    renderers = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }
-    stream.write(renderers[output_format](findings, files_scanned=len(files)))
+    findings = analyze_files(files, rules=rules)
+    sys.stdout.write(render_text(findings, files_scanned=len(files)))
     return 1 if findings else 0
 
 
@@ -119,9 +112,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(render_rule_list())
         return 0
     select = args.select.split(",") if args.select else None
-    return run(
-        args.paths,
-        output_format=args.format,
-        select=select,
-        report_unused_suppressions=not args.no_unused_noqa,
-    )
+    return run(args.paths, select=select)

@@ -33,7 +33,7 @@ from repro.analysis.callgraph import CallGraph, FunctionInfo, Project
 from repro.analysis.cfgutils import fixpoint
 from repro.analysis.engine import Finding, register_analysis
 
-__all__ = ["analyze_route_statuses"]
+__all__: list[str] = []  # registers its analyses on import; nothing is imported by name
 
 
 def _literal_str(node: ast.AST) -> str | None:
@@ -189,7 +189,6 @@ def _status_closure(project: Project, graph: CallGraph) -> dict[str, set[int]]:
         "status codes declared in the class's ROUTE_STATUSES table; "
         "missing and stale table entries are flagged too",
     ),
-    scopes=frozenset({"src"}),
 )
 def analyze_route_statuses(
     project: Project, graph: CallGraph

@@ -22,19 +22,13 @@ from typing import NamedTuple
 from repro.analysis.callgraph import CallGraph, Project
 from repro.analysis.engine import FileContext, Finding, register_analysis
 
-__all__ = [
-    "analyze_cosine_reimplementation",
-    "analyze_float_equality",
-    "analyze_name_grammar",
-]
-
-_SRC = frozenset({"src"})
+__all__: list[str] = []  # registers its analyses on import; nothing is imported by name
 
 
 def _contexts(project: Project) -> Iterator[FileContext]:
     """The files these analyses read: a finding in any other scope would
     be dropped by the engine, so it is not computed."""
-    return (c for c in project.contexts if c.scope in _SRC)
+    return (c for c in project.contexts if c.scope == "src")
 
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
 
@@ -146,7 +140,6 @@ _COSINE_HOME = "repro/nn/cosine.py"
         "dot-product + divide-by-norm outside repro.nn.cosine; use "
         "pair_cosine/cosine_similarity/exact_cosine/unit_rows",
     ),
-    scopes=_SRC,
 )
 def analyze_cosine_reimplementation(
     project: Project, graph: CallGraph
@@ -231,7 +224,6 @@ def _is_nonzero_float(node: ast.AST) -> bool:
         "== / != against a non-zero float literal; compare with a "
         "tolerance (0.0 guards are exempt)",
     ),
-    scopes=_SRC,
 )
 def analyze_float_equality(
     project: Project, graph: CallGraph
@@ -385,7 +377,6 @@ def _name_breaches(
         "repro_health_*/repro_drift_* are reserved verdict families: "
         "gauges/counters only, no unit suffixes, no span names",
     ),
-    scopes=_SRC,
 )
 def analyze_name_grammar(project: Project, graph: CallGraph) -> Iterator[Finding]:
     """One walk over the literal names handed to the telemetry layer.

@@ -31,7 +31,7 @@ Examples::
     repro-events recommend --dataset world.json.gz --bundle model_bundle \\
         --user-id 3 --at-time 900 --top-k 5
     repro-events experiment --scale small --tables 1 2
-    repro-events metrics --telemetry telemetry.jsonl --exemplars
+    repro-events metrics --telemetry telemetry.jsonl
     repro-events loadgen --rate 200 --duration 2 --warmup 50 \\
         --chrome-out trace.json --metrics-out load.jsonl
     repro-events serve --port 8321 --pool-size 500
@@ -50,17 +50,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.persistence import load_model_bundle, save_model_bundle
-from repro.core.service import RepresentationService
+from repro.core.service import RepresentationService, validate_top_k
 from repro.core.trainer import RepresentationTrainer
 from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.eval.protocol import TwoStageExperiment
-from repro.eval.reporting import format_table, render_pr_curves
+from repro.eval.reporting import format_table
 from repro.gbdt.boosting import GBDTConfig
 from repro.obs import (
     MetricsRegistry,
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--bundle", required=True, help="output bundle directory")
     train.add_argument("--model-scale", choices=sorted(_MODEL_SCALES), default="bench")
     train.add_argument("--epochs", type=int, default=12)
-    train.add_argument("--learning-rate", type=float, default=0.015)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -130,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--tables", type=int, nargs="+", choices=(1, 2), default=[1, 2]
     )
-    experiment.add_argument("--curves", action="store_true",
-                            help="also render ASCII P/R curves")
     experiment.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="enable telemetry and write a JSONL telemetry file here",
@@ -146,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--format", choices=("prometheus", "json"), default="prometheus"
-    )
-    metrics.add_argument(
-        "--exemplars", action="store_true",
-        help="append OpenMetrics exemplar suffixes (trace ids) to "
-        "histogram bucket lines",
     )
 
     loadgen = commands.add_parser(
@@ -171,14 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--top-k", type=int, default=10)
     loadgen.add_argument("--pool-size", type=int, default=500,
                          help="candidate-pool size (events in the index)")
-    loadgen.add_argument("--score-fraction", type=float, default=0.2,
-                         help="fraction of requests that are single-pair score calls")
     loadgen.add_argument("--warmup", type=int, default=0,
                          help="unmeasured warm-up requests issued before the "
                          "open-loop schedule (excluded from all statistics)")
     loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--keep-slowest", type=int, default=16,
-                         help="tail sampler: always retain the N slowest traces")
     loadgen.add_argument("--sample-fraction", type=float, default=0.05,
                          help="tail sampler: uniform background sample fraction")
     loadgen.add_argument("--trace-out", default=None, metavar="PATH",
@@ -234,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument("--json", action="store_true",
                         help="print the verdict as JSON instead of text")
-    health.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the verdict JSON here (CI artifact)")
     return parser
 
 
@@ -294,25 +278,12 @@ def _cmd_train(args) -> int:
     model = JointUserEventModel(
         _MODEL_SCALES[args.model_scale](seed=args.seed), encoder
     )
-    pairs_u = [
-        encoder.encode_user(dataset.users_by_id[i.user_id])
-        for i in splits.representation_train
-    ]
-    pairs_e = [
-        encoder.encode_event(dataset.events_by_id[i.event_id])
-        for i in splits.representation_train
-    ]
-    labels = np.array(
-        [1.0 if i.participated else 0.0 for i in splits.representation_train]
+    pairs_u, pairs_e, labels = encoder.encode_pairs(
+        splits.representation_train, dataset.users_by_id, dataset.events_by_id
     )
     print(f"training on {len(labels)} pairs ...")
     trainer = RepresentationTrainer(
-        model,
-        TrainingConfig(
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-        ),
+        model, TrainingConfig(epochs=args.epochs, seed=args.seed)
     )
     if args.metrics_out:
         with use_registry(MetricsRegistry()) as registry:
@@ -338,6 +309,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
+    try:
+        validate_top_k(args.top_k)
+    except ValueError as error:
+        print(f"error: --top-k: {error}", file=sys.stderr)
+        return 2
     dataset = EventRecDataset.load(args.dataset)
     if args.user_id not in dataset.users_by_id:
         print(f"error: user {args.user_id} not in dataset", file=sys.stderr)
@@ -345,9 +321,6 @@ def _cmd_recommend(args) -> int:
     model = load_model_bundle(args.bundle)
     service = RepresentationService(model)
     user = dataset.users_by_id[args.user_id]
-    if args.top_k < 1:
-        print(f"error: --top-k must be >= 1, got {args.top_k}", file=sys.stderr)
-        return 2
     ranked = service.rank_events(
         user, dataset.events, at_time=args.at_time, top_k=args.top_k
     )
@@ -389,13 +362,9 @@ def _cmd_experiment(args) -> int:
         if 1 in args.tables:
             results = experiment.run_table1()
             print(format_table(results, "TABLE 1 — integration settings"))
-            if args.curves:
-                print(render_pr_curves(results))
         if 2 in args.tables:
             results = experiment.run_table2()
             print(format_table(results, "TABLE 2 — feature combinations"))
-            if args.curves:
-                print(render_pr_curves(results))
 
     if args.metrics_out:
         with use_registry(MetricsRegistry()) as registry:
@@ -424,7 +393,7 @@ def _cmd_metrics(args) -> int:
 
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     else:
-        print(render_prometheus(snapshot, exemplars=args.exemplars), end="")
+        print(render_prometheus(snapshot), end="")
     return 0
 
 
@@ -461,15 +430,10 @@ def _cmd_loadgen(args) -> int:
             duration=args.duration,
             workers=args.workers,
             top_k=args.top_k,
-            score_fraction=args.score_fraction,
             warmup=args.warmup,
             seed=args.seed,
         )
-        sampler = TailSampler(
-            keep_slowest=args.keep_slowest,
-            sample_fraction=args.sample_fraction,
-            seed=args.seed,
-        )
+        sampler = TailSampler(sample_fraction=args.sample_fraction, seed=args.seed)
         _check_max_batch(args.max_batch)
         print(
             f"building synthetic serving stack (pool={args.pool_size}) ...",
@@ -632,14 +596,6 @@ def _cmd_health(args) -> int:
         print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
     else:
         print(format_health(verdict))
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(
-            json.dumps(verdict.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"health report written to {args.out}", file=sys.stderr)
     return 0 if verdict.healthy else 1
 
 

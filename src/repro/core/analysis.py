@@ -41,9 +41,10 @@ def _attribute_module(
     token_word_index: np.ndarray,
     window: int,
     num_words: int,
-    soft: bool,
 ) -> np.ndarray:
-    """Accumulate per-word contributions for one extraction module.
+    """Accumulate per-word contributions for one extraction module:
+    the argmax window of each output dimension is credited (the
+    paper's trace-back).
 
     Args:
         weights: ``(num_windows, out_dim)`` softmax pooling weights of
@@ -51,9 +52,6 @@ def _attribute_module(
         token_word_index: originating word index of each token.
         window: the module's convolution window size.
         num_words: number of words in the analyzed text.
-        soft: if False (paper behaviour) only the argmax window of each
-            output dimension is credited; if True, every window is
-            credited by its softmax weight.
 
     Returns:
         ``(num_words,)`` accumulated contribution per word.
@@ -66,14 +64,6 @@ def _attribute_module(
     for start in range(num_windows):
         covered = token_word_index[start : min(start + window, num_tokens)]
         window_words.append(sorted(set(int(w) for w in covered)))
-    if soft:
-        for start, words in enumerate(window_words):
-            if not words:
-                continue
-            credit = weights[start].sum() / len(words)
-            for word in words:
-                contributions[word] += credit
-        return contributions
     top_windows = weights.argmax(axis=0)
     for dim in range(out_dim):
         words = window_words[top_windows[dim]]
@@ -89,7 +79,6 @@ def trace_top_words(
     encoder: DocumentEncoder,
     text: str,
     top_k: int = 5,
-    soft: bool = False,
 ) -> dict[int, list[WordAttribution]]:
     """Top contributing words per convolution window size.
 
@@ -111,7 +100,6 @@ def trace_top_words(
             encoded.text_word_index,
             window,
             num_words=len(words),
-            soft=soft,
         )
         order = sorted(
             range(len(words)),

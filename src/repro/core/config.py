@@ -114,29 +114,25 @@ class TrainingConfig:
     Attributes:
         epochs: maximum epochs (paper: < 20 with early stopping).
         batch_size: minibatch size.
-        learning_rate: initial step size.
-        lr_decay: per-epoch multiplicative decay (paper: 0.9).
+        learning_rate: initial step size (decayed ×0.9 per epoch, the
+            paper's schedule, by ``nn.optim.ExponentialDecay``).
         patience: early-stopping patience in epochs without validation
             improvement.
         optimizer: ``"sgd"`` or ``"adagrad"``.
         momentum: momentum for SGD.
         validation_fraction: trailing fraction of training pairs held
             out for early stopping.
-        seed: seed for shuffling.
-        shuffle: whether to reshuffle pairs each epoch.
+        seed: seed for the per-epoch reshuffle of the pairs.
     """
 
     epochs: int = 20
     batch_size: int = 64
     learning_rate: float = 0.015
-    lr_decay: float = 0.9
     patience: int = 4
     optimizer: str = "adagrad"
     momentum: float = 0.0
     validation_fraction: float = 0.1
     seed: int = 0
-    shuffle: bool = True
-    log_every: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -147,8 +143,3 @@ class TrainingConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
-
-    @classmethod
-    def fast(cls, seed: int = 0) -> "TrainingConfig":
-        """A few quick epochs, for tests."""
-        return cls(epochs=3, batch_size=32, patience=2, seed=seed)

@@ -153,21 +153,12 @@ class ServingMonitors:
     pull collector.
     """
 
-    def __init__(
-        self,
-        scores: DriftMonitor | None = None,
-        candidates: DriftMonitor | None = None,
-        user_norms: DriftMonitor | None = None,
-    ) -> None:
-        self.scores = scores if scores is not None else DriftMonitor(
-            "serving_scores", warmup=256, window=256
-        )
-        self.candidates = candidates if candidates is not None else DriftMonitor(
+    def __init__(self) -> None:
+        self.scores = DriftMonitor("serving_scores", warmup=256, window=256)
+        self.candidates = DriftMonitor(
             "serving_candidates", warmup=64, window=64, bins=5, min_live=16
         )
-        self.user_norms = user_norms if user_norms is not None else DriftMonitor(
-            "serving_user_norms", warmup=128, window=128
-        )
+        self.user_norms = DriftMonitor("serving_user_norms", warmup=128, window=128)
 
     @property
     def all(self) -> tuple[DriftMonitor, ...]:
@@ -190,27 +181,17 @@ class RepresentationService:
     USER_KIND = "user"
     EVENT_KIND = "event"
 
-    def __init__(
-        self,
-        model: JointUserEventModel,
-        cache: VectorCache | None = None,
-        registry: MetricsRegistry | None = None,
-        index: EventIndex | None = None,
-        monitors: ServingMonitors | None = None,
-    ):
+    def __init__(self, model: JointUserEventModel, cache: VectorCache | None = None):
         self.model = model
         self.cache = cache if cache is not None else VectorCache()
-        self.index = index if index is not None else EventIndex()
-        self.monitors = monitors if monitors is not None else ServingMonitors()
+        self.index = EventIndex()
+        self.monitors = ServingMonitors()
         self._index_rebuilds = 0
         # id(pool list) → (private shallow copy, its resolved rows).
         self._pools_lock = threading.Lock()
         self._pools: OrderedDict[  # guarded-by: _pools_lock
             int, tuple[list[Event], ResolvedPool]
         ] = OrderedDict()
-        # None → resolve the global registry at call time, so telemetry
-        # enabled after construction is still picked up.
-        self._registry = registry
         # Stable bound-method objects: register_collector short-circuits
         # on identity, so per-request re-registration stays lock-free.
         self._cache_collector = self._collect_cache_metrics
@@ -222,10 +203,12 @@ class RepresentationService:
     # ------------------------------------------------------------------
 
     def _obs(self) -> MetricsRegistry:
-        """This call's registry; every public entry point starts here,
-        so even a process serving only cache-hit ``score`` calls has
-        the cache, index and drift collectors installed."""
-        registry = self._registry if self._registry is not None else get_registry()
+        """This call's registry, resolved at call time so telemetry
+        enabled after construction is picked up; every public entry
+        point starts here, so even a process serving only cache-hit
+        ``score`` calls has the cache, index and drift collectors
+        installed."""
+        registry = get_registry()
         if registry.enabled:
             registry.register_collector(
                 f"repro_cache:{id(self.cache)}", self._cache_collector
@@ -423,16 +406,14 @@ class RepresentationService:
         self.cache.invalidate(self.EVENT_KIND, event_id)
         return removed
 
-    def rebuild_index(self, events: Sequence[Event] | None = None) -> None:
-        """Clear and repopulate the index.
+    def rebuild_index(self) -> None:
+        """Clear the index and re-insert its current rows.
 
-        For model swaps or suspected corruption.  With ``events=None``
-        the current rows are re-inserted.  Note the vectors come back
-        through the cache: a caller swapping the *model* should
+        For model swaps or suspected corruption.  Note the vectors come
+        back through the cache: a caller swapping the *model* should
         ``cache.clear()`` first so every row is re-encoded.
         """
-        if events is None:
-            events = self.index.events
+        events = self.index.events
         self.index.clear()
         self._index_rebuilds += 1
         self.refresh_events(events)

@@ -8,7 +8,7 @@ negative training instances."
 
 The resulting tower is (a) an event-only semantic model usable for
 "related events" retrieval without any user feedback, and (b) an
-initializer: its lookup table (and optionally conv weights) can be
+initializer: its lookup table and conv weights can be
 transferred into the event side of a :class:`JointUserEventModel`
 before supervised training.
 """
@@ -124,7 +124,7 @@ class SiameseEventInitializer:
         training = training or TrainingConfig(epochs=5, patience=5)
         rng = np.random.default_rng(training.seed + 104729)
         optimizer = Adagrad(self.store, learning_rate=training.learning_rate)
-        schedule = ExponentialDecay(training.learning_rate, training.lr_decay)
+        schedule = ExponentialDecay(training.learning_rate)
         history = SiameseHistory()
         for epoch in range(training.epochs):
             schedule.apply(optimizer, epoch)
@@ -153,18 +153,14 @@ class SiameseEventInitializer:
     # usage
     # ------------------------------------------------------------------
 
-    def encode_texts(self, texts: Sequence[str], batch_size: int = 256) -> np.ndarray:
+    def encode_texts(self, texts: Sequence[str]) -> np.ndarray:
         """Event-only semantic embeddings for raw texts."""
         encoded = [self.encoder.encode_event_text(text) for text in texts]
-        return self.tower.encode(encoded, self._batches, batch_size)
+        return self.tower.encode(encoded, self._batches, batch_size=256)
 
-    def transfer_to(
-        self, model: JointUserEventModel, include_conv: bool = True
-    ) -> list[str]:
-        """Copy learned weights into *model*'s event tower.
-
-        Always transfers the event lookup table; with ``include_conv``
-        also the convolution weights of matching window sizes.  Returns
+    def transfer_to(self, model: JointUserEventModel) -> list[str]:
+        """Copy the event lookup table and the convolution weights into
+        *model*'s event tower (the window sets must match).  Returns
         the list of destination parameter names that were overwritten.
         """
         if model.encoder.event_text_vocab.size != self.encoder.event_text_vocab.size:
@@ -174,18 +170,17 @@ class SiameseEventInitializer:
             self.tower.text_embedding.table.value
         )
         transferred.append(model.event_tower.text_embedding.table.name)
-        if include_conv:
-            (source,) = self.tower.text_modules
-            (target,) = model.event_tower.text_modules
-            if source.windows != target.windows:
-                raise ValueError(
-                    f"window mismatch: {source.windows} vs {target.windows}"
-                )
-            for index in range(len(source.windows)):
-                for learned, into in (
-                    (source.conv.weights[index], target.conv.weights[index]),
-                    (source.conv.biases[index], target.conv.biases[index]),
-                ):
-                    into.value[...] = learned.value
-                    transferred.append(into.name)
+        (source,) = self.tower.text_modules
+        (target,) = model.event_tower.text_modules
+        if source.windows != target.windows:
+            raise ValueError(
+                f"window mismatch: {source.windows} vs {target.windows}"
+            )
+        for index in range(len(source.windows)):
+            for learned, into in (
+                (source.conv.weights[index], target.conv.weights[index]),
+                (source.conv.biases[index], target.conv.biases[index]),
+            ):
+                into.value[...] = learned.value
+                transferred.append(into.name)
         return transferred

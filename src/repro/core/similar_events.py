@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.entities import Event
 from repro.nn.cosine import unit_rows
+from repro.store.index import top_k_order
 from repro.text.normalize import split_words
 
 __all__ = ["SimilarEvent", "SimilarEventIndex", "lexical_overlap"]
@@ -58,6 +59,7 @@ class SimilarEventIndex:
             )
         self.events = list(events)
         self._unit = unit_rows(vectors)
+        self._ids = np.array([event.event_id for event in self.events], dtype=np.int64)
         self._id_to_row = {
             event.event_id: row for row, event in enumerate(self.events)
         }
@@ -78,7 +80,9 @@ class SimilarEventIndex:
         top_k: int = 3,
         min_similarity: float = 0.0,
     ) -> list[SimilarEvent]:
-        """Top-k most similar events to the seed (seed excluded).
+        """Top-k most similar events to the seed (seed excluded),
+        ordered by ``(-similarity, event_id)`` — the ranking contract of
+        every other served list, so ties do not depend on row order.
 
         Args:
             seed_event_id: id of the seed event (must be indexed).
@@ -88,7 +92,7 @@ class SimilarEventIndex:
         """
         row = self._id_to_row[seed_event_id]
         sims = self.similarities_to(seed_event_id)
-        order = np.argsort(-sims)
+        order = top_k_order(sims, self._ids, top_k + 1)  # the seed may be among them
         seed = self.events[row]
         results: list[SimilarEvent] = []
         for candidate_row in order:

@@ -134,9 +134,7 @@ class RepresentationTrainer:
         val_labels = labels[val_slice]
 
         optimizer = _make_optimizer(self.model, self.config)
-        schedule = ExponentialDecay(
-            self.config.learning_rate, self.config.lr_decay
-        )
+        schedule = ExponentialDecay(self.config.learning_rate)
         rng = np.random.default_rng(self.config.seed)
         history = TrainingHistory()
         best_val = np.inf
@@ -174,19 +172,18 @@ class RepresentationTrainer:
             epoch_start = time.perf_counter()
             rate = schedule.apply(optimizer, epoch)
             order = np.arange(len(train_users))
-            if self.config.shuffle:
-                rng.shuffle(order)
-                # Length bucketing: sort each chunk of ~8 batches by
-                # event length so batches pad to similar lengths — and
-                # so the pairs that show one event sit together, where
-                # the event tower encodes it once for all of them.
-                # Chunk membership stays random across epochs.
-                chunk = self.config.batch_size * 8
-                for start in range(0, len(order), chunk):
-                    segment = order[start : start + chunk]
-                    order[start : start + chunk] = segment[
-                        np.argsort(event_lengths[segment], kind="stable")
-                    ]
+            rng.shuffle(order)
+            # Length bucketing: sort each chunk of ~8 batches by
+            # event length so batches pad to similar lengths — and
+            # so the pairs that show one event sit together, where
+            # the event tower encodes it once for all of them.
+            # Chunk membership stays random across epochs.
+            chunk = self.config.batch_size * 8
+            for start in range(0, len(order), chunk):
+                segment = order[start : start + chunk]
+                order[start : start + chunk] = segment[
+                    np.argsort(event_lengths[segment], kind="stable")
+                ]
             epoch_loss = 0.0
             num_batches = 0
             for start in range(0, len(order), self.config.batch_size):
@@ -257,16 +254,6 @@ class RepresentationTrainer:
                             mean_zscore=round(result.mean_zscore, 3),
                             value=round(value, 6),
                         )
-            if self.config.log_every and (epoch + 1) % self.config.log_every == 0:
-                _log.info(
-                    "epoch",
-                    epoch=epoch + 1,
-                    epochs=self.config.epochs,
-                    train_loss=round(mean_train_loss, 6),
-                    val_loss=round(val_loss, 6),
-                    learning_rate=round(rate, 6),
-                    seconds=round(epoch_seconds, 4),
-                )
             if on_epoch_end is not None:
                 on_epoch_end(
                     epoch,
@@ -290,13 +277,6 @@ class RepresentationTrainer:
                     history.stopped_early = True
                     if registry.enabled:
                         registry.counter("repro_train_early_stop_total").inc()
-                    if self.config.log_every:
-                        _log.info(
-                            "early_stop",
-                            epoch=epoch + 1,
-                            best_epoch=history.best_epoch + 1,
-                            best_val_loss=round(float(best_val), 6),
-                        )
                     break
         if best_state is not None:
             self.model.store.load_state_dict(best_state)

@@ -30,11 +30,13 @@ __all__ = ["DatasetSplits", "EventRecDataset", "build_dataset"]
 
 @dataclass
 class DatasetSplits:
-    """The three date-disjoint impression sets of Section 5.1."""
+    """The three date-disjoint impression sets of Section 5.1, and the
+    hour at which the representation-training period ends."""
 
     representation_train: list[Impression]
     combiner_train: list[Impression]
     evaluation: list[Impression]
+    representation_end: float
 
     def sizes(self) -> tuple[int, int, int]:
         return (
@@ -70,23 +72,13 @@ class EventRecDataset:
     # protocol
     # ------------------------------------------------------------------
 
-    def split(
-        self,
-        representation_weeks: int | None = None,
-        combiner_weeks: int = 1,
-    ) -> DatasetSplits:
-        """Date-disjoint split, defaulting to (weeks-2, 1, 1).
+    def split(self) -> DatasetSplits:
+        """Date-disjoint split into (weeks-2, 1, 1) weeks.
 
         With the paper's 6-week window this is exactly 4+1+1.
         """
-        if representation_weeks is None:
-            representation_weeks = self.config.weeks - 2
-        if representation_weeks < 1 or combiner_weeks < 1:
-            raise ValueError("each split needs at least one week")
-        if representation_weeks + combiner_weeks >= self.config.weeks:
-            raise ValueError("splits exceed the dataset window")
-        first_boundary = representation_weeks * HOURS_PER_WEEK
-        second_boundary = (representation_weeks + combiner_weeks) * HOURS_PER_WEEK
+        first_boundary = (self.config.weeks - 2) * HOURS_PER_WEEK
+        second_boundary = first_boundary + HOURS_PER_WEEK
         rep, comb, evaluation = [], [], []
         for impression in self.impressions:
             if impression.shown_at < first_boundary:
@@ -95,7 +87,7 @@ class EventRecDataset:
                 comb.append(impression)
             else:
                 evaluation.append(impression)
-        return DatasetSplits(rep, comb, evaluation)
+        return DatasetSplits(rep, comb, evaluation, first_boundary)
 
     def positive_rate(self) -> float:
         if not self.impressions:

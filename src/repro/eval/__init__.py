@@ -1,17 +1,10 @@
 """Evaluation: metrics, the two-stage experiment protocol, reporting."""
 
-from repro.eval.calibration import (
-    ReliabilityCurve,
-    downsampling_correction,
-    expected_calibration_error,
-    reliability_curve,
-)
 from repro.eval.metrics import (
     ClassifierReport,
     PRCurve,
     evaluate_scores,
     pr_curve,
-    precision_at_recall,
     roc_auc,
     roc_curve,
 )
@@ -22,17 +15,12 @@ __all__ = [
     "ClassifierReport",
     "ExperimentResult",
     "PRCurve",
-    "ReliabilityCurve",
     "TwoStageExperiment",
     "evaluate_scores",
     "format_importances",
     "format_table",
     "pr_curve",
-    "precision_at_recall",
     "render_pr_curves",
     "roc_auc",
-    "downsampling_correction",
-    "expected_calibration_error",
-    "reliability_curve",
     "roc_curve",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "roc_auc",
     "PRCurve",
     "pr_curve",
-    "precision_at_recall",
     "roc_curve",
     "ClassifierReport",
     "evaluate_scores",
@@ -107,13 +106,6 @@ def pr_curve(labels: np.ndarray, scores: np.ndarray) -> PRCurve:
         recall=recall[distinct],
         thresholds=sorted_scores[distinct],
     )
-
-
-def precision_at_recall(
-    labels: np.ndarray, scores: np.ndarray, target_recall: float
-) -> float:
-    """The paper's PR60/PR80 metric for ``target_recall`` 0.6 / 0.8."""
-    return pr_curve(labels, scores).precision_at(target_recall)
 
 
 def roc_curve(

@@ -24,7 +24,6 @@ from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.siamese import SiameseEventInitializer
 from repro.core.trainer import RepresentationTrainer, TrainingHistory
-from repro.datagen.config import HOURS_PER_WEEK
 from repro.datagen.dataset import DatasetSplits, EventRecDataset
 from repro.eval.metrics import ClassifierReport, PRCurve, evaluate_scores, pr_curve
 from repro.features.context import FeatureContext
@@ -96,11 +95,10 @@ class TwoStageExperiment:
         """Split, fit the encoder, train the representation model, and
         pre-compute all representation vectors."""
         self.splits = self.dataset.split()
-        boundary = (self.dataset.config.weeks - 2) * HOURS_PER_WEEK
         train_events = [
             event
             for event in self.dataset.events
-            if event.created_at < boundary
+            if event.created_at < self.splits.representation_end
         ]
         if not train_events:
             raise RuntimeError("no events created in the training period")
@@ -123,8 +121,10 @@ class TwoStageExperiment:
             )
             initializer.transfer_to(self.model)
 
-        pair_users, pair_events, labels = self._pairs(
-            self.splits.representation_train
+        pair_users, pair_events, labels = self.encoder.encode_pairs(
+            self.splits.representation_train,
+            self.dataset.users_by_id,
+            self.dataset.events_by_id,
         )
         sample_weight = None
         if self.click_positive_weight is not None:
@@ -147,32 +147,6 @@ class TwoStageExperiment:
             include_score=True,
         )
         return self
-
-    def _pairs(self, impressions):
-        """Encode (user, event, label) training triples, caching each
-        unique entity's encoding."""
-        if self.encoder is None:
-            raise RuntimeError("pipeline is not fitted; call fit() first")
-        user_cache: dict[int, object] = {}
-        event_cache: dict[int, object] = {}
-        users, events, labels = [], [], []
-        for impression in impressions:
-            encoded_user = user_cache.get(impression.user_id)
-            if encoded_user is None:
-                encoded_user = self.encoder.encode_user(
-                    self.dataset.users_by_id[impression.user_id]
-                )
-                user_cache[impression.user_id] = encoded_user
-            encoded_event = event_cache.get(impression.event_id)
-            if encoded_event is None:
-                encoded_event = self.encoder.encode_event(
-                    self.dataset.events_by_id[impression.event_id]
-                )
-                event_cache[impression.event_id] = encoded_event
-            users.append(encoded_user)
-            events.append(encoded_event)
-            labels.append(1.0 if impression.participated else 0.0)
-        return users, events, np.asarray(labels)
 
     @property
     def provider(self) -> RepresentationFeatureProvider:

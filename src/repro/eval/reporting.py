@@ -34,16 +34,13 @@ def _sample_curve(curve: PRCurve, grid: np.ndarray) -> np.ndarray:
     return precision
 
 
-def render_pr_curves(
-    results: dict[str, ExperimentResult],
-    width: int = 64,
-    height: int = 18,
-) -> str:
+def render_pr_curves(results: dict[str, ExperimentResult]) -> str:
     """ASCII rendering of several P/R curves on shared axes.
 
     Recall runs left→right on the x-axis, precision bottom→top on the
     y-axis; each configuration gets a distinct glyph.
     """
+    width, height = 64, 18
     glyphs = "*o+x#@%&"
     grid = np.linspace(0.05, 1.0, width)
     canvas = [[" "] * width for _ in range(height)]

@@ -6,9 +6,8 @@ high-order feature interactions.  In training the GBDT model, we
 minimize the cross-entropy loss over observed user and event pairs."
 
 Newton boosting (first/second-order gradients of the logistic loss)
-with optional stochastic row subsampling (Friedman's stochastic
-gradient boosting [28]) and validation-based early stopping.  All
-experiment models use the paper's 200 trees × 12 leaves.
+on every row for a fixed number of rounds.  All experiment models use
+the paper's 200 trees × 12 leaves.
 """
 
 from __future__ import annotations
@@ -51,19 +50,12 @@ class GBDTConfig:
     max_leaves: int = 12
     learning_rate: float = 0.1
     min_samples_leaf: int = 20
-    reg_lambda: float = 1.0
-    subsample: float = 1.0
-    max_bins: int = 256
-    early_stopping_rounds: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_trees < 1:
             raise ValueError("num_trees must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
 
 
 class GBDTClassifier:
@@ -71,32 +63,19 @@ class GBDTClassifier:
 
     def __init__(self, config: GBDTConfig | None = None):
         self.config = config or GBDTConfig()
-        self.binner = FeatureBinner(self.config.max_bins)
+        self.binner = FeatureBinner()
         self.trees: list[RegressionTree] = []
         self.base_score: float = 0.0
         self.train_losses: list[float] = []
-        self.validation_losses: list[float] = []
-        self.best_iteration: int | None = None
         self._num_features: int | None = None
 
     @property
     def is_fitted(self) -> bool:
         return bool(self.trees)
 
-    def fit(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        validation: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> "GBDTClassifier":
-        """Fit the ensemble.
-
-        Args:
-            features: ``(rows, features)`` raw (unbinned) matrix.
-            labels: binary labels.
-            validation: optional ``(features, labels)`` monitored for
-                early stopping when the config enables it.
-        """
+    def fit(self, features: np.ndarray, labels: np.ndarray) -> "GBDTClassifier":
+        """Fit the ensemble on a ``(rows, features)`` raw (unbinned)
+        matrix and binary labels."""
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
         if features.shape[0] != labels.shape[0]:
@@ -110,23 +89,8 @@ class GBDTClassifier:
         self.base_score = float(np.log(positive_rate / (1 - positive_rate)))
         scores = np.full(labels.shape[0], self.base_score)
 
-        val_binned = None
-        val_scores = None
-        val_labels = None
-        if validation is not None:
-            val_features, val_labels = validation
-            val_binned = self.binner.transform(
-                np.asarray(val_features, dtype=np.float64)
-            )
-            val_labels = np.asarray(val_labels, dtype=np.float64)
-            val_scores = np.full(val_labels.shape[0], self.base_score)
-
-        rng = np.random.default_rng(self.config.seed)
         self.trees = []
         self.train_losses = []
-        self.validation_losses = []
-        best_val = np.inf
-        rounds_since_best = 0
 
         registry = get_registry()
         for _ in range(self.config.num_trees):
@@ -135,22 +99,11 @@ class GBDTClassifier:
             gradients = probabilities - labels
             hessians = probabilities * (1.0 - probabilities)
 
-            if self.config.subsample < 1.0:
-                sample_mask = (
-                    rng.random(labels.shape[0]) < self.config.subsample
-                )
-                if not sample_mask.any():
-                    sample_mask[rng.integers(labels.shape[0])] = True
-                fit_rows = np.where(sample_mask)[0]
-            else:
-                fit_rows = np.arange(labels.shape[0])
-
             tree = RegressionTree(
                 max_leaves=self.config.max_leaves,
                 min_samples_leaf=self.config.min_samples_leaf,
-                reg_lambda=self.config.reg_lambda,
             )
-            tree.fit(binned[fit_rows], gradients[fit_rows], hessians[fit_rows])
+            tree.fit(binned, gradients, hessians)
             self.trees.append(tree)
             scores += self.config.learning_rate * tree.predict(binned)
             self.train_losses.append(
@@ -170,45 +123,25 @@ class GBDTClassifier:
                 registry.histogram(
                     "repro_gbdt_tree_depth", buckets=_LEAF_BUCKETS
                 ).observe(_tree_depth(tree))
-
-            if val_binned is not None:
-                val_scores += self.config.learning_rate * tree.predict(val_binned)
-                val_loss = binary_cross_entropy(sigmoid(val_scores), val_labels)
-                self.validation_losses.append(val_loss)
-                if registry.enabled:
-                    registry.gauge("repro_gbdt_round_val_loss").set(val_loss)
-                if val_loss < best_val - 1e-7:
-                    best_val = val_loss
-                    self.best_iteration = len(self.trees)
-                    rounds_since_best = 0
-                elif self.config.early_stopping_rounds is not None:
-                    rounds_since_best += 1
-                    if rounds_since_best >= self.config.early_stopping_rounds:
-                        break
         return self
 
-    def decision_function(
-        self, features: np.ndarray, num_trees: int | None = None
-    ) -> np.ndarray:
+    def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Raw additive scores (log-odds)."""
         if not self.is_fitted:
             raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=np.float64)
         binned = self.binner.transform(features)
         scores = np.full(features.shape[0], self.base_score)
-        trees = self.trees[: num_trees or len(self.trees)]
-        for tree in trees:
+        for tree in self.trees:
             scores += self.config.learning_rate * tree.predict(binned)
         return scores
 
-    def predict_proba(
-        self, features: np.ndarray, num_trees: int | None = None
-    ) -> np.ndarray:
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Participation probabilities."""
-        return sigmoid(self.decision_function(features, num_trees))
+        return sigmoid(self.decision_function(features))
 
-    def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(features) >= threshold).astype(np.int64)
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return (self.predict_proba(features) >= 0.5).astype(np.int64)
 
     def feature_importances(self) -> np.ndarray:
         """Gain-based importances, normalized to sum to 1."""

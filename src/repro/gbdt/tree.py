@@ -20,6 +20,9 @@ import numpy as np
 
 __all__ = ["SplitInfo", "TreeNode", "RegressionTree"]
 
+_REG_LAMBDA = 1.0  # λ in the gain and Newton-step formulas above
+_MIN_GAIN = 1.0e-6  # a split must improve the objective by more than this
+
 
 @dataclass
 class SplitInfo:
@@ -53,19 +56,11 @@ class TreeNode:
 class RegressionTree:
     """Histogram-based regression tree with leaf-wise growth."""
 
-    def __init__(
-        self,
-        max_leaves: int = 12,
-        min_samples_leaf: int = 20,
-        min_gain: float = 1.0e-6,
-        reg_lambda: float = 1.0,
-    ):
+    def __init__(self, max_leaves: int = 12, min_samples_leaf: int = 20):
         if max_leaves < 2:
             raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
         self.max_leaves = max_leaves
         self.min_samples_leaf = min_samples_leaf
-        self.min_gain = min_gain
-        self.reg_lambda = reg_lambda
         self.nodes: list[TreeNode] = []
 
     # ------------------------------------------------------------------
@@ -73,10 +68,10 @@ class RegressionTree:
     # ------------------------------------------------------------------
 
     def _leaf_value(self, grad_sum: float, hess_sum: float) -> float:
-        return -grad_sum / (hess_sum + self.reg_lambda)
+        return -grad_sum / (hess_sum + _REG_LAMBDA)
 
     def _score(self, grad_sum: float, hess_sum: float) -> float:
-        return grad_sum * grad_sum / (hess_sum + self.reg_lambda)
+        return grad_sum * grad_sum / (hess_sum + _REG_LAMBDA)
 
     def _best_split(
         self,
@@ -115,14 +110,14 @@ class RegressionTree:
             if not valid.any():
                 continue
             gains = (
-                grad_left**2 / (hess_left + self.reg_lambda)
-                + grad_right**2 / (hess_right + self.reg_lambda)
+                grad_left**2 / (hess_left + _REG_LAMBDA)
+                + grad_right**2 / (hess_right + _REG_LAMBDA)
                 - parent_score
             )
             gains[~valid] = -np.inf
             threshold = int(np.argmax(gains))
             gain = float(gains[threshold])
-            if gain <= self.min_gain:
+            if gain <= _MIN_GAIN:
                 continue
             if best is None or gain > best.gain:
                 goes_left = bins <= threshold

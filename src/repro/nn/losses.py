@@ -76,11 +76,9 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def binary_cross_entropy(
-    probabilities: np.ndarray, labels: np.ndarray, eps: float = 1.0e-12
-) -> float:
+def binary_cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of predicted probabilities against labels."""
-    clipped = np.clip(probabilities, eps, 1.0 - eps)
+    clipped = np.clip(probabilities, 1.0e-12, 1.0 - 1.0e-12)
     labels = labels.astype(np.float64)
     per_example = -(
         labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)

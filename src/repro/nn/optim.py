@@ -2,9 +2,10 @@
 
 The paper trains with back-propagation and decays the learning rate to
 90% of its value after each epoch (Section 3.2.1).  :class:`SGD` (with
-optional momentum and gradient clipping) is the default;
-:class:`Adagrad` is provided because per-parameter scaling noticeably
-helps the sparse lookup-table gradients at small data scales.
+optional momentum) is the paper's optimizer; :class:`Adagrad` is the
+default because per-parameter scaling noticeably helps the sparse
+lookup-table gradients at small data scales.  Both clip each
+parameter's gradient to a fixed norm.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 from repro.nn.params import ParamStore
 
 __all__ = ["Optimizer", "SGD", "Adagrad", "ExponentialDecay"]
+
+_MAX_GRAD_NORM = 5.0
+_ADAGRAD_EPS = 1.0e-8
+_LR_DECAY = 0.9  # paper: the rate falls to 90% after each epoch
 
 
 class Optimizer:
@@ -32,12 +37,10 @@ class Optimizer:
         self.store.zero_grad()
 
 
-def _clip_norm(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
-    if max_norm is None:
-        return grad
+def _clip_norm(grad: np.ndarray) -> np.ndarray:
     norm = float(np.sqrt((grad * grad).sum()))
-    if norm > max_norm:
-        return grad * (max_norm / norm)
+    if norm > _MAX_GRAD_NORM:
+        return grad * (_MAX_GRAD_NORM / norm)
     return grad
 
 
@@ -45,17 +48,12 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
     def __init__(
-        self,
-        store: ParamStore,
-        learning_rate: float = 0.05,
-        momentum: float = 0.0,
-        max_grad_norm: float | None = 5.0,
+        self, store: ParamStore, learning_rate: float, momentum: float = 0.0
     ):
         super().__init__(store, learning_rate)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
-        self.max_grad_norm = max_grad_norm
         self._velocity = {
             param.name: np.zeros_like(param.value)
             for param in store.trainable()
@@ -63,7 +61,7 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for param in self.store.trainable():
-            grad = _clip_norm(param.grad, self.max_grad_norm)
+            grad = _clip_norm(param.grad)
             if self.momentum:
                 velocity = self._velocity[param.name]
                 velocity *= self.momentum
@@ -80,16 +78,8 @@ class Adagrad(Optimizer):
     only on the few batches containing their token.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        learning_rate: float = 0.05,
-        eps: float = 1.0e-8,
-        max_grad_norm: float | None = 5.0,
-    ):
+    def __init__(self, store: ParamStore, learning_rate: float):
         super().__init__(store, learning_rate)
-        self.eps = eps
-        self.max_grad_norm = max_grad_norm
         self._accum = {
             param.name: np.zeros_like(param.value)
             for param in store.trainable()
@@ -97,26 +87,23 @@ class Adagrad(Optimizer):
 
     def step(self) -> None:
         for param in self.store.trainable():
-            grad = _clip_norm(param.grad, self.max_grad_norm)
+            grad = _clip_norm(param.grad)
             accum = self._accum[param.name]
             accum += grad * grad
-            param.value -= self.learning_rate * grad / (np.sqrt(accum) + self.eps)
+            param.value -= self.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
 
 
 class ExponentialDecay:
     """Per-epoch learning-rate decay (paper: ×0.9 each epoch)."""
 
-    def __init__(self, initial_rate: float, decay: float = 0.9):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
+    def __init__(self, initial_rate: float):
         self.initial_rate = initial_rate
-        self.decay = decay
 
     def rate_at(self, epoch: int) -> float:
         """Learning rate for the given zero-based epoch index."""
         if epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {epoch}")
-        return self.initial_rate * self.decay**epoch
+        return self.initial_rate * _LR_DECAY**epoch
 
     def apply(self, optimizer: Optimizer, epoch: int) -> float:
         rate = self.rate_at(epoch)

@@ -31,9 +31,8 @@ dimension that would otherwise explode the name (``{"kind": "user"}``).
 Telemetry is **off by default**: the global registry is a
 :class:`NullRegistry` of shared no-op instruments and no tracer is
 installed, so instrumented hot paths cost one ``enabled``/``active``
-check.  Turn metrics on per process with :func:`enable` or per scope
-with :func:`use_registry`; turn tracing on per scope with
-:func:`use_tracer`.
+check.  Turn metrics on per scope with :func:`use_registry` and tracing
+with :func:`use_tracer`.
 """
 
 from repro.obs.drift import (
@@ -67,8 +66,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    disable,
-    enable,
     get_registry,
     set_registry,
     use_registry,
@@ -102,8 +99,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
     "set_registry",
-    "enable",
-    "disable",
     "use_registry",
     "Span",
     "span",

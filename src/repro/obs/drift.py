@@ -95,15 +95,11 @@ class DriftThresholds:
             raise ValueError("var_ratio threshold must be >= 1")
 
 
-def psi(
-    expected: Sequence[float],
-    observed: Sequence[float],
-    eps: float = _PSI_EPS,
-) -> float:
+def psi(expected: Sequence[float], observed: Sequence[float]) -> float:
     """Population stability index between two bin-fraction vectors.
 
     ``sum((o_i - e_i) * ln(o_i / e_i))`` over aligned bins, with both
-    fraction vectors renormalized and floored at ``eps`` so empty bins
+    fraction vectors renormalized and floored at ``_PSI_EPS`` so empty bins
     contribute a large-but-finite penalty.  Symmetric in the sense
     that swapping the arguments changes nothing.
     """
@@ -120,8 +116,8 @@ def psi(
         raise ValueError("psi needs positive mass in both windows")
     total = 0.0
     for e_raw, o_raw in zip(expected, observed):
-        e = max(e_raw / e_total, eps)
-        o = max(o_raw / o_total, eps)
+        e = max(e_raw / e_total, _PSI_EPS)
+        o = max(o_raw / o_total, _PSI_EPS)
         total += (o - e) * math.log(o / e)
     return total
 
@@ -288,8 +284,8 @@ class DriftMonitor:
 
     ``direction`` restricts the *mean-shift* detector: ``"both"``
     (default) flags any shift, ``"up"`` only upward shifts (the
-    trainer's loss-divergence setting), ``"down"`` only downward.
-    PSI/KS/variance are direction-free.
+    trainer's loss-divergence setting).  PSI/KS/variance are
+    direction-free.
 
     ``observe`` is an O(1) deque/list append and may be called from
     multiple serving threads; verdicts are computed over a snapshot of
@@ -319,10 +315,8 @@ class DriftMonitor:
             raise ValueError(
                 f"min_live must be in [2, window], got {min_live}"
             )
-        if direction not in ("both", "up", "down"):
-            raise ValueError(
-                f"direction must be both/up/down, got {direction!r}"
-            )
+        if direction not in ("both", "up"):
+            raise ValueError(f"direction must be both/up, got {direction!r}")
         self.name = name
         self.warmup = warmup
         self.window = window
@@ -461,12 +455,7 @@ class DriftMonitor:
             breached.append("psi")
         if not math.isnan(ks_value) and ks_value >= max(thresholds.ks, ks_floor):
             breached.append("ks")
-        if self.direction == "up":
-            signed = max(zscore, 0.0)
-        elif self.direction == "down":
-            signed = max(-zscore, 0.0)
-        else:
-            signed = abs(zscore)
+        signed = max(zscore, 0.0) if self.direction == "up" else abs(zscore)
         if not math.isnan(signed) and signed >= thresholds.mean_sigmas:
             breached.append("mean")
         var_bound = max(thresholds.var_ratio, math.exp(log_var_band))

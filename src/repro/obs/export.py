@@ -93,18 +93,13 @@ def _labels(tags: dict, extra: dict | None = None) -> str:
     return "{" + body + "}"
 
 
-def render_prometheus(snapshot: list[dict], exemplars: bool = False) -> str:
+def render_prometheus(snapshot: list[dict]) -> str:
     """Render snapshot records in the Prometheus exposition format.
 
-    With ``exemplars=True``, bucket lines whose bucket holds an
-    exemplar gain an OpenMetrics-style suffix::
-
-        repro_serving_rank_seconds_bucket{le="0.01"} 41 # {trace_id="00..2a"} 0.0087
-
-    linking the bucket to a concrete trace id (resolve it with
-    :meth:`repro.obs.trace.Tracer.find`).  Off by default because the
-    suffix is an OpenMetrics extension that strict Prometheus
-    text-format parsers may reject.
+    A bucket's exemplar (a trace id, resolved with
+    :meth:`repro.obs.trace.Tracer.find`) stays in the snapshot record:
+    the OpenMetrics ``# {trace_id=...}`` suffix is an extension strict
+    Prometheus text-format parsers may reject.
     """
     lines: list[str] = []
     seen_types: set[str] = set()
@@ -122,16 +117,10 @@ def render_prometheus(snapshot: list[dict], exemplars: bool = False) -> str:
         if name not in seen_types:
             lines.append(f"# TYPE {name} histogram")
             seen_types.add(name)
-        bucket_exemplars = record.get("exemplars", {}) if exemplars else {}
         for le, cumulative in record["buckets"]:
-            line = (
+            lines.append(
                 f"{name}_bucket{_labels(tags, {'le': _format_value(le)})} {cumulative}"
             )
-            held = bucket_exemplars.get(le if isinstance(le, str) else repr(float(le)))
-            if held is not None:
-                exemplar_labels = _labels({"trace_id": held["exemplar"]})
-                line += f" # {exemplar_labels} {_format_value(held['value'])}"
-            lines.append(line)
         lines.append(f"{name}_sum{_labels(tags)} {_format_value(record['sum'])}")
         lines.append(f"{name}_count{_labels(tags)} {record['count']}")
         for label, value in sorted(record.get("quantiles", {}).items()):

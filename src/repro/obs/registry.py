@@ -44,8 +44,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
     "set_registry",
-    "enable",
-    "disable",
     "use_registry",
 ]
 
@@ -105,9 +103,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class _P2Quantile:
@@ -495,9 +490,6 @@ class _NullGauge(Gauge):
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
 
 class _NullHistogram(Histogram):
     __slots__ = ()
@@ -549,7 +541,7 @@ _GLOBAL_REGISTRY: MetricsRegistry = _NULL_REGISTRY
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-global registry (a no-op one until :func:`enable`)."""
+    """The process-global registry (a no-op one until one is installed)."""
     return _GLOBAL_REGISTRY
 
 
@@ -558,22 +550,6 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     global _GLOBAL_REGISTRY
     _GLOBAL_REGISTRY = registry
     return registry
-
-
-def enable(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Turn telemetry on; keeps an already-live registry by default."""
-    if registry is None:
-        registry = (
-            _GLOBAL_REGISTRY
-            if _GLOBAL_REGISTRY.enabled
-            else MetricsRegistry()
-        )
-    return set_registry(registry)
-
-
-def disable() -> None:
-    """Restore the default no-op registry."""
-    set_registry(_NULL_REGISTRY)
 
 
 class use_registry:

@@ -100,6 +100,12 @@ __all__ = [
 
 R = TypeVar("R")
 
+# Memory bounds: the uniform background sample, the spans buffered for
+# one open trace, and the traces open (or leaked) at once.
+_MAX_SAMPLED = 64
+_MAX_SPANS_PER_TRACE = 512
+_MAX_ACTIVE_TRACES = 4096
+
 # ----------------------------------------------------------------------
 # ids and context propagation
 # ----------------------------------------------------------------------
@@ -235,9 +241,9 @@ class TailSampler:
     retained (tail-based sampling — the traces worth debugging).  On
     top, each offered trace is kept with probability
     ``sample_fraction`` (seeded, deterministic given the offer order)
-    up to ``max_sampled``, giving an unbiased background sample to
+    up to ``_MAX_SAMPLED``, giving an unbiased background sample to
     compare the tail against.  Memory is bounded by
-    ``keep_slowest + max_sampled`` traces regardless of traffic.
+    ``keep_slowest + _MAX_SAMPLED`` traces regardless of traffic.
     """
 
     def __init__(
@@ -245,7 +251,6 @@ class TailSampler:
         keep_slowest: int = 16,
         sample_fraction: float = 0.0,
         seed: int = 0,
-        max_sampled: int = 64,
     ) -> None:
         if keep_slowest < 0:
             raise ValueError(f"keep_slowest must be >= 0, got {keep_slowest}")
@@ -253,11 +258,8 @@ class TailSampler:
             raise ValueError(
                 f"sample_fraction must be in [0, 1], got {sample_fraction}"
             )
-        if max_sampled < 0:
-            raise ValueError(f"max_sampled must be >= 0, got {max_sampled}")
         self.keep_slowest = keep_slowest
         self.sample_fraction = sample_fraction
-        self.max_sampled = max_sampled
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._seq = 0  # guarded-by: _lock
@@ -286,7 +288,7 @@ class TailSampler:
                 self.sample_fraction > 0.0
                 and self._rng.random() < self.sample_fraction
             ):
-                if len(self._sampled) < self.max_sampled:
+                if len(self._sampled) < _MAX_SAMPLED:
                     self._sampled.append(trace)
                     kept = True
                 else:
@@ -344,19 +346,8 @@ class Tracer:
     offered to the sampler (which decides what to *retain* in full).
     """
 
-    def __init__(
-        self,
-        sampler: TailSampler | None = None,
-        max_spans_per_trace: int = 512,
-        max_active_traces: int = 4096,
-    ) -> None:
-        if max_spans_per_trace < 1:
-            raise ValueError(
-                f"max_spans_per_trace must be >= 1, got {max_spans_per_trace}"
-            )
+    def __init__(self, sampler: TailSampler | None = None) -> None:
         self.sampler = sampler if sampler is not None else TailSampler()
-        self.max_spans_per_trace = max_spans_per_trace
-        self.max_active_traces = max_active_traces
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._active: dict[str, list[SpanRecord]] = {}  # guarded-by: _lock
@@ -376,7 +367,7 @@ class Tracer:
         with self._lock:
             buffer = self._active.get(record.trace_id)
             if buffer is None:
-                if len(self._active) >= self.max_active_traces:
+                if len(self._active) >= _MAX_ACTIVE_TRACES:
                     # A leaked (never-finalized) trace backlog: drop the
                     # oldest buffer rather than grow without bound.
                     stale_id = next(iter(self._active))
@@ -385,7 +376,7 @@ class Tracer:
                     self.dropped_traces += 1
                 buffer = []
                 self._active[record.trace_id] = buffer
-            if len(buffer) >= self.max_spans_per_trace and not root:
+            if len(buffer) >= _MAX_SPANS_PER_TRACE and not root:
                 self._dropped[record.trace_id] = (
                     self._dropped.get(record.trace_id, 0) + 1
                 )

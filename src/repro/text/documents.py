@@ -16,12 +16,12 @@ training corpus with DF filtering) and converts records to id arrays.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.entities import Event, User
+from repro.entities import Event, Impression, User
 from repro.text.tokenizers import LetterTrigramTokenizer, Token, WordUnigramTokenizer
 from repro.text.vocab import Vocabulary
 
@@ -89,10 +89,6 @@ class DocumentEncoder:
         users: Iterable[User],
         events: Iterable[Event],
         min_df: int = 2,
-        max_user_text_tokens: int | None = None,
-        max_user_id_tokens: int | None = None,
-        max_event_text_tokens: int | None = None,
-        trigram_n: int = 3,
     ) -> "DocumentEncoder":
         """Build the three vocabularies from a training corpus.
 
@@ -100,13 +96,12 @@ class DocumentEncoder:
         78k user categorical, 99k event text); we mirror that split so
         user and event towers never share token ids.
         """
-        trigrams = LetterTrigramTokenizer(trigram_n)
+        trigrams = LetterTrigramTokenizer()
         unigrams = WordUnigramTokenizer()
         user_list = list(users)
         user_text_vocab = Vocabulary.build(
             (trigrams.tokenize_flat(user.text_document()) for user in user_list),
             min_df=min_df,
-            max_size=max_user_text_tokens,
         )
         user_id_vocab = Vocabulary.build(
             (
@@ -114,14 +109,12 @@ class DocumentEncoder:
                 for user in user_list
             ),
             min_df=min_df,
-            max_size=max_user_id_tokens,
         )
         event_text_vocab = Vocabulary.build(
             (trigrams.tokenize_flat(event.text_document()) for event in events),
             min_df=min_df,
-            max_size=max_event_text_tokens,
         )
-        return cls(user_text_vocab, user_id_vocab, event_text_vocab, trigram_n)
+        return cls(user_text_vocab, user_id_vocab, event_text_vocab)
 
     def encode_user(self, user: User) -> EncodedUser:
         text_tokens = self._trigram_tokenizer.tokenize(user.text_document())
@@ -143,6 +136,36 @@ class DocumentEncoder:
         tokens = self._trigram_tokenizer.tokenize(text)
         text_ids, word_index = _ids_and_word_index(tokens, self.event_text_vocab)
         return EncodedEvent(text_ids, word_index)
+
+    def encode_pairs(
+        self,
+        impressions: Iterable[Impression],
+        users_by_id: Mapping[int, User],
+        events_by_id: Mapping[int, Event],
+    ) -> tuple[list[EncodedUser], list[EncodedEvent], np.ndarray]:
+        """Aligned (user, event, label) training triples of a log.
+
+        Each distinct user and event is encoded once and that one
+        object repeated: the towers fold the repeats of a batch by
+        identity, so fresh encodings per impression would cost a tower
+        row each.
+        """
+        users: dict[int, EncodedUser] = {}
+        events: dict[int, EncodedEvent] = {}
+        pair_users, pair_events, labels = [], [], []
+        for impression in impressions:
+            if impression.user_id not in users:
+                users[impression.user_id] = self.encode_user(
+                    users_by_id[impression.user_id]
+                )
+            if impression.event_id not in events:
+                events[impression.event_id] = self.encode_event(
+                    events_by_id[impression.event_id]
+                )
+            pair_users.append(users[impression.user_id])
+            pair_events.append(events[impression.event_id])
+            labels.append(1.0 if impression.participated else 0.0)
+        return pair_users, pair_events, np.asarray(labels, dtype=np.float64)
 
     def vocab_sizes(self) -> dict[str, int]:
         """Lookup-table sizes, mirroring the paper's Section 3.2.1 report."""

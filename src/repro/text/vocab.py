@@ -3,8 +3,8 @@
 Section 3.2.1: "We apply a simple document frequency (DF) filter so
 that our total lookup table size is kept below 500k".  A
 :class:`Vocabulary` is built from a corpus of token lists, drops tokens
-whose document frequency falls below a threshold (or keeps only the
-most frequent ``max_size``), and maps tokens to contiguous integer ids.
+whose document frequency falls below a threshold, and maps tokens to
+contiguous integer ids.
 
 Two ids are reserved:
 
@@ -46,7 +46,6 @@ class Vocabulary:
         cls,
         documents: Iterable[Sequence[str]],
         min_df: int = 1,
-        max_size: int | None = None,
     ) -> "Vocabulary":
         """Build a vocabulary from an iterable of token lists.
 
@@ -54,9 +53,6 @@ class Vocabulary:
             documents: one token list per document.
             min_df: keep a token only if it appears in at least this
                 many distinct documents.
-            max_size: if set, keep only the ``max_size`` tokens with the
-                highest document frequency (ties broken alphabetically
-                for determinism).
         """
         if min_df < 1:
             raise ValueError(f"min_df must be >= 1, got {min_df}")
@@ -64,10 +60,8 @@ class Vocabulary:
         for document in documents:
             df.update(set(document))
         kept = [token for token, count in df.items() if count >= min_df]
-        # Sort by (-df, token) so truncation and ids are deterministic.
+        # Sort by (-df, token) so ids are deterministic.
         kept.sort(key=lambda token: (-df[token], token))
-        if max_size is not None:
-            kept = kept[:max_size]
         return cls(kept)
 
     def __len__(self) -> int:

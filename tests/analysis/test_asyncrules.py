@@ -14,7 +14,7 @@ import pytest
 import repro.serving
 import repro.serving.server
 from repro.analysis import analyze_source
-from repro.analysis.engine import analyze_paths
+from repro.analysis.engine import analyze_files, iter_python_files
 
 
 def lines_for(findings, code):
@@ -159,7 +159,7 @@ class TestServingRegression:
     """The real serving sources, clean and deliberately broken."""
 
     def test_serving_package_has_no_unsuppressed_async_findings(self):
-        findings = analyze_paths([str(SERVING_DIR)])
+        findings = analyze_files(list(iter_python_files([SERVING_DIR])))
         flagged = [f for f in findings if f.code in ASYNC_CODES + ("RPR110",)]
         assert flagged == []
 

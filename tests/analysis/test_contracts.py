@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.contracts import (
+from tests.contracts import (
     CONTRACTS,
     ArraySpec,
     ContractError,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import (
     all_rules,
-    analyze_paths,
+    analyze_files,
     analyze_source,
     iter_python_files,
     rules_by_code,
@@ -99,13 +99,6 @@ class TestSuppressions:
         assert [f.code for f in findings] == ["RPR100"]
         assert "RPR105" in findings[0].message
 
-    def test_unused_noqa_not_reported_when_disabled(self):
-        source = "def f(x):\n    return x  # repro: noqa[RPR105]\n"
-        assert (
-            analyze_source(source, SRC, report_unused_suppressions=False)
-            == []
-        )
-
     def test_unused_noqa_not_reported_for_deselected_rule(self):
         # Only RPR103 runs; an RPR105 noqa may be live under a full
         # run, so it must not be called stale here.
@@ -137,14 +130,6 @@ class TestSuppressions:
         ]
         assert malformed and "RPR10" in malformed[0].message
 
-    def test_malformed_code_reported_even_with_reporting_disabled(self):
-        # --no-unused-noqa silences stale suppressions, not typos.
-        source = "def f(x):\n    return x  # repro: noqa[bogus]\n"
-        findings = analyze_source(
-            source, SRC, report_unused_suppressions=False
-        )
-        assert [f.code for f in findings] == ["RPR100"]
-        assert "malformed" in findings[0].message
 
 
 class TestAsyncAndDecoratorNoqa:
@@ -281,7 +266,7 @@ class TestFileWalking:
     def test_analyze_paths_sorts_findings(self, tmp_path):
         (tmp_path / "b.py").write_text("def f(x):\n    return x == 1.5\n")
         (tmp_path / "a.py").write_text("def f(x):\n    return x == 1.5\n")
-        findings = analyze_paths([tmp_path])
+        findings = analyze_files(list(iter_python_files([tmp_path])))
         assert [f.path for f in findings] == sorted(f.path for f in findings)
         assert {f.code for f in findings} == {"RPR105"}
 
@@ -293,8 +278,8 @@ class TestFileWalking:
         (nested / "mod.py").write_text(
             "def f(x):\n    return x == 1.5\n"
         )
-        once = analyze_paths([tmp_path])
-        twice = analyze_paths([tmp_path, nested])
+        once = analyze_files(list(iter_python_files([tmp_path])))
+        twice = analyze_files(list(iter_python_files([tmp_path, nested])))
         assert len(once) == len(twice) == 1
 
     def test_same_file_listed_twice_yields_once(self, tmp_path):

@@ -1,8 +1,5 @@
 """Exit codes and report plumbing of ``python -m repro.analysis``."""
 
-import io
-import json
-
 import pytest
 
 from repro.analysis import all_rules
@@ -48,40 +45,10 @@ class TestExitCodes:
 
 
 class TestReportPlumbing:
-    def test_json_format(self, src_tree):
+    def test_select_narrows_rules(self, src_tree, capsys):
         root = src_tree("dirty.py", DIRTY)
-        stream = io.StringIO()
-        assert run([str(root)], output_format="json", stream=stream) == 1
-        document = json.loads(stream.getvalue())
-        assert document["summary"]["by_code"] == {"RPR105": 1}
-
-    def test_sarif_format(self, src_tree):
-        root = src_tree("dirty.py", DIRTY)
-        stream = io.StringIO()
-        assert run([str(root)], output_format="sarif", stream=stream) == 1
-        document = json.loads(stream.getvalue())
-        assert document["version"] == "2.1.0"
-        (sarif_run,) = document["runs"]
-        assert sarif_run["tool"]["driver"]["name"] == "repro.analysis"
-        (rule,) = sarif_run["tool"]["driver"]["rules"]
-        assert rule["id"] == "RPR105"
-        assert rule["shortDescription"]["text"]
-        (result,) = sarif_run["results"]
-        assert result["ruleId"] == "RPR105"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 2
-
-    def test_sarif_clean_run_has_no_results(self, src_tree):
-        root = src_tree("clean.py", CLEAN)
-        stream = io.StringIO()
-        assert run([str(root)], output_format="sarif", stream=stream) == 0
-        document = json.loads(stream.getvalue())
-        assert document["runs"][0]["results"] == []
-
-    def test_select_narrows_rules(self, src_tree):
-        root = src_tree("dirty.py", DIRTY)
-        stream = io.StringIO()
-        assert run([str(root)], select=["RPR103"], stream=stream) == 0
+        assert run([str(root)], select=["RPR103"]) == 0
+        assert "clean (1 files scanned)" in capsys.readouterr().out
 
     def test_render_rule_list_mentions_every_code(self):
         listing = render_rule_list()
@@ -98,14 +65,3 @@ class TestArgparseEntry:
     def test_module_main_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
         assert "RPR105" in capsys.readouterr().out
-
-    def test_module_main_json(self, src_tree, capsys):
-        root = src_tree("dirty.py", DIRTY)
-        assert analysis_main([str(root), "--format", "json"]) == 1
-        json.loads(capsys.readouterr().out)
-
-    def test_module_main_sarif(self, src_tree, capsys):
-        root = src_tree("dirty.py", DIRTY)
-        assert analysis_main([str(root), "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"

@@ -1,9 +1,7 @@
-"""Text and JSON reporters over Finding records."""
+"""The analyzer's text report over Finding records."""
 
-import json
-
-from repro.analysis import Finding, render_json, render_text
-from repro.analysis.reporters import JSON_SCHEMA_VERSION
+from repro.analysis import Finding
+from repro.analysis.main import render_text
 
 FINDINGS = [
     Finding("src/a.py", 3, 4, "RPR103", "bad metric name"),
@@ -27,28 +25,5 @@ class TestText:
         )
 
     def test_singular_finding(self):
-        out = render_text(FINDINGS[:1])
+        out = render_text(FINDINGS[:1], files_scanned=1)
         assert "1 finding [RPR103: 1]" in out
-
-
-class TestJson:
-    def test_schema(self):
-        document = json.loads(render_json(FINDINGS, files_scanned=2))
-        assert document["schema"] == JSON_SCHEMA_VERSION
-        assert document["summary"] == {
-            "files": 2,
-            "findings": 3,
-            "by_code": {"RPR103": 2, "RPR105": 1},
-        }
-        assert document["findings"][0] == {
-            "path": "src/a.py",
-            "line": 3,
-            "col": 4,
-            "code": "RPR103",
-            "message": "bad metric name",
-        }
-
-    def test_clean_document(self):
-        document = json.loads(render_json([]))
-        assert document["summary"]["findings"] == 0
-        assert document["findings"] == []

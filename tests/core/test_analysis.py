@@ -50,18 +50,6 @@ class TestTraceTopWords:
             module_dim = tower.text_modules[0].out_dim
             assert total == pytest.approx(module_dim, rel=1e-6)
 
-    def test_soft_mode_also_sums_to_module_dim(self, tower_and_encoder):
-        tower, encoder = tower_and_encoder
-        text = "jazz night with a live trio downtown"
-        trace = trace_top_words(
-            tower, encoder, text, top_k=len(split_words(text)), soft=True
-        )
-        for attributions in trace.values():
-            total = sum(a.weight for a in attributions)
-            assert total == pytest.approx(
-                tower.text_modules[0].out_dim, rel=1e-4
-            )
-
     def test_short_text_single_word(self, tower_and_encoder):
         tower, encoder = tower_and_encoder
         trace = trace_top_words(tower, encoder, "jazz")

@@ -43,7 +43,6 @@ class TestTrainingConfig:
     def test_defaults_match_paper_recipe(self):
         config = TrainingConfig()
         assert config.epochs == 20
-        assert config.lr_decay == 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError, match="epochs"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.contracts import check_call
+from tests.contracts import check_call
 from repro.core.extraction import ConvExtractionModule
 from repro.nn.batching import pad_batch
 from repro.nn.gradcheck import (

@@ -37,6 +37,13 @@ def service(tiny_users, tiny_events):
     return RepresentationService(model, VectorCache())
 
 
+@pytest.fixture()
+def observed(service):
+    """``(registry, service)`` with telemetry on for the whole test."""
+    with use_registry(MetricsRegistry()) as registry:
+        yield registry, service
+
+
 class TestCachedVectors:
     def test_second_lookup_hits_cache(self, service, tiny_users):
         service.user_vector(tiny_users[0])
@@ -820,16 +827,8 @@ class TestWarmSkipsFresh:
 
 
 class TestServingMonitors:
-    def _observed_service(self, tiny_users, tiny_events):
-        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
-        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
-        registry = MetricsRegistry()
-        return registry, RepresentationService(
-            model, VectorCache(), registry=registry
-        )
-
-    def test_serving_calls_feed_monitors(self, tiny_users, tiny_events):
-        _, service = self._observed_service(tiny_users, tiny_events)
+    def test_serving_calls_feed_monitors(self, observed, tiny_users, tiny_events):
+        _, service = observed
         service.rank_events(tiny_users[0], tiny_events)
         service.score(tiny_users[0], tiny_events[0])
         # Every top-K score plus the pair score lands in the monitor.
@@ -837,8 +836,8 @@ class TestServingMonitors:
         assert service.monitors.candidates.observed == 1
         assert service.monitors.user_norms.observed > 0
 
-    def test_snapshot_exports_drift_verdicts(self, tiny_users, tiny_events):
-        registry, service = self._observed_service(tiny_users, tiny_events)
+    def test_snapshot_exports_drift_verdicts(self, observed, tiny_users, tiny_events):
+        registry, service = observed
         service.rank_events(tiny_users[0], tiny_events)
         exported = {
             (record["name"], record["tags"].get("monitor"))
@@ -850,11 +849,11 @@ class TestServingMonitors:
 
     @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
     def test_candidates_are_counted_after_the_activity_filter(
-        self, tiny_users, tiny_events, entrance
+        self, observed, tiny_users, tiny_events, entrance
     ):
         """t=46 expires event 3 (starts 44) and keeps events 1 and 2:
         telemetry and the drift monitor see 2 candidates, not 3."""
-        registry, service = self._observed_service(tiny_users, tiny_events)
+        registry, service = observed
         if entrance == "rank_events":
             service.rank_events(tiny_users[0], tiny_events, at_time=46.0)
         else:
@@ -896,18 +895,10 @@ class TestServingMonitors:
 
 
 class TestBatchUserDedupe:
-    def _observed_service(self, tiny_users, tiny_events):
-        encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
-        model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
-        registry = MetricsRegistry()
-        return registry, RepresentationService(
-            model, VectorCache(), registry=registry
-        )
-
-    def test_duplicate_cold_users_encode_once(self, tiny_users, tiny_events):
+    def test_duplicate_cold_users_encode_once(self, observed, tiny_users, tiny_events):
         """A cohort repeating one cold user costs one cache miss and
         one tower inference, and every copy gets the owner's rows."""
-        _, service = self._observed_service(tiny_users, tiny_events)
+        _, service = observed
         service.warm([], tiny_events)
         model = service.model
         encode_calls = []
@@ -930,12 +921,12 @@ class TestBatchUserDedupe:
             ] == first
 
     def test_drift_monitor_sees_exactly_the_served_scores(
-        self, tiny_users, tiny_events, monkeypatch
+        self, observed, tiny_users, tiny_events, monkeypatch
     ):
         """Per-user pools, times and ``top_k`` are applied before
         anything is observed: the score monitor is fed the scores the
         batch path returns and no score of the wider union."""
-        _, service = self._observed_service(tiny_users, tiny_events)
+        _, service = observed
         service.warm(tiny_users, tiny_events)
         observed = []
         monkeypatch.setattr(service.monitors.scores, "observe", observed.append)

@@ -116,17 +116,6 @@ class TestTransfer:
             assert np.array_equal(learned.value, into.value)
             assert into.name in transferred
 
-    def test_embedding_only_transfer(self, encoder, event_corpus):
-        config = JointModelConfig.small(seed=0)
-        initializer = SiameseEventInitializer(config, encoder)
-        model = JointUserEventModel(config, encoder)
-        before = model.event_tower.text_modules[0].conv.weights[0].value.copy()
-        transferred = initializer.transfer_to(model, include_conv=False)
-        assert len(transferred) == 1
-        assert np.array_equal(
-            model.event_tower.text_modules[0].conv.weights[0].value, before
-        )
-
     def test_vocab_mismatch_rejected(self, encoder, event_corpus, tiny_events):
         config = JointModelConfig.small(seed=0)
         initializer = SiameseEventInitializer(config, encoder)

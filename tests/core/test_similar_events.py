@@ -40,6 +40,20 @@ class TestSimilarEventIndex:
         assert [r.event.event_id for r in results] == [2, 3]
         assert results[0].similarity > results[1].similarity
 
+    def test_tied_neighbours_do_not_depend_on_row_order(self):
+        """60 events over 3 distinct vectors: whichever order they are
+        indexed in, the ten served are the ten lowest ids of the tie."""
+        rng = np.random.default_rng(0)
+        distinct = rng.normal(size=(3, 4))
+        events = [Event(i, f"e{i}", "text", "music", 0, 48) for i in range(60)]
+        vectors = distinct[np.arange(60) % 3]
+        answers = []
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(60)
+            index = SimilarEventIndex([events[i] for i in order], vectors[order])
+            answers.append([r.event.event_id for r in index.query(0, top_k=10)])
+        assert answers[0] == answers[1] == answers[2] == list(range(3, 33, 3))
+
     def test_threshold_filters(self):
         index = _index([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         results = index.query(1, top_k=3, min_similarity=0.95)

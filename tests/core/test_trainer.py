@@ -90,10 +90,10 @@ class TestFit:
         model = JointUserEventModel(JointModelConfig.small(seed=1), encoder)
         trainer = RepresentationTrainer(
             model,
-            TrainingConfig(epochs=3, learning_rate=0.1, lr_decay=0.5, patience=5),
+            TrainingConfig(epochs=3, learning_rate=0.1, patience=5),
         )
         history = trainer.fit(users, events, labels)
-        assert np.allclose(history.learning_rates, [0.1, 0.05, 0.025])
+        assert np.allclose(history.learning_rates, [0.1, 0.09, 0.081])
 
     def test_early_stopping_restores_best_state(self, separable_task):
         encoder, users, events, labels = separable_task
@@ -130,14 +130,14 @@ class TestFit:
         with pytest.raises(ValueError, match="empty"):
             trainer.fit([], [], np.array([]))
 
-    def test_no_shuffle_is_deterministic(self, separable_task):
+    def test_seeded_run_is_deterministic(self, separable_task):
         encoder, users, events, labels = separable_task
         losses = []
         for _ in range(2):
             model = JointUserEventModel(JointModelConfig.small(seed=3), encoder)
             trainer = RepresentationTrainer(
                 model,
-                TrainingConfig(epochs=2, shuffle=False, patience=5, seed=0),
+                TrainingConfig(epochs=2, patience=5, seed=0),
             )
             history = trainer.fit(users, events, labels)
             losses.append(history.train_losses)

@@ -43,6 +43,7 @@ class TestSplits:
         first = small_dataset.config.weeks - 2
         boundary1 = first * HOURS_PER_WEEK
         boundary2 = (first + 1) * HOURS_PER_WEEK
+        assert splits.representation_end == boundary1
         assert all(i.shown_at < boundary1 for i in splits.representation_train)
         assert all(
             boundary1 <= i.shown_at < boundary2 for i in splits.combiner_train
@@ -52,12 +53,6 @@ class TestSplits:
     def test_splits_partition_everything(self, small_dataset):
         splits = small_dataset.split()
         assert sum(splits.sizes()) == len(small_dataset.impressions)
-
-    def test_invalid_split_rejected(self, small_dataset):
-        with pytest.raises(ValueError, match="exceed"):
-            small_dataset.split(representation_weeks=10)
-        with pytest.raises(ValueError, match="at least one week"):
-            small_dataset.split(representation_weeks=0)
 
 
 class TestDeterminismAndSerialization:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.eval.metrics import (
     evaluate_scores,
     pr_curve,
-    precision_at_recall,
     roc_auc,
     roc_curve,
 )
@@ -77,8 +76,9 @@ class TestPrCurve:
     def test_precision_at_recall(self):
         labels = np.array([1, 0, 1, 0])
         scores = np.array([0.9, 0.8, 0.7, 0.1])
-        assert np.isclose(precision_at_recall(labels, scores, 0.5), 1.0)
-        assert np.isclose(precision_at_recall(labels, scores, 0.8), 2 / 3)
+        curve = pr_curve(labels, scores)
+        assert np.isclose(curve.precision_at(0.5), 1.0)
+        assert np.isclose(curve.precision_at(0.8), 2 / 3)
 
     def test_ties_collapse_to_one_point(self):
         labels = np.array([1, 0, 1, 0])

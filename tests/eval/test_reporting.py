@@ -45,9 +45,10 @@ class TestRenderPrCurves:
         assert "* Weak" in plot and "o Strong" in plot
 
     def test_dimensions(self, results):
-        plot = render_pr_curves(results, width=40, height=10)
+        plot = render_pr_curves(results)
         grid_lines = [line for line in plot.splitlines() if "|" in line]
-        assert len(grid_lines) == 10
+        assert len(grid_lines) == 18
+        assert all(len(line.split("|", 1)[1]) == 64 for line in grid_lines)
 
 
 class TestFormatImportances:

@@ -17,7 +17,7 @@ def _xor_data(rng, n=2000):
 class TestFit:
     def test_learns_xor_interaction(self, rng):
         features, labels = _xor_data(rng)
-        model = GBDTClassifier(GBDTConfig(num_trees=60, max_leaves=8, seed=0))
+        model = GBDTClassifier(GBDTConfig(num_trees=60, max_leaves=8))
         model.fit(features[:1500], labels[:1500])
         auc = roc_auc(labels[1500:], model.predict_proba(features[1500:]))
         assert auc > 0.75
@@ -37,29 +37,6 @@ class TestFit:
         prior = labels.mean()
         assert np.isclose(model.base_score, np.log(prior / (1 - prior)))
 
-    def test_early_stopping_halts(self, rng):
-        features, labels = _xor_data(rng, n=600)
-        config = GBDTConfig(
-            num_trees=200, max_leaves=4, early_stopping_rounds=3, seed=0
-        )
-        model = GBDTClassifier(config)
-        # Validation labels are pure noise → no lasting improvement.
-        noise_labels = rng.integers(2, size=200).astype(float)
-        model.fit(
-            features[:400],
-            labels[:400],
-            validation=(features[400:], noise_labels[:200]),
-        )
-        assert len(model.trees) < 200
-
-    def test_subsample_still_learns(self, rng):
-        features, labels = _xor_data(rng)
-        config = GBDTConfig(num_trees=60, max_leaves=8, subsample=0.5, seed=1)
-        model = GBDTClassifier(config)
-        model.fit(features[:1500], labels[:1500])
-        auc = roc_auc(labels[1500:], model.predict_proba(features[1500:]))
-        assert auc > 0.7
-
     def test_misaligned_inputs_rejected(self, rng):
         model = GBDTClassifier()
         with pytest.raises(ValueError, match="align"):
@@ -70,8 +47,6 @@ class TestFit:
             GBDTConfig(num_trees=0)
         with pytest.raises(ValueError, match="learning_rate"):
             GBDTConfig(learning_rate=0.0)
-        with pytest.raises(ValueError, match="subsample"):
-            GBDTConfig(subsample=1.5)
 
 
 class TestPredict:
@@ -89,14 +64,6 @@ class TestPredict:
         hard = model.predict(features)
         assert set(np.unique(hard)).issubset({0, 1})
 
-    def test_truncated_ensemble(self, rng):
-        features, labels = _xor_data(rng, n=500)
-        model = GBDTClassifier(GBDTConfig(num_trees=30, max_leaves=6))
-        model.fit(features, labels)
-        few = model.decision_function(features, num_trees=5)
-        full = model.decision_function(features)
-        assert not np.allclose(few, full)
-
     def test_unfitted_rejected(self, rng):
         with pytest.raises(RuntimeError, match="not fitted"):
             GBDTClassifier().predict_proba(rng.normal(size=(1, 2)))
@@ -112,13 +79,11 @@ class TestImportances:
         # Features 0 and 1 carry all the signal.
         assert importances[0] + importances[1] > 0.8
 
-    def test_deterministic_given_seed(self, rng):
+    def test_deterministic(self, rng):
         features, labels = _xor_data(rng, n=400)
         runs = []
         for _ in range(2):
-            model = GBDTClassifier(
-                GBDTConfig(num_trees=10, max_leaves=6, subsample=0.7, seed=5)
-            )
+            model = GBDTClassifier(GBDTConfig(num_trees=10, max_leaves=6))
             model.fit(features, labels)
             runs.append(model.predict_proba(features[:20]))
         assert np.allclose(runs[0], runs[1])

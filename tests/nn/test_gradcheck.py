@@ -9,7 +9,7 @@ checked end-to-end through the Equation-1 loss.
 import numpy as np
 import pytest
 
-from repro.analysis.contracts import check_call
+from tests.contracts import check_call
 from repro.core import JointModelConfig, JointUserEventModel
 from repro.entities import Event, User
 from repro.nn import (

@@ -74,21 +74,6 @@ class TestPrometheus:
         text = render_prometheus(registry.snapshot())
         assert "00000000000000aa" not in text
 
-    def test_exemplars_render_openmetrics_suffix(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("repro_x_seconds", buckets=(1.0,))
-        histogram.observe(0.5, exemplar="00000000000000aa")
-        histogram.observe(3.0, exemplar="00000000000000bb")
-        text = render_prometheus(registry.snapshot(), exemplars=True)
-        assert (
-            'repro_x_seconds_bucket{le="1"} 1 '
-            '# {trace_id="00000000000000aa"} 0.5' in text
-        )
-        assert (
-            'repro_x_seconds_bucket{le="+Inf"} 2 '
-            '# {trace_id="00000000000000bb"} 3' in text
-        )
-
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus([]) == ""
 

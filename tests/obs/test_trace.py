@@ -8,6 +8,8 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import (
+    _MAX_SAMPLED,
+    _MAX_SPANS_PER_TRACE,
     SpanRecord,
     TailSampler,
     Trace,
@@ -149,17 +151,15 @@ class TestTailSampler:
         assert sampler.offer(make_trace("c", 0.3))
 
     def test_uniform_sample_is_bounded(self):
-        sampler = TailSampler(keep_slowest=0, sample_fraction=1.0, max_sampled=3)
-        for index in range(10):
+        sampler = TailSampler(keep_slowest=0, sample_fraction=1.0)
+        for index in range(_MAX_SAMPLED + 7):
             sampler.offer(make_trace(f"t{index}", 0.1))
-        assert len(sampler.sampled) == 3
+        assert len(sampler.sampled) == _MAX_SAMPLED
         assert sampler.sample_overflow == 7
 
     def test_sampling_is_seeded(self):
         def kept(seed):
-            sampler = TailSampler(
-                keep_slowest=0, sample_fraction=0.5, seed=seed, max_sampled=64
-            )
+            sampler = TailSampler(keep_slowest=0, sample_fraction=0.5, seed=seed)
             return [
                 sampler.offer(make_trace(f"t{i}", 0.1)) for i in range(32)
             ]
@@ -178,7 +178,6 @@ class TestTailSampler:
         [
             {"keep_slowest": -1},
             {"sample_fraction": 1.5},
-            {"max_sampled": -1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -203,8 +202,8 @@ class TestTracer:
         assert len(trace.spans) == 2
 
     def test_span_cap_drops_excess_children(self):
-        tracer = Tracer(TailSampler(keep_slowest=4), max_spans_per_trace=2)
-        for _ in range(4):
+        tracer = Tracer(TailSampler(keep_slowest=4))
+        for _ in range(_MAX_SPANS_PER_TRACE + 2):
             tracer.on_span_finish(
                 make_record(parent_id="root-span", seconds=0.1), root=False
             )

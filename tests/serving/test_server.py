@@ -25,7 +25,7 @@ from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
 from repro.loadgen import build_synthetic_service
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.serving import (
     HttpServiceClient,
@@ -572,14 +572,14 @@ def tiny_stack(tiny_users, tiny_events):
     collectors must not share the module-wide registry."""
     encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
     model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
-    registry = MetricsRegistry()
-    service = RepresentationService(model, registry=registry)
-    service.warm(tiny_users, tiny_events)
-    server = ServingServer(service, tiny_users, tiny_events, registry=registry)
-    with ThreadedServer(server) as hosted:
-        client = HttpServiceClient(hosted.host, hosted.port)
-        yield {"client": client, "registry": registry}
-        client.close()
+    service = RepresentationService(model)
+    with use_registry(MetricsRegistry()) as registry:
+        service.warm(tiny_users, tiny_events)
+        server = ServingServer(service, tiny_users, tiny_events, registry=registry)
+        with ThreadedServer(server) as hosted:
+            client = HttpServiceClient(hosted.host, hosted.port)
+            yield {"client": client, "registry": registry}
+            client.close()
 
 
 class TestObservability:

@@ -1,13 +1,97 @@
 """Command-line interface."""
 
+import argparse
+import functools
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.analysis.main import build_parser as build_analysis_parser
 from repro.cli import build_parser, main
 from repro.core.persistence import load_model_bundle
 from repro.core.service import RepresentationService
 from repro.datagen.dataset import EventRecDataset
 from tests.reference import rank_events_loop
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCUMENTS = [
+    ROOT / "README.md",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / ".github" / "workflows").glob("*.yml")),
+]
+PROGRAMS = {
+    "repro-events": build_parser,
+    "python -m repro.cli": build_parser,
+    "python -m repro.analysis": build_analysis_parser,
+}
+_COMMAND = re.compile(
+    r"^(?:run: )?(?:[A-Z_]+=\S+ )*(" + "|".join(map(re.escape, PROGRAMS)) + r")(?= |$)(.*)"
+)
+
+
+@functools.cache
+def documented_commands():
+    """``(program, argv)`` for every command line the documents show: a
+    line that starts with one of PROGRAMS (after ``VAR=value`` words),
+    continued while lines end in a backslash or the next starts with
+    ``--`` (YAML folded scalars), cut at the first shell operator."""
+    found = []
+    for document in DOCUMENTS:
+        lines = [line.strip() for line in document.read_text().splitlines()]
+        for number, line in enumerate(lines):
+            match = _COMMAND.match(line)
+            if match is None:
+                continue
+            text = match.group(2)
+            for following in lines[number + 1 :]:
+                if not (text.endswith("\\") or following.startswith("--")):
+                    break
+                text = text.removesuffix("\\") + " " + following
+            argv = []
+            for word in shlex.split(text, comments=True):
+                if word[0] in "|>&;":
+                    break
+                argv.append(word)
+            found.append((match.group(1), argv))
+    return found
+
+
+def flags_of(parser, prefix=()):
+    """Every ``(subcommand..., --flag)`` a parser accepts, bar ``--help``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from flags_of(child, (*prefix, name))
+        else:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    yield (*prefix, option)
+
+
+class TestDocumentedCommands:
+    """README, the verify skill and CI show only commands that parse,
+    and every flag has a documented use."""
+
+    @pytest.mark.parametrize(
+        "program, argv",
+        documented_commands(),
+        ids=lambda value: value if isinstance(value, str) else " ".join(value),
+    )
+    def test_command_parses(self, program, argv):
+        PROGRAMS[program]().parse_args(argv)
+
+    @pytest.mark.parametrize("build", [build_parser, build_analysis_parser])
+    def test_every_flag_is_documented(self, build):
+        shown = {
+            (*argv[:1], word) if build is build_parser else (word,)
+            for program, argv in documented_commands()
+            if PROGRAMS[program] is build
+            for word in argv
+        }
+        assert sorted(set(flags_of(build())) - shown) == []
 
 
 class TestParser:
@@ -89,6 +173,45 @@ class TestEndToEnd:
         assert "# TYPE repro_train_epoch_loss gauge" in rendered
         assert "repro_serving_encode_seconds_bucket" in rendered
         assert "repro_cache_hit_rate" in rendered
+
+    def test_train_encodes_each_entity_once(self, tmp_path, monkeypatch):
+        """``train`` hands the trainer one encoded object per distinct
+        user and event (the towers fold repeats by identity), and its
+        loss curve is the one the pair-encoding helper gives."""
+        from repro.core.config import JointModelConfig, TrainingConfig
+        from repro.core.model import JointUserEventModel
+        from repro.core.trainer import RepresentationTrainer
+        from repro.text.documents import DocumentEncoder
+
+        dataset_path = str(tmp_path / "world.json.gz")
+        main(["generate", "--scale", "small", "--seed", "5", "--out", dataset_path])
+        seen = {}
+        fit = RepresentationTrainer.fit
+
+        def spy(trainer, users, events, labels, **kwargs):
+            seen["distinct"] = len({id(u) for u in users} | {id(e) for e in events})
+            seen["history"] = fit(trainer, users, events, labels, **kwargs)
+            return seen["history"]
+
+        monkeypatch.setattr(RepresentationTrainer, "fit", spy)
+        assert main(["train", "--dataset", dataset_path,
+                     "--bundle", str(tmp_path / "bundle"),
+                     "--model-scale", "small", "--epochs", "2"]) == 0
+        monkeypatch.undo()
+
+        dataset = EventRecDataset.load(dataset_path)
+        assert seen["distinct"] <= len(dataset.users) + len(dataset.events)
+        encoder = DocumentEncoder.fit(dataset.users, dataset.events, min_df=2)
+        pairs = encoder.encode_pairs(
+            dataset.split().representation_train,
+            dataset.users_by_id,
+            dataset.events_by_id,
+        )
+        model = JointUserEventModel(JointModelConfig.small(seed=0), encoder)
+        history = RepresentationTrainer(
+            model, TrainingConfig(epochs=2, seed=0)
+        ).fit(*pairs)
+        assert seen["history"].train_losses == history.train_losses
 
     def test_metrics_missing_file_fails(self, tmp_path, capsys):
         assert main(["metrics", "--telemetry",
@@ -185,7 +308,7 @@ class TestEndToEnd:
         assert main([
             "loadgen", "--rate", "150", "--duration", "0.3",
             "--pool-size", "120", "--workers", "2", "--seed", "4",
-            "--score-fraction", "0", "--json",
+            "--json",
             "--metrics-out", str(telemetry),
         ]) == 0
         embedded = json.loads(capsys.readouterr().out)["health"]
@@ -208,7 +331,6 @@ class TestEndToEnd:
             (["loadgen", "--rate", "0", "--duration", "0.1"], "rate"),
             # 0.1 expected arrivals: the seeded schedule is empty.
             (["loadgen", "--rate", "0.2", "--duration", "0.5"], "draws none"),
-            (["loadgen", "--keep-slowest", "-1"], "keep_slowest"),
             (["loadgen", "--sample-fraction", "2"], "sample_fraction"),
             (["loadgen", "--max-batch", "0"], "max_batch"),
             (["serve", "--max-batch", "0"], "max_batch"),
@@ -226,15 +348,12 @@ class TestEndToEnd:
             assert "error: pool_size" in capsys.readouterr().err
 
     def test_recommend_rejects_bad_top_k(self, tmp_path, capsys):
-        dataset_path = str(tmp_path / "world.json.gz")
-        main(["generate", "--scale", "small", "--seed", "5", "--out", dataset_path])
-        bundle_path = str(tmp_path / "bundle")
-        main(["train", "--dataset", dataset_path, "--bundle", bundle_path,
-              "--model-scale", "small", "--epochs", "1"])
-        assert main(["recommend", "--dataset", dataset_path,
-                     "--bundle", bundle_path, "--user-id", "0",
-                     "--at-time", "900", "--top-k", "-2"]) == 2
-        assert "--top-k" in capsys.readouterr().err
+        """Exit 2 before anything is loaded: neither path exists."""
+        for top_k in ("0", "-2"):
+            assert main(["recommend", "--dataset", str(tmp_path / "no-world.json.gz"),
+                         "--bundle", str(tmp_path / "no-bundle"), "--user-id", "0",
+                         "--at-time", "900", "--top-k", top_k]) == 2
+            assert "--top-k" in capsys.readouterr().err
 
 
 class TestHealthCommand:
@@ -274,17 +393,14 @@ class TestHealthCommand:
         import json
 
         telemetry = tmp_path / "telemetry.jsonl"
-        artifact = tmp_path / "health.json"
         self._write_telemetry(telemetry, p99=0.004)
         assert main([
             "health", "--telemetry", str(telemetry),
             "--slo", "repro_cache_hit_rate>=0.9",
-            "--json", "--out", str(artifact),
+            "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["healthy"] is True
-        on_disk = json.loads(artifact.read_text())
-        assert on_disk == payload
 
     def test_missing_telemetry_exits_two(self, tmp_path, capsys):
         assert main([

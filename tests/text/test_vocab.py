@@ -20,17 +20,9 @@ class TestBuild:
         vocab = Vocabulary.build(docs, min_df=2)
         assert "a" not in vocab  # appears 3 times but in 1 document
 
-    def test_max_size_keeps_most_frequent(self):
-        docs = [["a", "b"], ["a", "b"], ["a"], ["c"]]
-        vocab = Vocabulary.build(docs, max_size=1)
-        assert "a" in vocab
-        assert "b" not in vocab
-
     def test_deterministic_tie_break(self):
-        docs = [["zz", "aa"]]
-        first = Vocabulary.build(docs, max_size=1)
-        second = Vocabulary.build(docs, max_size=1)
-        assert first.decode([2]) == second.decode([2]) == ["aa"]
+        docs = [["zz", "aa", "b"], ["b"]]
+        assert Vocabulary.build(docs).decode([2, 3, 4]) == ["b", "aa", "zz"]
 
     def test_rejects_bad_min_df(self):
         with pytest.raises(ValueError, match="min_df"):
