@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a JSONL telemetry snapshot here")
     loadgen.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of text")
-    loadgen.add_argument("--max-batch", type=int, default=32,
-                         help="most requests one server flush may carry")
 
     serve = commands.add_parser(
         "serve",
@@ -199,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool-size", type=int, default=500,
                        help="synthetic mode: candidate-pool size")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--max-batch", type=int, default=32,
-                       help="most requests one flush may carry")
 
     health = commands.add_parser(
         "health",
@@ -397,15 +393,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _check_max_batch(max_batch: int) -> None:
-    """Raise the batcher's own ``ValueError`` for a bad ``--max-batch``
-    now: the server that builds the batcher needs the whole serving
-    stack first, and that takes seconds."""
-    from repro.serving.batcher import MicroBatcher
-
-    MicroBatcher(list, max_batch=max_batch)
-
-
 def _cmd_loadgen(args) -> int:
     import json
 
@@ -434,7 +421,6 @@ def _cmd_loadgen(args) -> int:
             seed=args.seed,
         )
         sampler = TailSampler(sample_fraction=args.sample_fraction, seed=args.seed)
-        _check_max_batch(args.max_batch)
         print(
             f"building synthetic serving stack (pool={args.pool_size}) ...",
             file=sys.stderr,
@@ -447,17 +433,10 @@ def _cmd_loadgen(args) -> int:
         return 2
     with use_registry(MetricsRegistry()) as registry:
         with use_tracer(Tracer(sampler)) as tracer:
-            serving = ServingServer(
-                service,
-                users,
-                events,
-                max_batch=args.max_batch,
-                registry=registry,
-            )
+            serving = ServingServer(service, users, events, registry=registry)
             with ThreadedServer(serving) as hosted:
                 print(
-                    f"serving on http://{hosted.host}:{hosted.port} "
-                    f"(max_batch={args.max_batch})",
+                    f"serving on http://{hosted.host}:{hosted.port}",
                     file=sys.stderr,
                 )
                 client = HttpServiceClient(hosted.host, hosted.port)
@@ -512,7 +491,6 @@ def _cmd_serve(args) -> int:
         )
         return 2
     try:
-        _check_max_batch(args.max_batch)
         if args.dataset is not None:
             dataset = EventRecDataset.load(args.dataset)
             model = load_model_bundle(args.bundle)
@@ -536,13 +514,7 @@ def _cmd_serve(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     with use_registry(MetricsRegistry()) as registry:
-        server = ServingServer(
-            service,
-            users,
-            events,
-            max_batch=args.max_batch,
-            registry=registry,
-        )
+        server = ServingServer(service, users, events, registry=registry)
         hosted = ThreadedServer(server, host=args.host, port=args.port)
         try:
             host, port = hosted.start()
@@ -550,11 +522,7 @@ def _cmd_serve(args) -> int:
             cause = error.__cause__ if error.__cause__ is not None else error
             print(f"error: {cause}", file=sys.stderr)
             return 2
-        print(
-            f"serving on http://{host}:{port} "
-            f"(max_batch={args.max_batch}); Ctrl-C to stop",
-            file=sys.stderr,
-        )
+        print(f"serving on http://{host}:{port}; Ctrl-C to stop", file=sys.stderr)
         try:
             while hosted.join(timeout=1.0):
                 pass

@@ -45,9 +45,8 @@ another event's score.
 :meth:`RepresentationService.rank_events_batch` ranks many users in one
 GEMM against the same index — the multi-user serving primitive
 large-scale two-tower systems are built around — through the same
-private rank body; each user may bring its own candidate subset,
-``at_time`` and ``top_k``, applied as masks on its row of the shared
-score matrix.
+private rank body and under the same contract: one pool, one
+``at_time`` and one ``top_k`` for the whole cohort.
 
 Scores reproduce the training-time cosine
 (:func:`repro.nn.cosine.pair_cosine`) to float precision.  The
@@ -62,7 +61,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,7 +458,7 @@ class RepresentationService:
         registry = self._obs()
         with span("repro_serving_rank", registry=registry):
             (ranking,), num_candidates = self._rank(
-                user, events, at_time, [top_k], [None], registry
+                user, events, at_time, top_k, registry
             )
         if registry.enabled:
             registry.counter("repro_serving_rank_total").inc()
@@ -470,9 +469,8 @@ class RepresentationService:
         self,
         users: Sequence[User],
         events: Sequence[Event],
-        at_time: float | None | Sequence[float | None] = None,
-        top_k: int | None | Sequence[int | None] = None,
-        subsets: Sequence[Collection[int] | None] | None = None,
+        at_time: float | None = None,
+        top_k: int | None = None,
     ) -> list[list[ScoredEvent]]:
         """Rank one candidate pool for many users in one GEMM.
 
@@ -481,29 +479,15 @@ class RepresentationService:
         single matrix-matrix product; each row then goes through the
         same ``argpartition`` + ``(-score, event_id)`` selection as
         :meth:`rank_events`.  Returns one ranking per user, in input
-        order.
-
-        ``at_time`` and ``top_k`` are one value for the cohort or one
-        per user, and ``subsets`` names, per user, the event ids among
-        ``events`` that are its own candidates (``None``: all of them).
-        Each is applied as a mask on that user's score row, so a user's
-        ranking is exactly what :meth:`rank_events` returns for its own
-        pool, time and ``top_k`` — the serving micro-batcher ranks a
-        flush of unlike requests over the union of their pools this way.
+        order: each is the list :meth:`rank_events` returns for that
+        user with the same arguments (same ids and order, scores within
+        1e-9 — a multi-row GEMM sums in another order than the GEMV).
         """
-        top_ks = [
-            validate_top_k(k)
-            for k in (top_k if np.ndim(top_k) else [top_k] * len(users))
-        ]
-        subsets = [None] * len(users) if subsets is None else subsets
-        if not len(top_ks) == len(subsets) == len(users) or (
-            np.ndim(at_time) and len(at_time) != len(users)
-        ):
-            raise ValueError("at_time, top_k and subsets must give one entry per user")
+        top_k = validate_top_k(top_k)
         registry = self._obs()
         with span("repro_serving_rank_batch", registry=registry):
             rankings, num_candidates = self._rank(
-                users, events, at_time, top_ks, subsets, registry
+                users, events, at_time, top_k, registry
             )
         if registry.enabled:
             registry.counter("repro_serving_rank_batch_total").inc()
@@ -518,9 +502,8 @@ class RepresentationService:
         self,
         users: User | Sequence[User],
         events: Sequence[Event],
-        at_time: float | None | Sequence[float | None],
-        top_ks: Sequence[int | None],
-        subsets: Sequence[Collection[int] | None],
+        at_time: float | None,
+        top_k: int | None,
         registry: MetricsRegistry,
     ) -> tuple[list[list[ScoredEvent]], int]:
         """The rank body: one ranking per user, and the candidate count.
@@ -538,7 +521,9 @@ class RepresentationService:
         remembered.  Its ``absent`` candidates are encoded, upserted and
         the pool scored again.  ``ScoredEvent``s are built for the
         selected rows only.  The count is the number of candidates
-        scored: present, and active for at least one user.
+        scored: present, and active at ``at_time``.  Every ranked user's
+        vector norm goes to the drift monitor, a single user's through
+        :meth:`user_vector`.
         """
         single = isinstance(users, User)
         num_users = 1 if single else len(users)
@@ -549,6 +534,9 @@ class RepresentationService:
         else:
             score = self.index.score_ids_batch
             query = np.vstack(self._user_vectors(users, self.cache.get, registry))
+            if registry.enabled:
+                for vector in query:
+                    self.monitors.user_norms.observe(float(np.sqrt(vector @ vector)))
         remembered = self._recall(events)
         snapshot, pool = remembered or self._read(events)
         positions, score_rows, resolved = score(query, pool, at_time)
@@ -560,15 +548,8 @@ class RepresentationService:
         selected_ids = resolved.ids[positions]
         rankings = []
         with span("repro_serving_topk", registry=registry):
-            for scores, top_k, subset in zip(
-                np.atleast_2d(score_rows), top_ks, subsets
-            ):
-                if subset is not None:
-                    scores[~np.isin(selected_ids, list(subset))] = -np.inf
-                # Masked cells (-inf) sort last; whatever of them the cut
-                # still holds is dropped, never served.
+            for scores in np.atleast_2d(score_rows):
                 order = top_k_order(scores, selected_ids, top_k)
-                order = order[scores[order] != -np.inf]
                 served = [events[position] for position in positions[order].tolist()]
                 if remembered is not None and selected_ids[order].tolist() != [
                     event.event_id for event in served
@@ -577,7 +558,7 @@ class RepresentationService:
                     # pool: forget it and rank from a fresh read.
                     with self._pools_lock:
                         self._pools.pop(id(events), None)
-                    return self._rank(users, events, at_time, top_ks, subsets, registry)
+                    return self._rank(users, events, at_time, top_k, registry)
                 rankings.append(
                     [
                         ScoredEvent(event=event, score=value)

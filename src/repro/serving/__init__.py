@@ -4,8 +4,9 @@ The paper's deployment story (Section 4's pre-computed representation
 store behind a recommendation endpoint) as a process: an asyncio HTTP
 server over :class:`~repro.core.service.RepresentationService` whose
 ``/recommend`` route answers at once when the ranker is free and
-coalesces what arrives while it is busy into single
-``rank_events_batch`` GEMMs.  Stdlib only — no framework deps.
+coalesces what arrives while it is busy into one flush — one
+``rank_events_batch`` GEMM per distinct request shape.  Stdlib only —
+no framework deps.
 
 Layers (each independently testable):
 

@@ -5,9 +5,10 @@ path made a cohort a GEMM.  This module is the piece that turns
 *concurrent traffic* into cohorts without ever making a request wait
 for company: at most one flush is in flight, a request that finds the
 runner free goes out at once, and requests that arrive while it is
-busy queue and leave together — one
-:meth:`RepresentationService.rank_events_batch` GEMM — the moment it
-comes back.  Batch size follows load by itself; there is no timer.
+busy queue and leave together — one call of the batch ``runner`` —
+the moment it comes back.  Batch size follows load by itself; there is
+no timer.  The batcher is a pure coalescer: what a flush costs, and
+how its items are split into service calls, is the runner's business.
 
 Mechanics — all state is owned by the event loop (asyncio is
 single-threaded, so mutations between ``await`` points are atomic; no
@@ -17,8 +18,8 @@ lock is needed):
   (reason ``"idle"``; the queue is empty whenever the runner is free,
   so this is always a flush of one).
 * A ``submit`` that finds one in flight queues.  When that flush's
-  runner returns, the backlog — up to ``max_batch``, FIFO, the rest in
-  the following flush — goes out as the next one (reason
+  runner returns, the backlog — up to :data:`MAX_BATCH`, FIFO, the
+  rest in the following flush — goes out as the next one (reason
   ``"backlog"``).
 * ``close()`` waits for the flush in flight, then drains the queue the
   same way (reason ``"close"``).
@@ -27,11 +28,9 @@ lock is needed):
   per item** — a poisoned request (unknown user id) fails alone; a
   runner-level crash fails that flush's requests and no others.
 * A request cancelled while queued is skipped at flush time;
-  its batchmates are unaffected.
-* A flush containing exactly one live request takes the
-  ``fast_runner`` path when one is provided — the server wires this
-  to the single-user ``rank_events`` GEMV, so an idle server adds
-  only the executor hop.
+  its batchmates are unaffected.  A chunk of the queue whose every
+  waiter was cancelled is no flush at all: nothing runs, nothing is
+  counted, and the next chunk (if any) goes out in its place.
 
 Telemetry: ``repro_serving_batch_users`` (flushed batch size) and
 ``repro_serving_batch_queue_depth`` (depth seen at each enqueue)
@@ -62,7 +61,9 @@ ResultT = TypeVar("ResultT")
 # Size-scale buckets (requests per batch / queue depth), not latency.
 _SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
-DEFAULT_MAX_BATCH = 32
+# Most requests one flush carries; the rest of a backlog waits for the
+# next.  Read at flush time, so tests reach the bound by patching it.
+MAX_BATCH = 32
 
 
 class BatcherClosed(RuntimeError):
@@ -75,23 +76,15 @@ class MicroBatcher:
     ``runner(items)`` must return a sequence aligned with ``items``
     where each element is either the item's result or an
     :class:`Exception` instance to fail that item alone.
-    ``fast_runner(item)``, when given, handles size-1 flushes without
-    paying batch-path overhead.
     """
 
     def __init__(
         self,
         runner: Callable[[list[ItemT]], Sequence[Any]],
         *,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        fast_runner: Callable[[ItemT], Any] | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.runner = runner
-        self.fast_runner = fast_runner
-        self.max_batch = max_batch
         self.registry = registry if registry is not None else get_registry()
         self._pending: list[tuple[ItemT, asyncio.Future[Any], Context]] = []
         self._in_flight: asyncio.Task[None] | None = None
@@ -122,23 +115,26 @@ class MicroBatcher:
 
         Runs synchronously on the event loop, so the detach is atomic.
         Waiters cancelled while queued are dropped here: the runner
-        never computes for them.  The task runs in the first live
-        request's context, which makes that request's span the parent
-        of everything the flush opens.
+        never computes for them, and a chunk with no live waiter left
+        is skipped whole.  The task runs in the first live request's
+        context, which makes that request's span the parent of
+        everything the flush opens.
         """
-        batch = self._pending[: self.max_batch]
-        del self._pending[: self.max_batch]
-        live = [entry for entry in batch if not entry[1].cancelled()]
-        context = (live or batch)[0][2]
-        self._in_flight = context.run(
-            asyncio.get_running_loop().create_task, self._run_batch(live, reason)
-        )
+        while self._pending:
+            batch = self._pending[:MAX_BATCH]
+            del self._pending[:MAX_BATCH]
+            live = [entry for entry in batch if not entry[1].cancelled()]
+            if live:
+                self._in_flight = live[0][2].run(
+                    asyncio.get_running_loop().create_task,
+                    self._run_batch(live, reason),
+                )
+                return
 
     def _release(self) -> None:
         """The runner is free again: send the backlog, if any."""
         self._in_flight = None
-        if self._pending:
-            self._flush("close" if self._closed else "backlog")
+        self._flush("close" if self._closed else "backlog")
 
     async def _run_batch(
         self, live: list[tuple[ItemT, asyncio.Future[Any], Context]], reason: str
@@ -151,29 +147,20 @@ class MicroBatcher:
             self.registry.histogram(
                 "repro_serving_batch_users", buckets=_SIZE_BUCKETS
             ).observe(len(items))
-            results: Sequence[Any] = []
-            if items:
-                self.batches_flushed += 1
-                self.requests_batched += len(items)
-                loop = asyncio.get_running_loop()
-                with span(
-                    "repro_serving_batch_execute",
-                    tags={"reason": reason},
-                    registry=self.registry,
-                ):
-                    # The executor thread starts without this task's
-                    # current span; carry_span keeps the runner's spans
-                    # in this flush's trace.
-                    if len(items) == 1 and self.fast_runner is not None:
-                        results = [
-                            await loop.run_in_executor(
-                                None, carry_span(self.fast_runner), items[0]
-                            )
-                        ]
-                    else:
-                        results = await loop.run_in_executor(
-                            None, carry_span(self.runner), items
-                        )
+            self.batches_flushed += 1
+            self.requests_batched += len(items)
+            loop = asyncio.get_running_loop()
+            with span(
+                "repro_serving_batch_execute",
+                tags={"reason": reason},
+                registry=self.registry,
+            ):
+                # The executor thread starts without this task's
+                # current span; carry_span keeps the runner's spans in
+                # this flush's trace.
+                results: Sequence[Any] = await loop.run_in_executor(
+                    None, carry_span(self.runner), items
+                )
             if len(results) != len(items):
                 raise RuntimeError(
                     f"batch runner returned {len(results)} results "

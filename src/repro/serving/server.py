@@ -3,22 +3,21 @@
 :class:`ServingServer` owns the entity tables (id → User/Event), the
 :class:`~repro.serving.batcher.MicroBatcher` that sends a
 ``/recommend`` straight to the ranker when it is free and coalesces
-what queues behind a busy one into ``rank_events_batch`` GEMMs, and
-the route handlers.  :class:`ThreadedServer` wraps it for synchronous
-callers (the CLI, tests, the loadgen HTTP mode): the asyncio loop
-runs in a daemon thread and ``start()`` blocks until the socket is
-bound.
+what queues behind a busy one into one flush, and the route handlers.
+:class:`ThreadedServer` wraps it for synchronous callers (the CLI,
+tests, the loadgen HTTP mode): the asyncio loop runs in a daemon
+thread and ``start()`` blocks until the socket is bound.
 
-Batched-recommend correctness model: per-pair scores do not depend on
-the candidate pool, and the ranking key ``(-score, event_id)`` is a
-total order.  A batch therefore scores the **union** of its requests'
-pools once, and ``rank_events_batch`` masks each request's row of that
-score matrix down to its own pool and ``at_time`` activity window (read
-from the index, like the single-user path) before taking its ``top_k``
-— exactly the list ``rank_events`` would have produced for that request
-alone: identical ids and order, scores within 1e-9 (a multi-row GEMM
-sums in another order than the GEMV).  A flush of size 1 — every
-request an idle server sees — takes the ``rank_events`` path directly.
+Batched-recommend correctness model: a flush is **grouped**, not
+masked.  Its requests are split by ``(pool, at_time, top_k)`` and each
+group is one ordinary service call — ``rank_events`` for a group of
+one (every request an idle server sees), ``rank_events_batch`` over
+the group's users otherwise.  Every request therefore gets what a lone
+``rank_events`` on its own pool returns, by construction: bit for bit
+in a group of one, and identical ids and order with scores within 1e-9
+in a larger group (a multi-row GEMM sums in another order than the
+GEMV).  A group of one takes ``rank_events`` because a one-row GEMM
+costs more than the GEMV it would replace.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.entities import Event, User
 from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import carry_span, span
-from repro.serving.batcher import DEFAULT_MAX_BATCH, BatcherClosed, MicroBatcher
+from repro.serving.batcher import BatcherClosed, MicroBatcher
 from repro.serving.http import (
     HttpError,
     HttpRequest,
@@ -81,7 +80,6 @@ class ServingServer:
         users: list[User] | tuple[User, ...],
         events: list[Event] | tuple[Event, ...],
         *,
-        max_batch: int = DEFAULT_MAX_BATCH,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.service = service
@@ -90,10 +88,7 @@ class ServingServer:
         self.pool: list[Event] = list(events)
         self.registry = registry if registry is not None else get_registry()
         self.batcher: MicroBatcher = MicroBatcher(
-            self._recommend_batch,
-            max_batch=max_batch,
-            fast_runner=self._recommend_single,
-            registry=self.registry,
+            self._recommend_batch, registry=self.registry
         )
         self.draining = False
         self._similar: SimilarEventIndex | None = None
@@ -126,44 +121,39 @@ class ServingServer:
             )
         return frozenset(event_ids)
 
-    # -- batched recommend runners -------------------------------------
+    # -- the batch runner ----------------------------------------------
 
     def _pool_events(self, pool_ids: frozenset[int] | None) -> list[Event]:
         if pool_ids is None:
             return self.pool
         return [self.events[i] for i in sorted(pool_ids)]
 
-    def _recommend_single(self, work: _RecommendWork) -> list[ScoredEvent]:
-        """Size-1 flush: the sequential path, no batch overhead."""
-        return self.service.rank_events(
-            work.user,
-            self._pool_events(work.pool_ids),
-            at_time=work.at_time,
-            top_k=work.top_k,
-        )
-
     def _recommend_batch(
         self, items: list[_RecommendWork]
     ) -> list[list[ScoredEvent]]:
-        """One GEMM over the union pool, one answer per request.
-
-        The service applies each request's own pool, ``at_time`` and
-        ``top_k`` to its row of the shared score matrix, so each answer
-        matches a direct ``rank_events`` call — the cross-path parity
-        test pins this.
-        """
-        pools = [work.pool_ids for work in items]
-        if any(pool_ids is None for pool_ids in pools):
-            union_events = self.pool
-        else:
-            union_events = self._pool_events(frozenset().union(*pools))
-        return self.service.rank_events_batch(
-            [work.user for work in items],
-            union_events,
-            at_time=[work.at_time for work in items],
-            top_k=[work.top_k for work in items],
-            subsets=pools,
-        )
+        """One service call per distinct ``(pool, at_time, top_k)`` of a
+        flush, one answer per request, in flush order."""
+        groups: dict[tuple[Any, ...], list[int]] = {}
+        for position, work in enumerate(items):
+            shape = (work.pool_ids, work.at_time, work.top_k)
+            groups.setdefault(shape, []).append(position)
+        answers: list[list[ScoredEvent]] = [[] for _ in items]
+        for (pool_ids, at_time, top_k), positions in groups.items():
+            events = self._pool_events(pool_ids)
+            users = [items[position].user for position in positions]
+            if len(users) == 1:
+                rankings = [
+                    self.service.rank_events(
+                        users[0], events, at_time=at_time, top_k=top_k
+                    )
+                ]
+            else:
+                rankings = self.service.rank_events_batch(
+                    users, events, at_time=at_time, top_k=top_k
+                )
+            for position, ranking in zip(positions, rankings):
+                answers[position] = ranking
+        return answers
 
     # -- route handlers ------------------------------------------------
 

@@ -28,8 +28,7 @@ against with a single matrix-vector product.
   change", Section 4);
 * activity windows (``created_at``/``starts_at``) are kept in aligned
   arrays so ``at_time`` eligibility is one vectorized comparison, not
-  a per-event ``is_active`` loop — one time for a whole cohort, or one
-  per query of a batch.
+  a per-event ``is_active`` loop — one time for a whole cohort.
 
 The index owns no model and no metrics of its own —
 :class:`~repro.core.service.RepresentationService` maintains it and
@@ -85,9 +84,6 @@ _INITIAL_CAPACITY = 64
 # Row-layout epochs of every index in the process come off one counter,
 # so a pool resolved by one index never looks current to another.
 _EPOCHS = count()
-
-# One time for every query, or one per query (``None`` = unfiltered).
-TimeFilter = float | None | Sequence[float | None]
 
 
 @dataclass
@@ -402,10 +398,9 @@ class EventIndex:
         return array[: self._size] if rows is None else array[rows]
 
     def activity_mask(
-        self, at_time: float | np.ndarray, rows: np.ndarray | None = None
+        self, at_time: float, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Vectorized ``Event.is_active`` over (a subset of) the rows;
-        a column of times gives one mask row per time."""
+        """Vectorized ``Event.is_active`` over (a subset of) the rows."""
         with self._lock:
             created = self._select(self._created, rows)
             starts = self._select(self._starts, rows)
@@ -460,33 +455,16 @@ class EventIndex:
             return dots * (scales[None, :] / norms[:, None])
 
     def _eligible_rows(
-        self, pool: ResolvedPool, at_time: TimeFilter
-    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
-        """``(positions, rows, whole, eligible)``, under the held lock.
-
-        The pool's present ids that are active at ``at_time``.  One
-        ``at_time`` per query keeps the rows active for any of them, and
-        ``eligible`` then says which ``(query, row)`` cells are inside
-        their own window; a ``None`` entry takes every row.
-        """
+        self, pool: ResolvedPool, at_time: float | None
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(positions, rows, whole)`` of the pool's present ids that
+        are active at ``at_time``, under the held lock."""
         positions, rows = pool.positions, pool.rows
         if at_time is None or not rows.size:
-            return positions, rows, pool.whole, None
-        eligible = None
-        if np.ndim(at_time) == 0:
-            keep = self.activity_mask(at_time, rows)
-        else:
-            # "Unfiltered" is its own column, not a NaN time: a NaN time
-            # is inside no window, here as for a single query.
-            unfiltered = np.fromiter(
-                (moment is None for moment in at_time), dtype=bool, count=len(at_time)
-            )[:, None]
-            times = np.asarray(at_time, dtype=np.float64)[:, None]
-            eligible = unfiltered | self.activity_mask(times, rows)
-            keep = eligible.any(axis=0)
-            eligible = eligible[:, keep]
+            return positions, rows, pool.whole
+        keep = self.activity_mask(at_time, rows)
         rows = rows[keep]
-        return positions[keep], rows, pool.whole and rows.size == self._size, eligible
+        return positions[keep], rows, pool.whole and rows.size == self._size
 
     def _score_ids(
         self,
@@ -494,7 +472,7 @@ class EventIndex:
         stage: str,
         query: np.ndarray,
         pool: ResolvedPool | Sequence[int] | np.ndarray,
-        at_time: TimeFilter,
+        at_time: float | None,
     ) -> tuple[np.ndarray, np.ndarray, ResolvedPool]:
         """Epoch check → activity filter → ``kernel`` under one lock hold.
 
@@ -514,11 +492,9 @@ class EventIndex:
                 pool = self.resolve(pool)
             elif pool.epoch != self._epoch:
                 pool = self.resolve(pool.ids)
-            positions, rows, whole, eligible = self._eligible_rows(pool, at_time)
+            positions, rows, whole = self._eligible_rows(pool, at_time)
             with span(stage) if traced else nullcontext():
                 scores = kernel(query, None if whole else rows)
-            if eligible is not None:
-                scores[~eligible] = -np.inf
             return positions, scores, pool
 
     def score_ids(
@@ -543,16 +519,13 @@ class EventIndex:
         self,
         queries: np.ndarray,
         pool: ResolvedPool | Sequence[int] | np.ndarray,
-        at_time: TimeFilter = None,
+        at_time: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, ResolvedPool]:
         """Atomic resolve → activity filter → GEMM for a user cohort.
 
         Returns ``(positions, score_matrix, resolved)`` with
         ``score_matrix`` of shape ``(num_users, len(positions))``; same
-        pool and atomicity contract as :meth:`score_ids`.  ``at_time``
-        is one time for the cohort or one per query (``None`` entries
-        are unfiltered); with one per query, an event outside a query's
-        own window scores ``-inf`` for it.
+        pool, ``at_time`` and atomicity contract as :meth:`score_ids`.
         """
         return self._score_ids(
             self.scores_batch, "repro_index_gemm", queries, pool, at_time

@@ -17,6 +17,7 @@ from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService, ServingMonitors
 from repro.entities import Event, User
 from repro.obs import MetricsRegistry, use_registry
+from repro.serving.server import ServingServer, _RecommendWork
 from repro.store.cache import VectorCache
 from repro.store.index import EventIndex
 from repro.text.documents import DocumentEncoder
@@ -319,10 +320,23 @@ class TestBatchEdgeCases:
         )
 
 
+def flush(service, users, events, shapes):
+    """One flush through the server's runner over the pool ``events``:
+    per user, ``(pool ids or None, at_time, top_k)`` as ``/recommend``
+    resolves them."""
+    server = ServingServer(service, users, events)
+    return server._recommend_batch(
+        [
+            _RecommendWork(user, None if ids is None else frozenset(ids), at_time, k)
+            for user, (ids, at_time, k) in zip(users, shapes)
+        ]
+    )
+
+
 class TestEveryEntranceMatchesReference:
     """``rank_events``, a batch of one, a row of a many-user batch and
-    a row of a batch whose other users ask for something else all go
-    through the one rank body; each is held to the reference."""
+    a row of a server flush whose other requests ask for something else
+    all go through the one rank body; each is held to the reference."""
 
     def _pool(self, case):
         pool = TestIndexedParity()._random_pool(30, seed=11)
@@ -364,12 +378,13 @@ class TestEveryEntranceMatchesReference:
         elif entrance == "row_of_batch":
             got = service.rank_events_batch(tiny_users, events, **kwargs)[1]
         else:
-            got = service.rank_events_batch(
-                tiny_users,
+            # The last request shares the row's shape: a group of two.
+            shape = (None, kwargs.get("at_time"), kwargs["top_k"])
+            got = flush(
+                service,
+                [*tiny_users, tiny_users[0]],
                 events,
-                at_time=[None, kwargs.get("at_time"), 3.0],
-                top_k=[1, kwargs["top_k"], None],
-                subsets=[set(), None, None],
+                [((), None, 1), shape, (None, 3.0, None), shape],
             )[1]
         want = rank_events_loop(service, user, events, **kwargs)
         if case in ("empty_pool", "all_expired", "nan_time"):
@@ -383,21 +398,18 @@ class TestEveryEntranceMatchesReference:
 
 
 class TestPerUserBatchMatchesReference:
-    """``rank_events_batch`` with each user's own subset, ``at_time``
-    and ``top_k``: every row is held to the reference run on that
-    user's own pool."""
+    """A server flush whose requests each bring their own pool,
+    ``at_time`` and ``top_k``: every answer is held to the reference
+    run on that request's own pool."""
 
     def _assert_rows_match(self, service, users, events, at_time, top_k, subsets):
-        got = service.rank_events_batch(
-            users, events, at_time=at_time, top_k=top_k, subsets=subsets
-        )
+        got = flush(service, users, events, list(zip(subsets, at_time, top_k)))
         assert len(got) == len(users)
         for row, user, time, k, subset in zip(got, users, at_time, top_k, subsets):
-            own = [
-                event
-                for event in events
-                if subset is None or event.event_id in subset
-            ]
+            # A sub-pool is a set of ids: each named event ranks once.
+            own = events if subset is None else list(
+                {event.event_id: event for event in events if event.event_id in subset}.values()
+            )
             want = rank_events_loop(service, user, own, at_time=time, top_k=k)
             assert [s.event.event_id for s in row] == [
                 s.event.event_id for s in want
@@ -473,9 +485,8 @@ class TestPerUserBatchMatchesReference:
         with monkeypatch.context() as patched:
             patched.setattr(service.model, "encode_events", counting_encode_events)
             patched.setattr(type(service.index), "__contains__", per_event_question)
-            got = service.rank_events_batch(
-                tiny_users, pool, at_time=[None, None, 20.0], top_k=[None, None, 6],
-                subsets=subsets,
+            got = flush(
+                service, tiny_users, pool, list(zip(subsets, [None, None, 20.0], [None, None, 6]))
             )
         assert encoded == [2]
         assert service.cache.stats.misses - misses_before == 2
@@ -487,19 +498,6 @@ class TestPerUserBatchMatchesReference:
             [(s.event.event_id, s.score) for s in row] for row in want
         ]
         assert len(got[0]) == len(pool)  # a twice-named event ranks twice
-
-    def test_mismatched_per_user_lengths_are_rejected(
-        self, service, tiny_users, tiny_events
-    ):
-        for kwargs in (
-            {"top_k": [1, 2]},
-            {"at_time": [1.0]},
-            {"subsets": [None]},
-        ):
-            with pytest.raises(ValueError, match="one entry per user"):
-                service.rank_events_batch(tiny_users, tiny_events, **kwargs)
-        with pytest.raises(ValueError, match="top_k"):
-            service.rank_events_batch(tiny_users, tiny_events, top_k=[1, 0, 2])
 
 
 def served(ranking):
@@ -539,7 +537,7 @@ class TestResolvedPoolMemo:
         for _ in range(4):
             assert served(service.rank_events(user, pool, top_k=5)) == served(first)
         service.rank_events(user, pool, at_time=40.0)
-        service.rank_events_batch(tiny_users, pool, at_time=[None, 30.0, 40.0])
+        service.rank_events_batch(tiny_users, pool, at_time=30.0)
         assert resolves == [30]
         # "fresh": a moved window, same text; "refreshed": new text.
         # Neither moves a row, so neither costs a resolve — and both show.
@@ -866,6 +864,24 @@ class TestServingMonitors:
         assert (candidates["count"], candidates["sum"]) == (1, 2)
         assert service.monitors.candidates.observed == 1
 
+    def test_every_ranked_user_norm_is_observed(
+        self, observed, tiny_users, tiny_events, monkeypatch
+    ):
+        """Both rank entrances feed ``serving_user_norms`` one norm per
+        ranked user — a repeated user counts each time it is served —
+        and ``warm``'s lookups feed it nothing."""
+        _, service = observed
+        norms = []
+        monkeypatch.setattr(service.monitors.user_norms, "observe", norms.append)
+        service.warm(tiny_users, tiny_events)
+        assert norms == []
+        cohort = [*tiny_users, tiny_users[0]]
+        service.rank_events_batch(cohort, tiny_events, top_k=2)
+        service.rank_events(tiny_users[1], tiny_events)
+        got = list(norms)
+        want = [np.linalg.norm(service.user_vector(u)) for u in [*cohort, tiny_users[1]]]
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_score_only_process_exports_cache_and_index_gauges(
         self, service, tiny_users, tiny_events
     ):
@@ -923,24 +939,23 @@ class TestBatchUserDedupe:
     def test_drift_monitor_sees_exactly_the_served_scores(
         self, observed, tiny_users, tiny_events, monkeypatch
     ):
-        """Per-user pools, times and ``top_k`` are applied before
-        anything is observed: the score monitor is fed the scores the
-        batch path returns and no score of the wider union."""
+        """A server flush with its own pools, times and ``top_k``: the
+        score monitor is fed the scores the runner returns, each once,
+        and no score of a wider ranking cut down after the call."""
         _, service = observed
         service.warm(tiny_users, tiny_events)
         observed = []
         monkeypatch.setattr(service.monitors.scores, "observe", observed.append)
-        rankings = service.rank_events_batch(
-            tiny_users,
+        rankings = flush(
+            service,
+            [*tiny_users, tiny_users[1]],
             tiny_events,
-            at_time=[None, 45.0, None],
-            top_k=[1, None, None],
-            subsets=[None, None, {2, 3}],
+            [(None, None, 1), (None, 45.0, None), ({2, 3}, None, None), (None, None, 1)],
         )
-        assert [len(ranking) for ranking in rankings] == [1, 2, 2]
-        assert observed == [
+        assert [len(ranking) for ranking in rankings] == [1, 2, 2, 1]
+        assert sorted(observed) == sorted(
             item.score for ranking in rankings for item in ranking
-        ]
+        )
 
 
 _MACHINE_WORDS = [
@@ -1059,43 +1074,21 @@ class ReusedPoolMachine(RuleBasedStateMachine):
             self.service.rank_events(user, unseen, at_time=at_time, top_k=top_k)
         )
 
-    @rule(
-        at_time=st.one_of(times, st.lists(times, min_size=3, max_size=3)),
-        top_k=st.one_of(cuts, st.lists(cuts, min_size=3, max_size=3)),
-        subsets=st.one_of(
-            st.none(),
-            st.lists(
-                st.one_of(st.none(), st.frozensets(picks, max_size=8)),
-                min_size=3,
-                max_size=3,
-            ),
-        ),
-    )
-    def rank_batch(self, at_time, top_k, subsets):
+    @rule(at_time=times, top_k=cuts)
+    def rank_batch(self, at_time, top_k):
         got = self.service.rank_events_batch(
-            self.users, self.pool, at_time=at_time, top_k=top_k, subsets=subsets
+            self.users, self.pool, at_time=at_time, top_k=top_k
         )
-        per_user = zip(
-            self.users,
-            got,
-            at_time if isinstance(at_time, list) else [at_time] * 3,
-            top_k if isinstance(top_k, list) else [top_k] * 3,
-            subsets if subsets is not None else [None] * 3,
-        )
-        for user, row, time, k, subset in per_user:
-            own = [
-                event
-                for event in self.pool
-                if subset is None or event.event_id in subset
-            ]
+        for user, row in zip(self.users, got):
             assert_matches_reference(
-                row, rank_events_loop(self.service, user, own, at_time=time, top_k=k)
+                row,
+                rank_events_loop(self.service, user, self.pool, at_time=at_time, top_k=top_k),
             )
         unseen = list(self.pool)
         assert [served(row) for row in got] == [
             served(row)
             for row in self.service.rank_events_batch(
-                self.users, unseen, at_time=at_time, top_k=top_k, subsets=subsets
+                self.users, unseen, at_time=at_time, top_k=top_k
             )
         ]
 

@@ -11,6 +11,7 @@ instead of hanging the suite.
 
 import asyncio
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,19 @@ from hypothesis import strategies as st
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer, span, use_tracer
+from repro.serving import batcher as batcher_module
 from repro.serving.batcher import BatcherClosed, MicroBatcher
 
 TIMEOUT = 10.0
 
 
+def max_batch(bound):
+    """Lower the batcher's flush bound for the block."""
+    return mock.patch.object(batcher_module, "MAX_BATCH", bound)
+
+
 class Gate:
-    """Runners that log what they were given, then wait to be let through.
+    """A runner that logs what it was given, then waits to be let through.
 
     ``release()`` lets one call through, ``open()`` every call from now
     on; ``entered()`` suspends the test until a call is parked (or, once
@@ -33,7 +40,6 @@ class Gate:
 
     def __init__(self, crash_on=()):
         self.batches = []  # what ``runner`` saw, one list per call
-        self.singles = []  # what ``fast`` saw
         self.crash_on = set(crash_on)
         self._entered = threading.Semaphore(0)
         self._permits = threading.Semaphore(0)
@@ -53,13 +59,6 @@ class Gate:
             ValueError(f"bad item {item}") if item == "poison" else f"ran:{item}"
             for item in items
         ]
-
-    def fast(self, item):
-        self.singles.append(item)
-        self._park()
-        if item in self.crash_on:
-            raise RuntimeError("the GEMV caught fire")
-        return f"fast:{item}"
 
     def release(self):
         self._permits.release()
@@ -113,28 +112,28 @@ class TestFlushTriggers:
         gate, registry = Gate(), MetricsRegistry()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, fast_runner=gate.fast, registry=registry)
+            batcher = MicroBatcher(gate.runner, registry=registry)
             head, tasks = await behind_a_held_flush(gate, batcher, range(5))
-            assert gate.batches == []  # nothing moves while the runner is busy
+            assert gate.batches == [["head"]]  # nothing moves while the runner is busy
             gate.open()
             return await asyncio.gather(head, *tasks)
 
         results = run(scenario)
-        assert results == ["fast:head"] + [f"ran:{i}" for i in range(5)]
-        assert gate.singles == ["head"]
-        assert gate.batches == [[0, 1, 2, 3, 4]]  # one flush, submission order
+        assert results == ["ran:head"] + [f"ran:{i}" for i in range(5)]
+        assert gate.batches == [["head"], [0, 1, 2, 3, 4]]  # one flush, submission order
         assert flush_reasons(registry) == {"idle": 1.0, "backlog": 1.0}
 
     def test_backlog_beyond_max_batch_takes_successive_flushes(self):
         gate, registry = Gate(), MetricsRegistry()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, max_batch=3, registry=registry)
+            batcher = MicroBatcher(gate.runner, registry=registry)
             head, tasks = await behind_a_held_flush(gate, batcher, range(7))
             gate.open()
             return await asyncio.gather(head, *tasks)
 
-        results = run(scenario)
+        with max_batch(3):
+            results = run(scenario)
         assert results == ["ran:head"] + [f"ran:{i}" for i in range(7)]
         assert gate.batches == [["head"], [0, 1, 2], [3, 4, 5], [6]]
         assert flush_reasons(registry) == {"idle": 1.0, "backlog": 3.0}
@@ -172,44 +171,6 @@ class TestFlushTriggers:
         assert (batcher.batches_flushed, batcher.requests_batched) == (2, 4)
 
 
-class TestFastPath:
-    def test_single_request_uses_fast_runner(self):
-        gate, registry = Gate(), MetricsRegistry()
-        gate.open()
-
-        async def scenario():
-            batcher = MicroBatcher(gate.runner, fast_runner=gate.fast, registry=registry)
-            return await batcher.submit("only")
-
-        assert run(scenario) == "fast:only"
-        assert gate.singles == ["only"]
-        assert gate.batches == []
-        assert flush_reasons(registry) == {"idle": 1.0}
-
-    def test_single_request_without_fast_runner_is_a_batch_of_one(self):
-        gate = Gate()
-        gate.open()
-
-        async def scenario():
-            return await MicroBatcher(gate.runner).submit("only")
-
-        assert run(scenario) == "ran:only"
-        assert gate.batches == [["only"]]
-
-    def test_multi_request_skips_fast_runner(self):
-        gate = Gate()
-
-        async def scenario():
-            batcher = MicroBatcher(gate.runner, fast_runner=gate.fast)
-            _head, tasks = await behind_a_held_flush(gate, batcher, [1, 2])
-            gate.open()
-            return await asyncio.gather(*tasks)
-
-        assert run(scenario) == ["ran:1", "ran:2"]
-        assert gate.batches == [[1, 2]]
-        assert gate.singles == ["head"]
-
-
 class TestIsolation:
     def test_poisoned_request_fails_alone(self):
         gate = Gate()
@@ -229,12 +190,13 @@ class TestIsolation:
         gate = Gate(crash_on={1})
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, max_batch=2)
+            batcher = MicroBatcher(gate.runner)
             head, tasks = await behind_a_held_flush(gate, batcher, range(4))
             gate.open()
             return await asyncio.gather(head, *tasks, return_exceptions=True)
 
-        head, zero, one, two, three = run(scenario)
+        with max_batch(2):
+            head, zero, one, two, three = run(scenario)
         assert head == "ran:head"
         assert isinstance(zero, RuntimeError) and isinstance(one, RuntimeError)
         assert (two, three) == ("ran:2", "ran:3")  # flush k+1 is not stranded
@@ -281,7 +243,7 @@ class TestCancellation:
         gate = Gate()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, fast_runner=gate.fast)
+            batcher = MicroBatcher(gate.runner)
             head, tasks = await behind_a_held_flush(gate, batcher, range(3))
             tasks[1].cancel()
             gate.open()
@@ -290,13 +252,16 @@ class TestCancellation:
         _head, first, cancelled, third = run(scenario)
         assert (first, third) == ("ran:0", "ran:2")
         assert isinstance(cancelled, asyncio.CancelledError)
-        assert gate.batches == [[0, 2]]  # the cancelled item never reached the runner
+        # The cancelled item never reached the runner.
+        assert gate.batches == [["head"], [0, 2]]
 
     def test_cancelling_all_but_one_leaves_fast_path(self):
+        """The survivor is a flush of one — the size the server's runner
+        sends down the single-user ``rank_events`` path."""
         gate = Gate()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, fast_runner=gate.fast)
+            batcher = MicroBatcher(gate.runner)
             head, tasks = await behind_a_held_flush(gate, batcher, range(2))
             tasks[0].cancel()
             gate.open()
@@ -304,15 +269,14 @@ class TestCancellation:
 
         _head, cancelled, survivor = run(scenario)
         assert isinstance(cancelled, asyncio.CancelledError)
-        assert survivor == "fast:1"
-        assert gate.batches == []
-        assert gate.singles == ["head", 1]
+        assert survivor == "ran:1"
+        assert gate.batches == [["head"], [1]]
 
     def test_all_cancelled_flush_does_not_strand_the_next(self):
         gate, registry = Gate(), MetricsRegistry()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, max_batch=2, registry=registry)
+            batcher = MicroBatcher(gate.runner, registry=registry)
             head, tasks = await behind_a_held_flush(gate, batcher, range(4))
             tasks[0].cancel()
             tasks[1].cancel()
@@ -320,11 +284,37 @@ class TestCancellation:
             results = await asyncio.gather(head, *tasks, return_exceptions=True)
             return batcher, results
 
-        batcher, (_head, *rest) = run(scenario)
+        with max_batch(2):
+            batcher, (_head, *rest) = run(scenario)
         assert rest[2:] == ["ran:2", "ran:3"]
         assert gate.batches == [["head"], [2, 3]]
-        assert batcher.batches_flushed == 2  # the empty flush is not counted
-        assert flush_reasons(registry) == {"idle": 1.0, "backlog": 2.0}
+        assert batcher.batches_flushed == 2
+        assert flush_reasons(registry) == {"idle": 1.0, "backlog": 1.0}
+
+    def test_all_cancelled_chunk_is_no_flush(self):
+        """A chunk whose every waiter was cancelled runs nothing and is
+        counted nowhere: the flush counter, the batch-size histogram and
+        ``batches_flushed`` (what ``/healthz`` reports) stay equal.  When
+        the whole backlog was cancelled the runner is simply free."""
+        gate, registry = Gate(), MetricsRegistry()
+
+        async def scenario():
+            batcher = MicroBatcher(gate.runner, registry=registry)
+            head, tasks = await behind_a_held_flush(gate, batcher, range(3))
+            for task in tasks:
+                task.cancel()
+            gate.open()
+            await asyncio.gather(head, *tasks, return_exceptions=True)
+            return batcher, await batcher.submit("later")
+
+        with max_batch(2):
+            batcher, later = run(scenario)
+        assert later == "ran:later"
+        assert gate.batches == [["head"], ["later"]]
+        users = histogram(registry, "repro_serving_batch_users")
+        assert (users["count"], users["sum"]) == (batcher.batches_flushed, 2.0)
+        assert sum(flush_reasons(registry).values()) == batcher.batches_flushed == 2
+        assert flush_reasons(registry) == {"idle": 2.0}
 
     def test_cancel_mid_flush_spares_batchmates(self):
         gate = Gate()
@@ -352,23 +342,18 @@ class TestTraceOwnership:
         first flush's task must not inherit the first request's span."""
         gate, registry = Gate(), MetricsRegistry()
 
-        def ranked(name):
-            def call(arg):
-                with span(name, registry=registry):
-                    return (gate.fast if name.endswith("rank") else gate.runner)(arg)
-
-            return call
+        def ranked(items):
+            # The server's runner: one rank span per service call.
+            name = "repro_serving_rank" if len(items) == 1 else "repro_serving_rank_batch"
+            with span(name, registry=registry):
+                return gate.runner(items)
 
         async def request(batcher, label, item):
             with span("repro_serving_http_request", {"who": label}, registry):
                 return await batcher.submit(item)
 
         async def scenario():
-            batcher = MicroBatcher(
-                ranked("repro_serving_rank_batch"),
-                fast_runner=ranked("repro_serving_rank"),
-                registry=registry,
-            )
+            batcher = MicroBatcher(ranked, registry=registry)
             first = asyncio.create_task(request(batcher, "first", "a"))
             await gate.entered()
             cancelled = asyncio.create_task(request(batcher, "cancelled", "b"))
@@ -380,7 +365,7 @@ class TestTraceOwnership:
             return await asyncio.gather(first, second, third)
 
         with use_tracer(Tracer()) as tracer:
-            assert run(scenario) == ["fast:a", "ran:c", "ran:d"]
+            assert run(scenario) == ["ran:a", "ran:c", "ran:d"]
             traces = tracer.traces()
         assert {trace.root_name for trace in traces} == {"repro_serving_http_request"}
         by_who = {trace.spans[-1].tags["who"]: trace for trace in traces}
@@ -421,7 +406,7 @@ class TestLifecycle:
         gate, registry = Gate(), MetricsRegistry()
 
         async def scenario():
-            batcher = MicroBatcher(gate.runner, max_batch=2, registry=registry)
+            batcher = MicroBatcher(gate.runner, registry=registry)
             head, tasks = await behind_a_held_flush(gate, batcher, range(3))
             closing = asyncio.create_task(batcher.close())
             await asyncio.sleep(0)
@@ -434,7 +419,8 @@ class TestLifecycle:
             assert all(task.done() for task in (head, *tasks))
             return await asyncio.gather(head, *tasks)
 
-        assert run(scenario) == ["ran:head", "ran:0", "ran:1", "ran:2"]
+        with max_batch(2):
+            assert run(scenario) == ["ran:head", "ran:0", "ran:1", "ran:2"]
         assert gate.batches == [["head"], [0, 1], [2]]
         assert flush_reasons(registry) == {"idle": 1.0, "close": 2.0}
 
@@ -448,10 +434,6 @@ class TestLifecycle:
 
 
 class TestConstruction:
-    def test_zero_max_batch_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(Gate().runner, max_batch=0)
-
     def test_takes_no_time_parameter(self):
         with pytest.raises(TypeError):
             MicroBatcher(Gate().runner, window_seconds=0.003)
@@ -470,18 +452,12 @@ OPS = st.lists(
 
 class TestAnyInterleaving:
     @settings(deadline=None, max_examples=60)
-    @given(ops=OPS, max_batch=st.integers(1, 4), with_fast=st.booleans())
-    def test_every_live_future_resolves_once(
-        self, ops, max_batch, with_fast
-    ):
+    @given(ops=OPS, bound=st.integers(1, 4))
+    def test_every_live_future_resolves_once(self, ops, bound):
         gate = Gate()
 
         async def scenario():
-            batcher = MicroBatcher(
-                gate.runner,
-                max_batch=max_batch,
-                fast_runner=gate.fast if with_fast else None,
-            )
+            batcher = MicroBatcher(gate.runner)
             tasks, cancelled, closing = [], set(), None
             for op, arg in ops:
                 if op == "submit":
@@ -506,7 +482,8 @@ class TestAnyInterleaving:
                 *tasks, return_exceptions=True
             )
 
-        accepted, cancelled, (*outcomes, late) = run(scenario)
+        with max_batch(bound):
+            accepted, cancelled, (*outcomes, late) = run(scenario)
         assert isinstance(late, BatcherClosed)
         for item, outcome in enumerate(outcomes):
             if isinstance(outcome, (asyncio.CancelledError, BatcherClosed)):
@@ -514,10 +491,10 @@ class TestAnyInterleaving:
                 # door, may go without an answer.
                 assert item in cancelled or isinstance(outcome, BatcherClosed)
             else:
-                assert outcome in (f"ran:{item}", f"fast:{item}")
+                assert outcome == f"ran:{item}"
         assert len(outcomes) == accepted
-        assert all(len(batch) <= max_batch for batch in gate.batches)
-        computed = gate.singles + [item for batch in gate.batches for item in batch]
+        assert all(0 < len(batch) <= bound for batch in gate.batches)
+        computed = [item for batch in gate.batches for item in batch]
         assert len(computed) == len(set(computed))  # nothing computed twice
         for batch in gate.batches:
             assert batch == sorted(batch)  # FIFO within a flush

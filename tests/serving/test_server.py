@@ -17,9 +17,12 @@ import json
 import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
@@ -34,6 +37,7 @@ from repro.serving import (
     ThreadedServer,
 )
 from repro.serving.http import HttpError, HttpRequest
+from repro.serving.server import _RecommendWork
 from repro.text.documents import DocumentEncoder
 from tests.reference import rank_events_loop
 
@@ -489,6 +493,90 @@ class TestBatchedParity:
             and record["tags"] == {"reason": "backlog"}
         ]
         assert backlog and backlog[0] > 0
+
+
+NAN = float("nan")  # one object, so requests naming it share a group
+
+FLUSHES = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # few users: repeats are common
+        st.one_of(
+            st.sampled_from(["all", "evens", "head", "none"]),
+            st.frozensets(st.integers(0, POOL_SIZE - 1), max_size=8),
+        ),
+        st.one_of(st.sampled_from([None, NAN, "cut"]), st.floats(0.0, 2000.0)),
+        st.sampled_from([None, 1, 3]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestGroupedFlush:
+    @settings(max_examples=60, deadline=None)
+    @given(requests=FLUSHES)
+    def test_every_answer_is_a_lone_rank_events(self, stack, requests):
+        """Any flush — pools (the served pool included), times (``None``
+        and NaN included), ``top_k`` (``None`` included), repeated users
+        — answers each request with what a lone ``rank_events`` on its
+        own pool returns: ids in order and scores within 1e-9, bit for
+        bit when its ``(pool, at_time, top_k)`` is the flush's only one."""
+        service, users, events = stack["service"], stack["users"], stack["events"]
+        server = ServingServer(service, users, events, registry=MetricsRegistry())
+        cut = sorted(event.starts_at for event in events)[len(events) // 2]
+
+        def pool_ids(pool):
+            if pool == "all":
+                return None
+            named = {"evens": range(0, POOL_SIZE, 2), "head": range(5), "none": ()}
+            return frozenset(events[i].event_id for i in named.get(pool, pool))
+
+        work = [
+            _RecommendWork(
+                users[user], pool_ids(pool), cut if at_time == "cut" else at_time, top_k
+            )
+            for user, pool, at_time, top_k in requests
+        ]
+        shapes = Counter((w.pool_ids, w.at_time, w.top_k) for w in work)
+        for w, got in zip(work, server._recommend_batch(work)):
+            lone = service.rank_events(
+                w.user, server._pool_events(w.pool_ids), at_time=w.at_time, top_k=w.top_k
+            )
+            if shapes[w.pool_ids, w.at_time, w.top_k] == 1:
+                assert [(s.event.event_id, s.score) for s in got] == [
+                    (s.event.event_id, s.score) for s in lone
+                ]
+            assert [s.event.event_id for s in got] == [s.event.event_id for s in lone]
+            for have, want in zip(got, lone):
+                assert abs(have.score - want.score) <= 1e-9
+
+    def test_each_shape_is_one_service_call(self, stack, monkeypatch):
+        service, users, events = stack["service"], stack["users"], stack["events"]
+        server = ServingServer(service, users, events, registry=MetricsRegistry())
+        calls = []
+
+        def spy(name):
+            method = getattr(service, name)
+
+            def call(ranked, *args, **kwargs):
+                calls.append((name, ranked if name == "rank_events_batch" else [ranked]))
+                return method(ranked, *args, **kwargs)
+
+            return call
+
+        for name in ("rank_events", "rank_events_batch"):
+            monkeypatch.setattr(service, name, spy(name))
+        full, sub = (None, None, 3), (frozenset(e.event_id for e in events[:6]), None, 3)
+        timed = (None, 40.0, 3)
+        shapes = [full, sub, full, timed, full]
+        server._recommend_batch(
+            [_RecommendWork(users[i], *shape) for i, shape in enumerate(shapes)]
+        )
+        assert calls == [
+            ("rank_events_batch", [users[0], users[2], users[4]]),
+            ("rank_events", [users[1]]),
+            ("rank_events", [users[3]]),
+        ]
 
 
 def tiny_service(tiny_users, tiny_events, warm_users):

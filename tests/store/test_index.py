@@ -243,30 +243,6 @@ class TestScoring:
         assert seen is not pool
         assert np.array_equal(theirs, other.score_ids(query, ids)[1])
 
-    def test_per_query_times_mask_cells_and_drop_dead_rows(self, rng):
-        index = EventIndex()
-        index.upsert(make_event(1, created=0.0, starts=10.0), "v", rng.normal(size=3))
-        index.upsert(make_event(2, created=5.0, starts=20.0), "v", rng.normal(size=3))
-        index.upsert(make_event(3, created=30.0, starts=40.0), "v", rng.normal(size=3))
-        queries = rng.normal(size=(3, 3))
-        ids = [3, 9, 2, 1]
-        positions, matrix, pool = index.score_ids_batch(
-            queries, ids, at_time=[3.0, 12.0, None]
-        )
-        assert pool.absent.tolist() == [1]
-        assert positions.tolist() == [0, 2, 3]  # event 3: the unfiltered query only
-        unfiltered, _, _ = index.score_ids_batch(queries, ids)
-        assert unfiltered.tolist() == [0, 2, 3]
-        inside = np.array(
-            [[False, False, True], [False, True, False], [True, True, True]]
-        )
-        assert np.array_equal(matrix == -np.inf, ~inside)
-        full = index.score_ids_batch(queries, ids)[1]
-        assert np.array_equal(matrix[inside], full[inside])
-        # One time for the cohort drops the rows instead: no -inf cells.
-        positions, matrix, _ = index.score_ids_batch(queries, ids, at_time=12.0)
-        assert positions.tolist() == [2] and np.isfinite(matrix).all()
-
     def test_scores_batch_matches_single(self, rng):
         index = EventIndex()
         for i in range(7):

@@ -6,11 +6,12 @@ pool) against reader threads ranking a disjoint stable pool through
 removal, capacity growth reallocations) but never change stable
 vectors, so every concurrent ranking must match the single-threaded
 oracle — which is exactly the property the index lock protects.  The
-last test races the service's per-request-subset batch read against
-swap-with-last removes of its own candidates, and the two after it race
-readers that *keep* a resolved pool — the ``ResolvedPool`` value itself,
-and the one the service remembers for a reused list — against removes
-and re-inserts that move the very rows it names.
+last test races the server's batch runner — a flush of requests with
+their own pools, times and ``top_k`` — against swap-with-last removes
+of its own candidates, and the two after it race readers that *keep* a
+resolved pool — the ``ResolvedPool`` value itself, and the one the
+service remembers for a reused list — against removes and re-inserts
+that move the very rows it names.
 """
 
 import sys
@@ -24,6 +25,7 @@ from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
 from repro.entities import Event
+from repro.serving.server import ServingServer, _RecommendWork
 from repro.store.index import EventIndex, top_k_order
 from repro.text.documents import DocumentEncoder
 
@@ -61,6 +63,11 @@ class TestScoreIds:
         # event 1 already started by t=50, only event 2 is active
         assert positions.tolist() == [1]
         assert scores.shape == (1,)
+        # One time for a cohort drops the same rows for every query.
+        positions, matrix, _ = index.score_ids_batch(
+            rng.normal(size=(2, 4)), [1, 2], at_time=50.0
+        )
+        assert positions.tolist() == [1] and matrix.shape == (2, 1)
 
     def test_all_missing_returns_empty(self, rng):
         index = EventIndex()
@@ -314,12 +321,14 @@ class TestConcurrentServingParity:
     def test_per_request_subset_batch_races_swap_with_last_removes(
         self, tiny_users, tiny_events
     ):
-        """``rank_events_batch`` with each user's own subset, time and
-        ``top_k`` while mutators remove (swap-with-last) and republish
-        half of the candidates: every returned ``(event_id, score)`` is
-        that id's own cosine — never the score of the row that moved
-        into its slot — and a candidate removed mid-call is either
-        missing from the answer or correctly scored."""
+        """The server's runner over a flush whose requests bring their
+        own pool, time and ``top_k`` — two of them sharing a shape, so
+        both ``rank_events`` and ``rank_events_batch`` run — while
+        mutators ``remove_event`` (swap-with-last) and republish half of
+        the candidates: every returned ``(event_id, score)`` is that
+        id's own cosine — never the score of the row that moved into its
+        slot — and a candidate removed mid-call is either missing from
+        the answer or correctly scored."""
         encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
         model = JointUserEventModel(JointModelConfig.small(seed=2), encoder)
         service = RepresentationService(model)
@@ -353,6 +362,13 @@ class TestConcurrentServingParity:
             set(subsets[1]),
             {i for i in subsets[2] if i % 4 == 0},
         ]
+        server = ServingServer(service, tiny_users, events)
+        users = [*tiny_users, *tiny_users[:2]]
+        shapes = [0, 1, 2, 0, 1]  # the last two join the first two's groups
+        work = [
+            _RecommendWork(user, subsets[shape], at_time[shape], top_k[shape])
+            for user, shape in zip(users, shapes)
+        ]
 
         stop = threading.Event()
         start = threading.Barrier(self.MUTATORS + self.READERS)
@@ -365,7 +381,7 @@ class TestConcurrentServingParity:
                 start.wait()
                 while not stop.is_set():
                     event = mine[int(local.integers(len(mine)))]
-                    if not service.index.remove(event.event_id):
+                    if not service.remove_event(event.event_id):
                         service.refresh_events([event])
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -374,12 +390,9 @@ class TestConcurrentServingParity:
             try:
                 start.wait()
                 for _ in range(60):
-                    rankings = service.rank_events_batch(
-                        tiny_users, events, at_time=at_time, top_k=top_k, subsets=subsets
-                    )
-                    for user, ranking, allowed, k in zip(
-                        tiny_users, rankings, eligible, top_k
-                    ):
+                    rankings = server._recommend_batch(work)
+                    for user, ranking, shape in zip(users, rankings, shapes):
+                        allowed, k = eligible[shape], top_k[shape]
                         answer = [(s.event.event_id, s.score) for s in ranking]
                         returned = [event_id for event_id, _ in answer]
                         assert len(set(returned)) == len(returned)

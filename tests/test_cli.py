@@ -332,8 +332,6 @@ class TestEndToEnd:
             # 0.1 expected arrivals: the seeded schedule is empty.
             (["loadgen", "--rate", "0.2", "--duration", "0.5"], "draws none"),
             (["loadgen", "--sample-fraction", "2"], "sample_fraction"),
-            (["loadgen", "--max-batch", "0"], "max_batch"),
-            (["serve", "--max-batch", "0"], "max_batch"),
         ]
         with monkeypatch.context() as patch:
             patch.setattr(repro.loadgen, "build_synthetic_service", built)
