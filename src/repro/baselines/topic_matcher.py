@@ -89,10 +89,6 @@ class AggregatedTopicMatcher:
             return cached
         return self.backend.infer(event.text_document())
 
-    def coverage(self) -> float:
-        """Fraction of seen users with a non-degenerate mixture."""
-        return float(len(self._user_mixtures))
-
     def score(self, user_id: int, event: Event) -> float:
         """Cosine topic similarity, the matcher's ranking score."""
         return exact_cosine(self.user_mixture(user_id), self.event_mixture(event))

@@ -90,9 +90,8 @@ def trace_top_words(
     if not words:
         raise ValueError("cannot analyze an empty text")
     encoded = encoder.encode_event_text(text)
-    batch = pad_batch([encoded.text_ids])
     (module,) = tower.text_modules
-    _, cache = module.forward(batch)
+    _, cache = module.forward(pad_batch([encoded.text_ids], max(module.windows)))
     result: dict[int, list[WordAttribution]] = {}
     for window, weights in module.pooling_attribution(cache).items():
         contributions = _attribute_module(

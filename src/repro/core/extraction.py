@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.nn.batching import PaddedBatch, window_counts
+from repro.nn.batching import PackedBatch, window_mask
 from repro.nn.layers import Embedding, WindowedConv
 from repro.nn.params import ParamStore
 from repro.nn.pooling import (
@@ -24,7 +24,6 @@ from repro.nn.pooling import (
     log_sum_exp_pool_backward,
     pooling_weights,
 )
-from repro.text.vocab import PAD_ID
 
 __all__ = ["ConvExtractionModule"]
 
@@ -60,40 +59,40 @@ class ConvExtractionModule:
         self.windows = self.conv.windows
         self.feature_dim = out_dim * len(self.windows)
 
-    def forward(self, batch: PaddedBatch) -> tuple[np.ndarray, dict]:
+    def forward(self, batch: PackedBatch) -> tuple[np.ndarray, dict]:
         """``(batch of sequences)`` → ``(batch, feature_dim)`` features:
         the pooled ``out_dim`` values of each window, in window order.
 
-        The ids are right-padded here by the widest window − 1 PAD
-        columns (PAD embeds to zero), so every window size is convolved
-        at the same ``batch.max_length`` positions; which of them count
-        is :func:`~repro.nn.batching.window_counts`' rule.
+        Every window size is convolved at the same positions of the
+        packed stream — each document's tokens and the PAD gap behind
+        it — and each document's windows pool as one segment; which of
+        them count is :func:`~repro.nn.batching.window_mask`'s rule.
         """
-        rows, length = batch.ids.shape
-        ids = np.full((rows, length + self.conv.reach), PAD_ID, dtype=np.int64)
-        ids[:, :length] = batch.ids
-        token_vectors, emb_cache = self.embedding.forward(ids)
+        token_vectors, emb_cache = self.embedding.forward(batch.ids)
         window_values, conv_cache = self.conv.forward(token_vectors)
-        valid = (
-            np.arange(length)[None, :, None]
-            < window_counts(batch.lengths, self.windows)[:, None, :]
-        )
+        positions = len(window_values)
         pooled, pool_cache = log_sum_exp_pool(
-            window_values.reshape(rows, length, len(self.windows), self.out_dim),
-            valid,
+            window_values.reshape(positions, len(self.windows), self.out_dim),
+            window_mask(batch, self.windows),
+            batch.starts,
         )
-        cache = {"emb": emb_cache, "conv": conv_cache, "pool": pool_cache}
-        return pooled.reshape(rows, self.feature_dim), cache
+        cache = {
+            "emb": emb_cache,
+            "conv": conv_cache,
+            "pool": pool_cache,
+            "batch": batch,
+        }
+        return pooled.reshape(batch.batch_size, self.feature_dim), cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
         """Accumulate gradients into the conv weights and lookup table."""
-        rows = grad_out.shape[0]
         grad_windows = log_sum_exp_pool_backward(
-            grad_out.reshape(rows, len(self.windows), self.out_dim),
+            grad_out.reshape(len(grad_out), len(self.windows), self.out_dim),
             cache["pool"],
         )
         grad_tokens = self.conv.backward(
-            grad_windows.reshape(rows, -1, self.feature_dim), cache["conv"]
+            grad_windows.reshape(len(grad_windows), self.feature_dim),
+            cache["conv"],
         )
         self.embedding.backward(grad_tokens, cache["emb"])
 
@@ -102,10 +101,15 @@ class ConvExtractionModule:
 
         Each ``(batch, positions, out_dim)`` — the share of each pooled
         output dimension attributable to the window starting at each
-        position; invalid windows hold weight 0.  Used by the Figure-7
-        trace-back analysis.
+        position of the document (``positions`` is the longest
+        document's length); invalid windows hold weight 0.  Used by the
+        Figure-7 trace-back analysis.
         """
-        weights = pooling_weights(cache["pool"])
+        batch = cache["batch"]
+        packed = pooling_weights(cache["pool"])
+        real = np.arange(batch.max_length) < batch.lengths[:, None]
+        weights = np.zeros(real.shape + packed.shape[1:], dtype=packed.dtype)
+        weights[real] = packed[batch.mask[: len(packed)]]
         return {
             window: weights[:, :, index]
             for index, window in enumerate(self.windows)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.config import JointModelConfig
 from repro.core.tower import EventTower, UserTower
-from repro.nn.batching import PaddedBatch, pad_batch
+from repro.nn.batching import PackedBatch, pad_batch
 from repro.nn.cosine import cosine_similarity, cosine_similarity_backward
 from repro.nn.losses import contrastive_loss
 from repro.nn.params import ParamStore
@@ -57,22 +57,26 @@ class JointUserEventModel:
 
     def user_batches(
         self, users: Sequence[EncodedUser]
-    ) -> dict[str, PaddedBatch]:
-        """Pad a list of encoded users into per-source batches."""
+    ) -> dict[str, PackedBatch]:
+        """Pack a list of encoded users into per-source batches."""
         return {
-            UserTower.TEXT_SOURCE: pad_batch([user.text_ids for user in users]),
+            UserTower.TEXT_SOURCE: pad_batch(
+                [user.text_ids for user in users], max(self.config.text_windows)
+            ),
             UserTower.ID_SOURCE: pad_batch(
-                [user.id_feature_ids for user in users]
+                [user.id_feature_ids for user in users],
+                max(UserTower.ID_WINDOWS),
             ),
         }
 
     def event_batches(
         self, events: Sequence[EncodedEvent]
-    ) -> dict[str, PaddedBatch]:
-        """Pad a list of encoded events into per-source batches."""
+    ) -> dict[str, PackedBatch]:
+        """Pack a list of encoded events into per-source batches."""
         return {
             EventTower.TEXT_SOURCE: pad_batch(
-                [event.text_ids for event in events]
+                [event.text_ids for event in events],
+                max(self.config.text_windows),
             )
         }
 

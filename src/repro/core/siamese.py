@@ -24,7 +24,7 @@ from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.tower import EventTower
 from repro.entities import Event
-from repro.nn.batching import PaddedBatch, pad_batch
+from repro.nn.batching import PackedBatch, pad_batch
 from repro.nn.cosine import cosine_similarity, cosine_similarity_backward
 from repro.nn.losses import contrastive_loss
 from repro.nn.optim import Adagrad, ExponentialDecay
@@ -97,10 +97,11 @@ class SiameseEventInitializer:
         label_array = np.asarray(labels, dtype=np.float64)[order]
         return left, right, label_array
 
-    @staticmethod
-    def _batches(texts: Sequence[EncodedEvent]) -> dict[str, PaddedBatch]:
+    def _batches(self, texts: Sequence[EncodedEvent]) -> dict[str, PackedBatch]:
         return {
-            EventTower.TEXT_SOURCE: pad_batch([item.text_ids for item in texts])
+            EventTower.TEXT_SOURCE: pad_batch(
+                [item.text_ids for item in texts], max(self.config.text_windows)
+            )
         }
 
     def _forward(

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.config import JointModelConfig
 from repro.core.extraction import ConvExtractionModule
-from repro.nn.batching import PaddedBatch
+from repro.nn.batching import PackedBatch
 from repro.nn.layers import Affine, Concat, Embedding, Tanh
 from repro.nn.params import ParamStore
 
@@ -61,7 +61,7 @@ class Tower:
         store: shared parameter store.
         name: parameter-name prefix (``"user"`` / ``"event"``).
         modules: ``(source_key, block)`` pairs; ``source_key`` selects
-            which :class:`PaddedBatch` each extraction block reads from
+            which :class:`PackedBatch` each extraction block reads from
             the forward input dict.
         config: architecture dims.
         rng: weight initializer generator.
@@ -98,12 +98,12 @@ class Tower:
         )
 
     def forward(
-        self, batches: dict[str, PaddedBatch]
+        self, batches: dict[str, PackedBatch]
     ) -> tuple[np.ndarray, dict]:
         """Encode a batch of entities into representation vectors.
 
         Args:
-            batches: one padded batch per source key.
+            batches: one packed batch per source key.
 
         Returns:
             ``(representations, cache)`` with representations of shape
@@ -149,7 +149,7 @@ class Tower:
     def encode(
         self,
         entities: Sequence[Entity],
-        to_batches: Callable[[Sequence[Entity]], dict[str, PaddedBatch]],
+        to_batches: Callable[[Sequence[Entity]], dict[str, PackedBatch]],
         batch_size: int,
     ) -> np.ndarray:
         """Forward-only representations of *entities*, *batch_size* at a
@@ -165,7 +165,7 @@ class Tower:
     def forward_distinct(
         self,
         entities: Sequence[Entity],
-        to_batches: Callable[[Sequence[Entity]], dict[str, PaddedBatch]],
+        to_batches: Callable[[Sequence[Entity]], dict[str, PackedBatch]],
     ) -> tuple[np.ndarray, dict]:
         """:meth:`forward` over the distinct *entities* only.
 
@@ -199,6 +199,7 @@ class UserTower(Tower):
 
     TEXT_SOURCE = "text"
     ID_SOURCE = "ids"
+    ID_WINDOWS = (1,)
 
     def __init__(
         self,
@@ -242,7 +243,7 @@ class UserTower(Tower):
                     store,
                     "user.id_conv",
                     self.id_embedding,
-                    (1,),
+                    self.ID_WINDOWS,
                     config.module_dim,
                     rng,
                 ),

@@ -173,11 +173,13 @@ class RepresentationTrainer:
             rate = schedule.apply(optimizer, epoch)
             order = np.arange(len(train_users))
             rng.shuffle(order)
-            # Length bucketing: sort each chunk of ~8 batches by
-            # event length so batches pad to similar lengths — and
-            # so the pairs that show one event sit together, where
-            # the event tower encodes it once for all of them.
-            # Chunk membership stays random across epochs.
+            # Sort each chunk of ~8 batches by event length.  Packed
+            # batches hold no padding, so this buys no convolution
+            # work; it is kept because it puts the pairs that show one
+            # event together, where the event tower encodes it once
+            # for all of them, and because the loss curves depend on
+            # this pair order.  Chunk membership stays random across
+            # epochs.
             chunk = self.config.batch_size * 8
             for start in range(0, len(order), chunk):
                 segment = order[start : start + chunk]

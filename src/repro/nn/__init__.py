@@ -7,7 +7,7 @@ and SGD/Adagrad with per-epoch learning-rate decay — with manual
 forward/backward passes verified by finite-difference checks.
 """
 
-from repro.nn.batching import PaddedBatch, pad_batch, window_counts, window_mask
+from repro.nn.batching import PackedBatch, pad_batch, window_mask
 from repro.nn.cosine import (
     COSINE_EPS,
     cosine_similarity,
@@ -41,7 +41,7 @@ __all__ = [
     "ExponentialDecay",
     "NEG_INF",
     "Optimizer",
-    "PaddedBatch",
+    "PackedBatch",
     "ParamStore",
     "Parameter",
     "SGD",
@@ -62,6 +62,5 @@ __all__ = [
     "pooling_weights",
     "sigmoid",
     "unit_rows",
-    "window_counts",
     "window_mask",
 ]

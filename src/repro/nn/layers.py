@@ -49,7 +49,7 @@ class Embedding:
         self.dim = dim
 
     def forward(self, ids: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Look up ``(batch, length)`` ids → ``(batch, length, dim)``."""
+        """Look up ids of any shape → vectors, one more axis of ``dim``."""
         out = self.table.value.take(ids, axis=0)
         return out, {"ids": ids}
 
@@ -84,9 +84,10 @@ class WindowedConv:
     same ``L`` start positions and fills its own ``K`` columns of one
     output buffer, in ascending window order.
 
-    Input ``(batch, L + max(windows) - 1, D)`` — the sequence
-    right-padded with zero vectors, so that the widest window fits at
-    every start position — → output ``(batch, L, len(windows) * K)``.
+    Input ``(L + max(windows) - 1, D)`` — one token sequence (a packed
+    stream of documents) followed by the widest window − 1
+    zero vectors, so that the widest window fits at every start
+    position — → output ``(L, len(windows) * K)``.
 
     Parameters are registered per window as ``{name}_w{d}.weight`` and
     ``{name}_w{d}.bias``.
@@ -148,49 +149,45 @@ class WindowedConv:
 
         Mathematically identical to concatenating window vectors and
         multiplying by M_c, but avoids materializing the
-        ``(batch, windows, d*in_dim)`` tensor.
+        ``(windows, d*in_dim)`` matrix: one 2-D product per shift.
         """
-        batch, padded_length, _ = token_vectors.shape
+        padded_length = token_vectors.shape[0]
         length = padded_length - self.reach
         if length < 1:
             raise ValueError(
                 f"sequence length {padded_length} < window "
-                f"{self.windows[-1]}; right-pad the batch by the widest "
-                f"window - 1"
+                f"{self.windows[-1]}; follow the sequence with the widest "
+                f"window - 1 PAD ids"
             )
         out = np.empty(
-            (batch, length, len(self.windows) * self.out_dim),
-            dtype=token_vectors.dtype,
+            (length, len(self.windows) * self.out_dim), dtype=token_vectors.dtype
         )
         for shift, _, first_column, _, stacked in self._shift_blocks():
-            shifted = token_vectors[:, shift : shift + length]
+            shifted = token_vectors[shift : shift + length]
             if shift == 0:
                 np.matmul(shifted, stacked.T, out=out)
                 out += np.concatenate([bias.value for bias in self.biases])
             else:
-                out[:, :, first_column:] += shifted @ stacked.T
+                out[:, first_column:] += shifted @ stacked.T
         return out, {"inputs": token_vectors}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         inputs = cache["inputs"]
-        length = grad_out.shape[1]
-        flat_grad = grad_out.reshape(-1, grad_out.shape[2])
+        length = grad_out.shape[0]
         for bias, bias_grad in zip(
-            self.biases, np.split(flat_grad.sum(axis=0), len(self.biases))
+            self.biases, np.split(grad_out.sum(axis=0), len(self.biases))
         ):
             bias.grad += bias_grad
         grad_input = np.zeros_like(inputs)
         for shift, readers, first_column, columns, stacked in self._shift_blocks():
-            suffix_grad = flat_grad[:, first_column:]
-            shifted = inputs[:, shift : shift + length]
-            weight_grads = suffix_grad.T @ shifted.reshape(-1, self.in_dim)
+            suffix_grad = grad_out[:, first_column:]
+            shifted = inputs[shift : shift + length]
+            weight_grads = suffix_grad.T @ shifted
             for weight, weight_grad in zip(
                 readers, np.split(weight_grads, len(readers))
             ):
                 weight.grad[:, columns] += weight_grad
-            grad_input[:, shift : shift + length] += (
-                suffix_grad @ stacked
-            ).reshape(shifted.shape)
+            grad_input[shift : shift + length] += suffix_grad @ stacked
         return grad_input
 
 

@@ -79,15 +79,16 @@ class TestRealKernels:
         assert env == {"N": 5, "D": 3}
 
     def test_lse_pool_contract_forward_and_backward(self):
-        window_values = RNG.normal(size=(2, 5, 3))
-        valid = np.ones((2, 5), dtype=bool)
-        pooled, cache = log_sum_exp_pool(window_values, valid)
+        window_values = RNG.normal(size=(5, 3))
+        valid = np.ones(5, dtype=bool)
+        starts = np.array([0, 2])
+        pooled, cache = log_sum_exp_pool(window_values, valid, starts)
         env = check_call(
             "repro.nn.pooling.log_sum_exp_pool",
-            {"window_values": window_values, "valid": valid},
+            {"window_values": window_values, "valid": valid, "starts": starts},
             outputs=pooled,
         )
-        assert env == {"B": 2, "W": 5, "K": 3}
+        assert env == {"B": 2, "P": 5, "K": 3}
         grad = log_sum_exp_pool_backward(np.ones_like(pooled), cache)
         check_call(
             "repro.nn.pooling.log_sum_exp_pool_backward",
@@ -97,12 +98,16 @@ class TestRealKernels:
         )
 
     def test_mismatched_mask_rejected(self):
-        window_values = RNG.normal(size=(2, 5, 3))
-        valid = np.ones((2, 4), dtype=bool)
+        window_values = RNG.normal(size=(5, 3))
+        valid = np.ones(4, dtype=bool)
         with pytest.raises(ContractError, match="already bound"):
             check_call(
                 "repro.nn.pooling.log_sum_exp_pool",
-                {"window_values": window_values, "valid": valid},
+                {
+                    "window_values": window_values,
+                    "valid": valid,
+                    "starts": np.array([0]),
+                },
             )
 
     def test_dtype_kind_enforced(self):
@@ -110,8 +115,9 @@ class TestRealKernels:
             check_call(
                 "repro.nn.pooling.log_sum_exp_pool",
                 {
-                    "window_values": RNG.normal(size=(2, 5, 3)),
-                    "valid": np.ones((2, 5)),  # float mask
+                    "window_values": RNG.normal(size=(5, 3)),
+                    "valid": np.ones(5),  # float mask
+                    "starts": np.array([0]),
                 },
             )
 
@@ -119,7 +125,7 @@ class TestRealKernels:
         with pytest.raises(ContractError, match="not integer"):
             check_call(
                 "repro.nn.layers.Embedding.forward",
-                {"ids": np.zeros((2, 7))},  # float ids
+                {"ids": np.zeros(7)},  # float ids
             )
 
 
@@ -131,12 +137,12 @@ class TestContractRegistry:
     def test_windowed_conv_derived_output(self):
         contract = CONTRACTS["repro.nn.layers.WindowedConv.forward"]
         env = contract.bind_inputs(
-            {"token_vectors": np.zeros((2, 10, 4))},
+            {"token_vectors": np.zeros((10, 4))},
             scalars={"reach": 2, "C": 6},
         )
-        contract.check_outputs(np.zeros((2, 8, 6)), env)
+        contract.check_outputs(np.zeros((8, 6)), env)
         with pytest.raises(ContractError):
-            contract.check_outputs(np.zeros((2, 7, 6)), dict(env))
+            contract.check_outputs(np.zeros((7, 6)), dict(env))
 
     def test_output_count_enforced(self):
         contract = KernelContract(

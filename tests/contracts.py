@@ -5,12 +5,13 @@ and dtype *kind* of every array argument and of the outputs::
 
     KernelContract(
         "repro.nn.pooling.log_sum_exp_pool",
-        inputs={"window_values": ArraySpec(("B", "W", "K"), "floating"),
-                "valid": ArraySpec(("B", "W"), "bool")},
+        inputs={"window_values": ArraySpec(("P", "K"), "floating"),
+                "valid": ArraySpec(("P",), "bool"),
+                "starts": ArraySpec(("B",), "integer")},
         outputs=(ArraySpec(("B", "K"), "floating"),),
     )
 
-Symbols (``B``, ``W``, …) unify across all arrays of one call: the
+Symbols (``B``, ``P``, …) unify across all arrays of one call: the
 first array to mention ``B`` binds it, later mentions must agree.
 Derived dimensions are expression strings over bound symbols and
 declared scalars (``"T - reach"`` for the windowed convolution block).
@@ -267,38 +268,42 @@ def _build_registry() -> dict[str, KernelContract]:
             inputs={"matrix": ArraySpec(("N", "D"), floating)},
             outputs=(ArraySpec(("N", "D"), floating),),
         ),
+        # P window positions of a packed stream, B segments (documents)
+        # starting at ``starts``.
         KernelContract(
             "repro.nn.pooling.log_sum_exp_pool",
             inputs={
-                "window_values": ArraySpec(("B", "W", "K"), floating),
-                "valid": ArraySpec(("B", "W"), "bool"),
+                "window_values": ArraySpec(("P", "K"), floating),
+                "valid": ArraySpec(("P",), "bool"),
+                "starts": ArraySpec(("B",), "integer"),
             },
             outputs=(ArraySpec(("B", "K"), floating),),
         ),
         KernelContract(
             "repro.nn.pooling.log_sum_exp_pool_backward",
             inputs={"grad_out": ArraySpec(("B", "K"), floating)},
-            outputs=(ArraySpec(("B", "W", "K"), floating),),
+            outputs=(ArraySpec(("P", "K"), floating),),
         ),
         KernelContract(
             "repro.nn.layers.Embedding.forward",
-            inputs={"ids": ArraySpec(("B", "L"), "integer")},
-            outputs=(ArraySpec(("B", "L", "D"), floating),),
+            inputs={"ids": ArraySpec(("T",), "integer")},
+            outputs=(ArraySpec(("T", "D"), floating),),
         ),
-        # T = L + reach token vectors per row (reach = widest window - 1
-        # zero vectors of right padding); C = K per window, summed.
+        # T token vectors of one packed stream, whose last reach =
+        # widest window - 1 are PAD zeros; C = K per window, summed.
         KernelContract(
             "repro.nn.layers.WindowedConv.forward",
-            inputs={"token_vectors": ArraySpec(("B", "T", "D"), floating)},
-            outputs=(ArraySpec(("B", "T - reach", "C"), floating),),
+            inputs={"token_vectors": ArraySpec(("T", "D"), floating)},
+            outputs=(ArraySpec(("T - reach", "C"), floating),),
             scalars=("reach", "C"),
         ),
         # The whole extraction block of one source, by the arrays of
-        # its PaddedBatch: ids -> pooled features of every window.
+        # its PackedBatch: ids -> pooled features of every window.
         KernelContract(
             "repro.core.extraction.ConvExtractionModule.forward",
             inputs={
-                "ids": ArraySpec(("B", "L"), "integer"),
+                "ids": ArraySpec(("T",), "integer"),
+                "starts": ArraySpec(("B",), "integer"),
                 "lengths": ArraySpec(("B",), "integer"),
             },
             outputs=(ArraySpec(("B", "C"), floating),),

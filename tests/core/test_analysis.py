@@ -70,6 +70,36 @@ class TestTraceTopWords:
             assert len(attributions) <= 2
 
 
+# trace_top_words(top_k=3) of the padded-layout implementation on
+# three fixed texts, windows (1, 3, 5): the packed layout must credit
+# the same words with the same weights.
+PARENT_TRACES = {
+    "live jazz trio plays saxophone downtown tonight": {
+        1: [("saxophone", 3.0), ("trio", 2.0), ("jazz", 1.0)],
+        3: [("trio", 2.0), ("plays", 1.5), ("tonight", 1.5)],
+        5: [("tonight", 3.5), ("downtown", 3.0), ("jazz", 0.5)],
+    },
+    "sample gourmet dishes from local chefs at the night market": {
+        1: [("gourmet", 4.0), ("dishes", 3.0), ("chefs", 1.0)],
+        3: [("dishes", 2.5), ("gourmet", 1.0), ("chefs", 1.0)],
+        5: [("gourmet", 3.0), ("local", 1.0), ("chefs", 1.0)],
+    },
+    "jazz": {1: [("jazz", 8.0)], 3: [("jazz", 8.0)], 5: [("jazz", 8.0)]},
+}
+
+
+@pytest.mark.parametrize("text", list(PARENT_TRACES))
+def test_trace_matches_the_padded_layout(tiny_users, tiny_events, text):
+    encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
+    config = JointModelConfig.small(seed=5).with_windows((1, 3, 5))
+    tower = JointUserEventModel(config, encoder).event_tower
+    trace = trace_top_words(tower, encoder, text, top_k=3)
+    assert {
+        window: [(a.word, a.weight) for a in attributions]
+        for window, attributions in trace.items()
+    } == PARENT_TRACES[text]
+
+
 class TestFormatTrace:
     def test_annotates_with_window_subscripts(self, tower_and_encoder):
         tower, encoder = tower_and_encoder

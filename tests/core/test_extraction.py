@@ -49,12 +49,12 @@ DOCUMENTS = [
 class TestForward:
     def test_output_shape(self, block):
         _, _, block = block
-        batch = pad_batch([np.array([2, 3, 4, 5]), np.array([6, 7])])
+        batch = pad_batch([np.array([2, 3, 4, 5]), np.array([6, 7])], 3)
         pooled, _ = block.forward(batch)
         assert pooled.shape == (2, 10) == (2, block.feature_dim)
         check_call(
             "repro.core.extraction.ConvExtractionModule.forward",
-            {"ids": batch.ids, "lengths": batch.lengths},
+            {"ids": batch.ids, "starts": batch.starts, "lengths": batch.lengths},
             outputs=pooled,
             scalars={"C": block.feature_dim},
         )
@@ -72,7 +72,7 @@ class TestForward:
 
     def test_shared_embedding_receives_gradient_from_both(self, block):
         store, embedding, block = block
-        batch = pad_batch([np.array([2, 3, 4, 5])])
+        batch = pad_batch([np.array([2, 3, 4, 5])], 3)
         pooled, cache = block.forward(batch)
         only_first = np.zeros_like(pooled)
         window_features(block, only_first, 1)[...] = 1.0
@@ -85,7 +85,7 @@ class TestForward:
 
     def test_pooling_attribution_shape(self, block):
         _, _, block = block
-        batch = pad_batch([np.arange(2, 8)])
+        batch = pad_batch([np.arange(2, 8)], 3)
         pooled, cache = block.forward(batch)
         attribution = block.pooling_attribution(cache)
         assert list(attribution) == [1, 3]
@@ -100,7 +100,7 @@ class TestForward:
         """A one-token doc through a window-3 module still produces a
         finite feature vector (the guaranteed-window rule)."""
         _, _, block = block
-        batch = pad_batch([np.array([2]), np.array([3, 4, 5, 6])])
+        batch = pad_batch([np.array([2]), np.array([3, 4, 5, 6])], 3)
         pooled, cache = block.forward(batch)
         assert np.all(np.isfinite(pooled))
         weights = block.pooling_attribution(cache)[3]
@@ -111,8 +111,8 @@ class TestForward:
         exactly why it suits unordered id features (Section 3.1.1)."""
         _, _, block = block
         ids = np.array([2, 9, 4, 7, 3])
-        forward = block.forward(pad_batch([ids]))[0]
-        shuffled = block.forward(pad_batch([ids[::-1].copy()]))[0]
+        forward = block.forward(pad_batch([ids], 3))[0]
+        shuffled = block.forward(pad_batch([ids[::-1].copy()], 3))[0]
         assert np.allclose(
             window_features(block, forward, 1),
             window_features(block, shuffled, 1),
@@ -122,8 +122,8 @@ class TestForward:
     def test_window_three_is_order_sensitive(self, block):
         _, _, block = block
         ids = np.array([2, 9, 4, 7, 3])
-        forward = block.forward(pad_batch([ids]))[0]
-        swapped = block.forward(pad_batch([np.array([9, 2, 4, 7, 3])]))[0]
+        forward = block.forward(pad_batch([ids], 3))[0]
+        swapped = block.forward(pad_batch([np.array([9, 2, 4, 7, 3])], 3))[0]
         assert not np.allclose(
             window_features(block, forward, 3), window_features(block, swapped, 3)
         )
@@ -133,7 +133,7 @@ class TestForward:
 class TestGradients:
     def test_every_parameter_against_finite_differences(self, rng, windows):
         store, embedding, block = make_block(rng, windows, dim=4, out_dim=3)
-        batch = pad_batch(DOCUMENTS)
+        batch = pad_batch(DOCUMENTS, max(windows))
         projection = rng.normal(size=(len(DOCUMENTS), block.feature_dim))
 
         def loss_fn():
@@ -171,7 +171,7 @@ class TestGradients:
         paper's Eq. 2-3 evaluated one document and window at a time."""
         store, embedding, block = make_block(rng, windows)
         projection = rng.normal(size=(len(DOCUMENTS), block.feature_dim))
-        pooled, cache = block.forward(pad_batch(DOCUMENTS))
+        pooled, cache = block.forward(pad_batch(DOCUMENTS, max(windows)))
         store.zero_grad()
         block.backward(projection, cache)
 

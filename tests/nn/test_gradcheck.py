@@ -91,9 +91,9 @@ class TestWindowedConvGradients:
             store, "conv", windows=(window,), in_dim=4, out_dim=3, rng=rng
         )
         (weight,), (bias,) = layer.weights, layer.biases
-        inputs = rng.normal(size=(2, 6, 4))
+        inputs = rng.normal(size=(6, 4))
         num_windows = 6 - window + 1
-        projection = _random_projection(rng, (2, num_windows, 3))
+        projection = _random_projection(rng, (num_windows, 3))
 
         def loss_fn():
             out, _ = layer.forward(inputs)
@@ -116,8 +116,8 @@ class TestWindowedConvGradients:
         layer = WindowedConv(
             store, "conv", windows=(1, 2, 4), in_dim=3, out_dim=2, rng=rng
         )
-        inputs = rng.normal(size=(2, 8, 3))
-        projection = _random_projection(rng, (2, 5, 6))
+        inputs = rng.normal(size=(8, 3))
+        projection = _random_projection(rng, (5, 6))
 
         def loss_fn():
             out, _ = layer.forward(inputs)
@@ -146,7 +146,7 @@ class TestWindowedConvGradients:
             store, "conv", windows=(4,), in_dim=2, out_dim=2, rng=rng
         )
         with pytest.raises(ValueError, match="window"):
-            layer.forward(rng.normal(size=(1, 3, 2)))
+            layer.forward(rng.normal(size=(3, 2)))
 
     def test_rejects_unordered_windows(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -189,43 +189,51 @@ class TestEmbeddingGradients:
         assert np.any(layer.table.grad[1] != 0.0)
 
 
+def _segments(*rows):
+    """Packed ``valid`` mask and ``starts`` of per-segment bool rows."""
+    valid = np.concatenate([np.asarray(row, dtype=bool) for row in rows])
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    return valid, starts
+
+
 class TestPoolingGradients:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        values = rng.normal(size=(2, 5, 3))
-        valid = np.array(
-            [[True, True, True, False, False], [True, True, True, True, True]]
+        valid, starts = _segments(
+            [True, True, True, False, False], [True, True, True, True]
         )
+        values = rng.normal(size=(len(valid), 3))
         projection = _random_projection(rng, (2, 3))
 
         def loss_fn():
-            pooled, _ = log_sum_exp_pool(values.copy(), valid)
+            pooled, _ = log_sum_exp_pool(values.copy(), valid, starts)
             return float((pooled * projection).sum())
 
-        pooled, cache = log_sum_exp_pool(values.copy(), valid)
+        pooled, cache = log_sum_exp_pool(values.copy(), valid, starts)
         grad = log_sum_exp_pool_backward(projection, cache)
-        indices, numeric = numeric_gradient(loss_fn, values, max_entries=30)
+        indices, numeric = numeric_gradient(loss_fn, values, max_entries=27)
         assert max_relative_error(grad.ravel()[indices], numeric) < TOLERANCE
 
     def test_invalid_windows_get_zero_gradient(self):
         rng = np.random.default_rng(7)
-        values = rng.normal(size=(1, 4, 2))
-        valid = np.array([[True, True, False, False]])
-        pooled, cache = log_sum_exp_pool(values, valid)
-        grad = log_sum_exp_pool_backward(np.ones((1, 2)), cache)
-        assert np.all(grad[0, 2:, :] == 0.0)
+        valid, starts = _segments([True, True, False, False], [True, False])
+        values = rng.normal(size=(len(valid), 2))
+        pooled, cache = log_sum_exp_pool(values, valid, starts)
+        grad = log_sum_exp_pool_backward(np.ones((2, 2)), cache)
+        assert np.all(grad[~valid] == 0.0)
+        assert np.all(grad[valid] != 0.0)
 
     def test_pooled_value_bounds(self):
         """Centred (log-mean-exp) pooling lies in [max - log n, max];
         raw LSE lies in [max, max + log n]."""
         rng = np.random.default_rng(8)
-        values = rng.normal(size=(3, 6, 4))
-        valid = np.ones((3, 6), dtype=bool)
-        peak = values.max(axis=1)
-        pooled, _ = log_sum_exp_pool(values.copy(), valid)
+        values = rng.normal(size=(18, 4))
+        valid, starts = _segments(*[[True] * 6] * 3)
+        peak = values.reshape(3, 6, 4).max(axis=1)
+        pooled, _ = log_sum_exp_pool(values.copy(), valid, starts)
         assert np.all(pooled <= peak + 1e-12)
         assert np.all(pooled >= peak - np.log(6) - 1e-12)
-        raw, _ = log_sum_exp_pool(values.copy(), valid, center=False)
+        raw, _ = log_sum_exp_pool(values.copy(), valid, starts, center=False)
         assert np.all(raw >= peak - 1e-12)
         assert np.all(raw <= peak + np.log(6) + 1e-12)
         assert np.allclose(raw - pooled, np.log(6))
@@ -234,12 +242,14 @@ class TestPoolingGradients:
         """The log n shift is constant w.r.t. window values, so both
         variants share one backward pass."""
         rng = np.random.default_rng(13)
-        values = rng.normal(size=(2, 5, 3))
-        valid = np.array(
-            [[True, True, True, True, False], [True, True, False, False, False]]
+        valid, starts = _segments(
+            [True, True, True, True, False], [True, True, False, False, False]
         )
-        _, cache_centered = log_sum_exp_pool(values.copy(), valid)
-        _, cache_raw = log_sum_exp_pool(values.copy(), valid, center=False)
+        values = rng.normal(size=(len(valid), 3))
+        _, cache_centered = log_sum_exp_pool(values.copy(), valid, starts)
+        _, cache_raw = log_sum_exp_pool(
+            values.copy(), valid, starts, center=False
+        )
         grad = rng.normal(size=(2, 3))
         assert np.allclose(
             log_sum_exp_pool_backward(grad, cache_centered),
@@ -250,34 +260,36 @@ class TestPoolingGradients:
         """The input buffer becomes the cache (shifted exponentials and
         their sums); softmax weights exist only once asked for."""
         rng = np.random.default_rng(15)
-        values = rng.normal(size=(2, 4, 3))
-        valid = np.array([[True, True, False, False], [True] * 4])
-        _, cache = log_sum_exp_pool(values, valid)
+        valid, starts = _segments([True, True, False, False], [True] * 3)
+        values = rng.normal(size=(len(valid), 3))
+        _, cache = log_sum_exp_pool(values, valid, starts)
         assert cache["shifted"] is values
-        assert set(cache) == {"shifted", "total"}
+        assert set(cache) == {"shifted", "total", "spans"}
         weights = pooling_weights(cache)
-        assert np.allclose(weights.sum(axis=1), 1.0)
-        assert np.all(weights[0, 2:] == 0.0)
+        assert np.allclose(np.add.reduceat(weights, starts, axis=0), 1.0)
+        assert np.all(weights[2:4] == 0.0)
 
     def test_each_group_pools_under_its_own_validity(self):
-        """``(batch, windows, groups, dim)`` values with a
-        ``(batch, windows, groups)`` mask equal one call per group."""
+        """``(positions, groups, dim)`` values with a ``(positions,
+        groups)`` mask equal one call per group."""
         rng = np.random.default_rng(16)
-        values = rng.normal(size=(2, 5, 3, 4))
+        spans = np.array([5, 3])
+        starts = np.array([0, 5])
         counts = np.array([[5, 3, 1], [2, 1, 1]])
-        valid = np.arange(5)[None, :, None] < counts[:, None, :]
+        offsets = np.arange(8) - np.repeat(starts, spans)
+        valid = offsets[:, None] < np.repeat(counts, spans, axis=0)
+        values = rng.normal(size=(8, 3, 4))
         separate = [
-            log_sum_exp_pool(values[:, :, group].copy(), valid[:, :, group])[0]
+            log_sum_exp_pool(values[:, group].copy(), valid[:, group], starts)[0]
             for group in range(3)
         ]
-        pooled, _ = log_sum_exp_pool(values, valid)
+        pooled, _ = log_sum_exp_pool(values, valid, starts)
         assert np.array_equal(pooled, np.stack(separate, axis=1))
 
     def test_requires_one_valid_window_per_row(self):
-        values = np.zeros((1, 3, 2))
-        valid = np.zeros((1, 3), dtype=bool)
+        valid, starts = _segments([True, False], [False, False, False])
         with pytest.raises(ValueError, match="valid window"):
-            log_sum_exp_pool(values, valid)
+            log_sum_exp_pool(np.zeros((5, 2)), valid, starts)
 
 
 class TestCosineGradients:
@@ -405,44 +417,52 @@ class TestFullModelGradients:
 class TestBatching:
     def test_pad_batch_shapes_and_mask(self):
         seqs = [np.array([3, 4]), np.array([5]), np.array([6, 7, 8])]
-        batch = pad_batch(seqs, min_length=2)
-        assert batch.ids.shape == (3, 3)
+        batch = pad_batch(seqs, 2)
+        assert batch.ids.shape == batch.mask.shape == (9,)
         assert batch.mask.sum() == 6
         assert list(batch.lengths) == [2, 1, 3]
+        assert list(batch.starts) == [0, 3, 5]
+        assert batch.batch_size == 3 and batch.max_length == 3
 
     def test_empty_sequence_becomes_unk(self):
         from repro.text.vocab import UNK_ID
 
-        batch = pad_batch([np.array([], dtype=np.int64)], min_length=3)
-        assert batch.ids[0, 0] == UNK_ID
-        assert batch.mask[0, 0]
-        assert not batch.mask[0, 1:].any()
+        batch = pad_batch([np.array([], dtype=np.int64)], 3)
+        assert batch.ids[0] == UNK_ID
+        assert batch.mask[0]
+        assert not batch.mask[1:].any()
 
-    def test_min_length_padding(self):
-        batch = pad_batch([np.array([1])], min_length=5)
-        assert batch.ids.shape == (1, 5)
+    def test_gap_follows_every_document(self):
+        batch = pad_batch([np.array([4]), np.array([2, 3])], 3)
+        assert batch.ids.tolist() == [4, 0, 0, 2, 3, 0, 0]
+        assert batch.reach == 2
 
     def test_window_mask_full_window_rule(self):
-        mask = np.array([[True, True, True, False, False]])
+        batch = pad_batch([np.array([5, 6, 7])], 3)
         # 3 tokens, window 3 → exactly one fully-covered window.
-        assert list(window_mask(mask, 3)[0]) == [True, False, False]
-        assert list(window_mask(mask, 1)[0]) == [True, True, True, False, False]
+        assert list(window_mask(batch, (3,))[:, 0]) == [True, False, False]
+        assert list(window_mask(batch, (1,))[:, 0]) == [
+            True, True, True, False, False
+        ]
 
     def test_window_mask_short_doc_keeps_one_window(self):
-        mask = np.array([[True, False, False, False]])
-        assert list(window_mask(mask, 3)[0]) == [True, False]
+        batch = pad_batch([np.array([5])], 4)
+        assert list(window_mask(batch, (3,))[:, 0]) == [True, False]
 
     def test_window_mask_independent_of_padding(self):
-        short = np.array([[True, True, True, False]])
-        long = np.array([[True, True, True, False, False, False]])
-        assert window_mask(short, 2)[0, :3].tolist() == window_mask(long, 2)[0, :3].tolist()
-        assert not window_mask(long, 2)[0, 3:].any()
+        docs = [np.array([5, 6, 7]), np.array([8])]
+        tight = window_mask(pad_batch(docs, 2), (2,))[:, 0]
+        loose = window_mask(pad_batch(docs, 4), (2,))[:, 0]
+        # The same two leading windows of the first document and one of
+        # the second; only the gap behind each grows.
+        assert tight.tolist() == [True, True, False, False, True]
+        assert loose.tolist() == [True, True] + [False] * 4 + [True, False, False]
 
     def test_window_mask_rejects_short_batch(self):
-        mask = np.ones((1, 2), dtype=bool)
+        batch = pad_batch([np.array([5, 6])], 2)
         with pytest.raises(ValueError, match="shorter than window"):
-            window_mask(mask, 3)
+            window_mask(batch, (3,))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
-            pad_batch([])
+            pad_batch([], 1)

@@ -102,8 +102,6 @@ ALLOWED_NAMES = {
     "repro.nn.gradcheck.numeric_gradient": "test support (gradient oracle)",
     "repro.nn.gradcheck.max_relative_error": "test support (gradient oracle)",
     "repro.nn.gradcheck.check_parameter_gradient": "test support (gradient oracle)",
-    "repro.nn.batching.window_mask": "test support: the per-window validity "
-    "oracle of tests/nn/test_batching_properties.py",
     "repro.eval.metrics.roc_curve": "test support: the independent ROC that "
     "tests/eval/test_metrics.py integrates to cross-check roc_auc",
     "repro.obs.log.log_context": "test support: the scoped log sink tests "
@@ -134,8 +132,6 @@ KEPT_OPTIONS = {
     "paper's §6 future-work setting (EXPERIMENTS.md)",
     "repro.gbdt.binning.FeatureBinner.__init__(max_bins=)": "test support: "
     "tests/gbdt/test_binning.py bins at 16-64 to check edges by hand",
-    "repro.nn.batching.pad_batch(min_length=)": "test support: the batching "
-    "property suite; bench/tracing.py patches core.model.pad_batch",
     "repro.nn.params.ParamStore.create(trainable=)": "nn substrate contract: "
     "optimizers skip frozen parameters; no model freezes one today",
     "repro.nn.pooling.log_sum_exp_pool(center=)": "test support: the raw-LSE "
