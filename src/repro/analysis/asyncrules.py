@@ -7,8 +7,8 @@ suite runs with ``RuntimeWarning`` as an error (DESIGN.md §9.2).
 
 * **RPR501 — event-loop blocking taint.**  A declared registry of
   blocking sinks (``time.sleep``, socket/file/subprocess I/O,
-  ``threading.Lock.acquire``, and the heavy project entry points —
-  ``RepresentationService.rank_events*``, the tower-encode paths,
+  ``threading.Lock.acquire``, and the project entry points whose cost
+  grows with the pool or the registry — ``RepresentationService.warm``,
   ``render_prometheus``) is propagated interprocedurally over the
   call graph: a *sync* function that reaches a sink becomes blocking;
   an ``async def`` frame that calls a sink or a blocking sync
@@ -81,8 +81,8 @@ BLOCKING_CALLABLE_SINKS: dict[str, str] = {
     "os.system": "waits on a shell",
     "os.waitpid": "waits on a child process",
     "urllib.request.urlopen": "blocking HTTP round-trip",
-    # Heavy project entry points: each is a full registry render or a
-    # GEMV/GEMM over the event pool — milliseconds, not microseconds.
+    # A project entry point whose cost grows with the registry, not
+    # with one request: DESIGN §10 keeps it off the loop.
     "repro.obs.export.render_prometheus": "renders the full metrics registry",
 }
 # Builtins that block; matched only when the name is not locally
@@ -92,14 +92,12 @@ BLOCKING_BUILTIN_SINKS: dict[str, str] = {
     "input": "waits on stdin",
 }
 # Method names whose receiver cannot be resolved statically but that
-# uniquely identify heavy serving entry points in this project.
+# uniquely identify heavy serving entry points in this project: work
+# that grows with the pool, not with one request (a rank flush or one
+# vector lookup is bounded and runs on the loop by design).
 # ``acquire`` is special-cased: it only matches on receivers proven to
 # be threading locks (an awaited ``acquire()`` is asyncio's, exempt).
 BLOCKING_METHOD_SINKS: dict[str, str] = {
-    "rank_events": "heavy GEMV ranking entry point",
-    "rank_events_batch": "heavy GEMM ranking entry point",
-    "user_vector": "tower encode entry point",
-    "event_vector": "tower encode entry point",
     "warm": "bulk tower encoding",
     "acquire": "threading-lock acquire can park the thread",
 }

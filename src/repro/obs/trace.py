@@ -23,8 +23,8 @@ Pieces:
   :class:`contextvars.ContextVar`, which is per-thread *and* per-task:
   a freshly started worker thread has no current span, so spans opened
   concurrently in different threads can never parent each other.  Work
-  handed to an executor on behalf of a request keeps its parent through
-  :func:`carry_span`.
+  handed to an executor thread or a fresh context on behalf of a
+  request keeps its parent through :func:`carry_span`.
 * **One finish path** — ``Span.__exit__`` and :func:`record_stage`
   (for stages measured without a ``with`` block) both end in
   :func:`_finish`: observe the histogram, with the trace id as the
@@ -686,16 +686,18 @@ def record_stage(
 
 
 def carry_span(fn: Callable[..., R]) -> Callable[..., R]:
-    """``fn``, bound to this context's current span for an executor hop.
+    """``fn``, bound to this context's current span, to run in another.
 
-    ``loop.run_in_executor`` starts its callable in a thread whose
-    context has no current span, which would cut a request's trace in
-    two at the hop.  The returned callable re-installs the submitting
-    context's span around ``fn`` — that one variable, not the whole
-    ``contextvars`` context, so other context state keeps its
-    per-thread meaning in the worker.  With no tracer installed or no
-    span open, ``fn`` comes back untouched: untraced serving pays one
-    module-global check per hop.
+    A callable that leaves this context loses its current span:
+    ``loop.run_in_executor`` starts it in a thread whose context has
+    none, and the micro-batcher calls its runner in a fresh
+    ``contextvars.Context()`` so that a flush inherits no one request's
+    context variables.  Either way a request's trace would be cut in
+    two.  The returned callable re-installs this context's span around
+    ``fn`` — that one variable, not the whole ``contextvars`` context,
+    so other context state keeps its meaning where ``fn`` runs.  With
+    no tracer installed or no span open, ``fn`` comes back untouched:
+    untraced serving pays one module-global check per call.
     """
     parent = _CURRENT_SPAN.get() if _TRACER is not None else None
     if parent is None:

@@ -14,19 +14,24 @@ Mechanics — all state is owned by the event loop (asyncio is
 single-threaded, so mutations between ``await`` points are atomic; no
 lock is needed):
 
-* A ``submit`` that finds no flush in flight flushes immediately
+* A ``submit`` that finds no flush in flight starts one at once
   (reason ``"idle"``; the queue is empty whenever the runner is free,
-  so this is always a flush of one).
-* A ``submit`` that finds one in flight queues.  When that flush's
-  runner returns, the backlog — up to :data:`MAX_BATCH`, FIFO, the
-  rest in the following flush — goes out as the next one (reason
-  ``"backlog"``).
+  so this is always a flush of one).  The flush is a task, so its
+  runner is called after the submitting tick.
+* A ``submit`` that finds one in flight — including a submit later in
+  that same tick — queues.  When that flush's runner returns, the
+  backlog — up to :data:`MAX_BATCH`, FIFO, the rest in the following
+  flush — goes out as the next one (reason ``"backlog"``).
 * ``close()`` waits for the flush in flight, then drains the queue the
   same way (reason ``"close"``).
-* The batch ``runner`` is a plain synchronous callable executed in
-  the loop's default executor, returning **one result or exception
-  per item** — a poisoned request (unknown user id) fails alone; a
-  runner-level crash fails that flush's requests and no others.
+* The batch ``runner`` is a plain synchronous callable called **on the
+  loop**, returning **one result or exception per item** — a poisoned
+  request (unknown user id) fails alone; a runner-level crash fails
+  that flush's requests and no others.  One flush is bounded work (at
+  most :data:`MAX_BATCH` users against the served pool, well under a
+  millisecond), and the serving process holds the GIL for nearly all
+  of it, so an executor thread would add two thread switches and a
+  wake-up to every request and no parallelism.
 * A request cancelled while queued is skipped at flush time;
   its batchmates are unaffected.  A chunk of the queue whose every
   waiter was cancelled is no flush at all: nothing runs, nothing is
@@ -36,11 +41,14 @@ Telemetry: ``repro_serving_batch_users`` (flushed batch size) and
 ``repro_serving_batch_queue_depth`` (depth seen at each enqueue)
 histograms, a ``repro_serving_batch_flush_total`` counter labeled by
 reason, and a ``repro_serving_batch_execute`` span around runner
-execution.  Each flush runs in a copy of the context its first live
-request submitted from, so when tracing, that span and everything the
-runner opens in the executor thread belong to that request's trace —
-never to whichever earlier request's flush released the backlog; its
-batchmates' traces end at their own ``repro_serving_http_request``.
+execution.  Each flush task runs in a copy of the context its first
+live request submitted from, so when tracing, that span belongs to
+that request's trace — never to whichever earlier request's flush
+released the backlog; its batchmates' traces end at their own
+``repro_serving_http_request``.  The runner itself is called in a
+fresh, empty ``contextvars`` context: a flush serves many requests and
+inherits no request's context variables, except the trace parent that
+:func:`~repro.obs.trace.carry_span` hands it.
 """
 
 from __future__ import annotations
@@ -117,8 +125,8 @@ class MicroBatcher:
         Waiters cancelled while queued are dropped here: the runner
         never computes for them, and a chunk with no live waiter left
         is skipped whole.  The task runs in the first live request's
-        context, which makes that request's span the parent of
-        everything the flush opens.
+        context, which makes that request's span the parent of the
+        flush's span, and so of everything the runner opens.
         """
         while self._pending:
             batch = self._pending[:MAX_BATCH]
@@ -149,17 +157,16 @@ class MicroBatcher:
             ).observe(len(items))
             self.batches_flushed += 1
             self.requests_batched += len(items)
-            loop = asyncio.get_running_loop()
             with span(
                 "repro_serving_batch_execute",
                 tags={"reason": reason},
                 registry=self.registry,
             ):
-                # The executor thread starts without this task's
-                # current span; carry_span keeps the runner's spans in
-                # this flush's trace.
-                results: Sequence[Any] = await loop.run_in_executor(
-                    None, carry_span(self.runner), items
+                # This task's context is its first request's; the
+                # runner, which serves them all, gets an empty one, and
+                # carry_span keeps its spans in this flush's trace.
+                results: Sequence[Any] = Context().run(
+                    carry_span(self.runner), items
                 )
             if len(results) != len(items):
                 raise RuntimeError(
@@ -173,12 +180,12 @@ class MicroBatcher:
             # forever — and the backlog behind it is untouched.
             results = [error] * len(items)
         finally:
-            # Whatever happened above — a crash, a cancellation — the
-            # runner is free and the backlog must not wait on it.
+            # Whatever happened above, the runner is free and the
+            # backlog must not wait on it.
             self._release()
         for (_, future, _), result in zip(live, results):
             if future.done():
-                continue  # cancelled while the runner ran
+                continue  # cancelled after this flush was detached
             if isinstance(result, Exception):
                 future.set_exception(result)
             else:

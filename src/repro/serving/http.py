@@ -2,10 +2,12 @@
 
 Just enough protocol for the serving API: request-line + headers +
 ``Content-Length`` bodies in, status + JSON (or text) out, with
-keep-alive so the loadgen client can reuse connections.  No chunked
-transfer (a request with ``Transfer-Encoding`` is refused, 400), no
-TLS, no multipart — the serving surface is five JSON endpoints and
-this parser is written to be auditable, not general.
+keep-alive so the loadgen client can reuse connections (HTTP/1.1 by
+default, HTTP/1.0 only on ``Connection: keep-alive``).  No chunked
+transfer (a request with ``Transfer-Encoding``, or with two different
+``Content-Length`` values, is refused, 400), no TLS, no multipart —
+the serving surface is five JSON endpoints and this parser is written
+to be auditable, not general.
 
 Kept separate from :mod:`repro.serving.server` so the framing can be
 unit-tested against raw byte streams without standing up a service.
@@ -60,6 +62,7 @@ class HttpRequest:
     path: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     def json(self) -> Any:
         """Decode the body as JSON; empty body decodes as ``None``."""
@@ -75,7 +78,12 @@ class HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """HTTP/1.1 keeps the connection unless told to close; HTTP/1.0
+        closes it unless told to keep it."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
 
 async def read_http_request(
@@ -101,7 +109,7 @@ async def read_http_request(
     parts = head[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {head[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     path = target.split("?", 1)[0]
     headers: dict[str, str] = {}
     for line in head[1:]:
@@ -110,7 +118,13 @@ async def read_http_request(
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # The two lengths frame the stream differently: reading by
+            # either may take part of a body for the next request, or
+            # the next request for a body.  Refuse the request whole.
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
     if "transfer-encoding" in headers:
         # Only Content-Length frames a body here.  Read on as if there
         # were none and the chunks would parse as the next request.
@@ -134,7 +148,9 @@ async def read_http_request(
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             raise HttpError(400, "truncated request body") from None
-    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+    return HttpRequest(
+        method=method.upper(), path=path, headers=headers, body=body, version=version
+    )
 
 
 def render_response(

@@ -8,6 +8,13 @@ what queues behind a busy one into one flush, and the route handlers.
 tests, the loadgen HTTP mode): the asyncio loop runs in a daemon
 thread and ``start()`` blocks until the socket is bound.
 
+Which work runs where: work bounded by one flush — a ``/recommend``
+flush of at most ``MAX_BATCH`` users, one ``/score`` pair — runs on
+the loop, where it costs less than the hop to a thread would.  Work
+that grows with the pool or the registry — the ``/similar-events``
+index built on first use, ``/metrics`` rendering — runs in the loop's
+default executor.
+
 Batched-recommend correctness model: a flush is **grouped**, not
 masked.  Its requests are split by ``(pool, at_time, top_k)`` and each
 group is one ordinary service call — ``rank_events`` for a group of
@@ -182,10 +189,7 @@ class ServingServer:
         request = ScoreRequest.from_payload(payload)
         user = self._resolve_user(request.user_id)
         event = self._resolve_event(request.event_id)
-        loop = asyncio.get_running_loop()
-        value = await loop.run_in_executor(
-            None, carry_span(self.service.score), user, event
-        )
+        value = self.service.score(user, event)
         return 200, {
             "user_id": request.user_id,
             "event_id": request.event_id,

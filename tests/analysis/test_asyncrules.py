@@ -2,8 +2,8 @@
 
 Fixture programs pin each rule's bad/good behavior; the regression
 tests at the bottom run the analyzer over the *real* serving sources —
-once unmodified (must be clean) and twice with a deliberately
-introduced bug (must be caught) — so the pass can never silently stop
+once unmodified (must be clean) and once per deliberately introduced
+bug (must be caught) — so the pass can never silently stop
 seeing the exact failure modes it was built for.
 """
 
@@ -76,9 +76,12 @@ class TestBlockingTaint:
         assert lines_for(findings, "RPR501") == []
 
     def test_heavy_service_entry_point_is_a_declared_sink(self):
+        # ``warm`` encodes a whole pool; one rank flush is bounded and
+        # runs on the loop by design (DESIGN §10), so it is no sink.
         source = (
-            "async def handler(service, user, pool):\n"
-            "    return service.rank_events(user, pool)\n"
+            "async def handler(service, users, pool):\n"
+            "    service.warm(users, pool)\n"
+            "    return service.rank_events(users[0], pool)\n"
         )
         findings = analyze_source(source, path="src/repro/x.py", scope="src")
         assert lines_for(findings, "RPR501") == [2]
@@ -185,6 +188,28 @@ class TestServingRegression:
             if f.code == "RPR501" and "time.sleep" in f.message
         ]
         assert sleeps, "deliberate time.sleep in healthz was not flagged"
+
+    def test_metrics_rendered_on_the_loop_is_caught(self):
+        # DESIGN §9.3's RPR501 seed: the one defect the rule has found.
+        source = SERVER_PATH.read_text(encoding="utf-8")
+        anchor = (
+            "        text = await loop.run_in_executor(\n"
+            "            None, lambda: render_prometheus(self.registry.snapshot())\n"
+            "        )\n"
+        )
+        assert anchor in source
+        source = source.replace(
+            anchor, "        text = render_prometheus(self.registry.snapshot())\n", 1
+        )
+        findings = analyze_source(
+            source, path="src/repro/serving/server.py", scope="src"
+        )
+        renders = [
+            f
+            for f in findings
+            if f.code == "RPR501" and "render_prometheus" in f.message
+        ]
+        assert renders, "render_prometheus on the loop was not flagged"
 
     def test_injected_lock_span_over_await_is_caught(self):
         source = SERVER_PATH.read_text(encoding="utf-8")

@@ -6,12 +6,13 @@ test.  Tests that need privileged server state (draining, a cold
 cache) build their own small stacks.
 
 The batcher has no window to widen, so tests that need requests to
-share a flush put a gate on the service call (:func:`one_flush_of`):
-whatever arrives while the runner is parked is the next flush.
+share a flush dispatch them in one tick of the server's loop
+(:func:`one_flush_of`): a flush is a task that runs after the tick
+that started it, so whatever is submitted in that tick is the next
+flush.
 """
 
 import asyncio
-import contextlib
 import dataclasses
 import json
 import socket
@@ -74,48 +75,38 @@ def recommend(hosted, payload):
 
 
 def flush_stats(server):
-    """``(requests enqueued, flushes, requests flushed)`` so far, read
-    from the batcher's own histograms."""
+    """``(flushes, requests flushed)`` so far, read from the batcher's
+    own histogram."""
     found = {record["name"]: record for record in server.registry.snapshot()}
-    depth = found.get("repro_serving_batch_queue_depth", {"count": 0})
     users = found.get("repro_serving_batch_users", {"count": 0, "sum": 0.0})
-    return depth["count"], users["count"], users["sum"]
+    return users["count"], users["sum"]
 
 
-@contextlib.contextmanager
-def one_flush_of(server, hosted, count, primer):
-    """Make the ``count`` /recommend requests the block starts share a flush.
+def one_flush_of(hosted, primer, payloads):
+    """Answer the /recommend ``payloads`` as one flush; their ``results``.
 
-    A primer request for the (warm) user ``primer`` is parked inside
-    ``service.rank_events``; the block's requests therefore queue
-    behind a busy runner, and on exit — once all ``count`` are queued —
-    the primer is let through and the backlog leaves as one flush.
+    A request for the (warm) user ``primer`` and then ``payloads`` are
+    dispatched in one tick of the server's loop: the primer's flush of
+    one has not run when the others submit, so they queue behind it
+    and leave together as the next flush.
     """
-    service = server.service
-    parked, opened = threading.Event(), threading.Event()
+    server = hosted.server
 
-    def gated(*args, **kwargs):
-        del service.rank_events  # only the primer parks
-        parked.set()
-        assert opened.wait(TIMEOUT), "gate never opened"
-        return service.rank_events(*args, **kwargs)
+    async def flush():
+        requests = [{"user_id": primer.user_id, "top_k": 1}, *payloads]
+        dispatched = [
+            asyncio.create_task(
+                server.dispatch(
+                    HttpRequest("POST", "/recommend", body=json.dumps(body).encode())
+                )
+            )
+            for body in requests
+        ]
+        return await asyncio.gather(*dispatched)
 
-    service.rank_events = gated
-    priming = threading.Thread(
-        target=recommend, args=(hosted, {"user_id": primer.user_id, "top_k": 1})
-    )
-    priming.start()
-    try:
-        assert parked.wait(TIMEOUT), "primer never reached the service"
-        enqueued = flush_stats(server)[0]
-        yield
-        deadline = time.monotonic() + TIMEOUT
-        while flush_stats(server)[0] - enqueued < count:
-            assert time.monotonic() < deadline, "requests never queued"
-            time.sleep(0.001)
-    finally:
-        opened.set()
-        priming.join()
+    answers = asyncio.run_coroutine_threadsafe(flush(), hosted._loop).result(TIMEOUT)
+    assert [status for status, _, _ in answers] == [200] * len(answers)
+    return [body["results"] for _, body, _ in answers[1:]]
 
 
 def post(stack, path, payload):
@@ -348,6 +339,17 @@ class TestExpectContinue:
             assert reader.readline().startswith(b"HTTP/1.1 413 ")
 
 
+def to_eof(stack, request):
+    """Send raw ``request`` bytes; everything the server answers before
+    it closes the connection (a socket timeout if it never does)."""
+    with socket.create_connection(
+        (stack["hosted"].host, stack["hosted"].port), timeout=3.0
+    ) as sock:
+        sock.sendall(request)
+        with sock.makefile("rb") as reader:
+            return reader.read()
+
+
 class TestTransferEncoding:
     """The framing reads ``Content-Length`` bodies only; a chunked
     request must be refused whole, not read as a bodiless request
@@ -355,16 +357,12 @@ class TestTransferEncoding:
 
     def test_chunked_request_gets_one_400_and_a_closed_connection(self, stack):
         chunk = json.dumps({"user_id": stack["users"][0].user_id}).encode()
-        with socket.create_connection(
-            (stack["hosted"].host, stack["hosted"].port), timeout=3.0
-        ) as sock:
-            sock.sendall(
-                b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n"
-                b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk)
-            )
-            with sock.makefile("rb") as reader:
-                answered = reader.read()  # to EOF: the server must close
+        answered = to_eof(
+            stack,
+            b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk),
+        )
         head, _, body = answered.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
@@ -373,6 +371,48 @@ class TestTransferEncoding:
         error = json.loads(body)["error"]
         assert error["code"] == "bad_request"
         assert "Transfer-Encoding" in error["message"]
+
+
+class TestConnectionFraming:
+    def test_conflicting_content_lengths_get_one_400_and_a_closed_connection(
+        self, stack
+    ):
+        body = json.dumps({"user_id": stack["users"][0].user_id}).encode()
+        answered = to_eof(
+            stack,
+            b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nContent-Length: 2\r\n\r\n%s" % (len(body), body),
+        )
+        # Had the last length won, two bytes would be the body and the
+        # rest would wait, as the next request, for the read to time out.
+        head, _, reply = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert answered.count(b"HTTP/1.1 ") == 1
+        assert "Content-Length" in json.loads(reply)["error"]["message"]
+
+    def test_http10_request_without_keep_alive_is_answered_and_closed(self, stack):
+        # An HTTP/1.1 default here would answer keep-alive and hold the
+        # connection open until the read timed out.
+        answered = to_eof(stack, b"GET /healthz HTTP/1.0\r\n\r\n")
+        head, _, body = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "version, connection, kept",
+        [
+            ("HTTP/1.1", None, True),
+            ("HTTP/1.1", "close", False),
+            ("HTTP/1.0", None, False),
+            ("HTTP/1.0", "Keep-Alive", True),
+        ],
+    )
+    def test_keep_alive_follows_the_version_default(self, version, connection, kept):
+        headers = {} if connection is None else {"connection": connection}
+        request = HttpRequest("GET", "/healthz", headers=headers, version=version)
+        assert request.keep_alive is kept
 
 
 class TestClientConnections:
@@ -434,18 +474,17 @@ class TestBatchedParity:
         the sequential ``rank_events`` answer."""
         server, hosted = stack["server"], stack["hosted"]
         shapes = recommend_shapes(stack["users"], stack["events"], 16)
-        _, flushes_before, flushed_before = flush_stats(server)
-        with ThreadPoolExecutor(max_workers=len(shapes)) as pool:
-            with one_flush_of(server, hosted, len(shapes), stack["users"][0]):
-                futures = [pool.submit(recommend, hosted, payload) for payload, _ in shapes]
-            served = [future.result(timeout=TIMEOUT) for future in futures]
+        flushes_before, flushed_before = flush_stats(server)
+        served = one_flush_of(
+            hosted, stack["users"][0], [payload for payload, _ in shapes]
+        )
         for (_, (user, events, at_time, top_k)), results in zip(shapes, served):
             assert_same_ranking(
                 results,
                 stack["service"].rank_events(user, events, at_time=at_time, top_k=top_k),
             )
         # The primer's flush of one, then all sixteen in one GEMM.
-        _, flushes, flushed = flush_stats(server)
+        flushes, flushed = flush_stats(server)
         assert (flushes - flushes_before, flushed - flushed_before) == (2, 17.0)
 
     @pytest.mark.threads
@@ -469,7 +508,7 @@ class TestBatchedParity:
             barrier.wait(timeout=TIMEOUT)
             return [recommend(hosted, payload) for payload, _ in shapes[index::8]]
 
-        _, flushes_before, flushed_before = flush_stats(server)
+        flushes_before, flushed_before = flush_stats(server)
         service.rank_events = slowed(service.rank_events)
         service.rank_events_batch = slowed(service.rank_events_batch)
         try:
@@ -483,7 +522,7 @@ class TestBatchedParity:
                     results,
                     rank_events_loop(service, user, events, at_time=at_time, top_k=top_k),
                 )
-        _, flushes, flushed = flush_stats(server)
+        flushes, flushed = flush_stats(server)
         assert flushed - flushed_before == len(shapes)
         assert flushes - flushes_before < len(shapes)  # some flush carried > 1
         backlog = [
@@ -608,10 +647,7 @@ class TestColdUserCoalescing:
         misses_before = service.cache.stats.misses
         payload = {"user_id": cold.user_id, "top_k": 2}
         with ThreadedServer(server) as hosted:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                with one_flush_of(server, hosted, 6, primer):
-                    futures = [pool.submit(recommend, hosted, payload) for _ in range(6)]
-                served = [future.result(timeout=TIMEOUT) for future in futures]
+            served = one_flush_of(hosted, primer, [payload] * 6)
         # All six shared one flush: identical answers, one user encode,
         # one counted miss.
         assert all(answer == served[0] for answer in served)
@@ -640,10 +676,7 @@ class TestActivityWindowSource:
         with ThreadedServer(server) as hosted:
             solo = recommend(hosted, payload)
             assert server.batcher.batches_flushed == 1
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                with one_flush_of(server, hosted, 4, tiny_users[1]):
-                    futures = [pool.submit(recommend, hosted, payload) for _ in range(4)]
-                coalesced = [future.result(timeout=TIMEOUT) for future in futures]
+            coalesced = one_flush_of(hosted, tiny_users[1], [payload] * 4)
         assert server.batcher.batches_flushed == 3  # solo, primer, the four together
         assert sorted(item["event_id"] for item in solo) == [1, 2, 3]
         for answer in coalesced:
@@ -681,9 +714,11 @@ class TestObservability:
         assert 'repro_obs_collector_errors_total{collector="broken"} 2' in text
         assert "repro_serving_http_requests_total" in text
 
-    def test_one_request_is_one_trace_across_the_executor_hop(
+    def test_one_request_is_one_trace_on_the_loops_thread(
         self, tiny_stack, tiny_users, tiny_events
     ):
+        """A /recommend flush and a /score run on the loop: one trace
+        each, and no hop to another thread anywhere in it."""
         client = tiny_stack["client"]
         with use_tracer(Tracer()) as tracer:
             client.recommend(tiny_users[0].user_id, top_k=2)
@@ -698,7 +733,7 @@ class TestObservability:
             worker = trace.span_named(inner)
             assert worker is not None, [r.name for r in trace.spans]
             assert worker.path.startswith("repro_serving_http_request/")
-            assert worker.thread != trace.spans[-1].thread  # it did hop
+            assert {record.thread for record in trace.spans} == {trace.spans[-1].thread}
 
 
 class TestLifecycle:
