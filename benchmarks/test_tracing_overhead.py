@@ -43,7 +43,7 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.loadgen import build_synthetic_service
+from repro.cli import _build_synthetic_service
 from repro.obs import (
     MetricsRegistry,
     NullRegistry,
@@ -71,7 +71,7 @@ def _batch_seconds(fn) -> float:
 
 def test_tracing_overhead_budget(bench_scale):
     rounds = 20 if bench_scale == "ci" else 40
-    service, users, events = build_synthetic_service(seed=0, pool_size=POOL_SIZE)
+    service, users, events = _build_synthetic_service(0, POOL_SIZE)
     user = users[0]
 
     def rank():

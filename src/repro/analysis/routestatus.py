@@ -1,10 +1,10 @@
 """Route-status contract checking (rule RPR110).
 
-The serving layer's HTTP status codes are a *contract*: the client,
-the loadgen assertions, and the SLO monitors all enumerate them.  A
-new error path that leaks an undeclared status (usually a 500 from a
-bare exception) silently changes that contract.  This rule makes the
-contract explicit and machine-checked:
+The serving layer's HTTP status codes are a *contract*: clients, the
+tests and the ``repro_serving_http_requests_total{route,status}``
+series all enumerate them.  A new error path that leaks an undeclared
+status (usually a 500 from a bare exception) silently changes that
+contract.  This rule makes the contract explicit and machine-checked:
 
 * A class declaring a ``ROUTES`` table (``path → (method, handler
   name)`` — the :class:`~repro.serving.server.ServingServer` dispatch

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands cover the life cycle a downstream user needs:
+Seven subcommands cover the life cycle a downstream user needs:
 
 * ``repro-events generate`` — synthesize a dataset and save it;
 * ``repro-events train`` — train the joint representation model on a
@@ -11,13 +11,11 @@ Eight subcommands cover the life cycle a downstream user needs:
   evaluation end-to-end and print the reproduced tables;
 * ``repro-events metrics`` — render the final metrics snapshot of a
   telemetry file (written via ``--metrics-out``) as Prometheus text;
-* ``repro-events loadgen`` — boot the micro-batching HTTP server over
-  a self-contained serving stack, drive open-loop Poisson traffic
-  through it with request tracing, and report latency percentiles,
-  per-stage attribution, and an SLO health verdict;
 * ``repro-events serve`` — stand up the batched HTTP serving API
   (``/recommend``, ``/similar-events``, ``/score``, ``/healthz``,
-  ``/metrics``) over a synthetic or trained model;
+  ``/metrics``) over a synthetic or trained model until Ctrl-C or
+  SIGTERM, then drain and write the retained request traces
+  (``--trace-out``) and the final telemetry snapshot (``--metrics-out``);
 * ``repro-events health`` — evaluate SLO specs against a telemetry
   snapshot; exit 0 healthy, 1 breached.
 
@@ -32,22 +30,24 @@ Examples::
         --user-id 3 --at-time 900 --top-k 5
     repro-events experiment --scale small --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl
-    repro-events loadgen --rate 200 --duration 2 --warmup 50 \\
-        --chrome-out trace.json --metrics-out load.jsonl
-    repro-events serve --port 8321 --pool-size 500
-    repro-events health --telemetry load.jsonl
+    repro-events serve --port 8321 --pool-size 500 \\
+        --trace-out traces.jsonl --metrics-out serve.jsonl
+    repro-events health --telemetry serve.jsonl
     repro-events health --telemetry telemetry.jsonl \\
         --slo 'repro_cache_hit_rate>=0.9'
 
-``--metrics-out PATH`` (on ``train`` and ``experiment``) enables the
-telemetry registry for the run and writes a JSONL file of per-epoch
-records plus a final metrics snapshot — see the Observability section
-of README.md.
+``--metrics-out PATH`` (on ``train``, ``experiment`` and ``serve``)
+enables the telemetry registry for the run and writes a JSONL file of
+per-epoch records (training) plus a final metrics snapshot — see the
+Observability section of README.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import signal
 import sys
 
 from repro.core.config import JointModelConfig, TrainingConfig
@@ -57,15 +57,19 @@ from repro.core.service import RepresentationService, validate_top_k
 from repro.core.trainer import RepresentationTrainer
 from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
+from repro.entities import Event, User
 from repro.eval.protocol import TwoStageExperiment
 from repro.eval.reporting import format_table
 from repro.gbdt.boosting import GBDTConfig
 from repro.obs import (
     MetricsRegistry,
     TelemetryWriter,
+    Tracer,
     last_snapshot,
     render_prometheus,
     use_registry,
+    use_tracer,
+    write_trace_jsonl,
 )
 from repro.text.documents import DocumentEncoder
 
@@ -143,40 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("prometheus", "json"), default="prometheus"
     )
 
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="open-loop load harness for the serving path",
-        description="Boot the micro-batching serving API over a "
-        "self-contained synthetic RepresentationService, replay "
-        "Poisson-arrival /recommend and /score traffic through it over "
-        "HTTP across worker threads, with request tracing on, and report "
-        "p50/p95/p99 latency plus per-stage attribution computed from "
-        "the traces.",
-    )
-    loadgen.add_argument("--rate", type=float, default=200.0,
-                         help="offered arrival rate, requests/second")
-    loadgen.add_argument("--duration", type=float, default=2.0,
-                         help="seconds of open-loop arrivals")
-    loadgen.add_argument("--workers", type=int, default=4)
-    loadgen.add_argument("--top-k", type=int, default=10)
-    loadgen.add_argument("--pool-size", type=int, default=500,
-                         help="candidate-pool size (events in the index)")
-    loadgen.add_argument("--warmup", type=int, default=0,
-                         help="unmeasured warm-up requests issued before the "
-                         "open-loop schedule (excluded from all statistics)")
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--sample-fraction", type=float, default=0.05,
-                         help="tail sampler: uniform background sample fraction")
-    loadgen.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write retained traces as JSONL here")
-    loadgen.add_argument("--chrome-out", default=None, metavar="PATH",
-                         help="write retained traces as Chrome trace_event "
-                         "JSON (chrome://tracing / Perfetto) here")
-    loadgen.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="write a JSONL telemetry snapshot here")
-    loadgen.add_argument("--json", action="store_true",
-                         help="print the report as JSON instead of text")
-
     serve = commands.add_parser(
         "serve",
         help="run the batched HTTP serving API",
@@ -184,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and /metrics over a RepresentationService, coalescing "
         "concurrent /recommend requests into single GEMM batches. "
         "Without --bundle a synthetic untrained stack is served (the "
-        "loadgen world); with --bundle and --dataset a trained model "
-        "serves that dataset's users and events.",
+        "small world, its pool enlarged to --pool-size); with --bundle "
+        "and --dataset a trained model serves that dataset's users and "
+        "events.  Ctrl-C or SIGTERM drains in-flight requests, then "
+        "writes --trace-out and --metrics-out.",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
@@ -197,6 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool-size", type=int, default=500,
                        help="synthetic mode: candidate-pool size")
     serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="trace every request; at drain write the "
+                       "slowest retained traces as JSONL here")
+    serve.add_argument("--metrics-out", default=None, metavar="PATH",
+                       help="at drain write a JSONL telemetry snapshot here")
 
     health = commands.add_parser(
         "health",
@@ -268,7 +245,11 @@ def _serving_smoke(model, dataset, sample_size: int = 20) -> None:
 
 
 def _cmd_train(args) -> int:
-    dataset = EventRecDataset.load(args.dataset)
+    try:
+        dataset = EventRecDataset.load(args.dataset)
+    except FileNotFoundError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     splits = dataset.split()
     encoder = DocumentEncoder.fit(dataset.users, dataset.events, min_df=2)
     model = JointUserEventModel(
@@ -310,11 +291,15 @@ def _cmd_recommend(args) -> int:
     except ValueError as error:
         print(f"error: --top-k: {error}", file=sys.stderr)
         return 2
-    dataset = EventRecDataset.load(args.dataset)
+    try:
+        dataset = EventRecDataset.load(args.dataset)
+        model = load_model_bundle(args.bundle)
+    except FileNotFoundError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.user_id not in dataset.users_by_id:
         print(f"error: user {args.user_id} not in dataset", file=sys.stderr)
         return 2
-    model = load_model_bundle(args.bundle)
     service = RepresentationService(model)
     user = dataset.users_by_id[args.user_id]
     ranked = service.rank_events(
@@ -393,92 +378,41 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_loadgen(args) -> int:
-    import json
+def _build_synthetic_service(
+    seed: int, pool_size: int
+) -> tuple[RepresentationService, list[User], list[Event]]:
+    """A warmed service plus its entities, for ``serve`` without a bundle.
 
-    from repro.loadgen import (
-        LoadgenConfig,
-        build_synthetic_service,
-        format_report,
-        run_load,
-    )
-    from repro.obs import (
-        TailSampler,
-        Tracer,
-        use_tracer,
-        write_chrome_trace,
-        write_trace_jsonl,
-    )
-    from repro.serving import HttpServiceClient, ServingServer, ThreadedServer
-
-    try:
-        config = LoadgenConfig(
-            rate=args.rate,
-            duration=args.duration,
-            workers=args.workers,
-            top_k=args.top_k,
-            warmup=args.warmup,
-            seed=args.seed,
-        )
-        sampler = TailSampler(sample_fraction=args.sample_fraction, seed=args.seed)
-        print(
-            f"building synthetic serving stack (pool={args.pool_size}) ...",
-            file=sys.stderr,
-        )
-        service, users, events = build_synthetic_service(
-            seed=args.seed, pool_size=args.pool_size
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    with use_registry(MetricsRegistry()) as registry:
-        with use_tracer(Tracer(sampler)) as tracer:
-            serving = ServingServer(service, users, events, registry=registry)
-            with ThreadedServer(serving) as hosted:
-                print(
-                    f"serving on http://{hosted.host}:{hosted.port}",
-                    file=sys.stderr,
-                )
-                client = HttpServiceClient(hosted.host, hosted.port)
-                try:
-                    report = run_load(
-                        client,
-                        [user.user_id for user in users],
-                        [event.event_id for event in events],
-                        config,
-                        registry=registry,
-                    )
-                finally:
-                    client.close()
-            flushed = serving.batcher.batches_flushed
-            batched = serving.batcher.requests_batched
-            print(
-                f"serving batches: {flushed} flushed, "
-                f"{batched} requests, mean batch size "
-                f"{batched / flushed if flushed else 0.0:.2f}",
-                file=sys.stderr,
+    Builds the small synthetic world, fits the vocabulary, and stands
+    up an untrained service (serving cares about compute shape, not
+    model quality).  The candidate pool is enlarged to ``pool_size`` by
+    replicating events under fresh ids, then fully warmed so traffic
+    exercises the indexed path.
+    """
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+    dataset = build_dataset(DataConfig.small(seed=seed))
+    # Explicit id order: what is served must not depend on container order.
+    users = sorted(dataset.users, key=lambda user: user.user_id)
+    events = sorted(dataset.events, key=lambda event: event.event_id)
+    next_id = max(event.event_id for event in events) + 1
+    base = len(events)
+    while len(events) < pool_size:
+        source = events[len(events) % base]
+        events.append(
+            dataclasses.replace(
+                source,
+                event_id=next_id,
+                title=f"{source.title} #{next_id}",
             )
-        traces = tracer.traces()
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
-    if args.trace_out:
-        count = write_trace_jsonl(traces, args.trace_out)
-        print(f"{count} traces written to {args.trace_out}", file=sys.stderr)
-    if args.chrome_out:
-        count = write_chrome_trace(traces, args.chrome_out)
-        print(
-            f"{count} trace events written to {args.chrome_out} "
-            "(load in chrome://tracing or Perfetto)",
-            file=sys.stderr,
         )
-    if args.metrics_out:
-        with TelemetryWriter(args.metrics_out) as writer:
-            writer.write({"record": "run", "command": "loadgen"})
-            writer.write_snapshot(registry, command="loadgen")
-        print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
-    return 0
+        next_id += 1
+    events = events[:pool_size]
+    encoder = DocumentEncoder.fit(users, events, min_df=1)
+    model = JointUserEventModel(JointModelConfig.small(seed=seed), encoder)
+    service = RepresentationService(model)
+    service.warm(users, events)
+    return service, users, events
 
 
 def _cmd_serve(args) -> int:
@@ -501,19 +435,18 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             service.warm(users, events)
         else:
-            from repro.loadgen import build_synthetic_service
-
             print(
                 f"building synthetic serving stack (pool={args.pool_size}) ...",
                 file=sys.stderr,
             )
-            service, users, events = build_synthetic_service(
-                seed=args.seed, pool_size=args.pool_size
+            service, users, events = _build_synthetic_service(
+                args.seed, args.pool_size
             )
-    except ValueError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    with use_registry(MetricsRegistry()) as registry:
+    tracing = use_tracer(Tracer()) if args.trace_out else contextlib.nullcontext()
+    with use_registry(MetricsRegistry()) as registry, tracing as tracer:
         server = ServingServer(service, users, events, registry=registry)
         hosted = ThreadedServer(server, host=args.host, port=args.port)
         try:
@@ -522,14 +455,31 @@ def _cmd_serve(args) -> int:
             cause = error.__cause__ if error.__cause__ is not None else error
             print(f"error: {cause}", file=sys.stderr)
             return 2
-        print(f"serving on http://{host}:{port}; Ctrl-C to stop", file=sys.stderr)
+        # Process managers and `kill` stop a server with SIGTERM (a
+        # background job ignores SIGINT): drain on it as on Ctrl-C.  The
+        # handler is in place before "serving on" tells anyone to send it.
+        previous = signal.getsignal(signal.SIGTERM)
         try:
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+            print(
+                f"serving on http://{host}:{port}; Ctrl-C or SIGTERM to stop",
+                file=sys.stderr,
+            )
             while hosted.join(timeout=1.0):
                 pass
         except KeyboardInterrupt:
             print("draining ...", file=sys.stderr)
         finally:
+            signal.signal(signal.SIGTERM, previous)
             hosted.stop()
+        if tracer is not None:
+            count = write_trace_jsonl(tracer.traces(), args.trace_out)
+            print(f"{count} traces written to {args.trace_out}", file=sys.stderr)
+        if args.metrics_out:
+            with TelemetryWriter(args.metrics_out) as writer:
+                writer.write({"record": "run", "command": "serve"})
+                writer.write_snapshot(registry, command="serve")
+            print(f"telemetry written to {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -573,7 +523,6 @@ _COMMANDS = {
     "recommend": _cmd_recommend,
     "experiment": _cmd_experiment,
     "metrics": _cmd_metrics,
-    "loadgen": _cmd_loadgen,
     "serve": _cmd_serve,
     "health": _cmd_health,
 }

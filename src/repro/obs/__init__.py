@@ -9,8 +9,7 @@ Section 4.  Six pieces:
 * :mod:`repro.obs.trace` — ``with span("repro_serving_rank"):`` wall
   timers that nest via ``contextvars`` and, under a :class:`Tracer`,
   become per-request traces: trace/span ids, wall + CPU time,
-  tail-based slow-trace sampling, per-stage latency attribution,
-  JSONL and Chrome ``trace_event`` export;
+  keep-slowest tail sampling and JSONL export;
 * :mod:`repro.obs.log` — JSON-lines structured logging with a fixed
   ``{ts, level, event, logger, tags}`` schema (plus
   ``trace_id``/``span_id`` when emitted inside a traced span);
@@ -19,8 +18,7 @@ Section 4.  Six pieces:
 * :mod:`repro.obs.drift` — reference-vs-live window drift detection
   (PSI, two-sample KS, mean/variance shift) over streaming monitors;
 * :mod:`repro.obs.health` — declarative SLO specs judged against one
-  registry snapshot and folded into a :class:`HealthSnapshot`
-  exported as ``repro_health_*`` gauges.
+  registry snapshot and folded into a :class:`HealthSnapshot`.
 
 Metric naming convention: ``repro_<subsystem>_<name>_<unit>`` —
 ``repro_serving_encode_seconds``, ``repro_cache_hits_total``,
@@ -77,16 +75,12 @@ from repro.obs.trace import (
     Trace,
     Tracer,
     carry_span,
-    chrome_trace_events,
     current_ids,
     current_span,
-    format_attribution,
-    get_tracer,
     record_stage,
     span,
     trace_to_record,
     use_tracer,
-    write_chrome_trace,
     write_trace_jsonl,
 )
 
@@ -108,15 +102,11 @@ __all__ = [
     "Trace",
     "Tracer",
     "TailSampler",
-    "get_tracer",
     "use_tracer",
     "current_ids",
     "record_stage",
-    "format_attribution",
     "trace_to_record",
     "write_trace_jsonl",
-    "chrome_trace_events",
-    "write_chrome_trace",
     "StructuredLogger",
     "configure",
     "get_logger",

@@ -12,14 +12,13 @@ into that verdict:
   comparison and a target.
 * :func:`evaluate` — judges a spec set against one registry snapshot
   and folds the per-spec :class:`SLOStatus` rows into a
-  :class:`HealthSnapshot`, which exports as ``repro_health_*`` gauges,
-  JSON, or a text table.
+  :class:`HealthSnapshot`, which renders as JSON or a text table.
 
 Judging is a pure function of ``(specs, snapshot)``: nothing is
 remembered from one evaluation to the next, so the same snapshot
-always gets the same verdict — whether ``loadgen`` judged it at the
-end of its run or ``repro-events health`` read it back from the
-telemetry file.  Each spec is ``ok`` or ``breach`` by its one value.
+always gets the same verdict — ``repro-events health`` reads it back
+from the telemetry file a run (``serve``, ``train``) wrote with
+``--metrics-out``.  Each spec is ``ok`` or ``breach`` by its one value.
 A spec whose metric is absent from the snapshot reports ``"missing"``
 and makes the snapshot unhealthy: an SLO you cannot measure is not
 being met.  Drift monitors are judged the same way as everything
@@ -33,8 +32,6 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "SLOSpec",
@@ -79,10 +76,11 @@ class SLOSpec:
 def default_serving_slos() -> tuple[SLOSpec, ...]:
     """The serving path's stock objectives.
 
-    Evaluated against a snapshot taken after a load run: end-to-end
-    rank p99 from the load report gauges, cache hit-rate from the
-    cache collector, and the drift *verdict* gauge of each of the
-    service's three monitors (served scores, candidate-pool sizes,
+    Evaluated against the snapshot a server writes at drain
+    (``repro-events serve --metrics-out``): the server-side
+    ``/recommend`` p99 from its own request histogram, cache hit-rate
+    from the cache collector, and the drift *verdict* gauge of each of
+    the service's three monitors (served scores, candidate-pool sizes,
     user-vector norms).  The verdict (``repro_drift_ok``) is used
     rather than raw PSI because the monitor applies sampling-noise
     floors the raw statistic does not carry — a fixed 0.2 threshold
@@ -90,12 +88,13 @@ def default_serving_slos() -> tuple[SLOSpec, ...]:
     """
     return (
         SLOSpec(
-            name="rank_p99",
-            metric="repro_loadgen_latency_seconds",
-            tags={"stat": "p99"},
+            name="recommend_p99",
+            metric="repro_serving_http_request_seconds",
+            tags={"route": "/recommend"},
+            stat="p99",
             op="<=",
             target=0.100,
-            description="end-to-end request p99 <= 100 ms",
+            description="server-side /recommend p99 <= 100 ms",
         ),
         SLOSpec(
             name="cache_hit_rate",
@@ -248,19 +247,6 @@ class HealthSnapshot:
             "breached": self.breached(),
             "slos": [slo.as_dict() for slo in self.slos],
         }
-
-    def export(self, registry: MetricsRegistry) -> None:
-        """Write the verdict back as ``repro_health_*`` gauges."""
-        registry.gauge("repro_health_ok").set(1.0 if self.healthy else 0.0)
-        for slo in self.slos:
-            tags = {"slo": slo.name}
-            registry.gauge("repro_health_slo_ok", tags=tags).set(
-                1.0 if slo.healthy else 0.0
-            )
-            if slo.value is not None:
-                registry.gauge("repro_health_slo_value", tags=tags).set(
-                    slo.value
-                )
 
 
 def evaluate(

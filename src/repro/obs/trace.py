@@ -31,17 +31,13 @@ Pieces:
   observation's exemplar, then hand one :class:`SpanRecord` to the
   tracer.  The histogram and the tracer are the only two sinks.
 * **Tracer** — buffers finished spans per trace; when the root span
-  of a trace finishes, the assembled :class:`Trace` is folded into
-  running per-stage totals (wall, CPU and *self* time — duration
-  minus child durations; the one attribution fold, rendered by
-  :meth:`Tracer.attribution`) and offered to the sampler.
+  of a trace finishes, the assembled :class:`Trace` is offered to the
+  sampler.
 * **TailSampler** — bounded-memory tail-based retention: the N
-  slowest traces are always kept (a min-heap), plus a seeded uniform
-  fraction for an unbiased background sample.  Everything else is
-  counted and dropped.
-* **Exports** — a JSONL trace log (one ``{"record": "trace"}`` object
-  per trace) and Chrome ``trace_event`` JSON loadable in
-  ``chrome://tracing`` / Perfetto.
+  slowest traces are kept (a min-heap).  Everything else is counted
+  and dropped.
+* **Export** — a JSONL trace log, one ``{"record": "trace"}`` object
+  per trace (``repro-events serve --trace-out``).
 * **Exemplar source** — a p99 histogram bucket links back to a
   concrete retained trace via :meth:`Tracer.find`.
 
@@ -58,8 +54,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
-import random
 import threading
 import time
 from collections.abc import Callable, Iterable, Mapping
@@ -87,22 +81,17 @@ __all__ = [
     "TailSampler",
     "Tracer",
     "active",
-    "get_tracer",
     "use_tracer",
     "new_trace_id",
     "new_span_id",
-    "format_attribution",
     "trace_to_record",
     "write_trace_jsonl",
-    "chrome_trace_events",
-    "write_chrome_trace",
 ]
 
 R = TypeVar("R")
 
-# Memory bounds: the uniform background sample, the spans buffered for
-# one open trace, and the traces open (or leaked) at once.
-_MAX_SAMPLED = 64
+# Memory bounds: the spans buffered for one open trace, and the traces
+# open (or leaked) at once.
 _MAX_SPANS_PER_TRACE = 512
 _MAX_ACTIVE_TRACES = 4096
 
@@ -235,92 +224,47 @@ def trace_to_record(trace: Trace) -> dict[str, Any]:
 
 
 class TailSampler:
-    """Bounded-memory trace retention: N slowest + a uniform fraction.
+    """Bounded-memory trace retention: the N slowest.
 
-    ``keep_slowest`` traces with the largest root duration are always
-    retained (tail-based sampling — the traces worth debugging).  On
-    top, each offered trace is kept with probability
-    ``sample_fraction`` (seeded, deterministic given the offer order)
-    up to ``_MAX_SAMPLED``, giving an unbiased background sample to
-    compare the tail against.  Memory is bounded by
-    ``keep_slowest + _MAX_SAMPLED`` traces regardless of traffic.
+    ``keep_slowest`` traces with the largest root duration are retained
+    (tail-based sampling — the traces worth debugging); memory is
+    bounded by that many traces regardless of traffic.
     """
 
-    def __init__(
-        self,
-        keep_slowest: int = 16,
-        sample_fraction: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, keep_slowest: int = 16) -> None:
         if keep_slowest < 0:
             raise ValueError(f"keep_slowest must be >= 0, got {keep_slowest}")
-        if not 0.0 <= sample_fraction <= 1.0:
-            raise ValueError(
-                f"sample_fraction must be in [0, 1], got {sample_fraction}"
-            )
         self.keep_slowest = keep_slowest
-        self.sample_fraction = sample_fraction
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._seq = 0  # guarded-by: _lock
         # Min-heap of (seconds, seq, trace): the root is the fastest
         # retained trace, evicted when a slower one arrives.
         self._slowest: list[tuple[float, int, Trace]] = []  # guarded-by: _lock
-        self._sampled: list[Trace] = []  # guarded-by: _lock
         self.offered = 0  # guarded-by: _lock
-        self.sample_overflow = 0  # guarded-by: _lock
 
     def offer(self, trace: Trace) -> bool:
         """Consider a finished trace; returns whether it was retained."""
         with self._lock:
             self.offered += 1
             self._seq += 1
-            kept = False
-            if self.keep_slowest:
-                entry = (trace.seconds, self._seq, trace)
-                if len(self._slowest) < self.keep_slowest:
-                    heapq.heappush(self._slowest, entry)
-                    kept = True
-                elif entry[:2] > self._slowest[0][:2]:
-                    heapq.heappushpop(self._slowest, entry)
-                    kept = True
-            if (
-                self.sample_fraction > 0.0
-                and self._rng.random() < self.sample_fraction
-            ):
-                if len(self._sampled) < _MAX_SAMPLED:
-                    self._sampled.append(trace)
-                    kept = True
-                else:
-                    self.sample_overflow += 1
-            return kept
+            if not self.keep_slowest:
+                return False
+            entry = (trace.seconds, self._seq, trace)
+            if len(self._slowest) < self.keep_slowest:
+                heapq.heappush(self._slowest, entry)
+                return True
+            if entry[:2] > self._slowest[0][:2]:
+                heapq.heappushpop(self._slowest, entry)
+                return True
+            return False
 
-    @property
-    def slowest(self) -> list[Trace]:
-        """Retained slowest traces, slowest first."""
+    def traces(self) -> list[Trace]:
+        """Every retained trace, slowest first."""
         with self._lock:
             return [
                 entry[2]
-                for entry in sorted(
-                    self._slowest, key=lambda e: (-e[0], e[1])
-                )
+                for entry in sorted(self._slowest, key=lambda e: (-e[0], e[1]))
             ]
-
-    @property
-    def sampled(self) -> list[Trace]:
-        """The uniform background sample, in offer order."""
-        with self._lock:
-            return list(self._sampled)
-
-    def traces(self) -> list[Trace]:
-        """Every retained trace (slowest first, deduplicated)."""
-        seen: set[str] = set()
-        out: list[Trace] = []
-        for trace in self.slowest + self.sampled:
-            if trace.trace_id not in seen:
-                seen.add(trace.trace_id)
-                out.append(trace)
-        return out
 
     def find(self, trace_id: str) -> Trace | None:
         """Retained trace by id — how an exemplar resolves to a trace."""
@@ -336,14 +280,12 @@ class TailSampler:
 
 
 class Tracer:
-    """Collects finished spans into traces and running stage totals.
+    """Collects finished spans into traces.
 
     Spans report here from ``Span.__exit__`` (and
     :func:`record_stage`); the tracer groups them by ``trace_id``.
-    When a trace's *root* span finishes, the trace is assembled,
-    folded into the running stage totals behind :meth:`attribution`
-    (always, so attribution is unbiased over every request) and
-    offered to the sampler (which decides what to *retain* in full).
+    When a trace's *root* span finishes, the trace is assembled and
+    offered to the sampler, which decides what to retain.
     """
 
     def __init__(self, sampler: TailSampler | None = None) -> None:
@@ -352,11 +294,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._active: dict[str, list[SpanRecord]] = {}  # guarded-by: _lock
         self._dropped: dict[str, int] = {}  # guarded-by: _lock
-        self._stage_totals: dict[str, dict[str, float]] = {}  # guarded-by: _lock
         self.finished = 0  # guarded-by: _lock
         self.dropped_spans_total = 0  # guarded-by: _lock
         self.dropped_traces = 0  # guarded-by: _lock
-        self.root_seconds_total = 0.0  # guarded-by: _lock
 
     def now(self) -> float:
         """Seconds since this tracer's epoch (monotonic, relative)."""
@@ -395,35 +335,8 @@ class Tracer:
                 dropped_spans=dropped,
             )
             self.finished += 1
-            self.root_seconds_total += record.seconds
-            self._fold_locked(trace)
         # Sampler has its own lock; offer outside ours.
         self.sampler.offer(trace)
-
-    def _fold_locked(self, trace: Trace) -> None:
-        # Lock-required: accumulates the shared stage-total dicts.
-        child_total: dict[str, float] = {}
-        for record in trace.spans:
-            if record.parent_id is not None:
-                child_total[record.parent_id] = (
-                    child_total.get(record.parent_id, 0.0) + record.seconds
-                )
-        for record in trace.spans:
-            totals = self._stage_totals.get(record.name)
-            if totals is None:
-                totals = {
-                    "count": 0.0,
-                    "seconds": 0.0,
-                    "self_seconds": 0.0,
-                    "cpu_seconds": 0.0,
-                }
-                self._stage_totals[record.name] = totals
-            totals["count"] += 1.0
-            totals["seconds"] += record.seconds
-            totals["self_seconds"] += max(
-                record.seconds - child_total.get(record.span_id, 0.0), 0.0
-            )
-            totals["cpu_seconds"] += record.cpu_seconds
 
     def traces(self) -> list[Trace]:
         """The retained traces (see :class:`TailSampler`)."""
@@ -433,41 +346,12 @@ class Tracer:
         """Resolve a histogram exemplar's trace id to a full trace."""
         return self.sampler.find(trace_id)
 
-    def attribution(self) -> list[dict[str, float | str]]:
-        """Stage attribution rows over every finished trace.
-
-        ``share`` is each stage's *self* time as a fraction of total
-        root wall time — the "where did the latency go" column.  Rows
-        sort by descending self time.
-        """
-        with self._lock:
-            root_total = self.root_seconds_total
-            rows: list[dict[str, float | str]] = [
-                {
-                    "stage": name,
-                    **values,
-                    "share": (
-                        values["self_seconds"] / root_total
-                        if root_total > 0.0
-                        else 0.0
-                    ),
-                }
-                for name, values in self._stage_totals.items()
-            ]
-        rows.sort(key=lambda row: (-float(row["self_seconds"]), row["stage"]))
-        return rows
-
 
 # ----------------------------------------------------------------------
 # global tracer installation
 # ----------------------------------------------------------------------
 
 _TRACER: Tracer | None = None
-
-
-def get_tracer() -> Tracer | None:
-    """The installed process-global tracer, or ``None``."""
-    return _TRACER
 
 
 def active() -> bool:
@@ -714,22 +598,8 @@ def carry_span(fn: Callable[..., R]) -> Callable[..., R]:
 
 
 # ----------------------------------------------------------------------
-# exports
+# export
 # ----------------------------------------------------------------------
-
-
-def format_attribution(rows: Iterable[dict[str, float | str]]) -> str:
-    """Render attribution rows as an aligned text table."""
-    header = f"{'stage':<34} {'count':>8} {'total ms':>10} {'self ms':>10} {'share':>7}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{str(row['stage']):<34} {float(row['count']):>8.0f} "
-            f"{float(row['seconds']) * 1e3:>10.2f} "
-            f"{float(row['self_seconds']) * 1e3:>10.2f} "
-            f"{float(row['share']) * 100:>6.1f}%"
-        )
-    return "\n".join(lines)
 
 
 def write_trace_jsonl(traces: Iterable[Trace], path: str | Path) -> int:
@@ -746,57 +616,3 @@ def write_trace_jsonl(traces: Iterable[Trace], path: str | Path) -> int:
             handle.write(json_line(trace_to_record(trace)) + "\n")
             count += 1
     return count
-
-
-def chrome_trace_events(traces: Iterable[Trace]) -> list[dict[str, Any]]:
-    """Chrome ``trace_event`` complete ("X") events for ``traces``.
-
-    Timestamps/durations are microseconds (the format's unit); ``tid``
-    is the OS thread id the span ran on, so the load harness's worker
-    threads render as parallel rows in Perfetto.
-    """
-    events: list[dict[str, Any]] = []
-    for trace in traces:
-        for record in trace.spans:
-            args: dict[str, Any] = {
-                "trace_id": record.trace_id,
-                "span_id": record.span_id,
-                "path": record.path,
-                "cpu_ms": record.cpu_seconds * 1e3,
-            }
-            if record.parent_id is not None:
-                args["parent_id"] = record.parent_id
-            args.update(record.tags)
-            events.append(
-                {
-                    "name": record.name,
-                    "cat": "repro",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": record.thread,
-                    "ts": record.ts * 1e6,
-                    "dur": record.seconds * 1e6,
-                    "args": args,
-                }
-            )
-    return events
-
-
-def write_chrome_trace(traces: Iterable[Trace], path: str | Path) -> int:
-    """Write a ``chrome://tracing`` / Perfetto-loadable JSON file.
-
-    Returns the number of trace events written.
-    """
-    events = chrome_trace_events(traces)
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": "repro.obs.trace"},
-    }
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
-    return len(events)

@@ -15,13 +15,12 @@ Layers (each independently testable):
 * :mod:`repro.serving.batcher` — the work-conserving micro-batcher;
 * :mod:`repro.serving.http` — HTTP/1.1 framing over asyncio streams;
 * :mod:`repro.serving.server` — routes + lifecycle
-  (:class:`ServingServer`, thread-hosted :class:`ThreadedServer`);
-* :mod:`repro.serving.client` — the synchronous client, over ids,
-  that the loadgen harness drives.
+  (:class:`ServingServer`, thread-hosted :class:`ThreadedServer`).
+
+``repro-events serve`` runs it as a process; any HTTP client reaches it.
 """
 
 from repro.serving.batcher import BatcherClosed, MicroBatcher
-from repro.serving.client import HttpServiceClient, ServerError
 from repro.serving.schemas import (
     ApiError,
     RecommendRequest,
@@ -34,11 +33,9 @@ from repro.serving.server import ServingServer, ThreadedServer
 __all__ = [
     "ApiError",
     "BatcherClosed",
-    "HttpServiceClient",
     "MicroBatcher",
     "RecommendRequest",
     "ScoreRequest",
-    "ServerError",
     "ServingServer",
     "SimilarEventsRequest",
     "ThreadedServer",

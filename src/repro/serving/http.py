@@ -2,7 +2,7 @@
 
 Just enough protocol for the serving API: request-line + headers +
 ``Content-Length`` bodies in, status + JSON (or text) out, with
-keep-alive so the loadgen client can reuse connections (HTTP/1.1 by
+keep-alive so a client can reuse its connection (HTTP/1.1 by
 default, HTTP/1.0 only on ``Connection: keep-alive``).  No chunked
 transfer (a request with ``Transfer-Encoding``, or with two different
 ``Content-Length`` values, is refused, 400), no TLS, no multipart —

@@ -5,8 +5,8 @@
 ``/recommend`` straight to the ranker when it is free and coalesces
 what queues behind a busy one into one flush, and the route handlers.
 :class:`ThreadedServer` wraps it for synchronous callers (the CLI,
-tests, the loadgen HTTP mode): the asyncio loop runs in a daemon
-thread and ``start()`` blocks until the socket is bound.
+tests): the asyncio loop runs in a daemon thread and ``start()``
+blocks until the socket is bound.
 
 Which work runs where: work bounded by one flush — a ``/recommend``
 flush of at most ``MAX_BATCH`` users, one ``/score`` pair — runs on

@@ -1,10 +1,10 @@
-"""SLO health: spec parsing, one-snapshot verdicts, export."""
+"""SLO health: spec parsing, one-snapshot verdicts, rendering."""
 
 import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, render_prometheus
+from repro.obs import MetricsRegistry
 from repro.obs.drift import DriftMonitor
 from repro.obs.health import (
     SLOSpec,
@@ -206,24 +206,23 @@ class TestHealthMonitor:
         verdict = evaluate(self.SPECS, registry.snapshot())
         assert verdict.healthy
 
-    def test_export_writes_health_gauges(self):
-        registry = MetricsRegistry()
-        evaluate(self.SPECS, self.snapshot(p99=0.05)).export(registry)
-        text = render_prometheus(registry.snapshot())
-        assert "repro_health_ok 0" in text
-        assert 'repro_health_slo_ok{slo="lat_p99"} 0' in text
-        assert 'repro_health_slo_ok{slo="hit_rate"} 1' in text
-        assert 'repro_health_slo_value{slo="lat_p99"} 0.05' in text
-
 
 class TestDefaultServingSlos:
     def test_cover_latency_cache_and_drift(self):
         specs = default_serving_slos()
         assert {spec.metric for spec in specs} == {
-            "repro_loadgen_latency_seconds",
+            "repro_serving_http_request_seconds",
             "repro_cache_hit_rate",
             "repro_drift_ok",
         }
+        # Latency is what the server measures: its own /recommend p99.
+        (latency,) = [
+            spec for spec in specs
+            if spec.metric == "repro_serving_http_request_seconds"
+        ]
+        assert (latency.tags, latency.stat, latency.op) == (
+            {"route": "/recommend"}, "p99", "<="
+        )
         # Every monitor the service carries, by the name it exports.
         from repro.core.service import ServingMonitors
 

@@ -1,4 +1,4 @@
-"""Tracing: propagation, tail sampling, attribution, exports."""
+"""Tracing: propagation, tail sampling, trace assembly, JSONL export."""
 
 import json
 import threading
@@ -8,24 +8,19 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import (
-    _MAX_SAMPLED,
     _MAX_SPANS_PER_TRACE,
     SpanRecord,
     TailSampler,
     Trace,
     Tracer,
     active,
-    chrome_trace_events,
     current_ids,
-    format_attribution,
-    get_tracer,
     new_span_id,
     new_trace_id,
     record_stage,
     span,
     trace_to_record,
     use_tracer,
-    write_chrome_trace,
     write_trace_jsonl,
 )
 
@@ -73,12 +68,16 @@ class TestIds:
 class TestInstallation:
     def test_off_by_default(self):
         assert not active()
-        assert get_tracer() is None
+        with span("repro_test_root", registry=MetricsRegistry()) as opened:
+            pass
+        assert opened.trace_id is None
 
     def test_use_tracer_installs_and_restores(self):
         with use_tracer(Tracer()) as tracer:
             assert active()
-            assert get_tracer() is tracer
+            with span("repro_test_root", registry=MetricsRegistry()):
+                pass
+            assert tracer.finished == 1
         assert not active()
 
     def test_current_ids_none_without_span(self):
@@ -141,7 +140,7 @@ class TestTailSampler:
         sampler = TailSampler(keep_slowest=2)
         for index, seconds in enumerate((0.1, 0.5, 0.2, 0.9, 0.05)):
             sampler.offer(make_trace(f"t{index}", seconds))
-        assert [t.seconds for t in sampler.slowest] == [0.9, 0.5]
+        assert [t.seconds for t in sampler.traces()] == [0.9, 0.5]
         assert sampler.offered == 5
 
     def test_offer_reports_retention(self):
@@ -149,22 +148,6 @@ class TestTailSampler:
         assert sampler.offer(make_trace("a", 0.2))
         assert not sampler.offer(make_trace("b", 0.1))
         assert sampler.offer(make_trace("c", 0.3))
-
-    def test_uniform_sample_is_bounded(self):
-        sampler = TailSampler(keep_slowest=0, sample_fraction=1.0)
-        for index in range(_MAX_SAMPLED + 7):
-            sampler.offer(make_trace(f"t{index}", 0.1))
-        assert len(sampler.sampled) == _MAX_SAMPLED
-        assert sampler.sample_overflow == 7
-
-    def test_sampling_is_seeded(self):
-        def kept(seed):
-            sampler = TailSampler(keep_slowest=0, sample_fraction=0.5, seed=seed)
-            return [
-                sampler.offer(make_trace(f"t{i}", 0.1)) for i in range(32)
-            ]
-
-        assert kept(3) == kept(3)
 
     def test_find_resolves_retained_ids_only(self):
         sampler = TailSampler(keep_slowest=1)
@@ -177,7 +160,6 @@ class TestTailSampler:
         "kwargs",
         [
             {"keep_slowest": -1},
-            {"sample_fraction": 1.5},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -218,6 +200,10 @@ class TestTracer:
         assert tracer.dropped_spans_total == 2
 
     def test_attribution_self_time_and_share(self):
+        """A retained trace is all a reader needs to attribute time:
+        from parent ids and durations, each stage's self time (its
+        duration minus its children's) and its share of the root follow
+        exactly (every input is an exact binary fraction)."""
         tracer = Tracer(TailSampler(keep_slowest=4))
         tracer.on_span_finish(
             make_record(
@@ -237,72 +223,49 @@ class TestTracer:
             ),
             root=True,
         )
-        rows = {row["stage"]: row for row in tracer.attribution()}
-        assert rows["repro_test_child"]["self_seconds"] == pytest.approx(0.75)
-        assert rows["repro_test_root"]["self_seconds"] == pytest.approx(0.25)
-        assert rows["repro_test_child"]["share"] == pytest.approx(0.75)
-        assert rows["repro_test_root"]["share"] == pytest.approx(0.25)
-        # A second, childless trace: the fold is incremental over every
-        # finished trace, and its rows are pinned to the digit (all the
-        # inputs are exact binary fractions).
-        tracer.on_span_finish(
-            make_record(
-                name="repro_test_root", trace_id="t2", seconds=1.0,
-                cpu_seconds=0.125,
-            ),
-            root=True,
-        )
-        assert tracer.attribution() == [
-            {
-                "stage": "repro_test_root",
-                "count": 2.0,
-                "seconds": 2.0,
-                "self_seconds": 1.25,
-                "cpu_seconds": 0.75,
-                "share": 0.625,
-            },
-            {
-                "stage": "repro_test_child",
-                "count": 1.0,
-                "seconds": 0.75,
-                "self_seconds": 0.75,
-                "cpu_seconds": 0.5,
-                "share": 0.375,
-            },
-        ]
-
-    def test_self_seconds_never_negative(self):
-        # Children overlapping (threads) can sum past the parent.
-        tracer = Tracer()
-        for name, seconds in (("repro_test_a", 0.8), ("repro_test_b", 0.7)):
-            tracer.on_span_finish(
-                make_record(
-                    name=name, trace_id="tx", parent_id="r", seconds=seconds
-                ),
-                root=False,
-            )
-        tracer.on_span_finish(
-            make_record(
-                name="repro_test_root", trace_id="tx", span_id="r", seconds=1.0
-            ),
-            root=True,
-        )
-        rows = {row["stage"]: row for row in tracer.attribution()}
-        assert rows["repro_test_root"]["self_seconds"] == 0.0
+        (trace,) = tracer.traces()
+        children: dict[str, float] = {}
+        for record in trace.spans:
+            if record.parent_id is not None:
+                children[record.parent_id] = (
+                    children.get(record.parent_id, 0.0) + record.seconds
+                )
+        self_seconds = {
+            record.name: record.seconds - children.get(record.span_id, 0.0)
+            for record in trace.spans
+        }
+        assert self_seconds == {"repro_test_child": 0.75, "repro_test_root": 0.25}
+        assert {name: value / trace.seconds for name, value in self_seconds.items()} == {
+            "repro_test_child": 0.75,
+            "repro_test_root": 0.25,
+        }
+        assert [record.cpu_seconds for record in trace.spans] == [0.5, 0.625]
 
 
 class TestRecordStage:
     def test_becomes_synthetic_child_of_current_span(self):
+        """Nested under a child span, the lock wait lands in the one
+        retained trace as that child's child, with the measured
+        duration and the nesting's paths and depths."""
         registry = MetricsRegistry()
         with use_registry(registry):
             with use_tracer(Tracer()) as tracer:
                 with span("repro_test_root", registry=registry):
-                    record_stage("repro_test_wait", 0.004)
-        trace = tracer.traces()[0]
+                    with span("repro_test_child", registry=registry):
+                        record_stage("repro_test_wait", 0.004)
+        (trace,) = tracer.traces()
+        root = trace.span_named("repro_test_root")
+        child = trace.span_named("repro_test_child")
         stage = trace.span_named("repro_test_wait")
         assert stage is not None
         assert stage.seconds == 0.004
-        assert stage.parent_id == trace.span_named("repro_test_root").span_id
+        assert stage.cpu_seconds == 0.0
+        assert root.parent_id is None and trace.seconds == root.seconds
+        assert child.parent_id == root.span_id
+        assert stage.parent_id == child.span_id
+        assert stage.path == "repro_test_root/repro_test_child/repro_test_wait"
+        assert (root.depth, child.depth, stage.depth) == (0, 1, 2)
+        assert root.seconds >= child.seconds
         assert registry.histogram("repro_test_wait_seconds").count == 1
 
     def test_histogram_only_without_tracer(self):
@@ -310,23 +273,6 @@ class TestRecordStage:
         with use_registry(registry):
             record_stage("repro_test_wait", 0.004)
         assert registry.histogram("repro_test_wait_seconds").count == 1
-
-
-class TestAttributionHelpers:
-    def test_format_attribution_renders_table(self):
-        rows = [
-            {
-                "stage": "repro_test_root",
-                "count": 2.0,
-                "seconds": 0.02,
-                "self_seconds": 0.01,
-                "cpu_seconds": 0.0,
-                "share": 0.5,
-            }
-        ]
-        text = format_attribution(rows)
-        assert "stage" in text and "share" in text
-        assert "repro_test_root" in text and "50.0%" in text
 
 
 class TestExports:
@@ -360,24 +306,6 @@ class TestExports:
         (record,) = map(strict_loads, path.read_text().splitlines())
         assert record["seconds"] is None
         assert record["spans"][0]["cpu_seconds"] is None
-
-    def test_chrome_events_use_microseconds(self):
-        trace = make_trace("tc", 0.5)
-        (event,) = chrome_trace_events([trace])
-        assert event["ph"] == "X"
-        assert event["dur"] == pytest.approx(0.5 * 1e6)
-        assert event["args"]["trace_id"] == "tc"
-
-    def test_chrome_file_is_loadable_document(self, tmp_path):
-        path = tmp_path / "chrome.json"
-        count = write_chrome_trace(self.build_traces(), path)
-        document = json.loads(path.read_text())
-        assert len(document["traceEvents"]) == count == 2
-        parent_ids = {
-            event["args"].get("parent_id")
-            for event in document["traceEvents"]
-        }
-        assert None in parent_ids and len(parent_ids) == 2
 
 
 class TestExemplarAcceptance:

@@ -14,6 +14,7 @@ flush.
 
 import asyncio
 import dataclasses
+import http.client
 import json
 import socket
 import threading
@@ -25,18 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import _build_synthetic_service
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
-from repro.loadgen import build_synthetic_service
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
-from repro.serving import (
-    HttpServiceClient,
-    ServerError,
-    ServingServer,
-    ThreadedServer,
-)
+from repro.serving import ServingServer, ThreadedServer
 from repro.serving.http import HttpError, HttpRequest
 from repro.serving.server import _RecommendWork
 from repro.text.documents import DocumentEncoder
@@ -48,30 +44,48 @@ TIMEOUT = 10.0
 
 @pytest.fixture(scope="module")
 def stack():
-    service, users, events = build_synthetic_service(seed=3, pool_size=POOL_SIZE)
+    service, users, events = _build_synthetic_service(3, POOL_SIZE)
     registry = MetricsRegistry()
     server = ServingServer(service, users, events, registry=registry)
     with ThreadedServer(server) as hosted:
-        client = HttpServiceClient(hosted.host, hosted.port)
         yield {
             "service": service,
             "users": users,
             "events": events,
             "server": server,
             "hosted": hosted,
-            "client": client,
             "registry": registry,
         }
-        client.close()
+
+
+def call(hosted, method, path, body=None):
+    """One request on a connection of its own; ``(status, decoded body)``:
+    JSON, or text for ``/metrics``.  ``body`` goes out as given, so a
+    malformed one reaches the server as it is."""
+    connection = http.client.HTTPConnection(hosted.host, hosted.port, timeout=TIMEOUT)
+    try:
+        connection.request(
+            method, path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        raw = response.read()
+    finally:
+        connection.close()
+    if response.getheader("Content-Type", "").startswith("application/json"):
+        return response.status, json.loads(raw)
+    return response.status, raw.decode("utf-8")
+
+
+def post(hosted, path, payload):
+    """POST ``payload`` as JSON; the body of the 200 it must get."""
+    status, body = call(hosted, "POST", path, json.dumps(payload))
+    assert status == 200, body
+    return body
 
 
 def recommend(hosted, payload):
     """One /recommend on a connection of its own; its ``results`` list."""
-    client = HttpServiceClient(hosted.host, hosted.port)
-    try:
-        return client.request("POST", "/recommend", payload)["results"]
-    finally:
-        client.close()
+    return post(hosted, "/recommend", payload)["results"]
 
 
 def flush_stats(server):
@@ -109,27 +123,6 @@ def one_flush_of(hosted, primer, payloads):
     return [body["results"] for _, body, _ in answers[1:]]
 
 
-def post(stack, path, payload):
-    return stack["client"].request("POST", path, payload)
-
-
-def raw_post(stack, path, body: str):
-    """POST a raw (possibly malformed) body; ``(status, decoded JSON)``."""
-    import http.client
-
-    connection = http.client.HTTPConnection(
-        stack["hosted"].host, stack["hosted"].port, timeout=10.0
-    )
-    try:
-        connection.request(
-            "POST", path, body=body, headers={"Content-Type": "application/json"}
-        )
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
-
-
 class TestHttpRequestJson:
     @pytest.mark.parametrize(
         "body",
@@ -149,7 +142,8 @@ class TestHttpRequestJson:
 
 class TestEndpoints:
     def test_healthz_reports_counts(self, stack):
-        body = stack["client"].healthz()
+        status, body = call(stack["hosted"], "GET", "/healthz")
+        assert status == 200
         assert body["status"] == "ok"
         assert body["users"] == len(stack["users"])
         assert body["events"] == POOL_SIZE
@@ -158,13 +152,13 @@ class TestEndpoints:
         user = stack["users"][0]
         event = stack["events"][0]
         body = post(
-            stack, "/score", {"user_id": user.user_id, "event_id": event.event_id}
+            stack["hosted"], "/score", {"user_id": user.user_id, "event_id": event.event_id}
         )
         assert body["score"] == stack["service"].score(user, event)
 
     def test_recommend_matches_rank_events_exactly(self, stack):
         user = stack["users"][1]
-        body = post(stack, "/recommend", {"user_id": user.user_id, "top_k": 5})
+        body = post(stack["hosted"], "/recommend", {"user_id": user.user_id, "top_k": 5})
         direct = stack["service"].rank_events(
             user, stack["events"], top_k=5
         )
@@ -176,7 +170,7 @@ class TestEndpoints:
         user = stack["users"][2]
         pool = [event.event_id for event in stack["events"][:7]]
         body = post(
-            stack,
+            stack["hosted"],
             "/recommend",
             {"user_id": user.user_id, "event_ids": pool, "top_k": 3},
         )
@@ -191,7 +185,7 @@ class TestEndpoints:
         user = stack["users"][0]
         at_time = stack["events"][0].starts_at + 1.0  # some events inactive
         body = post(
-            stack, "/recommend", {"user_id": user.user_id, "at_time": at_time}
+            stack["hosted"], "/recommend", {"user_id": user.user_id, "at_time": at_time}
         )
         direct = stack["service"].rank_events(
             user, stack["events"], at_time=at_time
@@ -204,7 +198,7 @@ class TestEndpoints:
     def test_similar_events(self, stack):
         seed_event = stack["events"][0]
         body = post(
-            stack, "/similar-events", {"event_id": seed_event.event_id, "top_k": 2}
+            stack["hosted"], "/similar-events", {"event_id": seed_event.event_id, "top_k": 2}
         )
         assert len(body["results"]) == 2
         sims = [r["similarity"] for r in body["results"]]
@@ -212,64 +206,57 @@ class TestEndpoints:
         assert all(r["event_id"] != seed_event.event_id for r in body["results"])
 
     def test_metrics_renders_prometheus_text(self, stack):
-        stack["client"].healthz()  # ensure at least one request counted
-        text = stack["client"].metrics()
+        call(stack["hosted"], "GET", "/healthz")  # at least one request counted
+        status, text = call(stack["hosted"], "GET", "/metrics")
+        assert status == 200
         assert "repro_serving_http_requests_total" in text
+
+
+def post_error(stack, payload, path="/recommend"):
+    """POST ``payload``; ``(status, error object)`` of the refusal."""
+    status, body = call(stack["hosted"], "POST", path, json.dumps(payload))
+    return status, body["error"]
 
 
 class TestErrorContract:
     def test_unknown_user_is_404(self, stack):
-        with pytest.raises(ServerError) as caught:
-            post(stack, "/recommend", {"user_id": 10_000_000})
-        assert caught.value.status == 404
-        assert caught.value.envelope["error"]["code"] == "not_found"
+        status, error = post_error(stack, {"user_id": 10_000_000})
+        assert status == 404
+        assert error["code"] == "not_found"
 
     def test_unknown_event_in_pool_is_422(self, stack):
         user = stack["users"][0]
-        with pytest.raises(ServerError) as caught:
-            post(
-                stack,
-                "/recommend",
-                {"user_id": user.user_id, "event_ids": [10_000_000]},
-            )
-        assert caught.value.status == 422
-        assert "unknown event ids" in str(
-            caught.value.envelope["error"]["details"]
+        status, error = post_error(
+            stack, {"user_id": user.user_id, "event_ids": [10_000_000]}
         )
+        assert status == 422
+        assert "unknown event ids" in str(error["details"])
 
     @pytest.mark.parametrize("bad_top_k", [0, -3, "five", 2.5, True])
     def test_bad_top_k_is_422_not_500(self, stack, bad_top_k):
-        with pytest.raises(ServerError) as caught:
-            post(
-                stack,
-                "/recommend",
-                {"user_id": stack["users"][0].user_id, "top_k": bad_top_k},
-            )
-        assert caught.value.status == 422
-        assert caught.value.envelope["error"]["code"] == "validation"
+        status, error = post_error(
+            stack, {"user_id": stack["users"][0].user_id, "top_k": bad_top_k}
+        )
+        assert status == 422
+        assert error["code"] == "validation"
 
     def test_duplicate_pool_ids_are_422(self, stack):
         first = stack["events"][0].event_id
-        with pytest.raises(ServerError) as caught:
-            post(
-                stack,
-                "/recommend",
-                {"user_id": stack["users"][0].user_id, "event_ids": [first, first]},
-            )
-        assert caught.value.status == 422
+        status, _ = post_error(
+            stack, {"user_id": stack["users"][0].user_id, "event_ids": [first, first]}
+        )
+        assert status == 422
 
     def test_unknown_route_is_404(self, stack):
-        with pytest.raises(ServerError) as caught:
-            stack["client"].request("GET", "/nope")
-        assert caught.value.status == 404
+        status, _ = call(stack["hosted"], "GET", "/nope")
+        assert status == 404
 
     def test_wrong_method_is_405(self, stack):
-        with pytest.raises(ServerError) as caught:
-            stack["client"].request("GET", "/recommend")
-        assert caught.value.status == 405
+        status, _ = call(stack["hosted"], "GET", "/recommend")
+        assert status == 405
 
     def test_bad_json_body_is_400(self, stack):
-        status, body = raw_post(stack, "/recommend", "{not json")
+        status, body = call(stack["hosted"], "POST", "/recommend", "{not json")
         assert status == 400
         assert body["error"]["code"] == "bad_request"
 
@@ -282,7 +269,7 @@ class TestErrorContract:
         ids=["deep-nesting", "huge-integer"],
     )
     def test_hostile_json_body_is_400_not_500(self, stack, hostile):
-        status, body = raw_post(stack, "/recommend", hostile)
+        status, body = call(stack["hosted"], "POST", "/recommend", hostile)
         assert status == 400
         assert body["error"]["code"] == "bad_request"
 
@@ -292,8 +279,8 @@ class TestErrorContract:
         ids=["NaN", "Infinity", "overflowing-int"],
     )
     def test_non_finite_at_time_is_422_over_the_wire(self, stack, literal):
-        status, body = raw_post(
-            stack, "/recommend", '{"user_id": 0, "at_time": %s}' % literal
+        status, body = call(
+            stack["hosted"], "POST", "/recommend", '{"user_id": 0, "at_time": %s}' % literal
         )
         assert status == 422
         assert body["error"]["code"] == "validation"
@@ -413,30 +400,6 @@ class TestConnectionFraming:
         headers = {} if connection is None else {"connection": connection}
         request = HttpRequest("GET", "/healthz", headers=headers, version=version)
         assert request.keep_alive is kept
-
-
-class TestClientConnections:
-    def test_close_closes_every_threads_connection(self, stack):
-        """Worker threads cannot close their own keep-alive sockets
-        once a run is over; ``close()`` on any thread must."""
-        client = HttpServiceClient(stack["hosted"].host, stack["hosted"].port)
-        everyone_connected = threading.Barrier(4, timeout=TIMEOUT)
-        handles = []
-
-        def worker():
-            client.healthz()
-            handles.append(client._connection())
-            everyone_connected.wait()  # four live threads, four handles
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(TIMEOUT)
-        assert len({id(handle) for handle in handles}) == 4
-        assert all(handle.sock is not None for handle in handles)
-        client.close()
-        assert [handle.sock for handle in handles] == [None] * 4
 
 
 def recommend_shapes(users, events, count):
@@ -698,9 +661,7 @@ def tiny_stack(tiny_users, tiny_events):
         service.warm(tiny_users, tiny_events)
         server = ServingServer(service, tiny_users, tiny_events, registry=registry)
         with ThreadedServer(server) as hosted:
-            client = HttpServiceClient(hosted.host, hosted.port)
-            yield {"client": client, "registry": registry}
-            client.close()
+            yield {"hosted": hosted, "registry": registry}
 
 
 class TestObservability:
@@ -710,7 +671,8 @@ class TestObservability:
 
         tiny_stack["registry"].register_collector("broken", broken)
         for _ in range(2):  # the second scrape is the one that used to 500
-            text = tiny_stack["client"].metrics()  # ServerError unless 200
+            status, text = call(tiny_stack["hosted"], "GET", "/metrics")
+            assert status == 200
         assert 'repro_obs_collector_errors_total{collector="broken"} 2' in text
         assert "repro_serving_http_requests_total" in text
 
@@ -719,11 +681,15 @@ class TestObservability:
     ):
         """A /recommend flush and a /score run on the loop: one trace
         each, and no hop to another thread anywhere in it."""
-        client = tiny_stack["client"]
+        hosted = tiny_stack["hosted"]
         with use_tracer(Tracer()) as tracer:
-            client.recommend(tiny_users[0].user_id, top_k=2)
+            post(hosted, "/recommend", {"user_id": tiny_users[0].user_id, "top_k": 2})
             (recommend,) = tracer.traces()
-            client.score(tiny_users[0].user_id, tiny_events[0].event_id)
+            post(
+                hosted,
+                "/score",
+                {"user_id": tiny_users[0].user_id, "event_id": tiny_events[0].event_id},
+            )
             (score,) = [t for t in tracer.traces() if t is not recommend]
         for trace, inner in (
             (recommend, "repro_index_gemv"),

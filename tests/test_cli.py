@@ -251,99 +251,36 @@ class TestEndToEnd:
             assert line.startswith(f"  {scored.score:+.3f}  ")
             assert line.endswith(scored.event.title)
 
-    def test_loadgen_smoke_with_artifacts(self, tmp_path, capsys):
-        """A short traced run prints percentiles + attribution and
-        writes every artifact format."""
-        import json
+    def test_serve_rejects_bad_pool_size(self, capsys):
+        """The pool size is ``_build_synthetic_service``'s own argument:
+        it refuses it itself, first thing, as ``error: ...`` and exit 2."""
+        assert main(["serve", "--pool-size", "0"]) == 2
+        assert "error: pool_size" in capsys.readouterr().err
 
-        trace_path = tmp_path / "traces.jsonl"
-        chrome_path = tmp_path / "chrome.json"
-        assert main([
-            "loadgen", "--rate", "150", "--duration", "0.3",
-            "--pool-size", "120", "--workers", "2", "--seed", "4",
-            "--warmup", "20",
-            "--trace-out", str(trace_path),
-            "--chrome-out", str(chrome_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "p99" in out and "per-stage attribution" in out
-        assert "repro_index_gemv" in out
-        assert "warmup:        20 requests" in out
-        assert "health:" in out
-        traces = [json.loads(line) for line in trace_path.read_text().splitlines()]
-        assert traces and all(t["record"] == "trace" for t in traces)
-        chrome = json.loads(chrome_path.read_text())
-        assert chrome["traceEvents"], "chrome trace has events"
-        event = chrome["traceEvents"][0]
-        assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(event)
-
-    def test_loadgen_verdict_matches_health_on_its_telemetry(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """One run, one verdict: the report's embedded health and
-        ``health --telemetry`` over that run's ``--metrics-out`` are
-        the same judgment.  Only the candidate-pool monitor drifts
-        here (its reference window is seeded with small pools, the
-        traffic ranks the whole pool); at the parent the report
-        counted that monitor and the subcommand's SLOs did not."""
-        import json
-
-        import repro.loadgen
-
-        build = repro.loadgen.build_synthetic_service
-
-        def build_with_small_pool_reference(seed, pool_size):
-            service, users, events = build(seed=seed, pool_size=pool_size)
-            candidates = service.monitors.candidates
-            candidates.observe_many(
-                [5.0 + (i % 3) for i in range(candidates.warmup)]
-            )
-            return service, users, events
-
-        monkeypatch.setattr(
-            repro.loadgen, "build_synthetic_service",
-            build_with_small_pool_reference,
-        )
-        telemetry = tmp_path / "load.jsonl"
-        assert main([
-            "loadgen", "--rate", "150", "--duration", "0.3",
-            "--pool-size", "120", "--workers", "2", "--seed", "4",
-            "--json",
-            "--metrics-out", str(telemetry),
-        ]) == 0
-        embedded = json.loads(capsys.readouterr().out)["health"]
-        assert main(["health", "--telemetry", str(telemetry), "--json"]) == 1
-        judged = json.loads(capsys.readouterr().out)
-        assert judged["healthy"] is embedded["healthy"] is False
-        assert judged["breached"] == embedded["breached"]
-        assert judged["breached"] == ["candidate_drift_ok"]
-
-    def test_loadgen_rejects_bad_rate(self, capsys, monkeypatch):
-        """Every out-of-range value is ``error: ...`` and exit 2, said
-        before the seconds-long stack build (one test, not one per
-        flag, so the id the suite has always printed stays)."""
-        import repro.loadgen
-
-        def built(*args, **kwargs):
-            raise AssertionError("built the stack for a bad flag")
-
-        bad_flags = [
-            (["loadgen", "--rate", "0", "--duration", "0.1"], "rate"),
-            # 0.1 expected arrivals: the seeded schedule is empty.
-            (["loadgen", "--rate", "0.2", "--duration", "0.5"], "draws none"),
-            (["loadgen", "--sample-fraction", "2"], "sample_fraction"),
-        ]
-        with monkeypatch.context() as patch:
-            patch.setattr(repro.loadgen, "build_synthetic_service", built)
-            for argv, needle in bad_flags:
-                assert main(argv) == 2, argv
-                err = capsys.readouterr().err
-                assert err.startswith("error: ") and needle in err, argv
-        # The pool size is the builder's own argument: it refuses it
-        # itself, first thing.
-        for command in ("loadgen", "serve"):
-            assert main([command, "--pool-size", "0"]) == 2
-            assert "error: pool_size" in capsys.readouterr().err
+    def test_missing_input_paths_exit_two(self, tmp_path, capsys):
+        """A missing ``--dataset`` or ``--bundle`` is ``error: ...`` and
+        exit 2, as for ``metrics`` and ``health``, not a traceback."""
+        dataset = str(tmp_path / "world.json.gz")
+        missing_dataset = str(tmp_path / "no-world.json.gz")
+        missing_bundle = str(tmp_path / "no-bundle")
+        main(["generate", "--scale", "small", "--seed", "5", "--out", dataset])
+        query = ["--user-id", "0", "--at-time", "900"]
+        for argv, needle in [
+            (["train", "--dataset", missing_dataset, "--bundle", missing_bundle],
+             "no-world.json.gz"),
+            (["recommend", "--dataset", missing_dataset,
+              "--bundle", missing_bundle, *query], "no-world.json.gz"),
+            (["recommend", "--dataset", dataset,
+              "--bundle", missing_bundle, *query], "no-bundle"),
+            (["serve", "--dataset", missing_dataset, "--bundle", missing_bundle],
+             "no-world.json.gz"),
+            (["serve", "--dataset", dataset, "--bundle", missing_bundle],
+             "no-bundle"),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err, (argv, err)
 
     def test_recommend_rejects_bad_top_k(self, tmp_path, capsys):
         """Exit 2 before anything is loaded: neither path exists."""
@@ -352,6 +289,137 @@ class TestEndToEnd:
                          "--bundle", str(tmp_path / "no-bundle"), "--user-id", "0",
                          "--at-time", "900", "--top-k", top_k]) == 2
             assert "--top-k" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    """``serve`` is the process an operator runs: stopped through its
+    drain path, it writes the traces and telemetry the stock health
+    verdict and a trace reader need."""
+
+    def test_traced_serve_writes_a_healthy_snapshot_and_joined_traces(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import http.client
+        import json
+        import os
+        import signal
+        import threading
+        import time
+
+        from repro.serving import ThreadedServer
+
+        started = []
+        start = ThreadedServer.start
+
+        def recording_start(hosted):
+            address = start(hosted)
+            started.append(hosted)
+            return address
+
+        monkeypatch.setattr(ThreadedServer, "start", recording_start)
+        failures = []
+
+        def drive():
+            # SIGTERM only once serve drains on it: its default action
+            # would end the test process.
+            deadline = time.monotonic() + 120.0
+            while not (
+                started
+                and signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+            ):
+                if time.monotonic() > deadline:
+                    failures.append("serve never armed its SIGTERM drain")
+                    if started:
+                        started[0].stop()
+                    return
+                time.sleep(0.01)
+            hosted = started[0]
+            try:
+                connection = http.client.HTTPConnection(
+                    hosted.host, hosted.port, timeout=10.0
+                )
+                for user_id in range(12):
+                    path, body = (
+                        ("/score", {"user_id": user_id, "event_id": 0})
+                        if user_id % 3 == 2
+                        else ("/recommend", {"user_id": user_id, "top_k": 5})
+                    )
+                    connection.request("POST", path, body=json.dumps(body))
+                    response = connection.getresponse()
+                    response.read()
+                    if response.status != 200:
+                        failures.append((path, response.status))
+                connection.close()
+            except Exception as error:  # reported below, after the drain
+                failures.append(repr(error))
+            finally:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        traces = tmp_path / "traces.jsonl"
+        telemetry = tmp_path / "serve.jsonl"
+        traffic = threading.Thread(target=drive, daemon=True)
+        traffic.start()
+        assert main([
+            "serve", "--port", "0", "--pool-size", "60",
+            "--trace-out", str(traces), "--metrics-out", str(telemetry),
+        ]) == 0
+        traffic.join(timeout=30.0)
+        assert not traffic.is_alive()
+        assert failures == []
+        assert "draining" in capsys.readouterr().err
+
+        assert main(["health", "--telemetry", str(telemetry)]) == 0
+        assert "recommend_p99" in capsys.readouterr().out
+
+        rank = {"repro_serving_rank", "repro_serving_rank_batch"}
+        retained = [json.loads(line) for line in traces.read_text().splitlines()]
+        joined = [
+            trace for trace in retained
+            if trace["root"] == "repro_serving_http_request"
+            and trace["spans"][-1]["tags"] == {"route": "/recommend"}
+            and rank & {record["name"] for record in trace["spans"]}
+        ]
+        assert joined, [trace["root"] for trace in retained]
+        for trace in joined:
+            assert len({record["thread"] for record in trace["spans"]}) == 1
+
+    def test_sigterm_drains_and_writes_telemetry(self, tmp_path):
+        """What a process manager (or ``kill``) sends: the server drains
+        and exits 0 with its telemetry written."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.obs import read_telemetry
+
+        telemetry = tmp_path / "serve.jsonl"
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), environment.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--pool-size", "60", "--metrics-out", str(telemetry)],
+            stderr=subprocess.PIPE, text=True, env=environment,
+        )
+        announced = []
+        try:
+            for line in iter(process.stderr.readline, ""):
+                announced.append(line)
+                if line.startswith("serving on"):
+                    break
+            process.send_signal(signal.SIGTERM)
+            _, rest = process.communicate(timeout=60.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, "".join(announced) + rest
+        assert "draining" in rest
+        assert [record["record"] for record in read_telemetry(telemetry)] == [
+            "run", "snapshot"
+        ]
 
 
 class TestHealthCommand:

@@ -92,7 +92,6 @@ CONSUMER_DIRS = ("src", "bench", "benchmarks", "examples")
 # Modules nothing imports, names nothing mentions and options nothing
 # sets, each with the one reason it stays.
 ALLOWED_MODULES = {
-    "repro.cli": "entry point: [project.scripts] repro-events = repro.cli:main",
     "repro.nn.gradcheck": "test support: the finite-difference oracle of tests/nn "
     "and tests/core",
 }
@@ -136,10 +135,6 @@ KEPT_OPTIONS = {
     "optimizers skip frozen parameters; no model freezes one today",
     "repro.nn.pooling.log_sum_exp_pool(center=)": "test support: the raw-LSE "
     "comparison proving the -log(n) shift keeps the softmax weights (DESIGN §6)",
-    "repro.serving.client.HttpServiceClient.__init__(timeout=)": "a deployment "
-    "setting (socket timeout)",
-    "repro.loadgen.LoadgenConfig.score_fraction": "the traffic mix of the seeded "
-    "plan; tests/test_loadgen.py pins the plan at 0.0/0.25/0.4",
 }
 
 
