@@ -35,7 +35,8 @@ class JointModelConfig:
         margin: θ_r in the Equation-1 loss (paper: 0).
         seed: seed for weight initialization.
         dtype: ``"float64"`` (default, finite-difference checkable) or
-            ``"float32"`` (≈2× faster training on BLAS-bound CPUs).
+            ``"float32"`` (≈1.6× faster training steps at ``bench()``
+            dims on a 2-core CPU).
         embedding_init_scale: uniform init range of lookup tables
             (0.1 trains reliably; large values saturate the tanh
             layers at init — see the init-scale ablation bench).

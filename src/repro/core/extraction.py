@@ -65,15 +65,16 @@ class ConvExtractionModule:
 
         Every window size is convolved at the same positions of the
         packed stream — each document's tokens and the PAD gap behind
-        it — and each document's windows pool as one segment; which of
-        them count is :func:`~repro.nn.batching.window_mask`'s rule.
+        it — into channel-major ``(feature_dim, positions)``
+        activations, and each document's windows pool as one segment
+        along the positions axis; which of them count is
+        :func:`~repro.nn.batching.window_mask`'s rule.
         """
         token_vectors, emb_cache = self.embedding.forward(batch.ids)
         window_values, conv_cache = self.conv.forward(token_vectors)
-        positions = len(window_values)
         pooled, pool_cache = log_sum_exp_pool(
-            window_values.reshape(positions, len(self.windows), self.out_dim),
-            window_mask(batch, self.windows),
+            window_values.reshape(len(self.windows), self.out_dim, -1),
+            window_mask(batch, self.windows).T,
             batch.starts,
         )
         cache = {
@@ -82,17 +83,22 @@ class ConvExtractionModule:
             "pool": pool_cache,
             "batch": batch,
         }
-        return pooled.reshape(batch.batch_size, self.feature_dim), cache
+        return pooled.reshape(self.feature_dim, batch.batch_size).T, cache
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
-        """Accumulate gradients into the conv weights and lookup table."""
+        """Accumulate gradients into the conv weights and lookup table.
+
+        A document's softmax window weights sum to one, so each bias
+        gradient is *grad_out* summed over documents.
+        """
         grad_windows = log_sum_exp_pool_backward(
-            grad_out.reshape(len(grad_out), len(self.windows), self.out_dim),
+            grad_out.T.reshape(len(self.windows), self.out_dim, -1),
             cache["pool"],
         )
         grad_tokens = self.conv.backward(
-            grad_windows.reshape(len(grad_windows), self.feature_dim),
+            grad_windows.reshape(self.feature_dim, -1),
             cache["conv"],
+            bias_grad=grad_out.sum(axis=0),
         )
         self.embedding.backward(grad_tokens, cache["emb"])
 
@@ -108,8 +114,10 @@ class ConvExtractionModule:
         batch = cache["batch"]
         packed = pooling_weights(cache["pool"])
         real = np.arange(batch.max_length) < batch.lengths[:, None]
-        weights = np.zeros(real.shape + packed.shape[1:], dtype=packed.dtype)
-        weights[real] = packed[batch.mask[: len(packed)]]
+        weights = np.zeros(real.shape + packed.shape[:-1], dtype=packed.dtype)
+        weights[real] = np.moveaxis(
+            packed[..., batch.mask[: packed.shape[-1]]], -1, 0
+        )
         return {
             window: weights[:, :, index]
             for index, window in enumerate(self.windows)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.config import JointModelConfig
 from repro.core.extraction import ConvExtractionModule
 from repro.nn.batching import PackedBatch
-from repro.nn.layers import Affine, Concat, Embedding, Tanh
+from repro.nn.layers import Affine, Concat, Embedding, Tanh, scatter_add_rows
 from repro.nn.params import ParamStore
 
 __all__ = ["Tower", "UserTower", "EventTower"]
@@ -181,11 +181,7 @@ class Tower:
     ) -> None:
         """:meth:`backward` after summing the gradient rows of repeats."""
         rows = cache["rows"]
-        folded = np.zeros(
-            (rows.max() + 1, grad_representation.shape[1]),
-            dtype=grad_representation.dtype,
-        )
-        np.add.at(folded, rows, grad_representation)
+        folded = scatter_add_rows(rows, grad_representation, rows.max() + 1)
         self.backward(folded, cache["tower"])
 
 

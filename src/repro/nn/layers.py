@@ -17,12 +17,41 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.init import uniform_embedding, xavier_uniform, zeros
 from repro.nn.params import ParamStore, Parameter
 from repro.text.vocab import PAD_ID
 
-__all__ = ["Embedding", "WindowedConv", "Affine", "Tanh", "Concat"]
+__all__ = [
+    "Embedding",
+    "WindowedConv",
+    "Affine",
+    "Tanh",
+    "Concat",
+    "scatter_add_rows",
+]
+
+
+CHUNK_WINDOWS = 4096
+"""Window positions :meth:`WindowedConv.forward` gathers per product.
+
+Bounds the gathered ``(positions, max(windows) * D)`` window matrix:
+about 2 MB at ``D = 24`` in float32, however long the packed stream."""
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """``out[i] = Σ values[index == i]``, shape ``(rows, D)``.
+
+    One ``np.bincount`` per column: it sums in float64, in *index*
+    order, and the result is cast back to the dtype of *values*.
+    """
+    out = np.empty((rows, values.shape[1]), dtype=values.dtype)
+    for column in range(values.shape[1]):
+        out[:, column] = np.bincount(
+            index, weights=values[:, column], minlength=rows
+        )
+    return out
 
 
 class Embedding:
@@ -56,19 +85,12 @@ class Embedding:
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
         """Scatter-add gradients into the table; PAD stays frozen.
 
-        Uses a sort + segmented reduction instead of ``np.add.at``,
-        which is an order of magnitude faster for the typical case of
-        many repeated ids per batch.
+        :func:`scatter_add_rows` sums the rows of repeated ids, one
+        ``np.bincount`` per table column, in the table's dtype.
         """
-        ids_flat = cache["ids"].ravel()
-        grad_flat = grad_out.reshape(-1, self.dim)
-        order = np.argsort(ids_flat, kind="stable")
-        sorted_ids = ids_flat[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+        self.table.grad += scatter_add_rows(
+            cache["ids"].ravel(), grad_out.reshape(-1, self.dim), self.num_tokens
         )
-        segment_sums = np.add.reduceat(grad_flat[order], starts, axis=0)
-        self.table.grad[sorted_ids[starts]] += segment_sums
         self.table.grad[PAD_ID] = 0.0
 
 
@@ -81,13 +103,13 @@ class WindowedConv:
     (paper: ``64 × (d × 64)``), plus a bias (Section 3.1).  The
     windows of one input source (paper: 1, 3, 5) read the same token
     vectors, so they run as one block: every size is evaluated at the
-    same ``L`` start positions and fills its own ``K`` columns of one
-    output buffer, in ascending window order.
+    same ``L`` start positions and fills its own ``K`` rows of one
+    **channel-major** output, in ascending window order.
 
     Input ``(L + max(windows) - 1, D)`` — one token sequence (a packed
     stream of documents) followed by the widest window − 1
     zero vectors, so that the widest window fits at every start
-    position — → output ``(L, len(windows) * K)``.
+    position — → output ``(len(windows) * K, L)``.
 
     Parameters are registered per window as ``{name}_w{d}.weight`` and
     ``{name}_w{d}.bias``.
@@ -125,15 +147,28 @@ class WindowedConv:
                 store.create(f"{name}_w{window}.bias", zeros(out_dim))
             )
 
+    def _stacked_weight(self) -> np.ndarray:
+        """Every ``M_c`` as one ``(len(windows) * K, max(windows) * D)``
+        matrix; window ``d`` is zero past its ``d * D`` columns."""
+        first = self.weights[0].value
+        stacked = np.zeros(
+            (len(self.windows) * self.out_dim, self.windows[-1] * self.in_dim),
+            dtype=first.dtype,
+        )
+        for index, weight in enumerate(self.weights):
+            rows = slice(index * self.out_dim, (index + 1) * self.out_dim)
+            stacked[rows, : weight.value.shape[1]] = weight.value
+        return stacked
+
     def _shift_blocks(self):
-        """Per token shift: ``(shift, readers, first_column, columns, stacked)``.
+        """Per token shift: ``(shift, readers, first_row, columns, stacked)``.
 
         Token shift ``s`` within a window is read by every window wider
         than ``s`` — a suffix of the (ascending) windows.  ``readers``
         are their weights, ``columns`` the slice of their ``M_c`` they
         apply to it and ``stacked`` those slices stacked to
-        ``(len(readers) * out_dim, in_dim)``, so one product serves
-        them all and lands in the output columns from ``first_column``.
+        ``(len(readers) * out_dim, in_dim)``; their output rows are the
+        contiguous suffix from ``first_row``.
         """
         for shift in range(self.windows[-1]):
             first = sum(window <= shift for window in self.windows)
@@ -145,11 +180,12 @@ class WindowedConv:
             yield shift, readers, first * self.out_dim, columns, stacked
 
     def forward(self, token_vectors: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Convolution as a sum of shifted slice matmuls.
+        """Convolution as gathered window vectors times the stacked ``M_c``.
 
-        Mathematically identical to concatenating window vectors and
-        multiplying by M_c, but avoids materializing the
-        ``(windows, d*in_dim)`` matrix: one 2-D product per shift.
+        The ``(L, max(windows) * D)`` window vectors are a strided view
+        of the token vectors; :data:`CHUNK_WINDOWS` positions at a time
+        are copied into one buffer and multiplied by
+        :meth:`_stacked_weight` into their output columns.
         """
         padded_length = token_vectors.shape[0]
         length = padded_length - self.reach
@@ -159,36 +195,61 @@ class WindowedConv:
                 f"{self.windows[-1]}; follow the sequence with the widest "
                 f"window - 1 PAD ids"
             )
-        out = np.empty(
-            (length, len(self.windows) * self.out_dim), dtype=token_vectors.dtype
+        stacked = self._stacked_weight()
+        biases = np.concatenate([bias.value for bias in self.biases])[:, None]
+        width = stacked.shape[1]
+        window_vectors = sliding_window_view(token_vectors.reshape(-1), width)[
+            :: self.in_dim
+        ]
+        out = np.empty((len(stacked), length), dtype=token_vectors.dtype)
+        gathered = np.empty(
+            (min(length, CHUNK_WINDOWS), width), dtype=token_vectors.dtype
         )
-        for shift, _, first_column, _, stacked in self._shift_blocks():
-            shifted = token_vectors[shift : shift + length]
-            if shift == 0:
-                np.matmul(shifted, stacked.T, out=out)
-                out += np.concatenate([bias.value for bias in self.biases])
-            else:
-                out[:, first_column:] += shifted @ stacked.T
+        for start in range(0, length, CHUNK_WINDOWS):
+            chunk = gathered[: min(CHUNK_WINDOWS, length - start)]
+            chunk[...] = window_vectors[start : start + len(chunk)]
+            columns = out[:, start : start + len(chunk)]
+            np.matmul(stacked, chunk.T, out=columns)
+            columns += biases
         return out, {"inputs": token_vectors}
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        cache: dict,
+        bias_grad: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Gradients from ``(len(windows) * K, L)`` *grad_out*.
+
+        Weight and input gradients are one product pair per token shift
+        over the contiguous output rows of the windows that read it.
+        *bias_grad* is ``grad_out`` summed over positions when the
+        caller already knows it (pooling's softmax weights sum to one
+        per document); by default it is summed here.
+        """
         inputs = cache["inputs"]
-        length = grad_out.shape[0]
-        for bias, bias_grad in zip(
-            self.biases, np.split(grad_out.sum(axis=0), len(self.biases))
+        length = grad_out.shape[1]
+        if bias_grad is None:
+            bias_grad = grad_out.sum(axis=1)
+        for bias, window_grad in zip(
+            self.biases, np.split(bias_grad, len(self.biases))
         ):
-            bias.grad += bias_grad
-        grad_input = np.zeros_like(inputs)
-        for shift, readers, first_column, columns, stacked in self._shift_blocks():
-            suffix_grad = grad_out[:, first_column:]
-            shifted = inputs[shift : shift + length]
-            weight_grads = suffix_grad.T @ shifted
+            bias.grad += window_grad
+        grad_input = np.empty((self.in_dim, len(inputs)), dtype=inputs.dtype)
+        grad_input[:, length:] = 0.0
+        for shift, readers, first_row, columns, stacked in self._shift_blocks():
+            suffix_grad = grad_out[first_row:]
+            weight_grads = suffix_grad @ inputs[shift : shift + length]
             for weight, weight_grad in zip(
                 readers, np.split(weight_grads, len(readers))
             ):
                 weight.grad[:, columns] += weight_grad
-            grad_input[shift : shift + length] += suffix_grad @ stacked
-        return grad_input
+            read = grad_input[:, shift : shift + length]
+            if shift == 0:  # every window reads shift 0: all rows
+                np.matmul(stacked.T, suffix_grad, out=read)
+            else:
+                read += stacked.T @ suffix_grad
+        return grad_input.T
 
 
 class Affine:

@@ -79,7 +79,7 @@ class TestRealKernels:
         assert env == {"N": 5, "D": 3}
 
     def test_lse_pool_contract_forward_and_backward(self):
-        window_values = RNG.normal(size=(5, 3))
+        window_values = RNG.normal(size=(3, 5))
         valid = np.ones(5, dtype=bool)
         starts = np.array([0, 2])
         pooled, cache = log_sum_exp_pool(window_values, valid, starts)
@@ -98,7 +98,7 @@ class TestRealKernels:
         )
 
     def test_mismatched_mask_rejected(self):
-        window_values = RNG.normal(size=(5, 3))
+        window_values = RNG.normal(size=(3, 5))
         valid = np.ones(4, dtype=bool)
         with pytest.raises(ContractError, match="already bound"):
             check_call(
@@ -115,7 +115,7 @@ class TestRealKernels:
             check_call(
                 "repro.nn.pooling.log_sum_exp_pool",
                 {
-                    "window_values": RNG.normal(size=(5, 3)),
+                    "window_values": RNG.normal(size=(3, 5)),
                     "valid": np.ones(5),  # float mask
                     "starts": np.array([0]),
                 },
@@ -140,9 +140,9 @@ class TestContractRegistry:
             {"token_vectors": np.zeros((10, 4))},
             scalars={"reach": 2, "C": 6},
         )
-        contract.check_outputs(np.zeros((8, 6)), env)
+        contract.check_outputs(np.zeros((6, 8)), env)
         with pytest.raises(ContractError):
-            contract.check_outputs(np.zeros((7, 6)), dict(env))
+            contract.check_outputs(np.zeros((6, 7)), dict(env))
 
     def test_output_count_enforced(self):
         contract = KernelContract(

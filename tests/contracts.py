@@ -5,10 +5,10 @@ and dtype *kind* of every array argument and of the outputs::
 
     KernelContract(
         "repro.nn.pooling.log_sum_exp_pool",
-        inputs={"window_values": ArraySpec(("P", "K"), "floating"),
+        inputs={"window_values": ArraySpec(("K", "P"), "floating"),
                 "valid": ArraySpec(("P",), "bool"),
                 "starts": ArraySpec(("B",), "integer")},
-        outputs=(ArraySpec(("B", "K"), "floating"),),
+        outputs=(ArraySpec(("K", "B"), "floating"),),
     )
 
 Symbols (``B``, ``P``, …) unify across all arrays of one call: the
@@ -268,21 +268,21 @@ def _build_registry() -> dict[str, KernelContract]:
             inputs={"matrix": ArraySpec(("N", "D"), floating)},
             outputs=(ArraySpec(("N", "D"), floating),),
         ),
-        # P window positions of a packed stream, B segments (documents)
-        # starting at ``starts``.
+        # Channel-major: K channels over P window positions of a packed
+        # stream, B segments (documents) starting at ``starts``.
         KernelContract(
             "repro.nn.pooling.log_sum_exp_pool",
             inputs={
-                "window_values": ArraySpec(("P", "K"), floating),
+                "window_values": ArraySpec(("K", "P"), floating),
                 "valid": ArraySpec(("P",), "bool"),
                 "starts": ArraySpec(("B",), "integer"),
             },
-            outputs=(ArraySpec(("B", "K"), floating),),
+            outputs=(ArraySpec(("K", "B"), floating),),
         ),
         KernelContract(
             "repro.nn.pooling.log_sum_exp_pool_backward",
-            inputs={"grad_out": ArraySpec(("B", "K"), floating)},
-            outputs=(ArraySpec(("P", "K"), floating),),
+            inputs={"grad_out": ArraySpec(("K", "B"), floating)},
+            outputs=(ArraySpec(("K", "P"), floating),),
         ),
         KernelContract(
             "repro.nn.layers.Embedding.forward",
@@ -290,11 +290,12 @@ def _build_registry() -> dict[str, KernelContract]:
             outputs=(ArraySpec(("T", "D"), floating),),
         ),
         # T token vectors of one packed stream, whose last reach =
-        # widest window - 1 are PAD zeros; C = K per window, summed.
+        # widest window - 1 are PAD zeros; C = K per window, summed, as
+        # the rows of channel-major activations.
         KernelContract(
             "repro.nn.layers.WindowedConv.forward",
             inputs={"token_vectors": ArraySpec(("T", "D"), floating)},
-            outputs=(ArraySpec(("T - reach", "C"), floating),),
+            outputs=(ArraySpec(("C", "T - reach"), floating),),
             scalars=("reach", "C"),
         ),
         # The whole extraction block of one source, by the arrays of

@@ -11,6 +11,7 @@ from repro.nn.gradcheck import (
     max_relative_error,
     numeric_gradient,
 )
+from repro.nn import layers
 from repro.nn.layers import Embedding
 from repro.nn.params import ParamStore
 from repro.text.vocab import PAD_ID, UNK_ID
@@ -22,6 +23,32 @@ def make_block(rng, windows, num_tokens=20, dim=6, out_dim=5):
     embedding = Embedding(store, "emb", num_tokens=num_tokens, dim=dim, rng=rng)
     block = ConvExtractionModule(store, "conv", embedding, windows, out_dim, rng)
     return store, embedding, block
+
+
+def assert_matches_oracle(rng, windows, documents):
+    """A block's pooled features and every gradient equal
+    :func:`extraction_oracle` to 1e-10 (float64); returns the batch."""
+    store, embedding, block = make_block(rng, windows)
+    batch = pad_batch(documents, max(windows))
+    projection = rng.normal(size=(len(documents), block.feature_dim))
+    pooled, cache = block.forward(batch)
+    store.zero_grad()
+    block.backward(projection, cache)
+    expected, table_grad, weight_grads, bias_grads = extraction_oracle(
+        embedding.table.value,
+        [weight.value for weight in block.conv.weights],
+        [bias.value for bias in block.conv.biases],
+        windows,
+        [doc if len(doc) else [UNK_ID] for doc in documents],
+        grad_features=projection,
+    )
+    assert np.allclose(pooled, expected, rtol=0, atol=1e-10)
+    assert np.allclose(embedding.table.grad, table_grad, rtol=0, atol=1e-10)
+    for ours, theirs in zip(
+        block.conv.weights + block.conv.biases, weight_grads + bias_grads
+    ):
+        assert np.allclose(ours.grad, theirs, rtol=0, atol=1e-10), ours.name
+    return batch
 
 
 @pytest.fixture()
@@ -169,23 +196,30 @@ class TestGradients:
     def test_matches_the_concatenate_and_multiply_oracle(self, rng, windows):
         """Forward values and every parameter gradient equal the
         paper's Eq. 2-3 evaluated one document and window at a time."""
-        store, embedding, block = make_block(rng, windows)
-        projection = rng.normal(size=(len(DOCUMENTS), block.feature_dim))
-        pooled, cache = block.forward(pad_batch(DOCUMENTS, max(windows)))
-        store.zero_grad()
-        block.backward(projection, cache)
+        assert_matches_oracle(rng, windows, DOCUMENTS)
 
-        expected, table_grad, weight_grads, bias_grads = extraction_oracle(
-            embedding.table.value,
-            [weight.value for weight in block.conv.weights],
-            [bias.value for bias in block.conv.biases],
-            windows,
-            [doc if len(doc) else [UNK_ID] for doc in DOCUMENTS],
-            grad_features=projection,
-        )
-        assert np.allclose(pooled, expected, rtol=0, atol=1e-10)
-        assert np.allclose(embedding.table.grad, table_grad, rtol=0, atol=1e-10)
-        for ours, theirs in zip(
-            block.conv.weights + block.conv.biases, weight_grads + bias_grads
-        ):
-            assert np.allclose(ours.grad, theirs, rtol=0, atol=1e-10), ours.name
+
+class TestChunkBoundaries:
+    """The forward gathers ``CHUNK_WINDOWS`` positions per product; a
+    chunk edge anywhere — inside a document, inside a PAD gap, inside a
+    lone document shorter than the widest window — changes nothing
+    (float64, against the Eq. 2-3 oracle)."""
+
+    def test_edges_inside_a_document_and_a_pad_gap(self, rng, monkeypatch):
+        monkeypatch.setattr(layers, "CHUNK_WINDOWS", 5)
+        documents = [np.arange(2, 9), np.array([9, 10, 11]), np.arange(3, 12)]
+        batch = assert_matches_oracle(rng, (1, 3, 5), documents)
+        positions = len(batch.ids) - batch.reach
+        edges = np.arange(5, positions, 5)
+        assert batch.mask[edges].any() and not batch.mask[edges].all()
+
+    def test_one_document_shorter_than_the_widest_window(
+        self, rng, monkeypatch
+    ):
+        monkeypatch.setattr(layers, "CHUNK_WINDOWS", 1)
+        assert_matches_oracle(rng, (1, 3, 5), [np.array([4, 5])])
+
+    def test_window_one_id_block(self, rng, monkeypatch):
+        monkeypatch.setattr(layers, "CHUNK_WINDOWS", 3)
+        documents = [np.array([3, 7, 7, 2]), np.array([5]), np.array([6, 3, 9])]
+        assert_matches_oracle(rng, (1,), documents)

@@ -1,6 +1,7 @@
 """Joint model: towers, batching, similarity, persistence."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ class TestTraining:
         assert loss >= 0.0
         total = sum(float(np.abs(p.grad).sum()) for p in model.store)
         assert total > 0.0
+
+
+class TestFloat32:
+    def test_train_step_and_encodings_stay_float32(self, encoder, encoded):
+        """``np.bincount`` sums in float64: no upcast may leak into a
+        gradient buffer or an encoding, and PAD rows get no gradient."""
+        from repro.text.vocab import PAD_ID
+
+        users, events = encoded
+        config = dataclasses.replace(JointModelConfig.small(seed=2), dtype="float32")
+        model = JointUserEventModel(config, encoder)
+        model.store.zero_grad()
+        model.train_step(users, events, np.array([1.0, 0.0, 1.0]))
+        for param in model.store:
+            assert param.value.dtype == param.grad.dtype == np.float32, param.name
+            if param.name.endswith("embedding.table"):
+                assert np.all(param.grad[PAD_ID] == 0.0), param.name
+        assert model.encode_events(events).dtype == np.float32
+        assert model.encode_users(users).dtype == np.float32
 
 
 class TestRepeatedEntities:

@@ -122,26 +122,26 @@ class TestPoolingProperties:
         rng = np.random.default_rng(seed)
         spans = rng.integers(1, windows + 1, size=batch)
         starts = np.cumsum(spans) - spans
-        values = rng.normal(size=(spans.sum(), dim))
+        values = rng.normal(size=(dim, spans.sum()))
         lengths = rng.integers(1, spans + 1)
         offsets = np.arange(spans.sum()) - np.repeat(starts, spans)
         valid = offsets < np.repeat(lengths, spans)
         pooled, cache = log_sum_exp_pool(values, valid, starts)
         weights = pooling_weights(cache)
-        assert np.allclose(np.add.reduceat(weights, starts, axis=0), 1.0)
+        assert np.allclose(np.add.reduceat(weights, starts, axis=-1), 1.0)
         assert np.all(weights >= 0.0)
         # Invalid windows hold (numerically) zero weight.
-        assert np.all(weights[~valid] < 1e-12)
+        assert np.all(weights[:, ~valid] < 1e-12)
         assert np.all(np.isfinite(pooled))
 
     @settings(max_examples=30)
     @given(st.integers(0, 10_000))
     def test_pooling_between_mean_and_max(self, seed):
         rng = np.random.default_rng(seed)
-        values = rng.normal(size=(14, 3))
+        values = rng.normal(size=(3, 14))
         valid = np.ones(14, dtype=bool)
         starts = np.array([0, 7])
         pooled, _ = log_sum_exp_pool(values.copy(), valid, starts)  # in place
-        segments = values.reshape(2, 7, 3)
-        assert np.all(pooled <= segments.max(axis=1) + 1e-9)
-        assert np.all(pooled >= segments.mean(axis=1) - 1e-9)
+        segments = values.reshape(3, 2, 7)
+        assert np.all(pooled <= segments.max(axis=2) + 1e-9)
+        assert np.all(pooled >= segments.mean(axis=2) - 1e-9)

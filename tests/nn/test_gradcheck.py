@@ -30,6 +30,7 @@ from repro.nn import (
     pooling_weights,
     window_mask,
 )
+from repro.nn.layers import scatter_add_rows
 
 TOLERANCE = 1.0e-5
 
@@ -93,7 +94,7 @@ class TestWindowedConvGradients:
         (weight,), (bias,) = layer.weights, layer.biases
         inputs = rng.normal(size=(6, 4))
         num_windows = 6 - window + 1
-        projection = _random_projection(rng, (num_windows, 3))
+        projection = _random_projection(rng, (3, num_windows))
 
         def loss_fn():
             out, _ = layer.forward(inputs)
@@ -110,14 +111,14 @@ class TestWindowedConvGradients:
 
     def test_several_windows_fill_one_buffer(self):
         """Windows (1, 2, 4) in one layer: every parameter and the
-        input, with each window's K columns of the output contracted."""
+        input, with each window's K rows of the output contracted."""
         rng = np.random.default_rng(14)
         store = ParamStore()
         layer = WindowedConv(
             store, "conv", windows=(1, 2, 4), in_dim=3, out_dim=2, rng=rng
         )
         inputs = rng.normal(size=(8, 3))
-        projection = _random_projection(rng, (5, 6))
+        projection = _random_projection(rng, (6, 5))
 
         def loss_fn():
             out, _ = layer.forward(inputs)
@@ -189,6 +190,23 @@ class TestEmbeddingGradients:
         assert np.any(layer.table.grad[1] != 0.0)
 
 
+class TestScatterAddRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_add_at_on_repeated_ids(self, dtype):
+        rng = np.random.default_rng(17)
+        index = rng.integers(0, 6, size=40)  # every row repeats
+        values = rng.normal(size=(40, 3)).astype(dtype)
+        expected = np.zeros((9, 3), dtype=dtype)
+        np.add.at(expected, index, values)
+        summed = scatter_add_rows(index, values, 9)
+        assert summed.dtype == dtype
+        if dtype == np.float64:  # both add in index order
+            assert np.array_equal(summed, expected)
+        else:  # bincount adds in float64, then rounds once
+            assert np.allclose(summed, expected, rtol=1e-6, atol=1e-6)
+        assert np.all(summed[6:] == 0.0)
+
+
 def _segments(*rows):
     """Packed ``valid`` mask and ``starts`` of per-segment bool rows."""
     valid = np.concatenate([np.asarray(row, dtype=bool) for row in rows])
@@ -202,8 +220,8 @@ class TestPoolingGradients:
         valid, starts = _segments(
             [True, True, True, False, False], [True, True, True, True]
         )
-        values = rng.normal(size=(len(valid), 3))
-        projection = _random_projection(rng, (2, 3))
+        values = rng.normal(size=(3, len(valid)))
+        projection = _random_projection(rng, (3, 2))
 
         def loss_fn():
             pooled, _ = log_sum_exp_pool(values.copy(), valid, starts)
@@ -217,19 +235,19 @@ class TestPoolingGradients:
     def test_invalid_windows_get_zero_gradient(self):
         rng = np.random.default_rng(7)
         valid, starts = _segments([True, True, False, False], [True, False])
-        values = rng.normal(size=(len(valid), 2))
+        values = rng.normal(size=(2, len(valid)))
         pooled, cache = log_sum_exp_pool(values, valid, starts)
         grad = log_sum_exp_pool_backward(np.ones((2, 2)), cache)
-        assert np.all(grad[~valid] == 0.0)
-        assert np.all(grad[valid] != 0.0)
+        assert np.all(grad[:, ~valid] == 0.0)
+        assert np.all(grad[:, valid] != 0.0)
 
     def test_pooled_value_bounds(self):
         """Centred (log-mean-exp) pooling lies in [max - log n, max];
         raw LSE lies in [max, max + log n]."""
         rng = np.random.default_rng(8)
-        values = rng.normal(size=(18, 4))
+        values = rng.normal(size=(4, 18))
         valid, starts = _segments(*[[True] * 6] * 3)
-        peak = values.reshape(3, 6, 4).max(axis=1)
+        peak = values.reshape(4, 3, 6).max(axis=2)
         pooled, _ = log_sum_exp_pool(values.copy(), valid, starts)
         assert np.all(pooled <= peak + 1e-12)
         assert np.all(pooled >= peak - np.log(6) - 1e-12)
@@ -245,12 +263,12 @@ class TestPoolingGradients:
         valid, starts = _segments(
             [True, True, True, True, False], [True, True, False, False, False]
         )
-        values = rng.normal(size=(len(valid), 3))
+        values = rng.normal(size=(3, len(valid)))
         _, cache_centered = log_sum_exp_pool(values.copy(), valid, starts)
         _, cache_raw = log_sum_exp_pool(
             values.copy(), valid, starts, center=False
         )
-        grad = rng.normal(size=(2, 3))
+        grad = rng.normal(size=(3, 2))
         assert np.allclose(
             log_sum_exp_pool_backward(grad, cache_centered),
             log_sum_exp_pool_backward(grad, cache_raw),
@@ -261,35 +279,35 @@ class TestPoolingGradients:
         their sums); softmax weights exist only once asked for."""
         rng = np.random.default_rng(15)
         valid, starts = _segments([True, True, False, False], [True] * 3)
-        values = rng.normal(size=(len(valid), 3))
+        values = rng.normal(size=(3, len(valid)))
         _, cache = log_sum_exp_pool(values, valid, starts)
         assert cache["shifted"] is values
         assert set(cache) == {"shifted", "total", "spans"}
         weights = pooling_weights(cache)
-        assert np.allclose(np.add.reduceat(weights, starts, axis=0), 1.0)
-        assert np.all(weights[2:4] == 0.0)
+        assert np.allclose(np.add.reduceat(weights, starts, axis=-1), 1.0)
+        assert np.all(weights[:, 2:4] == 0.0)
 
     def test_each_group_pools_under_its_own_validity(self):
-        """``(positions, groups, dim)`` values with a ``(positions,
-        groups)`` mask equal one call per group."""
+        """``(groups, dim, positions)`` values with a ``(groups,
+        positions)`` mask equal one call per group."""
         rng = np.random.default_rng(16)
         spans = np.array([5, 3])
         starts = np.array([0, 5])
         counts = np.array([[5, 3, 1], [2, 1, 1]])
         offsets = np.arange(8) - np.repeat(starts, spans)
-        valid = offsets[:, None] < np.repeat(counts, spans, axis=0)
-        values = rng.normal(size=(8, 3, 4))
+        valid = (offsets[:, None] < np.repeat(counts, spans, axis=0)).T
+        values = rng.normal(size=(3, 4, 8))
         separate = [
-            log_sum_exp_pool(values[:, group].copy(), valid[:, group], starts)[0]
+            log_sum_exp_pool(values[group].copy(), valid[group], starts)[0]
             for group in range(3)
         ]
         pooled, _ = log_sum_exp_pool(values, valid, starts)
-        assert np.array_equal(pooled, np.stack(separate, axis=1))
+        assert np.array_equal(pooled, np.stack(separate))
 
     def test_requires_one_valid_window_per_row(self):
         valid, starts = _segments([True, False], [False, False, False])
         with pytest.raises(ValueError, match="valid window"):
-            log_sum_exp_pool(np.zeros((5, 2)), valid, starts)
+            log_sum_exp_pool(np.zeros((2, 5)), valid, starts)
 
 
 class TestCosineGradients:
