@@ -2,12 +2,7 @@
 
 from repro.text.documents import DocumentEncoder, EncodedEvent, EncodedUser
 from repro.text.normalize import normalize_text, split_words
-from repro.text.tokenizers import (
-    LetterTrigramTokenizer,
-    Token,
-    Tokenizer,
-    WordUnigramTokenizer,
-)
+from repro.text.tokenizers import LetterTrigramTokenizer
 from repro.text.vocab import PAD_ID, UNK_ID, Vocabulary
 
 __all__ = [
@@ -16,11 +11,8 @@ __all__ = [
     "EncodedUser",
     "LetterTrigramTokenizer",
     "PAD_ID",
-    "Token",
-    "Tokenizer",
     "UNK_ID",
     "Vocabulary",
-    "WordUnigramTokenizer",
     "normalize_text",
     "split_words",
 ]

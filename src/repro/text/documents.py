@@ -7,8 +7,12 @@ sequence per extraction module:
   tokenized into letter trigrams; the same trigram sequence feeds the
   three text modules (window sizes 1, 3, 5).
 * **user**: a text document (keywords + page titles) tokenized into
-  letter trigrams, plus an unordered id-feature list tokenized by the
-  word-unigram tokenizer.
+  letter trigrams, plus an unordered id-feature list whose every
+  feature-value pair is one token, encoded as given.
+
+A text document becomes ids in one flat pass: the tokenizer's token
+strings go through the vocabulary in one ``np.fromiter`` and its
+per-word counts become the word index in one ``np.repeat``.
 
 :class:`DocumentEncoder` owns the vocabularies (built once from the
 training corpus with DF filtering) and converts records to id arrays.
@@ -16,13 +20,13 @@ training corpus with DF filtering) and converts records to id arrays.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.entities import Event, Impression, User
-from repro.text.tokenizers import LetterTrigramTokenizer, Token, WordUnigramTokenizer
+from repro.text.tokenizers import LetterTrigramTokenizer
 from repro.text.vocab import Vocabulary
 
 __all__ = ["EncodedUser", "EncodedEvent", "DocumentEncoder"]
@@ -52,16 +56,6 @@ class EncodedEvent:
     text_word_index: np.ndarray
 
 
-def _ids_and_word_index(
-    tokens: Sequence[Token], vocabulary: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    ids = vocabulary.encode([token.text for token in tokens])
-    word_index = np.fromiter(
-        (token.word_index for token in tokens), dtype=np.int64, count=len(tokens)
-    )
-    return ids, word_index
-
-
 class DocumentEncoder:
     """Tokenize and encode users and events against fixed vocabularies.
 
@@ -81,7 +75,6 @@ class DocumentEncoder:
         self.user_id_vocab = user_id_vocab
         self.event_text_vocab = event_text_vocab
         self._trigram_tokenizer = LetterTrigramTokenizer(trigram_n)
-        self._unigram_tokenizer = WordUnigramTokenizer()
 
     @classmethod
     def fit(
@@ -97,45 +90,42 @@ class DocumentEncoder:
         user and event towers never share token ids.
         """
         trigrams = LetterTrigramTokenizer()
-        unigrams = WordUnigramTokenizer()
         user_list = list(users)
         user_text_vocab = Vocabulary.build(
-            (trigrams.tokenize_flat(user.text_document()) for user in user_list),
+            (trigrams.tokenize(user.text_document())[0] for user in user_list),
             min_df=min_df,
         )
         user_id_vocab = Vocabulary.build(
-            (
-                unigrams.tokenize_flat(" ".join(user.id_tokens()))
-                for user in user_list
-            ),
-            min_df=min_df,
+            (user.id_tokens() for user in user_list), min_df=min_df
         )
         event_text_vocab = Vocabulary.build(
-            (trigrams.tokenize_flat(event.text_document()) for event in events),
+            (trigrams.tokenize(event.text_document())[0] for event in events),
             min_df=min_df,
         )
         return cls(user_text_vocab, user_id_vocab, event_text_vocab)
 
+    def _encode_text(
+        self, text: str, vocabulary: Vocabulary
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, word_index)`` of *text*, in one flat pass."""
+        tokens, counts = self._trigram_tokenizer.tokenize(text)
+        word_index = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        return vocabulary.encode(tokens), word_index
+
     def encode_user(self, user: User) -> EncodedUser:
-        text_tokens = self._trigram_tokenizer.tokenize(user.text_document())
-        text_ids, word_index = _ids_and_word_index(text_tokens, self.user_text_vocab)
-        id_tokens = self._unigram_tokenizer.tokenize(" ".join(user.id_tokens()))
-        id_feature_ids = self.user_id_vocab.encode(
-            [token.text for token in id_tokens]
+        text_ids, word_index = self._encode_text(
+            user.text_document(), self.user_text_vocab
         )
+        id_feature_ids = self.user_id_vocab.encode(user.id_tokens())
         return EncodedUser(text_ids, word_index, id_feature_ids)
 
     def encode_event(self, event: Event) -> EncodedEvent:
-        tokens = self._trigram_tokenizer.tokenize(event.text_document())
-        text_ids, word_index = _ids_and_word_index(tokens, self.event_text_vocab)
-        return EncodedEvent(text_ids, word_index)
+        return self.encode_event_text(event.text_document())
 
     def encode_event_text(self, text: str) -> EncodedEvent:
         """Encode a raw event text (used by the Siamese initializer,
         which pairs titles with bodies rather than whole events)."""
-        tokens = self._trigram_tokenizer.tokenize(text)
-        text_ids, word_index = _ids_and_word_index(tokens, self.event_text_vocab)
-        return EncodedEvent(text_ids, word_index)
+        return EncodedEvent(*self._encode_text(text, self.event_text_vocab))
 
     def encode_pairs(
         self,

@@ -17,7 +17,6 @@ __all__ = ["normalize_text", "split_words"]
 # boundary.  Apostrophes are kept so contractions ("seattle's") stay a
 # single word, matching the examples in the paper's Figure 7.
 _NON_WORD_RE = re.compile(r"[^a-z0-9']+")
-_APOSTROPHE_EDGE_RE = re.compile(r"^'+|'+$")
 
 
 def normalize_text(text: str) -> str:
@@ -34,15 +33,15 @@ def normalize_text(text: str) -> str:
 def split_words(text: str) -> list[str]:
     """Return the normalized word sequence of *text*.
 
-    Words are the atoms fed to tokenizers: the letter-trigram tokenizer
-    shingles each word, the unigram tokenizer keeps them whole.
+    Words are the atoms the letter-trigram tokenizer shingles.  Edge
+    apostrophes are stripped (a quoted word is the word), and a word of
+    apostrophes alone disappears.
 
-    >>> split_words("Seattle's best ice cream!")
+    >>> split_words("Seattle's best 'ice' cream!")
     ["seattle's", 'best', 'ice', 'cream']
     """
-    words = []
-    for raw in normalize_text(text).split():
-        word = _APOSTROPHE_EDGE_RE.sub("", raw)
-        if word:
-            words.append(word)
-    return words
+    return [
+        word
+        for raw in normalize_text(text).split()
+        if (word := raw.strip("'"))
+    ]

@@ -1,73 +1,40 @@
-"""Tokenizers used by the convolutional feature extraction modules.
+"""The letter-trigram tokenizer of the text extraction modules.
 
-Section 3.1 of the paper uses two tokenizers:
+Section 3.1 of the paper tokenizes natural-language text into **letter
+trigrams**, following the DSSM convention (Huang et al., CIKM 2013):
+each word is wrapped in boundary markers (``#``) and shingled into
+overlapping character trigrams.  This keeps the token space small while
+covering rare and misspelled words.  (Id features need no tokenizer:
+each categorical feature-value pair is already one opaque token, see
+:meth:`repro.entities.User.id_tokens`.)
 
-* a **letter trigram** tokenizer for natural-language text, following
-  the DSSM convention (Huang et al., CIKM 2013): each word is wrapped
-  in boundary markers (``#``) and shingled into overlapping character
-  trigrams.  This keeps the token space small while covering rare and
-  misspelled words.
-* a **word unigram** tokenizer for id features: each categorical
-  feature-value pair ("id") is a single opaque token.
-
-Both produce a flat list of string tokens; word-position bookkeeping is
-preserved so the convolution layer can reason about word windows and
-the Figure-7 analysis can trace pooled activations back to words.
+A document comes out flat, in one pass: the token strings in order, and
+how many of them each word gave.  No object is built per token; the
+encoder turns the counts into the per-token word index that window
+masking and the Figure-7 analysis read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.text.normalize import split_words
 
-__all__ = [
-    "Token",
-    "Tokenizer",
-    "LetterTrigramTokenizer",
-    "WordUnigramTokenizer",
-]
+__all__ = ["LetterTrigramTokenizer"]
 
 _BOUNDARY = "#"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A token with provenance back to its source word.
-
-    Attributes:
-        text: the token string (e.g. ``"#se"`` or ``"music"``).
-        word_index: index of the originating word in the word sequence.
-    """
-
-    text: str
-    word_index: int
-
-
-class Tokenizer:
-    """Interface for tokenizers.
-
-    Subclasses turn a raw string (or id list) into a list of
-    :class:`Token`.  ``tokenize_flat`` is a convenience returning just
-    the token strings.
-    """
-
-    def tokenize(self, text: str) -> list[Token]:
-        raise NotImplementedError
-
-    def tokenize_flat(self, text: str) -> list[str]:
-        return [token.text for token in self.tokenize(text)]
-
-
-class LetterTrigramTokenizer(Tokenizer):
+class LetterTrigramTokenizer:
     """Shingle each word into boundary-marked letter trigrams.
 
-    A word ``w`` becomes the trigrams of ``#w#``.  Words shorter than
-    the shingle width still emit one token (the whole padded word), so
-    no word silently disappears.
+    A word ``w`` becomes the trigrams of ``#w#``.  A padded word no
+    longer than the shingle width emits itself as its one token, so no
+    word silently disappears.  :meth:`tokenize` returns ``(tokens,
+    counts)``: the flat token list and the number of tokens per word.
 
-    >>> LetterTrigramTokenizer().tokenize_flat("web")
-    ['#we', 'web', 'eb#']
+    >>> LetterTrigramTokenizer().tokenize("web of")
+    (['#we', 'web', 'eb#', '#of', 'of#'], [3, 2])
+    >>> LetterTrigramTokenizer(n=4).tokenize("a web")
+    (['#a#', '#web', 'web#'], [1, 2])
     """
 
     def __init__(self, n: int = 3):
@@ -75,28 +42,14 @@ class LetterTrigramTokenizer(Tokenizer):
             raise ValueError(f"shingle width must be >= 2, got {n}")
         self.n = n
 
-    def tokenize(self, text: str) -> list[Token]:
-        tokens: list[Token] = []
-        for word_index, word in enumerate(split_words(text)):
-            padded = _BOUNDARY + word + _BOUNDARY
-            if len(padded) <= self.n:
-                tokens.append(Token(padded, word_index))
-                continue
-            for start in range(len(padded) - self.n + 1):
-                tokens.append(Token(padded[start : start + self.n], word_index))
-        return tokens
-
-
-class WordUnigramTokenizer(Tokenizer):
-    """Treat every whitespace-separated item as one opaque token.
-
-    Used for id features: each categorical feature-value pair is
-    rendered as ``"<feature>=<value>"`` upstream and must survive
-    untouched, so no normalization beyond whitespace splitting is done.
-
-    >>> WordUnigramTokenizer().tokenize_flat("age=25-34 city=seattle")
-    ['age=25-34', 'city=seattle']
-    """
-
-    def tokenize(self, text: str) -> list[Token]:
-        return [Token(item, index) for index, item in enumerate(text.split())]
+    def tokenize(self, text: str) -> tuple[list[str], list[int]]:
+        n = self.n
+        padded = [_BOUNDARY + word + _BOUNDARY for word in split_words(text)]
+        # ``word[0:n]`` of a padded word shorter than ``n`` is the word.
+        counts = [max(len(word) - n + 1, 1) for word in padded]
+        tokens = [
+            word[start : start + n]
+            for word, count in zip(padded, counts)
+            for start in range(count)
+        ]
+        return tokens, counts

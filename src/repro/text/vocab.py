@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class Vocabulary:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Map a token list to an ``int64`` id array (UNK for OOV)."""
         return np.fromiter(
-            (self._token_to_id.get(token, UNK_ID) for token in tokens),
+            map(self._token_to_id.get, tokens, repeat(UNK_ID)),
             dtype=np.int64,
             count=len(tokens),
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.entities import User
 from repro.text.documents import DocumentEncoder
 from repro.text.vocab import UNK_ID
 
@@ -44,11 +45,47 @@ class TestEncodeUser:
         assert np.all(np.diff(encoded.text_word_index) >= 0)
 
     def test_unseen_user_tokens_become_unk(self, encoder, tiny_users):
-        from repro.entities import User
-
         stranger = User(99, {"age_bucket": "55+"}, ["qqqqqq"], [], [])
         encoded = encoder.encode_user(stranger)
         assert np.all(encoded.text_ids == UNK_ID)
+
+
+class TestIdFeatures:
+    """Each feature-value pair is one token, encoded as given (Section
+    3: "assigning each feature-value pair a distinct id")."""
+
+    @staticmethod
+    def fitted(*users):
+        return DocumentEncoder.fit(users, [], min_df=1)
+
+    def test_ids_pass_through_untouched(self):
+        user = User(1, {"age_bucket": "25-34", "city": "SEATTLE"})
+        encoder = self.fitted(user)
+        decoded = encoder.user_id_vocab.decode(encoder.encode_user(user).id_feature_ids)
+        assert decoded == ["age_bucket=25-34", "city=SEATTLE"]
+
+    def test_ids_keep_their_order(self):
+        user = User(1, {"c": "x", "a": "y"}, page_ids=[7, 3, 5])
+        encoder = self.fitted(User(2, {"a": "y"}, page_ids=[5, 3]), user)
+        decoded = encoder.user_id_vocab.decode(encoder.encode_user(user).id_feature_ids)
+        assert decoded == user.id_tokens() == ["a=y", "c=x", "page=7", "page=3", "page=5"]
+
+    def test_no_id_features(self):
+        user = User(1, keywords=["jazz"])
+        encoded = self.fitted(user).encode_user(user)
+        assert encoded.id_feature_ids.dtype == np.int64
+        assert encoded.id_feature_ids.shape == (0,)
+
+    def test_value_with_space_is_one_token(self):
+        user = User(1, {"city": "new york", "age_bucket": "25-34"})
+        encoder = self.fitted(user, User(2, {"city": "york"}))
+        encoded = encoder.encode_user(user)
+        assert len(encoded.id_feature_ids) == len(user.id_tokens()) == 2
+        assert "city=new york" in encoder.user_id_vocab
+        assert encoder.user_id_vocab.decode(encoded.id_feature_ids) == [
+            "age_bucket=25-34",
+            "city=new york",
+        ]
 
 
 class TestEncodeEvent:

@@ -1,41 +1,46 @@
-"""Letter-trigram and word-unigram tokenizers."""
+"""Letter-trigram tokenizer: flat tokens plus per-word counts."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.tokenizers import LetterTrigramTokenizer, WordUnigramTokenizer
+from repro.text.tokenizers import LetterTrigramTokenizer
+
+
+def tokens_of(text: str, n: int = 3) -> list[str]:
+    tokens, _ = LetterTrigramTokenizer(n).tokenize(text)
+    return tokens
 
 
 class TestLetterTrigramTokenizer:
     def test_boundary_marked_shingles(self):
-        assert LetterTrigramTokenizer().tokenize_flat("web") == ["#we", "web", "eb#"]
+        assert tokens_of("web") == ["#we", "web", "eb#"]
 
     def test_multi_word_provenance(self):
-        tokens = LetterTrigramTokenizer().tokenize("ice cream")
-        words = {token.word_index for token in tokens}
-        assert words == {0, 1}
+        tokens, counts = LetterTrigramTokenizer().tokenize("ice cream")
+        assert counts == [3, 5]
+        assert sum(counts) == len(tokens)
         # Trigrams never span words.
         for token in tokens:
-            assert len(token.text) <= 3
+            assert len(token) <= 3
 
     def test_single_letter_word_survives(self):
-        tokens = LetterTrigramTokenizer().tokenize_flat("a")
+        tokens = tokens_of("a")
         assert tokens == ["#a#"]
 
     def test_two_letter_word(self):
-        assert LetterTrigramTokenizer().tokenize_flat("of") == ["#of", "of#"]
+        assert tokens_of("of") == ["#of", "of#"]
 
     def test_normalization_applied(self):
-        upper = LetterTrigramTokenizer().tokenize_flat("JAZZ!")
-        lower = LetterTrigramTokenizer().tokenize_flat("jazz")
+        upper = LetterTrigramTokenizer().tokenize("JAZZ!")
+        lower = LetterTrigramTokenizer().tokenize("jazz")
         assert upper == lower
 
     def test_empty_text(self):
-        assert LetterTrigramTokenizer().tokenize("") == []
+        assert LetterTrigramTokenizer().tokenize("") == ([], [])
 
     def test_custom_shingle_width(self):
-        assert LetterTrigramTokenizer(n=4).tokenize_flat("web") == ["#web", "web#"]
+        assert tokens_of("web", n=4) == ["#web", "web#"]
 
     def test_rejects_width_below_two(self):
         with pytest.raises(ValueError, match="shingle width"):
@@ -46,21 +51,7 @@ class TestLetterTrigramTokenizer:
         """Each word of length L yields exactly max(1, L-n+3) trigrams."""
         from repro.text.normalize import split_words
 
-        tokens = LetterTrigramTokenizer().tokenize_flat(text)
-        expected = sum(
-            max(1, len(word) + 2 - 3 + 1) for word in split_words(text)
-        )
-        assert len(tokens) == expected
-
-
-class TestWordUnigramTokenizer:
-    def test_ids_pass_through_untouched(self):
-        tokens = WordUnigramTokenizer().tokenize_flat("age=25-34 city=SEATTLE")
-        assert tokens == ["age=25-34", "city=SEATTLE"]
-
-    def test_word_index_is_position(self):
-        tokens = WordUnigramTokenizer().tokenize("a b c")
-        assert [token.word_index for token in tokens] == [0, 1, 2]
-
-    def test_empty(self):
-        assert WordUnigramTokenizer().tokenize("") == []
+        tokens, counts = LetterTrigramTokenizer().tokenize(text)
+        expected = [max(1, len(word) + 2 - 3 + 1) for word in split_words(text)]
+        assert counts == expected
+        assert len(tokens) == sum(expected)
