@@ -2,11 +2,17 @@
 
 The heavyweight pieces — the synthetic world and the trained joint
 representation model — are built once per session and shared by every
-table/figure bench.  Scale is controlled by ``REPRO_BENCH_SCALE``:
+table/figure bench.  ``REPRO_BENCH_SCALE`` names one of
+:data:`repro.eval.protocol.SCALES`, which holds every size decision
+(worlds, model, trainers, combiner, ``min_df``); the fixtures here only
+read it, and ``repro-events experiment --scale`` reads the same record:
 
 * ``full`` (default) — the scale the reported numbers come from
   (800 users × 600 events; prepare takes a few minutes);
 * ``ci`` — a tiny world for smoke-testing the harness itself.
+
+The ablations that retrain the model call the ``raw_auc`` fixture,
+which fits each distinct (model config, Siamese init) once per session.
 
 Each bench writes its reproduced table/figure to
 ``benchmarks/results/<name>.txt`` so the artifacts survive pytest's
@@ -21,16 +27,18 @@ the no-op-registry configuration (the default for library users).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.config import JointModelConfig, TrainingConfig
-from repro.datagen import DataConfig, build_dataset
-from repro.eval.protocol import TwoStageExperiment
-from repro.gbdt.boosting import GBDTConfig
+from repro.core.config import JointModelConfig
+from repro.datagen import build_dataset
+from repro.eval.metrics import roc_auc
+from repro.eval.protocol import SCALES
 from repro.obs import MetricsRegistry, TelemetryWriter, use_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -98,45 +106,13 @@ def write_result(name: str, content: str) -> None:
 @pytest.fixture(scope="session")
 def bench_dataset(bench_scale):
     """The main experiment world."""
-    if bench_scale == "ci":
-        return build_dataset(DataConfig.small(seed=3))
-    return build_dataset(
-        DataConfig(
-            num_users=800,
-            num_events=600,
-            num_pages=120,
-            num_cities=5,
-            audience_size=45,
-            seed=3,
-        )
-    )
+    return build_dataset(SCALES[bench_scale].world)
 
 
 @pytest.fixture(scope="session")
 def prepared_experiment(bench_dataset, bench_scale):
     """The trained two-stage experiment shared by all table benches."""
-    if bench_scale == "ci":
-        experiment = TwoStageExperiment(
-            bench_dataset,
-            model_config=JointModelConfig.small(seed=0),
-            training_config=TrainingConfig(
-                epochs=2, batch_size=32, learning_rate=0.01, patience=3, seed=0
-            ),
-            gbdt_config=GBDTConfig(num_trees=25, max_leaves=6, min_samples_leaf=5),
-            use_siamese_init=True,
-            min_df=1,
-        )
-    else:
-        experiment = TwoStageExperiment(
-            bench_dataset,
-            model_config=JointModelConfig.bench(seed=0),
-            training_config=TrainingConfig(
-                epochs=18, batch_size=64, learning_rate=0.015, patience=6, seed=0
-            ),
-            gbdt_config=GBDTConfig(num_trees=200, max_leaves=12),
-            use_siamese_init=True,
-        )
-    return experiment.prepare()
+    return SCALES[bench_scale].experiment(bench_dataset).prepare()
 
 
 @pytest.fixture(scope="session")
@@ -154,34 +130,45 @@ def table2_results(prepared_experiment):
 @pytest.fixture(scope="session")
 def ablation_dataset(bench_scale):
     """A smaller world for ablations that retrain the model."""
-    if bench_scale == "ci":
-        return build_dataset(DataConfig.small(seed=9))
-    return build_dataset(
-        DataConfig(
-            num_users=400,
-            num_events=320,
-            num_pages=80,
-            num_cities=4,
-            audience_size=35,
-            seed=9,
-        )
-    )
+    return build_dataset(SCALES[bench_scale].ablation_world)
 
 
-def ablation_training(bench_scale: str) -> TrainingConfig:
-    if bench_scale == "ci":
-        return TrainingConfig(epochs=2, batch_size=32, patience=3, seed=0)
-    return TrainingConfig(
-        epochs=8, batch_size=64, learning_rate=0.015, patience=8, seed=0
-    )
+@pytest.fixture(scope="session")
+def raw_auc(ablation_dataset, bench_scale):
+    """``raw_auc(use_siamese_init=True, **model_overrides)``: retrain the
+    representation model with the scale's model config changed by
+    *model_overrides* on the ablation world, and return the raw cosine
+    AUC on its date-disjoint evaluation split — the cleanest probe of
+    representation quality, with no combiner in the way.
 
+    Fits are memoised on (model config, Siamese init): the ablations
+    that each keep one paper default (θ_r = 0, Siamese on, windows
+    1/3/5, init scale 0.1) share that one fit.
+    """
+    scale = SCALES[bench_scale]
+    aucs: dict[tuple[JointModelConfig, bool], float] = {}
 
-def ablation_model_config(bench_scale: str, **overrides) -> JointModelConfig:
-    import dataclasses
+    def measure(use_siamese_init: bool = True, **model_overrides) -> float:
+        model = dataclasses.replace(scale.model, **model_overrides)
+        key = (model, use_siamese_init)
+        if key not in aucs:
+            variant = dataclasses.replace(
+                scale, model=model, training=scale.ablation_training
+            )
+            experiment = variant.experiment(ablation_dataset)
+            # experiment() always warm-starts; only the Siamese
+            # ablation turns that off, before anything is trained.
+            experiment.use_siamese_init = use_siamese_init
+            experiment.prepare()
+            evaluation = experiment.splits.evaluation
+            labels = np.array([1.0 if i.participated else 0.0 for i in evaluation])
+            scores = np.array(
+                [
+                    experiment.provider.similarity(i.user_id, i.event_id)
+                    for i in evaluation
+                ]
+            )
+            aucs[key] = roc_auc(labels, scores)
+        return aucs[key]
 
-    base = (
-        JointModelConfig.small(seed=0)
-        if bench_scale == "ci"
-        else JointModelConfig.bench(seed=0)
-    )
-    return dataclasses.replace(base, **overrides)
+    return measure

@@ -7,23 +7,14 @@ the model never escapes the collapsed s≈0 solution.  This bench
 documents the cliff empirically.
 """
 
-from .conftest import ablation_model_config, ablation_training, write_result
-from ._ablation import train_and_eval_raw_auc
+from .conftest import write_result
 
 
-def test_embedding_init_scale(benchmark, ablation_dataset, bench_scale):
-    training = ablation_training(bench_scale)
-
+def test_embedding_init_scale(benchmark, raw_auc, bench_scale):
     def run_all():
-        aucs = {}
-        for scale in (0.1, 1.0):
-            config = ablation_model_config(
-                bench_scale, embedding_init_scale=scale
-            )
-            aucs[scale], _ = train_and_eval_raw_auc(
-                ablation_dataset, config, training
-            )
-        return aucs
+        return {
+            scale: raw_auc(embedding_init_scale=scale) for scale in (0.1, 1.0)
+        }
 
     aucs = benchmark.pedantic(run_all, rounds=1, iterations=1)
     report = "ABLATION — embedding init scale (tanh saturation cliff)\n" + "\n".join(

@@ -7,23 +7,12 @@ Reproduction: train with θ_r ∈ {0, 0.2} and check the evaluation AUC
 moves by only a small amount.
 """
 
-import dataclasses
-
-from ._ablation import train_and_eval_raw_auc
-from .conftest import ablation_model_config, ablation_training, write_result
+from .conftest import write_result
 
 
-def test_margin_insensitivity(benchmark, ablation_dataset, bench_scale):
-    training = ablation_training(bench_scale)
-
+def test_margin_insensitivity(benchmark, raw_auc, bench_scale):
     def run_both():
-        aucs = {}
-        for margin in (0.0, 0.2):
-            config = ablation_model_config(bench_scale, margin=margin)
-            aucs[margin], _ = train_and_eval_raw_auc(
-                ablation_dataset, config, training
-            )
-        return aucs
+        return {margin: raw_auc(margin=margin) for margin in (0.0, 0.2)}
 
     aucs = benchmark.pedantic(run_both, rounds=1, iterations=1)
     report = "ABLATION — contrastive margin θ_r\n" + "\n".join(

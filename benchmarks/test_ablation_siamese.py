@@ -9,21 +9,15 @@ start; at our (deliberately limited) data scale the initialized model
 should match or beat the random-init one.
 """
 
-from .conftest import ablation_model_config, ablation_training, write_result
-from ._ablation import train_and_eval_raw_auc
+from .conftest import write_result
 
 
-def test_siamese_initialization(benchmark, ablation_dataset, bench_scale):
-    training = ablation_training(bench_scale)
-    config = ablation_model_config(bench_scale)
-
+def test_siamese_initialization(benchmark, raw_auc, bench_scale):
     def run_both():
-        aucs = {}
-        for use_siamese in (False, True):
-            aucs[use_siamese], _ = train_and_eval_raw_auc(
-                ablation_dataset, config, training, use_siamese_init=use_siamese
-            )
-        return aucs
+        return {
+            use_siamese: raw_auc(use_siamese_init=use_siamese)
+            for use_siamese in (False, True)
+        }
 
     aucs = benchmark.pedantic(run_both, rounds=1, iterations=1)
     report = "ABLATION — Siamese event-tower initialization\n" + "\n".join(

@@ -8,21 +8,14 @@ Reproduction: compare a unigram-only variant against the full
 {1, 3, 5} set; the multi-window model should match or beat it.
 """
 
-from .conftest import ablation_model_config, ablation_training, write_result
-from ._ablation import train_and_eval_raw_auc
+from .conftest import write_result
 
 
-def test_window_size_sets(benchmark, ablation_dataset, bench_scale):
-    training = ablation_training(bench_scale)
-
+def test_window_size_sets(benchmark, raw_auc, bench_scale):
     def run_all():
-        aucs = {}
-        for windows in ((1,), (1, 3, 5)):
-            config = ablation_model_config(bench_scale, text_windows=windows)
-            aucs[windows], _ = train_and_eval_raw_auc(
-                ablation_dataset, config, training
-            )
-        return aucs
+        return {
+            windows: raw_auc(text_windows=windows) for windows in ((1,), (1, 3, 5))
+        }
 
     aucs = benchmark.pedantic(run_all, rounds=1, iterations=1)
     report = "ABLATION — text convolution window sets\n" + "\n".join(

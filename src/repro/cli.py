@@ -8,7 +8,9 @@ Seven subcommands cover the life cycle a downstream user needs:
 * ``repro-events recommend`` — load a bundle + dataset and rank the
   active events for a user;
 * ``repro-events experiment`` — run the paper's Table-1/Table-2
-  evaluation end-to-end and print the reproduced tables;
+  evaluation end-to-end at a named scale of :mod:`repro.eval.protocol`
+  (``full`` is the paper suite's) and print the reproduced tables,
+  their P/R curves and the combiner's top features;
 * ``repro-events metrics`` — render the final metrics snapshot of a
   telemetry file (written via ``--metrics-out``) as Prometheus text;
 * ``repro-events serve`` — stand up the batched HTTP serving API
@@ -28,7 +30,7 @@ Examples::
         --metrics-out telemetry.jsonl
     repro-events recommend --dataset world.json.gz --bundle model_bundle \\
         --user-id 3 --at-time 900 --top-k 5
-    repro-events experiment --scale small --tables 1 2
+    repro-events experiment --scale ci --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl
     repro-events serve --port 8321 --pool-size 500 \\
         --trace-out traces.jsonl --metrics-out serve.jsonl
@@ -58,9 +60,8 @@ from repro.core.trainer import RepresentationTrainer
 from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.entities import Event, User
-from repro.eval.protocol import TwoStageExperiment
-from repro.eval.reporting import format_table
-from repro.gbdt.boosting import GBDTConfig
+from repro.eval.protocol import SCALES
+from repro.eval.reporting import format_importances, format_table, render_pr_curves
 from repro.obs import (
     MetricsRegistry,
     TelemetryWriter,
@@ -125,9 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = commands.add_parser(
         "experiment", help="run the Table-1/Table-2 evaluation end-to-end"
     )
-    experiment.add_argument("--scale", choices=sorted(_DATA_SCALES), default="small")
-    experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--epochs", type=int, default=6)
+    experiment.add_argument("--scale", choices=sorted(SCALES), default="ci")
+    experiment.add_argument(
+        "--seed", type=int, default=0, help="model and trainer seed; the world is fixed"
+    )
     experiment.add_argument(
         "--tables", type=int, nargs="+", choices=(1, 2), default=[1, 2]
     )
@@ -318,34 +320,23 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    dataset = build_dataset(_DATA_SCALES[args.scale](seed=args.seed))
-    model_config = (
-        JointModelConfig.small(seed=args.seed)
-        if args.scale == "small"
-        else JointModelConfig.bench(seed=args.seed)
-    )
-    gbdt = (
-        GBDTConfig(num_trees=40, max_leaves=8, min_samples_leaf=5)
-        if args.scale == "small"
-        else GBDTConfig(num_trees=200, max_leaves=12)
-    )
-    experiment = TwoStageExperiment(
-        dataset,
-        model_config=model_config,
-        training_config=TrainingConfig(epochs=args.epochs, seed=args.seed),
-        gbdt_config=gbdt,
-        use_siamese_init=True,
-        min_df=1 if args.scale == "small" else 2,
-    )
+    experiment = SCALES[args.scale].experiment(seed=args.seed)
+
     def run() -> None:
         print("preparing (training representation model) ...")
         experiment.prepare()
         if 1 in args.tables:
             results = experiment.run_table1()
-            print(format_table(results, "TABLE 1 — integration settings"))
+            print("\n" + format_table(results, "TABLE 1 — integration settings"))
+            print("\nFIGURE 5 — P/R curves, integration settings")
+            print(render_pr_curves(results))
         if 2 in args.tables:
             results = experiment.run_table2()
-            print(format_table(results, "TABLE 2 — feature combinations"))
+            print("\n" + format_table(results, "TABLE 2 — feature combinations"))
+            print("\nFIGURE 6 — P/R curves, feature combinations")
+            print(render_pr_curves(results))
+            print()
+            print(format_importances(results["All Features"], top_k=10))
 
     if args.metrics_out:
         with use_registry(MetricsRegistry()) as registry:

@@ -15,7 +15,7 @@ Three presets scale those dims to different compute budgets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = ["JointModelConfig", "TrainingConfig"]
 
@@ -102,10 +102,6 @@ class JointModelConfig:
             representation_dim=6,
             seed=seed,
         )
-
-    def with_windows(self, windows: tuple[int, ...]) -> "JointModelConfig":
-        """Copy with a different text-window set (ablation helper)."""
-        return replace(self, text_windows=windows)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,19 @@ from repro.eval.metrics import (
     roc_auc,
     roc_curve,
 )
-from repro.eval.protocol import ExperimentResult, TwoStageExperiment
+from repro.eval.protocol import (
+    SCALES,
+    ExperimentResult,
+    ExperimentScale,
+    TwoStageExperiment,
+)
 from repro.eval.reporting import format_importances, format_table, render_pr_curves
 
 __all__ = [
+    "SCALES",
     "ClassifierReport",
     "ExperimentResult",
+    "ExperimentScale",
     "PRCurve",
     "TwoStageExperiment",
     "evaluate_scores",

@@ -38,6 +38,11 @@ def _validate(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.nd
     unique = np.unique(labels)
     if not np.all(np.isin(unique, (0.0, 1.0))):
         raise ValueError(f"labels must be binary, got values {unique}")
+    # A NaN has no rank: AUC would come back NaN while the P/R curve
+    # silently sorted it last.  ±inf ranks like any other score.
+    missing = int(np.isnan(scores).sum())
+    if missing:
+        raise ValueError(f"scores must not be NaN, got {missing} NaN of {scores.size}")
     return labels, scores
 
 

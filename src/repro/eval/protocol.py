@@ -12,11 +12,16 @@ Pipeline, exactly as deployed:
    pipeline on the first period, train the GBDT combiner on the second
    period, and score the third;
 5. report PR60 / PR80 / AUC and the full P/R curve.
+
+How big one run is lives here too: :data:`SCALES` names the ``ci`` and
+``full`` :class:`ExperimentScale`, and its ``experiment()`` is how the
+``experiment`` subcommand and the paper suite (``benchmarks/``) build
+the protocol, so both print the same Tables 1/2 at the same scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +29,8 @@ from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.siamese import SiameseEventInitializer
 from repro.core.trainer import RepresentationTrainer, TrainingHistory
-from repro.datagen.dataset import DatasetSplits, EventRecDataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import DatasetSplits, EventRecDataset, build_dataset
 from repro.eval.metrics import ClassifierReport, PRCurve, evaluate_scores, pr_curve
 from repro.features.context import FeatureContext
 from repro.features.pipeline import CombinerFeaturePipeline, FeatureSetConfig
@@ -32,7 +38,7 @@ from repro.features.rep_features import RepresentationFeatureProvider
 from repro.gbdt.boosting import GBDTClassifier, GBDTConfig
 from repro.text.documents import DocumentEncoder
 
-__all__ = ["ExperimentResult", "TwoStageExperiment"]
+__all__ = ["SCALES", "ExperimentResult", "ExperimentScale", "TwoStageExperiment"]
 
 
 @dataclass
@@ -210,3 +216,76 @@ class TwoStageExperiment:
                 FeatureSetConfig.all_features(),
             ]
         )
+
+
+@dataclass(frozen=True)
+class ExperimentScale:
+    """Every size decision of one run of the protocol.
+
+    Tables 1/2 and the figures train ``model`` on ``world`` under
+    ``training`` and fit ``gbdt`` combiners; the ablations retrain
+    variants of the same ``model`` on the smaller ``ablation_world``
+    under ``ablation_training``.  Both worlds' vocabularies keep tokens
+    seen in at least ``min_df`` documents.
+    """
+
+    world: DataConfig
+    model: JointModelConfig
+    training: TrainingConfig
+    gbdt: GBDTConfig
+    min_df: int
+    ablation_world: DataConfig
+    ablation_training: TrainingConfig
+
+    def experiment(
+        self, dataset: EventRecDataset | None = None, seed: int = 0
+    ) -> TwoStageExperiment:
+        """The protocol with Siamese init on *dataset* (default: a fresh
+        ``world``).  *seed* seeds the model and the trainer; the world
+        is the scale's whatever the seed."""
+        return TwoStageExperiment(
+            dataset if dataset is not None else build_dataset(self.world),
+            model_config=replace(self.model, seed=seed),
+            training_config=replace(self.training, seed=seed),
+            gbdt_config=self.gbdt,
+            use_siamese_init=True,
+            min_df=self.min_df,
+        )
+
+
+SCALES = {
+    # A smoke test of the harness: seconds, and no paper shape holds.
+    "ci": ExperimentScale(
+        world=DataConfig.small(seed=3),
+        model=JointModelConfig.small(),
+        training=TrainingConfig(
+            epochs=2, batch_size=32, learning_rate=0.01, patience=3
+        ),
+        gbdt=GBDTConfig(num_trees=25, max_leaves=6, min_samples_leaf=5),
+        min_df=1,
+        ablation_world=DataConfig.small(seed=9),
+        ablation_training=TrainingConfig(epochs=2, batch_size=32, patience=3),
+    ),
+    # The reported numbers (EXPERIMENTS.md): the suite takes ~9 minutes
+    # on a 2-core Xeon.
+    "full": ExperimentScale(
+        world=DataConfig.bench(seed=3),
+        model=JointModelConfig.bench(),
+        training=TrainingConfig(
+            epochs=18, batch_size=64, learning_rate=0.015, patience=6
+        ),
+        gbdt=GBDTConfig(num_trees=200, max_leaves=12),
+        min_df=2,
+        ablation_world=DataConfig(
+            num_users=400,
+            num_events=320,
+            num_pages=80,
+            num_cities=4,
+            audience_size=35,
+            seed=9,
+        ),
+        ablation_training=TrainingConfig(
+            epochs=8, batch_size=64, learning_rate=0.015, patience=8
+        ),
+    ),
+}

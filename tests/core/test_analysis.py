@@ -1,5 +1,7 @@
 """Figure-7 pooling trace-back analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ PARENT_TRACES = {
 @pytest.mark.parametrize("text", list(PARENT_TRACES))
 def test_trace_matches_the_padded_layout(tiny_users, tiny_events, text):
     encoder = DocumentEncoder.fit(tiny_users, tiny_events, min_df=1)
-    config = JointModelConfig.small(seed=5).with_windows((1, 3, 5))
+    config = dataclasses.replace(JointModelConfig.small(seed=5), text_windows=(1, 3, 5))
     tower = JointUserEventModel(config, encoder).event_tower
     trace = trace_top_words(tower, encoder, text, top_k=3)
     assert {

@@ -18,11 +18,6 @@ class TestJointModelConfig:
         assert config.user_feature_dim == 64 * 4   # 3 text + 1 categorical
         assert config.event_feature_dim == 64 * 3
 
-    def test_with_windows_ablation_helper(self):
-        config = JointModelConfig.small().with_windows((1,))
-        assert config.text_windows == (1,)
-        assert config.event_feature_dim == config.module_dim
-
     def test_validation(self):
         with pytest.raises(ValueError, match="window"):
             JointModelConfig(text_windows=())

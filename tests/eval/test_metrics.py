@@ -129,6 +129,20 @@ class TestRocCurve:
         assert np.isclose(trapezoid, roc_auc(labels, scores), atol=1e-9)
 
 
+class TestNonFiniteScores:
+    LABELS = np.array([0, 1, 0, 1])
+
+    @pytest.mark.parametrize("metric", [roc_auc, pr_curve, roc_curve, evaluate_scores])
+    def test_nan_score_rejected_with_its_count(self, metric):
+        with pytest.raises(ValueError, match="1 NaN of 4"):
+            metric(self.LABELS, np.array([0.1, np.nan, 0.2, 0.9]))
+
+    def test_infinite_scores_still_rank(self):
+        scores = np.array([-np.inf, np.inf, 0.2, 0.9])
+        assert roc_auc(self.LABELS, scores) == 1.0
+        assert evaluate_scores(self.LABELS, scores).pr80 == 1.0
+
+
 class TestEvaluateScores:
     def test_report_fields(self):
         labels = np.array([1, 0, 1, 0, 1])

@@ -1,29 +1,41 @@
 """End-to-end two-stage experiment protocol (small, fast config)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.config import JointModelConfig, TrainingConfig
 from repro.datagen import DataConfig, build_dataset
-from repro.eval.protocol import TwoStageExperiment
+from repro.eval.protocol import SCALES, TwoStageExperiment
 from repro.features.pipeline import FeatureSetConfig
-from repro.gbdt.boosting import GBDTConfig
 
 
 @pytest.fixture(scope="module")
 def experiment():
     dataset = build_dataset(DataConfig.small(seed=2))
-    experiment = TwoStageExperiment(
-        dataset,
-        model_config=JointModelConfig.small(seed=0),
-        training_config=TrainingConfig(
-            epochs=2, batch_size=32, learning_rate=0.01, patience=3, seed=0
-        ),
-        gbdt_config=GBDTConfig(num_trees=25, max_leaves=6, min_samples_leaf=5),
-        use_siamese_init=True,
-        min_df=1,
-    )
-    return experiment.prepare()
+    return SCALES["ci"].experiment(dataset).prepare()
+
+
+class TestScales:
+    def test_seed_moves_model_and_trainer_not_world(self):
+        scale = SCALES["ci"]
+        experiment = scale.experiment(seed=4)
+        assert experiment.dataset.config == scale.world
+        assert experiment.model_config == dataclasses.replace(scale.model, seed=4)
+        assert experiment.training_config == dataclasses.replace(scale.training, seed=4)
+        assert experiment.gbdt_config == scale.gbdt
+        assert experiment.use_siamese_init
+        assert experiment.min_df == scale.min_df
+
+    def test_full_keeps_the_paper_architecture_defaults(self):
+        # The defaults the shared ablation fit stands for (θ_r = 0,
+        # windows 1/3/5, init 0.1) are the full model's own values.
+        model = SCALES["full"].model
+        assert (model.margin, model.text_windows, model.embedding_init_scale) == (
+            0.0,
+            (1, 3, 5),
+            0.1,
+        )
 
 
 class TestPrepare:

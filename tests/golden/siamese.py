@@ -24,9 +24,8 @@ from pathlib import Path
 
 from repro.core.config import TrainingConfig
 from repro.core.siamese import SiameseEventInitializer
-from repro.datagen import DataConfig, build_dataset
 from repro.text.documents import DocumentEncoder
-from tests.golden.training import model_config
+from tests.golden.training import model_config, world
 
 GOLDEN_PATH = Path(__file__).with_name("siamese.json")
 TITLES = 10
@@ -34,7 +33,7 @@ TITLES = 10
 
 def run() -> dict[str, list]:
     """Train the fixed Siamese setup; the values to pin."""
-    dataset = build_dataset(DataConfig.small(seed=3))
+    dataset = world()
     encoder = DocumentEncoder.fit(dataset.users, dataset.events, min_df=2)
     initializer = SiameseEventInitializer(model_config(), encoder)
     history = initializer.fit(

@@ -18,6 +18,7 @@ and explains the difference in its change notes.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.trainer import RepresentationTrainer
-from repro.datagen import DataConfig, build_dataset
+from repro.datagen import DataConfig, EventRecDataset, build_dataset
 from repro.text.documents import DocumentEncoder
 
 GOLDEN_PATH = Path(__file__).with_name("training.json")
@@ -49,9 +50,15 @@ def model_config() -> JointModelConfig:
     )
 
 
+@functools.cache
+def world() -> EventRecDataset:
+    """The goldens' world, built once per process (read, never mutated)."""
+    return build_dataset(DataConfig.small(seed=3))
+
+
 def run() -> dict[str, dict[str, list]]:
     """Train the fixed setup with every optimiser; the values to pin."""
-    dataset = build_dataset(DataConfig.small(seed=3))
+    dataset = world()
     encoder = DocumentEncoder.fit(dataset.users, dataset.events, min_df=2)
     users, events, labels = encoder.encode_pairs(
         dataset.impressions, dataset.users_by_id, dataset.events_by_id

@@ -116,6 +116,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--tables", "3"])
 
+    def test_experiment_runs_a_named_scale(self):
+        args = build_parser().parse_args(["experiment", "--seed", "4"])
+        assert (args.scale, args.seed) == ("ci", 4)
+        assert build_parser().parse_args(["experiment", "--scale", "full"]).scale == "full"
+        for retired in (["--scale", "small"], ["--epochs", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["experiment", *retired])
+
 
 class TestEndToEnd:
     def test_generate_train_recommend_cycle(self, tmp_path, capsys):

@@ -113,8 +113,6 @@ KEPT_OPTIONS = {
     "repro.baselines.": "the published hyper-parameters of the baselines",
     "repro.datagen.topics.TopicModel.": "world-generator knobs; ROADMAP 1(c) "
     "sweeps the world next",
-    "repro.core.config.JointModelConfig.paper(seed=)": "set by `cli train` "
-    "through the _MODEL_SCALES table, a call the matcher cannot see",
     "repro.core.config.TrainingConfig.optimizer": "the paper trains with SGD; "
     "bench/tracing.py::layer_targets names nn.optim.SGD",
     "repro.core.model.JointUserEventModel.encode_": "batch_size: varied by "
