@@ -73,9 +73,7 @@ def bench_test_timing(request, bench_telemetry):
     start = time.perf_counter()
     yield
     bench_telemetry.histogram(
-        "repro_bench_test_seconds",
-        tags={"test": request.node.name},
-        buckets=(0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0),
+        "repro_bench_test_seconds", tags={"test": request.node.name}
     ).observe(time.perf_counter() - start)
 
 

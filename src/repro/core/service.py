@@ -93,12 +93,6 @@ __all__ = [
     "validate_top_k",
 ]
 
-# Candidate-pool sizes are counts, not latencies: linear-ish buckets.
-_CANDIDATE_BUCKETS = (1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 10000)
-
-# Batch sizes (user counts) for rank_events_batch.
-_BATCH_USER_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
-
 # Resolved pools a service keeps, least recently ranked dropped first:
 # the standing pool(s) of a server plus room for one-off sub-pools to
 # pass through without evicting them.
@@ -173,11 +167,6 @@ class ServingMonitors:
     @property
     def all(self) -> tuple[DriftMonitor, ...]:
         return (self.scores, self.candidates, self.user_norms)
-
-    def rebaseline(self) -> None:
-        """After an intentional change (model swap, pool rebuild)."""
-        for monitor in self.all:
-            monitor.rebaseline()
 
     def collect(self, registry: MetricsRegistry) -> None:
         """Pull-style export of every monitor's current verdict."""
@@ -520,9 +509,7 @@ class RepresentationService:
         if registry.enabled:
             registry.counter("repro_serving_rank_batch_total").inc()
             registry.counter("repro_serving_rank_total").inc(len(users))
-            registry.histogram(
-                "repro_serving_rank_batch_users", buckets=_BATCH_USER_BUCKETS
-            ).observe(len(users))
+            registry.histogram("repro_serving_rank_batch_users").observe(len(users))
             self._observe_rankings(registry, num_candidates, rankings)
         return rankings
 
@@ -639,9 +626,7 @@ class RepresentationService:
         rankings: Sequence[Sequence[ScoredEvent]],
     ) -> None:
         """Feed one rank call's pool size and served scores to telemetry."""
-        registry.histogram(
-            "repro_serving_candidates", buckets=_CANDIDATE_BUCKETS
-        ).observe(num_candidates)
+        registry.histogram("repro_serving_candidates").observe(num_candidates)
         self.monitors.candidates.observe(float(num_candidates))
         observe = self.monitors.scores.observe
         for ranking in rankings:

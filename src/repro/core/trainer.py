@@ -29,11 +29,6 @@ __all__ = ["TrainingHistory", "RepresentationTrainer", "EpochCallback"]
 
 _log = get_logger("repro.core.trainer")
 
-# Training durations dwarf serving latencies: 10 ms .. 30 min.
-_TRAIN_DURATION_BUCKETS = (
-    0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0,
-)
-
 EpochCallback = Callable[[int, Mapping[str, float]], None]
 """``on_epoch_end(epoch_index, stats)`` observer; ``stats`` carries
 ``epoch`` (1-based), ``train_loss``, ``val_loss``, ``learning_rate``,
@@ -99,7 +94,7 @@ class RepresentationTrainer:
         Returns the :class:`TrainingHistory`; the model is left holding
         the best-validation parameters.
         """
-        with span("repro_train_fit", buckets=_TRAIN_DURATION_BUCKETS):
+        with span("repro_train_fit"):
             return self._fit(users, events, labels, sample_weight, on_epoch_end)
 
     def _fit(
@@ -225,11 +220,7 @@ class RepresentationTrainer:
             history.learning_rates.append(rate)
             # Lands in repro_train_epoch_seconds and, when tracing, as
             # a per-epoch stage under the repro_train_fit span.
-            record_stage(
-                "repro_train_epoch",
-                epoch_seconds,
-                buckets=_TRAIN_DURATION_BUCKETS,
-            )
+            record_stage("repro_train_epoch", epoch_seconds)
             if registry.enabled:
                 registry.gauge("repro_train_epoch_loss").set(mean_train_loss)
                 registry.gauge("repro_train_val_loss").set(val_loss)

@@ -24,11 +24,6 @@ from repro.obs.registry import get_registry
 
 __all__ = ["GBDTConfig", "GBDTClassifier"]
 
-# Boosting rounds on binned features run in the ms..s range.
-_ROUND_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-                  0.5, 1.0, 2.5, 5.0, 10.0)
-_LEAF_BUCKETS = (2, 4, 6, 8, 12, 16, 24, 32, 64)
-
 
 def _tree_depth(tree: RegressionTree) -> int:
     """Longest root-to-leaf edge count of a fitted tree."""
@@ -114,15 +109,11 @@ class GBDTClassifier:
                 registry.gauge("repro_gbdt_round_train_loss").set(
                     self.train_losses[-1]
                 )
-                registry.histogram(
-                    "repro_gbdt_round_seconds", buckets=_ROUND_BUCKETS
-                ).observe(time.perf_counter() - round_start)
-                registry.histogram(
-                    "repro_gbdt_tree_leaves", buckets=_LEAF_BUCKETS
-                ).observe(tree.num_leaves)
-                registry.histogram(
-                    "repro_gbdt_tree_depth", buckets=_LEAF_BUCKETS
-                ).observe(_tree_depth(tree))
+                registry.histogram("repro_gbdt_round_seconds").observe(
+                    time.perf_counter() - round_start
+                )
+                registry.histogram("repro_gbdt_tree_leaves").observe(tree.num_leaves)
+                registry.histogram("repro_gbdt_tree_depth").observe(_tree_depth(tree))
         return self
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:

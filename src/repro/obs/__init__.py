@@ -3,9 +3,9 @@
 The observability layer for the production-serving story of paper
 Section 4.  Six pieces:
 
-* :mod:`repro.obs.registry` — counters, gauges, histograms (fixed
-  buckets + p50/p95/p99 from a 1 %-accurate log-bucket sketch +
-  per-bucket exemplars), labeled by name and tag dict;
+* :mod:`repro.obs.registry` — counters, gauges, histograms (count,
+  sum, min, max and p50/p95/p99 from a 1 %-accurate log-bucket
+  sketch), labeled by name and tag dict;
 * :mod:`repro.obs.trace` — ``with span("repro_serving_rank"):`` wall
   timers that, under a :class:`Tracer`, nest via ``contextvars`` and
   become per-request traces: trace/span ids, wall + CPU time,
@@ -14,7 +14,7 @@ Section 4.  Six pieces:
   ``{ts, level, event, logger, tags}`` schema (plus
   ``trace_id``/``span_id`` when emitted inside a traced span);
 * :mod:`repro.obs.export` — JSONL telemetry files and the Prometheus
-  text format (optionally with OpenMetrics exemplar suffixes);
+  text format (a histogram is a ``summary`` family);
 * :mod:`repro.obs.drift` — reference-vs-live window drift detection
   (PSI, two-sample KS, mean/variance shift) over streaming monitors;
 * :mod:`repro.obs.health` — declarative SLO specs judged against one
@@ -58,7 +58,6 @@ from repro.obs.health import (
 )
 from repro.obs.log import StructuredLogger, configure, get_logger, log_context
 from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -90,7 +89,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
     "set_registry",
     "use_registry",

@@ -290,9 +290,7 @@ class DriftMonitor:
     ``observe`` is an O(1) deque/list append and may be called from
     multiple serving threads; verdicts are computed over a snapshot of
     the windows, so a concurrent ``result()`` sees a consistent
-    recent state.  Call :meth:`rebaseline` after an *intentional*
-    distribution change (model swap, candidate-pool rebuild) to
-    promote the live window to the new reference.
+    recent state.  The reference freezes once and is never re-armed.
     """
 
     def __init__(
@@ -369,15 +367,6 @@ class DriftMonitor:
             self._reference = reference
             # Publish last: observers branch on _pending being None.
             self._pending = None
-
-    def rebaseline(self) -> None:
-        """Start over: the next ``warmup`` samples form a new reference."""
-        with self._freeze_lock:
-            self._pending = []
-            self._reference = ()
-            self._edges = ()
-            self._ref_fractions = ()
-            self._live.clear()
 
     # -- evaluate ------------------------------------------------------
 

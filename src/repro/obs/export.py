@@ -10,9 +10,9 @@ Two complementary formats over the same snapshot records (see
   the whole story of a run.
 * **Prometheus text format** — the scrape-able rendering used by the
   ``repro-events metrics`` CLI command; counters and gauges map
-  directly, histograms emit ``_bucket``/``_sum``/``_count`` series
-  plus ``_p50``/``_p95``/``_p99`` gauges from the quantile
-  sketch.
+  directly, and a histogram is one ``summary`` family: its sketch's
+  ``{quantile="0.5"|"0.95"|"0.99"}`` samples plus ``_sum`` and
+  ``_count``.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ def json_line(record: Any, default: Callable[[Any], Any] = str) -> str:
     )
 
 
-def _format_value(value: float | str | None) -> str:
-    if isinstance(value, str):  # pre-rendered bound, e.g. "+Inf"
-        return value
+def _format_value(value: float | None) -> str:
     if value is None or value != value:  # NaN (``null`` in a telemetry file)
         return "NaN"
     if value == math.inf:
@@ -96,41 +94,27 @@ def _labels(tags: dict, extra: dict | None = None) -> str:
 def render_prometheus(snapshot: list[dict]) -> str:
     """Render snapshot records in the Prometheus exposition format.
 
-    A bucket's exemplar (a trace id, resolved with
-    :meth:`repro.obs.trace.Tracer.find`) stays in the snapshot record:
-    the OpenMetrics ``# {trace_id=...}`` suffix is an extension strict
-    Prometheus text-format parsers may reject.
+    A histogram becomes a ``summary``: one sample per sketch quantile
+    (``quantile="0.99"`` from the record's ``"p99"``; ``NaN`` while
+    empty), then ``_sum`` and ``_count``.
     """
     lines: list[str] = []
     seen_types: set[str] = set()
     for record in snapshot:
         name = record["name"]
         tags = record.get("tags", {})
-        kind = record["type"]
-        if kind in ("counter", "gauge"):
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} {kind}")
-                seen_types.add(name)
+        kind = "summary" if record["type"] == "histogram" else record["type"]
+        if name not in seen_types:
+            lines.append(f"# TYPE {name} {kind}")
+            seen_types.add(name)
+        if kind != "summary":
             lines.append(f"{name}{_labels(tags)} {_format_value(record['value'])}")
             continue
-        # histogram
-        if name not in seen_types:
-            lines.append(f"# TYPE {name} histogram")
-            seen_types.add(name)
-        for le, cumulative in record["buckets"]:
-            lines.append(
-                f"{name}_bucket{_labels(tags, {'le': _format_value(le)})} {cumulative}"
-            )
+        for label, value in record["quantiles"].items():  # "p50" -> 0.5
+            quantile = {"quantile": _format_value(float(label[1:]) / 100)}
+            lines.append(f"{name}{_labels(tags, quantile)} {_format_value(value)}")
         lines.append(f"{name}_sum{_labels(tags)} {_format_value(record['sum'])}")
         lines.append(f"{name}_count{_labels(tags)} {record['count']}")
-        for label, value in sorted(record.get("quantiles", {}).items()):
-            if value is None:
-                continue
-            quantile_name = f"{name}_{label}"
-            if quantile_name not in seen_types:
-                lines.append(f"# TYPE {quantile_name} gauge")
-                seen_types.add(quantile_name)
-            lines.append(f"{quantile_name}{_labels(tags)} {_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

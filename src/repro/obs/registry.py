@@ -10,9 +10,9 @@ Three instrument types:
 
 * :class:`Counter` — monotonically increasing count;
 * :class:`Gauge` — a value that can go up and down;
-* :class:`Histogram` — fixed cumulative buckets (Prometheus-style)
-  plus a relative-error quantile sketch, so p50/p95/p99 are available
-  without storing samples, each within 1 % of the exact value.
+* :class:`Histogram` — count, sum, min, max and a relative-error
+  quantile sketch, so p50/p95/p99 are available without storing
+  samples, each within 1 % of the exact value.
 
 Instrumented code obtains instruments through a registry::
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate
 from typing import Any, Generic, TypeVar
@@ -44,7 +44,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
     "set_registry",
     "use_registry",
@@ -54,12 +53,6 @@ TagMap = Mapping[str, str]
 TagKey = tuple[tuple[str, str], ...]
 
 I = TypeVar("I")  # instrument type held by a metric family
-
-# Seconds-scale latency buckets: 100 µs .. 10 s, roughly 1-2-5.
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
@@ -118,15 +111,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with a relative-error quantile sketch.
-
-    Observations may carry an *exemplar* — an opaque id (in practice a
-    trace id from :mod:`repro.obs.trace`) naming one concrete sample.
-    Each bucket keeps at most one exemplar under a max-wins policy:
-    the retained exemplar is the slowest sample that landed in that
-    bucket, so the top bucket's exemplar is the series' overall worst
-    case and is guaranteed to also be held by a keep-slowest tail
-    sampler.
+    """Count, sum, min, max and a relative-error quantile sketch.
 
     Quantiles come from a log-bucket sketch (DDSketch-style): a
     positive value ``v`` adds one to the count of key
@@ -144,33 +129,17 @@ class Histogram:
     an empty histogram reads NaN.
     """
 
-    __slots__ = (
-        "buckets",
-        "bucket_counts",
-        "count",
-        "sum",
-        "min",
-        "max",
-        "exemplars",
-        "_log_counts",
-        "_nonpositive",
-    )
+    __slots__ = ("count", "sum", "min", "max", "_log_counts", "_nonpositive")
 
-    def __init__(self, buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # trailing +Inf
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        # bucket index -> (exemplar id, value); max-wins per bucket.
-        self.exemplars: dict[int, tuple[str, float]] = {}
         self._log_counts: dict[int, int] = {}  # sketch key -> count
         self._nonpositive = 0
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         value = float(value)
         if not -_INF < value < _INF:
             return  # NaN or ±inf: not a measurement
@@ -180,31 +149,12 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        # First bound >= value, i.e. Prometheus `value <= le` semantics
-        # (C-speed binary search: observe is on the traced hot path).
-        index = bisect_left(self.buckets, value)
-        self.bucket_counts[index] += 1
-        if exemplar is not None:
-            held = self.exemplars.get(index)
-            if held is None or value > held[1]:
-                self.exemplars[index] = (exemplar, value)
         if value > 0.0:
             key = math.ceil(math.log(value) / _LOG_GAMMA)
             counts = self._log_counts
             counts[key] = counts.get(key, 0) + 1
         else:
             self._nonpositive += 1
-
-    def bucket_exemplars(self) -> dict[str, dict[str, float | str]]:
-        """Exemplars keyed by bucket bound (``"0.005"`` … ``"+Inf"``)."""
-        out: dict[str, dict[str, float | str]] = {}
-        for index, (exemplar, value) in sorted(self.exemplars.items()):
-            if index < len(self.buckets):
-                le = repr(self.buckets[index])
-            else:
-                le = "+Inf"
-            out[le] = {"exemplar": exemplar, "value": value}
-        return out
 
     def quantile(self, q: float) -> float:
         """Quantile ``q`` in (0, 1) of the values observed, within α."""
@@ -247,16 +197,6 @@ class Histogram:
             return min(max(0.0, self.min), self.max)
         exponent = min(keys[position - 1] * _LOG_GAMMA + _LOG_MIDPOINT, math.log(self.max))
         return min(max(math.exp(exponent), self.min), self.max)
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """Prometheus-style ``(le, cumulative_count)`` pairs, +Inf last."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, self.bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((math.inf, self.count))
-        return out
 
 
 class _Family(Generic[I]):
@@ -347,29 +287,19 @@ class MetricsRegistry:
         instrument = self._resolved.get(key)
         return instrument if instrument is not None else self._resolve(key, tags, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        tags: TagMap | None = None,
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str, tags: TagMap | None = None) -> Histogram:
         key = ("histogram", name, tuple(tags.items()) if tags else ())
         instrument = self._resolved.get(key)
-        if instrument is None:
-            factory = lambda: Histogram(buckets=buckets)  # noqa: E731
-            instrument = self._resolve(key, tags, factory)
-        return instrument
+        return instrument if instrument is not None else self._resolve(key, tags, Histogram)
 
-    def span_histogram(
-        self, name: str, tags: TagMap | None, buckets: Iterable[float]
-    ) -> Histogram:
+    def span_histogram(self, name: str, tags: TagMap | None) -> Histogram:
         """The ``<name>_seconds`` histogram a span called ``name`` with
         ``tags`` records into, resolved once per ``(name, tags)``: a
         span's exit is one observe, with no name to format or look up."""
         key = ("span", name, tuple(tags.items()) if tags else ())
         histogram = self._resolved.get(key)
         if histogram is None:
-            histogram = self.histogram(f"{name}_seconds", tags, buckets)
+            histogram = self.histogram(f"{name}_seconds", tags)
             self._resolved[key] = histogram
         return histogram
 
@@ -391,7 +321,6 @@ class MetricsRegistry:
 
             {"name", "type", "tags": {..}, ...}         # counter/gauge: value
             {... "count", "sum", "min", "max",          # histogram
-                 "buckets": [[le, cumulative], ...],
                  "quantiles": {"p50": ..., ...}}
         """
         with self._lock:
@@ -434,18 +363,10 @@ class MetricsRegistry:
                     record["sum"] = instrument.sum
                     record["min"] = instrument.min if instrument.count else None
                     record["max"] = instrument.max if instrument.count else None
-                    # "+Inf" keeps the JSONL strict-JSON parseable
-                    # (json.dumps would otherwise emit bare Infinity).
-                    record["buckets"] = [
-                        [le if le != math.inf else "+Inf", n]
-                        for le, n in instrument.cumulative_buckets()
-                    ]
                     record["quantiles"] = {
                         label: (None if math.isnan(value) else value)
                         for label, value in instrument.percentiles().items()
                     }
-                    if instrument.exemplars:
-                        record["exemplars"] = instrument.bucket_exemplars()
                 else:
                     record["value"] = instrument.value
                 records.append(record)
@@ -475,7 +396,7 @@ class _NullGauge(Gauge):
 class _NullHistogram(Histogram):
     __slots__ = ()
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         pass
 
 
@@ -500,12 +421,7 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str, tags: TagMap | None = None) -> Gauge:
         return _NULL_GAUGE
 
-    def histogram(
-        self,
-        name: str,
-        tags: TagMap | None = None,
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str, tags: TagMap | None = None) -> Histogram:
         return _NULL_HISTOGRAM
 
     def register_collector(

@@ -29,9 +29,8 @@ Pieces:
   request keeps its parent through :func:`carry_span`.
 * **One finish path** — ``Span.__exit__`` and :func:`record_stage`
   (for stages measured without a ``with`` block) both end in
-  :func:`_finish`: observe the histogram, with the trace id as the
-  observation's exemplar, then hand one :class:`SpanRecord` to the
-  tracer.  The histogram and the tracer are the only two sinks.
+  :func:`_finish`: observe the histogram, then hand one
+  :class:`SpanRecord` to the tracer.  The histogram and the tracer are the only two sinks.
 * **Tracer** — buffers finished spans per trace; when the root span
   of a trace finishes, the assembled :class:`Trace` is offered to the
   sampler.
@@ -39,9 +38,7 @@ Pieces:
   slowest traces are kept (a min-heap).  Everything else is counted
   and dropped.
 * **Export** — a JSONL trace log, one ``{"record": "trace"}`` object
-  per trace (``repro-events serve --trace-out``).
-* **Exemplar source** — a p99 histogram bucket links back to a
-  concrete retained trace via :meth:`Tracer.find`.
+  per trace, slowest first (``repro-events serve --trace-out``).
 
 Tracing is **off by default**; :func:`active` is a single module-global
 check, which is what the hot-path call sites branch on.  When the
@@ -66,12 +63,7 @@ from pathlib import Path
 from typing import Any, NamedTuple, TypeVar
 
 from repro.obs.export import json_line
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.registry import Histogram, MetricsRegistry, get_registry
 
 __all__ = [
     "Span",
@@ -263,13 +255,6 @@ class TailSampler:
                 for entry in sorted(self._slowest, key=lambda e: (-e[0], e[1]))
             ]
 
-    def find(self, trace_id: str) -> Trace | None:
-        """Retained trace by id — how an exemplar resolves to a trace."""
-        for trace in self.traces():
-            if trace.trace_id == trace_id:
-                return trace
-        return None
-
 
 # ----------------------------------------------------------------------
 # tracer
@@ -339,10 +324,6 @@ class Tracer:
         """The retained traces (see :class:`TailSampler`)."""
         return self.sampler.traces()
 
-    def find(self, trace_id: str) -> Trace | None:
-        """Resolve a histogram exemplar's trace id to a full trace."""
-        return self.sampler.find(trace_id)
-
 
 # ----------------------------------------------------------------------
 # global tracer installation
@@ -388,7 +369,6 @@ def _finish(
     registry: MetricsRegistry,
     name: str,
     tags: Mapping[str, str] | None,
-    buckets: Iterable[float],
     seconds: float,
     cpu_seconds: float = 0.0,
     trace_id: str | None = None,
@@ -400,14 +380,13 @@ def _finish(
 ) -> None:
     """The one exit of every span, timed in place or recorded post hoc.
 
-    Observes ``<name>_seconds`` (the trace id rides along as the
-    bucket's exemplar) and, for a traced span, hands its record to the
-    tracer — a span without a parent id is the root that closes its
+    Observes ``<name>_seconds`` and, for a traced span, hands its
+    record to the tracer — a span without a parent id is the root that closes its
     trace.  Positional on purpose: this runs once per span on the
     traced hot path.
     """
     if registry.enabled:
-        registry.span_histogram(name, tags, buckets).observe(seconds, trace_id)
+        registry.span_histogram(name, tags).observe(seconds)
     tracer = _TRACER
     if tracer is None or trace_id is None or span_id is None:
         return
@@ -429,7 +408,6 @@ class Span:
         "name",
         "tags",
         "registry",
-        "buckets",
         "path",
         "depth",
         "trace_id",
@@ -448,12 +426,10 @@ class Span:
         name: str,
         tags: Mapping[str, str] | None,
         registry: MetricsRegistry,
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
         self.name = name
         self.tags = dict(tags) if tags else {}
         self.registry = registry
-        self.buckets = buckets
         self.seconds: float | None = None
         self.cpu_seconds: float | None = None
 
@@ -478,8 +454,7 @@ class Span:
         self.cpu_seconds = time.thread_time() - self._cpu_start
         _CURRENT_SPAN.reset(self._token)
         _finish(
-            self.registry, self.name, self.tags, self.buckets,
-            self.seconds, self.cpu_seconds,
+            self.registry, self.name, self.tags, self.seconds, self.cpu_seconds,
             self.trace_id, self.span_id, self.parent_id,
             self.path, self.depth, self._ts,
         )
@@ -526,48 +501,42 @@ def span(
     name: str,
     tags: Mapping[str, str] | None = None,
     registry: MetricsRegistry | None = None,
-    buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
 ) -> Span | _TimedSpan | _NullSpan:
     """Open a timed span recording into ``<name>_seconds``.
 
     ``name`` should follow the span naming convention *without* the
     unit suffix (``repro_serving_rank``, see RPR108); the histogram
-    appends ``_seconds``.  ``buckets`` customizes that histogram's
-    bucket bounds — note the *first* observation of a metric family
-    fixes its buckets, so every observer of one name must agree.
-    Only under a tracer is the span a :class:`Span`, the current span.
+    appends ``_seconds``.  Only under a tracer is the span a :class:`Span`, the current span.
     """
     registry = registry if registry is not None else get_registry()
     if _TRACER is None:
         if not registry.enabled:
             return _NULL_SPAN
-        return _TimedSpan(registry.span_histogram(name, tags, buckets))
-    return Span(name, tags, registry, buckets=buckets)
+        return _TimedSpan(registry.span_histogram(name, tags))
+    return Span(name, tags, registry)
 
 
 def record_stage(
     name: str,
     seconds: float,
     tags: Mapping[str, str] | None = None,
-    buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
 ) -> None:
     """Record an already-measured stage under the current span.
 
     For stages that cannot wrap a ``with`` block around their work —
     lock-acquisition wait is the canonical case (the wait *is* the
     entry into the ``with lock:`` region).  The stage lands both in
-    the ``<name>_seconds`` histogram (with a trace exemplar) and, when
-    a tracer is installed and a span is open, as a synthetic child
-    span of the current span.  No-op beyond the histogram otherwise.
+    the ``<name>_seconds`` histogram and, when a tracer is installed
+    and a span is open, as a synthetic child span of the current span.
+    No-op beyond the histogram otherwise.
     """
     parent = _CURRENT_SPAN.get()
     tracer = _TRACER
     if tracer is None or parent is None:
-        _finish(get_registry(), name, tags, buckets, seconds)
+        _finish(get_registry(), name, tags, seconds)
         return
     _finish(
-        get_registry(), name, dict(tags) if tags else {}, buckets,
-        seconds, 0.0,
+        get_registry(), name, dict(tags) if tags else {}, seconds, 0.0,
         parent.trace_id, new_span_id(), parent.span_id,
         f"{parent.path}/{name}", parent.depth + 1,
         max(tracer.now() - seconds, 0.0),

@@ -66,9 +66,6 @@ __all__ = ["BatcherClosed", "MicroBatcher"]
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-# Size-scale buckets (requests per batch / queue depth), not latency.
-_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-
 # Most requests one flush carries; the rest of a backlog waits for the
 # next.  Read at flush time, so tests reach the bound by patching it.
 MAX_BATCH = 32
@@ -109,9 +106,7 @@ class MicroBatcher:
             raise BatcherClosed("batcher is closed; not accepting requests")
         future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
         self._pending.append((item, future, copy_context()))
-        self.registry.histogram(
-            "repro_serving_batch_queue_depth", buckets=_SIZE_BUCKETS
-        ).observe(len(self._pending))
+        self.registry.histogram("repro_serving_batch_queue_depth").observe(len(self._pending))
         if self._in_flight is None:
             self._flush("idle")
         return await future
@@ -152,9 +147,7 @@ class MicroBatcher:
             self.registry.counter(
                 "repro_serving_batch_flush_total", tags={"reason": reason}
             ).inc()
-            self.registry.histogram(
-                "repro_serving_batch_users", buckets=_SIZE_BUCKETS
-            ).observe(len(items))
+            self.registry.histogram("repro_serving_batch_users").observe(len(items))
             self.batches_flushed += 1
             self.requests_batched += len(items)
             with span(

@@ -134,11 +134,11 @@ async def read_http_request(
             "Content-Length",
         )
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"bad Content-Length: {length_text!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
+    # 1*DIGIT (RFC 9110 §8.6): int() would also take "+7", "0_7", "-0".
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise HttpError(400, f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body of {length} bytes exceeds limit")
     body = b""
     if length:

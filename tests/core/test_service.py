@@ -14,7 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import service as service_module
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
-from repro.core.service import RepresentationService, ServingMonitors
+from repro.core.service import RepresentationService
 from repro.entities import Event, User
 from repro.obs import MetricsRegistry, use_registry
 from repro.serving.server import ServingServer, _RecommendWork
@@ -965,13 +965,6 @@ class TestServingMonitors:
         service.rank_events(tiny_users[0], tiny_events)
         service.score(tiny_users[0], tiny_events[0])
         assert all(monitor.observed == 0 for monitor in service.monitors.all)
-
-    def test_rebaseline_restarts_every_monitor(self):
-        monitors = ServingMonitors()
-        monitors.scores.observe_many([1.0] * 600)
-        assert not monitors.scores.warming
-        monitors.rebaseline()
-        assert all(monitor.warming for monitor in monitors.all)
 
 
 class TestBatchUserDedupe:

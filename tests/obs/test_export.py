@@ -16,7 +16,7 @@ def make_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("repro_cache_hits_total").inc(7)
     registry.gauge("repro_cache_hit_rate", tags={"kind": "user"}).set(0.875)
-    histogram = registry.histogram("repro_serving_encode_seconds", buckets=(0.5, 1.0))
+    histogram = registry.histogram("repro_serving_encode_seconds")
     for value in (0.25, 0.25, 0.25, 2.0, 0.25):
         histogram.observe(value)
     return registry
@@ -31,18 +31,12 @@ class TestPrometheus:
             'repro_cache_hit_rate{kind="user"} 0.875\n'
             "# TYPE repro_cache_hits_total counter\n"
             "repro_cache_hits_total 7\n"
-            "# TYPE repro_serving_encode_seconds histogram\n"
-            'repro_serving_encode_seconds_bucket{le="0.5"} 4\n'
-            'repro_serving_encode_seconds_bucket{le="1"} 4\n'
-            'repro_serving_encode_seconds_bucket{le="+Inf"} 5\n'
+            "# TYPE repro_serving_encode_seconds summary\n"
+            'repro_serving_encode_seconds{quantile="0.5"} 0.25\n'
+            'repro_serving_encode_seconds{quantile="0.95"} 1.6449293611338756\n'
+            'repro_serving_encode_seconds{quantile="0.99"} 1.9239152333606508\n'
             "repro_serving_encode_seconds_sum 3\n"
             "repro_serving_encode_seconds_count 5\n"
-            "# TYPE repro_serving_encode_seconds_p50 gauge\n"
-            "repro_serving_encode_seconds_p50 0.25\n"
-            "# TYPE repro_serving_encode_seconds_p95 gauge\n"
-            "repro_serving_encode_seconds_p95 1.6449293611338756\n"
-            "# TYPE repro_serving_encode_seconds_p99 gauge\n"
-            "repro_serving_encode_seconds_p99 1.9239152333606508\n"
         )
 
     def test_label_escaping(self):
@@ -66,14 +60,6 @@ class TestPrometheus:
         ).inc()
         text = render_prometheus(registry.snapshot())
         assert '{alpha="2",mid="3",zeta="1"}' in text
-
-    def test_exemplars_off_by_default(self):
-        registry = MetricsRegistry()
-        registry.histogram("repro_x_seconds", buckets=(1.0,)).observe(
-            0.5, exemplar="00000000000000aa"
-        )
-        text = render_prometheus(registry.snapshot())
-        assert "00000000000000aa" not in text
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus([]) == ""

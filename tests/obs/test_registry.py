@@ -62,23 +62,17 @@ class TestTypeSafety:
             registry.gauge("repro_x")
 
 
-class TestHistogramBuckets:
-    def test_cumulative_buckets(self):
-        histogram = Histogram(buckets=(1.0, 2.0, 5.0))
+class TestHistogramSummary:
+    def test_count_min_max(self):
+        histogram = Histogram()
         for value in (0.5, 1.5, 1.7, 4.0, 100.0):
             histogram.observe(value)
-        assert histogram.cumulative_buckets() == [
-            (1.0, 1),
-            (2.0, 3),
-            (5.0, 4),
-            (math.inf, 5),
-        ]
         assert histogram.count == 5
         assert histogram.min == 0.5
         assert histogram.max == 100.0
 
     def test_sum(self):
-        histogram = Histogram(buckets=(1.0,))
+        histogram = Histogram()
         histogram.observe(0.25)
         histogram.observe(0.5)
         assert histogram.sum == pytest.approx(0.75)
@@ -96,7 +90,7 @@ class TestHistogramQuantiles:
             assert histogram.quantile(q) == pytest.approx(want, rel=SKETCH_ALPHA)
 
     def test_uniform(self):
-        histogram = Histogram(buckets=(0.5, 1.0))
+        histogram = Histogram()
         rng = np.random.default_rng(7)
         values = rng.uniform(0.0, 1.0, 20000)
         for value in values:
@@ -108,7 +102,7 @@ class TestHistogramQuantiles:
 
     def test_exponential(self):
         """Heavy-tailed — the realistic latency shape."""
-        histogram = Histogram(buckets=(1.0,))
+        histogram = Histogram()
         rng = np.random.default_rng(3)
         values = rng.exponential(1.0, 20000)
         for value in values:
@@ -120,10 +114,10 @@ class TestHistogramQuantiles:
         assert histogram.quantile(0.99) == pytest.approx(-math.log(0.01), rel=0.10)
 
     def test_empty_is_nan(self):
-        assert math.isnan(Histogram(buckets=(1.0,)).quantile(0.5))
+        assert math.isnan(Histogram().quantile(0.5))
 
     def test_percentile_labels(self):
-        histogram = Histogram(buckets=(1.0,))
+        histogram = Histogram()
         histogram.observe(1.0)
         assert set(histogram.percentiles()) == {"p50", "p95", "p99"}
 
@@ -133,14 +127,16 @@ class TestSnapshot:
         registry = MetricsRegistry()
         registry.counter("repro_a_total", tags={"kind": "x"}).inc()
         registry.gauge("repro_b").set(2.0)
-        registry.histogram("repro_c_seconds", buckets=(1.0,)).observe(0.5)
+        registry.histogram("repro_c_seconds").observe(0.5)
         records = {r["name"]: r for r in registry.snapshot()}
         assert records["repro_a_total"]["type"] == "counter"
         assert records["repro_a_total"]["tags"] == {"kind": "x"}
         assert records["repro_b"]["value"] == 2.0
         histogram = records["repro_c_seconds"]
         assert histogram["count"] == 1
-        assert histogram["buckets"][-1][1] == 1
+        assert set(histogram) == {
+            "name", "type", "tags", "count", "sum", "min", "max", "quantiles"
+        }
         assert histogram["quantiles"]["p50"] == pytest.approx(0.5)
 
     def test_collector_runs_at_snapshot(self):

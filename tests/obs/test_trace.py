@@ -149,13 +149,6 @@ class TestTailSampler:
         assert not sampler.offer(make_trace("b", 0.1))
         assert sampler.offer(make_trace("c", 0.3))
 
-    def test_find_resolves_retained_ids_only(self):
-        sampler = TailSampler(keep_slowest=1)
-        sampler.offer(make_trace("fast", 0.1))
-        sampler.offer(make_trace("slow", 0.9))
-        assert sampler.find("slow") is not None
-        assert sampler.find("fast") is None
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -178,8 +171,8 @@ class TestTracer:
         )
         tracer.on_span_finish(child, root=False)
         tracer.on_span_finish(root, root=True)
-        trace = tracer.find("t1")
-        assert trace is not None
+        (trace,) = tracer.traces()
+        assert trace.trace_id == "t1"
         assert trace.root_name == "repro_test_root"
         assert len(trace.spans) == 2
 
@@ -195,7 +188,7 @@ class TestTracer:
             ),
             root=True,
         )
-        trace = tracer.find("t1")
+        (trace,) = tracer.traces()
         assert trace.dropped_spans == 2
         assert tracer.dropped_spans_total == 2
 
@@ -308,26 +301,19 @@ class TestExports:
         assert record["spans"][0]["cpu_seconds"] is None
 
 
-class TestExemplarAcceptance:
-    def test_p99_bucket_exemplar_resolves_to_retained_trace(self):
-        """The top bucket's exemplar is the slowest request, which the
-        keep-slowest sampler guarantees to retain — so the exemplar id
-        always resolves to a full trace."""
+class TestSlowestTrace:
+    def test_histogram_max_is_the_first_retained_trace(self):
+        """The slowest request, the histogram's ``max``, is the trace a
+        keep-slowest sampler lists first — the first record
+        ``serve --trace-out`` writes."""
         registry = MetricsRegistry()
         with use_registry(registry):
             with use_tracer(Tracer(TailSampler(keep_slowest=4))) as tracer:
                 for index in range(20):
-                    with span(
-                        "repro_test_rank",
-                        registry=registry,
-                        buckets=(0.005,),
-                    ):
+                    with span("repro_test_rank", registry=registry):
                         if index == 7:
                             time.sleep(0.02)
-        histogram = registry.histogram("repro_test_rank_seconds", buckets=(0.005,))
-        top = histogram.bucket_exemplars()["+Inf"]
-        trace = tracer.find(top["exemplar"])
-        assert trace is not None, "exemplar resolves to a retained trace"
-        assert trace.seconds == pytest.approx(top["value"])
-        assert trace.span_named("repro_test_rank") is not None
-        assert trace.seconds == max(t.seconds for t in tracer.traces())
+        histogram = registry.histogram("repro_test_rank_seconds")
+        slowest = tracer.traces()[0]
+        assert slowest.seconds == histogram.max
+        assert slowest.span_named("repro_test_rank") is not None

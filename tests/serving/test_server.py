@@ -16,6 +16,7 @@ import asyncio
 import dataclasses
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -39,6 +40,8 @@ from repro.text.documents import DocumentEncoder
 from tests.reference import rank_events_loop
 
 POOL_SIZE = 40
+# One ``key="value"`` pair of a Prometheus label set (escapes included).
+_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
 TIMEOUT = 10.0
 
 
@@ -210,6 +213,43 @@ class TestEndpoints:
         status, text = call(stack["hosted"], "GET", "/metrics")
         assert status == 200
         assert "repro_serving_http_requests_total" in text
+
+    def test_metrics_exposition_is_well_formed_across_every_family(self, stack):
+        user, event = stack["users"][0], stack["events"][0]
+        recommend(stack["hosted"], {"user_id": user.user_id, "top_k": 2})
+        post(stack["hosted"], "/score", {"user_id": user.user_id, "event_id": event.event_id})
+        call(stack["hosted"], "GET", "/metrics")
+        status, text = call(stack["hosted"], "GET", "/metrics")
+        assert status == 200
+        kinds: dict[str, str] = {}
+        seen = set()
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split(" ")
+                assert name not in kinds, f"second TYPE line for {name}"
+                kinds[name] = kind
+                continue
+            match = re.fullmatch(r"([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})? (\S+)", line)
+            assert match, f"not a sample line: {line!r}"
+            name, labels = match[1], dict(_LABEL.findall(match[2] or ""))
+            family = name if name in kinds else name.rpartition("_")[0]
+            assert family in kinds, f"{name} sampled before, or without, its TYPE"
+            if kinds[family] == "summary":
+                suffix = name[len(family) :]
+                assert (suffix == "") == ("quantile" in labels), line
+                assert suffix in ("", "_sum", "_count"), line
+            else:
+                assert name == family and "quantile" not in labels, line
+            key = (name, frozenset(labels.items()))
+            assert key not in seen, f"sample repeated: {line!r}"
+            seen.add(key)
+        routes = {
+            dict(labels)["route"]
+            for name, labels in seen
+            if name == "repro_serving_http_request_seconds"
+        }
+        assert kinds["repro_serving_http_request_seconds"] == "summary"
+        assert {"/recommend", "/score", "/metrics"} <= routes
 
 
 def post_error(stack, payload, path="/recommend"):
@@ -388,6 +428,23 @@ class TestConnectionFraming:
         )
         # Had the last length won, two bytes would be the body and the
         # rest would wait, as the next request, for the read to time out.
+        head, _, reply = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert answered.count(b"HTTP/1.1 ") == 1
+        assert "Content-Length" in json.loads(reply)["error"]["message"]
+
+    @pytest.mark.parametrize("length", [b"+7", b"0_7", b"-0"])
+    def test_content_length_beyond_digits_gets_one_400_and_a_closed_connection(
+        self, stack, length
+    ):
+        # int() reads these as 7, 7 and 0; RFC 9110 §8.6 allows digits only.
+        body = json.dumps({"user_id": stack["users"][0].user_id}).encode()
+        answered = to_eof(
+            stack,
+            b"POST /recommend HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %s\r\n\r\n%s" % (length, body),
+        )
         head, _, reply = answered.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head

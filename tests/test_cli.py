@@ -179,7 +179,7 @@ class TestEndToEnd:
         assert main(["metrics", "--telemetry", telemetry_path]) == 0
         rendered = capsys.readouterr().out
         assert "# TYPE repro_train_epoch_loss gauge" in rendered
-        assert "repro_serving_encode_seconds_bucket" in rendered
+        assert "# TYPE repro_serving_encode_seconds summary" in rendered
         assert "repro_cache_hit_rate" in rendered
 
     def test_train_encodes_each_entity_once(self, tmp_path, monkeypatch):
