@@ -166,7 +166,7 @@ def build_dataset(config: DataConfig) -> EventRecDataset:
     pages = generate_pages(topic_model, config, rng)
     user_world = generate_users(topic_model, pages, config, rng)
 
-    graph = build_friendship_graph(
+    adjacency = build_friendship_graph(
         topic_mixtures=user_world.mixtures,
         city_index=user_world.city_index,
         mean_friends=config.mean_friends,
@@ -174,8 +174,11 @@ def build_dataset(config: DataConfig) -> EventRecDataset:
         city_bonus=config.friend_city_bonus,
         rng=rng,
     )
+    bounds = adjacency.indptr.tolist()
     for user in user_world.users:
-        user.friend_ids = sorted(graph.neighbors(user.user_id))
+        user.friend_ids = adjacency.indices[
+            bounds[user.user_id]:bounds[user.user_id + 1]
+        ].tolist()
 
     event_world = generate_events(
         topic_model,
@@ -193,6 +196,6 @@ def build_dataset(config: DataConfig) -> EventRecDataset:
         impressions=simulation.impressions,
         user_mixtures=user_world.mixtures,
         event_mixtures=event_world.mixtures,
-        graph_stats=graph_summary(graph),
+        graph_stats=graph_summary(adjacency),
         raw_positive_rate=simulation.raw_positive_rate,
     )

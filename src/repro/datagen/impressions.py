@@ -18,6 +18,7 @@ are down-sampled to the paper's ~1:4 positive:negative ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,7 @@ from repro.datagen.config import DataConfig
 from repro.datagen.events import EventWorld
 from repro.datagen.users import UserWorld
 from repro.entities import Impression
-from repro.nn.cosine import exact_cosine
-from repro.nn.losses import sigmoid
+from repro.nn.cosine import unit_rows
 
 __all__ = ["SimulationResult", "simulate_impressions"]
 
@@ -107,6 +107,14 @@ def _select_audience(
     return np.fromiter(chosen, dtype=np.int64, count=len(chosen))
 
 
+def _logistic(utility: float) -> float:
+    """The branch form of :func:`repro.nn.losses.sigmoid` on one float."""
+    if utility >= 0:
+        return 1.0 / (1.0 + math.exp(-utility))
+    exp_utility = math.exp(utility)
+    return exp_utility / (1.0 + exp_utility)
+
+
 def simulate_impressions(
     user_world: UserWorld,
     event_world: EventWorld,
@@ -117,10 +125,16 @@ def simulate_impressions(
     user_locations = np.array(
         [user.home_location for user in user_world.users]
     )
-    friend_sets = [set(user.friend_ids) for user in user_world.users]
+    user_units = unit_rows(user_world.mixtures, eps=0.0)
+    event_units = unit_rows(event_world.mixtures, eps=0.0)
 
-    # Phase 1: exposures (who sees what, when).
-    exposures: list[tuple[float, int, int]] = []
+    # Phase 1: exposures (who sees what, when), with the utility terms
+    # that do not depend on who has already joined, as arrays per event.
+    shown_at = [np.empty(0)]
+    viewers = [np.empty(0, dtype=np.int64)]
+    shown_events = [np.empty(0, dtype=np.int64)]
+    topic_terms = [np.empty(0)]
+    distance_terms = [np.empty(0)]
     for event_index, event in enumerate(event_world.events):
         deltas = user_locations - np.asarray(event.location)
         distances = np.sqrt((deltas * deltas).sum(axis=1))
@@ -130,90 +144,103 @@ def simulate_impressions(
         window_end = min(event.starts_at, config.total_hours)
         if window_end <= event.created_at:
             continue
-        times = rng.uniform(event.created_at, window_end, size=audience.size)
-        exposures.extend(
-            (float(time), int(user), event_index)
-            for time, user in zip(times, audience)
+        shown_at.append(
+            rng.uniform(event.created_at, window_end, size=audience.size)
         )
-    exposures.sort()
+        viewers.append(audience)
+        shown_events.append(np.full(audience.size, event_index))
+        affinity = user_units[audience] @ event_units[event_index]
+        topic_terms.append(config.utility_bias + config.w_topic * affinity)
+        proximity = np.exp(-distances[audience] / config.distance_scale)
+        distance_terms.append(config.w_distance * proximity)
+    times = np.concatenate(shown_at)
+    users = np.concatenate(viewers)
+    events = np.concatenate(shown_events)
+    # Exposure order: by time, then user, then event.
+    order = np.lexsort((events, users, times))
+    times, users, events = times[order], users[order], events[order]
 
-    # Phase 2: sequential labeling with social feedback.
+    # Phase 2: sequential labeling with social feedback, on Python
+    # floats.  The friend and popularity terms are tables indexed by a
+    # count; the draws are normal, participation, then (only for a
+    # non-participant) click, in exposure order.
+    friend_sets = [set(user.friend_ids) for user in user_world.users]
+    event_ids = [event.event_id for event in event_world.events]
     attendance: dict[int, set[int]] = {
-        event.event_id: set() for event in event_world.events
+        event_id: set() for event_id in event_ids
     }
-    labeled: list[Impression] = []
-    num_positive = 0
-    for shown_at, user_index, event_index in exposures:
-        event = event_world.events[event_index]
-        user_mix = user_world.mixtures[user_index]
-        event_mix = event_world.mixtures[event_index]
-        affinity = exact_cosine(user_mix, event_mix)
-        attendees = attendance[event.event_id]
-        num_friends_going = len(friend_sets[user_index] & attendees)
-        friend_signal = min(num_friends_going, 4) / 4.0
-        delta = np.asarray(event.location) - user_locations[user_index]
-        distance = float(np.sqrt((delta * delta).sum()))
-        proximity = float(np.exp(-distance / config.distance_scale))
-        popularity = float(np.log1p(len(attendees)) / np.log1p(50))
+    attendees_of = [attendance[event_id] for event_id in event_ids]
+    social_terms = [config.w_social * (going / 4.0) for going in range(5)]
+    most_shown = int(np.bincount(events, minlength=1).max())
+    popularity_terms = (
+        config.w_popularity
+        * (np.log1p(np.arange(most_shown + 1)) / np.log1p(50))
+    ).tolist()
+    normal, uniform = rng.normal, rng.random
+    participated: list[bool] = []
+    clicked: list[bool] = []
+    for user_index, event_index, topic_term, distance_term in zip(
+        users.tolist(),
+        events.tolist(),
+        np.concatenate(topic_terms)[order].tolist(),
+        np.concatenate(distance_terms)[order].tolist(),
+    ):
+        attendees = attendees_of[event_index]
+        friends_going = len(friend_sets[user_index] & attendees)
         utility = (
-            config.utility_bias
-            + config.w_topic * affinity
-            + config.w_social * friend_signal
-            + config.w_distance * proximity
-            + config.w_popularity * popularity
-            + config.utility_noise * rng.normal()
+            topic_term
+            + social_terms[min(friends_going, 4)]
+            + distance_term
+            + popularity_terms[len(attendees)]
+            + config.utility_noise * normal()
         )
-        probability = float(sigmoid(np.array([utility]))[0])
-        participated = bool(rng.random() < probability)
+        joined = uniform() < _logistic(utility)
+        participated.append(joined)
         # Clicks: a weaker, more frequent feedback signal driven by the
         # same utility (participation implies a click).
-        click_probability = float(sigmoid(np.array([utility + 1.2]))[0])
-        clicked = participated or bool(rng.random() < click_probability)
-        if participated:
+        clicked.append(joined or uniform() < _logistic(utility + 1.2))
+        if joined:
             attendees.add(user_index)
-            num_positive += 1
-        labeled.append(
-            Impression(
-                user_id=user_index,
-                event_id=event.event_id,
-                shown_at=shown_at,
-                participated=participated,
-                clicked=clicked,
-            )
-        )
 
-    raw_positive_rate = num_positive / len(labeled) if labeled else 0.0
+    positives = np.array(participated, dtype=bool)
+    num_positive = int(positives.sum())
+    raw_positive_rate = num_positive / len(positives) if len(positives) else 0.0
 
     # Phase 3: negative down-sampling to ~1:negative_ratio.
     max_negatives = int(num_positive * config.negative_ratio)
-    negative_indices = [
-        index for index, imp in enumerate(labeled) if not imp.participated
-    ]
+    negative_indices = np.flatnonzero(~positives)
+    kept = positives.copy()
     if len(negative_indices) > max_negatives > 0:
-        keep = set(
-            rng.choice(
-                len(negative_indices), size=max_negatives, replace=False
-            )
+        keep = rng.choice(
+            len(negative_indices), size=max_negatives, replace=False
         )
-        kept_negative_set = {
-            negative_indices[i] for i in keep
-        }
-        impressions = [
-            imp
-            for index, imp in enumerate(labeled)
-            if imp.participated or index in kept_negative_set
-        ]
+        kept[negative_indices[keep]] = True
         dropped = len(negative_indices) - max_negatives
     else:
-        impressions = labeled
+        kept[:] = True
         dropped = 0
+    impressions = [
+        Impression(
+            user_id=user_index,
+            event_id=event_ids[event_index],
+            shown_at=time,
+            participated=participated[index],
+            clicked=clicked[index],
+        )
+        for index, time, user_index, event_index in zip(
+            np.flatnonzero(kept).tolist(),
+            times[kept].tolist(),
+            users[kept].tolist(),
+            events[kept].tolist(),
+        )
+    ]
 
     return SimulationResult(
         impressions=impressions,
         raw_positive_rate=raw_positive_rate,
-        kept_negatives=sum(1 for imp in impressions if not imp.participated),
+        kept_negatives=len(impressions) - num_positive,
         dropped_negatives=dropped,
         attendance={
-            event_id: sorted(users) for event_id, users in attendance.items()
+            event_id: sorted(members) for event_id, members in attendance.items()
         },
     )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.datagen.config import DataConfig
 from repro.datagen.events import generate_events
@@ -113,33 +114,98 @@ class TestEvents:
         assert np.allclose(events.mixtures.sum(axis=1), 1.0)
 
 
+def friends_of(adjacency, user):
+    return adjacency.indices[adjacency.indptr[user]:adjacency.indptr[user + 1]]
+
+
+def reference_summary(adjacency):
+    """Clustering and component count by per-node set walks: each
+    node's closed-neighbour count over its neighbour pairs, then a
+    flood fill."""
+    num_nodes = adjacency.shape[0]
+    neighbours = [set(friends_of(adjacency, v).tolist()) for v in range(num_nodes)]
+    local = []
+    for v, around in enumerate(neighbours):
+        degree = len(around)
+        closed = sum(len(around & neighbours[w]) for w in around)
+        local.append(closed / (degree * (degree - 1)) if closed else 0)
+    unseen, components = set(range(num_nodes)), 0
+    while unseen:
+        components += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            reached = neighbours[frontier.pop()] & unseen
+            unseen -= reached
+            frontier.extend(reached)
+    return sum(local) / len(local), float(components)
+
+
 class TestSocialGraph:
     def test_homophily_same_city_overrepresented(self, rng):
         num_users = 150
         mixtures = rng.dirichlet(np.ones(4), size=num_users)
         city = rng.integers(3, size=num_users)
-        graph = build_friendship_graph(
+        adjacency = build_friendship_graph(
             mixtures, city, mean_friends=8, topic_weight=0.0,
             city_bonus=3.0, rng=rng,
         )
-        same = sum(1 for u, v in graph.edges if city[u] == city[v])
-        assert same / graph.number_of_edges() > 0.55  # chance ≈ 1/3
+        rows, cols = adjacency.nonzero()  # each edge once per direction
+        assert np.mean(city[rows] == city[cols]) > 0.55  # chance ≈ 1/3
 
     def test_no_self_loops_and_undirected(self, rng):
         mixtures = rng.dirichlet(np.ones(3), size=50)
         city = rng.integers(2, size=50)
-        graph = build_friendship_graph(
+        adjacency = build_friendship_graph(
             mixtures, city, mean_friends=5, topic_weight=1.0,
             city_bonus=1.0, rng=rng,
         )
-        assert all(u != v for u, v in graph.edges)
+        assert adjacency.shape == (50, 50)
+        assert not adjacency.diagonal().any()
+        assert (adjacency != adjacency.T).nnz == 0
+        assert set(adjacency.data.tolist()) == {1}
+        for user in range(50):
+            friends = friends_of(adjacency, user)
+            assert np.all(np.diff(friends) > 0)
+            assert friends.size >= 1  # every budget is at least one pick
 
     def test_summary_keys(self, rng):
         mixtures = rng.dirichlet(np.ones(3), size=30)
-        graph = build_friendship_graph(
+        adjacency = build_friendship_graph(
             mixtures, np.zeros(30, dtype=int), mean_friends=4,
             topic_weight=1.0, city_bonus=0.0, rng=rng,
         )
-        summary = graph_summary(graph)
+        summary = graph_summary(adjacency)
         assert summary["num_nodes"] == 30
         assert summary["mean_degree"] > 0
+        assert summary["num_edges"] == adjacency.nnz / 2
+
+    def test_summary_on_a_known_graph(self):
+        # Triangle 0-1-2, pendant 3 on 2, isolated 4, edge 5-6.
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)]
+        rows, cols = zip(*edges)
+        half = sparse.coo_array(
+            (np.ones(len(edges), dtype=np.int64), (rows, cols)), shape=(7, 7)
+        )
+        summary = graph_summary((half + half.T).tocsr())
+        assert summary == {
+            "num_nodes": 7.0,
+            "num_edges": 5.0,
+            "mean_degree": 10 / 7,
+            "max_degree": 3.0,
+            "clustering": (1 + 1 + 1 / 3) / 7,
+            "num_components": 3.0,
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clustering_and_components_equal_the_set_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        num_users = 120
+        adjacency = build_friendship_graph(
+            rng.dirichlet(np.ones(5), size=num_users),
+            rng.integers(3, size=num_users),
+            mean_friends=3, topic_weight=2.0, city_bonus=1.5, rng=rng,
+        )
+        summary = graph_summary(adjacency)
+        clustering, components = reference_summary(adjacency)
+        assert summary["clustering"] == clustering  # bit for bit
+        assert summary["num_components"] == components
