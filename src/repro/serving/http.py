@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,6 +33,13 @@ __all__ = [
 # a confused (or hostile) client, not serving traffic.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+# RFC 9110 §5.6.2: a method and a field name are each a token, so a
+# name with a space, an empty name and an obs-fold continuation line
+# (it starts with whitespace) all fail the match.  RFC 9112 §2.3: the
+# version is exactly HTTP/DIGIT.DIGIT.
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_VERSION = re.compile(r"HTTP/1\.[0-9]")
 
 STATUS_REASONS = {
     200: "OK",
@@ -106,8 +114,17 @@ async def read_http_request(
     if len(raw) > MAX_HEADER_BYTES:
         raise HttpError(413, "request head too large")
     head = raw.decode("latin-1").split("\r\n")
+    if any("\r" in line or "\n" in line or "\0" in line for line in head):
+        # Another parser may end a line at a bare CR or LF and so read
+        # headers this one keeps inside a value (RFC 9112 §2.2).
+        raise HttpError(400, "bare CR, LF or NUL in request head")
     parts = head[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+    if (
+        len(parts) != 3
+        or not _TOKEN.fullmatch(parts[0])
+        or not parts[1]
+        or not _VERSION.fullmatch(parts[2])
+    ):
         raise HttpError(400, f"malformed request line: {head[0]!r}")
     method, target, version = parts
     path = target.split("?", 1)[0]
@@ -116,9 +133,12 @@ async def read_http_request(
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not _TOKEN.fullmatch(name):
+            # A proxy that drops the malformed field, or reads
+            # "Content-Length : 2" as Content-Length, frames the
+            # stream differently (RFC 9112 §5.1: MUST 400).
             raise HttpError(400, f"malformed header line: {line!r}")
-        name, value = name.strip().lower(), value.strip()
+        name, value = name.lower(), value.strip()
         if name == "content-length" and headers.get(name, value) != value:
             # The two lengths frame the stream differently: reading by
             # either may take part of a body for the next request, or
@@ -137,9 +157,12 @@ async def read_http_request(
     # 1*DIGIT (RFC 9110 §8.6): int() would also take "+7", "0_7", "-0".
     if not (length_text.isascii() and length_text.isdigit()):
         raise HttpError(400, f"bad Content-Length: {length_text!r}")
-    length = int(length_text)
-    if length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body of {length} bytes exceeds limit")
+    # Leading zeros are digits too; past the limit's width int() is not
+    # needed (and past 4 300 digits it would raise ValueError).
+    digits = length_text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise HttpError(413, f"body exceeds the {MAX_BODY_BYTES}-byte limit")
+    length = int(digits)
     body = b""
     if length:
         if writer is not None and headers.get("expect", "").lower() == "100-continue":

@@ -451,6 +451,62 @@ class TestConnectionFraming:
         assert answered.count(b"HTTP/1.1 ") == 1
         assert "Content-Length" in json.loads(reply)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            # RFC 9112 §5.1: no whitespace between field name and colon.
+            b"GET /healthz HTTP/1.1\r\nContent-Length : 2\r\n"
+            b"Connection: close\r\n\r\n{}",
+            # RFC 9112 §5.2: an obs-fold line is not a new field.
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+            b" Content-Length: 2\r\n\r\n{}",
+            # RFC 9110 §5.1: a field name is a non-empty token.
+            b"GET /healthz HTTP/1.1\r\n: x\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nCon tent-Length: 2\r\n"
+            b"Connection: close\r\n\r\n{}",
+            # RFC 9112 §2.2: a bare LF another parser may end a line at.
+            b"GET /healthz HTTP/1.1\r\nX-Note: a\nContent-Length: 2\r\n"
+            b"Connection: close\r\n\r\n{}",
+            # RFC 9112 §3: HTTP/DIGIT.DIGIT, a token method, a target.
+            b"GET /healthz HTTP/1.banana\r\nConnection: close\r\n\r\n",
+            b" /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET  HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ],
+        ids=[
+            "space-before-colon",
+            "obs-fold",
+            "empty-name",
+            "space-in-name",
+            "bare-lf",
+            "version",
+            "empty-method",
+            "empty-target",
+        ],
+    )
+    def test_malformed_head_gets_one_400_and_a_closed_connection(
+        self, stack, request_bytes
+    ):
+        # Each parsed as a request before: answered 200 (or 404), with
+        # the body framed by a length another parser would not see.
+        answered = to_eof(stack, request_bytes)
+        head, _, _ = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert answered.count(b"HTTP/1.1 ") == 1
+
+    def test_content_length_past_int_digit_limit_gets_one_413(self, stack):
+        # int() refuses more than 4 300 digits with a ValueError, which
+        # dropped the connection unanswered.
+        answered = to_eof(
+            stack,
+            b"POST /recommend HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+            % (b"9" * 5000),
+        )
+        head, _, _ = answered.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert answered.count(b"HTTP/1.1 ") == 1
+
     def test_http10_request_without_keep_alive_is_answered_and_closed(self, stack):
         # An HTTP/1.1 default here would answer keep-alive and hold the
         # connection open until the read timed out.
