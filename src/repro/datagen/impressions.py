@@ -129,7 +129,9 @@ def simulate_impressions(
     event_units = unit_rows(event_world.mixtures, eps=0.0)
 
     # Phase 1: exposures (who sees what, when), with the utility terms
-    # that do not depend on who has already joined, as arrays per event.
+    # that do not depend on who has already joined, as arrays per event
+    # (each list starts with an empty array so that no exposures at all
+    # still concatenates).
     shown_at = [np.empty(0)]
     viewers = [np.empty(0, dtype=np.int64)]
     shown_events = [np.empty(0, dtype=np.int64)]
