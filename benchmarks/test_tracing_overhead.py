@@ -42,10 +42,14 @@ session, so the fully-off configuration must install a
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 
-from repro.cli import _build_synthetic_service
+from repro.core.config import JointModelConfig
+from repro.core.model import JointUserEventModel
+from repro.core.service import RepresentationService
+from repro.datagen import DataConfig, build_dataset
 from repro.obs import (
     MetricsRegistry,
     NullRegistry,
@@ -54,6 +58,7 @@ from repro.obs import (
     use_registry,
     use_tracer,
 )
+from repro.text.documents import DocumentEncoder
 
 from .conftest import write_result
 
@@ -61,6 +66,36 @@ POOL_SIZE = 20000
 BATCH = 3
 DISABLED_BUDGET_US = 25.0
 ENABLED_BUDGET_US = 120.0
+
+
+def _warm_service():
+    """An untrained small service over ``small(0)``'s users and a
+    ``POOL_SIZE``-event pool, fully warmed.
+
+    The pool is the world's events, in id order, copied under fresh
+    ids (titles suffixed ``#id``) until it holds ``POOL_SIZE``: the
+    call timed is a production-sized warm rank, and the overhead it
+    measures does not depend on model quality.
+    """
+    dataset = build_dataset(DataConfig.small(seed=0))
+    users = sorted(dataset.users, key=lambda user: user.user_id)
+    events = sorted(dataset.events, key=lambda event: event.event_id)
+    base = len(events)
+    next_id = events[-1].event_id + 1
+    while len(events) < POOL_SIZE:
+        source = events[len(events) % base]
+        events.append(
+            dataclasses.replace(
+                source, event_id=next_id, title=f"{source.title} #{next_id}"
+            )
+        )
+        next_id += 1
+    encoder = DocumentEncoder.fit(users, events, min_df=1)
+    service = RepresentationService(
+        JointUserEventModel(JointModelConfig.small(seed=0), encoder)
+    )
+    service.warm(users, events)
+    return service, users, events
 
 
 def _batch_seconds(fn) -> float:
@@ -73,7 +108,7 @@ def _batch_seconds(fn) -> float:
 
 def test_tracing_overhead_budget(bench_scale):
     rounds = 20 if bench_scale == "ci" else 40
-    service, users, events = _build_synthetic_service(0, POOL_SIZE)
+    service, users, events = _warm_service()
     user = users[0]
 
     def rank():

@@ -15,7 +15,7 @@ Seven subcommands cover the life cycle a downstream user needs:
   telemetry file (written via ``--metrics-out``) as Prometheus text;
 * ``repro-events serve`` — stand up the batched HTTP serving API
   (``/recommend``, ``/similar-events``, ``/score``, ``/healthz``,
-  ``/metrics``) over a synthetic or trained model until Ctrl-C or
+  ``/metrics``) over a trained bundle and its dataset until Ctrl-C or
   SIGTERM, then drain and write the retained request traces
   (``--trace-out``) and the final telemetry snapshot (``--metrics-out``);
 * ``repro-events health`` — evaluate SLO specs against a telemetry
@@ -32,8 +32,8 @@ Examples::
         --user-id 3 --at-time 900 --top-k 5
     repro-events experiment --scale ci --tables 1 2
     repro-events metrics --telemetry telemetry.jsonl
-    repro-events serve --port 8321 --pool-size 500 \\
-        --trace-out traces.jsonl --metrics-out serve.jsonl
+    repro-events serve --port 8321 --dataset world.json.gz \\
+        --bundle model_bundle --trace-out traces.jsonl --metrics-out serve.jsonl
     repro-events health --telemetry serve.jsonl
     repro-events health --telemetry telemetry.jsonl \\
         --slo 'repro_cache_hit_rate>=0.9'
@@ -41,14 +41,17 @@ Examples::
 ``--metrics-out PATH`` (on ``train``, ``experiment`` and ``serve``)
 enables the telemetry registry for the run and writes a JSONL file of
 per-epoch records (training) plus a final metrics snapshot — see the
-Observability section of README.md.
+Observability section of README.md.  Serving telemetry comes only from
+``serve``: a training file holds no serving histograms.
+
+A missing or corrupt ``--dataset`` or ``--bundle`` is one ``error: …``
+line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import signal
 import sys
 
@@ -59,7 +62,6 @@ from repro.core.service import RepresentationService, validate_top_k
 from repro.core.trainer import RepresentationTrainer
 from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
-from repro.entities import Event, User
 from repro.eval.protocol import SCALES
 from repro.eval.reporting import format_importances, format_table, render_pr_curves
 from repro.obs import (
@@ -155,22 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve /recommend, /similar-events, /score, /healthz "
         "and /metrics over a RepresentationService, coalescing "
         "concurrent /recommend requests into single GEMM batches. "
-        "Without --bundle a synthetic untrained stack is served (the "
-        "small world, its pool enlarged to --pool-size); with --bundle "
-        "and --dataset a trained model serves that dataset's users and "
-        "events.  Ctrl-C or SIGTERM drains in-flight requests, then "
+        "The trained --bundle serves the users and events of "
+        "--dataset.  Ctrl-C or SIGTERM drains in-flight requests, then "
         "writes --trace-out and --metrics-out.",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
                        help="listen port (0 = ephemeral)")
-    serve.add_argument("--dataset", default=None,
-                       help="dataset .json.gz to serve (requires --bundle)")
-    serve.add_argument("--bundle", default=None,
+    serve.add_argument("--dataset", required=True,
+                       help="dataset .json.gz whose users and events are served")
+    serve.add_argument("--bundle", required=True,
                        help="trained model bundle directory")
-    serve.add_argument("--pool-size", type=int, default=500,
-                       help="synthetic mode: candidate-pool size")
-    serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="trace every request; at drain write the "
                        "slowest retained traces as JSONL here")
@@ -225,31 +222,10 @@ def _epoch_telemetry_hook(writer: TelemetryWriter):
     return on_epoch_end
 
 
-def _serving_smoke(model, dataset, sample_size: int = 20) -> None:
-    """Exercise the serving path so its histograms land in telemetry.
-
-    A train run never serves; encoding a small cohort cold and then
-    ranking it warm populates encode/rank latencies, the index
-    maintenance counters, and the cache hit-rate the snapshot exports
-    — the Section-4 capacity-planning signals.  The single-user and
-    the batched multi-user entry points are both exercised.
-    """
-    service = RepresentationService(model)
-    users = dataset.users[:sample_size]
-    events = dataset.events[: sample_size * 5]
-    for user in users:
-        service.user_vector(user)
-    for event in events:
-        service.event_vector(event)
-    for user in users:
-        service.rank_events(user, events, top_k=10)
-    service.rank_events_batch(users, events, top_k=10)
-
-
 def _cmd_train(args) -> int:
     try:
         dataset = EventRecDataset.load(args.dataset)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     splits = dataset.split()
@@ -273,7 +249,6 @@ def _cmd_train(args) -> int:
                     pairs_u, pairs_e, labels,
                     on_epoch_end=_epoch_telemetry_hook(writer),
                 )
-                _serving_smoke(model, dataset)
                 writer.write_snapshot(registry, command="train")
         print(f"telemetry written to {args.metrics_out}")
     else:
@@ -296,7 +271,7 @@ def _cmd_recommend(args) -> int:
     try:
         dataset = EventRecDataset.load(args.dataset)
         model = load_model_bundle(args.bundle)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.user_id not in dataset.users_by_id:
@@ -369,73 +344,21 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _build_synthetic_service(
-    seed: int, pool_size: int
-) -> tuple[RepresentationService, list[User], list[Event]]:
-    """A warmed service plus its entities, for ``serve`` without a bundle.
-
-    Builds the small synthetic world, fits the vocabulary, and stands
-    up an untrained service (serving cares about compute shape, not
-    model quality).  The candidate pool is enlarged to ``pool_size`` by
-    replicating events under fresh ids, then fully warmed so traffic
-    exercises the indexed path.
-    """
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    dataset = build_dataset(DataConfig.small(seed=seed))
-    # Explicit id order: what is served must not depend on container order.
-    users = sorted(dataset.users, key=lambda user: user.user_id)
-    events = sorted(dataset.events, key=lambda event: event.event_id)
-    next_id = max(event.event_id for event in events) + 1
-    base = len(events)
-    while len(events) < pool_size:
-        source = events[len(events) % base]
-        events.append(
-            dataclasses.replace(
-                source,
-                event_id=next_id,
-                title=f"{source.title} #{next_id}",
-            )
-        )
-        next_id += 1
-    events = events[:pool_size]
-    encoder = DocumentEncoder.fit(users, events, min_df=1)
-    model = JointUserEventModel(JointModelConfig.small(seed=seed), encoder)
-    service = RepresentationService(model)
-    service.warm(users, events)
-    return service, users, events
-
-
 def _cmd_serve(args) -> int:
     from repro.serving import ServingServer, ThreadedServer
 
-    if (args.dataset is None) != (args.bundle is None):
-        print(
-            "error: --dataset and --bundle must be given together",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if args.dataset is not None:
-            dataset = EventRecDataset.load(args.dataset)
-            model = load_model_bundle(args.bundle)
-            service = RepresentationService(model)
-            users = sorted(dataset.users, key=lambda user: user.user_id)
-            events = sorted(dataset.events, key=lambda event: event.event_id)
-            print(f"warming {len(users)} users, {len(events)} events ...",
-                  file=sys.stderr)
-            service.warm(users, events)
-        else:
-            print(
-                f"building synthetic serving stack (pool={args.pool_size}) ...",
-                file=sys.stderr,
-            )
-            service, users, events = _build_synthetic_service(
-                args.seed, args.pool_size
-            )
+        dataset = EventRecDataset.load(args.dataset)
+        model = load_model_bundle(args.bundle)
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    service = RepresentationService(model)
+    # Explicit id order: what is served must not depend on file order.
+    users = sorted(dataset.users, key=lambda user: user.user_id)
+    events = sorted(dataset.events, key=lambda event: event.event_id)
+    print(f"warming {len(users)} users, {len(events)} events ...", file=sys.stderr)
+    service.warm(users, events)
     tracing = use_tracer(Tracer()) if args.trace_out else contextlib.nullcontext()
     with use_registry(MetricsRegistry()) as registry, tracing as tracer:
         server = ServingServer(service, users, events, registry=registry)

@@ -16,6 +16,10 @@ another:
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -57,22 +61,44 @@ def save_model_bundle(model: JointUserEventModel, directory: str | Path) -> Path
     return path
 
 
+@contextmanager
+def _reading(file: Path) -> Iterator[None]:
+    """Re-raise what a damaged bundle file makes its reader throw as one
+    :class:`ValueError` that names the file."""
+    try:
+        yield
+    except (
+        EOFError, zipfile.BadZipFile, zlib.error, ValueError, KeyError, TypeError
+    ) as error:
+        raise ValueError(
+            f"corrupt bundle file {file}: {type(error).__name__}: {error}"
+        ) from error
+
+
 def load_model_bundle(directory: str | Path) -> JointUserEventModel:
-    """Reconstruct a model saved by :func:`save_model_bundle`."""
+    """Reconstruct a model saved by :func:`save_model_bundle`.
+
+    A missing file raises :class:`FileNotFoundError`; a damaged one
+    (truncated, not JSON, a field missing, a shape that does not fit
+    the config) raises one :class:`ValueError` naming that file.
+    """
     path = Path(directory)
     for required in (_CONFIG_FILE, _VOCABS_FILE, _PARAMS_FILE):
         if not (path / required).exists():
             raise FileNotFoundError(f"bundle is missing {required}: {path}")
-    config_payload = json.loads((path / _CONFIG_FILE).read_text(encoding="utf-8"))
-    config_payload["text_windows"] = tuple(config_payload["text_windows"])
-    config = JointModelConfig(**config_payload)
-    vocab_payload = json.loads((path / _VOCABS_FILE).read_text(encoding="utf-8"))
-    encoder = DocumentEncoder(
-        user_text_vocab=Vocabulary.from_dict(vocab_payload["user_text"]),
-        user_id_vocab=Vocabulary.from_dict(vocab_payload["user_id"]),
-        event_text_vocab=Vocabulary.from_dict(vocab_payload["event_text"]),
-        trigram_n=vocab_payload["trigram_n"],
-    )
+    with _reading(path / _CONFIG_FILE):
+        config_payload = json.loads((path / _CONFIG_FILE).read_text(encoding="utf-8"))
+        config_payload["text_windows"] = tuple(config_payload["text_windows"])
+        config = JointModelConfig(**config_payload)
+    with _reading(path / _VOCABS_FILE):
+        vocab_payload = json.loads((path / _VOCABS_FILE).read_text(encoding="utf-8"))
+        encoder = DocumentEncoder(
+            user_text_vocab=Vocabulary.from_dict(vocab_payload["user_text"]),
+            user_id_vocab=Vocabulary.from_dict(vocab_payload["user_id"]),
+            event_text_vocab=Vocabulary.from_dict(vocab_payload["event_text"]),
+            trigram_n=vocab_payload["trigram_n"],
+        )
     model = JointUserEventModel(config, encoder)
-    model.store.load(str(path / _PARAMS_FILE))
+    with _reading(path / _PARAMS_FILE):
+        model.store.load(str(path / _PARAMS_FILE))
     return model

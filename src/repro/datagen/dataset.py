@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,26 +137,43 @@ class EventRecDataset:
             "graph_stats": self.graph_stats,
             "raw_positive_rate": self.raw_positive_rate,
         }
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        # One encode and one compress: streaming json.dump through a
+        # gzip text handle pays a compressor call per small write.
+        Path(path).write_bytes(
+            gzip.compress(json.dumps(payload).encode("utf-8"), compresslevel=9)
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "EventRecDataset":
-        """Read a dataset written by :meth:`save`."""
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return cls(
-            config=DataConfig(**payload["config"]),
-            users=[User.from_dict(item) for item in payload["users"]],
-            events=[Event.from_dict(item) for item in payload["events"]],
-            impressions=[
-                Impression.from_dict(item) for item in payload["impressions"]
-            ],
-            user_mixtures=np.asarray(payload["user_mixtures"]),
-            event_mixtures=np.asarray(payload["event_mixtures"]),
-            graph_stats=payload["graph_stats"],
-            raw_positive_rate=payload["raw_positive_rate"],
-        )
+        """Read a dataset written by :meth:`save`.
+
+        A missing file raises :class:`FileNotFoundError`; anything else
+        that is not such a dataset — not gzip, truncated, not JSON, a
+        field missing or mistyped — raises one :class:`ValueError`
+        naming the file.
+        """
+        raw = Path(path).read_bytes()
+        try:
+            payload = json.loads(gzip.decompress(raw))
+            return cls(
+                config=DataConfig(**payload["config"]),
+                users=[User.from_dict(item) for item in payload["users"]],
+                events=[Event.from_dict(item) for item in payload["events"]],
+                impressions=[
+                    Impression.from_dict(item) for item in payload["impressions"]
+                ],
+                user_mixtures=np.asarray(payload["user_mixtures"]),
+                event_mixtures=np.asarray(payload["event_mixtures"]),
+                graph_stats=payload["graph_stats"],
+                raw_positive_rate=payload["raw_positive_rate"],
+            )
+        except (
+            OSError, EOFError, zlib.error, ValueError, KeyError, TypeError,
+            AttributeError,
+        ) as error:
+            raise ValueError(
+                f"corrupt dataset {path}: {type(error).__name__}: {error}"
+            ) from error
 
 
 def build_dataset(config: DataConfig) -> EventRecDataset:

@@ -1,6 +1,6 @@
 """HTTP server behaviour: routing, parity, coalescing, drain.
 
-The heavyweight fixtures are module-scoped: one synthetic warmed
+The heavyweight fixtures are module-scoped: one untrained warmed
 service and one running ``ThreadedServer`` shared by every read-only
 test.  Tests that need privileged server state (draining, a cold
 cache) build their own small stacks.
@@ -27,10 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _build_synthetic_service
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
+from repro.datagen import DataConfig, build_dataset
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.serving import ServingServer, ThreadedServer
@@ -47,7 +47,17 @@ TIMEOUT = 10.0
 
 @pytest.fixture(scope="module")
 def stack():
-    service, users, events = _build_synthetic_service(3, POOL_SIZE)
+    """An untrained small service (serving cares about compute shape,
+    not model quality) over ``small(3)``'s users and its first
+    ``POOL_SIZE`` events, fully warmed."""
+    dataset = build_dataset(DataConfig.small(seed=3))
+    users = sorted(dataset.users, key=lambda user: user.user_id)
+    events = sorted(dataset.events, key=lambda event: event.event_id)[:POOL_SIZE]
+    encoder = DocumentEncoder.fit(users, events, min_df=1)
+    service = RepresentationService(
+        JointUserEventModel(JointModelConfig.small(seed=3), encoder)
+    )
+    service.warm(users, events)
     registry = MetricsRegistry()
     server = ServingServer(service, users, events, registry=registry)
     with ThreadedServer(server) as hosted:

@@ -32,6 +32,19 @@ _COMMAND = re.compile(
 )
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """``(dataset path, bundle path)``: the ``small`` world of seed 5
+    and a one-epoch ``small`` model trained on it, both written by the
+    CLI.  Read-only: a test that damages a file damages a copy."""
+    root = tmp_path_factory.mktemp("trained")
+    dataset, bundle = str(root / "world.json.gz"), str(root / "bundle")
+    assert main(["generate", "--scale", "small", "--seed", "5", "--out", dataset]) == 0
+    assert main(["train", "--dataset", dataset, "--bundle", bundle,
+                 "--model-scale", "small", "--epochs", "1"]) == 0
+    return dataset, bundle
+
+
 @functools.cache
 def documented_commands():
     """``(program, argv)`` for every command line the documents show: a
@@ -140,8 +153,9 @@ class TestEndToEnd:
         assert "top" in out and "user 0" in out
 
     def test_train_metrics_out_and_metrics_command(self, tmp_path, capsys):
-        """--metrics-out writes epoch records + serving histograms, and
-        ``metrics`` renders the snapshot as Prometheus text."""
+        """--metrics-out writes epoch records and the training metrics,
+        and no serving series: ``train`` serves nothing.  ``metrics``
+        renders the snapshot as Prometheus text."""
         import json
 
         dataset_path = str(tmp_path / "world.json.gz")
@@ -165,22 +179,21 @@ class TestEndToEnd:
         assert len(snapshots) == 1
         metrics = {m["name"]: m for m in snapshots[0]["metrics"]
                    if not m["tags"]}
-        encode = [m for m in snapshots[0]["metrics"]
-                  if m["name"] == "repro_serving_encode_seconds"]
-        assert {m["tags"]["kind"] for m in encode} == {"user", "event"}
-        for histogram in encode:
-            assert histogram["quantiles"]["p50"] is not None
-            assert histogram["quantiles"]["p95"] is not None
-            assert histogram["quantiles"]["p99"] is not None
-        assert metrics["repro_cache_hit_rate"]["value"] > 0.0
+        assert not [name for name in metrics
+                    if name.startswith(("repro_serving_", "repro_cache_"))]
+        epoch_seconds = metrics["repro_train_epoch_seconds"]
+        assert epoch_seconds["count"] == 2
+        for stat in ("p50", "p95", "p99"):
+            assert epoch_seconds["quantiles"][stat] is not None
+        assert metrics["repro_train_epochs_total"]["value"] == 2
         assert metrics["repro_train_epoch_loss"]["value"] > 0.0
 
         capsys.readouterr()  # drop train output
         assert main(["metrics", "--telemetry", telemetry_path]) == 0
         rendered = capsys.readouterr().out
         assert "# TYPE repro_train_epoch_loss gauge" in rendered
-        assert "# TYPE repro_serving_encode_seconds summary" in rendered
-        assert "repro_cache_hit_rate" in rendered
+        assert "# TYPE repro_train_epoch_seconds summary" in rendered
+        assert "repro_serving_" not in rendered
 
     def test_train_encodes_each_entity_once(self, tmp_path, monkeypatch):
         """``train`` hands the trainer one encoded object per distinct
@@ -226,24 +239,16 @@ class TestEndToEnd:
                      str(tmp_path / "nope.jsonl")]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_recommend_unknown_user_fails(self, tmp_path, capsys):
-        dataset_path = str(tmp_path / "world.json.gz")
-        main(["generate", "--scale", "small", "--seed", "5", "--out", dataset_path])
-        bundle_path = str(tmp_path / "bundle")
-        main(["train", "--dataset", dataset_path, "--bundle", bundle_path,
-              "--model-scale", "small", "--epochs", "1"])
+    def test_recommend_unknown_user_fails(self, trained):
+        dataset_path, bundle_path = trained
         assert main(["recommend", "--dataset", dataset_path,
                      "--bundle", bundle_path, "--user-id", "99999",
                      "--at-time", "900"]) == 2
 
-    def test_recommend_prints_the_reference_ranking(self, tmp_path, capsys):
+    def test_recommend_prints_the_reference_ranking(self, trained, capsys):
         """The CLI prints, in order, what the brute-force reference
         ranks for the same bundle, user and time."""
-        dataset_path = str(tmp_path / "world.json.gz")
-        main(["generate", "--scale", "small", "--seed", "5", "--out", dataset_path])
-        bundle_path = str(tmp_path / "bundle")
-        main(["train", "--dataset", dataset_path, "--bundle", bundle_path,
-              "--model-scale", "small", "--epochs", "1"])
+        dataset_path, bundle_path = trained
         capsys.readouterr()
         assert main(["recommend", "--dataset", dataset_path,
                      "--bundle", bundle_path, "--user-id", "0",
@@ -258,12 +263,6 @@ class TestEndToEnd:
         for line, scored in zip(printed, reference):
             assert line.startswith(f"  {scored.score:+.3f}  ")
             assert line.endswith(scored.event.title)
-
-    def test_serve_rejects_bad_pool_size(self, capsys):
-        """The pool size is ``_build_synthetic_service``'s own argument:
-        it refuses it itself, first thing, as ``error: ...`` and exit 2."""
-        assert main(["serve", "--pool-size", "0"]) == 2
-        assert "error: pool_size" in capsys.readouterr().err
 
     def test_missing_input_paths_exit_two(self, tmp_path, capsys):
         """A missing ``--dataset`` or ``--bundle`` is ``error: ...`` and
@@ -290,6 +289,55 @@ class TestEndToEnd:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and needle in err, (argv, err)
 
+    def test_corrupt_inputs_exit_two(self, trained, tmp_path, capsys):
+        """A damaged ``--dataset`` or ``--bundle`` file is one ``error:
+        ...`` line naming it and exit 2, not a traceback, for every
+        command that reads it."""
+        import json
+        import shutil
+
+        dataset, bundle = trained
+        not_gzip = tmp_path / "not-gzip.json.gz"
+        not_gzip.write_bytes(b'{"users": []}')
+
+        def damaged(file, change):
+            """A copy of the bundle with ``file`` changed; ``(path, file)``."""
+            copy = tmp_path / f"damaged-{file}"
+            shutil.copytree(bundle, copy)
+            change(copy / file)
+            return str(copy), file
+
+        def without_tokens(path):
+            vocabs = json.loads(path.read_text())
+            del vocabs["user_text"]["tokens"]
+            path.write_text(json.dumps(vocabs))
+
+        bundles = [
+            damaged("params.npz", lambda path: path.write_bytes(path.read_bytes()[:200])),
+            damaged("vocabs.json", without_tokens),
+            damaged("config.json", lambda path: path.write_text("{not json")),
+        ]
+        query = ["--user-id", "0", "--at-time", "900"]
+        cases = [
+            (["train", "--dataset", str(not_gzip),
+              "--bundle", str(tmp_path / "out")], "not-gzip.json.gz"),
+            (["recommend", "--dataset", str(not_gzip), "--bundle", bundle, *query],
+             "not-gzip.json.gz"),
+            (["serve", "--port", "0", "--dataset", str(not_gzip), "--bundle", bundle],
+             "not-gzip.json.gz"),
+        ]
+        for path, needle in bundles:
+            cases.append((["recommend", "--dataset", dataset, "--bundle", path,
+                           *query], needle))
+            cases.append((["serve", "--port", "0", "--dataset", dataset,
+                           "--bundle", path], needle))
+        for argv, needle in cases:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err, (argv, err)
+            assert err.count("\n") == 1, (argv, err)
+
     def test_recommend_rejects_bad_top_k(self, tmp_path, capsys):
         """Exit 2 before anything is loaded: neither path exists."""
         for top_k in ("0", "-2"):
@@ -299,81 +347,102 @@ class TestEndToEnd:
             assert "--top-k" in capsys.readouterr().err
 
 
+def serve_in_process(argv, monkeypatch, drive):
+    """Run ``main(["serve", "--port", "0", *argv])`` in this process;
+    once it has armed its SIGTERM drain, call ``drive(hosted)`` on a
+    thread, then SIGTERM it.  ``(exit status, failures)``: what
+    ``drive`` raised, or a server that never came up."""
+    import os
+    import signal
+    import threading
+    import time
+
+    from repro.serving import ThreadedServer
+
+    started = []
+    start = ThreadedServer.start
+
+    def recording_start(hosted):
+        address = start(hosted)
+        started.append(hosted)
+        return address
+
+    monkeypatch.setattr(ThreadedServer, "start", recording_start)
+    failures = []
+
+    def run():
+        # SIGTERM only once serve drains on it: its default action
+        # would end the test process.
+        deadline = time.monotonic() + 120.0
+        while not (
+            started
+            and signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+        ):
+            if time.monotonic() > deadline:
+                failures.append("serve never armed its SIGTERM drain")
+                if started:
+                    started[0].stop()
+                return
+            time.sleep(0.01)
+        try:
+            drive(started[0])
+        except Exception as error:  # reported by the caller, after the drain
+            failures.append(repr(error))
+        finally:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    traffic = threading.Thread(target=run, daemon=True)
+    traffic.start()
+    status = main(["serve", "--port", "0", *argv])
+    traffic.join(timeout=30.0)
+    assert not traffic.is_alive()
+    return status, failures
+
+
+def post_json(hosted, path, body):
+    """POST ``body`` on a connection of its own; ``(status, reply)``."""
+    import http.client
+    import json
+
+    connection = http.client.HTTPConnection(hosted.host, hosted.port, timeout=10.0)
+    try:
+        connection.request("POST", path, body=json.dumps(body))
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestServeCommand:
-    """``serve`` is the process an operator runs: stopped through its
-    drain path, it writes the traces and telemetry the stock health
-    verdict and a trace reader need."""
+    """``serve`` is the process an operator runs: it serves a trained
+    bundle over its dataset and, stopped through its drain path, writes
+    the traces and telemetry the stock health verdict and a trace
+    reader need."""
 
     def test_traced_serve_writes_a_healthy_snapshot_and_joined_traces(
-        self, tmp_path, capsys, monkeypatch
+        self, trained, tmp_path, capsys, monkeypatch
     ):
-        import http.client
         import json
-        import os
-        import signal
-        import threading
-        import time
 
-        from repro.serving import ThreadedServer
-
-        started = []
-        start = ThreadedServer.start
-
-        def recording_start(hosted):
-            address = start(hosted)
-            started.append(hosted)
-            return address
-
-        monkeypatch.setattr(ThreadedServer, "start", recording_start)
-        failures = []
-
-        def drive():
-            # SIGTERM only once serve drains on it: its default action
-            # would end the test process.
-            deadline = time.monotonic() + 120.0
-            while not (
-                started
-                and signal.getsignal(signal.SIGTERM) is signal.default_int_handler
-            ):
-                if time.monotonic() > deadline:
-                    failures.append("serve never armed its SIGTERM drain")
-                    if started:
-                        started[0].stop()
-                    return
-                time.sleep(0.01)
-            hosted = started[0]
-            try:
-                connection = http.client.HTTPConnection(
-                    hosted.host, hosted.port, timeout=10.0
+        def drive(hosted):
+            for user_id in range(12):
+                path, body = (
+                    ("/score", {"user_id": user_id, "event_id": 0})
+                    if user_id % 3 == 2
+                    else ("/recommend", {"user_id": user_id, "top_k": 5})
                 )
-                for user_id in range(12):
-                    path, body = (
-                        ("/score", {"user_id": user_id, "event_id": 0})
-                        if user_id % 3 == 2
-                        else ("/recommend", {"user_id": user_id, "top_k": 5})
-                    )
-                    connection.request("POST", path, body=json.dumps(body))
-                    response = connection.getresponse()
-                    response.read()
-                    if response.status != 200:
-                        failures.append((path, response.status))
-                connection.close()
-            except Exception as error:  # reported below, after the drain
-                failures.append(repr(error))
-            finally:
-                os.kill(os.getpid(), signal.SIGTERM)
+                status, _ = post_json(hosted, path, body)
+                assert status == 200, (path, status)
 
+        dataset, bundle = trained
         traces = tmp_path / "traces.jsonl"
         telemetry = tmp_path / "serve.jsonl"
-        traffic = threading.Thread(target=drive, daemon=True)
-        traffic.start()
-        assert main([
-            "serve", "--port", "0", "--pool-size", "60",
-            "--trace-out", str(traces), "--metrics-out", str(telemetry),
-        ]) == 0
-        traffic.join(timeout=30.0)
-        assert not traffic.is_alive()
-        assert failures == []
+        status, failures = serve_in_process(
+            ["--dataset", dataset, "--bundle", bundle,
+             "--trace-out", str(traces), "--metrics-out", str(telemetry)],
+            monkeypatch, drive,
+        )
+        assert (status, failures) == (0, [])
         assert "draining" in capsys.readouterr().err
 
         assert main(["health", "--telemetry", str(telemetry)]) == 0
@@ -391,7 +460,76 @@ class TestServeCommand:
         for trace in joined:
             assert len({record["thread"] for record in trace["spans"]}) == 1
 
-    def test_sigterm_drains_and_writes_telemetry(self, tmp_path):
+    def test_served_answers_equal_offline_ranking(self, trained, monkeypatch):
+        """What ``serve --dataset --bundle`` answers on /recommend is
+        bit for bit what ``rank_events`` on ``load_model_bundle`` of the
+        same files returns: ids, order and scores, for several users,
+        with and without ``at_time``, ``top_k`` and ``event_ids``.
+
+        The offline service is warmed as ``serve`` warms it (every user
+        and event, in id order): a vector encoded in a batch can differ
+        from the same entity encoded alone in the last bits, so a cold
+        service is held to the same ids and scores within 1e-12 only."""
+        dataset_path, bundle_path = trained
+        dataset = EventRecDataset.load(dataset_path)
+        starts = sorted(event.starts_at for event in dataset.events)
+        at_time = starts[len(starts) // 2]
+        pool = [event.event_id for event in dataset.events[::3]]
+        payloads = [
+            {"user_id": user_id, **extra}
+            for user_id in (0, 17, 64, len(dataset.users) - 1)
+            for extra in (
+                {},
+                {"top_k": 4},
+                {"at_time": at_time},
+                {"at_time": at_time, "top_k": 3},
+                {"event_ids": pool},
+                {"event_ids": pool, "at_time": at_time, "top_k": 5},
+            )
+        ]
+        served = []
+
+        def drive(hosted):
+            for payload in payloads:
+                status, reply = post_json(hosted, "/recommend", payload)
+                assert status == 200, (payload, reply)
+                served.append(reply["results"])
+
+        status, failures = serve_in_process(
+            ["--dataset", dataset_path, "--bundle", bundle_path], monkeypatch, drive
+        )
+        assert (status, failures) == (0, [])
+        assert all(served), "every query has active events to compare"
+
+        warm = RepresentationService(load_model_bundle(bundle_path))
+        warm.warm(
+            sorted(dataset.users, key=lambda user: user.user_id),
+            sorted(dataset.events, key=lambda event: event.event_id),
+        )
+        cold = RepresentationService(load_model_bundle(bundle_path))
+        for payload, results in zip(payloads, served, strict=True):
+            events = (
+                [dataset.events_by_id[event_id] for event_id in payload["event_ids"]]
+                if "event_ids" in payload
+                else dataset.events
+            )
+            user = dataset.users_by_id[payload["user_id"]]
+            query = {"at_time": payload.get("at_time"), "top_k": payload.get("top_k")}
+            offline = warm.rank_events(user, events, **query)
+            answer = [(item["event_id"], item["score"]) for item in results]
+            assert answer == [
+                (scored.event.event_id, scored.score) for scored in offline
+            ], payload
+            alone = cold.rank_events(user, events, **query)
+            assert [event_id for event_id, _ in answer] == [
+                scored.event.event_id for scored in alone
+            ], payload
+            np.testing.assert_allclose(
+                [score for _, score in answer], [scored.score for scored in alone],
+                rtol=0.0, atol=1e-12,
+            )
+
+    def test_sigterm_drains_and_writes_telemetry(self, trained, tmp_path):
         """What a process manager (or ``kill``) sends: the server drains
         and exits 0 with its telemetry written."""
         import os
@@ -401,6 +539,7 @@ class TestServeCommand:
 
         from repro.obs import read_telemetry
 
+        dataset, bundle = trained
         telemetry = tmp_path / "serve.jsonl"
         environment = dict(os.environ)
         environment["PYTHONPATH"] = os.pathsep.join(
@@ -408,7 +547,8 @@ class TestServeCommand:
         )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--pool-size", "60", "--metrics-out", str(telemetry)],
+             "--dataset", dataset, "--bundle", bundle,
+             "--metrics-out", str(telemetry)],
             stderr=subprocess.PIPE, text=True, env=environment,
         )
         announced = []
@@ -428,6 +568,16 @@ class TestServeCommand:
         assert [record["record"] for record in read_telemetry(telemetry)] == [
             "run", "snapshot"
         ]
+
+    def test_dataset_and_bundle_are_required(self, capsys):
+        """There is one thing to serve, a trained bundle over its
+        dataset: neither flag has a default."""
+        for argv in (["serve"], ["serve", "--dataset", "w.json.gz"],
+                     ["serve", "--bundle", "b"]):
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+            assert "required" in capsys.readouterr().err
 
 
 class TestHealthCommand:

@@ -94,6 +94,8 @@ CONSUMER_DIRS = ("src", "bench", "benchmarks", "examples")
 ALLOWED_MODULES = {
     "repro.nn.gradcheck": "test support: the finite-difference oracle of tests/nn "
     "and tests/core",
+    "repro.cli": "an entry point, not a library: the repro-events console "
+    "script (pyproject [project.scripts]) and python -m repro.cli",
 }
 ALLOWED_NAMES = {
     "repro.analysis.engine.analyze_source": "test support: the one-source entry "
