@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata  # the reference ranks, not a runtime dependency
 
 from repro.eval.metrics import (
     evaluate_scores,
@@ -62,6 +63,50 @@ class TestRocAuc:
         assert np.isclose(
             roc_auc(labels, scores), roc_auc(labels, 10.0 * scores + 3.0)
         )
+
+
+@st.composite
+def score_arrays(draw, min_size=1):
+    """float64 or float32 scores of length ``min_size``–500: free
+    floats, ±inf and ±0 mixed with a handful of repeated values, so
+    most arrays hold heavy ties."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    floats = st.floats(allow_nan=False, width=np.finfo(dtype).bits)
+    repeated = draw(st.lists(floats, min_size=1, max_size=6))
+    elements = st.one_of(
+        floats, st.sampled_from(repeated), st.sampled_from([-np.inf, np.inf, 0.0, -0.0])
+    )
+    return np.array(draw(st.lists(elements, min_size=min_size, max_size=500)), dtype=dtype)
+
+
+def rankdata_auc(labels, scores):
+    """Mann-Whitney AUC on scipy's average ranks."""
+    ranks = rankdata(np.asarray(scores, dtype=np.float64))
+    num_positive = int(labels.sum())
+    num_negative = labels.size - num_positive
+    positive_rank_sum = float(ranks[labels == 1.0].sum())
+    return (positive_rank_sum - num_positive * (num_positive + 1) / 2.0) / (
+        num_positive * num_negative
+    )
+
+
+class TestRankParity:
+    """``roc_auc`` equals the AUC built on ``scipy.stats.rankdata``,
+    bit for bit: tie-averaged ranks are exact half-integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_auc_equals_the_rankdata_auc(self, data):
+        scores = data.draw(score_arrays(min_size=2))
+        labels = np.array(
+            data.draw(
+                st.lists(st.booleans(), min_size=scores.size, max_size=scores.size).filter(
+                    lambda picks: 0 < sum(picks) < len(picks)
+                )
+            ),
+            dtype=np.float64,
+        )
+        assert roc_auc(labels, scores) == rankdata_auc(labels, scores)
 
 
 class TestPrCurve:
