@@ -192,11 +192,10 @@ def build_dataset(config: DataConfig) -> EventRecDataset:
         city_bonus=config.friend_city_bonus,
         rng=rng,
     )
-    bounds = adjacency.indptr.tolist()
+    indptr, indices = adjacency
+    bounds = indptr.tolist()
     for user in user_world.users:
-        user.friend_ids = adjacency.indices[
-            bounds[user.user_id]:bounds[user.user_id + 1]
-        ].tolist()
+        user.friend_ids = indices[bounds[user.user_id]:bounds[user.user_id + 1]].tolist()
 
     event_world = generate_events(
         topic_model,

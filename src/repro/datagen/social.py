@@ -8,15 +8,15 @@ data can also be seen in work/school information", Section 5.2).
 
 The builder samples, per user, a log-normal friend budget and fills it
 with probability ∝ exp(topic affinity · w_topic + same-city bonus),
-then symmetrizes.  The result is a symmetric CSR adjacency matrix:
-row ``u`` of ``indices`` holds user ``u``'s friends in ascending order.
+then symmetrizes.  The result is the CSR structure of the symmetric
+adjacency, as two numpy arrays: ``indices[indptr[u]:indptr[u + 1]]``
+holds user ``u``'s friends in ascending order.  numpy is enough for an
+800-node graph; there is no sparse-matrix library.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from repro.nn.cosine import unit_rows
 
@@ -30,7 +30,7 @@ def build_friendship_graph(
     topic_weight: float,
     city_bonus: float,
     rng: np.random.Generator,
-) -> sparse.csr_array:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample an undirected friendship graph over users.
 
     Args:
@@ -43,12 +43,13 @@ def build_friendship_graph(
         rng: random generator.
 
     Returns:
-        The ``(num_users, num_users)`` 0/1 adjacency, symmetric, with
-        sorted indices and no self-loops.
+        ``(indptr, indices)``, the CSR structure of the symmetric
+        ``(num_users, num_users)`` adjacency: sorted rows, no
+        self-loops, each friendship once per direction.
     """
     num_users = topic_mixtures.shape[0]
     if num_users < 2:
-        return sparse.csr_array((num_users, num_users), dtype=np.int64)
+        return np.zeros(num_users + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     unit = unit_rows(topic_mixtures, eps=0.0)
 
@@ -77,45 +78,76 @@ def build_friendship_graph(
             )
         )
     rows = np.repeat(np.arange(num_users), budgets)
-    cols = np.concatenate(chosen)
-    # Both directions of every pick; a pair picked from both ends sums
-    # to 2 and is clipped back to one edge.
-    directed = sparse.coo_array(
-        (np.ones(rows.size, dtype=np.int64), (rows, cols)),
-        shape=(num_users, num_users),
-    )
-    adjacency = (directed + directed.T).tocsr()
-    adjacency.data[:] = 1
-    adjacency.sort_indices()
-    return adjacency
+    return _symmetric_csr(rows, np.concatenate(chosen), num_users)
 
 
-def graph_summary(adjacency: sparse.csr_array) -> dict[str, float]:
+def _symmetric_csr(
+    rows: np.ndarray, cols: np.ndarray, num_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the undirected graph whose edges are the
+    picks ``rows[i]``–``cols[i]``: both directions of every pick as one
+    sorted key row·n + column, so a pair picked twice or from both ends
+    is one edge."""
+    keys = np.unique(np.concatenate((rows * num_nodes + cols, cols * num_nodes + rows)))
+    rows, indices = np.divmod(keys, num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, indices
+
+
+def graph_summary(adjacency: tuple[np.ndarray, np.ndarray]) -> dict[str, float]:
     """Basic structural statistics, useful for dataset documentation.
 
     ``clustering`` is the mean local clustering coefficient over all
     nodes (0 for degree < 2).  It is summed in node order with the
     builtin ``sum``: that order and precision made the ``graph_stats``
-    the world goldens (``tests/golden/worlds.json``) pin.
+    the world goldens (``tests/golden/worlds.json``) pin.  *adjacency*
+    is ``(indptr, indices)`` as :func:`build_friendship_graph` returns
+    it: symmetric, sorted rows.
     """
-    num_nodes = adjacency.shape[0]
+    indptr, indices = adjacency
+    num_nodes = indptr.size - 1
     if not num_nodes:
         return dict.fromkeys(
             ("num_nodes", "num_edges", "mean_degree", "max_degree",
              "clustering", "num_components"),
             0.0,
         )
-    degrees = np.diff(adjacency.indptr)
-    # Row v of (A @ A) ∘ A counts, per neighbour w, the common
-    # neighbours of v and w: twice the triangles through v.
-    closed = ((adjacency @ adjacency) * adjacency).sum(axis=1)
+    degrees = np.diff(indptr)
+    rows = np.repeat(np.arange(num_nodes), degrees)
+    # Every triangle u < w < x once: from each edge u–w with u < w, the
+    # wedges u–w–x over the tail of w's sorted row (x > w), closed when
+    # u·n + x is the key of an edge u–x.  The keys are sorted, as the
+    # rows are.  A node on t triangles closes 2t of its neighbour pairs.
+    upper = rows < indices
+    lows, highs = rows[upper], indices[upper]
+    keys = lows * num_nodes + highs
+    fan = np.bincount(lows, minlength=num_nodes)[highs]
+    skip = np.cumsum(fan) - fan
+    ends = indices[np.repeat(indptr[highs + 1] - fan - skip, fan) + np.arange(fan.sum())]
+    wedge_lows = np.repeat(lows, fan)
+    wedges = wedge_lows * num_nodes + ends
+    shut = keys[np.minimum(np.searchsorted(keys, wedges), keys.size - 1)] == wedges
+    corners = (wedge_lows[shut], np.repeat(highs, fan)[shut], ends[shut])
+    closed = 2 * np.bincount(np.concatenate(corners), minlength=num_nodes)
     pairs = degrees * (degrees - 1)
     local = np.zeros(num_nodes)
     np.divide(closed, pairs, out=local, where=pairs > 0)
-    num_components, _ = connected_components(adjacency, directed=False)
+    # Each node takes the lowest label among itself and its neighbours,
+    # then its label's label, until nothing moves: a component's nodes
+    # all end on its lowest node, the one labelled itself.
+    labels = np.arange(num_nodes)
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[indices])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    num_components = np.count_nonzero(labels == np.arange(num_nodes))
     return {
         "num_nodes": float(num_nodes),
-        "num_edges": float(adjacency.nnz // 2),
+        "num_edges": float(indices.size // 2),
         "mean_degree": float(np.mean(degrees)),
         "max_degree": float(degrees.max()),
         "clustering": sum(local.tolist()) / num_nodes,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "roc_auc",
@@ -46,6 +45,21 @@ def _validate(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.nd
     return labels, scores
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of *scores*, ties sharing their block's mean rank
+    (``scipy.stats.rankdata``'s "average" method and formula)."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    # dense[i]: 1-based index of score i's tie block; bounds[b] the
+    # number of scores below block b + 1.
+    dense = np.empty(ordered.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    bounds = np.append(np.flatnonzero(starts), ordered.size)
+    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+
+
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic.
 
@@ -57,7 +71,7 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     num_negative = labels.size - num_positive
     if num_positive == 0 or num_negative == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     # repro: noqa[RPR105] labels are exact 0.0/1.0 sentinels, not computed floats
     positive_rank_sum = float(ranks[labels == 1.0].sum())
     auc = (

@@ -18,7 +18,7 @@ def simulated():
     topic_model = TopicModel()
     pages = generate_pages(topic_model, config, rng)
     user_world = generate_users(topic_model, pages, config, rng)
-    adjacency = build_friendship_graph(
+    indptr, indices = build_friendship_graph(
         user_world.mixtures,
         user_world.city_index,
         config.mean_friends,
@@ -27,9 +27,7 @@ def simulated():
         rng,
     )
     for user in user_world.users:
-        user.friend_ids = adjacency.indices[
-            adjacency.indptr[user.user_id]:adjacency.indptr[user.user_id + 1]
-        ].tolist()
+        user.friend_ids = indices[indptr[user.user_id]:indptr[user.user_id + 1]].tolist()
     event_world = generate_events(
         topic_model, config, user_world.city_centers, config.num_users, rng
     )

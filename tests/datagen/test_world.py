@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import sparse  # the reference CSR, not a runtime dependency
 
 from repro.datagen.config import DataConfig
 from repro.datagen.events import generate_events
-from repro.datagen.social import build_friendship_graph, graph_summary
+from repro.datagen.social import _symmetric_csr, build_friendship_graph, graph_summary
 from repro.datagen.topics import TOPIC_NAMES, TOPICS, TopicModel
 from repro.datagen.users import AGE_BUCKETS, GENDERS, generate_pages, generate_users
 
@@ -115,14 +115,22 @@ class TestEvents:
 
 
 def friends_of(adjacency, user):
-    return adjacency.indices[adjacency.indptr[user]:adjacency.indptr[user + 1]]
+    indptr, indices = adjacency
+    return indices[indptr[user]:indptr[user + 1]]
+
+
+def edge_rows(adjacency):
+    """The row of each entry of ``indices``: with it, every edge once
+    per direction."""
+    indptr, _ = adjacency
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def reference_summary(adjacency):
     """Clustering and component count by per-node set walks: each
     node's closed-neighbour count over its neighbour pairs, then a
     flood fill."""
-    num_nodes = adjacency.shape[0]
+    num_nodes = adjacency[0].size - 1
     neighbours = [set(friends_of(adjacency, v).tolist()) for v in range(num_nodes)]
     local = []
     for v, around in enumerate(neighbours):
@@ -140,6 +148,17 @@ def reference_summary(adjacency):
     return sum(local) / len(local), float(components)
 
 
+def scipy_csr(rows, cols, num_nodes):
+    """The reference structure: scipy's ``(coo + coo.T).tocsr()`` with
+    sorted indices, a pair's summed entries clipped to one edge."""
+    directed = sparse.coo_array(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(num_nodes, num_nodes)
+    )
+    adjacency = (directed + directed.T).tocsr()
+    adjacency.sort_indices()
+    return adjacency.indptr, adjacency.indices
+
+
 class TestSocialGraph:
     def test_homophily_same_city_overrepresented(self, rng):
         num_users = 150
@@ -149,7 +168,7 @@ class TestSocialGraph:
             mixtures, city, mean_friends=8, topic_weight=0.0,
             city_bonus=3.0, rng=rng,
         )
-        rows, cols = adjacency.nonzero()  # each edge once per direction
+        rows, cols = edge_rows(adjacency), adjacency[1]  # each edge once per direction
         assert np.mean(city[rows] == city[cols]) > 0.55  # chance ≈ 1/3
 
     def test_no_self_loops_and_undirected(self, rng):
@@ -159,10 +178,13 @@ class TestSocialGraph:
             mixtures, city, mean_friends=5, topic_weight=1.0,
             city_bonus=1.0, rng=rng,
         )
-        assert adjacency.shape == (50, 50)
-        assert not adjacency.diagonal().any()
-        assert (adjacency != adjacency.T).nnz == 0
-        assert set(adjacency.data.tolist()) == {1}
+        indptr, indices = adjacency
+        rows = edge_rows(adjacency)
+        assert indptr.size == 51 and indptr[0] == 0 and indptr[-1] == indices.size
+        assert not np.any(rows == indices)
+        edges = set(zip(rows.tolist(), indices.tolist()))
+        assert edges == {(v, u) for u, v in edges}
+        assert len(edges) == indices.size  # 0/1: no pair stored twice
         for user in range(50):
             friends = friends_of(adjacency, user)
             assert np.all(np.diff(friends) > 0)
@@ -177,16 +199,13 @@ class TestSocialGraph:
         summary = graph_summary(adjacency)
         assert summary["num_nodes"] == 30
         assert summary["mean_degree"] > 0
-        assert summary["num_edges"] == adjacency.nnz / 2
+        assert summary["num_edges"] == adjacency[1].size / 2
 
     def test_summary_on_a_known_graph(self):
         # Triangle 0-1-2, pendant 3 on 2, isolated 4, edge 5-6.
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)]
-        rows, cols = zip(*edges)
-        half = sparse.coo_array(
-            (np.ones(len(edges), dtype=np.int64), (rows, cols)), shape=(7, 7)
-        )
-        summary = graph_summary((half + half.T).tocsr())
+        rows, cols = (np.array(ends) for ends in zip(*edges))
+        summary = graph_summary(_symmetric_csr(rows, cols, 7))
         assert summary == {
             "num_nodes": 7.0,
             "num_edges": 5.0,
@@ -209,3 +228,41 @@ class TestSocialGraph:
         clustering, components = reference_summary(adjacency)
         assert summary["clustering"] == clustering  # bit for bit
         assert summary["num_components"] == components
+
+
+class TestCsrParity:
+    """The numpy CSR structure equals scipy's on the same picks."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_picks_equal_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(4, 60))
+        size = int(rng.integers(1, 3 * num_nodes))
+        # Few nodes per pick: repeated picks and picks from both ends
+        # are common; some nodes are picked by no one (isolated).
+        rows = rng.integers(num_nodes // 2 + 1, size=size)
+        cols = rng.integers(num_nodes // 2 + 1, size=size)
+        keep = rows != cols
+        rows = np.concatenate((rows[keep], rows[keep][:5]))  # repeated picks
+        cols = np.concatenate((cols[keep], cols[keep][:5]))
+        rows, cols = np.concatenate((rows, cols[:5])), np.concatenate((cols, rows[:5]))  # mutual
+        indptr, indices = _symmetric_csr(rows, cols, num_nodes)
+        expected_indptr, expected_indices = scipy_csr(rows, cols, num_nodes)
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(indices, expected_indices)
+        assert np.any(np.diff(indptr) == 0)  # isolated nodes covered
+
+    @pytest.mark.parametrize("num_users", [0, 1])
+    def test_fewer_than_two_users(self, num_users):
+        rng = np.random.default_rng(0)
+        indptr, indices = build_friendship_graph(
+            rng.dirichlet(np.ones(3), size=num_users), np.zeros(num_users, dtype=int),
+            mean_friends=3, topic_weight=1.0, city_bonus=1.0, rng=rng,
+        )
+        expected_indptr, expected_indices = scipy_csr([], [], num_users)
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(indices, expected_indices)
+        summary = graph_summary((indptr, indices))
+        assert summary["num_nodes"] == num_users
+        assert summary["num_edges"] == summary["clustering"] == 0.0
+        assert summary["num_components"] == num_users

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata  # the reference ranks, not a runtime dependency
 
 from repro.eval.metrics import (
+    _average_ranks,
     evaluate_scores,
     pr_curve,
     roc_auc,
@@ -91,8 +92,16 @@ def rankdata_auc(labels, scores):
 
 
 class TestRankParity:
-    """``roc_auc`` equals the AUC built on ``scipy.stats.rankdata``,
-    bit for bit: tie-averaged ranks are exact half-integers."""
+    """The numpy ranks equal ``scipy.stats.rankdata``'s, and ``roc_auc``
+    the AUC built on them, bit for bit: tie-averaged ranks are exact
+    half-integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(score_arrays())
+    def test_ranks_equal_rankdata(self, scores):
+        ranks = _average_ranks(scores)
+        assert ranks.dtype == np.float64
+        np.testing.assert_array_equal(ranks, rankdata(scores))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

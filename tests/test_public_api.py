@@ -369,3 +369,33 @@ def test_every_option_is_set_by_non_test_code():
     assert [o for o in unset if not o.startswith(tuple(KEPT_OPTIONS))] == []
     stale = [k for k in KEPT_OPTIONS if not any(o.startswith(k) for o in unset)]
     assert stale == [], "stale kept-list entry"
+
+
+def test_runtime_loads_no_scipy():
+    """The runtime depends on numpy only: importing the package, the
+    CLI parser, a data config and the AUC leave scipy unloaded (it is a
+    test oracle, in the dev extra)."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.cli import build_parser\n"
+        "from repro.datagen import DataConfig\n"
+        "from repro.eval.metrics import roc_auc\n"
+        "build_parser()\n"
+        "DataConfig.small(0)\n"
+        "roc_auc([0, 1, 1], [0.2, 0.1, 0.9])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), environment.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=environment,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
