@@ -10,8 +10,8 @@ The builder samples, per user, a log-normal friend budget and fills it
 with probability ∝ exp(topic affinity · w_topic + same-city bonus),
 then symmetrizes.  The result is the CSR structure of the symmetric
 adjacency, as two numpy arrays: ``indices[indptr[u]:indptr[u + 1]]``
-holds user ``u``'s friends in ascending order.  numpy is enough for an
-800-node graph; there is no sparse-matrix library.
+holds user ``u``'s friends in ascending order.  Building it and
+summarising it take numpy alone; there is no sparse-matrix library.
 """
 
 from __future__ import annotations

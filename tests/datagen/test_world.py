@@ -150,7 +150,8 @@ def reference_summary(adjacency):
 
 def scipy_csr(rows, cols, num_nodes):
     """The reference structure: scipy's ``(coo + coo.T).tocsr()`` with
-    sorted indices, a pair's summed entries clipped to one edge."""
+    sorted indices (a pair's entries sum into one; only the structure
+    is compared)."""
     directed = sparse.coo_array(
         (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(num_nodes, num_nodes)
     )
