@@ -140,10 +140,14 @@ class ServingMonitors:
 
     Three signals the latency telemetry cannot see:
 
-    * ``serving_scores`` — the scores actually returned to callers
-      (top-K of every ranking plus single-pair ``score`` calls).  A
-      shift here means the model's notion of a good match moved — the
-      first symptom of index staleness or a bad model swap.
+    * ``serving_scores`` — the top-1 score of every served ranking, one
+      number per ranking: the K scores of one ranking sit at that
+      user's own level, so a window of them holds a few users and is
+      not a sample of the traffic (DESIGN §8.3).  ``score`` calls feed
+      nothing — a pair score is not a top-1, and would make a window
+      depend on the route mix — nor does an empty ranking.  A shift
+      here means the model's notion of a good match moved — the first
+      symptom of index staleness or a bad model swap.
     * ``serving_candidates`` — per-request candidate-pool size after
       activity filtering; events expiring en masse shrink it long
       before latency notices.
@@ -160,7 +164,7 @@ class ServingMonitors:
     def __init__(self) -> None:
         self.scores = DriftMonitor("serving_scores", warmup=256, window=256)
         self.candidates = DriftMonitor(
-            "serving_candidates", warmup=64, window=64, bins=5, min_live=16
+            "serving_candidates", warmup=64, window=64, min_live=16
         )
         self.user_norms = DriftMonitor("serving_user_norms", warmup=128, window=128)
 
@@ -445,12 +449,8 @@ class RepresentationService:
         served score is bit-identical to
         :meth:`JointUserEventModel.similarity` on the same pair.
         """
-        registry = self._obs()
-        with span("repro_serving_score", registry=registry):
-            value = pair_cosine(self.user_vector(user), self.event_vector(event))
-        if registry.enabled:
-            self.monitors.scores.observe(value)
-        return value
+        with span("repro_serving_score", registry=self._obs()):
+            return pair_cosine(self.user_vector(user), self.event_vector(event))
 
     def rank_events(
         self,
@@ -625,10 +625,11 @@ class RepresentationService:
         num_candidates: int,
         rankings: Sequence[Sequence[ScoredEvent]],
     ) -> None:
-        """Feed one rank call's pool size and served scores to telemetry."""
+        """Feed one rank call's pool size and each ranking's top-1 score
+        to telemetry."""
         registry.histogram("repro_serving_candidates").observe(num_candidates)
         self.monitors.candidates.observe(float(num_candidates))
         observe = self.monitors.scores.observe
         for ranking in rankings:
-            for item in ranking:
-                observe(item.score)
+            if ranking:
+                observe(ranking[0].score)

@@ -19,7 +19,7 @@ from repro.core.config import TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.nn.losses import contrastive_loss
 from repro.nn.optim import SGD, Adagrad, ExponentialDecay, Optimizer
-from repro.obs.drift import DriftMonitor, DriftThresholds
+from repro.obs.drift import DriftMonitor
 from repro.obs.log import get_logger
 from repro.obs.registry import get_registry
 from repro.obs.trace import record_stage, span
@@ -138,25 +138,14 @@ class RepresentationTrainer:
 
         registry = get_registry()
         # Per-epoch shift detectors: the first epochs form the
-        # reference, later epochs the live window.  Only the *upward*
-        # mean-shift detector is armed — loss and gradient norms
-        # falling is convergence, rising is divergence (or an
-        # exploding update); PSI/KS are meaningless over a handful of
-        # epoch scalars and stay disabled.
+        # reference, later epochs the live window.  Only *upward*
+        # shifts breach — loss and gradient norms falling is
+        # convergence, rising is divergence (or an exploding update).
         shift_monitors: tuple[DriftMonitor, ...] = ()
         if registry.enabled:
-            thresholds = DriftThresholds(
-                psi=math.inf, ks=math.inf, mean_sigmas=3.0, var_ratio=math.inf
-            )
             shift_monitors = tuple(
                 DriftMonitor(
-                    name,
-                    warmup=3,
-                    window=3,
-                    bins=2,
-                    min_live=2,
-                    thresholds=thresholds,
-                    direction="up",
+                    name, warmup=3, window=3, min_live=2, sigmas=3.0, direction="up"
                 )
                 for name in ("train_loss", "train_grad_norm")
             )

@@ -15,8 +15,9 @@ Section 4.  Six pieces:
   ``trace_id``/``span_id`` when emitted inside a traced span);
 * :mod:`repro.obs.export` — JSONL telemetry files and the Prometheus
   text format (a histogram is a ``summary`` family);
-* :mod:`repro.obs.drift` — reference-vs-live window drift detection
-  (PSI, two-sample KS, mean/variance shift) over streaming monitors;
+* :mod:`repro.obs.drift` — reference-vs-live drift detection: one
+  mean-shift z-score per streaming monitor, over one number per
+  request;
 * :mod:`repro.obs.health` — declarative SLO specs judged against one
   registry snapshot and folded into a :class:`HealthSnapshot`.
 
@@ -33,14 +34,7 @@ check.  Turn metrics on per scope with :func:`use_registry` and tracing
 with :func:`use_tracer`.
 """
 
-from repro.obs.drift import (
-    DriftMonitor,
-    DriftResult,
-    DriftThresholds,
-    ks_statistic,
-    mean_shift_zscore,
-    psi,
-)
+from repro.obs.drift import DriftMonitor, DriftResult, mean_shift_zscore
 from repro.obs.export import (
     TelemetryWriter,
     last_snapshot,
@@ -116,9 +110,6 @@ __all__ = [
     "last_snapshot",
     "DriftMonitor",
     "DriftResult",
-    "DriftThresholds",
-    "psi",
-    "ks_statistic",
     "mean_shift_zscore",
     "HealthSnapshot",
     "SLOSpec",

@@ -82,9 +82,9 @@ def default_serving_slos() -> tuple[SLOSpec, ...]:
     from the cache collector, and the drift *verdict* gauge of each of
     the service's three monitors (served scores, candidate-pool sizes,
     user-vector norms).  The verdict (``repro_drift_ok``) is used
-    rather than raw PSI because the monitor applies sampling-noise
-    floors the raw statistic does not carry — a fixed 0.2 threshold
-    over small windows flags pure sampling noise.
+    rather than the raw ``repro_drift_mean_zscore`` because each
+    monitor carries its own threshold (``sigmas``, a direction), so
+    every drift objective is the same ``>= 1``.
     """
     return (
         SLOSpec(
@@ -141,7 +141,7 @@ def parse_slo(text: str) -> SLOSpec:
 
         rank_p99=repro_serving_rank_seconds.p99<=0.01
         repro_cache_hit_rate>=0.9
-        score_psi=repro_drift_psi{monitor=serving_scores}<=0.2
+        score_ok=repro_drift_ok{monitor=serving_scores}>=1
     """
     match = _SLO_SYNTAX.match(text)
     if match is None:

@@ -889,14 +889,37 @@ class TestWarmSkipsFresh:
 
 
 class TestServingMonitors:
-    def test_serving_calls_feed_monitors(self, observed, tiny_users, tiny_events):
+    def test_serving_calls_feed_monitors(
+        self, observed, tiny_users, tiny_events, monkeypatch
+    ):
         _, service = observed
-        service.rank_events(tiny_users[0], tiny_events)
+        scores = []
+        monkeypatch.setattr(service.monitors.scores, "observe", scores.append)
+        ranking = service.rank_events(tiny_users[0], tiny_events)
         service.score(tiny_users[0], tiny_events[0])
-        # Every top-K score plus the pair score lands in the monitor.
-        assert service.monitors.scores.observed == len(tiny_events) + 1
+        # One top-1 score per served ranking; a pair score is not one.
+        assert len(ranking) == len(tiny_events) > 1
+        assert scores == [ranking[0].score]
         assert service.monitors.candidates.observed == 1
         assert service.monitors.user_norms.observed > 0
+
+    @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
+    def test_all_expired_ranking_observes_no_score(
+        self, observed, tiny_users, tiny_events, entrance, monkeypatch
+    ):
+        """Every candidate expired: the ranking is empty, no score is
+        observed and nothing raises; the pool size of 0 is observed."""
+        _, service = observed
+        scores, candidates = [], []
+        monkeypatch.setattr(service.monitors.scores, "observe", scores.append)
+        monkeypatch.setattr(service.monitors.candidates, "observe", candidates.append)
+        if entrance == "rank_events":
+            rankings = [service.rank_events(tiny_users[0], tiny_events, at_time=1e6)]
+        else:
+            rankings = service.rank_events_batch(tiny_users, tiny_events, at_time=1e6)
+        assert rankings and all(ranking == [] for ranking in rankings)
+        assert scores == []
+        assert candidates == [0.0]
 
     def test_snapshot_exports_drift_verdicts(self, observed, tiny_users, tiny_events):
         registry, service = observed
@@ -997,8 +1020,8 @@ class TestBatchUserDedupe:
         self, observed, tiny_users, tiny_events, monkeypatch
     ):
         """A server flush with its own pools, times and ``top_k``: the
-        score monitor is fed the scores the runner returns, each once,
-        and no score of a wider ranking cut down after the call."""
+        score monitor is fed the top-1 score of each ranking the runner
+        returns, once, and no other score of any ranking."""
         _, service = observed
         service.warm(tiny_users, tiny_events)
         observed = []
@@ -1010,9 +1033,7 @@ class TestBatchUserDedupe:
             [(None, None, 1), (None, 45.0, None), ({2, 3}, None, None), (None, None, 1)],
         )
         assert [len(ranking) for ranking in rankings] == [1, 2, 2, 1]
-        assert sorted(observed) == sorted(
-            item.score for ranking in rankings for item in ranking
-        )
+        assert sorted(observed) == sorted(ranking[0].score for ranking in rankings)
 
 
 _MACHINE_WORDS = [

@@ -53,12 +53,12 @@ class TestSLOSpec:
 class TestParseSlo:
     def test_full_syntax_round_trip(self):
         spec = parse_slo(
-            "score_psi=repro_drift_psi{monitor=serving_scores}<=0.2"
+            "score_z=repro_drift_mean_zscore{monitor=serving_scores}<=4.5"
         )
-        assert spec.name == "score_psi"
-        assert spec.metric == "repro_drift_psi"
+        assert spec.name == "score_z"
+        assert spec.metric == "repro_drift_mean_zscore"
         assert spec.tags == {"monitor": "serving_scores"}
-        assert spec.op == "<=" and spec.target == 0.2
+        assert spec.op == "<=" and spec.target == 4.5
         assert spec.stat == "value"
 
     def test_stat_suffix_and_default_name(self):
