@@ -36,10 +36,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import JointModelConfig
-from repro.datagen import build_dataset
+from repro.datagen.dataset import build_dataset
 from repro.eval.metrics import roc_auc
 from repro.eval.protocol import SCALES
-from repro.obs import MetricsRegistry, TelemetryWriter, use_registry
+from repro.obs.export import TelemetryWriter
+from repro.obs.registry import MetricsRegistry, use_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

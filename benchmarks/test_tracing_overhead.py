@@ -49,15 +49,10 @@ import time
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
-from repro.datagen import DataConfig, build_dataset
-from repro.obs import (
-    MetricsRegistry,
-    NullRegistry,
-    TailSampler,
-    Tracer,
-    use_registry,
-    use_tracer,
-)
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
+from repro.obs.registry import MetricsRegistry, NullRegistry, use_registry
+from repro.obs.trace import TailSampler, Tracer, use_tracer
 from repro.text.documents import DocumentEncoder
 
 from .conftest import write_result

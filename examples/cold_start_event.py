@@ -19,18 +19,18 @@ Run:  python examples/cold_start_event.py
 
 import numpy as np
 
-from repro.baselines import AggregatedTopicMatcher, LdaModel, PopularityModel
-from repro.core import (
-    JointModelConfig,
-    JointUserEventModel,
-    RepresentationService,
-    RepresentationTrainer,
-    SiameseEventInitializer,
-    TrainingConfig,
-)
-from repro.datagen import DataConfig, build_dataset
+from repro.baselines.lda import LdaModel
+from repro.baselines.popularity import PopularityModel
+from repro.baselines.topic_matcher import AggregatedTopicMatcher
+from repro.core.config import JointModelConfig, TrainingConfig
+from repro.core.model import JointUserEventModel
+from repro.core.service import RepresentationService
+from repro.core.siamese import SiameseEventInitializer
+from repro.core.trainer import RepresentationTrainer
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
 from repro.entities import Event
-from repro.text import DocumentEncoder
+from repro.text.documents import DocumentEncoder
 
 
 def main() -> None:

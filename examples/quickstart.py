@@ -8,16 +8,13 @@ facade — the end-to-end path of the paper in miniature.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    JointModelConfig,
-    JointUserEventModel,
-    RepresentationService,
-    RepresentationTrainer,
-    TrainingConfig,
-)
-from repro.datagen import DataConfig, build_dataset
-from repro.datagen.config import HOURS_PER_WEEK
-from repro.text import DocumentEncoder
+from repro.core.config import JointModelConfig, TrainingConfig
+from repro.core.model import JointUserEventModel
+from repro.core.service import RepresentationService
+from repro.core.trainer import RepresentationTrainer
+from repro.datagen.config import HOURS_PER_WEEK, DataConfig
+from repro.datagen.dataset import build_dataset
+from repro.text.documents import DocumentEncoder
 
 
 def main() -> None:

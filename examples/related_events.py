@@ -15,16 +15,13 @@ no user feedback — then:
 Run:  python examples/related_events.py
 """
 
-from repro.core import (
-    JointModelConfig,
-    SiameseEventInitializer,
-    SimilarEventIndex,
-    TrainingConfig,
-    format_trace,
-    trace_top_words,
-)
-from repro.datagen import DataConfig, build_dataset
-from repro.text import DocumentEncoder
+from repro.core.analysis import format_trace, trace_top_words
+from repro.core.config import JointModelConfig, TrainingConfig
+from repro.core.siamese import SiameseEventInitializer
+from repro.core.similar_events import SimilarEventIndex
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
+from repro.text.documents import DocumentEncoder
 
 
 def main() -> None:

@@ -1,8 +1,10 @@
 """repro — reproduction of "Joint User-Entity Representation Learning
 for Event Recommendation in Social Network" (Tang & Liu, ICDE 2017).
 
-Top-level convenience re-exports; see the subpackages for the full
-API:
+Every name has one import path: the module that defines it
+(``from repro.core.model import JointUserEventModel``).  The package
+``__init__``s hold only their docstrings, so a process loads only the
+modules it imports.  The subpackages:
 
 * :mod:`repro.core` — the joint CNN representation model.
 * :mod:`repro.nn` — the numpy neural-network substrate.
@@ -15,49 +17,11 @@ API:
 * :mod:`repro.store` — the serving-time representation cache and the
   batched top-K event retrieval index.
 * :mod:`repro.obs` — telemetry: metrics, spans, structured logs.
+* :mod:`repro.serving` — the micro-batching HTTP server.
+* :mod:`repro.analysis` — the project's static analyzer.
+
+:mod:`repro.entities` holds the ``User``/``Event``/``Impression``
+records every layer shares.
 """
 
-from repro.core import (
-    JointModelConfig,
-    JointUserEventModel,
-    RepresentationService,
-    RepresentationTrainer,
-    SiameseEventInitializer,
-    SimilarEventIndex,
-    TrainingConfig,
-)
-from repro.datagen import DataConfig, EventRecDataset, build_dataset
-from repro.entities import Event, Impression, User
-from repro.eval import TwoStageExperiment, evaluate_scores, roc_auc
-from repro.features import FeatureSetConfig
-from repro.gbdt import GBDTClassifier, GBDTConfig
-from repro.store import EventIndex, VectorCache
-from repro.text import DocumentEncoder
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "DataConfig",
-    "DocumentEncoder",
-    "Event",
-    "EventIndex",
-    "EventRecDataset",
-    "FeatureSetConfig",
-    "GBDTClassifier",
-    "GBDTConfig",
-    "Impression",
-    "JointModelConfig",
-    "JointUserEventModel",
-    "RepresentationService",
-    "RepresentationTrainer",
-    "SiameseEventInitializer",
-    "SimilarEventIndex",
-    "TrainingConfig",
-    "TwoStageExperiment",
-    "User",
-    "VectorCache",
-    "build_dataset",
-    "evaluate_scores",
-    "roc_auc",
-    "__version__",
-]

@@ -32,27 +32,3 @@ Run it over the repository (one text report, on stdout)::
 
 Exit codes: 0 (clean), 1 (findings), 2 (usage error).
 """
-
-from repro.analysis.engine import (
-    Finding,
-    Rule,
-    all_rules,
-    analyze_files,
-    analyze_source,
-    iter_python_files,
-    rules_by_code,
-    scope_for_path,
-)
-from repro.analysis.main import main
-
-__all__ = [
-    "Finding",
-    "Rule",
-    "all_rules",
-    "analyze_files",
-    "analyze_source",
-    "iter_python_files",
-    "main",
-    "rules_by_code",
-    "scope_for_path",
-]

@@ -1,18 +1,1 @@
 """Baseline semantic and popularity models the paper compares against."""
-
-from repro.baselines.lda import LdaModel
-from repro.baselines.plsa import PlsaModel
-from repro.baselines.popularity import PopularityModel
-from repro.baselines.tfidf import SparseVector, TfIdfVectorizer, sparse_cosine
-from repro.baselines.topic_matcher import AggregatedTopicMatcher, TopicBackend
-
-__all__ = [
-    "AggregatedTopicMatcher",
-    "LdaModel",
-    "PlsaModel",
-    "PopularityModel",
-    "SparseVector",
-    "TfIdfVectorizer",
-    "TopicBackend",
-    "sparse_cosine",
-]

@@ -64,16 +64,9 @@ from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.eval.protocol import SCALES
 from repro.eval.reporting import format_importances, format_table, render_pr_curves
-from repro.obs import (
-    MetricsRegistry,
-    TelemetryWriter,
-    Tracer,
-    last_snapshot,
-    render_prometheus,
-    use_registry,
-    use_tracer,
-    write_trace_jsonl,
-)
+from repro.obs.export import TelemetryWriter, last_snapshot, render_prometheus
+from repro.obs.registry import MetricsRegistry, use_registry
+from repro.obs.trace import Tracer, use_tracer, write_trace_jsonl
 from repro.text.documents import DocumentEncoder
 
 __all__ = ["main", "build_parser"]
@@ -345,7 +338,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serving import ServingServer, ThreadedServer
+    from repro.serving.server import ServingServer, ThreadedServer
 
     try:
         dataset = EventRecDataset.load(args.dataset)

@@ -3,42 +3,3 @@ learning (parallel CNN towers, cosine head, contrastive training),
 plus the Siamese event initializer, the serving facade, and the
 Section-5.3 analysis tooling.
 """
-
-from repro.core.analysis import WordAttribution, format_trace, trace_top_words
-from repro.core.config import JointModelConfig, TrainingConfig
-from repro.core.extraction import ConvExtractionModule
-from repro.core.model import JointUserEventModel
-from repro.core.persistence import load_model_bundle, save_model_bundle
-from repro.core.service import RepresentationService, ScoredEvent
-from repro.core.siamese import SiameseEventInitializer, SiameseHistory
-from repro.core.similar_events import (
-    SimilarEvent,
-    SimilarEventIndex,
-    lexical_overlap,
-)
-from repro.core.tower import EventTower, Tower, UserTower
-from repro.core.trainer import RepresentationTrainer, TrainingHistory
-
-__all__ = [
-    "ConvExtractionModule",
-    "EventTower",
-    "JointModelConfig",
-    "JointUserEventModel",
-    "RepresentationService",
-    "RepresentationTrainer",
-    "ScoredEvent",
-    "SimilarEvent",
-    "SimilarEventIndex",
-    "SiameseEventInitializer",
-    "SiameseHistory",
-    "Tower",
-    "TrainingConfig",
-    "TrainingHistory",
-    "UserTower",
-    "WordAttribution",
-    "format_trace",
-    "load_model_bundle",
-    "lexical_overlap",
-    "save_model_bundle",
-    "trace_top_words",
-]

@@ -5,8 +5,8 @@ representation vectors are pre-computed once per entity, cached, and
 only recomputed "upon creation and important information change".
 :class:`RepresentationService` implements that path on top of a
 trained :class:`~repro.core.model.JointUserEventModel`, a
-:class:`~repro.store.VectorCache`, and an
-:class:`~repro.store.EventIndex`, and exposes the recommendation
+:class:`~repro.store.cache.VectorCache`, and an
+:class:`~repro.store.index.EventIndex`, and exposes the recommendation
 primitive — rank the *currently active* events for a user.
 
 There is one serving path, and it works on id arrays — which it builds
@@ -151,9 +151,11 @@ class ServingMonitors:
     * ``serving_candidates`` — per-request candidate-pool size after
       activity filtering; events expiring en masse shrink it long
       before latency notices.
-    * ``serving_user_norms`` — L2 norms of served user vectors; a
-      shifted norm distribution is the classic symptom of an
-      embedding-space drift after incremental retraining.
+    * ``serving_user_norms`` — the L2 norm of each ranked user's
+      vector, one per served ranking from either rank entrance
+      (``score`` and ``user_vector`` feed nothing); a shifted norm
+      distribution is the classic symptom of an embedding-space drift
+      after incremental retraining.
 
     Observation is an O(1) append, gated on ``registry.enabled`` by
     the service; verdicts are computed (and exported as
@@ -336,10 +338,7 @@ class RepresentationService:
     def user_vector(self, user: User) -> np.ndarray:
         """v_u: the vector cached under the user's id, encoded at first
         sight; an edited profile is served once :meth:`warm` announces it."""
-        registry = self._obs()
-        (vector,) = self._user_vectors([user], registry)
-        if registry.enabled:
-            self.monitors.user_norms.observe(math.sqrt(vector @ vector))
+        (vector,) = self._user_vectors([user], self._obs())
         return vector
 
     def event_vector(self, event: Event) -> np.ndarray:
@@ -537,8 +536,7 @@ class RepresentationService:
         the pool scored again.  ``ScoredEvent``s are built for the
         selected rows only.  The count is the number of candidates
         scored: present, and active at ``at_time``.  Every ranked user's
-        vector norm goes to the drift monitor, a single user's through
-        :meth:`user_vector`.
+        vector norm goes to the drift monitor, once per ranking served.
         """
         single = isinstance(users, User)
         num_users = 1 if single else len(users)
@@ -549,9 +547,6 @@ class RepresentationService:
         else:
             score = self.index.score_ids_batch
             query = np.vstack(self._user_vectors(users, registry))
-            if registry.enabled:
-                for vector in query:
-                    self.monitors.user_norms.observe(math.sqrt(vector @ vector))
         remembered = self._recall(events)
         snapshot, pool = remembered or self._read(events)
         positions, score_rows, resolved = score(query, pool, at_time)
@@ -580,6 +575,9 @@ class RepresentationService:
                         for event, value in zip(served, scores[order].tolist())
                     ]
                 )
+        if registry.enabled:
+            for vector in np.atleast_2d(query):
+                self.monitors.user_norms.observe(math.sqrt(vector @ vector))
         return rankings, int(positions.size)
 
     @staticmethod

@@ -6,43 +6,3 @@ and time-ordered labeled impressions, reproducing the statistics the
 paper's phenomenon depends on (event transiency, per-user sparsity,
 topic-driven participation, social influence, ~1:4 label ratio).
 """
-
-from repro.datagen.config import HOURS_PER_WEEK, DataConfig
-from repro.datagen.dataset import DatasetSplits, EventRecDataset, build_dataset
-from repro.datagen.events import EventWorld, generate_events
-from repro.datagen.impressions import SimulationResult, simulate_impressions
-from repro.datagen.social import build_friendship_graph, graph_summary
-from repro.datagen.topics import STOPWORDS, TOPIC_NAMES, TOPICS, TopicModel, TopicSpec
-from repro.datagen.users import (
-    AGE_BUCKETS,
-    GENDERS,
-    Page,
-    UserWorld,
-    generate_pages,
-    generate_users,
-)
-
-__all__ = [
-    "AGE_BUCKETS",
-    "DataConfig",
-    "DatasetSplits",
-    "EventRecDataset",
-    "EventWorld",
-    "GENDERS",
-    "HOURS_PER_WEEK",
-    "Page",
-    "STOPWORDS",
-    "SimulationResult",
-    "TOPICS",
-    "TOPIC_NAMES",
-    "TopicModel",
-    "TopicSpec",
-    "UserWorld",
-    "build_dataset",
-    "build_friendship_graph",
-    "generate_events",
-    "generate_pages",
-    "generate_users",
-    "graph_summary",
-    "simulate_impressions",
-]

@@ -1,19 +1,1 @@
 """Combiner feature pipeline: base, CF, and representation features."""
-
-from repro.features.base_features import BaseFeatureExtractor
-from repro.features.cf_features import CFFeatureExtractor
-from repro.features.context import FeatureContext
-from repro.features.pipeline import CombinerFeaturePipeline, FeatureSetConfig
-from repro.features.rep_features import RepresentationFeatureProvider
-from repro.features.timeline import TimelineReplayer, TimelineState
-
-__all__ = [
-    "BaseFeatureExtractor",
-    "CFFeatureExtractor",
-    "CombinerFeaturePipeline",
-    "FeatureContext",
-    "FeatureSetConfig",
-    "RepresentationFeatureProvider",
-    "TimelineReplayer",
-    "TimelineState",
-]

@@ -1,14 +1,1 @@
 """Gradient-boosted decision trees (the Section-4 combiner trainer)."""
-
-from repro.gbdt.binning import FeatureBinner
-from repro.gbdt.boosting import GBDTClassifier, GBDTConfig
-from repro.gbdt.tree import RegressionTree, SplitInfo, TreeNode
-
-__all__ = [
-    "FeatureBinner",
-    "GBDTClassifier",
-    "GBDTConfig",
-    "RegressionTree",
-    "SplitInfo",
-    "TreeNode",
-]

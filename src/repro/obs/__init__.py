@@ -33,88 +33,3 @@ installed, so instrumented hot paths cost one ``enabled``/``active``
 check.  Turn metrics on per scope with :func:`use_registry` and tracing
 with :func:`use_tracer`.
 """
-
-from repro.obs.drift import DriftMonitor, DriftResult, mean_shift_zscore
-from repro.obs.export import (
-    TelemetryWriter,
-    last_snapshot,
-    read_telemetry,
-    render_prometheus,
-    snapshot_record,
-)
-from repro.obs.health import (
-    HealthSnapshot,
-    SLOSpec,
-    SLOStatus,
-    default_serving_slos,
-    format_health,
-    parse_slo,
-)
-from repro.obs.log import StructuredLogger, configure, get_logger, log_context
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from repro.obs.trace import (
-    Span,
-    SpanRecord,
-    TailSampler,
-    Trace,
-    Tracer,
-    carry_span,
-    current_ids,
-    current_span,
-    record_stage,
-    span,
-    trace_to_record,
-    use_tracer,
-    write_trace_jsonl,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "get_registry",
-    "set_registry",
-    "use_registry",
-    "Span",
-    "span",
-    "carry_span",
-    "current_span",
-    "SpanRecord",
-    "Trace",
-    "Tracer",
-    "TailSampler",
-    "use_tracer",
-    "current_ids",
-    "record_stage",
-    "trace_to_record",
-    "write_trace_jsonl",
-    "StructuredLogger",
-    "configure",
-    "get_logger",
-    "log_context",
-    "TelemetryWriter",
-    "render_prometheus",
-    "snapshot_record",
-    "read_telemetry",
-    "last_snapshot",
-    "DriftMonitor",
-    "DriftResult",
-    "mean_shift_zscore",
-    "HealthSnapshot",
-    "SLOSpec",
-    "SLOStatus",
-    "default_serving_slos",
-    "parse_slo",
-    "format_health",
-]

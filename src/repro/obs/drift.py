@@ -225,14 +225,14 @@ class DriftMonitor:
     def export(self, registry: "MetricsRegistry") -> None:
         """Write the current verdict as ``repro_drift_*`` gauges.
 
-        A ``nan``/``inf`` z-score exports as ``0.0`` — a warming
-        monitor reads as healthy, which is the warm-up contract.
+        A warming monitor's ``nan`` exports as ``0.0`` (healthy: the
+        warm-up contract); an infinite z-score exports as computed.
         """
         result = self.result()
         tags = {"monitor": self.name}
         zscore = result.mean_zscore
         registry.gauge("repro_drift_mean_zscore", tags=tags).set(
-            zscore if math.isfinite(zscore) else 0.0
+            0.0 if math.isnan(zscore) else zscore
         )
         registry.gauge("repro_drift_ok", tags=tags).set(
             0.0 if result.drifted else 1.0

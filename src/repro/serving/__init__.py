@@ -19,25 +19,3 @@ Layers (each independently testable):
 
 ``repro-events serve`` runs it as a process; any HTTP client reaches it.
 """
-
-from repro.serving.batcher import BatcherClosed, MicroBatcher
-from repro.serving.schemas import (
-    ApiError,
-    RecommendRequest,
-    ScoreRequest,
-    SimilarEventsRequest,
-    error_envelope,
-)
-from repro.serving.server import ServingServer, ThreadedServer
-
-__all__ = [
-    "ApiError",
-    "BatcherClosed",
-    "MicroBatcher",
-    "RecommendRequest",
-    "ScoreRequest",
-    "ServingServer",
-    "SimilarEventsRequest",
-    "ThreadedServer",
-    "error_envelope",
-]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.engine import analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -13,8 +13,7 @@ import pytest
 
 import repro.serving
 import repro.serving.server
-from repro.analysis import analyze_source
-from repro.analysis.engine import analyze_files, iter_python_files
+from repro.analysis.engine import analyze_files, analyze_source, iter_python_files
 
 
 def lines_for(findings, code):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.engine import (
     all_rules,
     analyze_files,
     analyze_source,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_files, analyze_source
+from repro.analysis.engine import analyze_files, analyze_source
 
 from .conftest import FIXTURES, load_fixture
 

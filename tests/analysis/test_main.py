@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import all_rules
-from repro.analysis import main as analysis_main
+from repro.analysis.engine import all_rules
+from repro.analysis.main import main as analysis_main
 from repro.analysis.main import render_rule_list, run
 
 CLEAN = "def f(x):\n    if x < 0:\n        raise ValueError(x)\n    return x\n"

@@ -1,6 +1,6 @@
 """The analyzer's text report over Finding records."""
 
-from repro.analysis import Finding
+from repro.analysis.engine import Finding
 from repro.analysis.main import render_text
 
 FINDINGS = [

@@ -1,6 +1,6 @@
 """RPR110: the per-route status-code contract."""
 
-from repro.analysis import analyze_source
+from repro.analysis.engine import analyze_source
 
 
 def rpr110(findings):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.datagen import DataConfig, build_dataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
 from repro.entities import Event, User
 
 

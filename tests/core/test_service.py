@@ -16,7 +16,7 @@ from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
 from repro.entities import Event, User
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.serving.server import ServingServer, _RecommendWork
 from repro.store.cache import VectorCache
 from repro.store.index import EventIndex
@@ -897,11 +897,12 @@ class TestServingMonitors:
         monkeypatch.setattr(service.monitors.scores, "observe", scores.append)
         ranking = service.rank_events(tiny_users[0], tiny_events)
         service.score(tiny_users[0], tiny_events[0])
-        # One top-1 score per served ranking; a pair score is not one.
+        # One top-1 score and one user norm per served ranking; a pair
+        # score is not one.
         assert len(ranking) == len(tiny_events) > 1
         assert scores == [ranking[0].score]
         assert service.monitors.candidates.observed == 1
-        assert service.monitors.user_norms.observed > 0
+        assert service.monitors.user_norms.observed == 1
 
     @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
     def test_all_expired_ranking_observes_no_score(

@@ -8,7 +8,7 @@ from repro.core.model import JointUserEventModel
 from repro.core.trainer import RepresentationTrainer
 from repro.datagen.topics import TopicModel
 from repro.entities import Event, User
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.text.documents import DocumentEncoder
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datagen import DataConfig, EventRecDataset, build_dataset
-from repro.datagen.config import HOURS_PER_WEEK
+from repro.datagen.config import HOURS_PER_WEEK, DataConfig
+from repro.datagen.dataset import EventRecDataset, build_dataset
 
 
 class TestImpressionStatistics:

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.datagen import DataConfig, build_dataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
 from repro.eval.protocol import SCALES, TwoStageExperiment
 from repro.features.pipeline import FeatureSetConfig
 

@@ -27,7 +27,8 @@ import numpy as np
 from repro.core.config import JointModelConfig, TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.core.trainer import RepresentationTrainer
-from repro.datagen import DataConfig, EventRecDataset, build_dataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.text.documents import DocumentEncoder
 
 GOLDEN_PATH = Path(__file__).with_name("training.json")

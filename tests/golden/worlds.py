@@ -35,7 +35,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.datagen import DataConfig, EventRecDataset, build_dataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.eval.protocol import SCALES
 
 GOLDEN_PATH = Path(__file__).with_name("worlds.json")

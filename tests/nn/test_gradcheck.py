@@ -10,27 +10,16 @@ import numpy as np
 import pytest
 
 from tests.contracts import check_call
-from repro.core import JointModelConfig, JointUserEventModel
+from repro.core.config import JointModelConfig
+from repro.core.model import JointUserEventModel
 from repro.entities import Event, User
-from repro.nn import (
-    Affine,
-    Embedding,
-    ParamStore,
-    Tanh,
-    WindowedConv,
-    check_parameter_gradient,
-    contrastive_loss,
-    cosine_similarity,
-    cosine_similarity_backward,
-    log_sum_exp_pool,
-    log_sum_exp_pool_backward,
-    max_relative_error,
-    numeric_gradient,
-    pad_batch,
-    pooling_weights,
-    window_mask,
-)
-from repro.nn.layers import scatter_add_rows
+from repro.nn.batching import pad_batch, window_mask
+from repro.nn.cosine import cosine_similarity, cosine_similarity_backward
+from repro.nn.gradcheck import check_parameter_gradient, max_relative_error, numeric_gradient
+from repro.nn.layers import Affine, Embedding, Tanh, WindowedConv, scatter_add_rows
+from repro.nn.losses import contrastive_loss
+from repro.nn.params import ParamStore
+from repro.nn.pooling import log_sum_exp_pool, log_sum_exp_pool_backward, pooling_weights
 
 TOLERANCE = 1.0e-5
 
@@ -353,7 +342,7 @@ class TestFullModelGradients:
     def test_equation1_loss_gradient_end_to_end(self):
         """Check θ-gradients of the full two-tower model + cosine +
         contrastive loss against finite differences."""
-        from repro.text import DocumentEncoder
+        from repro.text.documents import DocumentEncoder
 
         users, events = _tiny_world()
         encoder = DocumentEncoder.fit(users, events, min_df=1)
@@ -393,7 +382,7 @@ class TestFullModelGradients:
             assert error < 1.0e-4, f"gradient mismatch for {param.name}: {error}"
 
     def test_embedding_table_gradients_end_to_end(self):
-        from repro.text import DocumentEncoder
+        from repro.text.documents import DocumentEncoder
 
         users, events = _tiny_world()
         encoder = DocumentEncoder.fit(users, events, min_df=1)

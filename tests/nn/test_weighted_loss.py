@@ -52,7 +52,8 @@ class TestSampleWeights:
 class TestClickWeightedProtocol:
     def test_experiment_accepts_click_weighting(self):
         from repro.core.config import JointModelConfig, TrainingConfig
-        from repro.datagen import DataConfig, build_dataset
+        from repro.datagen.config import DataConfig
+        from repro.datagen.dataset import build_dataset
         from repro.eval.protocol import TwoStageExperiment
         from repro.gbdt.boosting import GBDTConfig
 
@@ -69,7 +70,8 @@ class TestClickWeightedProtocol:
         assert experiment.training_history.epochs_run == 1
 
     def test_invalid_click_weight_rejected(self):
-        from repro.datagen import DataConfig, build_dataset
+        from repro.datagen.config import DataConfig
+        from repro.datagen.dataset import build_dataset
         from repro.eval.protocol import TwoStageExperiment
 
         dataset = build_dataset(DataConfig.small(seed=6))

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from repro.obs import MetricsRegistry, render_prometheus
 from repro.obs.drift import DriftMonitor, mean_shift_zscore
+from repro.obs.export import render_prometheus
+from repro.obs.registry import MetricsRegistry
 
 
 class TestMeanShiftZscore:
@@ -109,6 +110,21 @@ class TestDriftMonitor:
         records = {r["name"]: r["value"] for r in registry.snapshot()}
         assert records["repro_drift_ok"] == 1.0
         assert records["repro_drift_mean_zscore"] == 0.0
+
+    @pytest.mark.parametrize("live, text", [(40.0, "-Inf"), (120.0, "+Inf")])
+    def test_export_keeps_an_infinite_zscore(self, live, text):
+        # A constant stream that steps to another constant has zero
+        # spread: the z-score is infinite, and a breach must not read 0.
+        registry = MetricsRegistry()
+        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        monitor.observe_many([80.0] * 64 + [live] * 64)
+        assert monitor.result().status == "drift"
+        monitor.export(registry)
+        records = {r["name"]: r["value"] for r in registry.snapshot()}
+        assert records["repro_drift_ok"] == 0.0
+        assert records["repro_drift_mean_zscore"] == math.copysign(math.inf, live - 80.0)
+        rendered = render_prometheus(registry.snapshot())
+        assert f'repro_drift_mean_zscore{{monitor="serving_candidates"}} {text}' in rendered
 
     @pytest.mark.parametrize(
         "kwargs",

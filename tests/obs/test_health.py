@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.obs.drift import DriftMonitor
-from repro.obs.health import (
-    SLOSpec,
-    default_serving_slos,
-    evaluate,
-    format_health,
-    parse_slo,
-)
+from repro.obs.health import SLOSpec, default_serving_slos, evaluate, format_health, parse_slo
+from repro.obs.registry import MetricsRegistry
 
 
 def gauge_record(name, value, tags=None):

@@ -3,7 +3,7 @@
 Deliberately slow and obvious: a Python sort for the ranking contract,
 and a per-event loop over :meth:`RepresentationService.score` (that is,
 :func:`repro.nn.cosine.pair_cosine` on cached vectors) for a whole
-ranking.  Neither touches :class:`~repro.store.EventIndex`,
+ranking.  Neither touches :class:`~repro.store.index.EventIndex`,
 ``top_k_order`` or the service's rank body, so the indexed single-user,
 batch and HTTP paths can all be held to them: ids equal, scores within
 1e-9.

@@ -23,11 +23,11 @@ from repro.cli import main
 from repro.core.model import JointUserEventModel
 from repro.core.persistence import load_model_bundle
 from repro.core.service import RepresentationService
-from repro.datagen import DataConfig, EventRecDataset, build_dataset
-from repro.obs import MetricsRegistry, default_serving_slos, use_registry
-from repro.obs.health import evaluate
-from repro.serving import ServingServer
-from repro.serving.server import _RecommendWork
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import EventRecDataset, build_dataset
+from repro.obs.health import default_serving_slos, evaluate
+from repro.obs.registry import MetricsRegistry, use_registry
+from repro.serving.server import ServingServer, _RecommendWork
 
 FLUSH = 8  # requests per flush, and between two polls
 TOP_K = 10

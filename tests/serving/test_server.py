@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 from repro.core.config import JointModelConfig
 from repro.core.model import JointUserEventModel
 from repro.core.service import RepresentationService
-from repro.datagen import DataConfig, build_dataset
+from repro.datagen.config import DataConfig
+from repro.datagen.dataset import build_dataset
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
-from repro.serving import ServingServer, ThreadedServer
 from repro.serving.http import HttpError, HttpRequest
-from repro.serving.server import _RecommendWork
+from repro.serving.server import ServingServer, ThreadedServer, _RecommendWork
 from repro.text.documents import DocumentEncoder
 from tests.reference import rank_events_loop
 

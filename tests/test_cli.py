@@ -357,7 +357,7 @@ def serve_in_process(argv, monkeypatch, drive):
     import threading
     import time
 
-    from repro.serving import ThreadedServer
+    from repro.serving.server import ThreadedServer
 
     started = []
     start = ThreadedServer.start
@@ -537,7 +537,7 @@ class TestServeCommand:
         import subprocess
         import sys
 
-        from repro.obs import read_telemetry
+        from repro.obs.export import read_telemetry
 
         dataset, bundle = trained
         telemetry = tmp_path / "serve.jsonl"
@@ -582,7 +582,8 @@ class TestServeCommand:
 
 class TestHealthCommand:
     def _write_telemetry(self, path, p99):
-        from repro.obs import MetricsRegistry, TelemetryWriter
+        from repro.obs.export import TelemetryWriter
+        from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.gauge(

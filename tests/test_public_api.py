@@ -1,13 +1,17 @@
-"""Public API surface: everything advertised in __all__ exists, the
-documented import paths work, and — the consumer rule, DESIGN §8 — every
-module, public name and option of ``src/`` is used by non-test code."""
+"""Public API surface: every ``__all__`` entry exists, the headline
+names are documented, each name has one import path (the module that
+defines it), and — the consumer rule, DESIGN §8 — every module, public
+name and option of ``src/`` is used by non-test code."""
 
 import ast
 import functools
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -25,12 +29,23 @@ PACKAGES = [
 ]
 
 
+def _package_modules(package_name):
+    """The non-package modules directly inside ``package_name``."""
+    package = importlib.import_module(package_name)
+    return [
+        importlib.import_module(f"{package_name}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+        if not info.ispkg and info.name != "__main__"
+    ]
+
+
 @pytest.mark.parametrize("package_name", PACKAGES)
 def test_all_entries_resolve(package_name):
-    package = importlib.import_module(package_name)
-    assert hasattr(package, "__all__"), f"{package_name} lacks __all__"
-    for name in package.__all__:
-        assert hasattr(package, name), f"{package_name}.{name} missing"
+    modules = _package_modules(package_name)
+    assert modules, f"{package_name} holds no modules"
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.{name} missing"
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -40,16 +55,17 @@ def test_module_docstrings_present(package_name):
 
 
 def test_readme_quickstart_imports():
-    from repro import (  # noqa: F401
-        DataConfig,
-        DocumentEncoder,
-        JointModelConfig,
-        JointUserEventModel,
-        RepresentationService,
-        RepresentationTrainer,
-        TrainingConfig,
-        build_dataset,
-    )
+    from repro.core.config import JointModelConfig, TrainingConfig  # noqa: F401
+    from repro.core.model import JointUserEventModel  # noqa: F401
+    from repro.core.service import RepresentationService  # noqa: F401
+    from repro.core.trainer import RepresentationTrainer  # noqa: F401
+    from repro.datagen.config import DataConfig  # noqa: F401
+    from repro.datagen.dataset import build_dataset  # noqa: F401
+    from repro.text.documents import DocumentEncoder  # noqa: F401
+
+    # The top-level path is gone, not shimmed: `from repro import
+    # DataConfig` raises ImportError.
+    assert not hasattr(repro, "DataConfig")
 
 
 def test_spans_module_folded_into_trace():
@@ -60,22 +76,38 @@ def test_spans_module_folded_into_trace():
 
 
 def test_version_string():
-    import repro
-
     assert repro.__version__.count(".") == 2
 
 
-def test_every_public_class_documented():
-    """Every public callable exported by the top-level package carries
-    a docstring — the (e) documentation deliverable, enforced."""
-    import repro
+# The headline classes and functions of the README, each at its one path.
+DOCUMENTED = {
+    "repro.core.config": ["JointModelConfig", "TrainingConfig"],
+    "repro.core.model": ["JointUserEventModel"],
+    "repro.core.service": ["RepresentationService"],
+    "repro.core.siamese": ["SiameseEventInitializer"],
+    "repro.core.similar_events": ["SimilarEventIndex"],
+    "repro.core.trainer": ["RepresentationTrainer"],
+    "repro.datagen.config": ["DataConfig"],
+    "repro.datagen.dataset": ["EventRecDataset", "build_dataset"],
+    "repro.entities": ["Event", "Impression", "User"],
+    "repro.eval.metrics": ["evaluate_scores", "roc_auc"],
+    "repro.eval.protocol": ["TwoStageExperiment"],
+    "repro.features.pipeline": ["FeatureSetConfig"],
+    "repro.gbdt.boosting": ["GBDTClassifier", "GBDTConfig"],
+    "repro.store.cache": ["VectorCache"],
+    "repro.store.index": ["EventIndex"],
+    "repro.text.documents": ["DocumentEncoder"],
+}
 
-    for name in repro.__all__:
-        if name.startswith("__"):
-            continue
-        obj = getattr(repro, name)
-        if callable(obj):
-            assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+def test_every_public_class_documented():
+    """Every headline public callable carries a docstring — the (e)
+    documentation deliverable, enforced."""
+    for module_name, names in DOCUMENTED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            obj = getattr(module, name)
+            assert callable(obj) and obj.__doc__, f"{module_name}.{name} lacks a docstring"
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +197,7 @@ class _Source:
                 self.imports.add(base)
                 for alias in node.names:
                     self.imports.add(f"{base}.{alias.name}")
-                    if not self.is_init:  # a re-export is not a use
-                        self.mentions.add(alias.name)
+                    self.mentions.add(alias.name)
             elif isinstance(node, ast.Name):
                 self.mentions.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -238,15 +269,13 @@ def _modules() -> list[_Source]:
 
 
 def test_every_module_has_a_non_test_importer():
-    """Imported by non-test code other than itself and its own
-    package's ``__init__`` (a re-export is not a use)."""
+    """Imported by non-test code other than itself."""
     orphans = []
     for source in _modules():
-        own = {source.path, source.path.parent / "__init__.py"}
         if not any(
             source.module in other.imports
             for other in _sources()
-            if other.path not in own
+            if other is not source
         ):
             orphans.append(source.module)
     assert sorted(set(orphans) - set(ALLOWED_MODULES)) == []
@@ -263,12 +292,6 @@ def test_every_public_name_has_a_non_test_consumer():
     assert sorted(unconsumed) == []
     public = {f"{source.module}.{name}" for source in _modules() for name in source.public}
     assert sorted(set(ALLOWED_NAMES) - public) == [], "stale allow-list entry"
-    # A package's __all__ re-exports names that passed the check above.
-    passed = {name for source in _modules() for name in source.public}
-    for source in _sources():
-        if source.module and source.is_init:
-            extra = [n for n in source.public if n not in passed and not n.startswith("__")]
-            assert extra == [], f"{source.module}.__all__ exports {extra}"
 
 
 def _defaulted(function: ast.FunctionDef) -> list[tuple[str, int | None]]:
@@ -371,24 +394,106 @@ def test_every_option_is_set_by_non_test_code():
     assert stale == [], "stale kept-list entry"
 
 
+# ----------------------------------------------------------------------
+# One import path per name: a package ``__init__`` is its docstring
+# (the top level adds ``__version__``), and ``from repro… import name``
+# names the module that defines ``name`` or imports a submodule.
+# ----------------------------------------------------------------------
+
+IMPORTING_DIRS = ("src", "tests", "benchmarks", "examples")
+
+# bench/tracing.py patches these as attributes of the importing module,
+# so each stays a top-level from-import there.
+BENCH_PATCHED = {
+    "repro.core.model": {
+        "pad_batch", "cosine_similarity", "cosine_similarity_backward", "contrastive_loss",
+    },
+    "repro.core.trainer": {"contrastive_loss"},
+    "repro.core.service": {"top_k_order"},
+    "repro.serving.server": {"read_http_request", "render_response"},
+}
+
+
+def _src_modules() -> dict[str, _Source]:
+    return {source.module: source for source in _sources() if source.module}
+
+
+def test_package_inits_hold_only_their_docstrings():
+    for module, source in _src_modules().items():
+        if not source.is_init:
+            continue
+        docstring, *rest = source.tree.body
+        assert isinstance(getattr(docstring, "value", None), ast.Constant), module
+        allowed = {"__version__"} if module == "repro" else set()
+        assert len(rest) == len(allowed) and set(source.definitions) == allowed, (
+            f"{module}/__init__.py holds more than its docstring"
+        )
+
+
+def test_every_repro_import_names_the_defining_module():
+    modules = _src_modules()
+    defined = {module: set(source.definitions) for module, source in modules.items()}
+    wrong = []
+    for directory in IMPORTING_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom) or node.level:
+                    continue
+                if node.module != "repro" and not (node.module or "").startswith("repro."):
+                    continue
+                wrong += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in defined.get(node.module, ())
+                    and f"{node.module}.{alias.name}" not in modules
+                ]
+    assert wrong == []
+
+
+def test_bench_patch_targets_stay_module_attributes():
+    for module, names in BENCH_PATCHED.items():
+        imported = {
+            alias.asname or alias.name
+            for node in _src_modules()[module].tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert names <= imported, f"{module} no longer imports {sorted(names - imported)}"
+
+
+# What the serving and training processes may not load: the stage-2
+# combiner, the baselines, the evaluation protocol, the analyzer and
+# the gradient oracle.
+STAGE_TWO = (
+    "repro.baselines", "repro.gbdt", "repro.features", "repro.eval", "repro.analysis",
+    "repro.nn.gradcheck",
+)
+
+
 def test_runtime_loads_no_scipy():
-    """The runtime depends on numpy only: importing the package, the
-    CLI parser, a data config and the AUC leave scipy unloaded (it is a
-    test oracle, in the dev extra)."""
+    """The runtime depends on numpy only: importing the serving closure
+    (server, bundle loader, dataset) and the training closure (trainer)
+    loads no stage-2 module, and adding the CLI parser, a data config
+    and the AUC leaves scipy unloaded (it is a test oracle, in the dev
+    extra)."""
+    import json
     import os
     import subprocess
     import sys
 
     probe = (
-        "import sys\n"
-        "import repro\n"
+        "import json, sys\n"
+        "import repro.serving.server, repro.core.persistence, repro.datagen.dataset\n"
+        "import repro.core.trainer\n"
+        "runtime = sorted(name for name in sys.modules if name.startswith('repro.'))\n"
         "from repro.cli import build_parser\n"
-        "from repro.datagen import DataConfig\n"
+        "from repro.datagen.config import DataConfig\n"
         "from repro.eval.metrics import roc_auc\n"
         "build_parser()\n"
         "DataConfig.small(0)\n"
         "roc_auc([0, 1, 1], [0.2, 0.1, 0.9])\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "scipy = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'runtime': runtime, 'scipy': scipy}))\n"
     )
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
@@ -398,4 +503,7 @@ def test_runtime_loads_no_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=environment,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    loaded = json.loads(result.stdout)
+    assert "repro.serving.server" in loaded["runtime"]
+    assert [name for name in loaded["runtime"] if name.startswith(STAGE_TWO)] == []
+    assert loaded["scipy"] == []
