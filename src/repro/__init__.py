@@ -16,7 +16,7 @@ modules it imports.  The subpackages:
 * :mod:`repro.eval` — metrics and the two-stage experiment protocol.
 * :mod:`repro.store` — the serving-time representation cache and the
   batched top-K event retrieval index.
-* :mod:`repro.obs` — telemetry: metrics, spans, structured logs.
+* :mod:`repro.obs` — telemetry: metrics, traces, drift, SLOs.
 * :mod:`repro.serving` — the micro-batching HTTP server.
 * :mod:`repro.analysis` — the project's static analyzer.
 

@@ -64,7 +64,7 @@ from repro.datagen.config import DataConfig
 from repro.datagen.dataset import EventRecDataset, build_dataset
 from repro.eval.protocol import SCALES
 from repro.eval.reporting import format_importances, format_table, render_pr_curves
-from repro.obs.export import TelemetryWriter, last_snapshot, render_prometheus
+from repro.obs.export import TelemetryWriter, json_line, last_snapshot, render_prometheus
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer, write_trace_jsonl
 from repro.text.documents import DocumentEncoder
@@ -329,9 +329,7 @@ def _cmd_metrics(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
-        import json
-
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
+        print(json_line(snapshot))
     else:
         print(render_prometheus(snapshot), end="")
     return 0
@@ -391,8 +389,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_health(args) -> int:
-    import json
-
     from repro.obs.health import (
         default_serving_slos,
         evaluate,
@@ -418,7 +414,7 @@ def _cmd_health(args) -> int:
         return 2
     verdict = evaluate(slos, snapshot)
     if args.json:
-        print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
+        print(json_line(verdict.as_dict()))
     else:
         print(format_health(verdict))
     return 0 if verdict.healthy else 1

@@ -8,7 +8,6 @@ the best-validation parameters when stopping.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -19,15 +18,11 @@ from repro.core.config import TrainingConfig
 from repro.core.model import JointUserEventModel
 from repro.nn.losses import contrastive_loss
 from repro.nn.optim import SGD, Adagrad, ExponentialDecay, Optimizer
-from repro.obs.drift import DriftMonitor
-from repro.obs.log import get_logger
 from repro.obs.registry import get_registry
 from repro.obs.trace import record_stage, span
 from repro.text.documents import EncodedEvent, EncodedUser
 
 __all__ = ["TrainingHistory", "RepresentationTrainer", "EpochCallback"]
-
-_log = get_logger("repro.core.trainer")
 
 EpochCallback = Callable[[int, Mapping[str, float]], None]
 """``on_epoch_end(epoch_index, stats)`` observer; ``stats`` carries
@@ -137,18 +132,6 @@ class RepresentationTrainer:
         epochs_since_best = 0
 
         registry = get_registry()
-        # Per-epoch shift detectors: the first epochs form the
-        # reference, later epochs the live window.  Only *upward*
-        # shifts breach — loss and gradient norms falling is
-        # convergence, rising is divergence (or an exploding update).
-        shift_monitors: tuple[DriftMonitor, ...] = ()
-        if registry.enabled:
-            shift_monitors = tuple(
-                DriftMonitor(
-                    name, warmup=3, window=3, min_live=2, sigmas=3.0, direction="up"
-                )
-                for name in ("train_loss", "train_grad_norm")
-            )
         event_lengths = np.array(
             [event.text_ids.shape[0] for event in train_events]
         )
@@ -216,26 +199,6 @@ class RepresentationTrainer:
                 registry.gauge("repro_train_learning_rate").set(rate)
                 registry.gauge("repro_train_grad_norm").set(grad_norm)
                 registry.counter("repro_train_epochs_total").inc()
-                for monitor, value in zip(
-                    shift_monitors, (mean_train_loss, grad_norm)
-                ):
-                    if not math.isfinite(value):
-                        continue
-                    monitor.observe(value)
-                    monitor.export(registry)
-                    result = monitor.result()
-                    if result.drifted:
-                        registry.counter(
-                            "repro_train_drift_total",
-                            tags={"signal": monitor.name},
-                        ).inc()
-                        _log.warning(
-                            "train_shift",
-                            signal=monitor.name,
-                            epoch=epoch + 1,
-                            mean_zscore=round(result.mean_zscore, 3),
-                            value=round(value, 6),
-                        )
             if on_epoch_end is not None:
                 on_epoch_end(
                     epoch,

@@ -1,7 +1,7 @@
-"""repro.obs — telemetry: metrics, spans, traces, logs, exporters.
+"""repro.obs — telemetry: metrics, spans, traces, exporters.
 
 The observability layer for the production-serving story of paper
-Section 4.  Six pieces:
+Section 4.  Five pieces:
 
 * :mod:`repro.obs.registry` — counters, gauges, histograms (count,
   sum, min, max and p50/p95/p99 from a 1 %-accurate log-bucket
@@ -10,11 +10,9 @@ Section 4.  Six pieces:
   timers that, under a :class:`Tracer`, nest via ``contextvars`` and
   become per-request traces: trace/span ids, wall + CPU time,
   keep-slowest tail sampling and JSONL export;
-* :mod:`repro.obs.log` — JSON-lines structured logging with a fixed
-  ``{ts, level, event, logger, tags}`` schema (plus
-  ``trace_id``/``span_id`` when emitted inside a traced span);
-* :mod:`repro.obs.export` — JSONL telemetry files and the Prometheus
-  text format (a histogram is a ``summary`` family);
+* :mod:`repro.obs.export` — strict-JSON lines (telemetry files, trace
+  files, the registry's one ``collector_failed`` report on stderr) and
+  the Prometheus text format (a histogram is a ``summary`` family);
 * :mod:`repro.obs.drift` — reference-vs-live drift detection: one
   mean-shift z-score per streaming monitor, over one number per
   request;

@@ -13,7 +13,7 @@ The first ``warmup`` samples freeze into an immutable *reference*
 (its size, mean and variance); later samples roll through a
 fixed-size *live window*.  :meth:`DriftMonitor.result` compares the
 two with one detector, the two-sample mean-shift z-score, and
-breaches when it reaches ``sigmas``.
+breaches when its magnitude reaches :data:`SIGMAS`.
 
 The z-score assumes the samples of a window are exchangeable — any
 one is as likely as any other to have come from any request.  So a
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,10 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
+    "SIGMAS",
     "DriftResult",
     "DriftMonitor",
     "mean_shift_zscore",
 ]
+
+SIGMAS = 4.0
+"""Breach threshold on ``|z|``.  Under no shift the z-score of
+exchangeable samples is close to a standard normal, so 4σ is a false
+alarm rate of about 6e-5 per evaluation."""
 
 
 def mean_shift_zscore(
@@ -112,11 +118,7 @@ class DriftMonitor:
     before that, ``result()`` reports ``"warming"`` and never breaches.
 
     The verdict is ``"drift"`` when the mean-shift z-score reaches
-    ``sigmas``: in either direction for ``direction="both"``
-    (default), upward only for ``"up"`` (the trainer's loss-divergence
-    setting).  Under no shift the z-score of exchangeable samples is
-    close to a standard normal, so the default 4σ is a false alarm
-    rate of about 6e-5 per evaluation.
+    :data:`SIGMAS` in either direction.
 
     ``observe`` is an O(1) deque/list append and may be called from
     multiple serving threads; verdicts are computed over a snapshot of
@@ -130,8 +132,6 @@ class DriftMonitor:
         warmup: int = 200,
         window: int = 200,
         min_live: int = 50,
-        sigmas: float = 4.0,
-        direction: str = "both",
     ) -> None:
         if warmup < 2:
             raise ValueError(f"warmup must be >= 2, got {warmup}")
@@ -141,16 +141,10 @@ class DriftMonitor:
             raise ValueError(
                 f"min_live must be in [2, window], got {min_live}"
             )
-        if not sigmas >= 0.0:
-            raise ValueError(f"sigmas must be >= 0, got {sigmas}")
-        if direction not in ("both", "up"):
-            raise ValueError(f"direction must be both/up, got {direction!r}")
         self.name = name
         self.warmup = warmup
         self.window = window
         self.min_live = min_live
-        self.sigmas = sigmas
-        self.direction = direction
         self._freeze_lock = threading.Lock()
         self._pending: list[float] | None = []
         self._ref_n = 0
@@ -172,10 +166,6 @@ class DriftMonitor:
             return
         self._live.append(value)
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     def _freeze(self) -> None:
         """Promote the pending samples to the immutable reference."""
         with self._freeze_lock:
@@ -189,10 +179,6 @@ class DriftMonitor:
             self._pending = None
 
     # -- evaluate ------------------------------------------------------
-
-    @property
-    def warming(self) -> bool:
-        return self._pending is not None or len(self._live) < self.min_live
 
     def result(self) -> DriftResult:
         """Compare the live window to the reference right now."""
@@ -214,10 +200,9 @@ class DriftMonitor:
             live_var,
             len(live),
         )
-        signed = max(zscore, 0.0) if self.direction == "up" else abs(zscore)
         return DriftResult(
             name=self.name,
-            status="drift" if signed >= self.sigmas else "ok",
+            status="drift" if abs(zscore) >= SIGMAS else "ok",
             mean_zscore=zscore,
             live_samples=len(live),
         )

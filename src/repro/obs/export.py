@@ -7,7 +7,8 @@ Two complementary formats over the same snapshot records (see
   (per-epoch training stats, per-benchmark timings) with full
   ``{"record": "snapshot"}`` metric dumps.  This is what
   ``--metrics-out`` and the benchmark harness write; one file tells
-  the whole story of a run.
+  the whole story of a run.  :func:`last_snapshot` reads its final
+  dump back as the live registry's ``snapshot()`` returned it.
 * **Prometheus text format** — the scrape-able rendering used by the
   ``repro-events metrics`` CLI command; counters and gauges map
   directly, and a histogram is one ``summary`` family: its sketch's
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from pathlib import Path
 from typing import IO, Any
 
@@ -30,37 +30,38 @@ __all__ = [
     "render_prometheus",
     "snapshot_record",
     "TelemetryWriter",
-    "read_telemetry",
     "last_snapshot",
 ]
 
 
-def _finite(value: Any) -> Any:
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
+_INFINITIES = {"+Inf": math.inf, "-Inf": -math.inf}
+_METRIC_TYPES = ("counter", "gauge", "histogram")
+
+
+def _strict(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return None
+        return "+Inf" if value > 0 else "-Inf"
     if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
+        return {key: _strict(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
+        return [_strict(item) for item in value]
     return value
 
 
-def json_line(record: Any, default: Callable[[Any], Any] = str) -> str:
+def json_line(record: Any) -> str:
     """``record`` as one line of *strict* JSON, keys sorted.
 
     ``json.dumps`` writes non-finite floats as bare ``NaN`` /
-    ``Infinity``, which strict parsers reject; a diverged training run
-    produces exactly those (loss and gradient-norm gauges).  They
-    become ``null`` here, as the registry snapshot already does for
-    unset quantiles — including values ``default`` converts (numpy
-    scalars).  Every JSONL writer of this package goes through here.
+    ``Infinity``, which strict parsers reject.  Here NaN becomes
+    ``null``, as the registry snapshot already writes unset quantiles,
+    and ±inf the strings ``"+Inf"``/``"-Inf"`` (Prometheus's spelling),
+    which :func:`last_snapshot` reads back as floats.  Anything else
+    JSON has no type for is written as its ``str``.  Every JSON line
+    this package writes goes through here.
     """
-    return json.dumps(
-        _finite(record),
-        sort_keys=True,
-        default=lambda value: _finite(default(value)),
-        allow_nan=False,
-    )
+    return json.dumps(_strict(record), sort_keys=True, default=str, allow_nan=False)
 
 
 def _format_value(value: float | None) -> str:
@@ -164,27 +165,48 @@ class TelemetryWriter:
         self.close()
 
 
-def read_telemetry(path: str | Path) -> list[dict]:
-    """Parse every record of a JSONL telemetry file."""
-    records: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def _read_metric(metric: Any, where: str) -> dict:
+    """One snapshot metric record, checked, with an infinite counter or
+    gauge value restored (a histogram drops non-finite observations)."""
+    if not (
+        isinstance(metric, dict)
+        and isinstance(metric.get("name"), str)
+        and metric.get("type") in _METRIC_TYPES
+    ):
+        raise ValueError(
+            f"{where}: a metric must be an object with a string name and a "
+            f"type in {_METRIC_TYPES}"
+        )
+    value = metric.get("value")
+    if isinstance(value, str) and value in _INFINITIES:
+        metric = {**metric, "value": _INFINITIES[value]}
+    return metric
 
 
 def last_snapshot(path: str | Path) -> list[dict]:
     """The metric records of the final snapshot in a telemetry file.
 
-    Raises ``ValueError`` when the file holds no snapshot record, which
-    is what the ``metrics`` CLI command surfaces as a user error.
+    Raises ``ValueError`` naming the file (and line) when the file
+    holds no snapshot record, a line that is not a JSON object, or a
+    snapshot whose ``metrics`` is not a list of metric records — what
+    the ``metrics`` and ``health`` CLI commands surface as a user error.
     """
     snapshot: list[dict] | None = None
-    for record in read_telemetry(path):
-        if record.get("record") == "snapshot":
-            snapshot = record.get("metrics", [])
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            where = f"{path}:{number}"
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            if record.get("record") != "snapshot":
+                continue
+            metrics = record.get("metrics")
+            if not isinstance(metrics, list):
+                raise ValueError(f"{where}: snapshot metrics must be a list")
+            snapshot = [_read_metric(metric, where) for metric in metrics]
     if snapshot is None:
         raise ValueError(f"no snapshot record in telemetry file {path}")
     return snapshot

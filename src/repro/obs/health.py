@@ -82,9 +82,9 @@ def default_serving_slos() -> tuple[SLOSpec, ...]:
     from the cache collector, and the drift *verdict* gauge of each of
     the service's three monitors (served scores, candidate-pool sizes,
     user-vector norms).  The verdict (``repro_drift_ok``) is used
-    rather than the raw ``repro_drift_mean_zscore`` because each
-    monitor carries its own threshold (``sigmas``, a direction), so
-    every drift objective is the same ``>= 1``.
+    rather than the raw ``repro_drift_mean_zscore`` so that every
+    drift objective is the same ``>= 1``, whatever threshold
+    :mod:`repro.obs.drift` breaches at.
     """
     return (
         SLOSpec(

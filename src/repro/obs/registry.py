@@ -32,6 +32,7 @@ change training results.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Mapping
@@ -340,14 +341,15 @@ class MetricsRegistry:
                 )
                 first = not errors.value
                 errors.inc()
-                if first:  # warn once per collector, count every failure
-                    from repro.obs.log import get_logger  # log imports this module
+                if first:  # report once per collector, count every failure
+                    from repro.obs.export import json_line  # export imports this module
 
-                    get_logger(__name__).warning(
-                        "collector_failed",
-                        collector=key,
-                        error=f"{type(error).__name__}: {error}",
-                    )
+                    record = {
+                        "event": "collector_failed",
+                        "collector": key,
+                        "error": f"{type(error).__name__}: {error}",
+                    }
+                    sys.stderr.write(json_line(record) + "\n")
         records: list[dict] = []
         for name in sorted(self._families):
             family = self._families[name]

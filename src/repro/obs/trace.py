@@ -71,7 +71,6 @@ __all__ = [
     "record_stage",
     "carry_span",
     "current_span",
-    "current_ids",
     "SpanRecord",
     "Trace",
     "TailSampler",
@@ -123,15 +122,6 @@ def current_span() -> "Span | None":
     """The innermost open traced span in this context, if any (a span
     opened with no tracer installed is never current)."""
     return _CURRENT_SPAN.get()
-
-
-def current_ids() -> tuple[str, str] | None:
-    """``(trace_id, span_id)`` of the current span, ``None`` outside one
-    — so always ``None`` when no tracer is installed.  This is what
-    :mod:`repro.obs.log` injects into structured log records.
-    """
-    current = _CURRENT_SPAN.get()
-    return None if current is None else (current.trace_id, current.span_id)
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,15 @@ class TestMeanShiftZscore:
 class TestDriftMonitor:
     def test_warming_until_reference_and_min_live(self):
         monitor = DriftMonitor("sig", warmup=10, window=10, min_live=5)
-        monitor.observe_many(range(9))
-        assert monitor.warming
+        for value in range(9):
+            monitor.observe(value)
         assert monitor.result().status == "warming"
         monitor.observe(9.0)  # freezes the reference
-        assert monitor.warming  # live window still empty
-        monitor.observe_many(range(5))
-        assert not monitor.warming
+        assert monitor.result().status == "warming"  # live window still empty
+        for value in range(4):
+            monitor.observe(value)
+        assert monitor.result().status == "warming"  # one short of min_live
+        monitor.observe(4.0)
         assert monitor.result().status in ("ok", "drift")
 
     def test_stationary_stream_stays_ok(self):
@@ -65,29 +67,11 @@ class TestDriftMonitor:
         assert result.drifted
         assert result.mean_zscore > 4.0
 
-    def test_direction_up_ignores_downward_shift(self):
-        down = DriftMonitor(
-            "sig", warmup=10, window=10, min_live=5, sigmas=3.0, direction="up",
-        )
-        both = DriftMonitor("sig", warmup=10, window=10, min_live=5, sigmas=3.0)
-        for monitor in (down, both):
-            monitor.observe_many([10.0 + 0.1 * i for i in range(10)])
-            monitor.observe_many([1.0 + 0.1 * i for i in range(10)])
-        assert not down.result().drifted  # falling = converging
-        assert both.result().drifted
-
-    def test_inf_threshold_disables_detector(self):
-        monitor = DriftMonitor(
-            "sig", warmup=10, window=10, min_live=5, sigmas=math.inf
-        )
-        monitor.observe_many(range(10))
-        monitor.observe_many([500.0 + i for i in range(10)])
-        assert monitor.result().status == "ok"
-
     def test_export_writes_drift_gauges(self):
         registry = MetricsRegistry()
         monitor = DriftMonitor("scores", warmup=5, window=5, min_live=2)
-        monitor.observe_many([1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 3.0])
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 3.0):
+            monitor.observe(value)
         monitor.export(registry)
         by_name = {
             (record["name"], record["tags"].get("monitor")): record
@@ -117,7 +101,8 @@ class TestDriftMonitor:
         # spread: the z-score is infinite, and a breach must not read 0.
         registry = MetricsRegistry()
         monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
-        monitor.observe_many([80.0] * 64 + [live] * 64)
+        for value in [80.0] * 64 + [live] * 64:
+            monitor.observe(value)
         assert monitor.result().status == "drift"
         monitor.export(registry)
         records = {r["name"]: r["value"] for r in registry.snapshot()}
@@ -131,10 +116,8 @@ class TestDriftMonitor:
         [
             {"warmup": 1},
             {"window": 1},
-            {"sigmas": -1.0},
             {"min_live": 1},
             {"min_live": 500},
-            {"direction": "sideways"},
         ],
     )
     def test_bad_construction_raises(self, kwargs):

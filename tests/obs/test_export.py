@@ -1,14 +1,17 @@
 """Exporters: Prometheus text golden output, JSONL roundtrip."""
 
+import json
+
 import pytest
 
+from repro.obs.drift import DriftMonitor
 from repro.obs.export import (
     TelemetryWriter,
     last_snapshot,
-    read_telemetry,
     render_prometheus,
     snapshot_record,
 )
+from repro.obs.health import evaluate, parse_slo
 from repro.obs.registry import MetricsRegistry
 
 
@@ -72,14 +75,14 @@ class TestJsonl:
         with TelemetryWriter(path) as writer:
             writer.write({"record": "epoch", "epoch": 1, "train_loss": 0.5})
             writer.write_snapshot(registry, command="test")
-        records = read_telemetry(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0] == {"record": "epoch", "epoch": 1, "train_loss": 0.5}
         assert records[1]["record"] == "snapshot"
         assert records[1]["meta"] == {"command": "test"}
         names = {metric["name"] for metric in records[1]["metrics"]}
         assert "repro_cache_hits_total" in names
 
-    def test_non_finite_values_are_written_as_null(self, tmp_path, strict_loads):
+    def test_non_finite_values_stay_strict_json(self, tmp_path, strict_loads):
         # What a diverged training run leaves in the registry.
         registry = MetricsRegistry()
         registry.gauge("repro_train_epoch_loss").set(float("nan"))
@@ -89,16 +92,38 @@ class TestJsonl:
             writer.write({"record": "epoch", "loss": float("-inf")})
             writer.write_snapshot(registry)
         epoch, snapshot = map(strict_loads, path.read_text().splitlines())
-        assert epoch["loss"] is None
-        assert [m["value"] for m in snapshot["metrics"]] == [None, None]
-        # ...and the file still renders: null reads back as NaN.
-        assert "repro_train_epoch_loss NaN" in render_prometheus(
-            last_snapshot(path)
+        # NaN is null; ±inf is Prometheus's spelling, as a string.
+        assert epoch["loss"] == "-Inf"
+        assert [m["value"] for m in snapshot["metrics"]] == [None, "+Inf"]
+        # ...and the file renders as the live registry does.
+        assert render_prometheus(last_snapshot(path)) == render_prometheus(
+            registry.snapshot()
         )
-        # The live text format keeps its own spellings.
         live = render_prometheus(registry.snapshot())
         assert "repro_train_epoch_loss NaN" in live
         assert "repro_train_grad_norm +Inf" in live
+
+    @pytest.mark.parametrize("live", [40.0, 120.0])
+    def test_infinite_gauge_round_trips(self, tmp_path, live):
+        """A breached monitor's infinite z-score reads back as the live
+        registry holds it, so ``metrics`` and ``health`` see the same
+        number from the file as from the process."""
+        registry = MetricsRegistry()
+        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        for value in [80.0] * 64 + [live] * 64:
+            monitor.observe(value)
+        monitor.export(registry)
+        # A tag value spelled like an infinity is never rewritten.
+        registry.gauge("repro_x", tags={"bound": "-Inf"}).set(1.0)
+        path = tmp_path / "telemetry.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.write_snapshot(registry)
+        assert last_snapshot(path) == registry.snapshot()
+        slo = parse_slo("z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4")
+        from_file = evaluate([slo], last_snapshot(path)).slos[0]
+        from_live = evaluate([slo], registry.snapshot()).slos[0]
+        assert from_file == from_live
+        assert from_file.status == ("breach" if live < 80.0 else "ok")
 
     def test_last_snapshot_takes_final(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
@@ -128,3 +153,26 @@ class TestJsonl:
         assert record["record"] == "snapshot"
         assert record["meta"] == {"run": "r1"}
         assert isinstance(record["metrics"], list)
+
+
+class TestMalformedTelemetry:
+    """A corrupt file is a ``ValueError`` naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", ":2: not a JSON object"),
+            ('{"record": "snapshot", "metrics": 5}', ":2: snapshot metrics must be a list"),
+            ('{"record": "snapshot", "metrics": [{"type": "gauge", "value": 1}]}',
+             ":2: a metric must be an object with a string name"),
+            ('{"record": "snapshot", "metrics": [{"name": "m", "type": "meter"}]}',
+             ":2: a metric must be an object"),
+            ('{"record": "snapshot", "metrics": [7]}', ":2: a metric must be an object"),
+        ],
+    )
+    def test_last_snapshot_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "telemetry.jsonl"
+        path.write_text('{"record": "run"}\n' + line + "\n")
+        with pytest.raises(ValueError) as error:
+            last_snapshot(path)
+        assert str(error.value).startswith(str(path) + message)

@@ -147,7 +147,8 @@ class TestHealthMonitor:
         """A drift monitor reaches the verdict the one way anything
         does: as a spec over the gauge it exports."""
         monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
-        monitor.observe_many([1.0, 1.1, 0.9, 1.05, 0.95])
+        for value in [1.0, 1.1, 0.9, 1.05, 0.95]:
+            monitor.observe(value)
         specs = self.SPECS + (parse_slo(
             "scores_ok=repro_drift_ok{monitor=scores}>=1"
         ),)
@@ -158,7 +159,8 @@ class TestHealthMonitor:
         registry.gauge("repro_cache_hit_rate").set(0.95)
         monitor.export(registry)
         assert evaluate(specs, registry.snapshot()).healthy  # warming
-        monitor.observe_many([50.0, 51.0, 49.0, 50.5, 49.5])
+        for value in [50.0, 51.0, 49.0, 50.5, 49.5]:
+            monitor.observe(value)
         monitor.export(registry)
         verdict = evaluate(specs, registry.snapshot())
         assert not verdict.healthy
@@ -230,7 +232,8 @@ class TestDefaultServingSlos:
 class TestFormatHealth:
     def test_mentions_verdict_slos_and_drift(self):
         monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
-        monitor.observe_many([1.0] * 5 + [1.0] * 5)
+        for value in [1.0] * 5 + [1.0] * 5:
+            monitor.observe(value)
         registry = MetricsRegistry()
         registry.gauge("repro_cache_hit_rate").set(0.95)
         monitor.export(registry)

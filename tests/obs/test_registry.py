@@ -1,13 +1,10 @@
 """Metrics registry: counters, gauges, histograms, quantiles."""
 
-import io
-import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.obs.log import log_context
 from repro.obs.registry import (
     SKETCH_ALPHA,
     Counter,
@@ -155,7 +152,7 @@ class TestSnapshot:
         assert records["repro_g"]["value"] == 2.0
 
 
-    def test_raising_collector_costs_only_its_own_series(self):
+    def test_raising_collector_costs_only_its_own_series(self, capsys, strict_loads):
         def broken(registry):
             raise RuntimeError("collector bug")
 
@@ -164,18 +161,18 @@ class TestSnapshot:
         registry.register_collector(
             "good", lambda r: r.gauge("repro_pulled").set(42.0)
         )
-        stream = io.StringIO()
-        with log_context(stream=stream):
-            registry.snapshot()
-            records = {r["name"]: r for r in registry.snapshot()}
+        registry.snapshot()
+        records = {r["name"]: r for r in registry.snapshot()}
         assert records["repro_pulled"]["value"] == 42.0
         errors = records["repro_obs_collector_errors_total"]
         assert errors["tags"] == {"collector": "bad"}
         assert errors["value"] == 2.0
-        (warning,) = [json.loads(line) for line in stream.getvalue().splitlines()]
-        assert warning["event"] == "collector_failed"
-        assert warning["level"] == "warning"
-        assert warning["tags"] == {
+        # Counted on every failure, reported on stderr on the first.
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (report,) = [strict_loads(line) for line in captured.err.splitlines()]
+        assert report == {
+            "event": "collector_failed",
             "collector": "bad",
             "error": "RuntimeError: collector bug",
         }

@@ -14,7 +14,7 @@ from repro.obs.trace import (
     Trace,
     Tracer,
     active,
-    current_ids,
+    current_span,
     new_span_id,
     new_trace_id,
     record_stage,
@@ -80,8 +80,8 @@ class TestInstallation:
             assert tracer.finished == 1
         assert not active()
 
-    def test_current_ids_none_without_span(self):
-        assert current_ids() is None
+    def test_current_span_none_without_span(self):
+        assert current_span() is None
 
 
 class TestPropagation:
@@ -92,7 +92,7 @@ class TestPropagation:
                 with span("repro_test_child", registry=registry) as child:
                     assert child.trace_id == root.trace_id
                     assert child.parent_id == root.span_id
-                    assert current_ids() == (child.trace_id, child.span_id)
+                    assert current_span() is child
         traces = tracer.traces()
         assert len(traces) == 1
         assert {r.name for r in traces[0].spans} == {
@@ -114,7 +114,7 @@ class TestPropagation:
     def test_untraced_spans_carry_no_ids(self):
         registry = MetricsRegistry()
         with span("repro_test_root", registry=registry) as opened:
-            assert current_ids() is None
+            assert current_span() is None
         assert opened.trace_id is None
 
     def test_new_thread_does_not_inherit_current_span(self):
@@ -122,7 +122,7 @@ class TestPropagation:
         seen: dict[str, object] = {}
 
         def worker():
-            seen["ids"] = current_ids()
+            seen["current"] = current_span()
             with span("repro_test_other", registry=registry) as inner:
                 seen["parent"] = inner.parent_id
 
@@ -131,7 +131,7 @@ class TestPropagation:
                 thread = threading.Thread(target=worker)
                 thread.start()
                 thread.join()
-        assert seen["ids"] is None, "fresh thread starts with no span"
+        assert seen["current"] is None, "fresh thread starts with no span"
         assert seen["parent"] is None, "thread span is its own root"
 
 
@@ -297,7 +297,7 @@ class TestExports:
         path = tmp_path / "traces.jsonl"
         write_trace_jsonl([trace], path)
         (record,) = map(strict_loads, path.read_text().splitlines())
-        assert record["seconds"] is None
+        assert record["seconds"] == "+Inf"
         assert record["spans"][0]["cpu_seconds"] is None
 
 

@@ -532,12 +532,11 @@ class TestServeCommand:
     def test_sigterm_drains_and_writes_telemetry(self, trained, tmp_path):
         """What a process manager (or ``kill``) sends: the server drains
         and exits 0 with its telemetry written."""
+        import json
         import os
         import signal
         import subprocess
         import sys
-
-        from repro.obs.export import read_telemetry
 
         dataset, bundle = trained
         telemetry = tmp_path / "serve.jsonl"
@@ -565,7 +564,7 @@ class TestServeCommand:
                 process.wait()
         assert process.returncode == 0, "".join(announced) + rest
         assert "draining" in rest
-        assert [record["record"] for record in read_telemetry(telemetry)] == [
+        assert [json.loads(line)["record"] for line in telemetry.read_text().splitlines()] == [
             "run", "snapshot"
         ]
 
@@ -647,3 +646,62 @@ class TestHealthCommand:
             main(["health", "--slo", "repro_cache_hit_rate>=0.9"])
         assert usage.value.code == 2
         assert "--telemetry" in capsys.readouterr().err
+
+    def test_infinite_zscore_reads_as_breach_from_the_file(
+        self, tmp_path, capsys, strict_loads
+    ):
+        """The file says what the live registry says: a monitor's -inf
+        z-score prints as -Inf and breaches, not NaN and missing."""
+        from repro.obs.drift import DriftMonitor
+        from repro.obs.export import TelemetryWriter
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        for value in [80.0] * 64 + [40.0] * 64:
+            monitor.observe(value)
+        monitor.export(registry)
+        telemetry = tmp_path / "telemetry.jsonl"
+        with TelemetryWriter(telemetry) as writer:
+            writer.write_snapshot(registry)
+        assert main(["metrics", "--telemetry", str(telemetry)]) == 0
+        assert (
+            'repro_drift_mean_zscore{monitor="serving_candidates"} -Inf'
+            in capsys.readouterr().out
+        )
+        assert main([
+            "health", "--telemetry", str(telemetry),
+            "--slo", "z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4",
+        ]) == 1
+        assert "breached: z" in capsys.readouterr().out
+        # The JSON renderings stay strict: -inf is "-Inf", as in the file.
+        assert main([
+            "health", "--telemetry", str(telemetry), "--json",
+            "--slo", "z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4",
+        ]) == 1
+        (verdict,) = strict_loads(capsys.readouterr().out)["slos"]
+        assert (verdict["status"], verdict["value"]) == ("breach", "-Inf")
+        assert main(["metrics", "--telemetry", str(telemetry), "--format", "json"]) == 0
+        snapshot = strict_loads(capsys.readouterr().out)
+        assert "-Inf" in [metric["value"] for metric in snapshot]
+
+    @pytest.mark.parametrize("command", ["metrics", "health"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '{"record": "snapshot", "metrics": 5}',
+            '{"record": "snapshot", "metrics": [{"type": "gauge", "value": 1}]}',
+        ],
+        ids=["not-an-object", "metrics-not-a-list", "metric-without-name"],
+    )
+    def test_malformed_telemetry_exits_two(self, tmp_path, capsys, command, line):
+        """A corrupt file is a usage error (2), not a breach (1), and
+        prints one ``error:`` line naming the file, no traceback."""
+        telemetry = tmp_path / "telemetry.jsonl"
+        telemetry.write_text(line + "\n")
+        assert main([command, "--telemetry", str(telemetry)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (message,) = captured.err.splitlines()
+        assert message.startswith(f"error: {telemetry}:1: ")

@@ -137,8 +137,6 @@ ALLOWED_NAMES = {
     "repro.nn.gradcheck.check_parameter_gradient": "test support (gradient oracle)",
     "repro.eval.metrics.roc_curve": "test support: the independent ROC that "
     "tests/eval/test_metrics.py integrates to cross-check roc_auc",
-    "repro.obs.log.log_context": "test support: the scoped log sink tests "
-    "capture the structured stream with",
     "repro.obs.trace.current_span": "test support: how tests/obs/test_spans.py "
     "observes context propagation across threads and tasks",
 }
