@@ -19,7 +19,10 @@ inserted or removed since (the index's *epoch*).  A repeat request over
 an unchanged pool therefore goes straight to activity mask → one
 matrix-vector product → top-K: ``np.argpartition``, ordered by
 ``(-score, event_id)``, with ``ScoredEvent`` objects built for the
-selected rows only, never for the pool.  The same pass reports the
+selected rows only, never for the pool.  The product copies no rows
+for a pool that holds a quarter of the index or more: the index scores
+its live matrix in place and picks the pool's scores, and a pool whose
+every id was scored keys top-K by its id array itself, not a copy.  The same pass reports the
 candidates the index holds no row for — those are batch-encoded,
 upserted and the pool scored again (first sight only).  A memoised pool
 is **validated on every hit** against a private shallow copy of the
@@ -555,7 +558,11 @@ class RepresentationService:
             positions, score_rows, resolved = score(query, resolved, at_time)
         if resolved is not pool:
             self._remember(events, snapshot, resolved)
-        selected_ids = resolved.ids[positions]
+        # positions are sorted and unique, so as many as the ids are all
+        # of them, in order: no gather.
+        selected_ids = (
+            resolved.ids if positions.size == resolved.ids.size else resolved.ids[positions]
+        )
         rankings = []
         with span("repro_serving_topk", registry=registry):
             for scores in np.atleast_2d(score_rows):

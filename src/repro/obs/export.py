@@ -35,7 +35,12 @@ __all__ = [
 
 
 _INFINITIES = {"+Inf": math.inf, "-Inf": -math.inf}
-_METRIC_TYPES = ("counter", "gauge", "histogram")
+# The fields each metric type's snapshot record carries (and its readers use).
+_FIELDS = {
+    "counter": ("value",),
+    "gauge": ("value",),
+    "histogram": ("count", "sum", "min", "max", "quantiles"),
+}
 
 
 def _strict(value: Any) -> Any:
@@ -171,12 +176,18 @@ def _read_metric(metric: Any, where: str) -> dict:
     if not (
         isinstance(metric, dict)
         and isinstance(metric.get("name"), str)
-        and metric.get("type") in _METRIC_TYPES
+        and metric.get("type") in _FIELDS
     ):
         raise ValueError(
             f"{where}: a metric must be an object with a string name and a "
-            f"type in {_METRIC_TYPES}"
+            f"type in {tuple(_FIELDS)}"
         )
+    kind, name = metric["type"], metric["name"]
+    missing = [key for key in _FIELDS[kind] if key not in metric]
+    if missing:
+        raise ValueError(f"{where}: {kind} {name!r} has no {', '.join(missing)}")
+    if kind == "histogram" and not isinstance(metric["quantiles"], dict):
+        raise ValueError(f"{where}: histogram {name!r} quantiles must be an object")
     value = metric.get("value")
     if isinstance(value, str) and value in _INFINITIES:
         metric = {**metric, "value": _INFINITIES[value]}
@@ -188,8 +199,9 @@ def last_snapshot(path: str | Path) -> list[dict]:
 
     Raises ``ValueError`` naming the file (and line) when the file
     holds no snapshot record, a line that is not a JSON object, or a
-    snapshot whose ``metrics`` is not a list of metric records — what
-    the ``metrics`` and ``health`` CLI commands surface as a user error.
+    snapshot whose ``metrics`` is not a list of metric records, each
+    with its type's fields — what the ``metrics`` and ``health`` CLI
+    commands surface as a user error.
     """
     snapshot: list[dict] | None = None
     with Path(path).open("r", encoding="utf-8") as handle:

@@ -168,6 +168,14 @@ class TestMalformedTelemetry:
             ('{"record": "snapshot", "metrics": [{"name": "m", "type": "meter"}]}',
              ":2: a metric must be an object"),
             ('{"record": "snapshot", "metrics": [7]}', ":2: a metric must be an object"),
+            ('{"record": "snapshot", "metrics": [{"name": "m", "type": "gauge"}]}',
+             ":2: gauge 'm' has no value"),
+            ('{"record": "snapshot", "metrics": [{"name": "h", "type": "histogram", '
+             '"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0}]}',
+             ":2: histogram 'h' has no quantiles"),
+            ('{"record": "snapshot", "metrics": [{"name": "h", "type": "histogram", '
+             '"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0, "quantiles": [0.5]}]}',
+             ":2: histogram 'h' quantiles must be an object"),
         ],
     )
     def test_last_snapshot_names_file_and_line(self, tmp_path, line, message):

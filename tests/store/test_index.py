@@ -1,5 +1,7 @@
 """Batched top-K event retrieval index: invariants and parity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,92 @@ class TestScoring:
         assert index.activity_mask(3.0).tolist() == [True, False]
         assert index.activity_mask(10.0).tolist() == [False, True]
         assert index.activity_mask(25.0).tolist() == [False, False]
+
+
+def churned_index(rng, size: int = 5_048, dim: int = 32) -> EventIndex:
+    """An index after churn: interior removes have moved rows, so no
+    pool in id order is in row order.  Every 7th event is created at
+    t=60 and every 10th starts at t=200 (the rest at 100): at t=50 about
+    86 % of the rows are active, at t=150 about 10 %."""
+    index = EventIndex()
+    for event_id, vector in enumerate(rng.normal(size=(size + 16, dim))):
+        created = 60.0 if event_id % 7 == 0 else 0.0
+        starts = 200.0 if event_id % 10 == 0 else 100.0
+        index.upsert(make_event(event_id, created, starts), "v", vector)
+    for event_id in range(0, size, size // 16):
+        index.remove(event_id)
+    return index
+
+
+def peak_bytes(call) -> int:
+    """Peak traced allocation during ``call()`` (numpy reports its
+    buffers to ``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoresInPlace:
+    """A pool holding at least a quarter of the live rows is scored over
+    the matrix in place, then picked; a smaller one is gathered."""
+
+    @pytest.mark.parametrize(
+        "queries, at_time, bound",
+        [
+            pytest.param(1, None, 0.25, id="score_ids"),
+            pytest.param(1, 50.0, 0.25, id="score_ids-at_time"),
+            pytest.param(8, None, 1.0, id="score_ids_batch-8"),
+        ],
+    )
+    def test_most_of_the_index_is_not_copied(self, rng, queries, at_time, bound):
+        index = churned_index(rng)
+        # Every event but a 16-event burst, in id order: not whole.
+        pool = index.resolve(np.sort(index.event_ids)[16:])
+        assert not pool.whole and pool.absent.size == 0
+        if queries == 1:
+            score, query = index.score_ids, rng.normal(size=32)
+        else:
+            score, query = index.score_ids_batch, rng.normal(size=(queries, 32))
+        assert score(query, pool, at_time)[2] is pool
+        matrix_bytes = index.vectors.nbytes
+        assert peak_bytes(lambda: score(query, pool, at_time)) < bound * matrix_bytes
+
+    def test_an_event_has_one_score_on_every_in_place_pool(self, rng):
+        """The whole pool, the pool minus a burst and the pool filtered
+        by ``at_time`` give each event the same bits: ``scores(q)[row]``.
+        (A gathered product's bits for a row depend on where the row
+        sits in the copy, which dims 5–6 rarely show but dim 32 does.)"""
+        index = churned_index(rng)
+        whole = index.resolve(index.event_ids)
+        assert whole.whole
+        pools = [
+            (whole, None),
+            (index.resolve(np.sort(index.event_ids)[16:]), None),
+            (whole, 50.0),
+        ]
+        for query in rng.normal(size=(5, 32)):
+            reference = index.scores(query)
+            for pool, at_time in pools:
+                positions, scores, _ = index.score_ids(query, pool, at_time)
+                assert 4 * positions.size >= len(index)
+                rows = index.resolve(pool.ids[positions]).rows
+                assert np.array_equal(scores, reference[rows])
+
+    @pytest.mark.parametrize(
+        "count, at_time",
+        [pytest.param(200, None, id="sub-pool"), pytest.param(None, 150.0, id="late")],
+    )
+    def test_a_pool_under_a_quarter_is_gathered(self, rng, count, at_time):
+        index = churned_index(rng)
+        pool = index.resolve(np.sort(index.event_ids)[:count])
+        for query in rng.normal(size=(5, 32)):
+            positions, scores, _ = index.score_ids(query, pool, at_time)
+            assert 0 < 4 * positions.size < len(index)
+            rows = index.resolve(pool.ids[positions]).rows
+            assert np.array_equal(scores, index.scores(query, rows))
 
 
 class TestTopKOrder:

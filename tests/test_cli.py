@@ -705,3 +705,28 @@ class TestHealthCommand:
         assert captured.out == ""
         (message,) = captured.err.splitlines()
         assert message.startswith(f"error: {telemetry}:1: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["metrics"], ["health", "--slo", "x=m>=0"]],
+        ids=["metrics", "health"],
+    )
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            '{"name": "m", "type": "gauge"}',
+            '{"name": "m", "type": "histogram", "count": 1, "sum": 1.0, '
+            '"min": 1.0, "max": 1.0}',
+        ],
+        ids=["gauge-without-value", "histogram-without-quantiles"],
+    )
+    def test_metric_missing_a_field_exits_two(self, tmp_path, capsys, command, metric):
+        """A named, typed record without its type's fields is a corrupt
+        file too: not a ``KeyError`` traceback, and not a breach."""
+        telemetry = tmp_path / "telemetry.jsonl"
+        telemetry.write_text(f'{{"record": "snapshot", "metrics": [{metric}]}}\n')
+        assert main([*command, "--telemetry", str(telemetry)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (message,) = captured.err.splitlines()
+        assert message.startswith(f"error: {telemetry}:1: ") and "'m' has no" in message
