@@ -19,17 +19,16 @@ inserted or removed since (the index's *epoch*).  A repeat request over
 an unchanged pool therefore goes straight to activity mask → one
 matrix-vector product → top-K: ``np.argpartition``, ordered by
 ``(-score, event_id)``, with ``ScoredEvent`` objects built for the
-selected rows only, never for the pool.  The product copies no rows
-for a pool that holds a quarter of the index or more: the index scores
-its live matrix in place and picks the pool's scores, and a pool whose
-every id was scored keys top-K by its id array itself, not a copy.  The same pass reports the
-candidates the index holds no row for — those are batch-encoded,
-upserted and the pool scored again (first sight only).  A memoised pool
-is **validated on every hit** against a private shallow copy of the
-list (list equality: one identity test per element), so an edited,
-appended, shortened, re-sorted or id-recycled list just takes the
-first-time path, and the first-time path is the repeat path with the
-ids read first — there is one rank body.
+selected rows only, never for the pool.  For one user the product
+copies no rows when the pool holds a quarter of the index or more: the
+index scores its live matrix in place and picks the pool's scores.  The
+same pass reports the candidates the index holds no row for — those are
+batch-encoded, upserted and the pool scored again (first sight only).
+A memoised pool is **validated on every hit** against a private shallow
+copy of the list (list equality: one identity test per element), so an
+edited, appended, shortened, re-sorted or id-recycled list just takes
+the first-time path, and the first-time path is the repeat path with
+the ids read first — there is one rank body.
 
 Two contracts make that sound, and they belong together.  *Content
 changes are announced*: following the paper's mutation-driven
@@ -558,11 +557,7 @@ class RepresentationService:
             positions, score_rows, resolved = score(query, resolved, at_time)
         if resolved is not pool:
             self._remember(events, snapshot, resolved)
-        # positions are sorted and unique, so as many as the ids are all
-        # of them, in order: no gather.
-        selected_ids = (
-            resolved.ids if positions.size == resolved.ids.size else resolved.ids[positions]
-        )
+        selected_ids = resolved.ids[positions]
         rankings = []
         with span("repro_serving_topk", registry=registry):
             for scores in np.atleast_2d(score_rows):

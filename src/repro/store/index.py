@@ -29,13 +29,16 @@ against with a single matrix-vector product.
 * activity windows (``created_at``/``starts_at``) are kept in aligned
   arrays so ``at_time`` eligibility is one vectorized comparison, not
   a per-event ``is_active`` loop — one time for a whole cohort;
-* a pool is scored *in place* whenever its eligible rows are at least
-  a quarter of the live rows (:data:`_IN_PLACE_SHARE`, the measured
-  crossover): one GEMV/GEMM over the live rows of the matrix, then a
-  pick of the pool's scores — never a per-request copy of the matrix.
-  Only a smaller pool gathers its rows before the product.  Every
-  in-place pool therefore gives an event the same score, bit for bit:
-  ``scores(query)[row]``, whichever other rows the pool holds.
+* one query scores a pool *in place* whenever its eligible rows are
+  at least a quarter of the live rows (:data:`_IN_PLACE_SHARE`, the
+  measured crossover): one GEMV over the live rows of the matrix, then
+  a pick of the pool's scores — never a per-request copy of the
+  matrix.  Only a smaller pool gathers its rows before the product.
+  Every in-place pool therefore gives an event the same score, bit for
+  bit: ``scores(query)[row]``, whichever other rows the pool holds.  A
+  cohort's GEMM runs in place only over a whole pool: its product and
+  pick grow with the queries while the copy does not, so its crossover
+  lies far above a quarter.
 
 The index owns no model and no metrics of its own —
 :class:`~repro.core.service.RepresentationService` maintains it and
@@ -88,12 +91,14 @@ __all__ = ["IndexStats", "ResolvedPool", "EventIndex", "top_k_order"]
 
 _INITIAL_CAPACITY = 64
 
-# Score a pool in place (one product over the live rows, then a pick of
-# the pool's scores) when its rows are at least this share of the live
-# rows; gather them first below it.  At dim 32 the two cost the same at
-# a quarter (12.6 vs 12.6 µs at 2 000 rows, 33.5 vs 31.7 at 5 048, 240
-# vs 249 at 20 000); at the whole index the gather loses 184 vs 36 µs
-# at 5 048 rows and 848 vs 245 at 20 000.
+# Score one query's pool in place (one GEMV over the live rows, then a
+# pick of the pool's scores) when its rows are at least this share of
+# the live rows; gather them first below it.  At dim 32 the two cost the
+# same at a quarter (12.6 vs 12.6 µs at 2 000 rows, 33.5 vs 31.7 at
+# 5 048, 240 vs 249 at 20 000); at the whole index the gather loses 184
+# vs 36 µs at 5 048 rows and 848 vs 245 at 20 000.  A cohort's GEMM is
+# not ruled by it: at 8 queries the gather still wins at half the rows
+# of 20 000 (619 vs 724 µs), at 32 queries at 99.7 % (4.2 vs 5.5 ms).
 _IN_PLACE_SHARE = 0.25
 
 # Row-layout epochs of every index in the process come off one counter,
@@ -129,8 +134,9 @@ class ResolvedPool(NamedTuple):
     indexed, or a remover won the race.  ``whole`` says the rows are
     exactly the live rows in order, so the matrix is scored in place
     with no pick and an activity filter reads its columns as slices.
-    Any pool holding at least :data:`_IN_PLACE_SHARE` of the live rows
-    is scored in place too, then picked; a smaller one is gathered.
+    For one query, any pool holding at least :data:`_IN_PLACE_SHARE`
+    of the live rows is scored in place too, then picked; a smaller one
+    — and a cohort's pool that is not whole — is gathered.
     """
 
     ids: np.ndarray
@@ -498,8 +504,9 @@ class EventIndex:
 
         Done separately, a concurrent swap-with-last ``remove`` can
         move a row between resolve and score, silently scoring the
-        wrong event.  Rows at least :data:`_IN_PLACE_SHARE` of the live
-        rows are scored in place and picked; fewer are gathered.
+        wrong event.  One query's rows, when at least
+        :data:`_IN_PLACE_SHARE` of the live rows, are scored in place
+        and picked; fewer are gathered, as is a cohort's unless whole.
         """
         traced = _trace_active()
         wait_start = time.perf_counter() if traced else 0.0
@@ -517,8 +524,8 @@ class EventIndex:
             with span(stage) if traced else nullcontext():
                 if whole:
                     scores = kernel(query, None)
-                elif rows.size >= _IN_PLACE_SHARE * self._size:
-                    scores = kernel(query, None)[..., rows]
+                elif np.ndim(query) == 1 and rows.size >= _IN_PLACE_SHARE * self._size:
+                    scores = kernel(query, None)[rows]
                 else:
                     scores = kernel(query, rows)
             return positions, scores, pool

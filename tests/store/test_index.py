@@ -296,29 +296,23 @@ def peak_bytes(call) -> int:
 
 
 class TestScoresInPlace:
-    """A pool holding at least a quarter of the live rows is scored over
-    the matrix in place, then picked; a smaller one is gathered."""
+    """For one query, a pool holding at least a quarter of the live rows
+    is scored over the matrix in place, then picked; a smaller one is
+    gathered, as is a cohort's pool unless it is whole."""
 
     @pytest.mark.parametrize(
-        "queries, at_time, bound",
-        [
-            pytest.param(1, None, 0.25, id="score_ids"),
-            pytest.param(1, 50.0, 0.25, id="score_ids-at_time"),
-            pytest.param(8, None, 1.0, id="score_ids_batch-8"),
-        ],
+        "at_time",
+        [pytest.param(None, id="score_ids"), pytest.param(50.0, id="score_ids-at_time")],
     )
-    def test_most_of_the_index_is_not_copied(self, rng, queries, at_time, bound):
+    def test_most_of_the_index_is_not_copied(self, rng, at_time):
         index = churned_index(rng)
         # Every event but a 16-event burst, in id order: not whole.
         pool = index.resolve(np.sort(index.event_ids)[16:])
         assert not pool.whole and pool.absent.size == 0
-        if queries == 1:
-            score, query = index.score_ids, rng.normal(size=32)
-        else:
-            score, query = index.score_ids_batch, rng.normal(size=(queries, 32))
-        assert score(query, pool, at_time)[2] is pool
-        matrix_bytes = index.vectors.nbytes
-        assert peak_bytes(lambda: score(query, pool, at_time)) < bound * matrix_bytes
+        query = rng.normal(size=32)
+        assert index.score_ids(query, pool, at_time)[2] is pool
+        peak = peak_bytes(lambda: index.score_ids(query, pool, at_time))
+        assert peak < 0.25 * index.vectors.nbytes
 
     def test_an_event_has_one_score_on_every_in_place_pool(self, rng):
         """The whole pool, the pool minus a burst and the pool filtered
