@@ -140,7 +140,11 @@ def validate_top_k(top_k: int | None) -> int | None:
 class ServingMonitors:
     """Drift monitors over the serving-path model-output distributions.
 
-    Three signals the latency telemetry cannot see:
+    Two signals the latency telemetry cannot see, both functions of the
+    model rather than of the pool.  The pool's size moves whenever an
+    event is published or expires, which is the normal state of a live
+    server, so it is read from the ``repro_serving_candidates``
+    histogram and judged by no monitor:
 
     * ``serving_scores`` — the top-1 score of every served ranking, one
       number per ranking: the K scores of one ranking sit at that
@@ -150,9 +154,6 @@ class ServingMonitors:
       depend on the route mix — nor does an empty ranking.  A shift
       here means the model's notion of a good match moved — the first
       symptom of index staleness or a bad model swap.
-    * ``serving_candidates`` — per-request candidate-pool size after
-      activity filtering; events expiring en masse shrink it long
-      before latency notices.
     * ``serving_user_norms`` — the L2 norm of each ranked user's
       vector, one per served ranking from either rank entrance
       (``score`` and ``user_vector`` feed nothing); a shifted norm
@@ -166,15 +167,12 @@ class ServingMonitors:
     """
 
     def __init__(self) -> None:
-        self.scores = DriftMonitor("serving_scores", warmup=256, window=256)
-        self.candidates = DriftMonitor(
-            "serving_candidates", warmup=64, window=64, min_live=16
-        )
-        self.user_norms = DriftMonitor("serving_user_norms", warmup=128, window=128)
+        self.scores = DriftMonitor("serving_scores", window=256)
+        self.user_norms = DriftMonitor("serving_user_norms", window=128)
 
     @property
     def all(self) -> tuple[DriftMonitor, ...]:
-        return (self.scores, self.candidates, self.user_norms)
+        return (self.scores, self.user_norms)
 
     def collect(self, registry: MetricsRegistry) -> None:
         """Pull-style export of every monitor's current verdict."""
@@ -628,7 +626,6 @@ class RepresentationService:
         """Feed one rank call's pool size and each ranking's top-1 score
         to telemetry."""
         registry.histogram("repro_serving_candidates").observe(num_candidates)
-        self.monitors.candidates.observe(float(num_candidates))
         observe = self.monitors.scores.observe
         for ranking in rankings:
             if ranking:

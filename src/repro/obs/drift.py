@@ -1,18 +1,19 @@
 """Drift detection: a reference-vs-live mean shift over one stream.
 
-The paper's core premise is that events are transient — the serving
-distribution (served scores, candidate-pool sizes, embedding norms)
-shifts continuously as events are created and expire.  Latency
+The paper's core premise is that events are transient — the pool
+turns over continuously as events are created and expire, and a
+monitor must tell that normal turnover from a model that moved.  Latency
 telemetry (:mod:`repro.obs.registry`, :mod:`repro.obs.trace`) says
 whether the system is *fast*; this module says whether the model's
 outputs are still *healthy*: whether what the system serves today
 still looks like what it served when the reference window was frozen.
 
-:class:`DriftMonitor` is a streaming monitor fed raw observations.
-The first ``warmup`` samples freeze into an immutable *reference*
-(its size, mean and variance); later samples roll through a
-fixed-size *live window*.  :meth:`DriftMonitor.result` compares the
-two with one detector, the two-sample mean-shift z-score, and
+:class:`DriftMonitor` is a streaming monitor fed raw observations,
+with one setting, ``window``.  The first ``window`` samples freeze
+into an immutable *reference* (its size, mean and variance); later
+samples roll through a *live window* of the same size.
+:meth:`DriftMonitor.result` compares the two, once the live window is
+full, with one detector, the two-sample mean-shift z-score, and
 breaches when its magnitude reaches :data:`SIGMAS`.
 
 The z-score assumes the samples of a window are exchangeable — any
@@ -112,10 +113,11 @@ class DriftResult:
 class DriftMonitor:
     """Streaming reference-vs-live mean-shift monitor for one signal.
 
-    The first ``warmup`` observations freeze into the reference; the
+    The first ``window`` observations freeze into the reference; the
     live window is a ring of the most recent ``window`` observations
-    after that.  Verdicts need at least ``min_live`` live samples —
-    before that, ``result()`` reports ``"warming"`` and never breaches.
+    after that.  A verdict needs a full live window — before that,
+    ``result()`` reports ``"warming"`` and never breaches — so the
+    first one comes at the ``2 * window``-th observation.
 
     The verdict is ``"drift"`` when the mean-shift z-score reaches
     :data:`SIGMAS` in either direction.
@@ -126,25 +128,11 @@ class DriftMonitor:
     recent state.  The reference freezes once and is never re-armed.
     """
 
-    def __init__(
-        self,
-        name: str,
-        warmup: int = 200,
-        window: int = 200,
-        min_live: int = 50,
-    ) -> None:
-        if warmup < 2:
-            raise ValueError(f"warmup must be >= 2, got {warmup}")
+    def __init__(self, name: str, window: int) -> None:
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
-        if not 2 <= min_live <= window:
-            raise ValueError(
-                f"min_live must be in [2, window], got {min_live}"
-            )
         self.name = name
-        self.warmup = warmup
         self.window = window
-        self.min_live = min_live
         self._freeze_lock = threading.Lock()
         self._pending: list[float] | None = []
         self._ref_n = 0
@@ -161,7 +149,7 @@ class DriftMonitor:
         pending = self._pending
         if pending is not None:
             pending.append(value)
-            if len(pending) >= self.warmup:
+            if len(pending) >= self.window:
                 self._freeze()
             return
         self._live.append(value)
@@ -184,7 +172,7 @@ class DriftMonitor:
         """Compare the live window to the reference right now."""
         pending = self._pending
         live = list(self._live)  # empty until the reference froze
-        if pending is not None or len(live) < self.min_live:
+        if pending is not None or len(live) < self.window:
             return DriftResult(
                 name=self.name,
                 status="warming",

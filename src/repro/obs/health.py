@@ -80,8 +80,8 @@ def default_serving_slos() -> tuple[SLOSpec, ...]:
     (``repro-events serve --metrics-out``): the server-side
     ``/recommend`` p99 from its own request histogram, cache hit-rate
     from the cache collector, and the drift *verdict* gauge of each of
-    the service's three monitors (served scores, candidate-pool sizes,
-    user-vector norms).  The verdict (``repro_drift_ok``) is used
+    the service's two monitors (served top-1 scores, user-vector
+    norms).  The verdict (``repro_drift_ok``) is used
     rather than the raw ``repro_drift_mean_zscore`` so that every
     drift objective is the same ``>= 1``, whatever threshold
     :mod:`repro.obs.drift` breaches at.
@@ -115,8 +115,6 @@ def default_serving_slos() -> tuple[SLOSpec, ...]:
         for name, monitor, description in (
             ("score_drift_ok", "serving_scores",
              "served-score drift verdict healthy"),
-            ("candidate_drift_ok", "serving_candidates",
-             "candidate-pool-size drift verdict healthy"),
             ("user_norm_drift_ok", "serving_user_norms",
              "user-vector-norm drift verdict healthy"),
         )

@@ -901,7 +901,6 @@ class TestServingMonitors:
         # score is not one.
         assert len(ranking) == len(tiny_events) > 1
         assert scores == [ranking[0].score]
-        assert service.monitors.candidates.observed == 1
         assert service.monitors.user_norms.observed == 1
 
     @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
@@ -910,17 +909,21 @@ class TestServingMonitors:
     ):
         """Every candidate expired: the ranking is empty, no score is
         observed and nothing raises; the pool size of 0 is observed."""
-        _, service = observed
-        scores, candidates = [], []
+        registry, service = observed
+        scores = []
         monkeypatch.setattr(service.monitors.scores, "observe", scores.append)
-        monkeypatch.setattr(service.monitors.candidates, "observe", candidates.append)
         if entrance == "rank_events":
             rankings = [service.rank_events(tiny_users[0], tiny_events, at_time=1e6)]
         else:
             rankings = service.rank_events_batch(tiny_users, tiny_events, at_time=1e6)
         assert rankings and all(ranking == [] for ranking in rankings)
         assert scores == []
-        assert candidates == [0.0]
+        (candidates,) = (
+            record
+            for record in registry.snapshot()
+            if record["name"] == "repro_serving_candidates"
+        )
+        assert (candidates["count"], candidates["sum"]) == (1, 0)
 
     def test_snapshot_exports_drift_verdicts(self, observed, tiny_users, tiny_events):
         registry, service = observed
@@ -929,8 +932,10 @@ class TestServingMonitors:
             (record["name"], record["tags"].get("monitor"))
             for record in registry.snapshot()
         }
-        for monitor in ("serving_scores", "serving_candidates", "serving_user_norms"):
-            assert ("repro_drift_ok", monitor) in exported
+        assert {
+            monitor for name, monitor in exported if name == "repro_drift_ok"
+        } == {"serving_scores", "serving_user_norms"}
+        for monitor in ("serving_scores", "serving_user_norms"):
             assert ("repro_drift_live_samples", monitor) in exported
 
     @pytest.mark.parametrize("entrance", ["rank_events", "rank_events_batch"])
@@ -938,7 +943,7 @@ class TestServingMonitors:
         self, observed, tiny_users, tiny_events, entrance
     ):
         """t=46 expires event 3 (starts 44) and keeps events 1 and 2:
-        telemetry and the drift monitor see 2 candidates, not 3."""
+        telemetry sees 2 candidates, not 3."""
         registry, service = observed
         if entrance == "rank_events":
             service.rank_events(tiny_users[0], tiny_events, at_time=46.0)
@@ -950,7 +955,6 @@ class TestServingMonitors:
             if record["name"] == "repro_serving_candidates"
         )
         assert (candidates["count"], candidates["sum"]) == (1, 2)
-        assert service.monitors.candidates.observed == 1
 
     def test_every_ranked_user_norm_is_observed(
         self, observed, tiny_users, tiny_events, monkeypatch

@@ -30,24 +30,43 @@ class TestMeanShiftZscore:
 
 
 class TestDriftMonitor:
-    def test_warming_until_reference_and_min_live(self):
-        monitor = DriftMonitor("sig", warmup=10, window=10, min_live=5)
+    def test_warming_until_reference_and_a_full_live_window(self):
+        monitor = DriftMonitor("sig", window=10)
         for value in range(9):
             monitor.observe(value)
         assert monitor.result().status == "warming"
         monitor.observe(9.0)  # freezes the reference
         assert monitor.result().status == "warming"  # live window still empty
-        for value in range(4):
+        for value in range(9):
             monitor.observe(value)
-        assert monitor.result().status == "warming"  # one short of min_live
-        monitor.observe(4.0)
-        assert monitor.result().status in ("ok", "drift")
+        # 2 * window - 1 observations: one short of a full live window.
+        assert monitor.observed == 19
+        assert monitor.result().status == "warming"
+        monitor.observe(9.0)
+        result = monitor.result()
+        assert result.status == "ok"
+        assert result.live_samples == 10
+        assert result.mean_zscore == 0.0
+
+    @pytest.mark.parametrize("window", [2, 64])
+    def test_first_verdict_at_twice_the_window(self, window):
+        # A step the reference never saw: the one observation that fills
+        # the live window turns "warming" into "drift", no earlier.
+        monitor = DriftMonitor("sig", window=window)
+        for _ in range(window):
+            monitor.observe(0.0)
+        for _ in range(window - 1):
+            monitor.observe(1.0)
+            assert monitor.result().status == "warming"
+        monitor.observe(1.0)
+        assert monitor.observed == 2 * window
+        assert monitor.result().status == "drift"
 
     def test_stationary_stream_stays_ok(self):
         # Zero false positives at default thresholds on a stationary
         # stream: one seeded gaussian, reference then live.
         rng = random.Random(7)
-        monitor = DriftMonitor("sig", warmup=200, window=200)
+        monitor = DriftMonitor("sig", window=200)
         for _ in range(600):
             monitor.observe(rng.gauss(10.0, 2.0))
             result = monitor.result()
@@ -58,7 +77,7 @@ class TestDriftMonitor:
 
     def test_injected_mean_shift_is_detected(self):
         rng = random.Random(11)
-        monitor = DriftMonitor("sig", warmup=200, window=200)
+        monitor = DriftMonitor("sig", window=200)
         for _ in range(200):
             monitor.observe(rng.gauss(10.0, 2.0))
         for _ in range(200):
@@ -69,8 +88,8 @@ class TestDriftMonitor:
 
     def test_export_writes_drift_gauges(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor("scores", warmup=5, window=5, min_live=2)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 3.0):
+        monitor = DriftMonitor("scores", window=5)
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 2.0, 3.0, 4.0, 3.0, 3.0):
             monitor.observe(value)
         monitor.export(registry)
         by_name = {
@@ -83,13 +102,13 @@ class TestDriftMonitor:
             "repro_drift_live_samples",
         }
         assert by_name[("repro_drift_ok", "scores")]["value"] == 1.0
-        assert by_name[("repro_drift_live_samples", "scores")]["value"] == 2
+        assert by_name[("repro_drift_live_samples", "scores")]["value"] == 5
         text = render_prometheus(registry.snapshot())
         assert 'repro_drift_mean_zscore{monitor="scores"}' in text
 
     def test_export_while_warming_reads_healthy(self):
         registry = MetricsRegistry()
-        monitor = DriftMonitor("scores", warmup=5, window=5, min_live=2)
+        monitor = DriftMonitor("scores", window=5)
         monitor.export(registry)
         records = {r["name"]: r["value"] for r in registry.snapshot()}
         assert records["repro_drift_ok"] == 1.0
@@ -100,7 +119,7 @@ class TestDriftMonitor:
         # A constant stream that steps to another constant has zero
         # spread: the z-score is infinite, and a breach must not read 0.
         registry = MetricsRegistry()
-        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        monitor = DriftMonitor("serving_user_norms", window=64)
         for value in [80.0] * 64 + [live] * 64:
             monitor.observe(value)
         assert monitor.result().status == "drift"
@@ -109,17 +128,19 @@ class TestDriftMonitor:
         assert records["repro_drift_ok"] == 0.0
         assert records["repro_drift_mean_zscore"] == math.copysign(math.inf, live - 80.0)
         rendered = render_prometheus(registry.snapshot())
-        assert f'repro_drift_mean_zscore{{monitor="serving_candidates"}} {text}' in rendered
+        assert f'repro_drift_mean_zscore{{monitor="serving_user_norms"}} {text}' in rendered
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"warmup": 1},
             {"window": 1},
-            {"min_live": 1},
-            {"min_live": 500},
+            {"window": 0},
+            {"warmup": 64, "window": 64},
+            {"window": 64, "min_live": 16},
         ],
     )
     def test_bad_construction_raises(self, kwargs):
-        with pytest.raises(ValueError):
+        # A window below 2 is a ValueError; the retired warmup= and
+        # min_live= are no keywords at all.
+        with pytest.raises(ValueError if set(kwargs) == {"window"} else TypeError):
             DriftMonitor("sig", **kwargs)

@@ -109,7 +109,7 @@ class TestJsonl:
         registry holds it, so ``metrics`` and ``health`` see the same
         number from the file as from the process."""
         registry = MetricsRegistry()
-        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        monitor = DriftMonitor("serving_user_norms", window=64)
         for value in [80.0] * 64 + [live] * 64:
             monitor.observe(value)
         monitor.export(registry)
@@ -119,7 +119,7 @@ class TestJsonl:
         with TelemetryWriter(path) as writer:
             writer.write_snapshot(registry)
         assert last_snapshot(path) == registry.snapshot()
-        slo = parse_slo("z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4")
+        slo = parse_slo("z=repro_drift_mean_zscore{monitor=serving_user_norms}>=-4")
         from_file = evaluate([slo], last_snapshot(path)).slos[0]
         from_live = evaluate([slo], registry.snapshot()).slos[0]
         assert from_file == from_live

@@ -146,7 +146,7 @@ class TestHealthMonitor:
     def test_drifted_monitor_breaches_snapshot(self):
         """A drift monitor reaches the verdict the one way anything
         does: as a spec over the gauge it exports."""
-        monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
+        monitor = DriftMonitor("scores", window=5)
         for value in [1.0, 1.1, 0.9, 1.05, 0.95]:
             monitor.observe(value)
         specs = self.SPECS + (parse_slo(
@@ -206,6 +206,9 @@ class TestHealthMonitor:
 class TestDefaultServingSlos:
     def test_cover_latency_cache_and_drift(self):
         specs = default_serving_slos()
+        assert [spec.name for spec in specs] == [
+            "recommend_p99", "cache_hit_rate", "score_drift_ok", "user_norm_drift_ok",
+        ]
         assert {spec.metric for spec in specs} == {
             "repro_serving_http_request_seconds",
             "repro_cache_hit_rate",
@@ -231,7 +234,7 @@ class TestDefaultServingSlos:
 
 class TestFormatHealth:
     def test_mentions_verdict_slos_and_drift(self):
-        monitor = DriftMonitor("scores", warmup=5, window=5, min_live=5)
+        monitor = DriftMonitor("scores", window=5)
         for value in [1.0] * 5 + [1.0] * 5:
             monitor.observe(value)
         registry = MetricsRegistry()

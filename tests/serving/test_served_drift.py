@@ -4,17 +4,21 @@ The bundle is the one CI's serve-smoke job serves: ``generate --scale
 small --seed 0`` then ``train`` with its defaults.  Traffic is random
 users asking for ``top_k`` 10 over the whole pool, posted through
 ``ServingServer``'s flush runner eight requests at a time (so each
-flush is one ``rank_events_batch``), and the three drift monitors are
+flush is one ``rank_events_batch``), and the two drift monitors are
 polled after every flush: ``ServingMonitors.collect`` into a fresh
 registry, judged by the stock drift SLOs.
 
-* Stationary traffic (seeds 0–7, 1 000 requests each) never breaches.
+* Stationary traffic (seeds 0–7, 1 000 requests each) never breaches,
+  whether the pool is fixed or an event is published into it: events
+  are transient (the paper's §1), so a pool that changes size is the
+  normal state of a live server, not a drift.
 * Each seeded drift — an untrained model's weights, events of another
   world, noise on the user tower — breaches ``score_drift_ok`` within
   256 requests of the switch, in the same service and monitors.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -85,6 +89,35 @@ def test_stationary_traffic_never_breaches(trained, seed):
         assert service.monitors.scores.observed == 1000
 
 
+@functools.cache
+def other_world():
+    """Events of world seed 7, in id order, under ids the index never held."""
+    other = build_dataset(DataConfig.small(seed=7)).events
+    return tuple(
+        dataclasses.replace(event, event_id=event.event_id + 100_000)
+        for event in sorted(other, key=lambda event: event.event_id)
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_publishing_an_event_never_breaches(trained, seed):
+    """After 512 requests one event of world seed 7 is refreshed in
+    under a fresh id and joins the pool, as a newly created event does."""
+    bundle, users, events = trained
+    with use_registry(MetricsRegistry()):
+        service = serve(bundle, users, events)
+        server = ServingServer(service, users, events)
+        rng = np.random.default_rng(seed)
+        for flush in range(1000 // FLUSH):
+            if flush == 512 // FLUSH:
+                published = list(other_world()[:1])
+                service.refresh_events(published)
+                server = ServingServer(service, users, events + published)
+            traffic(server, rng, users)
+            assert breached(service) == [], (flush + 1) * FLUSH
+        assert len(service.index) == len(events) + 1
+
+
 def untrained_weights(service, users, events):
     """The untrained model's weights loaded, then everything re-warmed."""
     model = service.model
@@ -99,11 +132,7 @@ def untrained_weights(service, users, events):
 
 def other_world_events(service, users, events):
     """Events of world seed 7, refreshed in under ids the index never held."""
-    other = build_dataset(DataConfig.small(seed=7)).events
-    moved = [
-        dataclasses.replace(event, event_id=event.event_id + 100_000)
-        for event in sorted(other, key=lambda event: event.event_id)
-    ]
+    moved = list(other_world())
     service.refresh_events(moved)
     return moved
 

@@ -129,6 +129,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--tables", "3"])
 
+    def test_experiment_scales_are_the_protocols(self):
+        """The parser spells the scale names out, so it loads no stage-2
+        module; they stay the names of ``SCALES``."""
+        from repro.eval.protocol import SCALES
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (scale,) = [
+            action
+            for action in commands.choices["experiment"]._actions
+            if action.dest == "scale"
+        ]
+        assert sorted(scale.choices) == sorted(SCALES)
+
     def test_experiment_runs_a_named_scale(self):
         args = build_parser().parse_args(["experiment", "--seed", "4"])
         assert (args.scale, args.seed) == ("ci", 4)
@@ -657,7 +674,7 @@ class TestHealthCommand:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        monitor = DriftMonitor("serving_candidates", warmup=64, window=64, min_live=64)
+        monitor = DriftMonitor("serving_user_norms", window=64)
         for value in [80.0] * 64 + [40.0] * 64:
             monitor.observe(value)
         monitor.export(registry)
@@ -666,18 +683,18 @@ class TestHealthCommand:
             writer.write_snapshot(registry)
         assert main(["metrics", "--telemetry", str(telemetry)]) == 0
         assert (
-            'repro_drift_mean_zscore{monitor="serving_candidates"} -Inf'
+            'repro_drift_mean_zscore{monitor="serving_user_norms"} -Inf'
             in capsys.readouterr().out
         )
         assert main([
             "health", "--telemetry", str(telemetry),
-            "--slo", "z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4",
+            "--slo", "z=repro_drift_mean_zscore{monitor=serving_user_norms}>=-4",
         ]) == 1
         assert "breached: z" in capsys.readouterr().out
         # The JSON renderings stay strict: -inf is "-Inf", as in the file.
         assert main([
             "health", "--telemetry", str(telemetry), "--json",
-            "--slo", "z=repro_drift_mean_zscore{monitor=serving_candidates}>=-4",
+            "--slo", "z=repro_drift_mean_zscore{monitor=serving_user_norms}>=-4",
         ]) == 1
         (verdict,) = strict_loads(capsys.readouterr().out)["slos"]
         assert (verdict["status"], verdict["value"]) == ("breach", "-Inf")

@@ -470,10 +470,11 @@ STAGE_TWO = (
 
 def test_runtime_loads_no_scipy():
     """The runtime depends on numpy only: importing the serving closure
-    (server, bundle loader, dataset) and the training closure (trainer)
-    loads no stage-2 module, and adding the CLI parser, a data config
-    and the AUC leaves scipy unloaded (it is a test oracle, in the dev
-    extra)."""
+    (server, bundle loader, dataset), the training closure (trainer)
+    and the CLI with its parser loads no stage-2 module — only
+    ``experiment`` loads stage 2, when it runs — and adding a data
+    config and the AUC leaves scipy unloaded (it is a test oracle, in
+    the dev extra)."""
     import json
     import os
     import subprocess
@@ -483,11 +484,11 @@ def test_runtime_loads_no_scipy():
         "import json, sys\n"
         "import repro.serving.server, repro.core.persistence, repro.datagen.dataset\n"
         "import repro.core.trainer\n"
-        "runtime = sorted(name for name in sys.modules if name.startswith('repro.'))\n"
         "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "runtime = sorted(name for name in sys.modules if name.startswith('repro.'))\n"
         "from repro.datagen.config import DataConfig\n"
         "from repro.eval.metrics import roc_auc\n"
-        "build_parser()\n"
         "DataConfig.small(0)\n"
         "roc_auc([0, 1, 1], [0.2, 0.1, 0.9])\n"
         "scipy = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
@@ -502,6 +503,6 @@ def test_runtime_loads_no_scipy():
         check=True,
     )
     loaded = json.loads(result.stdout)
-    assert "repro.serving.server" in loaded["runtime"]
+    assert {"repro.serving.server", "repro.cli"} <= set(loaded["runtime"])
     assert [name for name in loaded["runtime"] if name.startswith(STAGE_TWO)] == []
     assert loaded["scipy"] == []
